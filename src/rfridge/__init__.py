@@ -44,6 +44,7 @@ from .risk import (
     risk_ridgeless,
     risk_wide,
     test_error,
+    theory_point,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,

@@ -42,11 +42,11 @@ from .risk import (
     DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
-    risk_general,
+    decompose,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
-    test_error,
+    theory_point,
     wide_phase,
 )
 from .selfconsistent import (
@@ -63,10 +63,11 @@ from .simulate import (
     nonlinear_power,
     run_trials,
 )
-from .training import training_theory
+from .training import training_at
 
 NAN = float("nan")
 INF = float("inf")
+_NON_FINITE = {"inf": INF, "-inf": -INF, "nan": NAN}
 
 THREADS_ENV = "RFRIDGE_THREADS"
 
@@ -194,14 +195,11 @@ def write_records(records, columns, fmt: str, out_path: str | None) -> None:
             row = {}
             for c in columns:
                 v = rec[c]
-                if isinstance(v, (bool, np.bool_)):
+                if isinstance(v, (bool, np.bool_, int, np.integer)):
                     v = int(v)
-                elif isinstance(v, (int, np.integer)):
-                    v = int(v)
-                elif isinstance(v, float) and not math.isfinite(v):
-                    v = format_value(v)  # strict JSON has no inf/nan literals
                 elif isinstance(v, (float, np.floating)):
-                    v = float(v)
+                    # strict JSON has no inf/nan literals
+                    v = float(v) if math.isfinite(v) else format_value(v)
                 row[c] = v
             buffer.write(json.dumps(row) + "\n")
     else:
@@ -215,12 +213,23 @@ def write_records(records, columns, fmt: str, out_path: str | None) -> None:
 
 
 def read_records(path_or_text: str, from_text: bool = False) -> list[OutputRecord]:
-    """Parse a CSV written by write_records back into records."""
+    """Parse CSV or JSONL written by write_records back into records.
+
+    JSONL input is recognized by its leading '{'; the 'inf' / '-inf' / 'nan'
+    strings that stand in for non-finite values there come back as floats.
+    """
     if from_text:
         text = path_or_text
     else:
         with open(path_or_text, encoding="utf-8") as fh:
             text = fh.read()
+    if text.lstrip().startswith("{"):
+        return [
+            {k: _NON_FINITE.get(v, v) if isinstance(v, str) else v
+             for k, v in json.loads(line).items()}
+            for line in text.splitlines()
+            if line.strip()
+        ]
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise ValueError("empty CSV input")
@@ -418,6 +427,41 @@ def _finite_point(args, sweep_param, value):
     return d, n, N, lam
 
 
+def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers):
+    """Fill the theory_* cells of one row; a general row solves exactly once.
+
+    R needs rho; test error, training error and norm need the target powers.
+    """
+    if variant == "general":
+        _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
+                 "general variant needs psi1, psi2 and the penalty")
+        point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
+        dec = decompose(point.chi.real, zeta_sq, psi1, psi2)
+    elif variant == "ridgeless":
+        _require(parser, psi1 is not None and psi2 is not None,
+                 "ridgeless variant needs psi1 and psi2")
+        dec = risk_ridgeless(zeta_sq, psi1, psi2)
+    elif variant == "wide":
+        _require(parser, psi2 is not None and lambda_bar is not None,
+                 "wide variant needs psi2 and the penalty")
+        dec = risk_wide(zeta_sq, psi2, lambda_bar)
+    else:
+        _require(parser, psi1 is not None and lambda_bar is not None,
+                 "lsamp variant needs psi1 and the penalty")
+        dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
+
+    rec["theory_bias_B"] = dec.bias_B
+    rec["theory_var_V"] = dec.var_V
+    if rho is not None:
+        rec["theory_risk_R"] = dec.risk_at(rho)
+    if powers is not None:
+        rec["theory_test_error"] = dec.test_error(powers)
+        if variant == "general":
+            asym = training_at(point, powers.rho, zeta_sq, psi1, psi2, lambda_bar)
+            rec["theory_train_error"] = powers.total_power * asym.L
+            rec["theory_norm_msq"] = powers.total_power * asym.A
+
+
 def cmd_theory(args, parser) -> int:
     mode = _mode(args, parser, "theory")
     sweep = SweepSpec.from_args(args)
@@ -428,12 +472,13 @@ def cmd_theory(args, parser) -> int:
         _require(parser, mode == "asym",
                  "--zeta-sq only makes sense with ratio flags; finite sizes need an "
                  "activation for the penalty conversion")
-        zeta_sq, mu_star_sq = args.zeta_sq, None
+        zeta_sq, mu_star_sq = args.zeta_sq, NAN
         act_label = ""
     else:
-        stats = hermite_stats(parse_activation(args), order=args.order)
+        activation = parse_activation(args)
+        stats = hermite_stats(activation, order=args.order)
         zeta_sq, mu_star_sq = stats.zeta_sq, stats.mu_star_sq
-        act_label = parse_activation(args).label()
+        act_label = activation.label()
 
     powers = None
     if args.f1_sq is not None or args.fstar_sq is not None or args.tau_sq_theory is not None:
@@ -455,11 +500,10 @@ def cmd_theory(args, parser) -> int:
             variant=args.variant,
             activation=act_label,
             zeta_sq=zeta_sq,
+            mu_star_sq=mu_star_sq,
             rho=rho if rho is not None else NAN,
             seed=NAN,
         )
-        if mu_star_sq is not None:
-            rec["mu_star_sq"] = mu_star_sq
         if powers is not None:
             rec["f1_sq"] = powers.f1_sq
             rec["fstar_sq"] = powers.fstar_sq
@@ -491,37 +535,7 @@ def cmd_theory(args, parser) -> int:
         rec["psi2"] = psi2 if psi2 is not None else NAN
         rec["lambda_bar"] = lambda_bar if lambda_bar is not None else NAN
 
-        if args.variant == "general":
-            _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
-                     "general variant needs psi1, psi2 and the penalty")
-            dec = risk_general(rho if rho is not None else INF, zeta_sq, psi1, psi2, lambda_bar)
-        elif args.variant == "ridgeless":
-            _require(parser, psi1 is not None and psi2 is not None,
-                     "ridgeless variant needs psi1 and psi2")
-            dec = risk_ridgeless(zeta_sq, psi1, psi2)
-        elif args.variant == "wide":
-            _require(parser, psi2 is not None and lambda_bar is not None,
-                     "wide variant needs psi2 and the penalty")
-            dec = risk_wide(zeta_sq, psi2, lambda_bar)
-        else:
-            _require(parser, psi1 is not None and lambda_bar is not None,
-                     "lsamp variant needs psi1 and the penalty")
-            dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
-
-        rec["theory_bias_B"] = dec.bias_B
-        rec["theory_var_V"] = dec.var_V
-        if rho is not None:
-            rec["theory_risk_R"] = dec.risk_at(rho)
-        if powers is not None:
-            rec["theory_test_error"] = (
-                powers.f1_sq * dec.bias_B
-                + (powers.tau_sq + powers.fstar_sq) * dec.var_V
-                + powers.fstar_sq
-            )
-            if args.variant == "general":
-                asym = training_theory(powers.rho, zeta_sq, psi1, psi2, lambda_bar)
-                rec["theory_train_error"] = powers.total_power * asym.L
-                rec["theory_norm_msq"] = powers.total_power * asym.A
+        _theory_cells(rec, parser, args.variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers)
         records.append(rec)
     write_records(records, COLUMNS, args.format, args.out)
     return 0
@@ -569,57 +583,59 @@ def _simulate_grid(args, parser, command):
                 model=args.model,
             )
         )
-    return configs, activation, target
+    return configs, activation
 
 
-def _sim_fields(rec, config, agg, mu_star_sq):
-    rec.update(
-        {
-            "command": rec["command"],
-            "model": config.model,
-            "target": config.target.name,
-            "d": config.d,
-            "n": config.n,
-            "N": config.N,
-            "lambda": config.lam,
-            "psi1": config.psi1_d,
-            "psi2": config.psi2_d,
-            "tau_sq": config.tau_sq,
-            "f1_sq": config.target.f1_sq,
-            "fstar_sq": 0.0 if config.model == "gaussian_covariates"
+def _simulated_records(args, parser, command):
+    """Per grid point: its record with the simulation cells, and its target powers."""
+    configs, activation = _simulate_grid(args, parser, command)
+    threads = _threads(args)
+    stats = hermite_stats(activation, order=args.order)
+    for config in configs:
+        agg = aggregate(run_trials(config, threads))
+        powers = TargetSpec(
+            f1_sq=config.target.f1_sq,
+            fstar_sq=0.0 if config.model == "gaussian_covariates"
             else nonlinear_power(config.target, config.d),
-            "trials": agg.n_trials,
-            "seed": config.seed,
-            "sim_test_error_mean": agg.test_error_mean,
-            "sim_test_error_sem": agg.test_error_sem,
-            "sim_train_error_mean": agg.train_error_mean,
-            "sim_train_error_sem": agg.train_error_sem,
-            "sim_penalty_mean": agg.penalty_mean,
-            "sim_penalty_sem": agg.penalty_sem,
-            "sim_norm_sq_mean": agg.coef_norm_sq_mean,
-            "sim_norm_sq_sem": agg.coef_norm_sq_sem,
-            "sim_norm_msq_mean": mu_star_sq * agg.coef_norm_sq_mean,
-            "sim_norm_msq_sem": mu_star_sq * agg.coef_norm_sq_sem,
-        }
-    )
-    rec["rho"] = TargetSpec(
-        f1_sq=rec["f1_sq"], fstar_sq=rec["fstar_sq"], tau_sq=rec["tau_sq"]
-    ).rho
+            tau_sq=config.tau_sq,
+        )
+        rec = new_record(COLUMNS, command=command, activation=activation.label())
+        rec.update(
+            {
+                "model": config.model,
+                "target": config.target.name,
+                "d": config.d,
+                "n": config.n,
+                "N": config.N,
+                "lambda": config.lam,
+                "psi1": config.psi1_d,
+                "psi2": config.psi2_d,
+                "lambda_bar": config.lam / stats.mu_star_sq,
+                "zeta_sq": stats.zeta_sq,
+                "mu_star_sq": stats.mu_star_sq,
+                "f1_sq": powers.f1_sq,
+                "fstar_sq": powers.fstar_sq,
+                "tau_sq": powers.tau_sq,
+                "rho": powers.rho,
+                "trials": agg.n_trials,
+                "seed": config.seed,
+                "sim_test_error_mean": agg.test_error_mean,
+                "sim_test_error_sem": agg.test_error_sem,
+                "sim_train_error_mean": agg.train_error_mean,
+                "sim_train_error_sem": agg.train_error_sem,
+                "sim_penalty_mean": agg.penalty_mean,
+                "sim_penalty_sem": agg.penalty_sem,
+                "sim_norm_sq_mean": agg.coef_norm_sq_mean,
+                "sim_norm_sq_sem": agg.coef_norm_sq_sem,
+                "sim_norm_msq_mean": stats.mu_star_sq * agg.coef_norm_sq_mean,
+                "sim_norm_msq_sem": stats.mu_star_sq * agg.coef_norm_sq_sem,
+            }
+        )
+        yield rec, powers
 
 
 def cmd_simulate(args, parser) -> int:
-    configs, activation, _target = _simulate_grid(args, parser, "simulate")
-    threads = _threads(args)
-    stats = hermite_stats(activation, order=args.order)
-    records = []
-    for config in configs:
-        agg = aggregate(run_trials(config, threads))
-        rec = new_record(COLUMNS, command="simulate", activation=activation.label())
-        rec["mu_star_sq"] = stats.mu_star_sq
-        rec["zeta_sq"] = stats.zeta_sq
-        rec["lambda_bar"] = config.lam / stats.mu_star_sq
-        _sim_fields(rec, config, agg, stats.mu_star_sq)
-        records.append(rec)
+    records = [rec for rec, _ in _simulated_records(args, parser, "simulate")]
     write_records(records, COLUMNS, args.format, args.out)
     return 0
 
@@ -631,49 +647,15 @@ def _z(diff: float, sem: float) -> float:
 
 
 def cmd_compare(args, parser) -> int:
-    configs, activation, target = _simulate_grid(args, parser, "compare")
-    threads = _threads(args)
-    stats = hermite_stats(activation, order=args.order)
     records = []
-    for config in configs:
-        agg = aggregate(run_trials(config, threads))
-        variant = "general" if config.lam > 0.0 else "ridgeless"
-        rec = new_record(COLUMNS, command="compare", variant=variant,
-                         activation=activation.label())
-        rec["mu_star_sq"] = stats.mu_star_sq
-        rec["zeta_sq"] = stats.zeta_sq
-        lambda_bar = config.lam / stats.mu_star_sq
-        rec["lambda_bar"] = lambda_bar
-        _sim_fields(rec, config, agg, stats.mu_star_sq)
-
-        powers = TargetSpec(
-            f1_sq=rec["f1_sq"], fstar_sq=rec["fstar_sq"], tau_sq=rec["tau_sq"]
-        )
-        psi1, psi2 = config.psi1_d, config.psi2_d
-        if config.lam > 0.0:
-            dec = risk_general(powers.rho, stats.zeta_sq, psi1, psi2, lambda_bar)
-            asym = training_theory(powers.rho, stats.zeta_sq, psi1, psi2, lambda_bar)
-            rec["theory_train_error"] = powers.total_power * asym.L
-            rec["theory_norm_msq"] = powers.total_power * asym.A
-            rec["z_train_error"] = _z(
-                agg.train_error_mean - rec["theory_train_error"], agg.train_error_sem
-            )
-            rec["z_norm_msq"] = _z(
-                rec["sim_norm_msq_mean"] - rec["theory_norm_msq"], rec["sim_norm_msq_sem"]
-            )
-        else:
-            dec = risk_ridgeless(stats.zeta_sq, psi1, psi2)
-        rec["theory_bias_B"] = dec.bias_B
-        rec["theory_var_V"] = dec.var_V
-        rec["theory_risk_R"] = dec.risk_at(powers.rho)
-        rec["theory_test_error"] = (
-            powers.f1_sq * dec.bias_B
-            + (powers.tau_sq + powers.fstar_sq) * dec.var_V
-            + powers.fstar_sq
-        )
-        rec["z_test_error"] = _z(
-            agg.test_error_mean - rec["theory_test_error"], agg.test_error_sem
-        )
+    for rec, powers in _simulated_records(args, parser, "compare"):
+        general = rec["lambda"] > 0.0
+        rec["variant"] = "general" if general else "ridgeless"
+        _theory_cells(rec, parser, rec["variant"], rec["zeta_sq"], rec["psi1"], rec["psi2"],
+                      rec["lambda_bar"], powers.rho, powers)
+        # the ridgeless endpoint has no training theory to score against
+        for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
+            rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
         records.append(rec)
     write_records(records, COLUMNS, args.format, args.out)
     return 0

@@ -25,6 +25,7 @@ from .selfconsistent import (
     InvariantViolation,
     SolverConfig,
     SpectralParams,
+    SpectralPoint,
     chi_scalar_oracle,
     solve_at,
 )
@@ -109,6 +110,14 @@ class RiskDecomposition:
             return self.bias_B
         return rho / (1.0 + rho) * self.bias_B + 1.0 / (1.0 + rho) * self.var_V
 
+    def test_error(self, target: TargetSpec) -> float:
+        """The asymptotic test error (the second formula of the module docstring)."""
+        return (
+            target.f1_sq * self.bias_B
+            + (target.tau_sq + target.fstar_sq) * self.var_V
+            + target.fstar_sq
+        )
+
 
 @dataclass(frozen=True)
 class PhaseQuantities:
@@ -167,7 +176,8 @@ def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
     return e0, e1, e2
 
 
-def _decompose(chi: float, zeta_sq: float, psi1: float, psi2: float, rho=None):
+def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float, rho=None):
+    """B = E1/E0 and V = E2/E0 at a solved chi, with R when rho is given."""
     e0, e1, e2 = _e_polynomials(chi, zeta_sq, psi1, psi2)
     if abs(e0) < 1e-12 * (1.0 + abs(e1) + abs(e2)):
         return RiskDecomposition(INF, INF, INF if rho is not None else None, True)
@@ -178,6 +188,30 @@ def _decompose(chi: float, zeta_sq: float, psi1: float, psi2: float, rho=None):
     return RiskDecomposition(b, v, r)
 
 
+def theory_point(
+    zeta_sq: float, psi1: float, psi2: float, lambda_bar: float, config: SolverConfig | None = None
+) -> SpectralPoint:
+    """The solved spectral point at xi = i sqrt(psi1 psi2 lambda_bar), lambda_bar > 0.
+
+    Every finite-penalty quantity (B, V, L, A) is a rational function of this
+    one point.  chi comes from the homotopy solver and is cross-checked against
+    the independent quartic oracle; a disagreement beyond 1e-8 is an error,
+    never silently reconciled, since the two routes share no code.
+    """
+    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
+        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
+    params = SpectralParams(zeta_sq, psi1, psi2)
+    point = solve_at(complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar)), params, config)
+    chi_fp = point.chi.real
+    chi_or = chi_scalar_oracle(params, lambda_bar)
+    if abs(chi_fp - chi_or) > 1e-8 * max(1.0, abs(chi_or)):
+        raise ChiDisagreement(
+            f"fixed-point chi = {chi_fp!r} vs quartic-oracle chi = {chi_or!r} "
+            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
+        )
+    return point
+
+
 def risk_general(
     rho: float,
     zeta_sq: float,
@@ -186,27 +220,11 @@ def risk_general(
     lambda_bar: float,
     config: SolverConfig | None = None,
 ) -> RiskDecomposition:
-    """Risk decomposition at finite lambda_bar > 0.
-
-    chi comes from the homotopy solver and is cross-checked against the
-    independent quartic oracle; a disagreement beyond 1e-8 is an error, never
-    silently reconciled, since the two routes share no code.
-    """
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
+    """Risk decomposition at finite lambda_bar > 0, from one theory_point."""
     if not (rho >= 0.0):
         raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
-    params = SpectralParams(zeta_sq, psi1, psi2)
-    u = math.sqrt(psi1 * psi2 * lambda_bar)
-    point = solve_at(complex(0.0, u), params, config)
-    chi_fp = point.chi.real
-    chi_or = chi_scalar_oracle(params, lambda_bar)
-    if abs(chi_fp - chi_or) > 1e-8 * max(1.0, abs(chi_or)):
-        raise ChiDisagreement(
-            f"fixed-point chi = {chi_fp!r} vs quartic-oracle chi = {chi_or!r} "
-            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
-        )
-    return _decompose(chi_fp, zeta_sq, psi1, psi2, rho)
+    point = theory_point(zeta_sq, psi1, psi2, lambda_bar, config)
+    return decompose(point.chi.real, zeta_sq, psi1, psi2, rho)
 
 
 def test_error(
@@ -217,13 +235,8 @@ def test_error(
     lambda_bar: float,
     config: SolverConfig | None = None,
 ) -> float:
-    """Asymptotic test error F1^2 B + (tau^2 + Fstar^2) V + Fstar^2."""
-    dec = risk_general(target.rho, zeta_sq, psi1, psi2, lambda_bar, config)
-    return (
-        target.f1_sq * dec.bias_B
-        + (target.tau_sq + target.fstar_sq) * dec.var_V
-        + target.fstar_sq
-    )
+    """Asymptotic test error at finite lambda_bar > 0; see RiskDecomposition.test_error."""
+    return risk_general(target.rho, zeta_sq, psi1, psi2, lambda_bar, config).test_error(target)
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -242,7 +255,7 @@ def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecompositio
     the interpolation-threshold blowup.
     """
     chi = ridgeless_chi(zeta_sq, psi1, psi2)
-    return _decompose(chi, zeta_sq, psi1, psi2)
+    return decompose(chi, zeta_sq, psi1, psi2)
 
 
 def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .risk import ThresholdSingularity, _e_polynomials
-from .selfconsistent import InvariantViolation, SolverConfig, SpectralParams, solve_at
+from .risk import ThresholdSingularity, _e_polynomials, theory_point
+from .selfconsistent import InvariantViolation, SolverConfig, SpectralPoint
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,19 @@ def training_theory(
     lambda_bar: float,
     config: SolverConfig | None = None,
 ) -> TrainingAsymptotics:
-    """Training asymptotics at lambda_bar > 0.
+    """Training asymptotics at lambda_bar > 0, from one cross-checked theory_point."""
+    if not (rho >= 0.0):
+        raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
+    point = theory_point(zeta_sq, psi1, psi2, lambda_bar, config)
+    return training_at(point, rho, zeta_sq, psi1, psi2, lambda_bar)
 
-    With nu2 and chi from the solver at xi = i sqrt(psi1 psi2 lambda_bar),
+
+def training_at(
+    point: SpectralPoint, rho: float, zeta_sq: float, psi1: float, psi2: float, lambda_bar: float
+) -> TrainingAsymptotics:
+    """Training asymptotics from the point solved at xi = i sqrt(psi1 psi2 lambda_bar).
+
+    With nu2 and chi of that point,
 
         L = (-i nu2) sqrt(lambda_bar psi1 / psi2)
             * [rho/(1+rho) / (1 - chi zeta^2) + 1/(1+rho)],
@@ -44,13 +54,6 @@ def training_theory(
     weights and E0 is the shared denominator of the risk decomposition.
     nu2 must come out purely imaginary before -i nu2 is taken.
     """
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
-    if not (rho >= 0.0):
-        raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
-    params = SpectralParams(zeta_sq, psi1, psi2)
-    u = math.sqrt(psi1 * psi2 * lambda_bar)
-    point = solve_at(complex(0.0, u), params, config)
     nu2 = point.nu2
     if abs(nu2.real) > 1e-10 * (1.0 + abs(nu2)):
         raise InvariantViolation(f"nu2 = {nu2} is not purely imaginary at xi = {point.xi}")

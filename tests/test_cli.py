@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import rfridge.selfconsistent
 from rfridge.cli import (
     COLUMNS,
     format_value,
@@ -15,6 +17,7 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
+from rfridge.risk import TargetSpec, test_error as theory_test_error
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -185,6 +188,61 @@ def test_theory_with_target_powers_emits_curves(capsys):
     assert rec["theory_norm_msq"] == pytest.approx(
         1.5 * 0.25864195978251087, rel=1e-9
     )
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every solve_at call, through whichever rfridge module binds it."""
+    original = rfridge.selfconsistent.solve_at
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rfridge") and getattr(module, "solve_at", None) is original:
+            monkeypatch.setattr(module, "solve_at", counting)
+    return calls
+
+
+def test_theory_general_row_solves_once(capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    code, out, _ = run_cli(
+        ["theory", "--zeta-sq", "1.0", "--psi2", "3", "--lambda-bar", "0.1",
+         "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--grid", "2,4,8"],
+        capsys,
+    )
+    assert code == 0
+    recs = read_records(out, from_text=True)
+    assert len(recs) == 3
+    assert all(math.isfinite(r["theory_train_error"]) for r in recs)
+    assert len(calls) == 3
+
+
+def test_compare_general_row_solves_once(capsys, monkeypatch):
+    calls = count_solves(monkeypatch)
+    code, out, _ = run_cli(
+        ["compare", "--d", "20", "--n", "40", "--N", "30", "--activation", "relu",
+         "--tau-sq", "0.1", "--trials", "2", "--n-test", "1000", "--threads", "1",
+         "--sweep", "lambda", "--grid", "0,1e-3,1e-1"],
+        capsys,
+    )
+    assert code == 0
+    recs = read_records(out, from_text=True)
+    assert [r["variant"] for r in recs] == ["ridgeless", "general", "general"]
+    assert len(calls) == 2
+
+
+def test_theory_test_error_cell_is_the_library_value(capsys):
+    code, out, _ = run_cli(
+        ["theory", "--zeta-sq", "1.0", "--psi1", "2", "--psi2", "3", "--lambda-bar", "0.1",
+         "--f1-sq", "1", "--fstar-sq", "0.2", "--tau-sq", "0.5"],
+        capsys,
+    )
+    assert code == 0
+    rec = read_records(out, from_text=True)[0]
+    target = TargetSpec(f1_sq=1.0, fstar_sq=0.2, tau_sq=0.5)
+    assert rec["theory_test_error"] == theory_test_error(target, 1.0, 2.0, 3.0, 0.1)
 
 
 def test_theory_without_rho_reports_factors_only(capsys):
@@ -407,6 +465,22 @@ def test_out_file_round_trip(tmp_path, capsys):
     write_records(from_file, COLUMNS, "csv", str(rewritten))
     again = read_records(str(rewritten))
     assert records_equal(from_file[0], again[0])
+
+
+def test_read_records_parses_jsonl_like_csv(capsys):
+    # the psi1 = 3 row sits on the threshold: inf factors next to nan cells
+    argv = ["theory", "--variant", "ridgeless", "--zeta-sq", "2.7519", "--psi2", "3",
+            "--rho", "2", "--sweep", "psi1", "--grid", "2,3"]
+    _, out_csv, _ = run_cli(argv, capsys)
+    _, out_jsonl, _ = run_cli(argv + ["--format", "jsonl"], capsys)
+    from_csv = read_records(out_csv, from_text=True)
+    from_jsonl = read_records(out_jsonl, from_text=True)
+    assert len(from_csv) == len(from_jsonl) == 2
+    assert math.isinf(from_jsonl[1]["theory_bias_B"])
+    assert math.isnan(from_jsonl[1]["theory_test_error"])
+    assert all(records_equal(a, b) for a, b in zip(from_csv, from_jsonl))
+    # a single JSONL row is one record, not a header with no data
+    assert len(read_records(out_jsonl.splitlines()[0] + "\n", from_text=True)) == 1
 
 
 def test_records_equal_treats_nan_as_equal():

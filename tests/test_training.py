@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfridge.risk
+from rfridge.risk import ChiDisagreement, risk_general, theory_point
 from rfridge.selfconsistent import SpectralParams, solve_at
-from rfridge.training import TrainingAsymptotics, training_theory
+from rfridge.training import TrainingAsymptotics, training_at, training_theory
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -86,6 +88,23 @@ def test_validates_inputs():
         training_theory(2.0, 1.0, 2.0, 3.0, 0.0)
     with pytest.raises(ValueError):
         training_theory(-1.0, 1.0, 2.0, 3.0, 0.1)
+
+
+def test_training_at_reuses_a_solved_point():
+    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
+    assert training_at(point, 2.0, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR) == training_theory(
+        2.0, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR
+    )
+
+
+@pytest.mark.parametrize("quantity", [risk_general, training_theory])
+def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
+    oracle = rfridge.risk.chi_scalar_oracle
+    monkeypatch.setattr(
+        rfridge.risk, "chi_scalar_oracle", lambda params, lb: oracle(params, lb) * (1.0 + 1e-6)
+    )
+    with pytest.raises(ChiDisagreement):
+        quantity(2.0, 1.0, 2.0, 3.0, 0.1)
 
 
 @settings(max_examples=25, deadline=None)
