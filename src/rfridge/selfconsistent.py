@@ -225,30 +225,20 @@ def _solve_path(xi_target, params, config, path_steps):
     return nu1, nu2, res
 
 
-def solve_at(
-    xi: complex, params: SpectralParams, config: SolverConfig | None = None
-) -> SpectralPoint:
-    """Solve the coupled equations at xi (Im xi > 0) by homotopy from high on the axis.
-
-    Starts at xi0 = i * start_height where the damped map is a strong
-    contraction, then warm-starts down a geometric path to the target,
-    finishing each node with Newton if damping stalls.  The path is retried
-    with doubled resolution if an iterate ever leaves the upper half plane.
-    """
-    if config is None:
-        config = SolverConfig()
-    if not (xi.imag > 0.0):
-        raise ValueError(f"xi must have positive imaginary part, got {xi}")
+def _solve_cold(xi, params, config):
+    """The full homotopy, retried with doubled resolution on a half-plane exit."""
     steps = config.path_steps
     last_err: InvariantViolation | None = None
     for _ in range(4):
         try:
-            nu1, nu2, res = _solve_path(xi, params, config, steps)
-            break
+            return _solve_path(xi, params, config, steps)
         except InvariantViolation as err:
             last_err, steps = err, steps * 2
-    else:
-        raise last_err
+    raise last_err
+
+
+def _checked_point(xi, nu1, nu2, res, params, config) -> SpectralPoint:
+    """The solution at xi, after the half-plane, norm-bound and axis checks."""
     if nu1.imag <= 0.0 or nu2.imag <= 0.0:
         raise InvariantViolation(f"solution left the upper half plane at xi = {xi}")
     # relative slack for rounding plus absolute slack at the residual scale,
@@ -278,28 +268,65 @@ def solve_at(
     return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=chi, residual=res)
 
 
+def solve_at(
+    xi: complex,
+    params: SpectralParams,
+    config: SolverConfig | None = None,
+    start: SpectralPoint | None = None,
+) -> SpectralPoint:
+    """Solve the coupled equations at xi (Im xi > 0) by homotopy from high on the axis.
+
+    Starts at xi0 = i * start_height where the damped map is a strong
+    contraction, then warm-starts down a geometric path to the target,
+    finishing each node with Newton if damping stalls.  The path is retried
+    with doubled resolution if an iterate ever leaves the upper half plane.
+
+    ``start``, a solved point of a nearby problem (the previous row of a
+    sweep), replaces the path by its final node: damped iteration from
+    start's (nu1, nu2) with the Newton fallback.  If that step fails or its
+    solution fails the checks, the cold path runs as if no start were given.
+    """
+    if config is None:
+        config = SolverConfig()
+    if not (xi.imag > 0.0):
+        raise ValueError(f"xi must have positive imaginary part, got {xi}")
+    if start is not None:
+        try:
+            nu1, nu2, res = _iterate_node(
+                start.nu1, start.nu2, xi, params, config, config.max_iter, config.tol, True
+            )
+            return _checked_point(xi, nu1, nu2, res, params, config)
+        except (NoConvergence, InvariantViolation, SingularDenominator):
+            pass
+    nu1, nu2, res = _solve_cold(xi, params, config)
+    return _checked_point(xi, nu1, nu2, res, params, config)
+
+
 # ---------------------------------------------------------------------------
 # scalar quartic oracle
 # ---------------------------------------------------------------------------
 
-def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: float) -> np.ndarray:
+def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: np.ndarray) -> np.ndarray:
     """Coefficients (degree 4 down to 0) of the polynomial chi must satisfy.
 
     Eliminating nu1 and nu2 from the coupled equations at xi = i u leaves
     P1(chi) P2(chi) + u^2 chi (1 - zeta^2 chi)^2 = 0 with
     P_k(chi) = zeta^2 chi^2 + (zeta^2 psi_k - zeta^2 - 1) chi - psi_k.
+    Row k of the (len(u_sq), 5) result holds the quartic at u^2 = u_sq[k].
     """
     z = zeta_sq
     b1 = z * psi1 - z - 1.0
     b2 = z * psi2 - z - 1.0
-    return np.array(
+    u_sq = np.asarray(u_sq, dtype=float)
+    return np.stack(
         [
-            z * z,
+            np.full_like(u_sq, z * z),
             z * (b1 + b2) + u_sq * z * z,
             b1 * b2 - z * (psi1 + psi2) - 2.0 * u_sq * z,
             -b1 * psi2 - b2 * psi1 + u_sq,
-            psi1 * psi2,
-        ]
+            np.full_like(u_sq, psi1 * psi2),
+        ],
+        axis=-1,
     )
 
 
@@ -316,6 +343,10 @@ def chi_scalar_oracle(
     does.  Raises RootSelectionAmbiguous when the tracked root fails the
     real / non-positive filter or a competitor root sits within the tracking
     resolution.
+
+    The companion matrices of all path nodes are built as np.roots builds
+    them and go to one stacked eigvals call, so chi is bitwise the value a
+    per-node np.roots loop gives.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
@@ -324,12 +355,15 @@ def chi_scalar_oracle(
     u_start = max(100.0, 10.0 * u_target, 10.0 * (p1 + p2) * max(1.0, params.zeta))
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
+    nodes = [u_start * ratio ** (k / steps) for k in range(1, steps + 1)]
+    coeffs = _quartic_coeffs(z, p1, p2, [u * u for u in nodes])
+    companion = np.zeros((steps, 4, 4))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     displacement = 0.0
     roots = None
-    for k in range(1, steps + 1):
-        u = u_start * ratio ** (k / steps)
-        roots = np.roots(_quartic_coeffs(z, p1, p2, u * u))
-        nearest = roots[np.argmin(np.abs(roots - chi))]
+    for roots in np.linalg.eigvals(companion).tolist():
+        nearest = min(roots, key=lambda r: abs(r - chi))
         displacement = abs(nearest - chi)
         chi = nearest
     assert roots is not None

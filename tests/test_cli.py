@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, round-trips."""
 
+import argparse
 import json
 import math
 import sys
@@ -10,6 +11,7 @@ import pytest
 import rfridge.selfconsistent
 from rfridge.cli import (
     COLUMNS,
+    SweepSpec,
     format_value,
     main,
     new_record,
@@ -233,6 +235,65 @@ def test_compare_general_row_solves_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+THEORY_CELLS = ("theory_bias_B", "theory_var_V", "theory_risk_R",
+                "theory_test_error", "theory_train_error", "theory_norm_msq")
+POINT_FLAGS = {"psi1": "--psi1", "psi2": "--psi2", "lambda": "--lambda-bar", "rho": "--rho"}
+ROW_KEYS = {"psi1": "psi1", "psi2": "psi2", "lambda": "lambda_bar", "rho": "rho"}
+
+
+@pytest.mark.parametrize("param, grid", [
+    ("psi1", ["--min", "0.5", "--max", "10", "--points", "15", "--spacing", "log"]),
+    ("psi2", ["--grid", "0.5,1,1.5,2,2.5,4,8"]),
+    ("lambda", ["--grid", "1e-5,1e-4,1e-3,1e-2,1e-1,1"]),
+    ("rho", ["--grid", "0.5,1,2,4"]),
+])
+def test_sweep_rows_match_single_point_calls(param, grid, capsys):
+    # sweep rows continue from the previous row; single points solve cold
+    point = {"--psi1": "2", "--psi2": "3", "--lambda-bar": "0.01"}
+    powers = ["--f1-sq", "1", "--tau-sq", "0.5"]
+
+    def theory(flags, extra):
+        argv = ["theory", "--activation", "relu", *[tok for kv in flags.items() for tok in kv]]
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 0, err
+        return read_records(out, from_text=True)
+
+    sweep_flags = {k: v for k, v in point.items() if k != POINT_FLAGS[param]}
+    rows = theory(sweep_flags, powers + ["--sweep", param, *grid])
+    assert len(rows) > 3
+    for row in rows:
+        value = repr(row[ROW_KEYS[param]])
+        ref = theory({**point, POINT_FLAGS[param]: value}, powers)[0]
+        if param == "rho":
+            # target powers fix rho, so R at the swept rho needs a call without them
+            ref["theory_risk_R"] = theory({**point, "--rho": value}, [])[0]["theory_risk_R"]
+        for cell in THEORY_CELLS:
+            assert row[cell] == pytest.approx(ref[cell], rel=1e-10, abs=0.0), (cell, value)
+
+
+# the benchmark's 161-row double-descent curve; solving every row cold from
+# i*h0 made 909,615 fixed_point_map calls (5,650 per row)
+CURVE_ARGV = ["theory", "--activation", "relu", "--psi2", "3.0", "--lambda-bar", "0.0110078",
+              "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--min", "0.5",
+              "--max", "10", "--points", "161", "--spacing", "log"]
+COLD_CURVE_MAP_CALLS = 909_615
+
+
+def test_curve_continuation_cuts_fixed_point_work_tenfold(capsys, monkeypatch):
+    original = rfridge.selfconsistent.fixed_point_map
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(rfridge.selfconsistent, "fixed_point_map", counting)
+    code, out, _ = run_cli(CURVE_ARGV, capsys)
+    assert code == 0
+    assert len(read_records(out, from_text=True)) == 161
+    assert 0 < len(calls) <= COLD_CURVE_MAP_CALLS // 10
+
+
 def test_theory_test_error_cell_is_the_library_value(capsys):
     code, out, _ = run_cli(
         ["theory", "--zeta-sq", "1.0", "--psi1", "2", "--psi2", "3", "--lambda-bar", "0.1",
@@ -379,6 +440,22 @@ def test_sweep_spec_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(base + ["--grid", "1,1,2"], capsys)
     assert code == 2
+
+
+def test_sweep_grid_values_are_python_floats(capsys):
+    args = argparse.Namespace(sweep="psi1", grid=None, min=0.5, max=10.0, points=4,
+                              spacing="log")
+    assert all(type(v) is float for v in SweepSpec.from_args(args).values)
+    args.spacing = "linear"
+    assert all(type(v) is float for v in SweepSpec.from_args(args).values)
+    code, _, err = run_cli(
+        ["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1",
+         "--min", "1", "--max", "1", "--points", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert "got (1.0, 1.0, 1.0)" in err
+    assert "np.float64" not in err
 
 
 def test_compare_z_scores(capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfridge.selfconsistent
 from rfridge.risk import ridgeless_chi
 from rfridge.selfconsistent import (
     InconsistentChi,
+    InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
@@ -142,6 +144,36 @@ def test_no_convergence_carries_xi():
     )
 
 
+def test_warm_start_from_a_neighbouring_problem_matches_cold():
+    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
+    start = solve_at(xi, SpectralParams(PARAMS_A.zeta_sq, 1.9, 3.0))
+    warm = solve_at(xi, PARAMS_A, start=start)
+    cold = solve_at(xi, PARAMS_A)
+    assert warm.residual <= 1e-12
+    assert abs(warm.chi - cold.chi) <= 1e-10 * abs(cold.chi)
+    assert solve_at(xi, PARAMS_A, start=cold) == cold
+
+
+@pytest.mark.parametrize("error", [NoConvergence, InvariantViolation, SingularDenominator])
+def test_failed_warm_start_falls_back_to_cold_path(error, monkeypatch):
+    xi = 0.4j
+    cold = solve_at(xi, PARAMS_A)
+    start = solve_at(0.5j, PARAMS_A)
+    original = rfridge.selfconsistent._iterate_node
+    calls = []
+
+    def warm_step_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NoConvergence("warm step", xi) if error is NoConvergence else error("warm step")
+        return original(*args)
+
+    monkeypatch.setattr(rfridge.selfconsistent, "_iterate_node", warm_step_fails)
+    assert solve_at(xi, PARAMS_A, start=start) == cold
+    assert (calls[0][0], calls[0][1]) == (start.nu1, start.nu2)
+    assert len(calls) > 2
+
+
 def test_spectral_params_validation():
     with pytest.raises(ValueError):
         SpectralParams(zeta_sq=0.0, psi1=1.0, psi2=1.0)
@@ -201,6 +233,65 @@ def test_oracle_small_lambda_approaches_ridgeless_root():
         chi = chi_scalar_oracle(params, 1e-10)
         ref = ridgeless_chi(params.zeta_sq, params.psi1, params.psi2)
         assert chi == pytest.approx(ref, abs=1e-6)
+
+
+def _roots_loop_oracle(params, lambda_bar, steps=192):
+    """Reference oracle: one np.roots call per path node, tracked node by node."""
+    z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
+    u_target = math.sqrt(p1 * p2 * lambda_bar)
+    u_start = max(100.0, 10.0 * u_target, 10.0 * (p1 + p2) * max(1.0, params.zeta))
+    chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
+    ratio = u_target / u_start
+    displacement = 0.0
+    roots = None
+    for k in range(1, steps + 1):
+        u = u_start * ratio ** (k / steps)
+        u_sq = u * u
+        b1 = z * p1 - z - 1.0
+        b2 = z * p2 - z - 1.0
+        roots = np.roots(np.array([
+            z * z,
+            z * (b1 + b2) + u_sq * z * z,
+            b1 * b2 - z * (p1 + p2) - 2.0 * u_sq * z,
+            -b1 * p2 - b2 * p1 + u_sq,
+            p1 * p2,
+        ]))
+        nearest = roots[np.argmin(np.abs(roots - chi))]
+        displacement = abs(nearest - chi)
+        chi = nearest
+    if abs(chi.imag) > 1e-9 or chi.real > 1e-12:
+        raise RootSelectionAmbiguous(f"tracked root {chi} is not admissible")
+    resolution = 10.0 * displacement + 1e-13 * (1.0 + abs(chi))
+    for r in roots:
+        if abs(r - chi) < 1e-16:
+            continue
+        if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
+            raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
+    return float(chi.real)
+
+
+def _outcome(oracle, params, lambda_bar):
+    try:
+        return oracle(params, lambda_bar)
+    except Exception as exc:  # the reference and the oracle must fail alike
+        return type(exc)
+
+
+def test_batched_oracle_is_bitwise_the_roots_loop():
+    rng = np.random.default_rng(20191)
+    failures = 0
+    for _ in range(200):
+        params = SpectralParams(
+            zeta_sq=math.exp(rng.uniform(math.log(0.01), math.log(100.0))),
+            psi1=math.exp(rng.uniform(math.log(0.01), math.log(1e4))),
+            psi2=math.exp(rng.uniform(math.log(0.01), math.log(1e3))),
+        )
+        lambda_bar = math.exp(rng.uniform(math.log(1e-9), math.log(1e4)))
+        expected = _outcome(_roots_loop_oracle, params, lambda_bar)
+        assert _outcome(chi_scalar_oracle, params, lambda_bar) == expected, (params, lambda_bar)
+        failures += isinstance(expected, type)
+    # the box must exercise the value path, not only the failure path
+    assert failures < 20
 
 
 def test_oracle_rejects_bad_lambda():

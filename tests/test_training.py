@@ -107,6 +107,31 @@ def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
         quantity(2.0, 1.0, 2.0, 3.0, 0.1)
 
 
+def test_warm_chi_failing_the_cross_check_is_solved_again_cold(monkeypatch):
+    # a warm start that comes back unmoved from a far-away problem carries a
+    # chi the oracle rejects; the row must then be the cold solve, not an error
+    far = theory_point(RELU_ZETA_SQ, 0.5, 3.0, LAM_BAR)
+    solve = rfridge.risk.solve_at
+
+    def warm_returns_start(xi, params, config=None, start=None):
+        return start if start is not None else solve(xi, params, config)
+
+    monkeypatch.setattr(rfridge.risk, "solve_at", warm_returns_start)
+    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR, start=far)
+    u = math.sqrt(6.0 * 3.0 * LAM_BAR)
+    assert point == solve_at(complex(0.0, u), SpectralParams(RELU_ZETA_SQ, 6.0, 3.0))
+
+
+def test_cold_chi_disagreement_still_raises_with_a_start(monkeypatch):
+    start = theory_point(RELU_ZETA_SQ, 5.0, 3.0, LAM_BAR)
+    oracle = rfridge.risk.chi_scalar_oracle
+    monkeypatch.setattr(
+        rfridge.risk, "chi_scalar_oracle", lambda params, lb: oracle(params, lb) * (1.0 + 1e-6)
+    )
+    with pytest.raises(ChiDisagreement):
+        theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR, start=start)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     log_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)),
