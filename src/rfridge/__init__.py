@@ -63,6 +63,7 @@ from .simulate import (
     build_design,
     nonlinear_power,
     ridge_fit,
+    ridge_path,
     run_gaussian_covariates_trial,
     run_trial,
     run_trials,

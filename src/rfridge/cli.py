@@ -597,8 +597,13 @@ def _simulated_records(args, parser, command):
     configs, activation = _simulate_grid(args, parser, command)
     threads = _threads(args)
     stats = hermite_stats(activation, order=args.order)
-    for config in configs:
-        agg = aggregate(run_trials(config, threads))
+    if args.sweep == "lambda":
+        # keyed streams give trial t the same data at every penalty: draw and factor it once
+        trial_sets = run_trials(configs[0], threads, lams=[c.lam for c in configs])
+    else:
+        trial_sets = (run_trials(config, threads) for config in configs)
+    for config, trials in zip(configs, trial_sets):
+        agg = aggregate(trials)
         powers = TargetSpec(
             f1_sq=config.target.f1_sq,
             fstar_sq=0.0 if config.model == "gaussian_covariates"

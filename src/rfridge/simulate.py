@@ -229,6 +229,69 @@ def build_design(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np
     return activation(X @ Theta.T / math.sqrt(d)) / math.sqrt(d)
 
 
+def _fit_scale(
+    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
+) -> float:
+    """sqrt(d) for a fit of y on Z, after checking shapes, penalties and ratios."""
+    n, N = Z.shape
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    for lam in lams:
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    d = N / psi1_d
+    if abs(d - n / psi2_d) > 1e-9 * max(1.0, d):
+        raise ValueError(
+            f"inconsistent ratios: N/psi1_d = {d} but n/psi2_d = {n / psi2_d}"
+        )
+    return math.sqrt(d)
+
+
+def _checked_cond(cond: float) -> float:
+    if cond > 1e12:
+        warnings.warn(
+            f"linear system condition number {cond:.3e} exceeds 1e12",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return cond
+
+
+def ridge_path(
+    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
+) -> list[FitResult]:
+    """The ridge_fit objective at every penalty in lams, from one thin SVD of Z.
+
+    With c = lam psi1_d psi2_d, each component is shrunk by s / (s^2 + c).
+    For lam <= 1e-6 (including the exact ridgeless case lam = 0) components
+    below 1e-10 * sigma_max are dropped first, which at lam = 0 is exactly the
+    minimum-norm pseudo-inverse solution, and cond is the ratio of the largest
+    to the smallest kept singular value.  Above 1e-6 every component is kept
+    and cond = (s_max^2 + c) / (s_min^2 + c), the condition number of the
+    regularized normal matrix.
+    """
+    sqrt_d = _fit_scale(Z, y, lams, psi1_d, psi2_d)
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    cutoff = 1e-10 * s[0] if s.size else 0.0
+    keep = s > cutoff
+    s_kept = s[keep]
+    Uty_kept = U[:, keep].T @ y
+    V_kept = Vt[keep].T
+    Uty = U.T @ y
+    fits = []
+    for lam in lams:
+        c = lam * psi1_d * psi2_d
+        if lam <= 1e-6:
+            coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
+            a_hat = V_kept @ coef / sqrt_d
+            cond = float(s[0] / s_kept[-1]) if s_kept.size else 1.0
+        else:
+            a_hat = Vt.T @ ((s / (s * s + c)) * Uty) / sqrt_d
+            cond = float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
+        fits.append(FitResult(a_hat=a_hat, solver_path="svd", cond=_checked_cond(cond)))
+    return fits
+
+
 def ridge_fit(
     Z: np.ndarray, y: np.ndarray, lam: float, psi1_d: float, psi2_d: float
 ) -> FitResult:
@@ -237,61 +300,38 @@ def ridge_fit(
     The normal equations are (Z^T Z + lam psi1_d psi2_d I) a = Z^T y / sqrt(d),
     solved in whichever of the primal (N x N) or dual (n x n) dimension is
     smaller.  For lam <= 1e-6 (including the exact ridgeless case lam = 0) the
-    solve switches to the singular-value path: components below
-    1e-10 * sigma_max are dropped and the rest shrunk by s / (s^2 + c), which
-    at lam = 0 is exactly the minimum-norm pseudo-inverse solution.
+    fit is the singular-value one of ridge_path.
     """
-    n, N = Z.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    d = N / psi1_d
-    if abs(d - n / psi2_d) > 1e-9 * max(1.0, d):
-        raise ValueError(
-            f"inconsistent ratios: N/psi1_d = {d} but n/psi2_d = {n / psi2_d}"
-        )
-    sqrt_d = math.sqrt(d)
-    c = lam * psi1_d * psi2_d
-
     if lam <= 1e-6:
-        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-        cutoff = 1e-10 * s[0] if s.size else 0.0
-        keep = s > cutoff
-        s_kept = s[keep]
-        coef = (s_kept / (s_kept * s_kept + c)) * (U[:, keep].T @ y)
-        a_hat = Vt[keep].T @ coef / sqrt_d
-        cond = float(s[0] / s_kept[-1]) if s_kept.size else 1.0
-        path = "svd"
-    elif N <= n:
+        return ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0]
+    sqrt_d = _fit_scale(Z, y, (lam,), psi1_d, psi2_d)
+    n, N = Z.shape
+    c = lam * psi1_d * psi2_d
+    if N <= n:
         M = Z.T @ Z + c * np.eye(N)
         a_hat = np.linalg.solve(M, Z.T @ y) / sqrt_d
-        ev = np.linalg.eigvalsh(M)
-        cond = float(ev[-1] / ev[0])
         path = "primal"
     else:
         M = Z @ Z.T + c * np.eye(n)
         a_hat = Z.T @ np.linalg.solve(M, y) / sqrt_d
-        ev = np.linalg.eigvalsh(M)
-        cond = float(ev[-1] / ev[0])
         path = "dual"
-
-    if cond > 1e12:
-        warnings.warn(
-            f"linear system condition number {cond:.3e} exceeds 1e12",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    return FitResult(a_hat=a_hat, solver_path=path, cond=cond)
+    ev = np.linalg.eigvalsh(M)
+    return FitResult(a_hat=a_hat, solver_path=path, cond=_checked_cond(float(ev[-1] / ev[0])))
 
 
-def _measure(config: SimConfig, fit: FitResult, y, Z, test_target, test_pred, trial_index):
-    sqrt_d = math.sqrt(config.d)
-    residual = y - sqrt_d * (Z @ fit.a_hat)
+# A trial's draw: training design Z, targets y, test features, test target.
+_Draw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _measure(
+    config: SimConfig, lam: float, fit: FitResult, draw: _Draw, trial_index: int
+) -> TrialResult:
+    Z, y, test_features, test_target = draw
+    residual = y - math.sqrt(config.d) * (Z @ fit.a_hat)
     coef_norm_sq = float(fit.a_hat @ fit.a_hat)
-    penalty = config.N * config.lam / config.d * coef_norm_sq
+    penalty = config.N * lam / config.d * coef_norm_sq
     train_error = float(residual @ residual) / config.n + penalty
-    test_error = float(np.mean((test_target - test_pred) ** 2))
+    test_error = float(np.mean((test_target - test_features @ fit.a_hat) ** 2))
     return TrialResult(
         trial_index=trial_index,
         test_error=test_error,
@@ -303,40 +343,29 @@ def _measure(config: SimConfig, fit: FitResult, y, Z, test_target, test_pred, tr
     )
 
 
-def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
-    """One random-features trial: draw, fit, measure.
+def _fit_and_measure(config: SimConfig, draw: _Draw, trial_index: int, lams):
+    """The TrialResult at config.lam, or with lams one per penalty from one factorization."""
+    Z, y = draw[0], draw[1]
+    if lams is None:
+        fit = ridge_fit(Z, y, config.lam, config.psi1_d, config.psi2_d)
+        return _measure(config, config.lam, fit, draw, trial_index)
+    fits = ridge_path(Z, y, lams, config.psi1_d, config.psi2_d)
+    return [_measure(config, lam, fit, draw, trial_index) for lam, fit in zip(lams, fits)]
 
-    Test error is measured against the noiseless target on a fresh sphere
-    sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
-    so that configurations differing only in noise level share all other
-    randomness.
-    """
+
+def _random_features_draw(config: SimConfig, trial_index: int) -> _Draw:
     d, n, N = config.d, config.n, config.N
-    sqrt_d = math.sqrt(d)
     Theta = sample_sphere(d, N, substream(config.seed, trial_index, "theta"))
     X = sample_sphere(d, n, substream(config.seed, trial_index, "x"))
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.evaluate(X) + math.sqrt(config.tau_sq) * noise
     Z = build_design(X, Theta, config.activation)
-    fit = ridge_fit(Z, y, config.lam, N / d, n / d)
-
     X_test = sample_sphere(d, config.n_test, substream(config.seed, trial_index, "test"))
-    test_pred = config.activation(X_test @ Theta.T / sqrt_d) @ fit.a_hat
-    return _measure(
-        config, fit, y, Z, config.target.evaluate(X_test), test_pred, trial_index
-    )
+    test_features = config.activation(X_test @ Theta.T / math.sqrt(d))
+    return Z, y, test_features, config.target.evaluate(X_test)
 
 
-def run_gaussian_covariates_trial(config: SimConfig, trial_index: int) -> TrialResult:
-    """One trial of the matched Gaussian-covariates surrogate.
-
-    Covariates are u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x
-    and w, keeping only the activation's moment profile; the target must be
-    linear.  The ridge objective and measurements coincide with the
-    random-features ones under Z = U / sqrt(d).  The training noise matrix is
-    drawn from the "w" stream first, the test noise matrix second; test inputs
-    come from the "test" stream.
-    """
+def _gaussian_covariates_draw(config: SimConfig, trial_index: int) -> _Draw:
     if config.target.name != "linear":
         raise ValueError("the gaussian covariates surrogate is defined for the linear target only")
     stats = hermite_stats(config.activation)  # raises DegenerateActivation if mu_star = 0
@@ -349,28 +378,52 @@ def run_gaussian_covariates_trial(config: SimConfig, trial_index: int) -> TrialR
     U = stats.mu0 + stats.mu1 * (X @ Theta.T) / sqrt_d + stats.mu_star * W
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.beta_norm * X[:, 0] + math.sqrt(config.tau_sq) * noise
-    Z = U / sqrt_d
-    fit = ridge_fit(Z, y, config.lam, N / d, n / d)
-
     X_test = substream(config.seed, trial_index, "test").standard_normal((config.n_test, d))
     W_test = rng_w.standard_normal((config.n_test, N))
     U_test = stats.mu0 + stats.mu1 * (X_test @ Theta.T) / sqrt_d + stats.mu_star * W_test
-    return _measure(
-        config,
-        fit,
-        y,
-        Z,
-        config.target.beta_norm * X_test[:, 0],
-        U_test @ fit.a_hat,
-        trial_index,
-    )
+    return U / sqrt_d, y, U_test, config.target.beta_norm * X_test[:, 0]
 
 
-def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialResult]:
+def run_trial(
+    config: SimConfig, trial_index: int, lams: Sequence[float] | None = None
+) -> TrialResult | list[TrialResult]:
+    """One random-features trial: draw, fit, measure.
+
+    Test error is measured against the noiseless target on a fresh sphere
+    sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
+    so that configurations differing only in noise level share all other
+    randomness.  Given ``lams``, the one draw is fit at each of those
+    penalties instead of config.lam, all from one factorization (ridge_path),
+    and the result is a list with one TrialResult per penalty.
+    """
+    return _fit_and_measure(config, _random_features_draw(config, trial_index), trial_index, lams)
+
+
+def run_gaussian_covariates_trial(
+    config: SimConfig, trial_index: int, lams: Sequence[float] | None = None
+) -> TrialResult | list[TrialResult]:
+    """One trial of the matched Gaussian-covariates surrogate.
+
+    Covariates are u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x
+    and w, keeping only the activation's moment profile; the target must be
+    linear.  The ridge objective and measurements coincide with the
+    random-features ones under Z = U / sqrt(d).  The training noise matrix is
+    drawn from the "w" stream first, the test noise matrix second; test inputs
+    come from the "test" stream.  ``lams`` works as in run_trial.
+    """
+    draw = _gaussian_covariates_draw(config, trial_index)
+    return _fit_and_measure(config, draw, trial_index, lams)
+
+
+def run_trials(
+    config: SimConfig, threads: int | None = None, lams: Sequence[float] | None = None
+) -> list:
     """All trials of a config, in trial order, optionally thread-parallel.
 
     Per-trial randomness is keyed, not sequential, so the result is identical
-    for any thread count.
+    for any thread count.  Given ``lams``, a penalty sweep of the config,
+    each trial is drawn and factored once for all of them, and the result is
+    one list of trials per penalty, in the order of ``lams``.
     """
     fn = (
         run_gaussian_covariates_trial
@@ -379,9 +432,11 @@ def run_trials(config: SimConfig, threads: int | None = None) -> list[TrialResul
     )
     indices = range(config.trials)
     if threads is None or threads <= 1 or config.trials == 1:
-        return [fn(config, t) for t in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: fn(config, t), indices))
+        results = [fn(config, t, lams) for t in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda t: fn(config, t, lams), indices))
+    return results if lams is None else [list(per_lam) for per_lam in zip(*results)]
 
 
 def _mean_sem(values: np.ndarray) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rfridge.selfconsistent
+import rfridge.simulate
 from rfridge.cli import (
     COLUMNS,
     SweepSpec,
@@ -356,6 +357,59 @@ def test_simulate_thread_count_invariance(capsys):
     _, out1, _ = run_cli(["simulate"] + SIM_ARGS + ["--threads", "1"], capsys)
     _, out8, _ = run_cli(["simulate"] + SIM_ARGS + ["--threads", "8"], capsys)
     assert out1 == out8
+
+
+LAMBDA_GRID = "0,1e-7,1e-5,1e-3,1e-2,1e-1,1"
+SIM_CELLS = tuple(c for c in COLUMNS if c.startswith("sim_"))
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_lambda_sweep_rows_match_single_point_calls(model, capsys):
+    # a lambda sweep draws and factors each trial once for the whole grid
+    base = ["simulate", "--d", "40", "--n", "80", "--N", "100", "--activation", "relu",
+            "--tau-sq", "0.1", "--trials", "3", "--seed", "1", "--n-test", "1200",
+            "--model", model]
+    sweep = base + ["--sweep", "lambda", "--grid", LAMBDA_GRID]
+    code, out, err = run_cli(sweep + ["--threads", "1"], capsys)
+    assert code == 0, err
+    _, out2, _ = run_cli(sweep + ["--threads", "2"], capsys)
+    assert out2 == out
+    lines = out.splitlines()
+    rows = read_records(out, from_text=True)
+    assert [float(r["lambda"]) for r in rows] == [float(v) for v in LAMBDA_GRID.split(",")]
+    for line, row in zip(lines[1:], rows):
+        code, single, err = run_cli(base + ["--lambda", repr(row["lambda"]), "--threads", "1"],
+                                    capsys)
+        assert code == 0, err
+        if row["lambda"] <= 1e-6:
+            assert line == single.splitlines()[1]
+            continue
+        ref = read_records(single, from_text=True)[0]
+        assert records_equal({c: v for c, v in row.items() if c not in SIM_CELLS},
+                             {c: v for c, v in ref.items() if c not in SIM_CELLS})
+        for c in SIM_CELLS:
+            assert row[c] == pytest.approx(ref[c], rel=1e-10, abs=0.0), c
+
+
+def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
+    original = rfridge.simulate.sample_sphere
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rfridge.simulate, "sample_sphere", counting)
+    code, out, _ = run_cli(
+        ["simulate", "--d", "20", "--n", "40", "--N", "30", "--activation", "relu",
+         "--trials", "8", "--n-test", "1000", "--threads", "2",
+         "--sweep", "lambda", "--grid", LAMBDA_GRID],
+        capsys,
+    )
+    assert code == 0
+    assert len(read_records(out, from_text=True)) == 7
+    # Theta, X and the test inputs: three draws per trial, not per (trial, lambda)
+    assert len(calls) == 3 * 8
 
 
 def test_simulate_env_thread_default(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rfridge.simulate import (
     build_design,
     nonlinear_power,
     ridge_fit,
+    ridge_path,
     run_gaussian_covariates_trial,
     run_trial,
     run_trials,
@@ -186,6 +188,71 @@ def test_ill_conditioned_system_warns():
     d = 3000.0
     with pytest.warns(IllConditionedWarning):
         ridge_fit(Z, np.array([1.0, 0.0]), 2e-6, psi1_d=2.0 / d, psi2_d=2.0 / d)
+
+
+# ---------------------------------------------------------------------------
+# penalty sweeps: one factorization for every lambda
+# ---------------------------------------------------------------------------
+
+SWEEP_LAMS = (0.0, 1e-7, 1e-5, 1e-3, 1e-1, 10.0)
+MEASURED = ("test_error", "train_error", "penalty", "coef_norm_sq")
+
+
+def test_ridge_path_matches_ridge_fit():
+    rng = np.random.default_rng(8)
+    d, n = 10, 30
+    for N in (20, 45):
+        Z = rng.standard_normal((n, N)) / math.sqrt(d)
+        y = rng.standard_normal(n)
+        fits = ridge_path(Z, y, SWEEP_LAMS, N / d, n / d)
+        for lam, fit in zip(SWEEP_LAMS, fits):
+            single = ridge_fit(Z, y, lam, N / d, n / d)
+            assert fit.solver_path == "svd"
+            if lam <= 1e-6:
+                assert np.array_equal(fit.a_hat, single.a_hat) and fit.cond == single.cond
+            else:
+                gap = np.linalg.norm(fit.a_hat - single.a_hat)
+                assert gap <= 1e-10 * np.linalg.norm(single.a_hat)
+                assert fit.cond == pytest.approx(single.cond, rel=1e-8)
+
+
+def test_ridge_path_validates_every_penalty():
+    with pytest.raises(ValueError):
+        ridge_path(np.eye(3), np.zeros(3), (0.0, -0.1), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        ridge_path(np.eye(3), np.zeros(3), (0.0, math.nan), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+@pytest.mark.parametrize("N", [40, 70])
+def test_sweep_trials_match_single_point_trials(model, N):
+    cfg = _small_config(model=model, N=N, trials=3)
+    swept = run_trials(cfg, threads=2, lams=SWEEP_LAMS)
+    assert swept == run_trials(cfg, threads=1, lams=SWEEP_LAMS)
+    assert len(swept) == len(SWEEP_LAMS)
+    for lam, trials in zip(SWEEP_LAMS, swept):
+        single = run_trials(replace(cfg, lam=lam), threads=1)
+        assert [r.trial_index for r in trials] == [0, 1, 2]
+        if lam <= 1e-6:
+            assert trials == single
+            continue
+        for a, b in zip(trials, single):
+            assert a.solver_path == "svd"
+            assert a.cond == pytest.approx(b.cond, rel=1e-8)
+            for q in MEASURED:
+                assert getattr(a, q) == pytest.approx(getattr(b, q), rel=1e-10, abs=0.0), q
+
+
+def test_ill_conditioned_sweep_still_warns():
+    # at lam <= 1e-6 the kept singular values bound cond below 1e10, so a
+    # sweep warns at its first penalty above 1e-6 once the mean component
+    # (here relu shifted up by 1e4) dwarfs the smallest singular value at N = n
+    lifted = Activation.custom(lambda u: np.maximum(u, 0.0) + 1e4, breakpoints=(0.0,))
+    cfg = _small_config(d=20, n=40, N=40, activation=lifted)
+    with pytest.warns(IllConditionedWarning):
+        ridgeless, tiny = run_trials(cfg, threads=2, lams=(0.0, 2e-6))
+    assert all(r.cond < 1e10 for r in ridgeless)
+    assert all(r.cond > 1e12 for r in tiny)
 
 
 # ---------------------------------------------------------------------------
