@@ -357,12 +357,22 @@ def parse_activation(args) -> Activation:
     raise ValueError(f"unknown activation {spec!r}")
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+def _threads(args, parser) -> int:
+    """--threads, else $RFRIDGE_THREADS, else the cores this process may run on."""
+    if args.threads is not None:
+        _require(parser, args.threads >= 1,
+                 f"--threads must be a positive integer, got {args.threads}")
         return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:
-        return int(env)
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        _require(parser, threads >= 1, f"{THREADS_ENV} must be a positive integer, got {env!r}")
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -595,14 +605,10 @@ def _simulate_grid(args, parser, command):
 def _simulated_records(args, parser, command):
     """Per grid point: its record with the simulation cells, and its target powers."""
     configs, activation = _simulate_grid(args, parser, command)
-    threads = _threads(args)
+    threads = _threads(args, parser)
     stats = hermite_stats(activation, order=args.order)
-    if args.sweep == "lambda":
-        # keyed streams give trial t the same data at every penalty: draw and factor it once
-        trial_sets = run_trials(configs[0], threads, lams=[c.lam for c in configs])
-    else:
-        trial_sets = (run_trials(config, threads) for config in configs)
-    for config, trials in zip(configs, trial_sets):
+    # keyed streams give trial t nested data across the grid: run_trials draws it once
+    for config, trials in zip(configs, run_trials(configs, threads)):
         agg = aggregate(trials)
         powers = TargetSpec(
             f1_sq=config.target.f1_sq,
@@ -759,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("random_features", "gaussian_covariates"),
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or cpu count)")
+                       help=f"worker threads (default ${THREADS_ENV} or the usable cores)")
         _add_activation_opts(p)
         _add_shape_opts(p)
         _add_sweep_opts(p)

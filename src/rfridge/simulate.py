@@ -9,9 +9,16 @@ asymptotic theory.
 Randomness is counter-based and fully keyed: trial ``t`` of a run with seed
 ``s`` draws from Philox4x64 streams keyed by the 64-bit pair
 (s, 8 t + purpose), with purpose ids theta=0, x=1, noise=2, test=3, w=4.
-Trials are therefore independent of execution order and thread count, and a
-run with more features extends the feature rows of a smaller one drawn under
-the same key (prefix nesting).
+Trials are therefore independent of execution order and thread count.  Each
+stream is consumed row by row, so a random-features draw with more features,
+samples or test points extends the rows of a smaller one drawn under the same
+key (prefix nesting).  A sweep over N or n relies on this: it draws each trial
+once at the sweep's largest shape and fits every point on prefix slices of
+that draw.  The one exception is sample_sphere redrawing a row whose norm is
+below 1e-12, which happens with probability about 0 and breaks the nesting
+for that trial only.  The Gaussian-covariates draws do not nest (the noise
+matrices are drawn row-major, the training one before the test one from the
+same stream), so that model draws once per shape.
 """
 
 from __future__ import annotations
@@ -265,10 +272,11 @@ def ridge_path(
     With c = lam psi1_d psi2_d, each component is shrunk by s / (s^2 + c).
     For lam <= 1e-6 (including the exact ridgeless case lam = 0) components
     below 1e-10 * sigma_max are dropped first, which at lam = 0 is exactly the
-    minimum-norm pseudo-inverse solution, and cond is the ratio of the largest
-    to the smallest kept singular value.  Above 1e-6 every component is kept
-    and cond = (s_max^2 + c) / (s_min^2 + c), the condition number of the
-    regularized normal matrix.
+    minimum-norm pseudo-inverse solution, and cond is (s_max / s_kept_min)^2,
+    the condition number of the normal matrix on the kept subspace.  Above
+    1e-6 every component is kept and cond = (s_max^2 + c) / (s_min^2 + c),
+    the condition number of the regularized normal matrix.  Both branches thus
+    report cond in the unit of the primal and dual solves.
     """
     sqrt_d = _fit_scale(Z, y, lams, psi1_d, psi2_d)
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
@@ -284,7 +292,7 @@ def ridge_path(
         if lam <= 1e-6:
             coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
             a_hat = V_kept @ coef / sqrt_d
-            cond = float(s[0] / s_kept[-1]) if s_kept.size else 1.0
+            cond = float((s[0] / s_kept[-1]) ** 2) if s_kept.size else 1.0
         else:
             a_hat = Vt.T @ ((s / (s * s + c)) * Uty) / sqrt_d
             cond = float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
@@ -321,15 +329,22 @@ def ridge_fit(
 
 # A trial's draw: training design Z, targets y, test features, test target.
 _Draw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# The sizes a draw depends on: (n, N, n_test).
+_Shape = tuple[int, int, int]
 
 
-def _measure(
-    config: SimConfig, lam: float, fit: FitResult, draw: _Draw, trial_index: int
-) -> TrialResult:
+def _prefix(draw: _Draw, shape: _Shape) -> _Draw:
+    """The draw of a smaller shape, as prefix slices of a nested one."""
+    n, N, n_test = shape
+    Z, y, test_features, test_target = draw
+    return Z[:n, :N], y[:n], test_features[:n_test, :N], test_target[:n_test]
+
+
+def _measure(config: SimConfig, fit: FitResult, draw: _Draw, trial_index: int) -> TrialResult:
     Z, y, test_features, test_target = draw
     residual = y - math.sqrt(config.d) * (Z @ fit.a_hat)
     coef_norm_sq = float(fit.a_hat @ fit.a_hat)
-    penalty = config.N * lam / config.d * coef_norm_sq
+    penalty = config.N * config.lam / config.d * coef_norm_sq
     train_error = float(residual @ residual) / config.n + penalty
     test_error = float(np.mean((test_target - test_features @ fit.a_hat) ** 2))
     return TrialResult(
@@ -343,33 +358,25 @@ def _measure(
     )
 
 
-def _fit_and_measure(config: SimConfig, draw: _Draw, trial_index: int, lams):
-    """The TrialResult at config.lam, or with lams one per penalty from one factorization."""
-    Z, y = draw[0], draw[1]
-    if lams is None:
-        fit = ridge_fit(Z, y, config.lam, config.psi1_d, config.psi2_d)
-        return _measure(config, config.lam, fit, draw, trial_index)
-    fits = ridge_path(Z, y, lams, config.psi1_d, config.psi2_d)
-    return [_measure(config, lam, fit, draw, trial_index) for lam, fit in zip(lams, fits)]
-
-
-def _random_features_draw(config: SimConfig, trial_index: int) -> _Draw:
-    d, n, N = config.d, config.n, config.N
+def _random_features_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
+    n, N, n_test = shape
+    d = config.d
     Theta = sample_sphere(d, N, substream(config.seed, trial_index, "theta"))
     X = sample_sphere(d, n, substream(config.seed, trial_index, "x"))
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.evaluate(X) + math.sqrt(config.tau_sq) * noise
     Z = build_design(X, Theta, config.activation)
-    X_test = sample_sphere(d, config.n_test, substream(config.seed, trial_index, "test"))
+    X_test = sample_sphere(d, n_test, substream(config.seed, trial_index, "test"))
     test_features = config.activation(X_test @ Theta.T / math.sqrt(d))
     return Z, y, test_features, config.target.evaluate(X_test)
 
 
-def _gaussian_covariates_draw(config: SimConfig, trial_index: int) -> _Draw:
+def _gaussian_covariates_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
     if config.target.name != "linear":
         raise ValueError("the gaussian covariates surrogate is defined for the linear target only")
     stats = hermite_stats(config.activation)  # raises DegenerateActivation if mu_star = 0
-    d, n, N = config.d, config.n, config.N
+    n, N, n_test = shape
+    d = config.d
     sqrt_d = math.sqrt(d)
     Theta = sample_sphere(d, N, substream(config.seed, trial_index, "theta"))
     rng_w = substream(config.seed, trial_index, "w")
@@ -378,29 +385,73 @@ def _gaussian_covariates_draw(config: SimConfig, trial_index: int) -> _Draw:
     U = stats.mu0 + stats.mu1 * (X @ Theta.T) / sqrt_d + stats.mu_star * W
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.beta_norm * X[:, 0] + math.sqrt(config.tau_sq) * noise
-    X_test = substream(config.seed, trial_index, "test").standard_normal((config.n_test, d))
-    W_test = rng_w.standard_normal((config.n_test, N))
+    X_test = substream(config.seed, trial_index, "test").standard_normal((n_test, d))
+    W_test = rng_w.standard_normal((n_test, N))
     U_test = stats.mu0 + stats.mu1 * (X_test @ Theta.T) / sqrt_d + stats.mu_star * W_test
     return U / sqrt_d, y, U_test, config.target.beta_norm * X_test[:, 0]
 
 
+def _sweep(config: SimConfig | Sequence[SimConfig]) -> tuple[SimConfig, ...]:
+    """The configs of a sweep (one for a lone config), checked to differ only in shape and lam."""
+    configs = (config,) if isinstance(config, SimConfig) else tuple(config)
+    if not configs:
+        raise ValueError("a sweep needs at least one config")
+    fixed = ("d", "activation", "target", "tau_sq", "trials", "seed", "model")
+    for other in configs[1:]:
+        for name in fixed:
+            if getattr(other, name) != getattr(configs[0], name):
+                raise ValueError(f"sweep configs differ in {name}; only n, N, n_test and lam may vary")
+    return configs
+
+
+def _sweep_trial(config, trial_index: int, draw, nested: bool):
+    """One trial at every config of a sweep: draw, fit, measure.
+
+    Configs of one shape share a draw and are fit together: by ridge_fit at a
+    lone penalty, by ridge_path from one factorization at several.  With a
+    ``nested`` draw the whole sweep draws once, at its largest shape, and every
+    shape fits on prefix slices of that draw; otherwise each shape draws anew.
+    """
+    configs = _sweep(config)
+    groups: dict[_Shape, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault((c.n, c.N, c.n_test), []).append(i)
+    if nested:
+        largest = tuple(max(sizes) for sizes in zip(*groups))
+        full = draw(configs[0], trial_index, largest)
+    results = [None] * len(configs)
+    for shape, members in groups.items():
+        first = configs[members[0]]
+        data = _prefix(full, shape) if nested else draw(first, trial_index, shape)
+        Z, y = data[0], data[1]
+        lams = [configs[i].lam for i in members]
+        if len(lams) == 1:
+            fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)]
+        else:
+            fits = ridge_path(Z, y, lams, first.psi1_d, first.psi2_d)
+        for i, fit in zip(members, fits):
+            results[i] = _measure(configs[i], fit, data, trial_index)
+    return results[0] if isinstance(config, SimConfig) else results
+
+
 def run_trial(
-    config: SimConfig, trial_index: int, lams: Sequence[float] | None = None
+    config: SimConfig | Sequence[SimConfig], trial_index: int
 ) -> TrialResult | list[TrialResult]:
     """One random-features trial: draw, fit, measure.
 
     Test error is measured against the noiseless target on a fresh sphere
     sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
     so that configurations differing only in noise level share all other
-    randomness.  Given ``lams``, the one draw is fit at each of those
-    penalties instead of config.lam, all from one factorization (ridge_path),
-    and the result is a list with one TrialResult per penalty.
+    randomness.  Given a sweep, a sequence of configs that differ only in n,
+    N, n_test and lam, the trial is drawn once at the sweep's largest shape;
+    every point fits on prefix slices of that draw, points of one shape from
+    one factorization, and the result is one TrialResult per config.
     """
-    return _fit_and_measure(config, _random_features_draw(config, trial_index), trial_index, lams)
+    return _sweep_trial(config, trial_index, _random_features_draw, nested=True)
 
 
 def run_gaussian_covariates_trial(
-    config: SimConfig, trial_index: int, lams: Sequence[float] | None = None
+    config: SimConfig | Sequence[SimConfig], trial_index: int
 ) -> TrialResult | list[TrialResult]:
     """One trial of the matched Gaussian-covariates surrogate.
 
@@ -409,34 +460,37 @@ def run_gaussian_covariates_trial(
     linear.  The ridge objective and measurements coincide with the
     random-features ones under Z = U / sqrt(d).  The training noise matrix is
     drawn from the "w" stream first, the test noise matrix second; test inputs
-    come from the "test" stream.  ``lams`` works as in run_trial.
+    come from the "test" stream.  These draws do not nest across shapes, so a
+    sweep (as in run_trial) draws once per distinct (n, N, n_test) and shares
+    that draw only among the penalties of one shape.
     """
-    draw = _gaussian_covariates_draw(config, trial_index)
-    return _fit_and_measure(config, draw, trial_index, lams)
+    return _sweep_trial(config, trial_index, _gaussian_covariates_draw, nested=False)
 
 
 def run_trials(
-    config: SimConfig, threads: int | None = None, lams: Sequence[float] | None = None
+    config: SimConfig | Sequence[SimConfig], threads: int | None = None
 ) -> list:
     """All trials of a config, in trial order, optionally thread-parallel.
 
     Per-trial randomness is keyed, not sequential, so the result is identical
-    for any thread count.  Given ``lams``, a penalty sweep of the config,
-    each trial is drawn and factored once for all of them, and the result is
-    one list of trials per penalty, in the order of ``lams``.
+    for any thread count.  Given a sweep (a sequence of configs, see
+    run_trial), each trial is drawn once for all of them, and the result is
+    one list of trials per config, in the order of the sweep.
     """
+    configs = _sweep(config)
     fn = (
         run_gaussian_covariates_trial
-        if config.model == "gaussian_covariates"
+        if configs[0].model == "gaussian_covariates"
         else run_trial
     )
-    indices = range(config.trials)
-    if threads is None or threads <= 1 or config.trials == 1:
-        results = [fn(config, t, lams) for t in indices]
+    point = configs[0] if isinstance(config, SimConfig) else configs
+    indices = range(configs[0].trials)
+    if threads is None or threads <= 1 or configs[0].trials == 1:
+        results = [fn(point, t) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: fn(config, t, lams), indices))
-    return results if lams is None else [list(per_lam) for per_lam in zip(*results)]
+            results = list(pool.map(lambda t: fn(point, t), indices))
+    return results if isinstance(config, SimConfig) else [list(per) for per in zip(*results)]
 
 
 def _mean_sem(values: np.ndarray) -> tuple[float, float]:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import rfridge.cli
 import rfridge.selfconsistent
 import rfridge.simulate
 from rfridge.cli import (
@@ -391,7 +392,7 @@ def test_lambda_sweep_rows_match_single_point_calls(model, capsys):
             assert row[c] == pytest.approx(ref[c], rel=1e-10, abs=0.0), c
 
 
-def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
+def _count_sample_sphere(monkeypatch) -> list:
     original = rfridge.simulate.sample_sphere
     calls = []
 
@@ -400,6 +401,11 @@ def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rfridge.simulate, "sample_sphere", counting)
+    return calls
+
+
+def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
+    calls = _count_sample_sphere(monkeypatch)
     code, out, _ = run_cli(
         ["simulate", "--d", "20", "--n", "40", "--N", "30", "--activation", "relu",
          "--trials", "8", "--n-test", "1000", "--threads", "2",
@@ -410,6 +416,107 @@ def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
     assert len(read_records(out, from_text=True)) == 7
     # Theta, X and the test inputs: three draws per trial, not per (trial, lambda)
     assert len(calls) == 3 * 8
+
+
+# d = 20, n = 40: the psi1 grid puts N below, at and above n
+SHAPE_BASE = ["--d", "20", "--activation", "relu", "--tau-sq", "0.1", "--trials", "3",
+              "--seed", "2", "--n-test", "1000"]
+SHAPE_SWEEPS = {
+    "psi1": (["--n", "40", "--sweep", "psi1", "--grid", "1,2,3.5"], "--N", "N"),
+    "psi2": (["--N", "40", "--sweep", "psi2", "--grid", "1,2,3.5"], "--n", "n"),
+}
+
+
+@pytest.mark.parametrize("lam", ["0", "1e-3"])
+@pytest.mark.parametrize("param", ["psi1", "psi2"])
+def test_shape_sweep_rows_match_single_point_calls(param, lam, capsys):
+    # a psi1 / psi2 sweep draws each trial once at its largest shape
+    sweep_args, point_flag, size_key = SHAPE_SWEEPS[param]
+    base = ["simulate", *SHAPE_BASE, "--lambda", lam]
+    code, out, err = run_cli(base + sweep_args + ["--threads", "1"], capsys)
+    assert code == 0, err
+    _, out2, _ = run_cli(base + sweep_args + ["--threads", "2"], capsys)
+    assert out2 == out
+    rows = read_records(out, from_text=True)
+    assert [r[size_key] for r in rows] == [20, 40, 70]
+    for row in rows:
+        code, single, err = run_cli(
+            base + sweep_args[:2] + [point_flag, str(row[size_key]), "--threads", "1"], capsys)
+        assert code == 0, err
+        ref = read_records(single, from_text=True)[0]
+        assert records_equal({c: v for c, v in row.items() if c not in SIM_CELLS},
+                             {c: v for c, v in ref.items() if c not in SIM_CELLS})
+        interpolating = float(lam) == 0.0 and row["N"] >= row["n"]
+        for c in SIM_CELLS:
+            # an interpolating ridgeless fit trains to rounding noise (~1e-25)
+            abs_tol = 1e-20 if interpolating and c.startswith("sim_train_error") else 0.0
+            assert row[c] == pytest.approx(ref[c], rel=1e-10, abs=abs_tol), c
+
+
+def test_compare_psi1_sweep_rows_match_single_point_calls(capsys):
+    sweep_args, point_flag, size_key = SHAPE_SWEEPS["psi1"]
+    base = ["compare", *SHAPE_BASE, "--lambda", "1e-3", "--n", "40", "--threads", "2"]
+    code, out, err = run_cli(base + sweep_args[2:], capsys)
+    assert code == 0, err
+    rows = read_records(out, from_text=True)
+    assert [r["N"] for r in rows] == [20, 40, 70]
+    for row in rows:
+        code, single, err = run_cli(base + [point_flag, str(row[size_key])], capsys)
+        assert code == 0, err
+        ref = read_records(single, from_text=True)[0]
+        for c in SIM_CELLS + THEORY_CELLS:
+            assert row[c] == pytest.approx(ref[c], rel=1e-10, abs=0.0), c
+        # z divides a small difference by the SEM, which magnifies the theory's 1e-10
+        for q in ("test_error", "train_error", "norm_msq"):
+            assert row[f"z_{q}"] == pytest.approx(ref[f"z_{q}"], rel=1e-6, abs=1e-8), q
+
+
+def test_psi1_sweep_draws_each_trial_once(capsys, monkeypatch):
+    calls = _count_sample_sphere(monkeypatch)
+    code, out, _ = run_cli(
+        ["simulate", "--d", "20", "--n", "40", "--activation", "relu", "--lambda", "1e-3",
+         "--trials", "8", "--n-test", "1000", "--threads", "2",
+         "--sweep", "psi1", "--grid", "0.5,1,2,4,6"],
+        capsys,
+    )
+    assert code == 0
+    assert len(read_records(out, from_text=True)) == 5
+    # Theta, X and the test inputs once per trial at N = 120, not once per (trial, N)
+    assert len(calls) == 3 * 8
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--threads", "0"], None, "--threads must be a positive integer, got 0"),
+    (["--threads", "-3"], None, "--threads must be a positive integer, got -3"),
+    ([], "0", "RFRIDGE_THREADS must be a positive integer, got '0'"),
+    ([], "x", "RFRIDGE_THREADS must be a positive integer, got 'x'"),
+    ([], "1.5", "RFRIDGE_THREADS must be a positive integer, got '1.5'"),
+])
+def test_bad_thread_counts_are_usage_errors(flags, env, message, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("RFRIDGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RFRIDGE_THREADS", env)
+    code, out, err = run_cli(["simulate"] + SIM_ARGS + flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_thread_default_is_the_usable_cores(capsys, monkeypatch):
+    seen = []
+    original = rfridge.cli.run_trials
+
+    def recording(configs, threads=None):
+        seen.append(threads)
+        return original(configs, threads)
+
+    monkeypatch.setattr(rfridge.cli, "run_trials", recording)
+    monkeypatch.delenv("RFRIDGE_THREADS", raising=False)
+    monkeypatch.setattr(rfridge.cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    code, _, err = run_cli(["simulate"] + SIM_ARGS, capsys)
+    assert code == 0, err
+    assert seen == [3]
 
 
 def test_simulate_env_thread_default(capsys, monkeypatch):

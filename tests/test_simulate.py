@@ -227,8 +227,9 @@ def test_ridge_path_validates_every_penalty():
 @pytest.mark.parametrize("N", [40, 70])
 def test_sweep_trials_match_single_point_trials(model, N):
     cfg = _small_config(model=model, N=N, trials=3)
-    swept = run_trials(cfg, threads=2, lams=SWEEP_LAMS)
-    assert swept == run_trials(cfg, threads=1, lams=SWEEP_LAMS)
+    sweep = [replace(cfg, lam=lam) for lam in SWEEP_LAMS]
+    swept = run_trials(sweep, threads=2)
+    assert swept == run_trials(sweep, threads=1)
     assert len(swept) == len(SWEEP_LAMS)
     for lam, trials in zip(SWEEP_LAMS, swept):
         single = run_trials(replace(cfg, lam=lam), threads=1)
@@ -244,15 +245,91 @@ def test_sweep_trials_match_single_point_trials(model, N):
 
 
 def test_ill_conditioned_sweep_still_warns():
-    # at lam <= 1e-6 the kept singular values bound cond below 1e10, so a
-    # sweep warns at its first penalty above 1e-6 once the mean component
-    # (here relu shifted up by 1e4) dwarfs the smallest singular value at N = n
+    # cond is the normal-matrix ratio on both sides of lam = 1e-6, so once the
+    # mean component (here relu shifted up by 1e4) dwarfs the smallest singular
+    # value at N = n, the ridgeless row warns as well as the one at 2e-6
     lifted = Activation.custom(lambda u: np.maximum(u, 0.0) + 1e4, breakpoints=(0.0,))
     cfg = _small_config(d=20, n=40, N=40, activation=lifted)
     with pytest.warns(IllConditionedWarning):
-        ridgeless, tiny = run_trials(cfg, threads=2, lams=(0.0, 2e-6))
-    assert all(r.cond < 1e10 for r in ridgeless)
+        ridgeless, tiny = run_trials([replace(cfg, lam=0.0), replace(cfg, lam=2e-6)], threads=2)
+    assert all(r.cond > 1e12 for r in ridgeless)
     assert all(r.cond > 1e12 for r in tiny)
+    for a, b in zip(ridgeless, tiny):
+        assert a.cond == pytest.approx(b.cond, rel=0.2)
+
+
+def test_ridgeless_cond_is_normal_matrix_ratio():
+    # singular values 1 and 1e-7: the normal matrix has condition number 1e14
+    Z = np.diag([1.0, 1e-7])
+    with pytest.warns(IllConditionedWarning):
+        fit = ridge_fit(Z, np.ones(2), 0.0, 1.0, 1.0)
+    assert fit.cond == pytest.approx(1e14, rel=1e-9)
+
+
+def test_cond_is_continuous_across_the_svd_threshold():
+    rng = np.random.default_rng(12)
+    d, n, N = 10, 30, 20
+    Z = rng.standard_normal((n, N)) / math.sqrt(d)
+    y = rng.standard_normal(n)
+    at, above = ridge_path(Z, y, (1e-6, 2e-6), N / d, n / d)
+    assert above.cond == pytest.approx(at.cond, rel=1e-2)
+    single_at, single_above = (ridge_fit(Z, y, lam, N / d, n / d) for lam in (1e-6, 2e-6))
+    assert (single_at.solver_path, single_above.solver_path) == ("svd", "primal")
+    assert single_above.cond == pytest.approx(single_at.cond, rel=1e-2)
+
+
+def _shape_sweep(param, lam, model="random_features"):
+    # d = 20, the other size 40: psi1 crosses N = n, psi2 crosses n = N; the
+    # default n_test = 10 n grows with n, so a psi2 sweep nests test rows too
+    field = "N" if param == "psi1" else "n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallTestSetWarning)
+        return [
+            _small_config(**{"d": 20, "n": 40, "N": 40, "lam": lam, "trials": 3,
+                             "n_test": None, "model": model, field: size})
+            for size in (24, 40, 64)
+        ]
+
+
+def _assert_trials_match(swept, single, interpolating):
+    assert [r.trial_index for r in swept] == [r.trial_index for r in single]
+    for a, b in zip(swept, single):
+        assert a.solver_path == b.solver_path
+        assert a.cond == pytest.approx(b.cond, rel=1e-6)
+        for q in MEASURED:
+            # an interpolating ridgeless fit trains to rounding noise (~1e-25)
+            abs_tol = 1e-20 if interpolating and q == "train_error" else 0.0
+            assert getattr(a, q) == pytest.approx(getattr(b, q), rel=1e-10, abs=abs_tol), q
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("param", ["psi1", "psi2"])
+def test_shape_sweep_trials_match_single_point_trials(param, lam):
+    sweep = _shape_sweep(param, lam)
+    assert sweep[-1].n_test == 10 * sweep[-1].n
+    swept = run_trials(sweep, threads=2)
+    assert swept == run_trials(sweep, threads=1)
+    assert len(swept) == len(sweep)
+    for cfg, trials in zip(sweep, swept):
+        interpolating = lam == 0.0 and cfg.N >= cfg.n
+        _assert_trials_match(trials, run_trials(cfg, threads=1), interpolating)
+
+
+@pytest.mark.parametrize("param", ["psi1", "psi2"])
+def test_gaussian_covariates_shape_sweep_draws_each_point(param):
+    # the surrogate's draws do not nest, so each shape draws as a single point does
+    sweep = _shape_sweep(param, 1e-3, model="gaussian_covariates")
+    assert run_trials(sweep, threads=2) == [run_trials(cfg, threads=1) for cfg in sweep]
+
+
+def test_sweep_configs_may_differ_only_in_shape_and_penalty():
+    cfg = _small_config()
+    with pytest.raises(ValueError, match="tau_sq"):
+        run_trials([cfg, replace(cfg, tau_sq=0.5)])
+    with pytest.raises(ValueError, match="seed"):
+        run_trial([cfg, replace(cfg, N=70, seed=4)], 0)
+    with pytest.raises(ValueError):
+        run_trials([])
 
 
 # ---------------------------------------------------------------------------
