@@ -437,18 +437,15 @@ def _finite_point(args, sweep_param, value):
     return d, n, N, lam
 
 
-def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers, start):
+def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers):
     """Fill the theory_* cells of one row; a general row solves exactly once.
 
     R needs rho; test error, training error and norm need the target powers.
-    A general row's solve continues from ``start``, the point of the sweep's
-    previous general row (None for the first).  Returns this row's point, or
-    ``start`` unchanged for the other variants, to hand to the next row.
     """
     if variant == "general":
         _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
                  "general variant needs psi1, psi2 and the penalty")
-        point = theory_point(zeta_sq, psi1, psi2, lambda_bar, start=start)
+        point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
         dec = decompose(point.chi.real, zeta_sq, psi1, psi2)
     elif variant == "ridgeless":
         _require(parser, psi1 is not None and psi2 is not None,
@@ -473,7 +470,6 @@ def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, po
             asym = training_at(point, powers.rho, zeta_sq, psi1, psi2, lambda_bar)
             rec["theory_train_error"] = powers.total_power * asym.L
             rec["theory_norm_msq"] = powers.total_power * asym.A
-    return point if variant == "general" else start
 
 
 def cmd_theory(args, parser) -> int:
@@ -504,7 +500,6 @@ def cmd_theory(args, parser) -> int:
 
     grid = sweep.values if sweep is not None else (None,)
     records = []
-    point = None
     for value in grid:
         rho = args.rho if powers is None else powers.rho
         if sweep is not None and sweep.param == "rho":
@@ -550,8 +545,7 @@ def cmd_theory(args, parser) -> int:
         rec["psi2"] = psi2 if psi2 is not None else NAN
         rec["lambda_bar"] = lambda_bar if lambda_bar is not None else NAN
 
-        point = _theory_cells(rec, parser, args.variant, zeta_sq, psi1, psi2, lambda_bar, rho,
-                              powers, point)
+        _theory_cells(rec, parser, args.variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers)
         records.append(rec)
     write_records(records, COLUMNS, args.format, args.out)
     return 0
@@ -665,12 +659,11 @@ def _z(diff: float, sem: float) -> float:
 
 def cmd_compare(args, parser) -> int:
     records = []
-    point = None
     for rec, powers in _simulated_records(args, parser, "compare"):
         general = rec["lambda"] > 0.0
         rec["variant"] = "general" if general else "ridgeless"
-        point = _theory_cells(rec, parser, rec["variant"], rec["zeta_sq"], rec["psi1"],
-                              rec["psi2"], rec["lambda_bar"], powers.rho, powers, point)
+        _theory_cells(rec, parser, rec["variant"], rec["zeta_sq"], rec["psi1"], rec["psi2"],
+                      rec["lambda_bar"], powers.rho, powers)
         # the ridgeless endpoint has no training theory to score against
         for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
             rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])

@@ -194,33 +194,22 @@ def theory_point(
     psi2: float,
     lambda_bar: float,
     config: SolverConfig | None = None,
-    start: SpectralPoint | None = None,
 ) -> SpectralPoint:
     """The solved spectral point at xi = i sqrt(psi1 psi2 lambda_bar), lambda_bar > 0.
 
     Every finite-penalty quantity (B, V, L, A) is a rational function of this
-    one point.  chi comes from the homotopy solver and is cross-checked against
-    the independent quartic oracle; a disagreement beyond 1e-8 is an error,
-    never silently reconciled, since the two routes share no code.
-
-    ``start`` (a solved point of a nearby problem, such as the previous row of
-    a sweep) is handed to solve_at as its warm start.  A warm chi that fails
-    the cross-check is discarded and the point is solved again cold; only a
-    cold disagreement raises.
+    one point.  solve_at picks the quartic root admissible at the target (the
+    homotopy when that fails), and chi is cross-checked against the quartic
+    oracle, which picks its root by continuity from large |xi| instead; a
+    disagreement beyond 1e-8 is an error, never silently reconciled.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     params = SpectralParams(zeta_sq, psi1, psi2)
     xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
-    point = solve_at(xi, params, config, start=start)
+    point = solve_at(xi, params, config)
     chi_or = chi_scalar_oracle(params, lambda_bar)
-
-    def disagrees(p: SpectralPoint) -> bool:
-        return abs(p.chi.real - chi_or) > 1e-8 * max(1.0, abs(chi_or))
-
-    if start is not None and disagrees(point):
-        point = solve_at(xi, params, config)
-    if disagrees(point):
+    if abs(point.chi.real - chi_or) > 1e-8 * max(1.0, abs(chi_or)):
         raise ChiDisagreement(
             f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
             f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"

@@ -6,9 +6,11 @@ The pair (nu1, nu2) solves, at a spectral argument xi in the upper half plane,
     nu2 = psi2 * (-xi - nu1 - zeta^2 nu1 / (1 - zeta^2 nu1 nu2))^-1
 
 and every asymptotic quantity in this package is a rational function of the
-product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  Two
-independent routes to chi live here: a damped fixed-point / Newton homotopy in
-(nu1, nu2), and a scalar quartic whose admissible root is tracked by
+product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  chi
+is a root of a quartic, and two independent choices of its branch live here:
+solve_at keeps the one root admissible at the target (upper half plane) and
+polishes the pair it determines on the coupled map, with a damped fixed-point
+/ Newton homotopy in (nu1, nu2) as fallback; the oracle tracks the root by
 continuity from large |xi|.  Callers cross-check one against the other.
 """
 
@@ -72,10 +74,11 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables for the homotopy solver.
+    """Tunables for solve_at.
 
-    path_start_height of None means "pick per parameters": the iteration is a
-    strong contraction once the start satisfies
+    ``tol`` is the residual both routes must reach; the other fields steer
+    only the homotopy.  path_start_height of None means "pick per parameters":
+    the iteration is a strong contraction once the start satisfies
     max(100, 10 (psi1+psi2) max(1, zeta)), and the first path node doubles as
     an empirical contraction check by being required to converge within
     ``first_step_cap`` damped iterations.
@@ -268,36 +271,68 @@ def _checked_point(xi, nu1, nu2, res, params, config) -> SpectralPoint:
     return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=chi, residual=res)
 
 
+def _pair_from_chi(chi: float, params: SpectralParams, u: float) -> tuple[complex, complex]:
+    """The pair a chi <= 0 determines at xi = i u, by the coupled equations' sum / product:
+
+    nu_k = i (psi_k - s) / u with s = -zeta^2 chi / (1 - zeta^2 chi) - chi.
+    """
+    z = params.zeta_sq
+    s = -z * chi / (1.0 - z * chi) - chi
+    return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
+
+
+def _solve_direct(xi, params, config) -> SpectralPoint | None:
+    """The point at xi = i u from the one admissible root of the quartic, or None.
+
+    A root is admissible when it is real, <= 0 and its pair (_pair_from_chi)
+    lies in the upper half plane.  That pair cancels badly when u is tiny, so
+    it is polished by Newton on the coupled map itself, whose residual also
+    guards the quartic's coefficients.  None (off the axis, no or several
+    admissible roots, a polish above tol, a failed check) means: run the
+    homotopy.
+    """
+    if xi.real != 0.0:
+        return None
+    u = xi.imag
+    roots = np.roots(_quartic_coeffs(params.zeta_sq, params.psi1, params.psi2, [u * u])[0])
+    pairs = []
+    for r in roots.tolist():
+        if r.imag == 0.0 and r.real <= 0.0:
+            nu1, nu2 = _pair_from_chi(r.real, params, u)
+            if nu1.imag > 0.0 and nu2.imag > 0.0:
+                pairs.append((nu1, nu2))
+    if len(pairs) != 1:
+        return None
+    try:
+        nu1, nu2, res = _newton_refine(*pairs[0], xi, params, config.tol)
+        return _checked_point(xi, nu1, nu2, res, params, config) if res <= config.tol else None
+    except (InvariantViolation, SingularDenominator):
+        return None
+
+
 def solve_at(
     xi: complex,
     params: SpectralParams,
     config: SolverConfig | None = None,
-    start: SpectralPoint | None = None,
 ) -> SpectralPoint:
-    """Solve the coupled equations at xi (Im xi > 0) by homotopy from high on the axis.
+    """Solve the coupled equations at xi (Im xi > 0).
 
-    Starts at xi0 = i * start_height where the damped map is a strong
-    contraction, then warm-starts down a geometric path to the target,
-    finishing each node with Newton if damping stalls.  The path is retried
-    with doubled resolution if an iterate ever leaves the upper half plane.
-
-    ``start``, a solved point of a nearby problem (the previous row of a
-    sweep), replaces the path by its final node: damped iteration from
-    start's (nu1, nu2) with the Newton fallback.  If that step fails or its
-    solution fails the checks, the cold path runs as if no start were given.
+    On the imaginary axis, where every theory point lies, directly from the
+    quartic chi satisfies (_solve_direct).  Off the axis, or when that route
+    fails, by homotopy: from xi0 = i * start_height, where the damped map is a
+    strong contraction, down a geometric path to the target, finishing each
+    node with Newton if damping stalls, and retried with doubled resolution if
+    an iterate leaves the upper half plane.  Both routes end in the same
+    half-plane, bound and axis checks.
     """
     if config is None:
         config = SolverConfig()
     if not (xi.imag > 0.0):
         raise ValueError(f"xi must have positive imaginary part, got {xi}")
-    if start is not None:
-        try:
-            nu1, nu2, res = _iterate_node(
-                start.nu1, start.nu2, xi, params, config, config.max_iter, config.tol, True
-            )
-            return _checked_point(xi, nu1, nu2, res, params, config)
-        except (NoConvergence, InvariantViolation, SingularDenominator):
-            pass
+    config.start_height(params)  # a bad start height is an error on either route
+    point = _solve_direct(xi, params, config)
+    if point is not None:
+        return point
     nu1, nu2, res = _solve_cold(xi, params, config)
     return _checked_point(xi, nu1, nu2, res, params, config)
 
@@ -393,10 +428,9 @@ def nu_from_chi(
 ) -> tuple[complex, complex]:
     """Reconstruct (nu1, nu2) at xi = i sqrt(psi1 psi2 lambda_bar) from chi.
 
-    Inverts the sum / product structure of the coupled equations:
-    nu_k = (-zeta^2 chi / (1 - zeta^2 chi) - chi - psi_k) / (i u).  The product
-    of the reconstructed pair must reproduce chi; that only happens when chi
-    actually solves the quartic, so the check guards against a wrong branch.
+    The pair is _pair_from_chi's.  Its product must reproduce chi; that only
+    happens when chi actually solves the quartic, so the check guards against
+    a wrong branch.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
@@ -405,10 +439,7 @@ def nu_from_chi(
     z = params.zeta_sq
     if 1.0 - z * chi <= 0.0:
         raise ValueError(f"1 - zeta_sq chi must be positive, got {1.0 - z * chi}")
-    u = math.sqrt(params.psi1 * params.psi2 * lambda_bar)
-    s = -z * chi / (1.0 - z * chi) - chi
-    nu1 = (s - params.psi1) / complex(0.0, u)
-    nu2 = (s - params.psi2) / complex(0.0, u)
+    nu1, nu2 = _pair_from_chi(chi, params, math.sqrt(params.psi1 * params.psi2 * lambda_bar))
     if abs(nu1 * nu2 - chi) > 1e-8 * max(1.0, abs(chi)):
         raise InconsistentChi(
             f"nu1 nu2 = {nu1 * nu2} differs from chi = {chi}; "

@@ -11,6 +11,7 @@ import pytest
 import rfridge.cli
 import rfridge.selfconsistent
 import rfridge.simulate
+from rfridge.activations import Activation, hermite_stats
 from rfridge.cli import (
     COLUMNS,
     SweepSpec,
@@ -21,7 +22,7 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
-from rfridge.risk import TargetSpec, test_error as theory_test_error
+from rfridge.risk import TargetSpec, optimal_lambda, test_error as theory_test_error
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -250,7 +251,7 @@ ROW_KEYS = {"psi1": "psi1", "psi2": "psi2", "lambda": "lambda_bar", "rho": "rho"
     ("rho", ["--grid", "0.5,1,2,4"]),
 ])
 def test_sweep_rows_match_single_point_calls(param, grid, capsys):
-    # sweep rows continue from the previous row; single points solve cold
+    # each row is the single point's computation, so the cells are equal exactly
     point = {"--psi1": "2", "--psi2": "3", "--lambda-bar": "0.01"}
     powers = ["--f1-sq", "1", "--tau-sq", "0.5"]
 
@@ -270,30 +271,27 @@ def test_sweep_rows_match_single_point_calls(param, grid, capsys):
             # target powers fix rho, so R at the swept rho needs a call without them
             ref["theory_risk_R"] = theory({**point, "--rho": value}, [])[0]["theory_risk_R"]
         for cell in THEORY_CELLS:
-            assert row[cell] == pytest.approx(ref[cell], rel=1e-10, abs=0.0), (cell, value)
+            assert row[cell] == ref[cell], (cell, value)
 
 
-# the benchmark's 161-row double-descent curve; solving every row cold from
-# i*h0 made 909,615 fixed_point_map calls (5,650 per row)
+# the benchmark's 161-row double-descent curve and its optimal_lambda call
 CURVE_ARGV = ["theory", "--activation", "relu", "--psi2", "3.0", "--lambda-bar", "0.0110078",
               "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--min", "0.5",
               "--max", "10", "--points", "161", "--spacing", "log"]
-COLD_CURVE_MAP_CALLS = 909_615
 
 
-def test_curve_continuation_cuts_fixed_point_work_tenfold(capsys, monkeypatch):
-    original = rfridge.selfconsistent.fixed_point_map
+def test_curve_and_optimal_lambda_never_need_the_homotopy(capsys, monkeypatch):
+    homotopy = rfridge.selfconsistent._solve_cold
     calls = []
-
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(rfridge.selfconsistent, "fixed_point_map", counting)
+    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
+                        lambda *args: calls.append(args) or homotopy(*args))
+    solves = count_solves(monkeypatch)
     code, out, _ = run_cli(CURVE_ARGV, capsys)
     assert code == 0
     assert len(read_records(out, from_text=True)) == 161
-    assert 0 < len(calls) <= COLD_CURVE_MAP_CALLS // 10
+    optimal_lambda(2.0, hermite_stats(Activation.relu()).zeta_sq, 2.0, 3.0, 10.0)
+    assert len(solves) > 161
+    assert calls == []
 
 
 def test_theory_test_error_cell_is_the_library_value(capsys):

@@ -25,7 +25,6 @@ from rfridge.risk import (
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import NoConvergence
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -322,13 +321,9 @@ def test_decomposition_factors_nonnegative(log_z, log_p1, log_p2, log_lam):
         assert lo - 1e-12 <= dec.risk_R <= hi + 1e-12
 
 
-# Known defect: _iterate_node stops on an absolute residual of 1e-12, which
-# rounding cannot reach once |nu| ~ psi / |xi| is large.  Both points are
-# well posed (the quartic oracle succeeds) and already equal the ridgeless
-# closed form at lambda_bar = 1e-8.  A scale-aware stopping rule turns these
-# into passes; until then they must keep failing with NoConvergence.
-@pytest.mark.xfail(strict=True, raises=NoConvergence,
-                   reason="absolute 1e-12 residual tolerance unreachable at large |nu|")
+# The homotopy's absolute 1e-12 stop is below rounding once |nu| ~ psi / |xi|
+# is large, so it raises NoConvergence at these points; the direct route
+# reaches them, and they equal the ridgeless closed form already.
 @pytest.mark.parametrize("zeta_sq, psi1, psi2, ridgeless_R", [
     (1.0, 3.0, 1.0, 0.713525),
     (0.01, 1.0, 3.0, 0.992646),

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfridge.selfconsistent
-from rfridge.risk import ridgeless_chi
+from rfridge.risk import decompose, ridgeless_chi
 from rfridge.selfconsistent import (
     InconsistentChi,
-    InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
@@ -128,50 +127,137 @@ def test_explicit_start_height_below_contraction_floor():
         solve_at(1.0j, PARAMS_A, config)
 
 
+# off the imaginary axis solve_at runs the homotopy, which the path_* fields steer
+OFF_AXIS = 0.1 + 1.0j
+
+
 def test_explicit_start_height_above_floor_works():
     config = SolverConfig(path_start_height=200.0)
-    point = solve_at(1.0j, PARAMS_A, config)
-    ref = solve_at(1.0j, PARAMS_A)
+    point = solve_at(OFF_AXIS, PARAMS_A, config)
+    ref = solve_at(OFF_AXIS, PARAMS_A)
     assert abs(point.nu1 - ref.nu1) <= 1e-10 * abs(ref.nu1)
 
 
 def test_no_convergence_carries_xi():
     config = SolverConfig(first_step_cap=1, newton_fallback=False)
     with pytest.raises(NoConvergence) as info:
-        solve_at(1.0j, PARAMS_A, config)
+        solve_at(OFF_AXIS, PARAMS_A, config)
     assert info.value.xi.imag == pytest.approx(
         SolverConfig().start_height(PARAMS_A), rel=1e-12
     )
 
 
-def test_warm_start_from_a_neighbouring_problem_matches_cold():
+def _cold_point(xi, params, config=None):
+    """The homotopy's point at xi, which solve_at falls back to."""
+    config = config or SolverConfig()
+    nu1, nu2, res = rfridge.selfconsistent._solve_cold(xi, params, config)
+    return rfridge.selfconsistent._checked_point(xi, nu1, nu2, res, params, config)
+
+
+def _root_50_digits(params, xi, start):
+    """chi from mpmath findroot on the coupled map, started at a solved pair."""
+    mpmath = pytest.importorskip("mpmath")
+    z, p1, p2 = (mpmath.mpf(v) for v in (params.zeta_sq, params.psi1, params.psi2))
+    x = mpmath.mpc(xi.real, xi.imag)
+
+    def g(a, b):
+        den = 1 - z * a * b
+        return [p1 / (-x - b - z * b / den) - a, p2 / (-x - a - z * a / den) - b]
+
+    with mpmath.workdps(50):
+        a, b = mpmath.findroot(g, [mpmath.mpc(start.nu1), mpmath.mpc(start.nu2)])
+        return float(mpmath.re(a * b))
+
+
+def test_direct_point_matches_the_homotopy_over_the_stress_box():
+    # zeta_sq in [0.01, 100], psi1 in [0.01, 1e4], psi2 in [0.01, 1e3] and
+    # lambda_bar in [1e-9, 1e4], log-uniform
+    box = np.log([[0.01, 100.0], [0.01, 1e4], [0.01, 1e3], [1e-9, 1e4]])
+    points = np.exp(np.random.default_rng(6).uniform(box[:, 0], box[:, 1], (600, 4)))
+    compared = cold_off = fallbacks = 0
+    for z, p1, p2, lb in points.tolist():
+        params = SpectralParams(z, p1, p2)
+        xi = complex(0.0, math.sqrt(p1 * p2 * lb))
+        direct = rfridge.selfconsistent._solve_direct(xi, params, SolverConfig())
+        if direct is None:
+            fallbacks += 1
+            continue
+        ref = _root_50_digits(params, xi, direct)
+        try:
+            cold = _cold_point(xi, params)
+        except NoConvergence:
+            cold = None
+        for quantity in (lambda chi: chi, lambda chi: decompose(chi, z, p1, p2).bias_B,
+                         lambda chi: decompose(chi, z, p1, p2).var_V):
+            exact = quantity(ref)
+            assert quantity(direct.chi.real) == pytest.approx(exact, rel=1e-10), (z, p1, p2, lb)
+            if cold is None:
+                continue
+            # the homotopy stops on an absolute residual of 1e-12, which is
+            # above 1e-10 relative once |nu| is small (lambda_bar in the
+            # thousands); there it is the homotopy that misses the 50-digit root
+            if quantity(cold.chi.real) != pytest.approx(exact, rel=1e-10):
+                cold_off += 1
+                continue
+            assert quantity(direct.chi.real) == pytest.approx(
+                quantity(cold.chi.real), rel=1e-10
+            ), (z, p1, p2, lb)
+        compared += cold is not None
+    # a selection that let through wrong roots would show as fallbacks (two
+    # candidates) rather than as wrong points; 1 of the 600 falls back today
+    assert fallbacks <= 6
+    assert compared >= 500
+    assert cold_off <= 0.05 * compared
+
+
+ROOT_FAULTS = {
+    "no admissible root": lambda roots: np.array([1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0]),
+    "two admissible roots": lambda roots: np.concatenate([roots, roots]),
+}
+
+
+@pytest.mark.parametrize("fault", [*ROOT_FAULTS, "polish misses tol"])
+def test_direct_route_falls_back_to_the_homotopy(fault, monkeypatch):
     xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
-    start = solve_at(xi, SpectralParams(PARAMS_A.zeta_sq, 1.9, 3.0))
-    warm = solve_at(xi, PARAMS_A, start=start)
-    cold = solve_at(xi, PARAMS_A)
-    assert warm.residual <= 1e-12
-    assert abs(warm.chi - cold.chi) <= 1e-10 * abs(cold.chi)
-    assert solve_at(xi, PARAMS_A, start=cold) == cold
+    cold = _cold_point(xi, PARAMS_A)
+    faulty = []
+    if fault == "polish misses tol":
+        refine = rfridge.selfconsistent._newton_refine
+
+        def polish(*args, **kwargs):
+            nu1, nu2, res = refine(*args, **kwargs)
+            if not faulty:
+                faulty.append(res)
+                res = 10.0 * SolverConfig().tol
+            return nu1, nu2, res
+
+        monkeypatch.setattr(rfridge.selfconsistent, "_newton_refine", polish)
+    else:
+        roots = np.roots
+
+        def faulty_roots(coeffs):
+            faulty.append(coeffs)
+            return ROOT_FAULTS[fault](roots(coeffs))
+
+        monkeypatch.setattr(rfridge.selfconsistent.np, "roots", faulty_roots)
+    homotopy = rfridge.selfconsistent._solve_cold
+    cold_calls = []
+    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
+                        lambda *args: cold_calls.append(args) or homotopy(*args))
+    assert solve_at(xi, PARAMS_A) == cold
+    assert len(faulty) == 1 and len(cold_calls) == 1
 
 
-@pytest.mark.parametrize("error", [NoConvergence, InvariantViolation, SingularDenominator])
-def test_failed_warm_start_falls_back_to_cold_path(error, monkeypatch):
-    xi = 0.4j
-    cold = solve_at(xi, PARAMS_A)
-    start = solve_at(0.5j, PARAMS_A)
-    original = rfridge.selfconsistent._iterate_node
-    calls = []
-
-    def warm_step_fails(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise NoConvergence("warm step", xi) if error is NoConvergence else error("warm step")
-        return original(*args)
-
-    monkeypatch.setattr(rfridge.selfconsistent, "_iterate_node", warm_step_fails)
-    assert solve_at(xi, PARAMS_A, start=start) == cold
-    assert (calls[0][0], calls[0][1]) == (start.nu1, start.nu2)
-    assert len(calls) > 2
+def test_direct_route_solves_the_axis_and_leaves_other_xi_to_the_homotopy(monkeypatch):
+    homotopy = rfridge.selfconsistent._solve_cold
+    cold_calls = []
+    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
+                        lambda *args: cold_calls.append(args) or homotopy(*args))
+    on_axis = solve_at(0.4j, PARAMS_A)
+    assert not cold_calls
+    assert on_axis.chi == pytest.approx(_cold_point(0.4j, PARAMS_A).chi, rel=1e-10)
+    solve_at(0.1 + 0.4j, PARAMS_A)
+    assert len(cold_calls) == 2
 
 
 def test_spectral_params_validation():

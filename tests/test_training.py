@@ -107,29 +107,17 @@ def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
         quantity(2.0, 1.0, 2.0, 3.0, 0.1)
 
 
-def test_warm_chi_failing_the_cross_check_is_solved_again_cold(monkeypatch):
-    # a warm start that comes back unmoved from a far-away problem carries a
-    # chi the oracle rejects; the row must then be the cold solve, not an error
-    far = theory_point(RELU_ZETA_SQ, 0.5, 3.0, LAM_BAR)
-    solve = rfridge.risk.solve_at
-
-    def warm_returns_start(xi, params, config=None, start=None):
-        return start if start is not None else solve(xi, params, config)
-
-    monkeypatch.setattr(rfridge.risk, "solve_at", warm_returns_start)
-    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR, start=far)
-    u = math.sqrt(6.0 * 3.0 * LAM_BAR)
-    assert point == solve_at(complex(0.0, u), SpectralParams(RELU_ZETA_SQ, 6.0, 3.0))
-
-
-def test_cold_chi_disagreement_still_raises_with_a_start(monkeypatch):
-    start = theory_point(RELU_ZETA_SQ, 5.0, 3.0, LAM_BAR)
-    oracle = rfridge.risk.chi_scalar_oracle
-    monkeypatch.setattr(
-        rfridge.risk, "chi_scalar_oracle", lambda params, lb: oracle(params, lb) * (1.0 + 1e-6)
-    )
-    with pytest.raises(ChiDisagreement):
-        theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR, start=start)
+@pytest.mark.parametrize("lambda_bar", [1e-9, LAM_BAR, 1e3], ids=["tiny", "relu-1e-3", "large"])
+def test_theory_values_are_python_numbers(lambda_bar):
+    # the direct route starts from numpy's roots; nothing numpy may leak out
+    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
+    for value in (point.xi, point.nu1, point.nu2, point.chi):
+        assert type(value) is complex
+    assert type(point.residual) is float
+    out = training_theory(2.0, RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
+    assert type(out.L) is float and type(out.A) is float
+    dec = risk_general(2.0, RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
+    assert type(dec.bias_B) is float and type(dec.var_V) is float
 
 
 @settings(max_examples=25, deadline=None)
