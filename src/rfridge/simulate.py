@@ -158,6 +158,8 @@ class SimConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n_test is None:
             object.__setattr__(self, "n_test", 10 * self.n)
+        if not (isinstance(self.n_test, (int, np.integer)) and self.n_test >= 1):
+            raise ValueError(f"n_test must be a positive integer, got {self.n_test!r}")
         if self.n_test < 1000:
             warnings.warn(
                 f"n_test = {self.n_test} is small; per-trial test errors will be noisy",
@@ -176,7 +178,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted coefficients with solver provenance and conditioning."""
+    """Fitted coefficients with solver provenance and conditioning.
+
+    cond is an upper bound on the condition number of the fit's normal matrix
+    (primal or dual, whichever was solved), exact when above 1e12 and on the
+    ridgeless (lam <= 1e-6) branch; see ridge_fit and ridge_path.
+    """
 
     a_hat: np.ndarray
     solver_path: str
@@ -189,7 +196,8 @@ class TrialResult:
 
     train_error is the full objective value (mean squared residual plus
     penalty); penalty and coef_norm_sq are reported separately so the
-    coefficient-norm asymptotics can be checked on their own.
+    coefficient-norm asymptotics can be checked on their own.  solver_path
+    and cond are those of the trial's FitResult.
     """
 
     trial_index: int
@@ -254,14 +262,47 @@ def _fit_scale(
     return math.sqrt(d)
 
 
-def _checked_cond(cond: float) -> float:
-    if cond > 1e12:
+# Above this condition number a fit warns, and reports the exact value.
+_COND_LIMIT = 1e12
+
+
+def _warn_if_ill_conditioned(cond: float) -> None:
+    """Warn at the caller of the public fit function that called this one."""
+    if cond > _COND_LIMIT:
         warnings.warn(
             f"linear system condition number {cond:.3e} exceeds 1e12",
             IllConditionedWarning,
             stacklevel=3,
         )
-    return cond
+
+
+def _svd_fits(
+    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
+) -> list[FitResult]:
+    """ridge_path without the conditioning warning."""
+    sqrt_d = _fit_scale(Z, y, lams, psi1_d, psi2_d)
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    cutoff = 1e-10 * s[0] if s.size else 0.0
+    keep = s > cutoff
+    s_kept = s[keep]
+    Uty_kept = U[:, keep].T @ y
+    V_kept = Vt[keep].T
+    Uty = U.T @ y
+    fro_sq = float(s @ s)
+    fits = []
+    for lam in lams:
+        c = lam * psi1_d * psi2_d
+        if lam <= 1e-6:
+            coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
+            a_hat = V_kept @ coef / sqrt_d
+            cond = float((s[0] / s_kept[-1]) ** 2) if s_kept.size else 1.0
+        else:
+            a_hat = Vt.T @ ((s / (s * s + c)) * Uty) / sqrt_d
+            cond = (fro_sq + c) / c
+            if cond > _COND_LIMIT:
+                cond = float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
+        fits.append(FitResult(a_hat=a_hat, solver_path="svd", cond=cond))
+    return fits
 
 
 def ridge_path(
@@ -274,29 +315,14 @@ def ridge_path(
     below 1e-10 * sigma_max are dropped first, which at lam = 0 is exactly the
     minimum-norm pseudo-inverse solution, and cond is (s_max / s_kept_min)^2,
     the condition number of the normal matrix on the kept subspace.  Above
-    1e-6 every component is kept and cond = (s_max^2 + c) / (s_min^2 + c),
-    the condition number of the regularized normal matrix.  Both branches thus
-    report cond in the unit of the primal and dual solves.
+    1e-6 every component is kept and cond is the same certified bound as
+    ridge_fit's, (sum s^2 + c) / c, replaced by the exact
+    (s_max^2 + c) / (s_min^2 + c) when the bound exceeds 1e12.  A sweep row
+    thus reports the cond of a ridge_fit call of the same point.
     """
-    sqrt_d = _fit_scale(Z, y, lams, psi1_d, psi2_d)
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    cutoff = 1e-10 * s[0] if s.size else 0.0
-    keep = s > cutoff
-    s_kept = s[keep]
-    Uty_kept = U[:, keep].T @ y
-    V_kept = Vt[keep].T
-    Uty = U.T @ y
-    fits = []
-    for lam in lams:
-        c = lam * psi1_d * psi2_d
-        if lam <= 1e-6:
-            coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
-            a_hat = V_kept @ coef / sqrt_d
-            cond = float((s[0] / s_kept[-1]) ** 2) if s_kept.size else 1.0
-        else:
-            a_hat = Vt.T @ ((s / (s * s + c)) * Uty) / sqrt_d
-            cond = float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
-        fits.append(FitResult(a_hat=a_hat, solver_path="svd", cond=_checked_cond(cond)))
+    fits = _svd_fits(Z, y, lams, psi1_d, psi2_d)
+    for fit in fits:
+        _warn_if_ill_conditioned(fit.cond)
     return fits
 
 
@@ -307,24 +333,33 @@ def ridge_fit(
 
     The normal equations are (Z^T Z + lam psi1_d psi2_d I) a = Z^T y / sqrt(d),
     solved in whichever of the primal (N x N) or dual (n x n) dimension is
-    smaller.  For lam <= 1e-6 (including the exact ridgeless case lam = 0) the
-    fit is the singular-value one of ridge_path.
+    smaller.  With c = lam psi1_d psi2_d the normal matrix M has
+    lambda_min >= c and lambda_max <= ||Z||_F^2 + c, so cond is the certified
+    bound (||Z||_F^2 + c) / c, read off the trace of the Gram; only when that
+    bound exceeds 1e12 is it replaced by the exact ratio from eigvalsh(M).
+    For lam <= 1e-6 (including the exact ridgeless case lam = 0) the fit is
+    the singular-value one of ridge_path.
     """
     if lam <= 1e-6:
-        return ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0]
+        (fit,) = _svd_fits(Z, y, (lam,), psi1_d, psi2_d)
+        _warn_if_ill_conditioned(fit.cond)
+        return fit
     sqrt_d = _fit_scale(Z, y, (lam,), psi1_d, psi2_d)
     n, N = Z.shape
     c = lam * psi1_d * psi2_d
-    if N <= n:
-        M = Z.T @ Z + c * np.eye(N)
+    primal = N <= n
+    M = Z.T @ Z if primal else Z @ Z.T
+    cond = (float(np.trace(M)) + c) / c
+    M[np.diag_indices_from(M)] += c
+    if primal:
         a_hat = np.linalg.solve(M, Z.T @ y) / sqrt_d
-        path = "primal"
     else:
-        M = Z @ Z.T + c * np.eye(n)
         a_hat = Z.T @ np.linalg.solve(M, y) / sqrt_d
-        path = "dual"
-    ev = np.linalg.eigvalsh(M)
-    return FitResult(a_hat=a_hat, solver_path=path, cond=_checked_cond(float(ev[-1] / ev[0])))
+    if cond > _COND_LIMIT:
+        ev = np.linalg.eigvalsh(M)
+        cond = float(ev[-1] / ev[0])
+    _warn_if_ill_conditioned(cond)
+    return FitResult(a_hat=a_hat, solver_path="primal" if primal else "dual", cond=cond)
 
 
 # A trial's draw: training design Z, targets y, test features, test target.

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -499,6 +501,36 @@ def test_bad_thread_counts_are_usage_errors(flags, env, message, capsys, monkeyp
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("n_test", ["0", "-5"])
+def test_bad_test_set_sizes_are_usage_errors(n_test, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the configuration must be rejected before any draw")
+
+    monkeypatch.setattr(rfridge.cli, "run_trials", no_draw)
+    code, out, err = run_cli(["simulate"] + SIM_ARGS + ["--n-test", n_test], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"n_test must be a positive integer, got {n_test}" in err
+
+
+def test_runtime_imports_numpy_only():
+    # scipy happens to be installed where the tests run; mpmath and hypothesis
+    # are test extras.  None of them may be imported by the library or the CLI.
+    code = (
+        "import sys, rfridge.cli\n"
+        "assert rfridge.cli.main(['simulate'] + sys.argv[1:] + ['--threads', '1']) == 0\n"
+        "assert rfridge.cli.main(['theory', '--activation', 'relu', '--psi1', '2',"
+        " '--psi2', '3', '--lambda-bar', '0.01', '--f1-sq', '1', '--tau-sq', '0.5']) == 0\n"
+        "extras = ('scipy', 'mpmath', 'hypothesis')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in extras))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *SIM_ARGS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_thread_default_is_the_usable_cores(capsys, monkeypatch):

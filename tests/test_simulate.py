@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfridge.activations import Activation, DegenerateActivation
 from rfridge.simulate import (
@@ -266,16 +268,102 @@ def test_ridgeless_cond_is_normal_matrix_ratio():
     assert fit.cond == pytest.approx(1e14, rel=1e-9)
 
 
-def test_cond_is_continuous_across_the_svd_threshold():
-    rng = np.random.default_rng(12)
-    d, n, N = 10, 30, 20
-    Z = rng.standard_normal((n, N)) / math.sqrt(d)
-    y = rng.standard_normal(n)
-    at, above = ridge_path(Z, y, (1e-6, 2e-6), N / d, n / d)
-    assert above.cond == pytest.approx(at.cond, rel=1e-2)
-    single_at, single_above = (ridge_fit(Z, y, lam, N / d, n / d) for lam in (1e-6, 2e-6))
-    assert (single_at.solver_path, single_above.solver_path) == ("svd", "primal")
-    assert single_above.cond == pytest.approx(single_at.cond, rel=1e-2)
+EPS = np.finfo(float).eps
+COND_LAMS = (2e-6, 1e-3, 1.0, 1e6)
+
+
+def _lifted_relu_design(N):
+    # relu shifted up by 1e4: the mean component dwarfs the rest of the spectrum
+    lifted = Activation.custom(lambda u: np.maximum(u, 0.0) + 1e4, breakpoints=(0.0,))
+    X = sample_sphere(20, 40, np.random.default_rng(21))
+    Theta = sample_sphere(20, N, np.random.default_rng(22))
+    return build_design(X, Theta, lifted), N / 20, 40 / 20
+
+
+def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
+    """cond bounds the exact ratio, is exact above 1e12, and warns iff the exact ratio does.
+
+    Each route's exact ratio is the one it would compute: eigvalsh of the
+    normal matrix it solves for ridge_fit, (s_max^2 + c) / (s_min^2 + c) for
+    ridge_path.  The two differ only by eigvalsh's rounding of lambda_min,
+    about eps lambda_max, i.e. eps * ratio relative.  Returns ridge_fit's
+    cond and the eigvalsh ratio.
+    """
+    n, N = Z.shape
+    y = np.ones(n)
+    c = lam * psi1_d * psi2_d
+    G = Z.T @ Z if N <= n else Z @ Z.T
+    ev = np.linalg.eigvalsh(G + c * np.eye(len(G)))
+    s = np.linalg.svd(Z, compute_uv=False)
+    by_eig = ev[-1] / ev[0]
+    by_svd = (s[0] ** 2 + c) / (s[-1] ** 2 + c)
+    assert by_svd == pytest.approx(by_eig, rel=1e-12 + 4 * EPS * by_eig)
+    routes = (
+        (lambda: ridge_fit(Z, y, lam, psi1_d, psi2_d), by_eig),
+        (lambda: ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0], by_svd),
+    )
+    conds = []
+    for fit_once, exact in routes:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_once()
+        assert fit.cond >= exact * (1.0 - 1e-12 - 4 * EPS * exact)
+        if fit.cond > 1e12 or exact > 1e12:
+            assert fit.cond == pytest.approx(exact, rel=1e-8)
+        warned = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+        assert len(warned) == (exact > 1e12)
+        conds.append(fit.cond)
+    return conds[0], by_eig
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    N=st.integers(min_value=2, max_value=12),
+    lam=st.sampled_from(COND_LAMS),
+)
+def test_cond_bounds_the_exact_ratio_on_random_designs(seed, n, N, lam):
+    d = 10
+    Z = np.random.default_rng(seed).standard_normal((n, N)) / math.sqrt(d)
+    _assert_cond_contract(Z, N / d, n / d, lam)
+    _assert_cond_contract(Z.T, n / d, N / d, lam)  # the other of primal and dual
+
+
+@pytest.mark.parametrize("lam", COND_LAMS)
+def test_cond_bounds_the_exact_ratio_on_structured_designs(lam):
+    # singular values 1 and 1e-7, as a tall (primal) and a wide (dual) design
+    tall = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
+    _assert_cond_contract(tall, 1.0, 1.5, lam)
+    _assert_cond_contract(tall.T, 1.5, 1.0, lam)
+    # a flat spectrum: the bound exceeds 1e12 at 2e-6 while the exact ratio does not
+    _assert_cond_contract(500.0 * np.eye(16), 1.0, 1.0, lam)
+    for N in (30, 40, 60):
+        _assert_cond_contract(*_lifted_relu_design(N), lam)
+
+
+def test_cond_cases_reach_every_branch_of_the_rule():
+    # exact although no warning: the bound (2e12) is above 1e12, the ratio is not
+    fit_cond, exact = _assert_cond_contract(500.0 * np.eye(16), 1.0, 1.0, 2e-6)
+    assert exact < 1e12 and fit_cond == exact
+    # exact and warning
+    fit_cond, exact = _assert_cond_contract(*_lifted_relu_design(40), 2e-6)
+    assert exact > 1e12
+    # the bound itself, strictly above the exact ratio
+    fit_cond, exact = _assert_cond_contract(*_lifted_relu_design(30), 1.0)
+    assert fit_cond > exact * (1.0 + 1e-4)
+
+
+def test_ill_conditioned_warning_points_at_the_caller():
+    y = np.ones(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ridge_fit(np.diag([1.0, 1e-7]), y, 0.0, 1.0, 1.0)
+        ridge_path(np.diag([1.0, 1e-7]), y, (0.0,), 1.0, 1.0)
+        ridge_fit(np.diag([1.0, 0.0]), y, 2e-6, 2.0 / 3000, 2.0 / 3000)
+    warned = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+    assert len(warned) == 3
+    assert all(w.filename == __file__ for w in warned)
 
 
 def _shape_sweep(param, lam, model="random_features"):
@@ -489,6 +577,9 @@ def test_config_validation_and_defaults():
         _small_config(tau_sq=-0.5)
     with pytest.raises(ValueError):
         _small_config(model="kernel")
+    for bad in (0, -5, 1500.0, 2.5):
+        with pytest.raises(ValueError, match="n_test must be a positive integer"):
+            _small_config(n_test=bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cfg = SimConfig(
