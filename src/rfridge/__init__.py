@@ -21,7 +21,6 @@ from .selfconsistent import (
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
-    SolverConfig,
     SpectralParams,
     SpectralPoint,
     chi_scalar_oracle,
@@ -64,7 +63,6 @@ from .simulate import (
     nonlinear_power,
     ridge_fit,
     ridge_path,
-    run_gaussian_covariates_trial,
     run_trial,
     run_trials,
     sample_sphere,

@@ -277,8 +277,8 @@ class SweepSpec:
     @classmethod
     def from_args(cls, args) -> "SweepSpec | None":
         if args.sweep is None:
-            if args.grid is not None or args.min is not None or args.max is not None:
-                raise ValueError("--grid/--min/--max given without --sweep")
+            if any(v is not None for v in (args.grid, args.min, args.max, args.points)):
+                raise ValueError("--grid/--min/--max/--points given without --sweep")
             return None
         if args.grid is not None:
             if args.min is not None or args.max is not None or args.points is not None:
@@ -501,9 +501,11 @@ def cmd_theory(args, parser) -> int:
     grid = sweep.values if sweep is not None else (None,)
     records = []
     for value in grid:
-        rho = args.rho if powers is None else powers.rho
+        rho = args.rho
         if sweep is not None and sweep.param == "rho":
             rho = value
+        elif rho is None and powers is not None:
+            rho = powers.rho
         rec = new_record(
             COLUMNS,
             command="theory",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .selfconsistent import (
     InvariantViolation,
-    SolverConfig,
     SpectralParams,
     SpectralPoint,
     chi_scalar_oracle,
@@ -193,7 +192,6 @@ def theory_point(
     psi1: float,
     psi2: float,
     lambda_bar: float,
-    config: SolverConfig | None = None,
 ) -> SpectralPoint:
     """The solved spectral point at xi = i sqrt(psi1 psi2 lambda_bar), lambda_bar > 0.
 
@@ -207,7 +205,7 @@ def theory_point(
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     params = SpectralParams(zeta_sq, psi1, psi2)
     xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
-    point = solve_at(xi, params, config)
+    point = solve_at(xi, params)
     chi_or = chi_scalar_oracle(params, lambda_bar)
     if abs(point.chi.real - chi_or) > 1e-8 * max(1.0, abs(chi_or)):
         raise ChiDisagreement(
@@ -223,12 +221,11 @@ def risk_general(
     psi1: float,
     psi2: float,
     lambda_bar: float,
-    config: SolverConfig | None = None,
 ) -> RiskDecomposition:
     """Risk decomposition at finite lambda_bar > 0, from one theory_point."""
     if not (rho >= 0.0):
         raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
-    point = theory_point(zeta_sq, psi1, psi2, lambda_bar, config)
+    point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
     return decompose(point.chi.real, zeta_sq, psi1, psi2, rho)
 
 
@@ -238,10 +235,9 @@ def test_error(
     psi1: float,
     psi2: float,
     lambda_bar: float,
-    config: SolverConfig | None = None,
 ) -> float:
     """Asymptotic test error at finite lambda_bar > 0; see RiskDecomposition.test_error."""
-    return risk_general(target.rho, zeta_sq, psi1, psi2, lambda_bar, config).test_error(target)
+    return risk_general(target.rho, zeta_sq, psi1, psi2, lambda_bar).test_error(target)
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -358,7 +354,6 @@ def optimal_lambda(
     psi1: float,
     psi2: float,
     lambda_max: float,
-    config: SolverConfig | None = None,
 ) -> tuple[float, float]:
     """Minimize the finite-shape risk over lambda_bar in [0, lambda_max].
 
@@ -374,7 +369,7 @@ def optimal_lambda(
     def profile(lb: float) -> float:
         if lb <= 0.0:
             return risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)
-        return risk_general(rho, zeta_sq, psi1, psi2, lb, config).risk_at(rho)
+        return risk_general(rho, zeta_sq, psi1, psi2, lb).risk_at(rho)
 
     grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
     values = [profile(lb) for lb in grid]

@@ -12,6 +12,8 @@ solve_at keeps the one root admissible at the target (upper half plane) and
 polishes the pair it determines on the coupled map, with a damped fixed-point
 / Newton homotopy in (nu1, nu2) as fallback; the oracle tracks the root by
 continuity from large |xi|.  Callers cross-check one against the other.
+Both routes of solve_at stop at a map residual of 1e-12; that stop, the
+homotopy's steering and the oracle's path resolution are fixed constants.
 """
 
 from __future__ import annotations
@@ -72,44 +74,22 @@ class SpectralParams:
         return SpectralParams(self.zeta_sq, self.psi2, self.psi1)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables for solve_at.
+# The residual both routes of solve_at must reach, and the homotopy's fixed
+# steering: damping of the fixed-point step, iteration cap per node, nodes on
+# the path, and the cap of the first node, which doubles as an empirical
+# contraction check of the start height.
+_TOL = 1e-12
+_DAMPING = 0.5
+_MAX_ITER = 2000
+_PATH_STEPS = 64
+_FIRST_STEP_CAP = 200
+# path nodes of the quartic oracle's root tracking
+_ORACLE_STEPS = 192
 
-    ``tol`` is the residual both routes must reach; the other fields steer
-    only the homotopy.  path_start_height of None means "pick per parameters":
-    the iteration is a strong contraction once the start satisfies
-    max(100, 10 (psi1+psi2) max(1, zeta)), and the first path node doubles as
-    an empirical contraction check by being required to converge within
-    ``first_step_cap`` damped iterations.
-    """
 
-    tol: float = 1e-12
-    damping: float = 0.5
-    max_iter: int = 2000
-    path_steps: int = 64
-    path_start_height: float | None = None
-    newton_fallback: bool = True
-    first_step_cap: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.path_steps < 2:
-            raise ValueError(f"path_steps must be >= 2, got {self.path_steps}")
-
-    def start_height(self, params: SpectralParams) -> float:
-        if self.path_start_height is not None:
-            floor = 10.0 * max(params.psi1, params.psi2, 1.0)
-            if self.path_start_height < floor:
-                raise ValueError(
-                    f"path_start_height {self.path_start_height} is below the "
-                    f"contraction floor {floor} for these parameters"
-                )
-            return self.path_start_height
-        return max(100.0, 10.0 * (params.psi1 + params.psi2) * max(1.0, params.zeta))
+def _start_height(params: SpectralParams) -> float:
+    """Height above which the damped map is a strong contraction for these parameters."""
+    return max(100.0, 10.0 * (params.psi1 + params.psi2) * max(1.0, params.zeta))
 
 
 @dataclass(frozen=True)
@@ -186,9 +166,9 @@ def _newton_refine(nu1, nu2, xi, params, tol, max_steps=60):
     return nu1, nu2, res
 
 
-def _iterate_node(nu1, nu2, xi, params, config, cap, tol, allow_newton):
+def _iterate_node(nu1, nu2, xi, params, cap, tol, allow_newton):
     """Damped iteration at a single path node, optionally finishing with Newton."""
-    gamma = config.damping
+    gamma = _DAMPING
     res, f1, f2 = _residual(nu1, nu2, xi, params)
     for _ in range(cap):
         if res <= tol:
@@ -200,16 +180,15 @@ def _iterate_node(nu1, nu2, xi, params, config, cap, tol, allow_newton):
                 f"iterate left the upper half plane at xi = {xi}"
             )
         res, f1, f2 = _residual(nu1, nu2, xi, params)
-    if allow_newton and config.newton_fallback:
+    if allow_newton:
         nu1, nu2, res = _newton_refine(nu1, nu2, xi, params, tol)
         if res <= tol:
             return nu1, nu2, res
     raise NoConvergence(f"residual {res:.3e} after {cap} damped iterations", xi)
 
 
-def _solve_path(xi_target, params, config, path_steps):
-    h0 = config.start_height(params)
-    xi0 = complex(0.0, h0)
+def _solve_path(xi_target, params, path_steps):
+    xi0 = complex(0.0, _start_height(params))
     nu1 = -params.psi1 / xi0
     nu2 = -params.psi2 / xi0
     # geometric approach to the target, then one exact final node
@@ -219,35 +198,35 @@ def _solve_path(xi_target, params, config, path_steps):
         last = k == len(nodes) - 1
         if k == 0:
             # contraction check: the start height must make this converge fast
-            cap, tol, newton = config.first_step_cap, max(config.tol, 1e-10), False
+            cap, tol, newton = _FIRST_STEP_CAP, 1e-10, False
         elif last:
-            cap, tol, newton = config.max_iter, config.tol, True
+            cap, tol, newton = _MAX_ITER, _TOL, True
         else:
-            cap, tol, newton = config.max_iter, max(config.tol, 1e-10), True
-        nu1, nu2, res = _iterate_node(nu1, nu2, xi, params, config, cap, tol, newton)
+            cap, tol, newton = _MAX_ITER, 1e-10, True
+        nu1, nu2, res = _iterate_node(nu1, nu2, xi, params, cap, tol, newton)
     return nu1, nu2, res
 
 
-def _solve_cold(xi, params, config):
+def _solve_cold(xi, params):
     """The full homotopy, retried with doubled resolution on a half-plane exit."""
-    steps = config.path_steps
+    steps = _PATH_STEPS
     last_err: InvariantViolation | None = None
     for _ in range(4):
         try:
-            return _solve_path(xi, params, config, steps)
+            return _solve_path(xi, params, steps)
         except InvariantViolation as err:
             last_err, steps = err, steps * 2
     raise last_err
 
 
-def _checked_point(xi, nu1, nu2, res, params, config) -> SpectralPoint:
+def _checked_point(xi, nu1, nu2, res, params) -> SpectralPoint:
     """The solution at xi, after the half-plane, norm-bound and axis checks."""
     if nu1.imag <= 0.0 or nu2.imag <= 0.0:
         raise InvariantViolation(f"solution left the upper half plane at xi = {xi}")
     # relative slack for rounding plus absolute slack at the residual scale,
     # which dominates when |nu| ~ psi / Im(xi) is itself tiny
     bound_slack = 1.0 + 1e-9
-    margin = 100.0 * config.tol
+    margin = 100.0 * _TOL
     if (
         abs(nu1) > bound_slack * params.psi1 / xi.imag + margin
         or abs(nu2) > bound_slack * params.psi2 / xi.imag + margin
@@ -258,7 +237,7 @@ def _checked_point(xi, nu1, nu2, res, params, config) -> SpectralPoint:
     chi = nu1 * nu2
     if xi.real == 0.0:
         # on the imaginary axis the solution is purely imaginary and chi <= 0
-        axis_tol = max(1e-10, 100.0 * config.tol)
+        axis_tol = 1e-10
         if (
             abs(nu1.real) > axis_tol * (1.0 + abs(nu1))
             or abs(nu2.real) > axis_tol * (1.0 + abs(nu2))
@@ -281,7 +260,7 @@ def _pair_from_chi(chi: float, params: SpectralParams, u: float) -> tuple[comple
     return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
 
 
-def _solve_direct(xi, params, config) -> SpectralPoint | None:
+def _solve_direct(xi, params) -> SpectralPoint | None:
     """The point at xi = i u from the one admissible root of the quartic, or None.
 
     A root is admissible when it is real, <= 0 and its pair (_pair_from_chi)
@@ -304,37 +283,30 @@ def _solve_direct(xi, params, config) -> SpectralPoint | None:
     if len(pairs) != 1:
         return None
     try:
-        nu1, nu2, res = _newton_refine(*pairs[0], xi, params, config.tol)
-        return _checked_point(xi, nu1, nu2, res, params, config) if res <= config.tol else None
+        nu1, nu2, res = _newton_refine(*pairs[0], xi, params, _TOL)
+        return _checked_point(xi, nu1, nu2, res, params) if res <= _TOL else None
     except (InvariantViolation, SingularDenominator):
         return None
 
 
-def solve_at(
-    xi: complex,
-    params: SpectralParams,
-    config: SolverConfig | None = None,
-) -> SpectralPoint:
-    """Solve the coupled equations at xi (Im xi > 0).
+def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
+    """Solve the coupled equations at xi (Im xi > 0) to a map residual of 1e-12.
 
     On the imaginary axis, where every theory point lies, directly from the
     quartic chi satisfies (_solve_direct).  Off the axis, or when that route
-    fails, by homotopy: from xi0 = i * start_height, where the damped map is a
-    strong contraction, down a geometric path to the target, finishing each
-    node with Newton if damping stalls, and retried with doubled resolution if
-    an iterate leaves the upper half plane.  Both routes end in the same
-    half-plane, bound and axis checks.
+    fails, by homotopy: from xi0 = i * _start_height(params), where the damped
+    map is a strong contraction, down a geometric path to the target,
+    finishing each node with Newton if damping stalls, and retried with
+    doubled resolution if an iterate leaves the upper half plane.  Both routes
+    end in the same half-plane, bound and axis checks.
     """
-    if config is None:
-        config = SolverConfig()
     if not (xi.imag > 0.0):
         raise ValueError(f"xi must have positive imaginary part, got {xi}")
-    config.start_height(params)  # a bad start height is an error on either route
-    point = _solve_direct(xi, params, config)
+    point = _solve_direct(xi, params)
     if point is not None:
         return point
-    nu1, nu2, res = _solve_cold(xi, params, config)
-    return _checked_point(xi, nu1, nu2, res, params, config)
+    nu1, nu2, res = _solve_cold(xi, params)
+    return _checked_point(xi, nu1, nu2, res, params)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +337,7 @@ def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: np.ndarray) 
     )
 
 
-def chi_scalar_oracle(
-    params: SpectralParams, lambda_bar: float, steps: int = 192
-) -> float:
+def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     """chi at xi = i sqrt(psi1 psi2 lambda_bar), via the quartic it satisfies.
 
     All four roots are computed (companion matrix) along a geometric path in u
@@ -387,12 +357,12 @@ def chi_scalar_oracle(
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = max(100.0, 10.0 * u_target, 10.0 * (p1 + p2) * max(1.0, params.zeta))
+    u_start = max(10.0 * u_target, _start_height(params))
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
-    nodes = [u_start * ratio ** (k / steps) for k in range(1, steps + 1)]
+    nodes = [u_start * ratio ** (k / _ORACLE_STEPS) for k in range(1, _ORACLE_STEPS + 1)]
     coeffs = _quartic_coeffs(z, p1, p2, [u * u for u in nodes])
-    companion = np.zeros((steps, 4, 4))
+    companion = np.zeros((_ORACLE_STEPS, 4, 4))
     companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     displacement = 0.0
@@ -418,7 +388,7 @@ def chi_scalar_oracle(
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(
                 f"roots {chi} and {r} both admissible within tracking resolution "
-                f"{resolution:.3e}; raise steps above {steps}"
+                f"{resolution:.3e} ({_ORACLE_STEPS} path nodes)"
             )
     return float(chi.real)
 

@@ -276,6 +276,11 @@ def _warn_if_ill_conditioned(cond: float) -> None:
         )
 
 
+def _exact_cond(s: np.ndarray, c: float) -> float:
+    """The normal matrix's condition number from the singular values s of Z, at penalty c."""
+    return float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
+
+
 def _svd_fits(
     Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
 ) -> list[FitResult]:
@@ -300,7 +305,7 @@ def _svd_fits(
             a_hat = Vt.T @ ((s / (s * s + c)) * Uty) / sqrt_d
             cond = (fro_sq + c) / c
             if cond > _COND_LIMIT:
-                cond = float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
+                cond = _exact_cond(s, c)
         fits.append(FitResult(a_hat=a_hat, solver_path="svd", cond=cond))
     return fits
 
@@ -336,7 +341,9 @@ def ridge_fit(
     smaller.  With c = lam psi1_d psi2_d the normal matrix M has
     lambda_min >= c and lambda_max <= ||Z||_F^2 + c, so cond is the certified
     bound (||Z||_F^2 + c) / c, read off the trace of the Gram; only when that
-    bound exceeds 1e12 is it replaced by the exact ratio from eigvalsh(M).
+    bound exceeds 1e12 is it replaced by the exact ratio
+    (s_max^2 + c) / (s_min^2 + c) from the singular values of Z, as in
+    ridge_path.
     For lam <= 1e-6 (including the exact ridgeless case lam = 0) the fit is
     the singular-value one of ridge_path.
     """
@@ -356,8 +363,7 @@ def ridge_fit(
     else:
         a_hat = Z.T @ np.linalg.solve(M, y) / sqrt_d
     if cond > _COND_LIMIT:
-        ev = np.linalg.eigvalsh(M)
-        cond = float(ev[-1] / ev[0])
+        cond = _exact_cond(np.linalg.svd(Z, compute_uv=False), c)
     _warn_if_ill_conditioned(cond)
     return FitResult(a_hat=a_hat, solver_path="primal" if primal else "dual", cond=cond)
 
@@ -439,15 +445,34 @@ def _sweep(config: SimConfig | Sequence[SimConfig]) -> tuple[SimConfig, ...]:
     return configs
 
 
-def _sweep_trial(config, trial_index: int, draw, nested: bool):
-    """One trial at every config of a sweep: draw, fit, measure.
+def run_trial(
+    config: SimConfig | Sequence[SimConfig], trial_index: int
+) -> TrialResult | list[TrialResult]:
+    """One trial of config.model: draw, fit, measure.
 
-    Configs of one shape share a draw and are fit together: by ridge_fit at a
-    lone penalty, by ridge_path from one factorization at several.  With a
-    ``nested`` draw the whole sweep draws once, at its largest shape, and every
-    shape fits on prefix slices of that draw; otherwise each shape draws anew.
+    Test error is measured against the noiseless target on a fresh test
+    sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
+    so that configurations differing only in noise level share all other
+    randomness.  Given a sweep, a sequence of configs that differ only in n,
+    N, n_test and lam, the result is one TrialResult per config.  Points of
+    one shape share a draw and are fit together: by ridge_fit at a lone
+    penalty, by ridge_path from one factorization at several.  A
+    random-features trial is drawn once at the sweep's largest shape, and
+    every point fits on prefix slices of that draw.
+
+    The "gaussian_covariates" model is the matched surrogate: covariates are
+    u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
+    only the activation's moment profile; the target must be linear.  The
+    ridge objective and measurements coincide with the random-features ones
+    under Z = U / sqrt(d).  The training noise matrix is drawn from the "w"
+    stream first, the test noise matrix second; test inputs come from the
+    "test" stream.  These draws do not nest across shapes, so a sweep draws
+    once per distinct (n, N, n_test) and shares that draw only among the
+    penalties of one shape.
     """
     configs = _sweep(config)
+    nested = configs[0].model == "random_features"
+    draw = _random_features_draw if nested else _gaussian_covariates_draw
     groups: dict[_Shape, list[int]] = {}
     for i, c in enumerate(configs):
         groups.setdefault((c.n, c.N, c.n_test), []).append(i)
@@ -469,39 +494,6 @@ def _sweep_trial(config, trial_index: int, draw, nested: bool):
     return results[0] if isinstance(config, SimConfig) else results
 
 
-def run_trial(
-    config: SimConfig | Sequence[SimConfig], trial_index: int
-) -> TrialResult | list[TrialResult]:
-    """One random-features trial: draw, fit, measure.
-
-    Test error is measured against the noiseless target on a fresh sphere
-    sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
-    so that configurations differing only in noise level share all other
-    randomness.  Given a sweep, a sequence of configs that differ only in n,
-    N, n_test and lam, the trial is drawn once at the sweep's largest shape;
-    every point fits on prefix slices of that draw, points of one shape from
-    one factorization, and the result is one TrialResult per config.
-    """
-    return _sweep_trial(config, trial_index, _random_features_draw, nested=True)
-
-
-def run_gaussian_covariates_trial(
-    config: SimConfig | Sequence[SimConfig], trial_index: int
-) -> TrialResult | list[TrialResult]:
-    """One trial of the matched Gaussian-covariates surrogate.
-
-    Covariates are u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x
-    and w, keeping only the activation's moment profile; the target must be
-    linear.  The ridge objective and measurements coincide with the
-    random-features ones under Z = U / sqrt(d).  The training noise matrix is
-    drawn from the "w" stream first, the test noise matrix second; test inputs
-    come from the "test" stream.  These draws do not nest across shapes, so a
-    sweep (as in run_trial) draws once per distinct (n, N, n_test) and shares
-    that draw only among the penalties of one shape.
-    """
-    return _sweep_trial(config, trial_index, _gaussian_covariates_draw, nested=False)
-
-
 def run_trials(
     config: SimConfig | Sequence[SimConfig], threads: int | None = None
 ) -> list:
@@ -513,18 +505,13 @@ def run_trials(
     one list of trials per config, in the order of the sweep.
     """
     configs = _sweep(config)
-    fn = (
-        run_gaussian_covariates_trial
-        if configs[0].model == "gaussian_covariates"
-        else run_trial
-    )
     point = configs[0] if isinstance(config, SimConfig) else configs
     indices = range(configs[0].trials)
     if threads is None or threads <= 1 or configs[0].trials == 1:
-        results = [fn(point, t) for t in indices]
+        results = [run_trial(point, t) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: fn(point, t), indices))
+            results = list(pool.map(lambda t: run_trial(point, t), indices))
     return results if isinstance(config, SimConfig) else [list(per) for per in zip(*results)]
 
 

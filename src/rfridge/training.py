@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .risk import ThresholdSingularity, _e_polynomials, theory_point
-from .selfconsistent import InvariantViolation, SolverConfig, SpectralPoint
+from .selfconsistent import InvariantViolation, SpectralPoint
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,11 @@ def training_theory(
     psi1: float,
     psi2: float,
     lambda_bar: float,
-    config: SolverConfig | None = None,
 ) -> TrainingAsymptotics:
     """Training asymptotics at lambda_bar > 0, from one cross-checked theory_point."""
     if not (rho >= 0.0):
         raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
-    point = theory_point(zeta_sq, psi1, psi2, lambda_bar, config)
+    point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
     return training_at(point, rho, zeta_sq, psi1, psi2, lambda_bar)
 
 

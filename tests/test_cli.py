@@ -269,9 +269,7 @@ def test_sweep_rows_match_single_point_calls(param, grid, capsys):
     for row in rows:
         value = repr(row[ROW_KEYS[param]])
         ref = theory({**point, POINT_FLAGS[param]: value}, powers)[0]
-        if param == "rho":
-            # target powers fix rho, so R at the swept rho needs a call without them
-            ref["theory_risk_R"] = theory({**point, "--rho": value}, [])[0]["theory_risk_R"]
+        assert row[ROW_KEYS[param]] == ref[ROW_KEYS[param]]
         for cell in THEORY_CELLS:
             assert row[cell] == ref[cell], (cell, value)
 
@@ -631,6 +629,9 @@ def test_sweep_spec_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(base + ["--grid", "1,1,2"], capsys)
     assert code == 2
+    code, _, err = run_cli(base[:-2] + ["--psi1", "2", "--points", "3"], capsys)
+    assert code == 2
+    assert "--points" in err
 
 
 def test_sweep_grid_values_are_python_floats(capsys):

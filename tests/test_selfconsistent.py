@@ -14,7 +14,6 @@ from rfridge.selfconsistent import (
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
-    SolverConfig,
     SpectralParams,
     chi_scalar_oracle,
     fixed_point_map,
@@ -110,48 +109,24 @@ def test_solve_at_rejects_lower_half_plane():
         solve_at(-2.0j, PARAMS_A)
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=1.2)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(path_steps=1)
-
-
-def test_explicit_start_height_below_contraction_floor():
-    config = SolverConfig(path_start_height=5.0)
-    with pytest.raises(ValueError):
-        solve_at(1.0j, PARAMS_A, config)
-
-
-# off the imaginary axis solve_at runs the homotopy, which the path_* fields steer
+# off the imaginary axis solve_at runs the homotopy
 OFF_AXIS = 0.1 + 1.0j
 
 
-def test_explicit_start_height_above_floor_works():
-    config = SolverConfig(path_start_height=200.0)
-    point = solve_at(OFF_AXIS, PARAMS_A, config)
-    ref = solve_at(OFF_AXIS, PARAMS_A)
-    assert abs(point.nu1 - ref.nu1) <= 1e-10 * abs(ref.nu1)
-
-
-def test_no_convergence_carries_xi():
-    config = SolverConfig(first_step_cap=1, newton_fallback=False)
+def test_no_convergence_carries_xi(monkeypatch):
+    # the first path node runs without Newton, so one damped step cannot converge
+    monkeypatch.setattr(rfridge.selfconsistent, "_FIRST_STEP_CAP", 1)
     with pytest.raises(NoConvergence) as info:
-        solve_at(OFF_AXIS, PARAMS_A, config)
+        solve_at(OFF_AXIS, PARAMS_A)
     assert info.value.xi.imag == pytest.approx(
-        SolverConfig().start_height(PARAMS_A), rel=1e-12
+        rfridge.selfconsistent._start_height(PARAMS_A), rel=1e-12
     )
 
 
-def _cold_point(xi, params, config=None):
+def _cold_point(xi, params):
     """The homotopy's point at xi, which solve_at falls back to."""
-    config = config or SolverConfig()
-    nu1, nu2, res = rfridge.selfconsistent._solve_cold(xi, params, config)
-    return rfridge.selfconsistent._checked_point(xi, nu1, nu2, res, params, config)
+    nu1, nu2, res = rfridge.selfconsistent._solve_cold(xi, params)
+    return rfridge.selfconsistent._checked_point(xi, nu1, nu2, res, params)
 
 
 def _root_50_digits(params, xi, start):
@@ -178,7 +153,7 @@ def test_direct_point_matches_the_homotopy_over_the_stress_box():
     for z, p1, p2, lb in points.tolist():
         params = SpectralParams(z, p1, p2)
         xi = complex(0.0, math.sqrt(p1 * p2 * lb))
-        direct = rfridge.selfconsistent._solve_direct(xi, params, SolverConfig())
+        direct = rfridge.selfconsistent._solve_direct(xi, params)
         if direct is None:
             fallbacks += 1
             continue
@@ -228,7 +203,7 @@ def test_direct_route_falls_back_to_the_homotopy(fault, monkeypatch):
             nu1, nu2, res = refine(*args, **kwargs)
             if not faulty:
                 faulty.append(res)
-                res = 10.0 * SolverConfig().tol
+                res = 10.0 * rfridge.selfconsistent._TOL
             return nu1, nu2, res
 
         monkeypatch.setattr(rfridge.selfconsistent, "_newton_refine", polish)
@@ -304,9 +279,10 @@ def test_oracle_tracks_through_coexisting_negative_roots():
     assert abs(chi - real_negative[0]) > 0.5
 
 
-def test_oracle_without_tracking_resolution_is_ambiguous():
+def test_oracle_without_tracking_resolution_is_ambiguous(monkeypatch):
+    monkeypatch.setattr(rfridge.selfconsistent, "_ORACLE_STEPS", 1)
     with pytest.raises(RootSelectionAmbiguous):
-        chi_scalar_oracle(PARAMS_A, 0.01, steps=1)
+        chi_scalar_oracle(PARAMS_A, 0.01)
 
 
 def test_oracle_large_lambda_drives_chi_to_zero_from_below():

@@ -22,7 +22,6 @@ from rfridge.simulate import (
     nonlinear_power,
     ridge_fit,
     ridge_path,
-    run_gaussian_covariates_trial,
     run_trial,
     run_trials,
     sample_sphere,
@@ -283,11 +282,11 @@ def _lifted_relu_design(N):
 def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
     """cond bounds the exact ratio, is exact above 1e12, and warns iff the exact ratio does.
 
-    Each route's exact ratio is the one it would compute: eigvalsh of the
-    normal matrix it solves for ridge_fit, (s_max^2 + c) / (s_min^2 + c) for
-    ridge_path.  The two differ only by eigvalsh's rounding of lambda_min,
+    The exact ratio is (s_max^2 + c) / (s_min^2 + c) from the singular values
+    of Z, one reference for both ridge_fit and ridge_path.  It agrees with
+    eigvalsh of the normal matrix up to eigvalsh's rounding of lambda_min,
     about eps lambda_max, i.e. eps * ratio relative.  Returns ridge_fit's
-    cond and the eigvalsh ratio.
+    cond and the exact ratio.
     """
     n, N = Z.shape
     y = np.ones(n)
@@ -295,15 +294,14 @@ def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
     G = Z.T @ Z if N <= n else Z @ Z.T
     ev = np.linalg.eigvalsh(G + c * np.eye(len(G)))
     s = np.linalg.svd(Z, compute_uv=False)
-    by_eig = ev[-1] / ev[0]
-    by_svd = (s[0] ** 2 + c) / (s[-1] ** 2 + c)
-    assert by_svd == pytest.approx(by_eig, rel=1e-12 + 4 * EPS * by_eig)
+    exact = (s[0] ** 2 + c) / (s[-1] ** 2 + c)
+    assert exact == pytest.approx(ev[-1] / ev[0], rel=1e-12 + 4 * EPS * exact)
     routes = (
-        (lambda: ridge_fit(Z, y, lam, psi1_d, psi2_d), by_eig),
-        (lambda: ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0], by_svd),
+        lambda: ridge_fit(Z, y, lam, psi1_d, psi2_d),
+        lambda: ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0],
     )
     conds = []
-    for fit_once, exact in routes:
+    for fit_once in routes:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = fit_once()
@@ -313,7 +311,7 @@ def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
         warned = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
         assert len(warned) == (exact > 1e12)
         conds.append(fit.cond)
-    return conds[0], by_eig
+    return conds[0], exact
 
 
 @settings(max_examples=40, deadline=None)
@@ -653,10 +651,10 @@ def test_aggregate_requires_two_trials():
 
 def test_gaussian_covariates_trial_runs():
     cfg = _small_config(model="gaussian_covariates")
-    r = run_gaussian_covariates_trial(cfg, 0)
+    r = run_trial(cfg, 0)
     assert math.isfinite(r.test_error) and r.test_error > 0.0
     assert math.isfinite(r.train_error) and r.train_error > 0.0
-    assert r == run_gaussian_covariates_trial(cfg, 0)
+    assert r == run_trial(cfg, 0)
 
 
 def test_gaussian_covariates_rejects_nonlinear_target():
@@ -664,7 +662,7 @@ def test_gaussian_covariates_rejects_nonlinear_target():
         model="gaussian_covariates", target=TargetKind.linear_plus_quad()
     )
     with pytest.raises(ValueError):
-        run_gaussian_covariates_trial(cfg, 0)
+        run_trial(cfg, 0)
 
 
 def test_gaussian_covariates_rejects_degenerate_activation():
@@ -672,10 +670,17 @@ def test_gaussian_covariates_rejects_degenerate_activation():
         model="gaussian_covariates", activation=Activation.identity()
     )
     with pytest.raises(DegenerateActivation):
-        run_gaussian_covariates_trial(cfg, 0)
+        run_trial(cfg, 0)
 
 
 def test_run_trials_dispatches_on_model():
     cfg = _small_config(model="gaussian_covariates", trials=2)
     results = run_trials(cfg)
-    assert results == [run_gaussian_covariates_trial(cfg, t) for t in range(2)]
+    assert results == [run_trial(cfg, t) for t in range(2)]
+
+
+def test_run_trial_draws_the_configured_model():
+    cfg = _small_config(model="gaussian_covariates")
+    surrogate = run_trial(cfg, 0)
+    assert surrogate == run_trials(cfg, 1)[0]
+    assert surrogate.test_error != run_trial(replace(cfg, model="random_features"), 0).test_error
