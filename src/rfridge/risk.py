@@ -143,23 +143,29 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
+def _e0_coeffs(zeta_sq: float, psi1: float, psi2: float) -> tuple[float, ...]:
+    """Coefficients of E0, the shared denominator, highest degree in chi first."""
+    z = zeta_sq
+    z2 = z * z
+    z3 = z2 * z
+    pp = psi1 * psi2
+    return (
+        -z3,
+        3.0 * z2,
+        (pp - psi1 - psi2 + 1.0) * z3 - 2.0 * z2 - 3.0 * z,
+        (psi1 + psi2 - 3.0 * pp + 1.0) * z2 + 2.0 * z + 1.0,
+        3.0 * pp * z,
+        -pp,
+    )
+
+
 def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
     """E0, E1, E2 as Horner evaluations in chi with precomputed zeta_sq powers."""
     z = zeta_sq
     z2 = z * z
     z3 = z2 * z
     pp = psi1 * psi2
-    e0 = _horner(
-        (
-            -z3,
-            3.0 * z2,
-            (pp - psi1 - psi2 + 1.0) * z3 - 2.0 * z2 - 3.0 * z,
-            (psi1 + psi2 - 3.0 * pp + 1.0) * z2 + 2.0 * z + 1.0,
-            3.0 * pp * z,
-            -pp,
-        ),
-        chi,
-    )
+    e0 = _horner(_e0_coeffs(z, psi1, psi2), chi)
     e1 = _horner((psi2 * z2, -psi2 * z, pp * z, -pp), chi)
     e2 = _horner(
         (
@@ -175,11 +181,24 @@ def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
     return e0, e1, e2
 
 
+def _e0_vanishes(chi: float, zeta_sq: float, psi1: float, psi2: float) -> bool:
+    """Whether E0 is below 1e-12 of the size of its own terms, sum |c_k chi^k|.
+
+    That is the interpolation threshold, where E0 cancels to rounding.  The
+    size is E0's own, not that of E1 and E2: all three scale with
+    min(psi1, psi2), so an absolute floor would flag well-posed points with a
+    tiny shape ratio.
+    """
+    coeffs = _e0_coeffs(zeta_sq, psi1, psi2)
+    size = _horner([abs(c) for c in coeffs], abs(chi))
+    return abs(_horner(coeffs, chi)) < 1e-12 * size
+
+
 def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float, rho=None):
     """B = E1/E0 and V = E2/E0 at a solved chi, with R when rho is given."""
-    e0, e1, e2 = _e_polynomials(chi, zeta_sq, psi1, psi2)
-    if abs(e0) < 1e-12 * (1.0 + abs(e1) + abs(e2)):
+    if _e0_vanishes(chi, zeta_sq, psi1, psi2):
         return RiskDecomposition(INF, INF, INF if rho is not None else None, True)
+    e0, e1, e2 = _e_polynomials(chi, zeta_sq, psi1, psi2)
     b, v = e1 / e0, e2 / e0
     r = None
     if rho is not None:
@@ -198,8 +217,10 @@ def theory_point(
     Every finite-penalty quantity (B, V, L, A) is a rational function of this
     one point.  solve_at picks the quartic root admissible at the target (the
     homotopy when that fails), and chi is cross-checked against the quartic
-    oracle, which picks its root by continuity from large |xi| instead; a
-    disagreement beyond 1e-8 is an error, never silently reconciled.
+    oracle, which instead picks the root that continuity from large |xi|
+    reaches: the largest non-positive root, certified by the root branch not
+    turning between it and 0.  A disagreement beyond 1e-8 is an error, never
+    silently reconciled.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")

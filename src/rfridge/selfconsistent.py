@@ -10,10 +10,13 @@ product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  chi
 is a root of a quartic, and two independent choices of its branch live here:
 solve_at keeps the one root admissible at the target (upper half plane) and
 polishes the pair it determines on the coupled map, with a damped fixed-point
-/ Newton homotopy in (nu1, nu2) as fallback; the oracle tracks the root by
-continuity from large |xi|.  Callers cross-check one against the other.
-Both routes of solve_at stop at a map residual of 1e-12; that stop, the
-homotopy's steering and the oracle's path resolution are fixed constants.
+/ Newton homotopy in (nu1, nu2) as fallback; the oracle takes the root that
+continuity from large |xi| reaches, certified by the absence of a turning
+point of the root branch rather than tracked along a path.  Callers
+cross-check one against the other.  Both routes of solve_at stop at a map
+residual of 1e-12; that stop, the homotopy's steering and the oracle's path
+resolution are fixed constants, and both continuations start a decade above
+the target (_path_start).
 """
 
 from __future__ import annotations
@@ -83,13 +86,18 @@ _DAMPING = 0.5
 _MAX_ITER = 2000
 _PATH_STEPS = 64
 _FIRST_STEP_CAP = 200
-# path nodes of the quartic oracle's root tracking
+# path nodes that define the quartic oracle's tracking resolution
 _ORACLE_STEPS = 192
 
 
 def _start_height(params: SpectralParams) -> float:
     """Height above which the damped map is a strong contraction for these parameters."""
     return max(100.0, 10.0 * (params.psi1 + params.psi2) * max(1.0, params.zeta))
+
+
+def _path_start(params: SpectralParams, height: float) -> float:
+    """Start of a continuation down to |xi| = height: a decade above it, at least _start_height."""
+    return max(10.0 * height, _start_height(params))
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def _iterate_node(nu1, nu2, xi, params, cap, tol, allow_newton):
 
 
 def _solve_path(xi_target, params, path_steps):
-    xi0 = complex(0.0, _start_height(params))
+    xi0 = complex(0.0, _path_start(params, abs(xi_target)))
     nu1 = -params.psi1 / xi0
     nu2 = -params.psi2 / xi0
     # geometric approach to the target, then one exact final node
@@ -294,8 +302,9 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
 
     On the imaginary axis, where every theory point lies, directly from the
     quartic chi satisfies (_solve_direct).  Off the axis, or when that route
-    fails, by homotopy: from xi0 = i * _start_height(params), where the damped
-    map is a strong contraction, down a geometric path to the target,
+    fails, by homotopy: from xi0 = i * _path_start(params, |xi|), a decade
+    above the target and high enough for the damped map to be a strong
+    contraction, down a geometric path to the target,
     finishing each node with Newton if damping stalls, and retried with
     doubled resolution if an iterate leaves the upper half plane.  Both routes
     end in the same half-plane, bound and axis checks.
@@ -337,55 +346,79 @@ def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: np.ndarray) 
     )
 
 
+def _companions(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrices of the rows of coeffs (highest degree first), as np.roots builds them."""
+    n = coeffs.shape[-1] - 1
+    companion = np.zeros((len(coeffs), n, n))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, range(1, n), range(n - 1)] = 1.0
+    return companion
+
+
 def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     """chi at xi = i sqrt(psi1 psi2 lambda_bar), via the quartic it satisfies.
 
-    All four roots are computed (companion matrix) along a geometric path in u
-    from far above the spectrum down to the target, and the admissible root is
-    followed by nearest-neighbor continuity from its large-u asymptote
-    chi ~ -psi1 psi2 / u^2.  The quartic can have several real negative roots
-    at the target, so the filter alone does not identify the answer; tracking
-    does.  Raises RootSelectionAmbiguous when the tracked root fails the
-    real / non-positive filter or a competitor root sits within the tracking
-    resolution.
+    chi is the root reached by continuity in u from its large-u asymptote
+    chi ~ -psi1 psi2 / u^2; the quartic can have several real negative roots
+    at the target, so the sign filter alone does not identify it.  The branch
+    is found from a certificate instead of being followed node by node.  On
+    the axis the quartic reads N(chi) + u^2 D(chi) = 0 with N = P1 P2 and
+    D = chi (1 - zeta^2 chi)^2, so a real chi < 0 is a root exactly when
+    u^2 = g(chi) := -N / D.  g has no pole on chi < 0 and rises to +inf as
+    chi -> 0-, which is the asymptote, so lowering u from infinity follows
+    g's branch leftward from 0-.  Let chi* be the largest admissible root
+    (real and <= 0) at the target.  If g has no critical point on [chi*, 0),
+    the branch is monotone there and ends at chi*.  On chi < 0, g' vanishes
+    exactly at the real roots of the quintic
 
-    The companion matrices of all path nodes are built as np.roots builds
-    them and go to one stacked eigvals call, so chi is bitwise the value a
-    per-node np.roots loop gives.
+        chi N'(chi) (1 - zeta^2 chi) - N(chi) (1 - 3 zeta^2 chi),
+
+    which is N' D - N D' with its factor (1 - zeta^2 chi) divided out.  A
+    root of it in [chi*, 0) is where two real roots collide, and the branch
+    would have left the real axis before reaching the target.
+
+    The answer keeps the definition of _ORACLE_STEPS geometric path nodes
+    from u_start = _path_start(params, u) down to the target, of which only
+    the last two are solved: chi* is taken at the last node u_start * ratio
+    (the target up to rounding), and the last tracking step runs from the
+    root nearest chi* at the penultimate node.  Ten times that step is the
+    resolution within which a competing admissible root cannot be told
+    apart.  Both quartics go to one stacked eigvals call on companion
+    matrices built as np.roots builds them, so chi is bitwise np.roots's root.
+
+    Raises RootSelectionAmbiguous when no root is admissible, when the
+    quintic has a real root in [chi*, 0), or when a competitor sits within
+    the resolution.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = max(10.0 * u_target, _start_height(params))
-    chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
+    u_start = _path_start(params, u_target)
     ratio = u_target / u_start
-    nodes = [u_start * ratio ** (k / _ORACLE_STEPS) for k in range(1, _ORACLE_STEPS + 1)]
-    coeffs = _quartic_coeffs(z, p1, p2, [u * u for u in nodes])
-    companion = np.zeros((_ORACLE_STEPS, 4, 4))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    displacement = 0.0
-    roots = None
-    for roots in np.linalg.eigvals(companion).tolist():
-        nearest = min(roots, key=lambda r: abs(r - chi))
-        displacement = abs(nearest - chi)
-        chi = nearest
-    assert roots is not None
-    if abs(chi.imag) > 1e-9:
+    nodes = [u_start * ratio ** (k / _ORACLE_STEPS) for k in (_ORACLE_STEPS - 1, _ORACLE_STEPS)]
+    # row 0 is N, the quartic at u = 0; rows 1 and 2 are the last two nodes
+    coeffs = _quartic_coeffs(z, p1, p2, [0.0] + [u * u for u in nodes])
+    prev_roots, roots = np.linalg.eigvals(_companions(coeffs[1:])).tolist()
+    admissible = [r for r in roots if abs(r.imag) <= 1e-9 and r.real <= 1e-12]
+    if not admissible:
         raise RootSelectionAmbiguous(
-            f"tracked root left the real axis: chi = {chi} at lambda_bar = {lambda_bar}"
+            f"no real non-positive root at lambda_bar = {lambda_bar}: {roots}"
         )
-    if chi.real > 1e-12:
-        raise RootSelectionAmbiguous(
-            f"tracked root is positive: chi = {chi} at lambda_bar = {lambda_bar}"
-        )
+    chi = max(admissible, key=lambda r: r.real)
+    n4, n3, n2, n1, n0 = coeffs[0].tolist()
+    quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
+    for c in np.linalg.eigvals(_companions(np.array([quintic])))[0].tolist():
+        if abs(c.imag) <= 1e-9 * (1.0 + abs(c)) and chi.real <= c.real < 0.0:
+            raise RootSelectionAmbiguous(
+                f"the root branch turns at chi = {c.real!r} in [{chi.real!r}, 0), "
+                f"so it leaves the real axis above lambda_bar = {lambda_bar}"
+            )
     # another admissible root within the tracking resolution cannot be told apart
+    displacement = abs(chi - min(prev_roots, key=lambda r: abs(r - chi)))
     resolution = 10.0 * displacement + 1e-13 * (1.0 + abs(chi))
-    for r in roots:
-        if abs(r - chi) < 1e-16:
-            continue
-        if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
+    for r in admissible:
+        if 1e-16 <= abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(
                 f"roots {chi} and {r} both admissible within tracking resolution "
                 f"{resolution:.3e} ({_ORACLE_STEPS} path nodes)"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .risk import ThresholdSingularity, _e_polynomials, theory_point
+from .risk import ThresholdSingularity, _e0_vanishes, _e_polynomials, theory_point
 from .selfconsistent import InvariantViolation, SpectralPoint
 
 
@@ -78,7 +78,7 @@ def training_at(
         chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
     )
     a0 = _e_polynomials(chi, z, psi1, psi2)[0]
-    if abs(a0) < 1e-12 * (1.0 + abs(a1)):
+    if _e0_vanishes(chi, z, psi1, psi2):
         raise ThresholdSingularity(
             f"norm denominator vanished (a0 = {a0}) at psi1={psi1}, psi2={psi2}, "
             f"lambda_bar={lambda_bar}"

@@ -334,3 +334,72 @@ def test_tiny_penalty_with_large_nu_reaches_the_ridgeless_risk(zeta_sq, psi1, ps
     assert dec.risk_R == pytest.approx(
         risk_ridgeless(zeta_sq, psi1, psi2).risk_at(1.0), rel=1e-6
     )
+
+
+@pytest.mark.parametrize("psi1, psi2", [(2.0, 1e-13), (1e-14, 2.0)])
+def test_tiny_shape_ratio_is_not_the_interpolation_threshold(psi1, psi2):
+    # E0, E1 and E2 all scale with min(psi1, psi2), so only E0's own terms
+    # tell whether it cancels; the limit of no samples or no features is
+    # B = 1, V = 0, as at a shape ratio of 1e-11
+    dec = risk_general(2.0, RELU_ZETA_SQ, psi1, psi2, 0.01)
+    assert not dec.threshold_singular
+    assert dec.bias_B == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 <= dec.var_V <= 1e-9
+    assert dec.risk_R == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+def test_huge_penalty_reaches_the_null_predictor():
+    # the direct route gives up at lambda_bar = 1e60, and the homotopy must
+    # start above |xi| rather than cancel its first node to xi = 0
+    dec = risk_general(2.0, RELU_ZETA_SQ, 2.0, 3.0, 1e60)
+    assert dec.bias_B == pytest.approx(1.0, rel=1e-12)
+    assert 0.0 <= dec.var_V <= 1e-12
+    assert dec.risk_R == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def _assert_first_order(limit, general, near, far):
+    """B and V close on the limit linearly in lambda_bar, 1/psi1 or 1/psi2: a
+    point 100x closer to it shrinks their relative gap 100x, down to rounding."""
+    decs = general(near), general(far)
+    for quantity in ("bias_B", "var_V"):
+        target = getattr(limit, quantity)
+        near_gap, far_gap = (
+            abs(getattr(dec, quantity) - target) / max(1.0, abs(target)) for dec in decs
+        )
+        assert far_gap <= 0.02 * near_gap + 1e-11
+        assert far_gap <= 1e-5
+
+
+LOG_TENTH_TO_TEN = st.floats(min_value=math.log(0.1), max_value=math.log(10.0))
+LOG_LAMBDA_BAR = st.floats(min_value=math.log(1e-3), max_value=math.log(10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_z=LOG_TENTH_TO_TEN,
+    log_p1=LOG_TENTH_TO_TEN,
+    log_ratio=st.floats(min_value=math.log(1.5), max_value=math.log(10.0)),
+    wider=st.booleans(),
+)
+def test_general_risk_tends_to_ridgeless_as_the_penalty_vanishes(log_z, log_p1, log_ratio, wider):
+    # away from the interpolation threshold psi1 = psi2
+    z, psi1 = math.exp(log_z), math.exp(log_p1)
+    psi2 = psi1 * math.exp(-log_ratio if wider else log_ratio)
+    _assert_first_order(risk_ridgeless(z, psi1, psi2),
+                        lambda lb: risk_general(1.0, z, psi1, psi2, lb), 1e-6, 1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_z=LOG_TENTH_TO_TEN, log_p2=LOG_TENTH_TO_TEN, log_lam=LOG_LAMBDA_BAR)
+def test_general_risk_tends_to_the_wide_limit(log_z, log_p2, log_lam):
+    z, psi2, lb = math.exp(log_z), math.exp(log_p2), math.exp(log_lam)
+    _assert_first_order(risk_wide(z, psi2, lb),
+                        lambda psi1: risk_general(1.0, z, psi1, psi2, lb), 1e5, 1e7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_z=LOG_TENTH_TO_TEN, log_p1=LOG_TENTH_TO_TEN, log_lam=LOG_LAMBDA_BAR)
+def test_general_risk_tends_to_the_large_sample_limit(log_z, log_p1, log_lam):
+    z, psi1, lb = math.exp(log_z), math.exp(log_p1), math.exp(log_lam)
+    _assert_first_order(risk_large_sample(z, psi1, lb),
+                        lambda psi2: risk_general(1.0, z, psi1, psi2, lb), 1e5, 1e7)

@@ -356,6 +356,114 @@ def test_batched_oracle_is_bitwise_the_roots_loop():
     assert failures < 20
 
 
+def _tracking_oracle(params, lambda_bar):
+    """Reference oracle: all _ORACLE_STEPS path nodes solved in one batched eigvals
+    call, and the root followed node by node by nearest-neighbor continuity."""
+    sc = rfridge.selfconsistent
+    z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
+    steps = sc._ORACLE_STEPS
+    u_target = math.sqrt(p1 * p2 * lambda_bar)
+    u_start = max(10.0 * u_target, sc._start_height(params))
+    chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
+    ratio = u_target / u_start
+    nodes = [u_start * ratio ** (k / steps) for k in range(1, steps + 1)]
+    coeffs = sc._quartic_coeffs(z, p1, p2, [u * u for u in nodes])
+    companion = np.zeros((steps, 4, 4))
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    displacement = 0.0
+    roots = None
+    for roots in np.linalg.eigvals(companion).tolist():
+        nearest = min(roots, key=lambda r: abs(r - chi))
+        displacement = abs(nearest - chi)
+        chi = nearest
+    if abs(chi.imag) > 1e-9 or chi.real > 1e-12:
+        raise RootSelectionAmbiguous(f"tracked root {chi} is not admissible")
+    resolution = 10.0 * displacement + 1e-13 * (1.0 + abs(chi))
+    for r in roots:
+        if abs(r - chi) < 1e-16:
+            continue
+        if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
+            raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
+    return float(chi.real)
+
+
+def test_oracle_equals_the_tracking_reference_over_the_stress_box():
+    # zeta_sq in [0.01, 100], psi1 in [0.01, 1e4], psi2 in [0.01, 1e3] and
+    # lambda_bar in [1e-9, 1e8], log-uniform
+    box = np.log([[0.01, 100.0], [0.01, 1e4], [0.01, 1e3], [1e-9, 1e8]])
+    points = np.exp(np.random.default_rng(9).uniform(box[:, 0], box[:, 1], (2000, 4)))
+    values = 0
+    for z, p1, p2, lb in points.tolist():
+        params = SpectralParams(z, p1, p2)
+        expected = _outcome(_tracking_oracle, params, lb)
+        assert _outcome(chi_scalar_oracle, params, lb) == expected, (z, p1, p2, lb)
+        values += not isinstance(expected, type)
+    assert values >= 1900
+
+
+def _synthetic_quartic(n_coeffs):
+    """A stand-in for _quartic_coeffs whose u = 0 polynomial is N = n_coeffs.
+
+    Row k is N + u_sq[k] D with D = chi (1 - zeta^2 chi)^2, the structure the
+    certificate relies on; only the N of the real quartic is replaced.
+    """
+    def coeffs(zeta_sq, psi1, psi2, u_sq):
+        d = np.array([0.0, zeta_sq * zeta_sq, -2.0 * zeta_sq, 1.0, 0.0])
+        return np.asarray(n_coeffs, dtype=float) + np.asarray(u_sq, dtype=float)[:, None] * d
+    return coeffs
+
+
+# zeta_sq = psi1 = psi2 = 1, so lambda_bar = u^2 at the target
+UNIT_PARAMS = SpectralParams(zeta_sq=1.0, psi1=1.0, psi2=1.0)
+
+
+def test_oracle_certificate_rejects_a_branch_that_turns(monkeypatch):
+    # N = ((chi + 1)^2 + 0.01) (chi + 3) (chi + 4): g = -N/D dips to about 0.015
+    # near chi = -1 and falls to 0 at chi = -3, so at u^2 = 0.01 the only real
+    # roots lie left of the dip, and the branch from 0- turned off the axis
+    n = np.polymul(np.polymul([1.0, 2.0, 1.01], [1.0, 3.0]), [1.0, 4.0])
+    monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", _synthetic_quartic(n))
+    coeffs = rfridge.selfconsistent._quartic_coeffs(1.0, 1.0, 1.0, [0.01])[0]
+    real_negative = [r.real for r in np.roots(coeffs) if r.imag == 0.0 and r.real < 0.0]
+    assert real_negative and max(real_negative) < -2.0
+    with pytest.raises(RootSelectionAmbiguous, match="turns"):
+        chi_scalar_oracle(UNIT_PARAMS, 0.01)
+    # tracking ends off the real axis at the same point
+    assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
+    # above the dip the branch has not turned yet, and both oracles agree
+    chi = chi_scalar_oracle(UNIT_PARAMS, 0.05)
+    assert chi == _tracking_oracle(UNIT_PARAMS, 0.05) and -1.0 < chi < 0.0
+
+
+def test_oracle_without_an_admissible_root_is_ambiguous(monkeypatch):
+    # N = ((chi + 1)^2 + 1) (chi^2 + 1) > 0 keeps g = -N/D above 0.25 on chi < 0
+    # and negative on chi > 0, so at u^2 = 0.01 all four roots are complex
+    n = np.polymul([1.0, 2.0, 2.0], [1.0, 0.0, 1.0])
+    monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", _synthetic_quartic(n))
+    assert all(r.imag != 0.0 for r in np.roots(rfridge.selfconsistent._quartic_coeffs(
+        1.0, 1.0, 1.0, [0.01])[0]))
+    with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
+        chi_scalar_oracle(UNIT_PARAMS, 0.01)
+    assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
+
+
+def test_oracle_factors_at_most_three_matrices(monkeypatch):
+    # a count, not a timing: tracking all 192 path nodes factors 192
+    eigvals = np.linalg.eigvals
+    matrices = []
+
+    def counting(a):
+        a = np.asarray(a)
+        matrices.append(a[..., 0, 0].size)
+        return eigvals(a)
+
+    expected = chi_scalar_oracle(PARAMS_A, 0.01)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert chi_scalar_oracle(PARAMS_A, 0.01) == expected
+    assert 1 <= sum(matrices) <= 3
+
+
 def test_oracle_rejects_bad_lambda():
     with pytest.raises(ValueError):
         chi_scalar_oracle(PARAMS_A, 0.0)

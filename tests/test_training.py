@@ -137,3 +137,12 @@ def test_outputs_nonnegative_and_finite(log_z, log_p1, log_p2, log_lam, rho):
     assert math.isfinite(out.A) and out.A >= 0.0
     # the objective never retains more than the full target power
     assert out.L <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("psi1, psi2, L", [(2.0, 1e-13, 0.0), (1e-14, 2.0, 1.0)])
+def test_tiny_shape_ratio_is_not_the_interpolation_threshold(psi1, psi2, L):
+    # E0 scales with min(psi1, psi2), as the numerator does; with no samples
+    # the fit interpolates (L = 0), with no features it fits nothing (L = 1)
+    out = training_theory(2.0, RELU_ZETA_SQ, psi1, psi2, 0.01)
+    assert out.L == pytest.approx(L, abs=1e-9)
+    assert 0.0 <= out.A <= 1e-9
