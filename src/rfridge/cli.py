@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .activations import (
     Activation,
     DegenerateActivation,
@@ -371,9 +371,7 @@ def _threads(args, parser) -> int:
             threads = 0
         _require(parser, threads >= 1, f"{THREADS_ENV} must be a positive integer, got {env!r}")
         return threads
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _blas.cores()
 
 
 def _mode(args, parser, command: str) -> str:
@@ -760,7 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("random_features", "gaussian_covariates"),
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or the usable cores)")
+                       help=f"cores to use (default ${THREADS_ENV} or the usable cores); "
+                            "trials run threads // (BLAS threads) at a time, so in order "
+                            "under numpy's default BLAS threading and in parallel with "
+                            "OPENBLAS_NUM_THREADS=1; if the BLAS count cannot be read it "
+                            "is taken to be the usable cores")
         _add_activation_opts(p)
         _add_shape_opts(p)
         _add_sweep_opts(p)

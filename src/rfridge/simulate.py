@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _blas
 from .activations import Activation, hermite_stats
 
 
@@ -241,7 +242,19 @@ def build_design(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np
     d = X.shape[1]
     if Theta.shape[1] != d:
         raise ValueError(f"dimension mismatch: X has d={d}, Theta has d={Theta.shape[1]}")
-    return activation(X @ Theta.T / math.sqrt(d)) / math.sqrt(d)
+    return _features(X, Theta, activation) / math.sqrt(d)
+
+
+def _features(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np.ndarray:
+    """sigma(X Theta^T / sqrt(d)), scaling the product in place.
+
+    The in-place division rounds exactly as the out-of-place one and saves a
+    temporary of the output's size.  The activation stays out of place: a
+    custom evaluator may return its input or a buffer it keeps.
+    """
+    P = X @ Theta.T
+    P /= math.sqrt(X.shape[1])
+    return activation(P)
 
 
 def _fit_scale(
@@ -408,7 +421,7 @@ def _random_features_draw(config: SimConfig, trial_index: int, shape: _Shape) ->
     y = config.target.evaluate(X) + math.sqrt(config.tau_sq) * noise
     Z = build_design(X, Theta, config.activation)
     X_test = sample_sphere(d, n_test, substream(config.seed, trial_index, "test"))
-    test_features = config.activation(X_test @ Theta.T / math.sqrt(d))
+    test_features = _features(X_test, Theta, config.activation)
     return Z, y, test_features, config.target.evaluate(X_test)
 
 
@@ -497,20 +510,25 @@ def run_trial(
 def run_trials(
     config: SimConfig | Sequence[SimConfig], threads: int | None = None
 ) -> list:
-    """All trials of a config, in trial order, optionally thread-parallel.
+    """All trials of a config, in trial order, within a budget of threads cores.
 
-    Per-trial randomness is keyed, not sequential, so the result is identical
-    for any thread count.  Given a sweep (a sequence of configs, see
+    Each BLAS call already uses _blas.threads() cores, so threads // that many
+    trials run at once: one at a time (BLAS parallel inside each) under
+    numpy's default threading, several when BLAS is held to fewer threads
+    than the budget, e.g. by OPENBLAS_NUM_THREADS=1.  Per-trial randomness is
+    keyed, not sequential, so at a fixed BLAS thread count the result is
+    identical for any budget.  Given a sweep (a sequence of configs, see
     run_trial), each trial is drawn once for all of them, and the result is
     one list of trials per config, in the order of the sweep.
     """
     configs = _sweep(config)
     point = configs[0] if isinstance(config, SimConfig) else configs
     indices = range(configs[0].trials)
-    if threads is None or threads <= 1 or configs[0].trials == 1:
+    workers = max(1, min(len(indices), (threads or 1) // _blas.threads()))
+    if workers == 1:
         results = [run_trial(point, t) for t in indices]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda t: run_trial(point, t), indices))
     return results if isinstance(config, SimConfig) else [list(per) for per in zip(*results)]
 

@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from rfridge.activations import Activation, hermite_stats
 from rfridge.cli import COLUMNS, main, read_records, records_equal, write_records
@@ -342,6 +343,7 @@ def test_criterion_9_training_asymptotics(capsys):
             assert abs(sim_norm - theory_norm) <= tol
 
 
+@pytest.mark.usefixtures("trial_pool")
 def test_criterion_10_property_pack(capsys, tmp_path):
     with _criterion(
         capsys, 10, "invariants, determinism, and csv round-trip", budget=120.0

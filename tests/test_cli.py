@@ -352,6 +352,7 @@ def test_simulate_realized_ratios_and_stats(capsys):
     assert math.isnan(rec["theory_bias_B"])
 
 
+@pytest.mark.usefixtures("trial_pool")
 def test_simulate_thread_count_invariance(capsys):
     _, out1, _ = run_cli(["simulate"] + SIM_ARGS + ["--threads", "1"], capsys)
     _, out8, _ = run_cli(["simulate"] + SIM_ARGS + ["--threads", "8"], capsys)
@@ -363,6 +364,7 @@ SIM_CELLS = tuple(c for c in COLUMNS if c.startswith("sim_"))
 
 
 @pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+@pytest.mark.usefixtures("trial_pool")
 def test_lambda_sweep_rows_match_single_point_calls(model, capsys):
     # a lambda sweep draws and factors each trial once for the whole grid
     base = ["simulate", "--d", "40", "--n", "80", "--N", "100", "--activation", "relu",
@@ -427,6 +429,7 @@ SHAPE_SWEEPS = {
 
 @pytest.mark.parametrize("lam", ["0", "1e-3"])
 @pytest.mark.parametrize("param", ["psi1", "psi2"])
+@pytest.mark.usefixtures("trial_pool")
 def test_shape_sweep_rows_match_single_point_calls(param, lam, capsys):
     # a psi1 / psi2 sweep draws each trial once at its largest shape
     sweep_args, point_flag, size_key = SHAPE_SWEEPS[param]
@@ -547,6 +550,7 @@ def test_thread_default_is_the_usable_cores(capsys, monkeypatch):
     assert seen == [3]
 
 
+@pytest.mark.usefixtures("trial_pool")
 def test_simulate_env_thread_default(capsys, monkeypatch):
     monkeypatch.setenv("RFRIDGE_THREADS", "2")
     code, out, _ = run_cli(["simulate"] + SIM_ARGS, capsys)

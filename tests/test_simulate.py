@@ -1,6 +1,7 @@
 """Finite-dimensional simulator: fits, measurement conventions, keyed RNG."""
 
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfridge._blas
+import rfridge.simulate
 from rfridge.activations import Activation, DegenerateActivation
 from rfridge.simulate import (
     IllConditionedWarning,
@@ -226,6 +229,7 @@ def test_ridge_path_validates_every_penalty():
 
 @pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
 @pytest.mark.parametrize("N", [40, 70])
+@pytest.mark.usefixtures("trial_pool")
 def test_sweep_trials_match_single_point_trials(model, N):
     cfg = _small_config(model=model, N=N, trials=3)
     sweep = [replace(cfg, lam=lam) for lam in SWEEP_LAMS]
@@ -390,6 +394,7 @@ def _assert_trials_match(swept, single, interpolating):
 
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
 @pytest.mark.parametrize("param", ["psi1", "psi2"])
+@pytest.mark.usefixtures("trial_pool")
 def test_shape_sweep_trials_match_single_point_trials(param, lam):
     sweep = _shape_sweep(param, lam)
     assert sweep[-1].n_test == 10 * sweep[-1].n
@@ -402,6 +407,7 @@ def test_shape_sweep_trials_match_single_point_trials(param, lam):
 
 
 @pytest.mark.parametrize("param", ["psi1", "psi2"])
+@pytest.mark.usefixtures("trial_pool")
 def test_gaussian_covariates_shape_sweep_draws_each_point(param):
     # the surrogate's draws do not nest, so each shape draws as a single point does
     sweep = _shape_sweep(param, 1e-3, model="gaussian_covariates")
@@ -512,12 +518,37 @@ def test_run_trial_bitwise_deterministic():
     assert r1 == r2
 
 
+@pytest.mark.usefixtures("trial_pool")
 def test_run_trials_thread_count_invariance():
     cfg = _small_config(trials=4)
     serial = run_trials(cfg, threads=1)
     threaded = run_trials(cfg, threads=4)
     assert serial == threaded
     assert [r.trial_index for r in serial] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("blas_threads, in_flight", [(2, 1), (1, 2)])
+def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_flight):
+    # threads is a core budget: each trial's BLAS calls take blas_threads of it
+    lock = threading.Lock()
+    running, peak = [0], [0]
+    second = threading.Event()
+
+    def spy(point, t):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            if running[0] == 2:
+                second.set()
+        second.wait(timeout=0.5)  # a pooled second trial starts meanwhile
+        with lock:
+            running[0] -= 1
+        return t
+
+    monkeypatch.setattr(rfridge._blas, "threads", lambda: blas_threads)
+    monkeypatch.setattr(rfridge.simulate, "run_trial", spy)
+    assert run_trials(_small_config(trials=2), threads=2) == [0, 1]
+    assert peak[0] == in_flight
 
 
 # ---------------------------------------------------------------------------
