@@ -215,12 +215,12 @@ def theory_point(
     """The solved spectral point at xi = i sqrt(psi1 psi2 lambda_bar), lambda_bar > 0.
 
     Every finite-penalty quantity (B, V, L, A) is a rational function of this
-    one point.  solve_at picks the quartic root admissible at the target (the
-    homotopy when that fails), and chi is cross-checked against the quartic
-    oracle, which instead picks the root that continuity from large |xi|
-    reaches: the largest non-positive root, certified by the root branch not
-    turning between it and 0.  A disagreement beyond 1e-8 is an error, never
-    silently reconciled.
+    one point.  solve_at picks the quartic root admissible at the target, and
+    chi is cross-checked against the quartic oracle, which instead picks the
+    root that continuity from large |xi| reaches: the largest non-positive
+    root, certified by the root branch not turning between it and 0.  A
+    disagreement beyond 1e-8 relative to chi is an error, never silently
+    reconciled.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
@@ -228,7 +228,7 @@ def theory_point(
     xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
     point = solve_at(xi, params)
     chi_or = chi_scalar_oracle(params, lambda_bar)
-    if abs(point.chi.real - chi_or) > 1e-8 * max(1.0, abs(chi_or)):
+    if abs(point.chi.real - chi_or) > 1e-8 * abs(chi_or):
         raise ChiDisagreement(
             f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
             f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"

@@ -9,13 +9,12 @@ and every asymptotic quantity in this package is a rational function of the
 product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  chi
 is a root of a quartic, and two independent choices of its branch live here:
 solve_at keeps the one root admissible at the target (upper half plane) and
-polishes the pair it determines on the coupled map, with a damped fixed-point
-/ Newton homotopy in (nu1, nu2) as fallback; the oracle takes the root that
+polishes the pair it determines by Newton on the coupled map, to a residual
+of 1e-12 relative to each component; the oracle takes the root that
 continuity from large |xi| reaches, certified by the absence of a turning
 point of the root branch rather than tracked along a path.  Callers
-cross-check one against the other.  Both routes of solve_at stop at a map
-residual of 1e-12; that stop, the homotopy's steering and the oracle's path
-resolution are fixed constants, and both continuations start a decade above
+cross-check one against the other.  The polish's stop and the oracle's path
+resolution are fixed constants, and the oracle's path starts a decade above
 the target (_path_start).
 """
 
@@ -32,7 +31,7 @@ class SingularDenominator(ArithmeticError):
 
 
 class NoConvergence(RuntimeError):
-    """The iteration stalled at some point of the continuation path."""
+    """No single admissible quartic root polished to a checked point at xi."""
 
     def __init__(self, message: str, xi: complex):
         super().__init__(f"{message} (xi = {xi})")
@@ -77,21 +76,15 @@ class SpectralParams:
         return SpectralParams(self.zeta_sq, self.psi2, self.psi1)
 
 
-# The residual both routes of solve_at must reach, and the homotopy's fixed
-# steering: damping of the fixed-point step, iteration cap per node, nodes on
-# the path, and the cap of the first node, which doubles as an empirical
-# contraction check of the start height.
+# the map residual, relative to each component, that solve_at's polish must reach
 _TOL = 1e-12
-_DAMPING = 0.5
-_MAX_ITER = 2000
-_PATH_STEPS = 64
-_FIRST_STEP_CAP = 200
 # path nodes that define the quartic oracle's tracking resolution
 _ORACLE_STEPS = 192
 
 
 def _start_height(params: SpectralParams) -> float:
-    """Height above which the damped map is a strong contraction for these parameters."""
+    """Lowest start of the oracle's path: above it the coupled map is a strong
+    contraction and chi sits on its large-|xi| asymptote -psi1 psi2 / u^2."""
     return max(100.0, 10.0 * (params.psi1 + params.psi2) * max(1.0, params.zeta))
 
 
@@ -102,7 +95,8 @@ def _path_start(params: SpectralParams, height: float) -> float:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A converged solution at one xi, with chi = nu1 * nu2 and the map residual."""
+    """A converged solution at one xi, with chi = nu1 * nu2 and the map residual
+    relative to each component, max_k |F_k(nu) - nu_k| / |nu_k|."""
 
     xi: complex
     nu1: complex
@@ -127,12 +121,14 @@ def fixed_point_map(
 
 
 def _residual(nu1, nu2, xi, params) -> tuple[float, complex, complex]:
+    """The map residual relative to each component, the larger of the two."""
     f1, f2 = fixed_point_map(nu1, nu2, xi, params)
-    return max(abs(f1 - nu1), abs(f2 - nu2)), f1, f2
+    return max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2)), f1, f2
 
 
 def _newton_refine(nu1, nu2, xi, params, tol, max_steps=60):
-    """Damped Newton on G(nu) = F(nu) - nu, rejecting steps that leave the half plane."""
+    """Damped Newton on G(nu) = F(nu) - nu until |G_k| <= tol |nu_k| for both k,
+    rejecting steps that leave the half plane or do not lower that residual."""
     z = params.zeta_sq
     res, f1, f2 = _residual(nu1, nu2, xi, params)
     for _ in range(max_steps):
@@ -174,87 +170,31 @@ def _newton_refine(nu1, nu2, xi, params, tol, max_steps=60):
     return nu1, nu2, res
 
 
-def _iterate_node(nu1, nu2, xi, params, cap, tol, allow_newton):
-    """Damped iteration at a single path node, optionally finishing with Newton."""
-    gamma = _DAMPING
-    res, f1, f2 = _residual(nu1, nu2, xi, params)
-    for _ in range(cap):
-        if res <= tol:
-            return nu1, nu2, res
-        nu1 = (1.0 - gamma) * nu1 + gamma * f1
-        nu2 = (1.0 - gamma) * nu2 + gamma * f2
-        if nu1.imag <= 0.0 or nu2.imag <= 0.0:
-            raise InvariantViolation(
-                f"iterate left the upper half plane at xi = {xi}"
-            )
-        res, f1, f2 = _residual(nu1, nu2, xi, params)
-    if allow_newton:
-        nu1, nu2, res = _newton_refine(nu1, nu2, xi, params, tol)
-        if res <= tol:
-            return nu1, nu2, res
-    raise NoConvergence(f"residual {res:.3e} after {cap} damped iterations", xi)
-
-
-def _solve_path(xi_target, params, path_steps):
-    xi0 = complex(0.0, _path_start(params, abs(xi_target)))
-    nu1 = -params.psi1 / xi0
-    nu2 = -params.psi2 / xi0
-    # geometric approach to the target, then one exact final node
-    offsets = np.geomspace(1.0, 1e-6, path_steps)
-    nodes = [xi_target + (xi0 - xi_target) * s for s in offsets] + [xi_target]
-    for k, xi in enumerate(nodes):
-        last = k == len(nodes) - 1
-        if k == 0:
-            # contraction check: the start height must make this converge fast
-            cap, tol, newton = _FIRST_STEP_CAP, 1e-10, False
-        elif last:
-            cap, tol, newton = _MAX_ITER, _TOL, True
-        else:
-            cap, tol, newton = _MAX_ITER, 1e-10, True
-        nu1, nu2, res = _iterate_node(nu1, nu2, xi, params, cap, tol, newton)
-    return nu1, nu2, res
-
-
-def _solve_cold(xi, params):
-    """The full homotopy, retried with doubled resolution on a half-plane exit."""
-    steps = _PATH_STEPS
-    last_err: InvariantViolation | None = None
-    for _ in range(4):
-        try:
-            return _solve_path(xi, params, steps)
-        except InvariantViolation as err:
-            last_err, steps = err, steps * 2
-    raise last_err
-
-
 def _checked_point(xi, nu1, nu2, res, params) -> SpectralPoint:
     """The solution at xi, after the half-plane, norm-bound and axis checks."""
     if nu1.imag <= 0.0 or nu2.imag <= 0.0:
         raise InvariantViolation(f"solution left the upper half plane at xi = {xi}")
-    # relative slack for rounding plus absolute slack at the residual scale,
-    # which dominates when |nu| ~ psi / Im(xi) is itself tiny
+    # relative slack for rounding, which scales with |nu| however small it is
     bound_slack = 1.0 + 1e-9
-    margin = 100.0 * _TOL
     if (
-        abs(nu1) > bound_slack * params.psi1 / xi.imag + margin
-        or abs(nu2) > bound_slack * params.psi2 / xi.imag + margin
+        abs(nu1) > bound_slack * params.psi1 / xi.imag
+        or abs(nu2) > bound_slack * params.psi2 / xi.imag
     ):
         raise InvariantViolation(
             f"|nu| exceeds psi / Im(xi) at xi = {xi}: |nu1|={abs(nu1)}, |nu2|={abs(nu2)}"
         )
     chi = nu1 * nu2
-    if xi.real == 0.0:
-        # on the imaginary axis the solution is purely imaginary and chi <= 0
-        axis_tol = 1e-10
-        if (
-            abs(nu1.real) > axis_tol * (1.0 + abs(nu1))
-            or abs(nu2.real) > axis_tol * (1.0 + abs(nu2))
-            or abs(chi.imag) > axis_tol * (1.0 + abs(chi))
-            or chi.real > axis_tol
-        ):
-            raise InvariantViolation(
-                f"imaginary-axis structure lost at xi = {xi}: nu1={nu1}, nu2={nu2}"
-            )
+    # on the imaginary axis the solution is purely imaginary and chi <= 0
+    axis_tol = 1e-10
+    if (
+        abs(nu1.real) > axis_tol * (1.0 + abs(nu1))
+        or abs(nu2.real) > axis_tol * (1.0 + abs(nu2))
+        or abs(chi.imag) > axis_tol * (1.0 + abs(chi))
+        or chi.real > axis_tol
+    ):
+        raise InvariantViolation(
+            f"imaginary-axis structure lost at xi = {xi}: nu1={nu1}, nu2={nu2}"
+        )
     return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=chi, residual=res)
 
 
@@ -268,54 +208,84 @@ def _pair_from_chi(chi: float, params: SpectralParams, u: float) -> tuple[comple
     return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
 
 
-def _solve_direct(xi, params) -> SpectralPoint | None:
-    """The point at xi = i u from the one admissible root of the quartic, or None.
+def _polish_root(coeffs: list, chi: float) -> float:
+    """A real root of the polynomial coeffs (highest degree first) after up to
+    three Newton steps, by Horner on Python floats.
 
-    A root is admissible when it is real, <= 0 and its pair (_pair_from_chi)
-    lies in the upper half plane.  That pair cancels badly when u is tiny, so
-    it is polished by Newton on the coupled map itself, whose residual also
-    guards the quartic's coefficients.  None (off the axis, no or several
-    admissible roots, a polish above tol, a failed check) means: run the
-    homotopy.
+    eigvals resolves a root only to the rounding of the largest coefficient,
+    so when the coefficients span ~1e50 a tiny root comes back as 0.0 or with
+    the wrong sign; Newton restores it.
     """
-    if xi.real != 0.0:
-        return None
-    u = xi.imag
-    roots = np.roots(_quartic_coeffs(params.zeta_sq, params.psi1, params.psi2, [u * u])[0])
-    pairs = []
-    for r in roots.tolist():
-        if r.imag == 0.0 and r.real <= 0.0:
-            nu1, nu2 = _pair_from_chi(r.real, params, u)
-            if nu1.imag > 0.0 and nu2.imag > 0.0:
-                pairs.append((nu1, nu2))
-    if len(pairs) != 1:
-        return None
-    try:
-        nu1, nu2, res = _newton_refine(*pairs[0], xi, params, _TOL)
-        return _checked_point(xi, nu1, nu2, res, params) if res <= _TOL else None
-    except (InvariantViolation, SingularDenominator):
-        return None
+    for _ in range(3):
+        p = dp = 0.0
+        for c in coeffs:
+            dp = dp * chi + p
+            p = p * chi + c
+        if dp == 0.0:
+            break
+        step = p / dp
+        if not math.isfinite(step):
+            break
+        chi -= step
+    return chi
 
 
 def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
-    """Solve the coupled equations at xi (Im xi > 0) to a map residual of 1e-12.
+    """Solve the coupled equations at xi = i u on the imaginary axis, u > 0.
 
-    On the imaginary axis, where every theory point lies, directly from the
-    quartic chi satisfies (_solve_direct).  Off the axis, or when that route
-    fails, by homotopy: from xi0 = i * _path_start(params, |xi|), a decade
-    above the target and high enough for the damped map to be a strong
-    contraction, down a geometric path to the target,
-    finishing each node with Newton if damping stalls, and retried with
-    doubled resolution if an iterate leaves the upper half plane.  Both routes
-    end in the same half-plane, bound and axis checks.
+    Every theory point lies there, and there chi = nu1 nu2 is a root of the
+    quartic _quartic_coeffs.  Each real root np.roots returns takes up to
+    three Newton steps on the quartic (_polish_root).  A root is admissible
+    when it is <= 0 and its pair (_pair_from_chi) lies in the upper half
+    plane.  The smaller component of that pair cancels when its psi_k is
+    tiny, so it is rebuilt as chi over the larger one, which for a root of the
+    quartic has the same sign.  Each admissible pair is polished by Newton on
+    the coupled map to a residual of 1e-12 relative to each component; that
+    residual also guards the quartic's coefficients.  The answer is the one
+    distinct point (chi within 1e-10 relative) that polishes and passes the
+    half-plane, norm-bound and axis checks; none or several raise
+    NoConvergence.
     """
     if not (xi.imag > 0.0):
         raise ValueError(f"xi must have positive imaginary part, got {xi}")
-    point = _solve_direct(xi, params)
-    if point is not None:
-        return point
-    nu1, nu2, res = _solve_cold(xi, params)
-    return _checked_point(xi, nu1, nu2, res, params)
+    if xi.real != 0.0:
+        raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
+    u = xi.imag
+    coeffs = _quartic_coeffs(params.zeta_sq, params.psi1, params.psi2, [u * u])[0]
+    polynomial = coeffs.tolist()
+    admissible, best, points = 0, math.inf, []
+    for r in np.roots(coeffs).tolist():
+        if r.imag != 0.0:
+            continue
+        chi = _polish_root(polynomial, r.real)
+        if not chi < 0.0:
+            continue
+        nu1, nu2 = _pair_from_chi(chi, params, u)
+        larger = max(nu1.imag, nu2.imag)
+        if not larger > 0.0:
+            continue
+        smaller = complex(0.0, -chi / larger)
+        nu1, nu2 = (nu1, smaller) if nu1.imag == larger else (smaller, nu2)
+        if smaller.imag == 0.0:
+            continue
+        admissible += 1
+        try:
+            nu1, nu2, res = _newton_refine(nu1, nu2, xi, params, _TOL)
+            best = min(best, res)
+            if res > _TOL:
+                continue
+            point = _checked_point(xi, nu1, nu2, res, params)
+        except (InvariantViolation, SingularDenominator):
+            continue
+        if all(abs(point.chi - p.chi) > 1e-10 * abs(p.chi) for p in points):
+            points.append(point)
+    if len(points) != 1:
+        raise NoConvergence(
+            f"{admissible} admissible quartic roots polish to {len(points)} distinct "
+            f"checked points; best relative map residual {best:.3e}",
+            xi,
+        )
+    return points[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +354,10 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     root nearest chi* at the penultimate node.  Ten times that step is the
     resolution within which a competing admissible root cannot be told
     apart.  Both quartics go to one stacked eigvals call on companion
-    matrices built as np.roots builds them, so chi is bitwise np.roots's root.
+    matrices built as np.roots builds them, so chi* is bitwise np.roots's
+    root; the value returned is chi* after up to three Newton steps on the
+    last node's quartic (_polish_root), which eigvals alone resolves only to
+    the rounding of its largest coefficient.
 
     Raises RootSelectionAmbiguous when no root is admissible, when the
     quintic has a real root in [chi*, 0), or when a competitor sits within
@@ -423,7 +396,7 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
                 f"roots {chi} and {r} both admissible within tracking resolution "
                 f"{resolution:.3e} ({_ORACLE_STEPS} path nodes)"
             )
-    return float(chi.real)
+    return _polish_root(coeffs[2].tolist(), chi.real)
 
 
 def nu_from_chi(

@@ -13,7 +13,6 @@ import pytest
 import rfridge.cli
 import rfridge.selfconsistent
 import rfridge.simulate
-from rfridge.activations import Activation, hermite_stats
 from rfridge.cli import (
     COLUMNS,
     SweepSpec,
@@ -24,7 +23,7 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
-from rfridge.risk import TargetSpec, optimal_lambda, test_error as theory_test_error
+from rfridge.risk import TargetSpec, test_error as theory_test_error
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -272,26 +271,6 @@ def test_sweep_rows_match_single_point_calls(param, grid, capsys):
         assert row[ROW_KEYS[param]] == ref[ROW_KEYS[param]]
         for cell in THEORY_CELLS:
             assert row[cell] == ref[cell], (cell, value)
-
-
-# the benchmark's 161-row double-descent curve and its optimal_lambda call
-CURVE_ARGV = ["theory", "--activation", "relu", "--psi2", "3.0", "--lambda-bar", "0.0110078",
-              "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--min", "0.5",
-              "--max", "10", "--points", "161", "--spacing", "log"]
-
-
-def test_curve_and_optimal_lambda_never_need_the_homotopy(capsys, monkeypatch):
-    homotopy = rfridge.selfconsistent._solve_cold
-    calls = []
-    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
-                        lambda *args: calls.append(args) or homotopy(*args))
-    solves = count_solves(monkeypatch)
-    code, out, _ = run_cli(CURVE_ARGV, capsys)
-    assert code == 0
-    assert len(read_records(out, from_text=True)) == 161
-    optimal_lambda(2.0, hermite_stats(Activation.relu()).zeta_sq, 2.0, 3.0, 10.0)
-    assert len(solves) > 161
-    assert calls == []
 
 
 def test_theory_test_error_cell_is_the_library_value(capsys):

@@ -321,9 +321,9 @@ def test_decomposition_factors_nonnegative(log_z, log_p1, log_p2, log_lam):
         assert lo - 1e-12 <= dec.risk_R <= hi + 1e-12
 
 
-# The homotopy's absolute 1e-12 stop is below rounding once |nu| ~ psi / |xi|
-# is large, so it raises NoConvergence at these points; the direct route
-# reaches them, and they equal the ridgeless closed form already.
+# |nu| ~ psi / |xi| is large at these points, so an absolute 1e-12 map residual
+# would lie below rounding; the relative stop reaches them, and they equal the
+# ridgeless closed form already.
 @pytest.mark.parametrize("zeta_sq, psi1, psi2, ridgeless_R", [
     (1.0, 3.0, 1.0, 0.713525),
     (0.01, 1.0, 3.0, 0.992646),
@@ -349,8 +349,8 @@ def test_tiny_shape_ratio_is_not_the_interpolation_threshold(psi1, psi2):
 
 
 def test_huge_penalty_reaches_the_null_predictor():
-    # the direct route gives up at lambda_bar = 1e60, and the homotopy must
-    # start above |xi| rather than cancel its first node to xi = 0
+    # at lambda_bar = 1e60 the quartic's coefficients span ~1e61 and eigvals
+    # returns its tiny root as 0.0; Newton on the quartic restores chi ~ -1e-60
     dec = risk_general(2.0, RELU_ZETA_SQ, 2.0, 3.0, 1e60)
     assert dec.bias_B == pytest.approx(1.0, rel=1e-12)
     assert 0.0 <= dec.var_V <= 1e-12

@@ -1,5 +1,6 @@
-"""Homotopy solver and scalar quartic oracle: frozen values, invariants, agreement."""
+"""Quartic solver and scalar quartic oracle: frozen values, invariants, agreement."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfridge.selfconsistent
-from rfridge.risk import decompose, ridgeless_chi
+from rfridge.risk import ChiDisagreement, ridgeless_chi, theory_point
 from rfridge.selfconsistent import (
     InconsistentChi,
     NoConvergence,
@@ -109,80 +110,92 @@ def test_solve_at_rejects_lower_half_plane():
         solve_at(-2.0j, PARAMS_A)
 
 
-# off the imaginary axis solve_at runs the homotopy
-OFF_AXIS = 0.1 + 1.0j
+def _chi_50_digits(params, u):
+    """chi at xi = i u from a 50-digit solve that never starts from solve_at's answer.
 
-
-def test_no_convergence_carries_xi(monkeypatch):
-    # the first path node runs without Newton, so one damped step cannot converge
-    monkeypatch.setattr(rfridge.selfconsistent, "_FIRST_STEP_CAP", 1)
-    with pytest.raises(NoConvergence) as info:
-        solve_at(OFF_AXIS, PARAMS_A)
-    assert info.value.xi.imag == pytest.approx(
-        rfridge.selfconsistent._start_height(PARAMS_A), rel=1e-12
-    )
-
-
-def _cold_point(xi, params):
-    """The homotopy's point at xi, which solve_at falls back to."""
-    nu1, nu2, res = rfridge.selfconsistent._solve_cold(xi, params)
-    return rfridge.selfconsistent._checked_point(xi, nu1, nu2, res, params)
-
-
-def _root_50_digits(params, xi, start):
-    """chi from mpmath findroot on the coupled map, started at a solved pair."""
+    With x = -chi and s = zeta^2 x / (1 + zeta^2 x) + x, the quartic over
+    (1 + zeta^2 x)^2 reads h(x) = (psi1 - s)(psi2 - s) - u^2 x.  The pair
+    nu_k = i (psi_k - s) / u lies in the upper half plane exactly when
+    s < min(psi1, psi2), that is for x in (0, x_max); there both factors are
+    positive and falling, so h falls from psi1 psi2 > 0 to -u^2 x_max < 0 and
+    has exactly one root.  Bisection in log x brackets it within a factor 2,
+    and Newton, kept inside the bracket, finishes it.
+    """
     mpmath = pytest.importorskip("mpmath")
-    z, p1, p2 = (mpmath.mpf(v) for v in (params.zeta_sq, params.psi1, params.psi2))
-    x = mpmath.mpc(xi.real, xi.imag)
-
-    def g(a, b):
-        den = 1 - z * a * b
-        return [p1 / (-x - b - z * b / den) - a, p2 / (-x - a - z * a / den) - b]
-
     with mpmath.workdps(50):
-        a, b = mpmath.findroot(g, [mpmath.mpc(start.nu1), mpmath.mpc(start.nu2)])
-        return float(mpmath.re(a * b))
+        z, p1, p2, u = (mpmath.mpf(v) for v in (params.zeta_sq, params.psi1, params.psi2, u))
+        m = min(p1, p2)
+        b = 1 + z - z * m
+        # the positive root of s(x) = m, that is of z x^2 + b x - m = 0
+        x_max = 2 * m / (b + mpmath.sqrt(b * b + 4 * z * m))
+
+        def h(x):
+            s = z * x / (1 + z * x) + x
+            ds = z / (1 + z * x) ** 2 + 1
+            return (p1 - s) * (p2 - s) - u * u * x, -ds * (p1 + p2 - 2 * s) - u * u
+
+        lo, hi = x_max * mpmath.mpf(10) ** -250, x_max
+        assert h(lo)[0] > 0
+        while hi > 2 * lo:
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if h(mid)[0] > 0 else (lo, mid)
+        x, eps = hi, mpmath.mpf(10) ** -25
+        for _ in range(200):
+            f, df = h(x)
+            if f == 0 or hi - lo <= eps * hi:
+                return float(-x)
+            lo, hi = (x, hi) if f > 0 else (lo, x)
+            step = f / df
+            if abs(step) <= eps * x:
+                return float(-(x - step))
+            x = x - step if lo < x - step < hi else (lo + hi) / 2
+        raise AssertionError("the 50-digit reference did not converge")
 
 
-def test_direct_point_matches_the_homotopy_over_the_stress_box():
-    # zeta_sq in [0.01, 100], psi1 in [0.01, 1e4], psi2 in [0.01, 1e3] and
-    # lambda_bar in [1e-9, 1e4], log-uniform
-    box = np.log([[0.01, 100.0], [0.01, 1e4], [0.01, 1e3], [1e-9, 1e4]])
-    points = np.exp(np.random.default_rng(6).uniform(box[:, 0], box[:, 1], (600, 4)))
-    compared = cold_off = fallbacks = 0
+def test_theory_points_over_the_wide_box_match_50_digits():
+    # zeta_sq in [1e-3, 1e3], psi1 and psi2 in [1e-14, 1e6] and lambda_bar in
+    # [1e-12, 1e60], log-uniform: tiny components, tiny chi and quartic
+    # coefficients spanning ~1e50, where a residual that is not relative to
+    # |nu| cannot tell a wrong root from the right one
+    box = np.log([[1e-3, 1e3], [1e-14, 1e6], [1e-14, 1e6], [1e-12, 1e60]])
+    points = np.exp(np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (1000, 4)))
+    outcomes = collections.Counter()
     for z, p1, p2, lb in points.tolist():
-        params = SpectralParams(z, p1, p2)
-        xi = complex(0.0, math.sqrt(p1 * p2 * lb))
-        direct = rfridge.selfconsistent._solve_direct(xi, params)
-        if direct is None:
-            fallbacks += 1
-            continue
-        ref = _root_50_digits(params, xi, direct)
         try:
-            cold = _cold_point(xi, params)
-        except NoConvergence:
-            cold = None
-        for quantity in (lambda chi: chi, lambda chi: decompose(chi, z, p1, p2).bias_B,
-                         lambda chi: decompose(chi, z, p1, p2).var_V):
-            exact = quantity(ref)
-            assert quantity(direct.chi.real) == pytest.approx(exact, rel=1e-10), (z, p1, p2, lb)
-            if cold is None:
+            point = theory_point(z, p1, p2, lb)
+        except (NoConvergence, RootSelectionAmbiguous, ChiDisagreement) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
+        assert point.chi.real == pytest.approx(ref, rel=1e-10), (z, p1, p2, lb)
+        outcomes["solved"] += 1
+    # the oracle cannot certify the branch at 3 points; solve_at solves all 1000
+    assert outcomes == {"solved": 997, "RootSelectionAmbiguous": 3}
+
+
+def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):
+    # the pair polished on the coupled map either returns to the true point or
+    # fails its residual or checks; it never turns a wrong quartic into a value
+    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
+    truth = solve_at(xi, PARAMS_A)
+    coeffs = rfridge.selfconsistent._quartic_coeffs
+    outcomes = collections.Counter()
+    for index in range(5):
+        for factor in (1.001, 2.0, -1.0, 0.0, 10.0, 1e-3):
+            def perturbed(*args, index=index, factor=factor):
+                row = coeffs(*args).copy()
+                row[:, index] *= factor
+                return row
+
+            monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", perturbed)
+            try:
+                point = solve_at(xi, PARAMS_A)
+            except NoConvergence:
+                outcomes["NoConvergence"] += 1
                 continue
-            # the homotopy stops on an absolute residual of 1e-12, which is
-            # above 1e-10 relative once |nu| is small (lambda_bar in the
-            # thousands); there it is the homotopy that misses the 50-digit root
-            if quantity(cold.chi.real) != pytest.approx(exact, rel=1e-10):
-                cold_off += 1
-                continue
-            assert quantity(direct.chi.real) == pytest.approx(
-                quantity(cold.chi.real), rel=1e-10
-            ), (z, p1, p2, lb)
-        compared += cold is not None
-    # a selection that let through wrong roots would show as fallbacks (two
-    # candidates) rather than as wrong points; 1 of the 600 falls back today
-    assert fallbacks <= 6
-    assert compared >= 500
-    assert cold_off <= 0.05 * compared
+            assert point.chi == pytest.approx(truth.chi, rel=1e-10), (index, factor)
+            outcomes["unchanged"] += 1
+    assert outcomes == {"unchanged": 16, "NoConvergence": 14}
 
 
 ROOT_FAULTS = {
@@ -192,47 +205,64 @@ ROOT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", [*ROOT_FAULTS, "polish misses tol"])
-def test_direct_route_falls_back_to_the_homotopy(fault, monkeypatch):
+def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
     xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
-    cold = _cold_point(xi, PARAMS_A)
     faulty = []
-    if fault == "polish misses tol":
-        refine = rfridge.selfconsistent._newton_refine
+    refine = rfridge.selfconsistent._newton_refine
 
-        def polish(*args, **kwargs):
-            nu1, nu2, res = refine(*args, **kwargs)
-            if not faulty:
-                faulty.append(res)
-                res = 10.0 * rfridge.selfconsistent._TOL
-            return nu1, nu2, res
+    def polish(*args, **kwargs):
+        nu1, nu2, res = refine(*args, **kwargs)
+        faulty.append(res)
+        if fault == "polish misses tol":
+            res = 10.0 * rfridge.selfconsistent._TOL
+        elif len(faulty) == 2:
+            # the second copy of the root polishes to a point of its own
+            nu1, nu2 = nu1 * (1.0 + 1e-6), nu2 * (1.0 + 1e-6)
+        return nu1, nu2, res
 
-        monkeypatch.setattr(rfridge.selfconsistent, "_newton_refine", polish)
-    else:
+    monkeypatch.setattr(rfridge.selfconsistent, "_newton_refine", polish)
+    if fault in ROOT_FAULTS:
         roots = np.roots
-
-        def faulty_roots(coeffs):
-            faulty.append(coeffs)
-            return ROOT_FAULTS[fault](roots(coeffs))
-
-        monkeypatch.setattr(rfridge.selfconsistent.np, "roots", faulty_roots)
-    homotopy = rfridge.selfconsistent._solve_cold
-    cold_calls = []
-    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
-                        lambda *args: cold_calls.append(args) or homotopy(*args))
-    assert solve_at(xi, PARAMS_A) == cold
-    assert len(faulty) == 1 and len(cold_calls) == 1
+        monkeypatch.setattr(rfridge.selfconsistent.np, "roots",
+                            lambda coeffs: ROOT_FAULTS[fault](roots(coeffs)))
+    with pytest.raises(NoConvergence, match="admissible quartic roots") as info:
+        solve_at(xi, PARAMS_A)
+    assert info.value.xi == xi
+    assert len(faulty) == {"no admissible root": 0, "two admissible roots": 2}.get(fault, 1)
 
 
-def test_direct_route_solves_the_axis_and_leaves_other_xi_to_the_homotopy(monkeypatch):
-    homotopy = rfridge.selfconsistent._solve_cold
-    cold_calls = []
-    monkeypatch.setattr(rfridge.selfconsistent, "_solve_cold",
-                        lambda *args: cold_calls.append(args) or homotopy(*args))
+def test_duplicate_roots_polish_to_one_point(monkeypatch):
+    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
+    expected = solve_at(xi, PARAMS_A)
+    roots = np.roots
+    monkeypatch.setattr(rfridge.selfconsistent.np, "roots",
+                        lambda coeffs: np.concatenate([roots(coeffs), roots(coeffs)]))
+    assert solve_at(xi, PARAMS_A) == expected
+
+
+def test_no_convergence_carries_xi(monkeypatch):
+    # a quartic whose constant term has the wrong sign has no admissible root
+    # whose pair solves the coupled map; the error names the count and residual
+    coeffs = rfridge.selfconsistent._quartic_coeffs
+
+    def flipped(*args):
+        row = coeffs(*args).copy()
+        row[:, 4] *= -1.0
+        return row
+
+    monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", flipped)
+    xi = 0.4j
+    with pytest.raises(NoConvergence, match=r"polish to 0 distinct checked points; "
+                       r"best relative map residual") as info:
+        solve_at(xi, PARAMS_A)
+    assert info.value.xi == xi
+
+
+def test_solve_at_solves_the_axis_and_rejects_other_xi():
     on_axis = solve_at(0.4j, PARAMS_A)
-    assert not cold_calls
-    assert on_axis.chi == pytest.approx(_cold_point(0.4j, PARAMS_A).chi, rel=1e-10)
-    solve_at(0.1 + 0.4j, PARAMS_A)
-    assert len(cold_calls) == 2
+    assert on_axis.chi.real == pytest.approx(_chi_50_digits(PARAMS_A, 0.4), rel=1e-10)
+    with pytest.raises(ValueError, match="imaginary axis"):
+        solve_at(0.1 + 0.4j, PARAMS_A)
 
 
 def test_spectral_params_validation():
@@ -311,13 +341,14 @@ def _roots_loop_oracle(params, lambda_bar, steps=192):
         u_sq = u * u
         b1 = z * p1 - z - 1.0
         b2 = z * p2 - z - 1.0
-        roots = np.roots(np.array([
+        coeffs = [
             z * z,
             z * (b1 + b2) + u_sq * z * z,
             b1 * b2 - z * (p1 + p2) - 2.0 * u_sq * z,
             -b1 * p2 - b2 * p1 + u_sq,
             p1 * p2,
-        ]))
+        ]
+        roots = np.roots(np.array(coeffs))
         nearest = roots[np.argmin(np.abs(roots - chi))]
         displacement = abs(nearest - chi)
         chi = nearest
@@ -329,7 +360,8 @@ def _roots_loop_oracle(params, lambda_bar, steps=192):
             continue
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
-    return float(chi.real)
+    # the oracle's refinement, on the quartic of the last node
+    return rfridge.selfconsistent._polish_root(coeffs, chi.real)
 
 
 def _outcome(oracle, params, lambda_bar):
@@ -385,7 +417,8 @@ def _tracking_oracle(params, lambda_bar):
             continue
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
-    return float(chi.real)
+    # the oracle's refinement, on the quartic of the last node
+    return sc._polish_root(coeffs[-1].tolist(), chi.real)
 
 
 def test_oracle_equals_the_tracking_reference_over_the_stress_box():
