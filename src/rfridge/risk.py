@@ -217,7 +217,7 @@ def theory_point(
     Every finite-penalty quantity (B, V, L, A) is a rational function of this
     one point.  solve_at picks the quartic root admissible at the target, and
     chi is cross-checked against the quartic oracle, which instead picks the
-    root that continuity from large |xi| reaches: the largest non-positive
+    root that continuity from large |xi| reaches: the largest negative
     root, certified by the root branch not turning between it and 0.  A
     disagreement beyond 1e-8 relative to chi is an error, never silently
     reconciled.

@@ -7,15 +7,14 @@ The pair (nu1, nu2) solves, at a spectral argument xi in the upper half plane,
 
 and every asymptotic quantity in this package is a rational function of the
 product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  chi
-is a root of a quartic, and two independent choices of its branch live here:
-solve_at keeps the one root admissible at the target (upper half plane) and
-polishes the pair it determines by Newton on the coupled map, to a residual
-of 1e-12 relative to each component; the oracle takes the root that
-continuity from large |xi| reaches, certified by the absence of a turning
-point of the root branch rather than tracked along a path.  Callers
-cross-check one against the other.  The polish's stop and the oracle's path
-resolution are fixed constants, and the oracle's path starts a decade above
-the target (_path_start).
+is a root of a quartic, and both routes here start from its real negative
+roots, each polished by Newton on the quartic (_negative_roots).  They differ
+only in how they choose among them: solve_at keeps the root whose pair lies
+in the upper half plane and polishes that pair by Newton on the coupled map,
+to a residual of 1e-12 relative to each component; the oracle keeps the
+largest root, certified as the one continuity from large |xi| reaches by the
+absence of a turning point of the root branch.  Callers cross-check one
+against the other.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class InvariantViolation(RuntimeError):
 
 
 class RootSelectionAmbiguous(RuntimeError):
-    """Continuity tracking could not single out an admissible quartic root."""
+    """The quartic oracle could not certify one root as the branch continuity reaches."""
 
 
 class InconsistentChi(RuntimeError):
@@ -68,29 +67,12 @@ class SpectralParams:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
 
-    @property
-    def zeta(self) -> float:
-        return math.sqrt(self.zeta_sq)
-
     def swapped(self) -> "SpectralParams":
         return SpectralParams(self.zeta_sq, self.psi2, self.psi1)
 
 
 # the map residual, relative to each component, that solve_at's polish must reach
 _TOL = 1e-12
-# path nodes that define the quartic oracle's tracking resolution
-_ORACLE_STEPS = 192
-
-
-def _start_height(params: SpectralParams) -> float:
-    """Lowest start of the oracle's path: above it the coupled map is a strong
-    contraction and chi sits on its large-|xi| asymptote -psi1 psi2 / u^2."""
-    return max(100.0, 10.0 * (params.psi1 + params.psi2) * max(1.0, params.zeta))
-
-
-def _path_start(params: SpectralParams, height: float) -> float:
-    """Start of a continuation down to |xi| = height: a decade above it, at least _start_height."""
-    return max(10.0 * height, _start_height(params))
 
 
 @dataclass(frozen=True)
@@ -210,13 +192,14 @@ def _pair_from_chi(chi: float, params: SpectralParams, u: float) -> tuple[comple
 
 def _polish_root(coeffs: list, chi: float) -> float:
     """A real root of the polynomial coeffs (highest degree first) after up to
-    three Newton steps, by Horner on Python floats.
+    six Newton steps, by Horner on Python floats.
 
     eigvals resolves a root only to the rounding of the largest coefficient,
     so when the coefficients span ~1e50 a tiny root comes back as 0.0 or with
-    the wrong sign; Newton restores it.
+    the wrong sign; Newton restores it, and six steps bring copies of one root
+    that started from 0.0 together to rounding.
     """
-    for _ in range(3):
+    for _ in range(6):
         p = dp = 0.0
         for c in coeffs:
             dp = dp * chi + p
@@ -224,19 +207,28 @@ def _polish_root(coeffs: list, chi: float) -> float:
         if dp == 0.0:
             break
         step = p / dp
-        if not math.isfinite(step):
+        # a step that leaves chi unchanged would repeat to the last one
+        if not math.isfinite(step) or chi - step == chi:
             break
         chi -= step
     return chi
+
+
+def _negative_roots(coeffs: np.ndarray) -> list[float]:
+    """The real roots np.roots finds for the quartic coeffs, each polished by
+    _polish_root, that are negative afterwards; copies are kept."""
+    polynomial = coeffs.tolist()
+    real = [r.real for r in np.roots(coeffs).tolist() if r.imag == 0.0]
+    return [chi for chi in (_polish_root(polynomial, r) for r in real) if chi < 0.0]
 
 
 def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     """Solve the coupled equations at xi = i u on the imaginary axis, u > 0.
 
     Every theory point lies there, and there chi = nu1 nu2 is a root of the
-    quartic _quartic_coeffs.  Each real root np.roots returns takes up to
-    three Newton steps on the quartic (_polish_root).  A root is admissible
-    when it is <= 0 and its pair (_pair_from_chi) lies in the upper half
+    quartic _quartic_coeffs.  Of its real roots, polished on the quartic,
+    those that are negative (_negative_roots) are candidates; one is
+    admissible when its pair (_pair_from_chi) lies in the upper half
     plane.  The smaller component of that pair cancels when its psi_k is
     tiny, so it is rebuilt as chi over the larger one, which for a root of the
     quartic has the same sign.  Each admissible pair is polished by Newton on
@@ -252,14 +244,8 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
         raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
     u = xi.imag
     coeffs = _quartic_coeffs(params.zeta_sq, params.psi1, params.psi2, [u * u])[0]
-    polynomial = coeffs.tolist()
     admissible, best, points = 0, math.inf, []
-    for r in np.roots(coeffs).tolist():
-        if r.imag != 0.0:
-            continue
-        chi = _polish_root(polynomial, r.real)
-        if not chi < 0.0:
-            continue
+    for chi in _negative_roots(coeffs):
         nu1, nu2 = _pair_from_chi(chi, params, u)
         larger = max(nu1.imag, nu2.imag)
         if not larger > 0.0:
@@ -316,29 +302,20 @@ def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: np.ndarray) 
     )
 
 
-def _companions(coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrices of the rows of coeffs (highest degree first), as np.roots builds them."""
-    n = coeffs.shape[-1] - 1
-    companion = np.zeros((len(coeffs), n, n))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, range(1, n), range(n - 1)] = 1.0
-    return companion
-
-
 def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     """chi at xi = i sqrt(psi1 psi2 lambda_bar), via the quartic it satisfies.
 
     chi is the root reached by continuity in u from its large-u asymptote
     chi ~ -psi1 psi2 / u^2; the quartic can have several real negative roots
     at the target, so the sign filter alone does not identify it.  The branch
-    is found from a certificate instead of being followed node by node.  On
-    the axis the quartic reads N(chi) + u^2 D(chi) = 0 with N = P1 P2 and
-    D = chi (1 - zeta^2 chi)^2, so a real chi < 0 is a root exactly when
-    u^2 = g(chi) := -N / D.  g has no pole on chi < 0 and rises to +inf as
-    chi -> 0-, which is the asymptote, so lowering u from infinity follows
-    g's branch leftward from 0-.  Let chi* be the largest admissible root
-    (real and <= 0) at the target.  If g has no critical point on [chi*, 0),
-    the branch is monotone there and ends at chi*.  On chi < 0, g' vanishes
+    is found from a certificate at the target alone.  On the axis the quartic
+    reads N(chi) + u^2 D(chi) = 0 with N = P1 P2 and D = chi (1 - zeta^2 chi)^2,
+    so a real chi < 0 is a root exactly when u^2 = g(chi) := -N / D.  g has no
+    pole on chi < 0 and rises to +inf as chi -> 0-, which is the asymptote, so
+    lowering u from infinity follows g's branch leftward from 0-.  Let chi* be
+    the largest of the target quartic's negative roots, each polished on the
+    quartic (_negative_roots).  If g has no critical point on [chi*, 0), the
+    branch is monotone there and ends at chi*.  On chi < 0, g' vanishes
     exactly at the real roots of the quintic
 
         chi N'(chi) (1 - zeta^2 chi) - N(chi) (1 - 3 zeta^2 chi),
@@ -347,56 +324,37 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     root of it in [chi*, 0) is where two real roots collide, and the branch
     would have left the real axis before reaching the target.
 
-    The answer keeps the definition of _ORACLE_STEPS geometric path nodes
-    from u_start = _path_start(params, u) down to the target, of which only
-    the last two are solved: chi* is taken at the last node u_start * ratio
-    (the target up to rounding), and the last tracking step runs from the
-    root nearest chi* at the penultimate node.  Ten times that step is the
-    resolution within which a competing admissible root cannot be told
-    apart.  Both quartics go to one stacked eigvals call on companion
-    matrices built as np.roots builds them, so chi* is bitwise np.roots's
-    root; the value returned is chi* after up to three Newton steps on the
-    last node's quartic (_polish_root), which eigvals alone resolves only to
-    the rounding of its largest coefficient.
-
-    Raises RootSelectionAmbiguous when no root is admissible, when the
-    quintic has a real root in [chi*, 0), or when a competitor sits within
-    the resolution.
+    Every test is relative to |chi*|: roots within 1e-10 |chi*| of each other
+    are copies of one root, as in solve_at, and the quintic's roots count as
+    real within 1e-9 of their size.  Raises RootSelectionAmbiguous when no
+    root is negative, when the quintic has a real root in [chi*, 0), or when
+    a distinct negative root lies within 1e-8 |chi*| of chi*, the tolerance
+    of the cross-check against solve_at.
     """
     if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
         raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
-    u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = _path_start(params, u_target)
-    ratio = u_target / u_start
-    nodes = [u_start * ratio ** (k / _ORACLE_STEPS) for k in (_ORACLE_STEPS - 1, _ORACLE_STEPS)]
-    # row 0 is N, the quartic at u = 0; rows 1 and 2 are the last two nodes
-    coeffs = _quartic_coeffs(z, p1, p2, [0.0] + [u * u for u in nodes])
-    prev_roots, roots = np.linalg.eigvals(_companions(coeffs[1:])).tolist()
-    admissible = [r for r in roots if abs(r.imag) <= 1e-9 and r.real <= 1e-12]
-    if not admissible:
-        raise RootSelectionAmbiguous(
-            f"no real non-positive root at lambda_bar = {lambda_bar}: {roots}"
-        )
-    chi = max(admissible, key=lambda r: r.real)
+    u = math.sqrt(p1 * p2 * lambda_bar)
+    # row 0 is N, the quartic at u = 0; row 1 is the quartic at the target
+    coeffs = _quartic_coeffs(z, p1, p2, [0.0, u * u])
+    roots = _negative_roots(coeffs[1])
+    if not roots:
+        raise RootSelectionAmbiguous(f"no real non-positive root at lambda_bar = {lambda_bar}")
+    chi = max(roots)
     n4, n3, n2, n1, n0 = coeffs[0].tolist()
     quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
-    for c in np.linalg.eigvals(_companions(np.array([quintic])))[0].tolist():
-        if abs(c.imag) <= 1e-9 * (1.0 + abs(c)) and chi.real <= c.real < 0.0:
+    for c in np.roots(quintic).tolist():
+        if abs(c.imag) <= 1e-9 * abs(c) and chi <= c.real < 0.0:
             raise RootSelectionAmbiguous(
-                f"the root branch turns at chi = {c.real!r} in [{chi.real!r}, 0), "
+                f"the root branch turns at chi = {c.real!r} in [{chi!r}, 0), "
                 f"so it leaves the real axis above lambda_bar = {lambda_bar}"
             )
-    # another admissible root within the tracking resolution cannot be told apart
-    displacement = abs(chi - min(prev_roots, key=lambda r: abs(r - chi)))
-    resolution = 10.0 * displacement + 1e-13 * (1.0 + abs(chi))
-    for r in admissible:
-        if 1e-16 <= abs(r - chi) < resolution:
+    for r in roots:
+        if 1e-10 * -chi < chi - r < 1e-8 * -chi:
             raise RootSelectionAmbiguous(
-                f"roots {chi} and {r} both admissible within tracking resolution "
-                f"{resolution:.3e} ({_ORACLE_STEPS} path nodes)"
+                f"roots {chi!r} and {r!r} both admissible within 1e-8 relative"
             )
-    return _polish_root(coeffs[2].tolist(), chi.real)
+    return chi
 
 
 def nu_from_chi(
@@ -416,7 +374,7 @@ def nu_from_chi(
     if 1.0 - z * chi <= 0.0:
         raise ValueError(f"1 - zeta_sq chi must be positive, got {1.0 - z * chi}")
     nu1, nu2 = _pair_from_chi(chi, params, math.sqrt(params.psi1 * params.psi2 * lambda_bar))
-    if abs(nu1 * nu2 - chi) > 1e-8 * max(1.0, abs(chi)):
+    if abs(nu1 * nu2 - chi) > 1e-8 * abs(chi):
         raise InconsistentChi(
             f"nu1 nu2 = {nu1 * nu2} differs from chi = {chi}; "
             "chi does not solve the self-consistent equations at this lambda_bar"

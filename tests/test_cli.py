@@ -23,7 +23,9 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
-from rfridge.risk import TargetSpec, test_error as theory_test_error
+from rfridge.risk import TargetSpec, test_error as theory_test_error, theory_point
+from rfridge.selfconsistent import SpectralParams
+from test_selfconsistent import _chi_50_digits
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -138,6 +140,23 @@ def test_theory_ridgeless_sweep_marks_threshold(capsys):
         if not math.isinf(r["theory_bias_B"]):
             assert r["theory_bias_B"] > 0.0
             assert r["theory_risk_R"] > 0.0
+
+
+def test_theory_certifies_a_tiny_chi(capsys):
+    # chi is about -8e-13 here, so the oracle's tests must scale with |chi|
+    z, p1, p2, lb = 148.857, 1.35716e-10, 1.24268e-10, 0.00209165
+    code, out, err = run_cli(
+        [
+            "theory", "--zeta-sq", str(z), "--psi1", str(p1), "--psi2", str(p2),
+            "--lambda-bar", str(lb), "--rho", "1",
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    assert math.isfinite(read_records(out, from_text=True)[0]["theory_risk_R"])
+    point = theory_point(z, p1, p2, lb)
+    ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
+    assert point.chi.real == pytest.approx(ref, rel=1e-10)
 
 
 def test_theory_general_agrees_with_wide_variant(capsys):

@@ -169,8 +169,7 @@ def test_theory_points_over_the_wide_box_match_50_digits():
         ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
         assert point.chi.real == pytest.approx(ref, rel=1e-10), (z, p1, p2, lb)
         outcomes["solved"] += 1
-    # the oracle cannot certify the branch at 3 points; solve_at solves all 1000
-    assert outcomes == {"solved": 997, "RootSelectionAmbiguous": 3}
+    assert outcomes == {"solved": 1000}
 
 
 def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):
@@ -284,7 +283,7 @@ def test_oracle_frozen_value_and_quartic_residual():
 
 def test_oracle_tracks_through_coexisting_negative_roots():
     # At these parameters the quartic has two real negative roots, so the
-    # sign filter alone cannot identify chi; only continuity tracking can.
+    # sign filter alone cannot identify chi; the branch certificate does.
     lam_bar = 0.01
     z, p1, p2 = PARAMS_A.zeta_sq, PARAMS_A.psi1, PARAMS_A.psi2
     u_sq = p1 * p2 * lam_bar
@@ -309,12 +308,6 @@ def test_oracle_tracks_through_coexisting_negative_roots():
     assert abs(chi - real_negative[0]) > 0.5
 
 
-def test_oracle_without_tracking_resolution_is_ambiguous(monkeypatch):
-    monkeypatch.setattr(rfridge.selfconsistent, "_ORACLE_STEPS", 1)
-    with pytest.raises(RootSelectionAmbiguous):
-        chi_scalar_oracle(PARAMS_A, 0.01)
-
-
 def test_oracle_large_lambda_drives_chi_to_zero_from_below():
     chi = chi_scalar_oracle(PARAMS_A, 1e8)
     assert -1e-6 < chi < 0.0
@@ -327,11 +320,18 @@ def test_oracle_small_lambda_approaches_ridgeless_root():
         assert chi == pytest.approx(ref, abs=1e-6)
 
 
+def _path_start(params, u_target):
+    """Start of a tracking path down to u_target: a decade above it, and high
+    enough that chi sits on its large-|xi| asymptote -psi1 psi2 / u^2."""
+    height = 10.0 * (params.psi1 + params.psi2) * max(1.0, math.sqrt(params.zeta_sq))
+    return max(100.0, 10.0 * u_target, height)
+
+
 def _roots_loop_oracle(params, lambda_bar, steps=192):
     """Reference oracle: one np.roots call per path node, tracked node by node."""
     z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = max(100.0, 10.0 * u_target, 10.0 * (p1 + p2) * max(1.0, params.zeta))
+    u_start = _path_start(params, u_target)
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
     displacement = 0.0
@@ -360,7 +360,7 @@ def _roots_loop_oracle(params, lambda_bar, steps=192):
             continue
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
-    # the oracle's refinement, on the quartic of the last node
+    # the oracle's polish, on the quartic of the last node (the target up to rounding)
     return rfridge.selfconsistent._polish_root(coeffs, chi.real)
 
 
@@ -371,7 +371,16 @@ def _outcome(oracle, params, lambda_bar):
         return type(exc)
 
 
-def test_batched_oracle_is_bitwise_the_roots_loop():
+def _assert_same_outcome(got, expected, where):
+    # the references solve the last node of their path, the oracle the target
+    # itself, so values agree to rounding rather than bitwise
+    if isinstance(expected, type):
+        assert got is expected, where
+    else:
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0), where
+
+
+def test_oracle_matches_the_roots_loop():
     rng = np.random.default_rng(20191)
     failures = 0
     for _ in range(200):
@@ -382,20 +391,20 @@ def test_batched_oracle_is_bitwise_the_roots_loop():
         )
         lambda_bar = math.exp(rng.uniform(math.log(1e-9), math.log(1e4)))
         expected = _outcome(_roots_loop_oracle, params, lambda_bar)
-        assert _outcome(chi_scalar_oracle, params, lambda_bar) == expected, (params, lambda_bar)
+        _assert_same_outcome(_outcome(chi_scalar_oracle, params, lambda_bar), expected,
+                             (params, lambda_bar))
         failures += isinstance(expected, type)
     # the box must exercise the value path, not only the failure path
     assert failures < 20
 
 
-def _tracking_oracle(params, lambda_bar):
-    """Reference oracle: all _ORACLE_STEPS path nodes solved in one batched eigvals
-    call, and the root followed node by node by nearest-neighbor continuity."""
+def _tracking_oracle(params, lambda_bar, steps=192):
+    """Reference oracle: all path nodes solved in one batched eigvals call, and
+    the root followed node by node by nearest-neighbor continuity."""
     sc = rfridge.selfconsistent
     z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
-    steps = sc._ORACLE_STEPS
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = max(10.0 * u_target, sc._start_height(params))
+    u_start = _path_start(params, u_target)
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
     nodes = [u_start * ratio ** (k / steps) for k in range(1, steps + 1)]
@@ -417,7 +426,7 @@ def _tracking_oracle(params, lambda_bar):
             continue
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
-    # the oracle's refinement, on the quartic of the last node
+    # the oracle's polish, on the quartic of the last node (the target up to rounding)
     return sc._polish_root(coeffs[-1].tolist(), chi.real)
 
 
@@ -430,7 +439,7 @@ def test_oracle_equals_the_tracking_reference_over_the_stress_box():
     for z, p1, p2, lb in points.tolist():
         params = SpectralParams(z, p1, p2)
         expected = _outcome(_tracking_oracle, params, lb)
-        assert _outcome(chi_scalar_oracle, params, lb) == expected, (z, p1, p2, lb)
+        _assert_same_outcome(_outcome(chi_scalar_oracle, params, lb), expected, (z, p1, p2, lb))
         values += not isinstance(expected, type)
     assert values >= 1900
 
@@ -481,20 +490,20 @@ def test_oracle_without_an_admissible_root_is_ambiguous(monkeypatch):
     assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
 
 
-def test_oracle_factors_at_most_three_matrices(monkeypatch):
-    # a count, not a timing: tracking all 192 path nodes factors 192
-    eigvals = np.linalg.eigvals
-    matrices = []
+def test_oracle_factors_at_most_two_polynomials(monkeypatch):
+    # a count, not a timing: the target quartic and the quintic, where
+    # tracking a path factors one quartic per node
+    roots = np.roots
+    polynomials = []
 
-    def counting(a):
-        a = np.asarray(a)
-        matrices.append(a[..., 0, 0].size)
-        return eigvals(a)
+    def counting(p):
+        polynomials.append(len(p) - 1)
+        return roots(p)
 
     expected = chi_scalar_oracle(PARAMS_A, 0.01)
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(np, "roots", counting)
     assert chi_scalar_oracle(PARAMS_A, 0.01) == expected
-    assert 1 <= sum(matrices) <= 3
+    assert polynomials == [4, 5]
 
 
 def test_oracle_rejects_bad_lambda():
@@ -531,6 +540,17 @@ def test_nu_from_chi_rejects_wrong_branch():
         nu_from_chi(chi * 1.05, PARAMS_A, 0.01)
 
 
+def test_nu_from_chi_rejects_a_tiny_chi_ten_times_off():
+    # chi is about -1e-9 here, so a bound absolute below |chi| = 1 would take
+    # a chi ten times too large
+    params = SpectralParams(zeta_sq=1.0, psi1=2.0, psi2=3.0)
+    chi = chi_scalar_oracle(params, 1e9)
+    assert -1e-8 < chi < -1e-10
+    nu_from_chi(chi, params, 1e9)
+    with pytest.raises(InconsistentChi):
+        nu_from_chi(10.0 * chi, params, 1e9)
+
+
 def test_nu_from_chi_rejects_positive_chi():
     with pytest.raises(ValueError):
         nu_from_chi(0.3, PARAMS_A, 0.01)
@@ -557,11 +577,11 @@ def test_routes_agree_and_invariants_hold(log_z, log_p1, log_p2, log_lam):
     assert point.nu1.imag > 0.0 and point.nu2.imag > 0.0
 
     chi = chi_scalar_oracle(params, lam_bar)
-    assert abs(point.chi.real - chi) <= 1e-8 * max(1.0, abs(chi))
+    assert abs(point.chi.real - chi) <= 1e-8 * abs(chi)
 
     swapped = solve_at(complex(0.0, u), params.swapped())
-    assert abs(point.nu1 - swapped.nu2) <= 1e-12 * max(1.0, abs(point.nu1))
-    assert abs(point.nu2 - swapped.nu1) <= 1e-12 * max(1.0, abs(point.nu2))
+    assert abs(point.nu1 - swapped.nu2) <= 1e-12 * abs(point.nu1)
+    assert abs(point.nu2 - swapped.nu1) <= 1e-12 * abs(point.nu2)
 
 
 @pytest.mark.parametrize(
