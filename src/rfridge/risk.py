@@ -111,6 +111,8 @@ class RiskDecomposition:
 
     def test_error(self, target: TargetSpec) -> float:
         """The asymptotic test error (the second formula of the module docstring)."""
+        if self.threshold_singular:
+            return INF
         return (
             target.f1_sq * self.bias_B
             + (target.tau_sq + target.fstar_sq) * self.var_V

@@ -10,11 +10,11 @@ product chi = nu1 * nu2 evaluated at xi = i sqrt(psi1 psi2 lambda_bar).  chi
 is a root of a quartic, and both routes here start from its real negative
 roots, each polished by Newton on the quartic (_negative_roots).  They differ
 only in how they choose among them: solve_at keeps the root whose pair lies
-in the upper half plane and polishes that pair by Newton on the coupled map,
-to a residual of 1e-12 relative to each component; the oracle keeps the
-largest root, certified as the one continuity from large |xi| reaches by the
-absence of a turning point of the root branch.  Callers cross-check one
-against the other.
+in the upper half plane and checks that pair on the coupled map, to a
+residual of 1e-12 relative to each component; the oracle keeps the largest
+root, certified as the one continuity from large |xi| reaches by the absence
+of a turning point of the root branch.  Callers cross-check one against the
+other.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class SingularDenominator(ArithmeticError):
 
 
 class NoConvergence(RuntimeError):
-    """No single admissible quartic root polished to a checked point at xi."""
+    """No single admissible quartic root gave a pair that passes the checks at xi."""
 
     def __init__(self, message: str, xi: complex):
         super().__init__(f"{message} (xi = {xi})")
@@ -71,7 +71,7 @@ class SpectralParams:
         return SpectralParams(self.zeta_sq, self.psi2, self.psi1)
 
 
-# the map residual, relative to each component, that solve_at's polish must reach
+# the largest map residual, relative to each component, that solve_at accepts
 _TOL = 1e-12
 
 
@@ -102,54 +102,10 @@ def fixed_point_map(
     return f1, f2
 
 
-def _residual(nu1, nu2, xi, params) -> tuple[float, complex, complex]:
+def _residual(nu1, nu2, xi, params) -> float:
     """The map residual relative to each component, the larger of the two."""
     f1, f2 = fixed_point_map(nu1, nu2, xi, params)
-    return max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2)), f1, f2
-
-
-def _newton_refine(nu1, nu2, xi, params, tol, max_steps=60):
-    """Damped Newton on G(nu) = F(nu) - nu until |G_k| <= tol |nu_k| for both k,
-    rejecting steps that leave the half plane or do not lower that residual."""
-    z = params.zeta_sq
-    res, f1, f2 = _residual(nu1, nu2, xi, params)
-    for _ in range(max_steps):
-        if res <= tol:
-            break
-        den = 1.0 - z * nu1 * nu2
-        d1 = -xi - nu2 - z * nu2 / den
-        d2 = -xi - nu1 - z * nu1 / den
-        # dF1/dnu1 etc. by the chain rule through the shared denominator
-        dd1_d1 = -z * z * nu2 * nu2 / (den * den)
-        dd1_d2 = -1.0 - z / (den * den)
-        dd2_d2 = -z * z * nu1 * nu1 / (den * den)
-        dd2_d1 = -1.0 - z / (den * den)
-        j11 = -params.psi1 / (d1 * d1) * dd1_d1 - 1.0
-        j12 = -params.psi1 / (d1 * d1) * dd1_d2
-        j21 = -params.psi2 / (d2 * d2) * dd2_d1
-        j22 = -params.psi2 / (d2 * d2) * dd2_d2 - 1.0
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            break
-        g1, g2 = f1 - nu1, f2 - nu2
-        s1 = -(j22 * g1 - j12 * g2) / det
-        s2 = -(-j21 * g1 + j11 * g2) / det
-        step = 1.0
-        for _ in range(25):
-            c1, c2 = nu1 + step * s1, nu2 + step * s2
-            if c1.imag > 0.0 and c2.imag > 0.0:
-                try:
-                    cres, cf1, cf2 = _residual(c1, c2, xi, params)
-                except SingularDenominator:
-                    step *= 0.5
-                    continue
-                if cres < res:
-                    nu1, nu2, res, f1, f2 = c1, c2, cres, cf1, cf2
-                    break
-            step *= 0.5
-        else:
-            break
-    return nu1, nu2, res
+    return max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2))
 
 
 def _checked_point(xi, nu1, nu2, res, params) -> SpectralPoint:
@@ -231,11 +187,12 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     admissible when its pair (_pair_from_chi) lies in the upper half
     plane.  The smaller component of that pair cancels when its psi_k is
     tiny, so it is rebuilt as chi over the larger one, which for a root of the
-    quartic has the same sign.  Each admissible pair is polished by Newton on
-    the coupled map to a residual of 1e-12 relative to each component; that
-    residual also guards the quartic's coefficients.  The answer is the one
-    distinct point (chi within 1e-10 relative) that polishes and passes the
-    half-plane, norm-bound and axis checks; none or several raise
+    quartic has the same sign; equal components are both rebuilt as
+    sqrt(-chi).  Each admissible pair is checked, as built, on
+    the coupled map: its residual relative to each component must be at most
+    1e-12, which also guards the quartic's coefficients.  The answer is the
+    one distinct point (chi within 1e-10 relative) that meets the residual and
+    passes the half-plane, norm-bound and axis checks; none or several raise
     NoConvergence.
     """
     if not (xi.imag > 0.0):
@@ -250,13 +207,17 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
         larger = max(nu1.imag, nu2.imag)
         if not larger > 0.0:
             continue
-        smaller = complex(0.0, -chi / larger)
-        nu1, nu2 = (nu1, smaller) if nu1.imag == larger else (smaller, nu2)
-        if smaller.imag == 0.0:
+        if nu1.imag == nu2.imag:
+            # equal components both cancel alike; sqrt(-chi) keeps the pair symmetric
+            nu1 = nu2 = complex(0.0, math.sqrt(-chi))
+        else:
+            smaller = complex(0.0, -chi / larger)
+            nu1, nu2 = (nu1, smaller) if nu1.imag == larger else (smaller, nu2)
+        if min(nu1.imag, nu2.imag) == 0.0:
             continue
         admissible += 1
         try:
-            nu1, nu2, res = _newton_refine(nu1, nu2, xi, params, _TOL)
+            res = _residual(nu1, nu2, xi, params)
             best = min(best, res)
             if res > _TOL:
                 continue
@@ -267,7 +228,7 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
             points.append(point)
     if len(points) != 1:
         raise NoConvergence(
-            f"{admissible} admissible quartic roots polish to {len(points)} distinct "
+            f"{admissible} admissible quartic roots give {len(points)} distinct "
             f"checked points; best relative map residual {best:.3e}",
             xi,
         )

@@ -468,7 +468,7 @@ def run_trial(
     so that configurations differing only in noise level share all other
     randomness.  Given a sweep, a sequence of configs that differ only in n,
     N, n_test and lam, the result is one TrialResult per config.  Points of
-    one shape share a draw and are fit together: by ridge_fit at a lone
+    one shape share a draw and are fit together: by ridge_fit at one distinct
     penalty, by ridge_path from one factorization at several.  A
     random-features trial is drawn once at the sweep's largest shape, and
     every point fits on prefix slices of that draw.
@@ -498,8 +498,8 @@ def run_trial(
         data = _prefix(full, shape) if nested else draw(first, trial_index, shape)
         Z, y = data[0], data[1]
         lams = [configs[i].lam for i in members]
-        if len(lams) == 1:
-            fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)]
+        if len(set(lams)) == 1:
+            fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)] * len(lams)
         else:
             fits = ridge_path(Z, y, lams, first.psi1_d, first.psi2_d)
         for i, fit in zip(members, fits):

@@ -156,7 +156,24 @@ def test_theory_certifies_a_tiny_chi(capsys):
     assert math.isfinite(read_records(out, from_text=True)[0]["theory_risk_R"])
     point = theory_point(z, p1, p2, lb)
     ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
-    assert point.chi.real == pytest.approx(ref, rel=1e-10)
+    assert point.chi.real == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--variant", "ridgeless", "--zeta-sq", "1", "--psi1", "2", "--psi2", "2",
+     "--f1-sq", "1"],
+    ["compare", "--d", "20", "--n", "40", "--N", "40", "--lambda", "0", "--trials", "3",
+     "--n-test", "1000"],
+])
+def test_threshold_rows_carry_an_infinite_test_error(argv, capsys):
+    # a zero weight times an infinite factor must not turn the test error into nan
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    rec = read_records(out, from_text=True)[0]
+    assert rec["theory_bias_B"] == rec["theory_var_V"] == math.inf
+    assert rec["theory_test_error"] == math.inf
+    if argv[0] == "compare":
+        assert rec["z_test_error"] == -math.inf
 
 
 def test_theory_general_agrees_with_wide_variant(capsys):

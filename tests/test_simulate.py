@@ -414,6 +414,13 @@ def test_gaussian_covariates_shape_sweep_draws_each_point(param):
     assert run_trials(sweep, threads=2) == [run_trials(cfg, threads=1) for cfg in sweep]
 
 
+def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
+    # two grid points that round to one shape at one penalty take ridge_fit's
+    # path and cond, not ridge_path's SVD
+    cfg = _small_config()
+    assert run_trial([cfg, cfg], 0) == [run_trial(cfg, 0)] * 2
+
+
 def test_sweep_configs_may_differ_only_in_shape_and_penalty():
     cfg = _small_config()
     with pytest.raises(ValueError, match="tau_sq"):
