@@ -42,7 +42,6 @@ from .risk import (
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
-    test_error,
     theory_point,
     wide_omega,
     wide_phase,

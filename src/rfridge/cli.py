@@ -42,11 +42,10 @@ from .risk import (
     DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
-    decompose,
+    risk_general,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
-    theory_point,
     wide_phase,
 )
 from .selfconsistent import (
@@ -63,7 +62,6 @@ from .simulate import (
     nonlinear_power,
     run_trials,
 )
-from .training import training_at
 
 NAN = float("nan")
 INF = float("inf")
@@ -382,12 +380,14 @@ def _mode(args, parser, command: str) -> str:
     if has_finite and has_asym:
         parser.error("give either finite sizes (--d --n --N --lambda) or ratios "
                      "(--psi1 --psi2 --lambda-bar), not both")
-    if command in ("simulate", "compare"):
-        if not has_finite:
-            parser.error(f"{command} needs finite sizes --d --n --N --lambda")
-        return "finite"
+    if command in ("simulate", "compare") and not has_finite:
+        parser.error(f"{command} needs finite sizes --d --n --N --lambda")
     if not has_finite and not has_asym:
         parser.error("no shape parameters given")
+    if has_finite:
+        # every grid point divides by d or scales it
+        _require(parser, args.d is not None and args.d >= 1,
+                 f"finite sizes need --d >= 1, got {args.d}")
     return "finite" if has_finite else "asym"
 
 
@@ -436,15 +436,14 @@ def _finite_point(args, sweep_param, value):
 
 
 def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers):
-    """Fill the theory_* cells of one row; a general row solves exactly once.
+    """Fill the theory_* cells of one row from one library decomposition.
 
     R needs rho; test error, training error and norm need the target powers.
     """
     if variant == "general":
         _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
                  "general variant needs psi1, psi2 and the penalty")
-        point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
-        dec = decompose(point.chi.real, zeta_sq, psi1, psi2)
+        dec = risk_general(zeta_sq, psi1, psi2, lambda_bar)
     elif variant == "ridgeless":
         _require(parser, psi1 is not None and psi2 is not None,
                  "ridgeless variant needs psi1 and psi2")
@@ -465,9 +464,8 @@ def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, po
     if powers is not None:
         rec["theory_test_error"] = dec.test_error(powers)
         if variant == "general":
-            asym = training_at(point, powers.rho, zeta_sq, psi1, psi2, lambda_bar)
-            rec["theory_train_error"] = powers.total_power * asym.L
-            rec["theory_norm_msq"] = powers.total_power * asym.A
+            rec["theory_train_error"] = dec.train_error(powers)
+            rec["theory_norm_msq"] = dec.norm_msq(powers)
 
 
 def cmd_theory(args, parser) -> int:
@@ -522,7 +520,7 @@ def cmd_theory(args, parser) -> int:
         if mode == "finite":
             sweep_param = sweep.param if sweep is not None else None
             d, n, N, lam = _finite_point(args, sweep_param, value)
-            _require(parser, d is not None and n is not None, "--d and --n are required")
+            _require(parser, n is not None, "--n is required (or sweep psi2)")
             _require(parser, N is not None or args.variant == "wide",
                      "--N is required (or sweep psi1)")
             _require(parser, lam is not None, "--lambda is required (or sweep lambda)")
@@ -564,7 +562,6 @@ def _simulate_grid(args, parser, command):
     sweep = SweepSpec.from_args(args)
     if sweep is not None and sweep.param == "rho":
         parser.error(f"{command} cannot sweep rho; sweep psi1, psi2 or lambda")
-    _require(parser, args.d is not None, "--d is required")
     _require(parser, args.n is not None or (sweep and sweep.param == "psi2"),
              "--n is required (or sweep psi2)")
     _require(parser, args.N is not None or (sweep and sweep.param == "psi1"),

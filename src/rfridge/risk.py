@@ -1,23 +1,27 @@
-"""Asymptotic test error of ridge-regularized random-features regression.
+"""Asymptotic test error, training error and coefficient norm of random-features ridge regression.
 
-The prediction risk decomposes (after centering by the unlearnable power) into
-a bias factor B and a variance factor V, both rational in chi:
+Every quantity at a solved chi is a signal factor weighted by F1^2 plus a
+noise factor weighted by tau^2 + Fstar^2.  For the prediction risk the
+factors are the bias B and the variance V:
 
-    R = rho/(1+rho) * B + 1/(1+rho) * V,
     test_error = F1^2 * B + (tau^2 + Fstar^2) * V + Fstar^2,
+    R = rho/(1+rho) * B + 1/(1+rho) * V,
 
-where rho = F1^2 / (Fstar^2 + tau^2) is the effective signal-to-noise ratio.
+where rho = F1^2 / (Fstar^2 + tau^2) is the effective signal-to-noise ratio,
+so R is the test error of a unit-power target without Fstar^2.
 B = E1/E0 and V = E2/E0 with the polynomials below, chi evaluated at
-xi = i sqrt(psi1 psi2 lambda_bar).  Closed forms are provided for the
-ridgeless, infinite-width and infinite-sample limits, together with the phase
-quantities deciding whether any positive ridge penalty beats lambda = 0.
+xi = i sqrt(psi1 psi2 lambda_bar).  The training objective and the
+coefficient norm split the same way, without the Fstar^2 offset.  Closed
+forms are provided for the ridgeless, infinite-width and infinite-sample
+limits, together with the phase quantities deciding whether any positive
+ridge penalty beats lambda = 0.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +30,12 @@ from .selfconsistent import (
     SpectralParams,
     SpectralPoint,
     chi_scalar_oracle,
+    require_positive,
     solve_at,
 )
 
 INF = float("inf")
+NAN = float("nan")
 
 
 class ThresholdSingularity(ArithmeticError):
@@ -54,70 +60,92 @@ class TargetSpec:
 
     f1_sq is the linear signal power, fstar_sq the nonlinear target power
     (unlearnable by this model family in the proportional regime), tau_sq the
-    label noise variance.  rho is derived unless supplied, in which case it
-    must match the powers.
+    label noise variance.
     """
 
     f1_sq: float
     fstar_sq: float = 0.0
     tau_sq: float = 0.0
-    rho: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         for name in ("f1_sq", "fstar_sq", "tau_sq"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        denom = self.fstar_sq + self.tau_sq
-        if denom > 0.0:
-            implied = self.f1_sq / denom
-        elif self.f1_sq > 0.0:
-            implied = INF
-        else:
+        if self.total_power == 0.0:
             raise ValueError("target has no power (f1_sq = fstar_sq = tau_sq = 0)")
-        if self.rho is None:
-            object.__setattr__(self, "rho", implied)
-        elif self.rho != implied and abs(self.rho - implied) > 1e-12 * max(1.0, implied):
-            raise ValueError(f"rho = {self.rho} inconsistent with powers (implied {implied})")
+
+    @classmethod
+    def unit(cls, rho: float) -> "TargetSpec":
+        """The target without Fstar^2 whose signal-to-noise ratio is rho (possibly inf)
+        and whose total power is 1: F1^2 = rho/(1+rho), tau^2 = 1/(1+rho)."""
+        if not (rho >= 0.0):
+            raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
+        if math.isinf(rho):
+            return cls(1.0)
+        return cls(rho / (1.0 + rho), tau_sq=1.0 / (1.0 + rho))
+
+    @property
+    def rho(self) -> float:
+        """The signal-to-noise ratio F1^2 / (Fstar^2 + tau^2), inf without noise."""
+        denom = self.fstar_sq + self.tau_sq
+        return self.f1_sq / denom if denom > 0.0 else INF
 
     @property
     def total_power(self) -> float:
         return self.f1_sq + self.fstar_sq + self.tau_sq
 
+    def weigh(self, signal: float, noise: float) -> float:
+        """F1^2 * signal + (tau^2 + Fstar^2) * noise."""
+        return self.f1_sq * signal + (self.tau_sq + self.fstar_sq) * noise
+
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """Bias factor, variance factor, and their rho-weighted combination.
+    """Signal and noise factors of every asymptotic quantity at one solved chi.
 
-    risk_R is None for the limit formulas that do not fix rho; use risk_at.
-    threshold_singular marks a diverging decomposition (interpolation
-    threshold), in which case the factors are +inf rather than a division by
-    a vanishing E0.
+    bias_B and var_V are those of the test error, train_signal and
+    train_noise those of the training objective (residual plus penalty), and
+    norm_signal and norm_noise those of mu_star^2 ||a_hat||^2.  The
+    closed-form limits carry no training factors (nan).  threshold_singular
+    marks a diverging decomposition (interpolation threshold): B and V are
+    +inf rather than a division by a vanishing E0, and the training error
+    and norm raise ThresholdSingularity.
     """
 
     bias_B: float
     var_V: float
-    risk_R: float | None = None
+    train_signal: float
+    train_noise: float
+    norm_signal: float
+    norm_noise: float
     threshold_singular: bool = False
 
     def risk_at(self, rho: float) -> float:
-        if not (rho >= 0.0):
-            raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
-        if self.threshold_singular:
-            return INF
-        if math.isinf(rho):
-            return self.bias_B
-        return rho / (1.0 + rho) * self.bias_B + 1.0 / (1.0 + rho) * self.var_V
+        """R, the test error of the unit-power target TargetSpec.unit(rho)."""
+        return self.test_error(TargetSpec.unit(rho))
 
     def test_error(self, target: TargetSpec) -> float:
-        """The asymptotic test error (the second formula of the module docstring)."""
+        """The asymptotic test error (the first formula of the module docstring)."""
         if self.threshold_singular:
             return INF
-        return (
-            target.f1_sq * self.bias_B
-            + (target.tau_sq + target.fstar_sq) * self.var_V
-            + target.fstar_sq
-        )
+        return target.weigh(self.bias_B, self.var_V) + target.fstar_sq
+
+    def train_error(self, target: TargetSpec) -> float:
+        """The asymptotic training objective, residual plus penalty, per sample."""
+        self._require_finite()
+        return target.weigh(self.train_signal, self.train_noise)
+
+    def norm_msq(self, target: TargetSpec) -> float:
+        """The limit of mu_star^2 ||a_hat||^2."""
+        self._require_finite()
+        return target.weigh(self.norm_signal, self.norm_noise)
+
+    def _require_finite(self):
+        if self.threshold_singular:
+            raise ThresholdSingularity(
+                "E0 vanished: the training error and norm diverge at the interpolation threshold"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,16 +224,12 @@ def _e0_vanishes(chi: float, zeta_sq: float, psi1: float, psi2: float) -> bool:
     return abs(_horner(coeffs, chi)) < 1e-12 * size
 
 
-def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float, rho=None):
-    """B = E1/E0 and V = E2/E0 at a solved chi, with R when rho is given."""
+def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
+    """B = E1/E0 and V = E2/E0 at a solved chi, without training factors."""
     if _e0_vanishes(chi, zeta_sq, psi1, psi2):
-        return RiskDecomposition(INF, INF, INF if rho is not None else None, True)
+        return RiskDecomposition(INF, INF, NAN, NAN, NAN, NAN, True)
     e0, e1, e2 = _e_polynomials(chi, zeta_sq, psi1, psi2)
-    b, v = e1 / e0, e2 / e0
-    r = None
-    if rho is not None:
-        r = RiskDecomposition(b, v).risk_at(rho)
-    return RiskDecomposition(b, v, r)
+    return RiskDecomposition(e1 / e0, e2 / e0, NAN, NAN, NAN, NAN)
 
 
 def theory_point(
@@ -239,28 +263,41 @@ def theory_point(
 
 
 def risk_general(
-    rho: float,
     zeta_sq: float,
     psi1: float,
     psi2: float,
     lambda_bar: float,
 ) -> RiskDecomposition:
-    """Risk decomposition at finite lambda_bar > 0, from one theory_point."""
-    if not (rho >= 0.0):
-        raise ValueError(f"rho must be >= 0 (possibly inf), got {rho}")
+    """The decomposition at finite lambda_bar > 0, training factors included,
+    from one theory_point.
+
+    With nu2 and chi of that point and m = (-i nu2) sqrt(lambda_bar psi1 / psi2),
+    the mass scale of the residual,
+
+        train_signal = m / (1 - chi zeta^2),   train_noise = m,
+        norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
+
+    with the two numerator polynomials below and E0 the shared denominator.
+    solve_at has checked that nu2 is purely imaginary.
+    """
     point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
-    return decompose(point.chi.real, zeta_sq, psi1, psi2, rho)
-
-
-def test_error(
-    target: TargetSpec,
-    zeta_sq: float,
-    psi1: float,
-    psi2: float,
-    lambda_bar: float,
-) -> float:
-    """Asymptotic test error at finite lambda_bar > 0; see RiskDecomposition.test_error."""
-    return risk_general(target.rho, zeta_sq, psi1, psi2, lambda_bar).test_error(target)
+    chi = point.chi.real
+    dec = decompose(chi, zeta_sq, psi1, psi2)
+    if dec.threshold_singular:
+        return dec
+    z = zeta_sq
+    z2 = z * z
+    m = point.nu2.imag * math.sqrt(lambda_bar * psi1 / psi2)
+    a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+    a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+    e0 = _horner(_e0_coeffs(z, psi1, psi2), chi)
+    parts = (m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0)
+    if min(parts) < -1e-10:
+        raise InvariantViolation(
+            f"negative training factors {parts} at psi1={psi1}, psi2={psi2}, "
+            f"lambda_bar={lambda_bar}"
+        )
+    return RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -278,6 +315,7 @@ def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecompositio
     factors diverge; that comes back as a threshold_singular result, matching
     the interpolation-threshold blowup.
     """
+    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     chi = ridgeless_chi(zeta_sq, psi1, psi2)
     return decompose(chi, zeta_sq, psi1, psi2)
 
@@ -304,6 +342,7 @@ def _wide_denominator(omega: float, psi: float) -> float:
 
 def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecomposition:
     """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2."""
+    require_positive(zeta_sq=zeta_sq, psi2=psi2)
     omega = wide_omega(zeta_sq, psi2, lambda_bar)
     den = _wide_denominator(omega, psi2)
     num_scale = abs(psi2 * omega - psi2) + abs(omega**3 - omega**2)
@@ -311,7 +350,9 @@ def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecompositi
         raise DenominatorVanishes(
             f"wide-limit denominator {den} vanished at omega = {omega}"
         )
-    return RiskDecomposition((psi2 * omega - psi2) / den, (omega**3 - omega**2) / den)
+    return RiskDecomposition(
+        (psi2 * omega - psi2) / den, (omega**3 - omega**2) / den, NAN, NAN, NAN, NAN
+    )
 
 
 def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDecomposition:
@@ -319,6 +360,7 @@ def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDec
 
     The variance factor vanishes in this limit; only the bias survives.
     """
+    require_positive(zeta_sq=zeta_sq, psi1=psi1)
     omega = wide_omega(zeta_sq, psi1, lambda_bar)
     den = _wide_denominator(omega, psi1)
     num = (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1
@@ -326,7 +368,7 @@ def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDec
         raise DenominatorVanishes(
             f"large-sample denominator {den} vanished at omega = {omega}"
         )
-    return RiskDecomposition(num / den, 0.0)
+    return RiskDecomposition(num / den, 0.0, NAN, NAN, NAN, NAN)
 
 
 def wide_risk_in_omega(u: float, rho: float, psi2: float) -> float:
@@ -349,8 +391,7 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     optimum exists) precisely when rho < rho_star, and non-positive (the
     lambda_bar = 0 boundary is optimal) when rho > rho_star.
     """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be finite and positive, got {rho}")
+    require_positive(zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     z = zeta_sq
     omega0 = wide_omega(z, psi2, 0.0)
     b1 = psi2 * rho - rho - 1.0
@@ -392,7 +433,7 @@ def optimal_lambda(
     def profile(lb: float) -> float:
         if lb <= 0.0:
             return risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)
-        return risk_general(rho, zeta_sq, psi1, psi2, lb).risk_at(rho)
+        return risk_general(zeta_sq, psi1, psi2, lb).risk_at(rho)
 
     grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
     values = [profile(lb) for lb in grid]

@@ -49,6 +49,13 @@ class InconsistentChi(RuntimeError):
     """The reconstructed pair does not multiply back to the supplied chi."""
 
 
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first of values that is not finite and > 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 @dataclass(frozen=True)
 class SpectralParams:
     """Shape ratios and activation amplitude ratio defining one model family.
@@ -62,10 +69,7 @@ class SpectralParams:
     psi2: float
 
     def __post_init__(self):
-        for name in ("zeta_sq", "psi1", "psi2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        require_positive(zeta_sq=self.zeta_sq, psi1=self.psi1, psi2=self.psi2)
 
     def swapped(self) -> "SpectralParams":
         return SpectralParams(self.zeta_sq, self.psi2, self.psi1)

@@ -1,8 +1,13 @@
 """Shared fixtures."""
 
 import pytest
+from hypothesis import settings
 
 import rfridge._blas
+
+# the same examples on every run, so two runs of the suite agree
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

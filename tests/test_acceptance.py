@@ -31,7 +31,6 @@ from rfridge.risk import (
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.risk import test_error as theory_test_error
 from rfridge.selfconsistent import SpectralParams, chi_scalar_oracle, solve_at
 from rfridge.simulate import (
     SimConfig,
@@ -148,19 +147,19 @@ def test_criterion_3_limit_consistency(capsys):
             while abs(psi1 - psi2) < 0.1:
                 psi1 = 10.0 ** rng.uniform(-1.0, 1.0)
                 psi2 = 10.0 ** rng.uniform(-1.0, 1.0)
-            gen = risk_general(rho, z, psi1, psi2, 1e-8)
+            gen = risk_general(z, psi1, psi2, 1e-8)
             rless = risk_ridgeless(z, psi1, psi2)
             assert _rel_gap(gen.bias_B, rless.bias_B) <= 1e-4
             assert _rel_gap(gen.var_V, rless.var_V) <= 1e-4
 
             psi2_w = 10.0 ** rng.uniform(-1.0, 1.0)
-            gen = risk_general(rho, z, 1e6, psi2_w, lb)
+            gen = risk_general(z, 1e6, psi2_w, lb)
             wide = risk_wide(z, psi2_w, lb)
             assert _rel_gap(gen.bias_B, wide.bias_B) <= 1e-3
             assert _rel_gap(gen.var_V, wide.var_V) <= 1e-3
 
             psi1_l = 10.0 ** rng.uniform(-1.0, 1.0)
-            gen = risk_general(rho, z, psi1_l, 1e6, lb)
+            gen = risk_general(z, psi1_l, 1e6, lb)
             lsamp = risk_large_sample(z, psi1_l, lb)
             assert _rel_gap(gen.bias_B, lsamp.bias_B) <= 1e-3
             assert gen.var_V <= 1e-3
@@ -241,13 +240,13 @@ def test_criterion_6_double_descent_reproduction(capsys):
                 n_test=6000,
             )
             agg = aggregate(run_trials(config, threads=THREADS))
-            theory = theory_test_error(target, Z2, config.psi1_d, config.psi2_d, LAM_BAR)
+            theory = risk_general(Z2, config.psi1_d, config.psi2_d, LAM_BAR).test_error(target)
             tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
             assert abs(agg.test_error_mean - theory) <= tol
 
         grid = np.geomspace(0.5, 10.0, 161)
         curve = np.array(
-            [theory_test_error(target, Z2, p, 3.0, LAM_BAR) for p in grid]
+            [risk_general(Z2, p, 3.0, LAM_BAR).test_error(target) for p in grid]
         )
         peaks = [
             i
@@ -282,9 +281,9 @@ def test_criterion_7_equivalence_targets(capsys):
                     seed=11,
                 )
                 agg = aggregate(run_trials(config, threads=THREADS))
-                theory = theory_test_error(
-                    spec, Z2, config.psi1_d, config.psi2_d, LAM_BAR
-                )
+                theory = risk_general(
+                    Z2, config.psi1_d, config.psi2_d, LAM_BAR
+                ).test_error(spec)
                 tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
                 assert abs(agg.test_error_mean - theory) <= tol
 
@@ -307,7 +306,7 @@ def test_criterion_8_gaussian_covariates_equivalence(capsys):
                 model="gaussian_covariates",
             )
             agg = aggregate(run_trials(config, threads=THREADS))
-            theory = theory_test_error(spec, Z2, config.psi1_d, config.psi2_d, LAM_BAR)
+            theory = risk_general(Z2, config.psi1_d, config.psi2_d, LAM_BAR).test_error(spec)
             tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
             assert abs(agg.test_error_mean - theory) <= tol
 

@@ -23,7 +23,7 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
-from rfridge.risk import TargetSpec, test_error as theory_test_error, theory_point
+from rfridge.risk import TargetSpec, risk_general, theory_point
 from rfridge.selfconsistent import SpectralParams
 from test_selfconsistent import _chi_50_digits
 
@@ -316,9 +316,16 @@ def test_theory_test_error_cell_is_the_library_value(capsys):
         capsys,
     )
     assert code == 0
-    rec = read_records(out, from_text=True)[0]
-    target = TargetSpec(f1_sq=1.0, fstar_sq=0.2, tau_sq=0.5)
-    assert rec["theory_test_error"] == theory_test_error(target, 1.0, 2.0, 3.0, 0.1)
+    code, compare_out, _ = run_cli(["compare"] + SIM_ARGS + ["--threads", "1"], capsys)
+    assert code == 0
+    rows = read_records(out, from_text=True) + read_records(compare_out, from_text=True)
+    assert [r["command"] for r in rows] == ["theory", "compare"]
+    for rec in rows:
+        target = TargetSpec(f1_sq=rec["f1_sq"], fstar_sq=rec["fstar_sq"], tau_sq=rec["tau_sq"])
+        dec = risk_general(rec["zeta_sq"], rec["psi1"], rec["psi2"], rec["lambda_bar"])
+        assert rec["theory_test_error"] == dec.test_error(target)
+        assert rec["theory_train_error"] == dec.train_error(target)
+        assert rec["theory_norm_msq"] == dec.norm_msq(target)
 
 
 def test_theory_without_rho_reports_factors_only(capsys):
@@ -333,15 +340,44 @@ def test_theory_without_rho_reports_factors_only(capsys):
     assert math.isnan(rec["theory_risk_R"])
 
 
-def test_theory_rejects_mixed_parametrizations(capsys):
-    code, _, err = run_cli(
-        ["theory", "--variant", "general", "--activation", "relu", "--d", "200",
-         "--n", "600", "--N", "400", "--lambda", "1e-3", "--psi1", "2",
-         "--rho", "2"],
+@pytest.mark.parametrize("shape, message", [
+    pytest.param(["--d", "200", "--n", "600", "--N", "400", "--lambda", "1e-3", "--psi1", "2"],
+                 "not both", id="mixed"),
+    pytest.param(["--n", "300", "--lambda", "1e-3", "--sweep", "psi1", "--grid", "1,2"],
+                 "--d >= 1, got None", id="no-d-psi1-sweep"),
+    pytest.param(["--N", "300", "--lambda", "1e-3", "--sweep", "psi2", "--grid", "1,2"],
+                 "--d >= 1, got None", id="no-d-psi2-sweep"),
+    pytest.param(["--d", "0", "--n", "300", "--N", "300", "--lambda", "1e-3"],
+                 "--d >= 1, got 0", id="d-0"),
+])
+def test_theory_rejects_bad_shape_flags(shape, message, capsys):
+    code, out, err = run_cli(
+        ["theory", "--variant", "general", "--activation", "relu", *shape, "--rho", "2"],
         capsys,
     )
     assert code == 2
-    assert "not both" in err
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["theory", "--variant", "ridgeless", "--zeta-sq", "1", "--psi1", "-1", "--psi2", "2"],
+     "psi1"),
+    (["theory", "--variant", "wide", "--zeta-sq", "1", "--psi2", "-3", "--lambda-bar", "0.1"],
+     "psi2"),
+    (["theory", "--variant", "ridgeless", "--zeta-sq", "nan", "--psi1", "2", "--psi2", "3"],
+     "zeta_sq"),
+    (["theory", "--variant", "lsamp", "--zeta-sq", "-1", "--psi1", "2", "--lambda-bar", "0.1"],
+     "zeta_sq"),
+    (["phase", "--zeta-sq", "1", "--psi2", "-3"], "psi2"),
+    (["phase", "--zeta-sq", "-1", "--psi2", "3"], "zeta_sq"),
+])
+def test_closed_forms_reject_bad_shapes(argv, name, capsys):
+    # the closed forms apply the rule of the general solve: finite and > 0
+    code, out, err = run_cli(argv + ["--rho", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be finite and positive" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from rfridge.risk import (
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
-    test_error as theory_test_error,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,
@@ -43,31 +42,28 @@ REF_RHO_STAR = 2.7519383938841087  # relu zeta_sq, any psi2
 
 
 def test_general_frozen_decomposition():
-    dec = risk_general(2.0, 1.0, 2.0, 3.0, 0.1)
+    dec = risk_general(1.0, 2.0, 3.0, 0.1)
     assert dec.bias_B == pytest.approx(REF_B, rel=1e-10)
     assert dec.var_V == pytest.approx(REF_V, rel=1e-10)
-    assert dec.risk_R == pytest.approx(REF_R_RHO2, rel=1e-10)
+    assert dec.risk_at(2.0) == pytest.approx(REF_R_RHO2, rel=1e-10)
     assert not dec.threshold_singular
 
 
 def test_general_rho_endpoints():
-    dec0 = risk_general(0.0, 1.0, 2.0, 3.0, 0.1)
-    assert dec0.risk_R == pytest.approx(dec0.var_V, rel=1e-14)
-    dec_inf = risk_general(INF, 1.0, 2.0, 3.0, 0.1)
-    assert dec_inf.risk_R == pytest.approx(dec_inf.bias_B, rel=1e-14)
+    dec = risk_general(1.0, 2.0, 3.0, 0.1)
+    assert dec.risk_at(0.0) == pytest.approx(dec.var_V, rel=1e-14)
+    assert dec.risk_at(INF) == pytest.approx(dec.bias_B, rel=1e-14)
 
 
 def test_general_validates_inputs():
     with pytest.raises(ValueError):
-        risk_general(1.0, 1.0, 2.0, 3.0, 0.0)
+        risk_general(1.0, 2.0, 3.0, 0.0)
     with pytest.raises(ValueError):
-        risk_general(1.0, 1.0, 2.0, 3.0, -0.5)
-    with pytest.raises(ValueError):
-        risk_general(-1.0, 1.0, 2.0, 3.0, 0.1)
+        risk_general(1.0, 2.0, 3.0, -0.5)
 
 
 def test_risk_at_validates_rho():
-    dec = RiskDecomposition(bias_B=1.0, var_V=2.0)
+    dec = RiskDecomposition(1.0, 2.0, math.nan, math.nan, math.nan, math.nan)
     with pytest.raises(ValueError):
         dec.risk_at(-0.5)
     assert dec.risk_at(0.0) == 2.0
@@ -87,36 +83,32 @@ def test_target_spec_validation():
     with pytest.raises(ValueError):
         TargetSpec(f1_sq=0.0)
     with pytest.raises(ValueError):
-        TargetSpec(f1_sq=1.0, tau_sq=0.5, rho=3.0)
-    with pytest.raises(ValueError):
         TargetSpec(f1_sq=-1.0, tau_sq=0.5)
-    # a consistent explicit rho is accepted
-    assert TargetSpec(f1_sq=1.0, tau_sq=0.5, rho=2.0).rho == 2.0
 
 
 def test_test_error_frozen_value():
     lam_bar = 1e-3 / RELU_MU_STAR_SQ
     target = TargetSpec(f1_sq=1.0, fstar_sq=0.0, tau_sq=0.5)
-    err = theory_test_error(target, RELU_ZETA_SQ, 6.0, 3.0, lam_bar)
+    err = risk_general(RELU_ZETA_SQ, 6.0, 3.0, lam_bar).test_error(target)
     assert err == pytest.approx(REF_TEST_ERROR, rel=1e-10)
 
 
 def test_test_error_reduces_to_weighted_risk_without_fstar():
     target = TargetSpec(f1_sq=1.0, tau_sq=0.5)
-    dec = risk_general(target.rho, 1.0, 2.0, 3.0, 0.1)
-    err = theory_test_error(target, 1.0, 2.0, 3.0, 0.1)
+    dec = risk_general(1.0, 2.0, 3.0, 0.1)
+    err = dec.test_error(target)
     assert err == pytest.approx(1.5 * dec.risk_at(2.0), rel=1e-12)
 
 
 def test_test_error_offsets_by_unlearnable_power():
     target = TargetSpec(f1_sq=0.0, fstar_sq=2.0)
-    dec = risk_general(0.0, 1.0, 2.0, 3.0, 0.1)
-    err = theory_test_error(target, 1.0, 2.0, 3.0, 0.1)
+    dec = risk_general(1.0, 2.0, 3.0, 0.1)
+    err = dec.test_error(target)
     assert err == pytest.approx(2.0 * dec.var_V + 2.0, rel=1e-12)
 
 
 def test_general_approaches_ridgeless():
-    dec = risk_general(2.0, RELU_ZETA_SQ, 1.0, 3.0, 1e-8)
+    dec = risk_general(RELU_ZETA_SQ, 1.0, 3.0, 1e-8)
     ref = risk_ridgeless(RELU_ZETA_SQ, 1.0, 3.0)
     assert dec.bias_B == pytest.approx(ref.bias_B, rel=1e-4)
     assert dec.var_V == pytest.approx(ref.var_V, rel=1e-4)
@@ -168,11 +160,13 @@ def test_wide_frozen_values():
     dec = risk_wide(RELU_ZETA_SQ, 10.0, 0.05)
     assert dec.bias_B == pytest.approx(REF_WIDE_B, rel=1e-12)
     assert dec.var_V == pytest.approx(REF_WIDE_V, rel=1e-12)
-    assert dec.risk_R is None
+    # the closed forms carry no training factors
+    target = TargetSpec(1.0)
+    assert math.isnan(dec.train_error(target)) and math.isnan(dec.norm_msq(target))
 
 
 def test_wide_matches_general_at_large_width():
-    dec = risk_general(2.0, RELU_ZETA_SQ, 1e6, 3.0, 0.3)
+    dec = risk_general(RELU_ZETA_SQ, 1e6, 3.0, 0.3)
     ref = risk_wide(RELU_ZETA_SQ, 3.0, 0.3)
     assert dec.bias_B == pytest.approx(ref.bias_B, rel=1e-3)
     assert dec.var_V == pytest.approx(ref.var_V, rel=1e-3)
@@ -193,7 +187,7 @@ def test_large_sample_frozen_values():
 
 
 def test_large_sample_matches_general_at_many_samples():
-    dec = risk_general(INF, RELU_ZETA_SQ, 2.0, 1e6, 0.5)
+    dec = risk_general(RELU_ZETA_SQ, 2.0, 1e6, 0.5)
     ref = risk_large_sample(RELU_ZETA_SQ, 2.0, 0.5)
     assert dec.bias_B == pytest.approx(ref.bias_B, rel=1e-3)
     assert dec.var_V <= 1e-3
@@ -312,13 +306,13 @@ def test_optimal_lambda_validates_lambda_max():
 )
 def test_decomposition_factors_nonnegative(log_z, log_p1, log_p2, log_lam):
     dec = risk_general(
-        1.0, math.exp(log_z), math.exp(log_p1), math.exp(log_p2), math.exp(log_lam)
+        math.exp(log_z), math.exp(log_p1), math.exp(log_p2), math.exp(log_lam)
     )
     if not dec.threshold_singular:
         assert dec.bias_B > 0.0
         assert dec.var_V >= -1e-12
         lo, hi = sorted((dec.bias_B, dec.var_V))
-        assert lo - 1e-12 <= dec.risk_R <= hi + 1e-12
+        assert lo - 1e-12 <= dec.risk_at(1.0) <= hi + 1e-12
 
 
 # |nu| ~ psi / |xi| is large at these points, so an absolute 1e-12 map residual
@@ -329,9 +323,9 @@ def test_decomposition_factors_nonnegative(log_z, log_p1, log_p2, log_lam):
     (0.01, 1.0, 3.0, 0.992646),
 ])
 def test_tiny_penalty_with_large_nu_reaches_the_ridgeless_risk(zeta_sq, psi1, psi2, ridgeless_R):
-    dec = risk_general(1.0, zeta_sq, psi1, psi2, 1e-9)
-    assert dec.risk_R == pytest.approx(ridgeless_R, abs=1e-6)
-    assert dec.risk_R == pytest.approx(
+    dec = risk_general(zeta_sq, psi1, psi2, 1e-9)
+    assert dec.risk_at(1.0) == pytest.approx(ridgeless_R, abs=1e-6)
+    assert dec.risk_at(1.0) == pytest.approx(
         risk_ridgeless(zeta_sq, psi1, psi2).risk_at(1.0), rel=1e-6
     )
 
@@ -341,20 +335,20 @@ def test_tiny_shape_ratio_is_not_the_interpolation_threshold(psi1, psi2):
     # E0, E1 and E2 all scale with min(psi1, psi2), so only E0's own terms
     # tell whether it cancels; the limit of no samples or no features is
     # B = 1, V = 0, as at a shape ratio of 1e-11
-    dec = risk_general(2.0, RELU_ZETA_SQ, psi1, psi2, 0.01)
+    dec = risk_general(RELU_ZETA_SQ, psi1, psi2, 0.01)
     assert not dec.threshold_singular
     assert dec.bias_B == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= dec.var_V <= 1e-9
-    assert dec.risk_R == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert dec.risk_at(2.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_huge_penalty_reaches_the_null_predictor():
     # at lambda_bar = 1e60 the quartic's coefficients span ~1e61 and eigvals
     # returns its tiny root as 0.0; Newton on the quartic restores chi ~ -1e-60
-    dec = risk_general(2.0, RELU_ZETA_SQ, 2.0, 3.0, 1e60)
+    dec = risk_general(RELU_ZETA_SQ, 2.0, 3.0, 1e60)
     assert dec.bias_B == pytest.approx(1.0, rel=1e-12)
     assert 0.0 <= dec.var_V <= 1e-12
-    assert dec.risk_R == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert dec.risk_at(2.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def _assert_first_order(limit, general, near, far):
@@ -386,7 +380,7 @@ def test_general_risk_tends_to_ridgeless_as_the_penalty_vanishes(log_z, log_p1, 
     z, psi1 = math.exp(log_z), math.exp(log_p1)
     psi2 = psi1 * math.exp(-log_ratio if wider else log_ratio)
     _assert_first_order(risk_ridgeless(z, psi1, psi2),
-                        lambda lb: risk_general(1.0, z, psi1, psi2, lb), 1e-6, 1e-8)
+                        lambda lb: risk_general(z, psi1, psi2, lb), 1e-6, 1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,7 +388,7 @@ def test_general_risk_tends_to_ridgeless_as_the_penalty_vanishes(log_z, log_p1, 
 def test_general_risk_tends_to_the_wide_limit(log_z, log_p2, log_lam):
     z, psi2, lb = math.exp(log_z), math.exp(log_p2), math.exp(log_lam)
     _assert_first_order(risk_wide(z, psi2, lb),
-                        lambda psi1: risk_general(1.0, z, psi1, psi2, lb), 1e5, 1e7)
+                        lambda psi1: risk_general(z, psi1, psi2, lb), 1e5, 1e7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,4 +396,4 @@ def test_general_risk_tends_to_the_wide_limit(log_z, log_p2, log_lam):
 def test_general_risk_tends_to_the_large_sample_limit(log_z, log_p1, log_lam):
     z, psi1, lb = math.exp(log_z), math.exp(log_p1), math.exp(log_lam)
     _assert_first_order(risk_large_sample(z, psi1, lb),
-                        lambda psi2: risk_general(1.0, z, psi1, psi2, lb), 1e5, 1e7)
+                        lambda psi2: risk_general(z, psi1, psi2, lb), 1e5, 1e7)

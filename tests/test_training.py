@@ -1,6 +1,7 @@
 """Training-objective and coefficient-norm asymptotics."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfridge.risk
-from rfridge.risk import ChiDisagreement, risk_general, theory_point
+from rfridge.risk import (
+    ChiDisagreement,
+    TargetSpec,
+    ThresholdSingularity,
+    risk_general,
+    risk_ridgeless,
+    theory_point,
+)
 from rfridge.selfconsistent import SpectralParams, solve_at
-from rfridge.training import TrainingAsymptotics, training_at, training_theory
+from rfridge.training import TrainingAsymptotics, training_theory
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -90,21 +98,41 @@ def test_validates_inputs():
         training_theory(-1.0, 1.0, 2.0, 3.0, 0.1)
 
 
-def test_training_at_reuses_a_solved_point():
-    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
-    assert training_at(point, 2.0, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR) == training_theory(
-        2.0, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR
+@pytest.mark.parametrize("target", [
+    TargetSpec(0.0, fstar_sq=0.3, tau_sq=0.5),
+    TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5),
+    TargetSpec(1.5),
+], ids=["rho-0", "rho-finite", "rho-inf"])
+def test_train_and_norm_weigh_the_training_theory(target):
+    dec = risk_general(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
+    asym = training_theory(target.rho, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
+    assert dec.train_error(target) == pytest.approx(
+        target.total_power * asym.L, rel=1e-14, abs=0.0
     )
+    assert dec.norm_msq(target) == pytest.approx(target.total_power * asym.A, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("quantity", [risk_general, training_theory])
+def test_threshold_decomposition_has_no_training_error():
+    dec = risk_ridgeless(1.0, 2.0, 2.0)
+    target = TargetSpec(1.0, tau_sq=0.5)
+    assert dec.threshold_singular
+    assert dec.test_error(target) == math.inf
+    for quantity in (dec.train_error, dec.norm_msq):
+        with pytest.raises(ThresholdSingularity):
+            quantity(target)
+
+
+@pytest.mark.parametrize("quantity", [
+    pytest.param(risk_general, id="risk_general"),
+    pytest.param(partial(training_theory, 2.0), id="training_theory"),
+])
 def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
     oracle = rfridge.risk.chi_scalar_oracle
     monkeypatch.setattr(
         rfridge.risk, "chi_scalar_oracle", lambda params, lb: oracle(params, lb) * (1.0 + 1e-6)
     )
     with pytest.raises(ChiDisagreement):
-        quantity(2.0, 1.0, 2.0, 3.0, 0.1)
+        quantity(1.0, 2.0, 3.0, 0.1)
 
 
 @pytest.mark.parametrize("lambda_bar", [1e-9, LAM_BAR, 1e3], ids=["tiny", "relu-1e-3", "large"])
@@ -116,7 +144,7 @@ def test_theory_values_are_python_numbers(lambda_bar):
     assert type(point.residual) is float
     out = training_theory(2.0, RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
     assert type(out.L) is float and type(out.A) is float
-    dec = risk_general(2.0, RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
+    dec = risk_general(RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
     assert type(dec.bias_B) is float and type(dec.var_V) is float
 
 
