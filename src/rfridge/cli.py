@@ -11,10 +11,12 @@ join cleanly:
 
 Shape parameters are given either as finite sizes (--d --n --N --lambda) or as
 asymptotic ratios (--psi1 --psi2 --lambda-bar); mixing the two groups is an
-error.  The penalty conversion lambda_bar = lambda / mu_star_sq happens here,
-at the CLI boundary, exactly once; in asymptotic mode the regularization axis
-already is lambda_bar.  Exit codes: 0 success, 2 argument or domain error,
-3 numerical failure, 4 invariant violation.
+error.  Every sweeping subcommand expands its sweep through one grid function,
+_grid, and fills the shape, rho and target-power cells of a row through
+_point_cells.  The penalty conversion lambda_bar = lambda / mu_star_sq happens
+there, at the CLI boundary, exactly once; in asymptotic mode the regularization
+axis already is lambda_bar.  Exit codes: 0 success, 2 argument, file or domain
+error, 3 numerical failure, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,6 +147,7 @@ OutputRecord = dict
 
 
 def new_record(columns=COLUMNS, **fields) -> OutputRecord:
+    """A record of columns holding fields; a field given as None stays unknown."""
     rec = {c: NAN for c in columns}
     for c in ("command", "variant", "model", "target", "activation", "verdict"):
         if c in rec:
@@ -154,7 +156,8 @@ def new_record(columns=COLUMNS, **fields) -> OutputRecord:
     for k, v in fields.items():
         if k not in rec:
             raise KeyError(f"unknown column {k!r}")
-        rec[k] = v
+        if v is not None:
+            rec[k] = v
     return rec
 
 
@@ -205,9 +208,12 @@ def write_records(records, columns, fmt: str, out_path: str | None) -> None:
     text = buffer.getvalue()
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
 
 
 def read_records(path_or_text: str, from_text: bool = False) -> list[OutputRecord]:
@@ -255,45 +261,40 @@ def records_equal(a: OutputRecord, b: OutputRecord) -> bool:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid for the swept parameter, strictly increasing."""
+# the grid-point key and flag each swept parameter sets: with finite sizes, then
+# with ratios.  With finite sizes a swept psi1 or psi2 resizes N or n at fixed d.
+_SWEEPS = {
+    "psi1": (("N", "--N"), ("psi1", "--psi1")),
+    "psi2": (("n", "--n"), ("psi2", "--psi2")),
+    "lambda": (("lam", "--lambda"), ("lambda_bar", "--lambda-bar")),
+    "rho": (("rho", "--rho"), ("rho", "--rho")),
+}
 
-    param: str
-    values: tuple[float, ...]
 
-    PARAMS = ("psi1", "psi2", "lambda", "rho")
-
-    def __post_init__(self):
-        if self.param not in self.PARAMS:
-            raise ValueError(f"swept parameter must be one of {self.PARAMS}, got {self.param!r}")
-        if len(self.values) == 0:
-            raise ValueError("sweep grid is empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"sweep grid must be strictly increasing, got {self.values}")
-
-    @classmethod
-    def from_args(cls, args) -> "SweepSpec | None":
-        if args.sweep is None:
-            if any(v is not None for v in (args.grid, args.min, args.max, args.points)):
-                raise ValueError("--grid/--min/--max/--points given without --sweep")
-            return None
-        if args.grid is not None:
-            if args.min is not None or args.max is not None or args.points is not None:
-                raise ValueError("give either --grid or --min/--max/--points, not both")
-            values = tuple(float(tok) for tok in args.grid.split(","))
+def _sweep_values(args) -> tuple[float, ...] | None:
+    """The --sweep grid as Python floats, strictly increasing; None without --sweep."""
+    if args.sweep is None:
+        if any(v is not None for v in (args.grid, args.min, args.max, args.points)):
+            raise ValueError("--grid/--min/--max/--points given without --sweep")
+        return None
+    if args.grid is not None:
+        if args.min is not None or args.max is not None or args.points is not None:
+            raise ValueError("give either --grid or --min/--max/--points, not both")
+        values = tuple(float(tok) for tok in args.grid.split(","))
+    else:
+        if args.min is None or args.max is None or args.points is None:
+            raise ValueError("a sweep needs --grid or all of --min/--max/--points")
+        if args.points < 1:
+            raise ValueError(f"--points must be >= 1, got {args.points}")
+        if args.spacing == "log":
+            if args.min <= 0:
+                raise ValueError("log spacing needs --min > 0")
+            values = tuple(float(v) for v in np.geomspace(args.min, args.max, args.points))
         else:
-            if args.min is None or args.max is None or args.points is None:
-                raise ValueError("a sweep needs --grid or all of --min/--max/--points")
-            if args.points < 1:
-                raise ValueError(f"--points must be >= 1, got {args.points}")
-            if args.spacing == "log":
-                if args.min <= 0:
-                    raise ValueError("log spacing needs --min > 0")
-                values = tuple(float(v) for v in np.geomspace(args.min, args.max, args.points))
-            else:
-                values = tuple(float(v) for v in np.linspace(args.min, args.max, args.points))
-        return cls(param=args.sweep, values=values)
+            values = tuple(float(v) for v in np.linspace(args.min, args.max, args.points))
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"sweep grid must be strictly increasing, got {values}")
+    return values
 
 
 def _add_output_opts(p):
@@ -323,7 +324,7 @@ def _add_shape_opts(p):
 
 
 def _add_sweep_opts(p):
-    p.add_argument("--sweep", choices=SweepSpec.PARAMS, default=None)
+    p.add_argument("--sweep", choices=tuple(_SWEEPS), default=None)
     p.add_argument("--grid", default=None, help="comma-separated values for the swept parameter")
     p.add_argument("--min", type=float, default=None)
     p.add_argument("--max", type=float, default=None)
@@ -342,16 +343,26 @@ def parse_activation(args) -> Activation:
     if spec == "custom":
         if args.expr_file is None:
             raise ValueError("--activation custom needs --expr-file")
-        with open(args.expr_file, encoding="utf-8") as fh:
-            expr = fh.read().strip()
-        code = compile(expr, args.expr_file, "eval")
+        try:
+            with open(args.expr_file, encoding="utf-8") as fh:
+                expr = fh.read().strip()
+        except OSError as exc:
+            raise ValueError(f"cannot read --expr-file: {exc}") from exc
+        try:
+            code = compile(expr, args.expr_file, "eval")
+        except SyntaxError as exc:
+            raise ValueError(f"--expr-file {args.expr_file} is not an expression: {exc.msg}") from exc
         breakpoints = ()
-        if getattr(args, "breakpoints", None):
+        if args.breakpoints:
             breakpoints = tuple(float(t) for t in args.breakpoints.split(","))
-        return Activation.custom(
-            lambda u, _code=code: eval(_code, {"np": np, "math": math, "u": u}),
-            breakpoints=breakpoints,
-        )
+
+        def evaluate(u):
+            try:
+                return eval(code, {"np": np, "math": math, "u": u})
+            except NameError as exc:
+                raise ValueError(f"--expr-file {args.expr_file}: {exc}") from exc
+
+        return Activation.custom(evaluate, breakpoints=breakpoints)
     raise ValueError(f"unknown activation {spec!r}")
 
 
@@ -372,7 +383,8 @@ def _threads(args, parser) -> int:
     return _blas.cores()
 
 
-def _mode(args, parser, command: str) -> str:
+def _finite(args, parser, command: str) -> bool:
+    """True for finite sizes (--d --n --N --lambda), False for ratios."""
     finite = [args.d, args.n, args.N, args.lam]
     asym = [args.psi1, args.psi2, args.lambda_bar]
     has_finite = any(v is not None for v in finite)
@@ -388,12 +400,79 @@ def _mode(args, parser, command: str) -> str:
         # every grid point divides by d or scales it
         _require(parser, args.d is not None and args.d >= 1,
                  f"finite sizes need --d >= 1, got {args.d}")
-    return "finite" if has_finite else "asym"
+    return has_finite
 
 
 def _require(parser, cond: bool, message: str):
     if not cond:
         parser.error(message)
+
+
+def _grid(args, parser, finite: bool, sweepable, refusal: str = "", required=()) -> list[dict]:
+    """Every grid point's parameters: the flags as given, the swept one set to its value.
+
+    A point holds d, n, N, lam and rho with finite sizes and psi1, psi2,
+    lambda_bar and rho with ratios; a flag that was not given (or that the
+    command lacks) is None.  Sweeping a parameter outside sweepable fails with
+    refusal, giving the flag of the swept parameter fails, and so does leaving
+    out the flag of a parameter in required that is not swept.
+    """
+    values = _sweep_values(args)
+    sets = {param: keys[0 if finite else 1] for param, keys in _SWEEPS.items()}
+    given = vars(args)
+    point = {key: given.get(key) for key, _ in sets.values()}
+    if finite:
+        point["d"] = args.d
+    if values is not None:
+        _require(parser, args.sweep in sweepable, refusal)
+        key, flag = sets[args.sweep]
+        _require(parser, point[key] is None, f"{flag} conflicts with sweeping {args.sweep}")
+    for param in required:
+        key, flag = sets[param]
+        _require(parser, point[key] is not None or param == args.sweep,
+                 f"{flag} is required (or sweep {param})")
+    if values is None:
+        return [point]
+    key = sets[args.sweep][0]
+    if key in ("N", "n"):
+        values = [int(round(v * args.d)) for v in values]
+    return [{**point, key: v} for v in values]
+
+
+def _zeta_sq_or_activation(args, parser, finite: bool = False):
+    """(activation, zeta_sq, mu_star_sq): from --zeta-sq if given, else the activation.
+
+    --zeta-sq leaves no activation and mu_star_sq nan, so only ratios can use it.
+    """
+    if vars(args).get("zeta_sq") is not None:
+        _require(parser, not finite,
+                 "--zeta-sq only makes sense with ratio flags; finite sizes need an "
+                 "activation for the penalty conversion")
+        return None, args.zeta_sq, NAN
+    _require(parser, args.activation is not None, f"{args.command} needs --zeta-sq or --activation")
+    activation = parse_activation(args)
+    stats = hermite_stats(activation, order=args.order)
+    return activation, stats.zeta_sq, stats.mu_star_sq
+
+
+def _point_cells(point, mu_star_sq: float, powers: TargetSpec | None) -> dict:
+    """The shape, rho and target-power cells of one grid point; None where unknown.
+
+    Finite sizes give psi1 = N/d, psi2 = n/d and lambda_bar = lambda / mu_star_sq.
+    rho is the swept or given --rho, else the powers' own.
+    """
+    if "d" in point:
+        d, n, N, lam = point["d"], point["n"], point["N"], point["lam"]
+        cells = {"d": d, "n": n, "N": N, "lambda": lam, "psi1": None if N is None else N / d,
+                 "psi2": n / d, "lambda_bar": lam / mu_star_sq}
+    else:
+        cells = {key: point[key] for key in ("psi1", "psi2", "lambda_bar")}
+    cells["rho"] = point["rho"]
+    if powers is not None:
+        if cells["rho"] is None:
+            cells["rho"] = powers.rho
+        cells.update(f1_sq=powers.f1_sq, fstar_sq=powers.fstar_sq, tau_sq=powers.tau_sq)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +499,14 @@ def cmd_stats(args, parser) -> int:
     return 0
 
 
-def _finite_point(args, sweep_param, value):
-    """Realized (d, n, N, lam) for one grid point in finite mode."""
-    d = args.d
-    n = args.n
-    N = args.N
-    lam = args.lam
-    if sweep_param == "psi1":
-        N = int(round(value * d))
-    elif sweep_param == "psi2":
-        n = int(round(value * d))
-    elif sweep_param == "lambda":
-        lam = value
-    return d, n, N, lam
-
-
-def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers):
+def _theory_cells(rec, parser, cells, powers):
     """Fill the theory_* cells of one row from one library decomposition.
 
+    cells holds the row's psi1, psi2, lambda_bar and rho, None where not given.
     R needs rho; test error, training error and norm need the target powers.
     """
+    variant, zeta_sq = rec["variant"], rec["zeta_sq"]
+    psi1, psi2, lambda_bar = cells["psi1"], cells["psi2"], cells["lambda_bar"]
     if variant == "general":
         _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
                  "general variant needs psi1, psi2 and the penalty")
@@ -459,8 +526,8 @@ def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, po
 
     rec["theory_bias_B"] = dec.bias_B
     rec["theory_var_V"] = dec.var_V
-    if rho is not None:
-        rec["theory_risk_R"] = dec.risk_at(rho)
+    if cells["rho"] is not None:
+        rec["theory_risk_R"] = dec.risk_at(cells["rho"])
     if powers is not None:
         rec["theory_test_error"] = dec.test_error(powers)
         if variant == "general":
@@ -469,22 +536,12 @@ def _theory_cells(rec, parser, variant, zeta_sq, psi1, psi2, lambda_bar, rho, po
 
 
 def cmd_theory(args, parser) -> int:
-    mode = _mode(args, parser, "theory")
-    sweep = SweepSpec.from_args(args)
-    if sweep is not None and sweep.param == "rho" and args.rho is not None:
-        parser.error("--rho conflicts with sweeping rho")
-
-    if args.zeta_sq is not None:
-        _require(parser, mode == "asym",
-                 "--zeta-sq only makes sense with ratio flags; finite sizes need an "
-                 "activation for the penalty conversion")
-        zeta_sq, mu_star_sq = args.zeta_sq, NAN
-        act_label = ""
-    else:
-        activation = parse_activation(args)
-        stats = hermite_stats(activation, order=args.order)
-        zeta_sq, mu_star_sq = stats.zeta_sq, stats.mu_star_sq
-        act_label = activation.label()
+    finite = _finite(args, parser, "theory")
+    # the wide limit has no N
+    required = ("psi2", "lambda") if args.variant == "wide" else ("psi2", "psi1", "lambda")
+    points = _grid(args, parser, finite, tuple(_SWEEPS), required=required if finite else ())
+    activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser, finite)
+    label = "" if activation is None else activation.label()
 
     powers = None
     if args.f1_sq is not None or args.fstar_sq is not None or args.tau_sq_theory is not None:
@@ -494,56 +551,19 @@ def cmd_theory(args, parser) -> int:
             tau_sq=args.tau_sq_theory or 0.0,
         )
 
-    grid = sweep.values if sweep is not None else (None,)
     records = []
-    for value in grid:
-        rho = args.rho
-        if sweep is not None and sweep.param == "rho":
-            rho = value
-        elif rho is None and powers is not None:
-            rho = powers.rho
+    for point in points:
+        cells = _point_cells(point, mu_star_sq, powers)
         rec = new_record(
             COLUMNS,
             command="theory",
             variant=args.variant,
-            activation=act_label,
+            activation=label,
             zeta_sq=zeta_sq,
             mu_star_sq=mu_star_sq,
-            rho=rho if rho is not None else NAN,
-            seed=NAN,
+            **cells,
         )
-        if powers is not None:
-            rec["f1_sq"] = powers.f1_sq
-            rec["fstar_sq"] = powers.fstar_sq
-            rec["tau_sq"] = powers.tau_sq
-
-        if mode == "finite":
-            sweep_param = sweep.param if sweep is not None else None
-            d, n, N, lam = _finite_point(args, sweep_param, value)
-            _require(parser, n is not None, "--n is required (or sweep psi2)")
-            _require(parser, N is not None or args.variant == "wide",
-                     "--N is required (or sweep psi1)")
-            _require(parser, lam is not None, "--lambda is required (or sweep lambda)")
-            psi1 = N / d if N is not None else NAN
-            psi2 = n / d
-            lambda_bar = lam / mu_star_sq
-            rec.update({"d": d, "n": n, "lambda": lam})
-            if N is not None:
-                rec["N"] = N
-        else:
-            psi1, psi2, lambda_bar = args.psi1, args.psi2, args.lambda_bar
-            if sweep is not None:
-                if sweep.param == "psi1":
-                    psi1 = value
-                elif sweep.param == "psi2":
-                    psi2 = value
-                elif sweep.param == "lambda":
-                    lambda_bar = value
-        rec["psi1"] = psi1 if psi1 is not None else NAN
-        rec["psi2"] = psi2 if psi2 is not None else NAN
-        rec["lambda_bar"] = lambda_bar if lambda_bar is not None else NAN
-
-        _theory_cells(rec, parser, args.variant, zeta_sq, psi1, psi2, lambda_bar, rho, powers)
+        _theory_cells(rec, parser, cells, powers)
         records.append(rec)
     write_records(records, COLUMNS, args.format, args.out)
     return 0
@@ -557,87 +577,48 @@ def _target_from_args(args) -> TargetKind:
     return TargetKind(args.target)
 
 
-def _simulate_grid(args, parser, command):
-    _mode(args, parser, command)
-    sweep = SweepSpec.from_args(args)
-    if sweep is not None and sweep.param == "rho":
-        parser.error(f"{command} cannot sweep rho; sweep psi1, psi2 or lambda")
-    _require(parser, args.n is not None or (sweep and sweep.param == "psi2"),
-             "--n is required (or sweep psi2)")
-    _require(parser, args.N is not None or (sweep and sweep.param == "psi1"),
-             "--N is required (or sweep psi1)")
-    _require(parser, args.lam is not None or (sweep and sweep.param == "lambda"),
-             "--lambda is required (or sweep lambda)")
-    target = _target_from_args(args)
-    activation = parse_activation(args)
-    grid = sweep.values if sweep is not None else (None,)
-    sweep_param = sweep.param if sweep is not None else None
-    configs = []
-    for value in grid:
-        d, n, N, lam = _finite_point(args, sweep_param, value)
-        configs.append(
-            SimConfig(
-                d=d,
-                n=n,
-                N=N,
-                lam=lam,
-                activation=activation,
-                target=target,
-                tau_sq=args.tau_sq,
-                trials=args.trials,
-                seed=args.seed,
-                n_test=args.n_test,
-                model=args.model,
-            )
-        )
-    return configs, activation
-
-
 def _simulated_records(args, parser, command):
     """Per grid point: its record with the simulation cells, and its target powers."""
-    configs, activation = _simulate_grid(args, parser, command)
+    _finite(args, parser, command)
+    points = _grid(args, parser, True, ("psi1", "psi2", "lambda"),
+                   f"{command} cannot sweep rho; sweep psi1, psi2 or lambda",
+                   required=("psi2", "psi1", "lambda"))
+    target = _target_from_args(args)
+    activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
+    shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
+                  seed=args.seed, n_test=args.n_test, model=args.model)
+    configs = [SimConfig(d=p["d"], n=p["n"], N=p["N"], lam=p["lam"], **shared) for p in points]
     threads = _threads(args, parser)
-    stats = hermite_stats(activation, order=args.order)
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    for config, trials in zip(configs, run_trials(configs, threads)):
+    for point, config, trials in zip(points, configs, run_trials(configs, threads)):
         agg = aggregate(trials)
         powers = TargetSpec(
-            f1_sq=config.target.f1_sq,
+            f1_sq=target.f1_sq,
             fstar_sq=0.0 if config.model == "gaussian_covariates"
-            else nonlinear_power(config.target, config.d),
+            else nonlinear_power(target, config.d),
             tau_sq=config.tau_sq,
         )
-        rec = new_record(COLUMNS, command=command, activation=activation.label())
-        rec.update(
-            {
-                "model": config.model,
-                "target": config.target.name,
-                "d": config.d,
-                "n": config.n,
-                "N": config.N,
-                "lambda": config.lam,
-                "psi1": config.psi1_d,
-                "psi2": config.psi2_d,
-                "lambda_bar": config.lam / stats.mu_star_sq,
-                "zeta_sq": stats.zeta_sq,
-                "mu_star_sq": stats.mu_star_sq,
-                "f1_sq": powers.f1_sq,
-                "fstar_sq": powers.fstar_sq,
-                "tau_sq": powers.tau_sq,
-                "rho": powers.rho,
-                "trials": agg.n_trials,
-                "seed": config.seed,
-                "sim_test_error_mean": agg.test_error_mean,
-                "sim_test_error_sem": agg.test_error_sem,
-                "sim_train_error_mean": agg.train_error_mean,
-                "sim_train_error_sem": agg.train_error_sem,
-                "sim_penalty_mean": agg.penalty_mean,
-                "sim_penalty_sem": agg.penalty_sem,
-                "sim_norm_sq_mean": agg.coef_norm_sq_mean,
-                "sim_norm_sq_sem": agg.coef_norm_sq_sem,
-                "sim_norm_msq_mean": stats.mu_star_sq * agg.coef_norm_sq_mean,
-                "sim_norm_msq_sem": stats.mu_star_sq * agg.coef_norm_sq_sem,
-            }
+        rec = new_record(
+            COLUMNS,
+            command=command,
+            model=config.model,
+            target=target.name,
+            activation=activation.label(),
+            zeta_sq=zeta_sq,
+            mu_star_sq=mu_star_sq,
+            trials=agg.n_trials,
+            seed=config.seed,
+            sim_test_error_mean=agg.test_error_mean,
+            sim_test_error_sem=agg.test_error_sem,
+            sim_train_error_mean=agg.train_error_mean,
+            sim_train_error_sem=agg.train_error_sem,
+            sim_penalty_mean=agg.penalty_mean,
+            sim_penalty_sem=agg.penalty_sem,
+            sim_norm_sq_mean=agg.coef_norm_sq_mean,
+            sim_norm_sq_sem=agg.coef_norm_sq_sem,
+            sim_norm_msq_mean=mu_star_sq * agg.coef_norm_sq_mean,
+            sim_norm_msq_sem=mu_star_sq * agg.coef_norm_sq_sem,
+            **_point_cells(point, mu_star_sq, powers),
         )
         yield rec, powers
 
@@ -659,8 +640,7 @@ def cmd_compare(args, parser) -> int:
     for rec, powers in _simulated_records(args, parser, "compare"):
         general = rec["lambda"] > 0.0
         rec["variant"] = "general" if general else "ridgeless"
-        _theory_cells(rec, parser, rec["variant"], rec["zeta_sq"], rec["psi1"], rec["psi2"],
-                      rec["lambda_bar"], powers.rho, powers)
+        _theory_cells(rec, parser, rec, powers)
         # the ridgeless endpoint has no training theory to score against
         for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
             rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
@@ -670,25 +650,10 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_phase(args, parser) -> int:
-    if args.zeta_sq is None and args.activation is None:
-        parser.error("phase needs --zeta-sq or --activation")
-    if args.zeta_sq is not None:
-        zeta_sq = args.zeta_sq
-    else:
-        zeta_sq = hermite_stats(parse_activation(args), order=args.order).zeta_sq
-    sweep = SweepSpec.from_args(args)
-    if sweep is not None and sweep.param not in ("rho", "psi2"):
-        parser.error("phase sweeps rho or psi2 only")
-    grid = sweep.values if sweep is not None else (None,)
+    _, zeta_sq, _ = _zeta_sq_or_activation(args, parser)
     records = []
-    for value in grid:
-        rho = args.rho
-        psi2 = args.psi2
-        if sweep is not None:
-            if sweep.param == "rho":
-                rho = value
-            else:
-                psi2 = value
+    for point in _grid(args, parser, False, ("rho", "psi2"), "phase sweeps rho or psi2 only"):
+        rho, psi2 = point["rho"], point["psi2"]
         _require(parser, rho is not None and psi2 is not None,
                  "phase needs --rho and --psi2 (or a sweep over one of them)")
         pq = wide_phase(zeta_sq, psi2, rho)
@@ -768,11 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase", help="optimal-penalty phase quantities")
     p.add_argument("--zeta-sq", dest="zeta_sq", type=float, default=None)
-    p.add_argument("--activation", default=None,
-                   help="relu | identity | shifted_relu:C | custom (with --expr-file)")
-    p.add_argument("--expr-file", default=None)
-    p.add_argument("--breakpoints", default=None)
-    p.add_argument("--order", type=int, default=64)
+    _add_activation_opts(p)
+    # the ratio is never assumed: --zeta-sq or --activation must be given
+    p.set_defaults(activation=None)
     p.add_argument("--psi2", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     _add_sweep_opts(p)

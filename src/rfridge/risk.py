@@ -302,6 +302,7 @@ def risk_general(
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
     """Closed-form chi in the lambda_bar -> 0+ limit; depends on min(psi1, psi2)."""
+    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     psi = min(psi1, psi2)
     z = zeta_sq
     t = psi * z - z - 1.0
@@ -315,7 +316,6 @@ def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecompositio
     factors diverge; that comes back as a threshold_singular result, matching
     the interpolation-threshold blowup.
     """
-    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     chi = ridgeless_chi(zeta_sq, psi1, psi2)
     return decompose(chi, zeta_sq, psi1, psi2)
 
@@ -327,6 +327,7 @@ def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
     psi2 the same quadratic drives the large-sample limit.  Strictly
     increasing in lambda_bar (toward 0 from below).
     """
+    require_positive(zeta_sq=zeta_sq, psi=psi)
     if not (math.isfinite(lambda_bar) and lambda_bar >= 0.0):
         raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
     z = zeta_sq

@@ -165,7 +165,8 @@ class SimConfig:
             warnings.warn(
                 f"n_test = {self.n_test} is small; per-trial test errors will be noisy",
                 SmallTestSetWarning,
-                stacklevel=2,
+                # past __post_init__ and the generated __init__, to the caller
+                stacklevel=3,
             )
 
     @property

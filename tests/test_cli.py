@@ -15,7 +15,7 @@ import rfridge.selfconsistent
 import rfridge.simulate
 from rfridge.cli import (
     COLUMNS,
-    SweepSpec,
+    _sweep_values,
     format_value,
     main,
     new_record,
@@ -692,9 +692,9 @@ def test_sweep_spec_validation(capsys):
 def test_sweep_grid_values_are_python_floats(capsys):
     args = argparse.Namespace(sweep="psi1", grid=None, min=0.5, max=10.0, points=4,
                               spacing="log")
-    assert all(type(v) is float for v in SweepSpec.from_args(args).values)
+    assert all(type(v) is float for v in _sweep_values(args))
     args.spacing = "linear"
-    assert all(type(v) is float for v in SweepSpec.from_args(args).values)
+    assert all(type(v) is float for v in _sweep_values(args))
     code, _, err = run_cli(
         ["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1",
          "--min", "1", "--max", "1", "--points", "3"],
@@ -703,6 +703,57 @@ def test_sweep_grid_values_are_python_floats(capsys):
     assert code == 2
     assert "got (1.0, 1.0, 1.0)" in err
     assert "np.float64" not in err
+
+
+THEORY_RATIO = ["theory", "--psi1", "2", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2"]
+THEORY_FINITE = ["theory", "--d", "40", "--n", "80", "--N", "50", "--lambda", "1e-3", "--rho", "2"]
+
+
+@pytest.mark.parametrize("argv, flag, param", [
+    pytest.param(THEORY_RATIO, "--psi1", "psi1", id="theory-ratio-psi1"),
+    pytest.param(THEORY_RATIO, "--psi2", "psi2", id="theory-ratio-psi2"),
+    pytest.param(THEORY_RATIO, "--lambda-bar", "lambda", id="theory-ratio-lambda"),
+    pytest.param(THEORY_RATIO, "--rho", "rho", id="theory-ratio-rho"),
+    pytest.param(THEORY_FINITE, "--N", "psi1", id="theory-finite-psi1"),
+    pytest.param(THEORY_FINITE, "--n", "psi2", id="theory-finite-psi2"),
+    pytest.param(THEORY_FINITE, "--lambda", "lambda", id="theory-finite-lambda"),
+    pytest.param(["simulate"] + SIM_ARGS, "--N", "psi1", id="simulate-psi1"),
+    pytest.param(["simulate"] + SIM_ARGS, "--n", "psi2", id="simulate-psi2"),
+    pytest.param(["simulate"] + SIM_ARGS, "--lambda", "lambda", id="simulate-lambda"),
+    pytest.param(["compare"] + SIM_ARGS, "--N", "psi1", id="compare-psi1"),
+    pytest.param(["compare"] + SIM_ARGS, "--n", "psi2", id="compare-psi2"),
+    pytest.param(["compare"] + SIM_ARGS, "--lambda", "lambda", id="compare-lambda"),
+    pytest.param(["phase", "--zeta-sq", "2", "--psi2", "3", "--rho", "1"], "--rho", "rho",
+                 id="phase-rho"),
+    pytest.param(["phase", "--zeta-sq", "2", "--psi2", "3", "--rho", "1"], "--psi2", "psi2",
+                 id="phase-psi2"),
+])
+def test_flag_of_the_swept_parameter_is_a_usage_error(argv, flag, param, capsys):
+    # the sweep sets the parameter at every point, so a value for it would be dropped
+    code, out, err = run_cli(argv + ["--sweep", param, "--grid", "1,2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} conflicts with sweeping {param}" in err
+
+
+@pytest.mark.parametrize("expr, out, message", [
+    pytest.param("np.tanh(u)", "missing/out.csv", "cannot write --out", id="unwritable-out"),
+    pytest.param(None, None, "cannot read --expr-file", id="missing-expr-file"),
+    pytest.param("np.tanh(u", None, "is not an expression", id="syntax-error"),
+    pytest.param("foo(u)", None, "name 'foo' is not defined", id="undefined-name"),
+])
+def test_file_and_expression_errors_are_usage_errors(expr, out, message, tmp_path, capsys):
+    path = tmp_path / "act.txt"
+    if expr is not None:
+        path.write_text(expr + "\n")
+    argv = ["stats", "--activation", "custom", "--expr-file", str(path)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert message in err
 
 
 def test_compare_z_scores(capsys):

@@ -213,6 +213,23 @@ def test_wide_omega_validates_penalty():
         wide_omega(1.0, 2.0, math.inf)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: wide_omega(1.0, -3.0, 0.1), "psi"),
+        (lambda: wide_omega(-1.0, 2.0, 0.1), "zeta_sq"),
+        (lambda: wide_omega(math.nan, 2.0, 0.1), "zeta_sq"),
+        (lambda: ridgeless_chi(1.0, -1.0, 2.0), "psi1"),
+        (lambda: ridgeless_chi(1.0, 2.0, 0.0), "psi2"),
+        (lambda: ridgeless_chi(math.nan, 2.0, 3.0), "zeta_sq"),
+    ],
+)
+def test_closed_form_helpers_reject_bad_shapes(call, name):
+    # a negative psi would otherwise pick the positive root, a nan pass through
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        call()
+
+
 def test_wide_risk_reparametrization_identity():
     rng = np.random.default_rng(7)
     for _ in range(20):

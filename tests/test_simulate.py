@@ -633,8 +633,10 @@ def test_config_validation_and_defaults():
 
 
 def test_small_test_set_warns():
-    with pytest.warns(SmallTestSetWarning):
+    with pytest.warns(SmallTestSetWarning) as caught:
         _small_config(n_test=500)
+    # attributed to the line that built the config, not the generated __init__
+    assert all(w.filename == __file__ for w in caught)
 
 
 # ---------------------------------------------------------------------------
