@@ -27,6 +27,7 @@ from .selfconsistent import (
     fixed_point_map,
     nu_from_chi,
     solve_at,
+    solve_points,
 )
 from .risk import (
     ChiDisagreement,
@@ -39,10 +40,12 @@ from .risk import (
     optimal_lambda,
     ridgeless_chi,
     risk_general,
+    risk_general_points,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
     theory_point,
+    theory_points,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,

@@ -43,7 +43,7 @@ from .risk import (
     DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
-    risk_general,
+    risk_general_points,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
@@ -55,6 +55,7 @@ from .selfconsistent import (
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
+    unwrap,
 )
 from .simulate import (
     SimConfig,
@@ -280,7 +281,13 @@ def _sweep_values(args) -> tuple[float, ...] | None:
     if args.grid is not None:
         if args.min is not None or args.max is not None or args.points is not None:
             raise ValueError("give either --grid or --min/--max/--points, not both")
-        values = tuple(float(tok) for tok in args.grid.split(","))
+        values = []
+        for position, tok in enumerate(args.grid.split(","), 1):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ValueError(f"--grid entry {position} is not a number: {tok!r}") from None
+        values = tuple(values)
     else:
         if args.min is None or args.max is None or args.points is None:
             raise ValueError("a sweep needs --grid or all of --min/--max/--points")
@@ -303,10 +310,11 @@ def _add_output_opts(p):
 
 
 def _add_activation_opts(p):
+    # None tells a default relu apart from an explicit flag, which --zeta-sq excludes
     p.add_argument(
         "--activation",
-        default="relu",
-        help="relu | identity | shifted_relu:C | custom (with --expr-file)",
+        default=None,
+        help="relu (the default) | identity | shifted_relu:C | custom (with --expr-file)",
     )
     p.add_argument("--expr-file", default=None, help="file with a numpy expression in u")
     p.add_argument("--breakpoints", default=None, help="comma-separated kink locations of a custom activation")
@@ -333,7 +341,7 @@ def _add_sweep_opts(p):
 
 
 def parse_activation(args) -> Activation:
-    spec = args.activation
+    spec = args.activation or "relu"
     if spec == "relu":
         return Activation.relu()
     if spec == "identity":
@@ -442,14 +450,16 @@ def _grid(args, parser, finite: bool, sweepable, refusal: str = "", required=())
 def _zeta_sq_or_activation(args, parser, finite: bool = False):
     """(activation, zeta_sq, mu_star_sq): from --zeta-sq if given, else the activation.
 
-    --zeta-sq leaves no activation and mu_star_sq nan, so only ratios can use it.
+    --zeta-sq leaves no activation and mu_star_sq nan, so only ratios can use it,
+    and giving --activation as well is an error.
     """
     if vars(args).get("zeta_sq") is not None:
+        _require(parser, args.activation is None,
+                 "give either --zeta-sq or --activation, not both")
         _require(parser, not finite,
                  "--zeta-sq only makes sense with ratio flags; finite sizes need an "
                  "activation for the penalty conversion")
         return None, args.zeta_sq, NAN
-    _require(parser, args.activation is not None, f"{args.command} needs --zeta-sq or --activation")
     activation = parse_activation(args)
     stats = hermite_stats(activation, order=args.order)
     return activation, stats.zeta_sq, stats.mu_star_sq
@@ -499,40 +509,46 @@ def cmd_stats(args, parser) -> int:
     return 0
 
 
-def _theory_cells(rec, parser, cells, powers):
-    """Fill the theory_* cells of one row from one library decomposition.
+def _theory_cells(rows, parser):
+    """Fill the theory_* cells of each (record, cells, powers) row from one library
+    decomposition; the general rows' come from one batch (risk_general_points).
 
     cells holds the row's psi1, psi2, lambda_bar and rho, None where not given.
     R needs rho; test error, training error and norm need the target powers.
+    Rows are filled in order, so the first failing row raises its error.
     """
-    variant, zeta_sq = rec["variant"], rec["zeta_sq"]
-    psi1, psi2, lambda_bar = cells["psi1"], cells["psi2"], cells["lambda_bar"]
-    if variant == "general":
-        _require(parser, psi1 is not None and psi2 is not None and lambda_bar is not None,
-                 "general variant needs psi1, psi2 and the penalty")
-        dec = risk_general(zeta_sq, psi1, psi2, lambda_bar)
-    elif variant == "ridgeless":
-        _require(parser, psi1 is not None and psi2 is not None,
-                 "ridgeless variant needs psi1 and psi2")
-        dec = risk_ridgeless(zeta_sq, psi1, psi2)
-    elif variant == "wide":
-        _require(parser, psi2 is not None and lambda_bar is not None,
-                 "wide variant needs psi2 and the penalty")
-        dec = risk_wide(zeta_sq, psi2, lambda_bar)
-    else:
-        _require(parser, psi1 is not None and lambda_bar is not None,
-                 "lsamp variant needs psi1 and the penalty")
-        dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
-
-    rec["theory_bias_B"] = dec.bias_B
-    rec["theory_var_V"] = dec.var_V
-    if cells["rho"] is not None:
-        rec["theory_risk_R"] = dec.risk_at(cells["rho"])
-    if powers is not None:
-        rec["theory_test_error"] = dec.test_error(powers)
+    general = [(rec["zeta_sq"], cells["psi1"], cells["psi2"], cells["lambda_bar"])
+               for rec, cells, _ in rows if rec["variant"] == "general"]
+    _require(parser, all(None not in row for row in general),
+             "general variant needs psi1, psi2 and the penalty")
+    solved = iter(risk_general_points(*np.array(general, dtype=float).reshape(-1, 4).T))
+    for rec, cells, powers in rows:
+        variant, zeta_sq = rec["variant"], rec["zeta_sq"]
+        psi1, psi2, lambda_bar = cells["psi1"], cells["psi2"], cells["lambda_bar"]
         if variant == "general":
-            rec["theory_train_error"] = dec.train_error(powers)
-            rec["theory_norm_msq"] = dec.norm_msq(powers)
+            dec = unwrap(next(solved))
+        elif variant == "ridgeless":
+            _require(parser, psi1 is not None and psi2 is not None,
+                     "ridgeless variant needs psi1 and psi2")
+            dec = risk_ridgeless(zeta_sq, psi1, psi2)
+        elif variant == "wide":
+            _require(parser, psi2 is not None and lambda_bar is not None,
+                     "wide variant needs psi2 and the penalty")
+            dec = risk_wide(zeta_sq, psi2, lambda_bar)
+        else:
+            _require(parser, psi1 is not None and lambda_bar is not None,
+                     "lsamp variant needs psi1 and the penalty")
+            dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
+
+        rec["theory_bias_B"] = dec.bias_B
+        rec["theory_var_V"] = dec.var_V
+        if cells["rho"] is not None:
+            rec["theory_risk_R"] = dec.risk_at(cells["rho"])
+        if powers is not None:
+            rec["theory_test_error"] = dec.test_error(powers)
+            if variant == "general":
+                rec["theory_train_error"] = dec.train_error(powers)
+                rec["theory_norm_msq"] = dec.norm_msq(powers)
 
 
 def cmd_theory(args, parser) -> int:
@@ -551,7 +567,7 @@ def cmd_theory(args, parser) -> int:
             tau_sq=args.tau_sq_theory or 0.0,
         )
 
-    records = []
+    rows = []
     for point in points:
         cells = _point_cells(point, mu_star_sq, powers)
         rec = new_record(
@@ -563,9 +579,9 @@ def cmd_theory(args, parser) -> int:
             mu_star_sq=mu_star_sq,
             **cells,
         )
-        _theory_cells(rec, parser, cells, powers)
-        records.append(rec)
-    write_records(records, COLUMNS, args.format, args.out)
+        rows.append((rec, cells, powers))
+    _theory_cells(rows, parser)
+    write_records([rec for rec, _, _ in rows], COLUMNS, args.format, args.out)
     return 0
 
 
@@ -636,20 +652,24 @@ def _z(diff: float, sem: float) -> float:
 
 
 def cmd_compare(args, parser) -> int:
-    records = []
+    rows = []
     for rec, powers in _simulated_records(args, parser, "compare"):
-        general = rec["lambda"] > 0.0
-        rec["variant"] = "general" if general else "ridgeless"
-        _theory_cells(rec, parser, rec, powers)
+        rec["variant"] = "general" if rec["lambda"] > 0.0 else "ridgeless"
+        rows.append((rec, rec, powers))
+    _theory_cells(rows, parser)
+    for rec, _, _ in rows:
         # the ridgeless endpoint has no training theory to score against
+        general = rec["variant"] == "general"
         for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
             rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
-        records.append(rec)
-    write_records(records, COLUMNS, args.format, args.out)
+    write_records([rec for rec, _, _ in rows], COLUMNS, args.format, args.out)
     return 0
 
 
 def cmd_phase(args, parser) -> int:
+    # the ratio is never assumed
+    _require(parser, args.zeta_sq is not None or args.activation is not None,
+             "phase needs --zeta-sq or --activation")
     _, zeta_sq, _ = _zeta_sq_or_activation(args, parser)
     records = []
     for point in _grid(args, parser, False, ("rho", "psi2"), "phase sweeps rho or psi2 only"):
@@ -734,8 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="optimal-penalty phase quantities")
     p.add_argument("--zeta-sq", dest="zeta_sq", type=float, default=None)
     _add_activation_opts(p)
-    # the ratio is never assumed: --zeta-sq or --activation must be given
-    p.set_defaults(activation=None)
     p.add_argument("--psi2", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     _add_sweep_opts(p)

@@ -27,11 +27,11 @@ import numpy as np
 
 from .selfconsistent import (
     InvariantViolation,
-    SpectralParams,
     SpectralPoint,
-    chi_scalar_oracle,
+    attempt,
     require_positive,
-    solve_at,
+    solve_points,
+    unwrap,
 )
 
 INF = float("inf")
@@ -232,6 +232,40 @@ def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float) -> RiskDecom
     return RiskDecomposition(e1 / e0, e2 / e0, NAN, NAN, NAN, NAN)
 
 
+def _rows(*columns) -> list[tuple]:
+    """The rows of the 1-D columns broadcast against each other, as tuples."""
+    return list(zip(*(c.tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns)))))
+
+
+def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
+    """The solved point of one row, once its chi agrees with the oracle's."""
+    point, chi_or = unwrap(point), unwrap(chi_or)
+    if abs(point.chi.real - chi_or) > 1e-8 * abs(chi_or):
+        zeta_sq, psi1, psi2, lambda_bar = row
+        raise ChiDisagreement(
+            f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
+            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
+        )
+    return point
+
+
+def _theory_rows(rows: list[tuple]) -> list:
+    """theory_points over rows already broadcast."""
+    return [attempt(_cross_checked, row, *solved) for row, solved in zip(rows, solve_points(rows))]
+
+
+def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
+    """theory_point at every row of the arguments, broadcast against each other.
+
+    Each row holds an outcome: its SpectralPoint, or the exception
+    theory_point raises there (selfconsistent.unwrap raises it).  One
+    stacked solve (solve_points) serves every row, and each row is then
+    selected, certified and cross-checked on its own, so a row's outcome is
+    bitwise theory_point's and a failing row leaves the others unchanged.
+    """
+    return _theory_rows(_rows(zeta_sq, psi1, psi2, lambda_bar))
+
+
 def theory_point(
     zeta_sq: float,
     psi1: float,
@@ -246,41 +280,14 @@ def theory_point(
     root that continuity from large |xi| reaches: the largest negative
     root, certified by the root branch not turning between it and 0.  A
     disagreement beyond 1e-8 relative to chi is an error, never silently
-    reconciled.
+    reconciled.  This is theory_points for a batch of one.
     """
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
-    params = SpectralParams(zeta_sq, psi1, psi2)
-    xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
-    point = solve_at(xi, params)
-    chi_or = chi_scalar_oracle(params, lambda_bar)
-    if abs(point.chi.real - chi_or) > 1e-8 * abs(chi_or):
-        raise ChiDisagreement(
-            f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
-            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
-        )
-    return point
+    return unwrap(theory_points(zeta_sq, psi1, psi2, lambda_bar)[0])
 
 
-def risk_general(
-    zeta_sq: float,
-    psi1: float,
-    psi2: float,
-    lambda_bar: float,
-) -> RiskDecomposition:
-    """The decomposition at finite lambda_bar > 0, training factors included,
-    from one theory_point.
-
-    With nu2 and chi of that point and m = (-i nu2) sqrt(lambda_bar psi1 / psi2),
-    the mass scale of the residual,
-
-        train_signal = m / (1 - chi zeta^2),   train_noise = m,
-        norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
-
-    with the two numerator polynomials below and E0 the shared denominator.
-    solve_at has checked that nu2 is purely imaginary.
-    """
-    point = theory_point(zeta_sq, psi1, psi2, lambda_bar)
+def _general_decomposition(point, zeta_sq, psi1, psi2, lambda_bar) -> RiskDecomposition:
+    """risk_general's decomposition from the outcome of its theory point."""
+    point = unwrap(point)
     chi = point.chi.real
     dec = decompose(chi, zeta_sq, psi1, psi2)
     if dec.threshold_singular:
@@ -298,6 +305,38 @@ def risk_general(
             f"lambda_bar={lambda_bar}"
         )
     return RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
+
+
+def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
+    """risk_general at every row of the arguments, broadcast against each
+    other, from one theory_points batch; each row holds an outcome, as there."""
+    rows = _rows(zeta_sq, psi1, psi2, lambda_bar)
+    return [
+        attempt(_general_decomposition, point, *row)
+        for row, point in zip(rows, _theory_rows(rows))
+    ]
+
+
+def risk_general(
+    zeta_sq: float,
+    psi1: float,
+    psi2: float,
+    lambda_bar: float,
+) -> RiskDecomposition:
+    """The decomposition at finite lambda_bar > 0, training factors included,
+    from one theory_point.
+
+    With nu2 and chi of that point and m = (-i nu2) sqrt(lambda_bar psi1 / psi2),
+    the mass scale of the residual,
+
+        train_signal = m / (1 - chi zeta^2),   train_noise = m,
+        norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
+
+    with the two numerator polynomials of _general_decomposition and E0 the
+    shared denominator.  solve_at has checked that nu2 is purely imaginary.
+    This is risk_general_points for a batch of one.
+    """
+    return unwrap(risk_general_points(zeta_sq, psi1, psi2, lambda_bar)[0])
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -423,9 +462,11 @@ def optimal_lambda(
     """Minimize the finite-shape risk over lambda_bar in [0, lambda_max].
 
     The lambda_bar = 0 endpoint is supplied by the ridgeless closed form, the
-    interior by risk_general.  A 64-point log pre-scan locates the bracket
+    interior by risk_general.  A 64-point log pre-scan, its 63 interior
+    points solved as one batch (risk_general_points), locates the bracket
     (and warns NonUnimodalWarning if it sees more than one local minimum);
-    golden-section search then resolves the minimizer to 1e-6 absolute.
+    golden-section search then resolves the minimizer to 1e-6 absolute, one
+    risk_general call per step.
     Returns (lambda_bar_opt, risk_opt).
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
@@ -437,7 +478,9 @@ def optimal_lambda(
         return risk_general(zeta_sq, psi1, psi2, lb).risk_at(rho)
 
     grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
-    values = [profile(lb) for lb in grid]
+    values = [profile(grid[0])] + [
+        unwrap(dec).risk_at(rho) for dec in risk_general_points(zeta_sq, psi1, psi2, grid[1:])
+    ]
     n_minima = sum(
         1
         for i in range(len(grid))

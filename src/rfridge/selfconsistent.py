@@ -14,7 +14,9 @@ in the upper half plane and checks that pair on the coupled map, to a
 residual of 1e-12 relative to each component; the oracle keeps the largest
 root, certified as the one continuity from large |xi| reaches by the absence
 of a turning point of the root branch.  Callers cross-check one against the
-other.
+other.  solve_points takes a whole batch of targets through one stacked
+eigvals call per polynomial degree; solve_at and chi_scalar_oracle run the
+same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -174,12 +176,115 @@ def _polish_root(coeffs: list, chi: float) -> float:
     return chi
 
 
-def _negative_roots(coeffs: np.ndarray) -> list[float]:
-    """The real roots np.roots finds for the quartic coeffs, each polished by
-    _polish_root, that are negative afterwards; copies are kept."""
-    polynomial = coeffs.tolist()
-    real = [r.real for r in np.roots(coeffs).tolist() if r.imag == 0.0]
+def unwrap(outcome):
+    """The value of an outcome (a value, or the exception computing it raised),
+    raising the exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def attempt(fn, *args):
+    """fn(*args) as an outcome: its value, or the exception it raised.
+
+    A batch keeps each row's exception with that row, so a caller that
+    unwraps the rows in order raises the first failing row's exception.
+    """
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _eigvals(matrices: np.ndarray) -> list:
+    """Each matrix's eigenvalues as a list, from one stacked eigvals call.
+
+    eigvals raises for the whole stack when one matrix is not finite or LAPACK
+    fails on it; then each matrix is factored alone, and the one that fails
+    holds its own LinAlgError instead of failing the others.
+    """
+    try:
+        return np.linalg.eigvals(matrices).tolist()
+    except np.linalg.LinAlgError as exc:
+        if len(matrices) == 1:
+            return [exc]
+        return [_eigvals(m[None])[0] for m in matrices]
+
+
+def _stacked_roots(polys: np.ndarray) -> list:
+    """np.roots of each row of polys (highest degree first) as an outcome: the
+    roots as a list, or the LinAlgError np.roots raises on that row.
+
+    As in np.roots, a row sheds its leading and trailing zero coefficients,
+    the latter coming back as roots at 0, and eigvals factors the companion
+    matrix of what is left.  The rows left with one degree share one stacked
+    call (_eigvals), and LAPACK factors each matrix on its own, so every row's
+    roots are bitwise those of np.roots.
+    """
+    k = polys.shape[1] - 1
+    degrees = {}
+    for row, coeffs in enumerate(polys.tolist()):
+        kept = [j for j, c in enumerate(coeffs) if c != 0.0]
+        # an all-zero row keeps no coefficient and, as in np.roots, has no roots
+        degrees.setdefault((kept[0], kept[-1]) if kept else (k, k), []).append(row)
+    roots = [None] * len(polys)
+    for (lo, hi), rows in degrees.items():
+        m = hi - lo
+        found = [[] for _ in rows]
+        if m > 0:
+            p = polys[rows, lo:hi + 1]
+            companion = np.zeros((len(rows), m, m))
+            companion[:, 0] = -p[:, 1:] / p[:, :1]
+            companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            found = _eigvals(companion)
+        for row, r in zip(rows, found):
+            roots[row] = r if isinstance(r, Exception) else r + [0.0] * (k - hi)
+    return roots
+
+
+def _negative_roots(polynomial: list, roots: list) -> list[float]:
+    """Of the roots found for the quartic polynomial, the real ones, each
+    polished by _polish_root, that are negative afterwards; copies are kept."""
+    real = [r.real for r in roots if r.imag == 0.0]
     return [chi for chi in (_polish_root(polynomial, r) for r in real) if chi < 0.0]
+
+
+def _axis_roots(params: list[SpectralParams], u: list[float]) -> list[tuple]:
+    """Per row, the negative roots of the quartic at xi = i u (_negative_roots)
+    and the roots of chi_scalar_oracle's quintic, each as an outcome.
+
+    One _quartic_coeffs call builds every row's quartic at the target and at
+    u = 0 (N, from which the quintic is formed), and one stacked eigvals call
+    per degree (_stacked_roots) factors all of them.
+    """
+    z, psi1, psi2 = (
+        np.array([getattr(p, name) for p in params], dtype=float)[:, None]
+        for name in ("zeta_sq", "psi1", "psi2")
+    )
+    u = np.array(u, dtype=float)[:, None]
+    # per row, N (the quartic at u = 0) and the quartic at the target
+    coeffs = _quartic_coeffs(z, psi1, psi2, np.hstack([np.zeros_like(u), u * u]))
+    n4, n3, n2, n1, n0 = coeffs[:, 0].T
+    z = z[:, 0]
+    # a term that overflows leaves a companion matrix eigvals rejects for its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        quintics = np.stack(
+            [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0], axis=-1
+        )
+    quartics = coeffs[:, 1]
+    return [
+        (roots if isinstance(roots, Exception) else _negative_roots(polynomial, roots), turns)
+        for polynomial, roots, turns in zip(
+            quartics.tolist(), _stacked_roots(quartics), _stacked_roots(quintics)
+        )
+    ]
+
+
+def _require_axis(xi: complex) -> None:
+    if not (xi.imag > 0.0):
+        raise ValueError(f"xi must have positive imaginary part, got {xi}")
+    if xi.real != 0.0:
+        raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
 
 
 def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
@@ -197,16 +302,18 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     1e-12, which also guards the quartic's coefficients.  The answer is the
     one distinct point (chi within 1e-10 relative) that meets the residual and
     passes the half-plane, norm-bound and axis checks; none or several raise
-    NoConvergence.
+    NoConvergence.  This is solve_points' selection for a batch of one.
     """
-    if not (xi.imag > 0.0):
-        raise ValueError(f"xi must have positive imaginary part, got {xi}")
-    if xi.real != 0.0:
-        raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
+    _require_axis(xi)
+    ((negative, _),) = _axis_roots([params], [xi.imag])
+    return _select(xi, params, negative)
+
+
+def _select(xi: complex, params: SpectralParams, negative) -> SpectralPoint:
+    """solve_at's point at xi from the outcome of the quartic's negative roots."""
     u = xi.imag
-    coeffs = _quartic_coeffs(params.zeta_sq, params.psi1, params.psi2, [u * u])[0]
     admissible, best, points = 0, math.inf, []
-    for chi in _negative_roots(coeffs):
+    for chi in unwrap(negative):
         nu1, nu2 = _pair_from_chi(chi, params, u)
         larger = max(nu1.imag, nu2.imag)
         if not larger > 0.0:
@@ -239,32 +346,68 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     return points[0]
 
 
+def _axis_target(zeta_sq, psi1, psi2, lambda_bar) -> tuple[SpectralParams, complex]:
+    """The checked parameters of one row and its xi = i sqrt(psi1 psi2 lambda_bar)."""
+    require_positive(lambda_bar=lambda_bar)
+    params = SpectralParams(zeta_sq, psi1, psi2)
+    xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
+    _require_axis(xi)
+    return params, xi
+
+
+def solve_points(rows) -> list[tuple]:
+    """solve_at's point and chi_scalar_oracle's chi at xi = i sqrt(psi1 psi2
+    lambda_bar) for every (zeta_sq, psi1, psi2, lambda_bar) row, each as an
+    outcome; a row that fails validation holds its ValueError in both.
+
+    The rows share one _axis_roots call, so every quartic and quintic of the
+    batch comes from one stacked eigvals call per degree.  Each row is then
+    selected (solve_at) and certified (chi_scalar_oracle) on its own from the
+    same polished negative roots, so its outcomes are bitwise those of the
+    single calls.
+    """
+    targets = [attempt(_axis_target, *row) for row in rows]
+    valid = [t for t in targets if not isinstance(t, Exception)]
+    solved = iter(_axis_roots([params for params, _ in valid], [xi.imag for _, xi in valid]))
+    outcomes = []
+    for row, target in zip(rows, targets):
+        if isinstance(target, Exception):
+            outcomes.append((target, target))
+            continue
+        (params, xi), (negative, turns) = target, next(solved)
+        outcomes.append(
+            (attempt(_select, xi, params, negative), attempt(_certify, row[3], negative, turns))
+        )
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # scalar quartic oracle
 # ---------------------------------------------------------------------------
 
-def _quartic_coeffs(zeta_sq: float, psi1: float, psi2: float, u_sq: np.ndarray) -> np.ndarray:
+def _quartic_coeffs(zeta_sq, psi1, psi2, u_sq) -> np.ndarray:
     """Coefficients (degree 4 down to 0) of the polynomial chi must satisfy.
 
     Eliminating nu1 and nu2 from the coupled equations at xi = i u leaves
     P1(chi) P2(chi) + u^2 chi (1 - zeta^2 chi)^2 = 0 with
     P_k(chi) = zeta^2 chi^2 + (zeta^2 psi_k - zeta^2 - 1) chi - psi_k.
-    Row k of the (len(u_sq), 5) result holds the quartic at u^2 = u_sq[k].
+    The arguments broadcast against each other; the result has their shape
+    and one more axis, of length 5, holding the coefficients.
     """
-    z = zeta_sq
+    z, psi1, psi2, u_sq = (np.asarray(v, dtype=float) for v in (zeta_sq, psi1, psi2, u_sq))
     b1 = z * psi1 - z - 1.0
     b2 = z * psi2 - z - 1.0
-    u_sq = np.asarray(u_sq, dtype=float)
-    return np.stack(
-        [
-            np.full_like(u_sq, z * z),
-            z * (b1 + b2) + u_sq * z * z,
-            b1 * b2 - z * (psi1 + psi2) - 2.0 * u_sq * z,
-            -b1 * psi2 - b2 * psi1 + u_sq,
-            np.full_like(u_sq, psi1 * psi2),
-        ],
-        axis=-1,
+    terms = (
+        z * z,
+        z * (b1 + b2) + u_sq * z * z,
+        b1 * b2 - z * (psi1 + psi2) - 2.0 * u_sq * z,
+        -b1 * psi2 - b2 * psi1 + u_sq,
+        psi1 * psi2,
     )
+    coeffs = np.empty(np.broadcast(*terms).shape + (5,))
+    for k, term in enumerate(terms):
+        coeffs[..., k] = term
+    return coeffs
 
 
 def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
@@ -294,21 +437,23 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     real within 1e-9 of their size.  Raises RootSelectionAmbiguous when no
     root is negative, when the quintic has a real root in [chi*, 0), or when
     a distinct negative root lies within 1e-8 |chi*| of chi*, the tolerance
-    of the cross-check against solve_at.
+    of the cross-check against solve_at.  This is solve_points' certificate
+    for a batch of one.
     """
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
-    z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
-    u = math.sqrt(p1 * p2 * lambda_bar)
-    # row 0 is N, the quartic at u = 0; row 1 is the quartic at the target
-    coeffs = _quartic_coeffs(z, p1, p2, [0.0, u * u])
-    roots = _negative_roots(coeffs[1])
+    require_positive(lambda_bar=lambda_bar)
+    u = math.sqrt(params.psi1 * params.psi2 * lambda_bar)
+    ((negative, turns),) = _axis_roots([params], [u])
+    return _certify(lambda_bar, negative, turns)
+
+
+def _certify(lambda_bar: float, negative, turns) -> float:
+    """chi_scalar_oracle's chi from the outcomes of the target quartic's
+    negative roots and of the quintic's roots."""
+    roots = unwrap(negative)
     if not roots:
         raise RootSelectionAmbiguous(f"no real non-positive root at lambda_bar = {lambda_bar}")
     chi = max(roots)
-    n4, n3, n2, n1, n0 = coeffs[0].tolist()
-    quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
-    for c in np.roots(quintic).tolist():
+    for c in unwrap(turns):
         if abs(c.imag) <= 1e-9 * abs(c) and chi <= c.real < 0.0:
             raise RootSelectionAmbiguous(
                 f"the root branch turns at chi = {c.real!r} in [{chi!r}, 0), "

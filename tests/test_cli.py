@@ -233,17 +233,15 @@ def test_theory_with_target_powers_emits_curves(capsys):
 
 
 def count_solves(monkeypatch) -> list:
-    """Record every solve_at call, through whichever rfridge module binds it."""
-    original = rfridge.selfconsistent.solve_at
+    """Record the xi of every point solve_at's selection runs on, single or batched."""
+    original = rfridge.selfconsistent._select
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(xi, *args):
+        calls.append(xi)
+        return original(xi, *args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("rfridge") and getattr(module, "solve_at", None) is original:
-            monkeypatch.setattr(module, "solve_at", counting)
+    monkeypatch.setattr(rfridge.selfconsistent, "_select", counting)
     return calls
 
 
@@ -734,6 +732,55 @@ def test_flag_of_the_swept_parameter_is_a_usage_error(argv, flag, param, capsys)
     assert code == 2
     assert out == ""
     assert f"{flag} conflicts with sweeping {param}" in err
+
+
+def test_a_row_that_is_not_finite_fails_the_sweep_alone(capsys):
+    # psi1 psi2 lambda_bar overflows at the second row only; its quartic is not
+    # finite, and the sweep exits 2 with that row's error and writes nothing
+    argv = ["theory", "--zeta-sq", "1", "--psi1", "2", "--psi2", "3", "--rho", "2",
+            "--sweep", "lambda"]
+    code, out, err = run_cli(argv + ["--grid", "0.01,1e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "LinAlgError: Array must not contain infs or NaNs" in err
+    code, out, err = run_cli(argv + ["--grid", "0.01"], capsys)
+    assert code == 0, err
+
+
+def test_a_bad_grid_entry_is_named_with_its_position(capsys):
+    code, out, err = run_cli(
+        ["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1",
+         "--grid", "1,,2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--grid entry 2 is not a number: ''" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["phase", "--psi2", "2", "--rho", "1"], id="phase"),
+    pytest.param(THEORY_RATIO, id="theory"),
+])
+@pytest.mark.parametrize("activation", ["shifted_relu:0.3", "relu"])
+def test_zeta_sq_and_an_activation_together_are_a_usage_error(argv, activation, capsys):
+    # --zeta-sq would silently replace the activation's ratio, even relu's
+    code, out, err = run_cli(argv + ["--activation", activation, "--zeta-sq", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "give either --zeta-sq or --activation, not both" in err
+
+
+def test_activation_defaults_to_relu_except_in_phase(capsys):
+    code, out, err = run_cli(THEORY_RATIO, capsys)
+    assert code == 0, err
+    rec = read_records(out, from_text=True)[0]
+    assert rec["activation"] == "relu"
+    assert rec["zeta_sq"] == pytest.approx(RELU_ZETA_SQ, rel=1e-12)
+    code, out, err = run_cli(["phase", "--psi2", "2", "--rho", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "phase needs --zeta-sq or --activation" in err
 
 
 @pytest.mark.parametrize("expr, out, message", [

@@ -9,17 +9,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rfridge.selfconsistent
-from rfridge.risk import ChiDisagreement, ridgeless_chi, theory_point
+from rfridge.risk import (
+    ChiDisagreement,
+    ridgeless_chi,
+    risk_general,
+    risk_general_points,
+    theory_point,
+    theory_points,
+)
 from rfridge.selfconsistent import (
     InconsistentChi,
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
     SpectralParams,
+    SpectralPoint,
     chi_scalar_oracle,
     fixed_point_map,
     nu_from_chi,
     solve_at,
+    unwrap,
 )
 
 # Extended-precision references, frozen from a 50-digit evaluation of the
@@ -172,6 +181,84 @@ def test_theory_points_over_the_wide_box_match_50_digits():
     assert outcomes == {"solved": 1000}
 
 
+def _same_outcomes(batch, singles):
+    """Values equal bitwise; an exception equal in type and message."""
+    assert len(batch) == len(singles)
+    for got, expected in zip(batch, singles):
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
+        else:
+            assert got == expected
+
+
+def _single_outcomes(points):
+    outcomes = []
+    for point in points:
+        try:
+            outcomes.append(theory_point(*point))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(np.exp(np.random.default_rng(7).uniform(*np.log(
+        [[1e-3, 1e-14, 1e-14, 1e-12], [1e3, 1e6, 1e6, 1e60]]), (1000, 4))), id="wide-box"),
+    pytest.param(np.array([(RELU_ZETA_SQ, p, 3.0, 0.0110078)
+                           for p in np.geomspace(0.5, 10.0, 161)]), id="benchmark-curve"),
+])
+def test_theory_points_equal_single_points_bitwise(points):
+    # the wide box of test_theory_points_over_the_wide_box_match_50_digits
+    # and the benchmark's psi1 curve, solved as one batch
+    _same_outcomes(theory_points(*points.T), _single_outcomes(points.tolist()))
+
+
+def test_stacked_roots_are_np_roots_row_by_row():
+    # rows that np.roots trims to other degrees (leading or trailing zeros, a
+    # constant, all zeros) and one it rejects, stacked among ordinary quartics
+    polys = np.array([
+        [1.0, -3.0, 2.0, 5.0, 1.0],
+        [0.0, 1.0, 2.0, 3.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0, 0.0],
+        [2.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, np.inf, 1.0, 1.0, 1.0],
+        [3.0, -1.0, 4.0, 1.0, -5.0],
+    ])
+    for row, roots in zip(polys, rfridge.selfconsistent._stacked_roots(polys)):
+        try:
+            expected = np.roots(row).tolist()
+        except np.linalg.LinAlgError as exc:
+            assert type(roots) is type(exc) and str(roots) == str(exc)
+        else:
+            assert roots == expected
+
+
+def test_a_row_that_is_not_finite_fails_alone():
+    # psi1 psi2 lambda_bar overflows, so u^2 and the row's quartic are inf:
+    # eigvals rejects that row, and only that row
+    points = [(RELU_ZETA_SQ, p, 3.0, 0.01) for p in (0.5, 2.0, 8.0)]
+    points.insert(1, (RELU_ZETA_SQ, 2.0, 3.0, 1e308))
+    singles = _single_outcomes(points)
+    assert isinstance(singles[1], np.linalg.LinAlgError)
+    assert all(isinstance(s, SpectralPoint) for s in singles[:1] + singles[2:])
+    _same_outcomes(theory_points(*np.array(points).T), singles)
+
+
+def test_a_batch_with_a_failing_row_raises_in_row_order():
+    # every row of risk_general_points is risk_general's outcome; unwrapped in
+    # order, the first failing row's exception is the one raised
+    lambda_bar = [0.01, -1.0, 1e308]
+    rows = risk_general_points(RELU_ZETA_SQ, 2.0, 3.0, lambda_bar)
+    assert rows[0] == risk_general(RELU_ZETA_SQ, 2.0, 3.0, 0.01)
+    with pytest.raises(ValueError, match="lambda_bar must be finite and positive, got -1.0"):
+        [unwrap(row) for row in rows]
+    assert isinstance(rows[2], np.linalg.LinAlgError)
+
+
 def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):
     # a root of a wrong quartic gives a pair that fails the coupled map's
     # residual: it is rejected, never rescued, and never turns into a value
@@ -183,7 +270,7 @@ def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypa
         for factor in (1.001, 2.0, -1.0, 0.0, 10.0, 1e-3):
             def perturbed(*args, index=index, factor=factor):
                 row = coeffs(*args).copy()
-                row[:, index] *= factor
+                row[..., index] *= factor
                 return row
 
             monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", perturbed)
@@ -213,14 +300,14 @@ def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
 
     monkeypatch.setattr(rfridge.selfconsistent, "_residual", checked)
     if fault == "no admissible root":
-        monkeypatch.setattr(rfridge.selfconsistent.np, "roots",
-                            lambda coeffs: np.array([1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0]))
+        monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots",
+                            lambda polys: [[1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0] for _ in polys])
     elif fault == "two admissible roots":
         # each root gains a copy 1e-6 relative away, as if polished short of it;
-        # a copy made through np.roots would be polished back onto the root
+        # a copy made through _stacked_roots would be polished back onto the root
         negative = rfridge.selfconsistent._negative_roots
-        monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda coeffs: [
-            chi * f for f in (1.0, 1.0 + 1e-6) for chi in negative(coeffs)])
+        monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: [
+            chi * f for f in (1.0, 1.0 + 1e-6) for chi in negative(*args)])
     with pytest.raises(NoConvergence, match="admissible quartic roots") as info:
         solve_at(xi, PARAMS_A)
     assert info.value.xi == xi
@@ -230,9 +317,9 @@ def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
 def test_duplicate_roots_polish_to_one_point(monkeypatch):
     xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
     expected = solve_at(xi, PARAMS_A)
-    roots = np.roots
-    monkeypatch.setattr(rfridge.selfconsistent.np, "roots",
-                        lambda coeffs: np.concatenate([roots(coeffs), roots(coeffs)]))
+    stacked = rfridge.selfconsistent._stacked_roots
+    monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots",
+                        lambda polys: [roots + roots for roots in stacked(polys)])
     assert solve_at(xi, PARAMS_A) == expected
 
 
@@ -243,7 +330,7 @@ def test_no_convergence_carries_xi(monkeypatch):
 
     def flipped(*args):
         row = coeffs(*args).copy()
-        row[:, 4] *= -1.0
+        row[..., 4] *= -1.0
         return row
 
     monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", flipped)
@@ -444,12 +531,14 @@ def test_oracle_equals_the_tracking_reference_over_the_stress_box():
 def _synthetic_quartic(n_coeffs):
     """A stand-in for _quartic_coeffs whose u = 0 polynomial is N = n_coeffs.
 
-    Row k is N + u_sq[k] D with D = chi (1 - zeta^2 chi)^2, the structure the
+    Each row is N + u_sq D with D = chi (1 - zeta^2 chi)^2, the structure the
     certificate relies on; only the N of the real quartic is replaced.
     """
     def coeffs(zeta_sq, psi1, psi2, u_sq):
-        d = np.array([0.0, zeta_sq * zeta_sq, -2.0 * zeta_sq, 1.0, 0.0])
-        return np.asarray(n_coeffs, dtype=float) + np.asarray(u_sq, dtype=float)[:, None] * d
+        z = np.asarray(zeta_sq, dtype=float)[..., None]
+        d = z * z * [0.0, 1.0, 0.0, 0.0, 0.0] - 2.0 * z * [0.0, 0.0, 1.0, 0.0, 0.0]
+        d = d + [0.0, 0.0, 0.0, 1.0, 0.0]
+        return np.asarray(n_coeffs, dtype=float) + np.asarray(u_sq, dtype=float)[..., None] * d
     return coeffs
 
 
@@ -487,20 +576,40 @@ def test_oracle_without_an_admissible_root_is_ambiguous(monkeypatch):
     assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
 
 
+def _counting_eigvals(monkeypatch) -> list:
+    """Record the shape of every eigvals call; np.roots must not be called at all."""
+    eigvals = np.linalg.eigvals
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    def no_roots(p):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(np, "roots", no_roots)
+    return shapes
+
+
 def test_oracle_factors_at_most_two_polynomials(monkeypatch):
     # a count, not a timing: the target quartic and the quintic, where
     # tracking a path factors one quartic per node
-    roots = np.roots
-    polynomials = []
-
-    def counting(p):
-        polynomials.append(len(p) - 1)
-        return roots(p)
-
     expected = chi_scalar_oracle(PARAMS_A, 0.01)
-    monkeypatch.setattr(np, "roots", counting)
+    shapes = _counting_eigvals(monkeypatch)
     assert chi_scalar_oracle(PARAMS_A, 0.01) == expected
-    assert polynomials == [4, 5]
+    assert [shape[-1] for shape in shapes] == [4, 5]
+
+
+def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
+    # the benchmark's 161-point curve: one call per degree, where solving
+    # each point on its own factors three polynomials per point (483 in all)
+    psi1 = np.geomspace(0.5, 10.0, 161)
+    expected = theory_points(RELU_ZETA_SQ, psi1, 3.0, 0.0110078)
+    shapes = _counting_eigvals(monkeypatch)
+    assert theory_points(RELU_ZETA_SQ, psi1, 3.0, 0.0110078) == expected
+    assert shapes == [(161, 4, 4), (161, 5, 5)]
 
 
 def test_oracle_rejects_bad_lambda():

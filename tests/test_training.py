@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rfridge.risk
+import rfridge.selfconsistent
 from rfridge.risk import (
     ChiDisagreement,
     TargetSpec,
@@ -127,9 +127,9 @@ def test_threshold_decomposition_has_no_training_error():
     pytest.param(partial(training_theory, 2.0), id="training_theory"),
 ])
 def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
-    oracle = rfridge.risk.chi_scalar_oracle
+    certify = rfridge.selfconsistent._certify
     monkeypatch.setattr(
-        rfridge.risk, "chi_scalar_oracle", lambda params, lb: oracle(params, lb) * (1.0 + 1e-6)
+        rfridge.selfconsistent, "_certify", lambda *args: certify(*args) * (1.0 + 1e-6)
     )
     with pytest.raises(ChiDisagreement):
         quantity(1.0, 2.0, 3.0, 0.1)
