@@ -97,7 +97,14 @@ class Activation:
         assert self.evaluator is not None, "custom activation without evaluator"
         try:
             out = np.asarray(self.evaluator(x), dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError) as exc:
+            # a scalar-only evaluator fails on arrays; one that also fails on
+            # a single element is broken, and its own error surfaces
+            if x.size:
+                try:
+                    self.evaluator(x.flat[0])
+                except (TypeError, ValueError):
+                    raise exc from None
             out = None
         if out is None or out.shape != x.shape:
             # evaluator is scalar-only; fall back to a pointwise loop

@@ -255,29 +255,44 @@ def _axis_roots(params: list[SpectralParams], u: list[float]) -> list[tuple]:
 
     One _quartic_coeffs call builds every row's quartic at the target and at
     u = 0 (N, from which the quintic is formed), and one stacked eigvals call
-    per degree (_stacked_roots) factors all of them.
+    per degree (_stacked_roots) factors all of them.  A quartic with a
+    coefficient that is not finite is left out of the stack; its row holds a
+    ValueError naming psi1, psi2 and the product psi1 psi2 lambda_bar (= u^2)
+    that overflowed.
     """
     z, psi1, psi2 = (
         np.array([getattr(p, name) for p in params], dtype=float)[:, None]
         for name in ("zeta_sq", "psi1", "psi2")
     )
     u = np.array(u, dtype=float)[:, None]
-    # per row, N (the quartic at u = 0) and the quartic at the target
-    coeffs = _quartic_coeffs(z, psi1, psi2, np.hstack([np.zeros_like(u), u * u]))
-    n4, n3, n2, n1, n0 = coeffs[:, 0].T
-    z = z[:, 0]
-    # a term that overflows leaves a companion matrix eigvals rejects for its row
+    # a term that overflows is reported by its row's outcome, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        # per row, N (the quartic at u = 0) and the quartic at the target
+        coeffs = _quartic_coeffs(z, psi1, psi2, np.hstack([np.zeros_like(u), u * u]))
+        n4, n3, n2, n1, n0 = coeffs[:, 0].T
+        z = z[:, 0]
         quintics = np.stack(
             [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0], axis=-1
         )
     quartics = coeffs[:, 1]
-    return [
-        (roots if isinstance(roots, Exception) else _negative_roots(polynomial, roots), turns)
-        for polynomial, roots, turns in zip(
-            quartics.tolist(), _stacked_roots(quartics), _stacked_roots(quintics)
-        )
-    ]
+    finite = np.isfinite(quartics).all(axis=1)
+    solved = iter(_stacked_roots(quartics[finite]))
+    outcomes = []
+    for p, u_k, polynomial, ok, turns in zip(
+        params, u[:, 0].tolist(), quartics.tolist(), finite, _stacked_roots(quintics)
+    ):
+        roots = next(solved) if ok else _overflowed(p, u_k)
+        negative = roots if isinstance(roots, Exception) else _negative_roots(polynomial, roots)
+        outcomes.append((negative, turns))
+    return outcomes
+
+
+def _overflowed(params: SpectralParams, u: float) -> ValueError:
+    """The error of a row whose quartic has a coefficient beyond the float range."""
+    return ValueError(
+        f"the product psi1 psi2 lambda_bar = {u * u!r} overflowed the quartic in chi "
+        f"at psi1 = {params.psi1!r}, psi2 = {params.psi2!r}, zeta_sq = {params.zeta_sq!r}"
+    )
 
 
 def _require_axis(xi: complex) -> None:

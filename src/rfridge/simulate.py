@@ -2,9 +2,11 @@
 
 One trial draws feature directions and data at finite (d, n, N), fits the
 penalized least-squares coefficients, and measures test error on a fresh
-sample, the training objective, and the coefficient norm.  Aggregation over
-trials produces means with standard errors for comparison against the
-asymptotic theory.
+sample, the training objective, and the coefficient norm.  The test sample is
+kept as its inputs only: its features are built and scored in blocks of rows,
+so a trial never holds an n_test x N matrix.  Aggregation over trials
+produces means with standard errors for comparison against the asymptotic
+theory.
 
 Randomness is counter-based and fully keyed: trial ``t`` of a run with seed
 ``s`` draws from Philox4x64 streams keyed by the 64-bit pair
@@ -27,7 +29,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -382,26 +384,52 @@ def ridge_fit(
     return FitResult(a_hat=a_hat, solver_path="primal" if primal else "dual", cond=cond)
 
 
-# A trial's draw: training design Z, targets y, test features, test target.
-_Draw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Test rows scored per block.  A block's features and temporaries are a few
+# _TEST_BLOCK x N arrays, whatever n_test is; much larger blocks bring back the
+# memory streaming saves, much smaller ones pay numpy's per-call overhead.
+_TEST_BLOCK = 256
+
+# A trial's draw: training design Z, targets y, test target, and the test
+# feature rows lo:hi at the draw's full width, as features(lo, hi).
+_Draw = tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int, int], np.ndarray]]
 # The sizes a draw depends on: (n, N, n_test).
 _Shape = tuple[int, int, int]
 
 
-def _prefix(draw: _Draw, shape: _Shape) -> _Draw:
-    """The draw of a smaller shape, as prefix slices of a nested one."""
-    n, N, n_test = shape
-    Z, y, test_features, test_target = draw
-    return Z[:n, :N], y[:n], test_features[:n_test, :N], test_target[:n_test]
+def _test_errors(
+    target: np.ndarray,
+    features: Callable[[int, int], np.ndarray],
+    points: Sequence[tuple[np.ndarray, int]],
+) -> list[float]:
+    """Mean squared test error of each (a_hat, n_test) point, in row blocks.
+
+    A point is scored on the first n_test test rows and the first a_hat.size
+    feature columns.  Blocks of _TEST_BLOCK rows are requested in order, each
+    once, and serve every point before the next one is built, so no
+    n_test x N feature matrix is formed and features may draw its rows from a
+    stream as it goes, or return a buffer it reuses.
+    """
+    sums = [0.0] * len(points)
+    rows = max(n_test for _, n_test in points)
+    for lo in range(0, rows, _TEST_BLOCK):
+        hi = min(lo + _TEST_BLOCK, rows)
+        F = features(lo, hi)
+        for k, (a_hat, n_test) in enumerate(points):
+            stop = min(hi, n_test)
+            if stop > lo:
+                r = target[lo:stop] - F[: stop - lo, : a_hat.size] @ a_hat
+                sums[k] += float(r @ r)
+    return [total / n_test for total, (_, n_test) in zip(sums, points)]
 
 
-def _measure(config: SimConfig, fit: FitResult, draw: _Draw, trial_index: int) -> TrialResult:
-    Z, y, test_features, test_target = draw
+def _measure(
+    config: SimConfig, fit: FitResult, Z: np.ndarray, y: np.ndarray, test_error: float,
+    trial_index: int,
+) -> TrialResult:
     residual = y - math.sqrt(config.d) * (Z @ fit.a_hat)
     coef_norm_sq = float(fit.a_hat @ fit.a_hat)
     penalty = config.N * config.lam / config.d * coef_norm_sq
     train_error = float(residual @ residual) / config.n + penalty
-    test_error = float(np.mean((test_target - test_features @ fit.a_hat) ** 2))
     return TrialResult(
         trial_index=trial_index,
         test_error=test_error,
@@ -422,8 +450,11 @@ def _random_features_draw(config: SimConfig, trial_index: int, shape: _Shape) ->
     y = config.target.evaluate(X) + math.sqrt(config.tau_sq) * noise
     Z = build_design(X, Theta, config.activation)
     X_test = sample_sphere(d, n_test, substream(config.seed, trial_index, "test"))
-    test_features = _features(X_test, Theta, config.activation)
-    return Z, y, test_features, config.target.evaluate(X_test)
+
+    def test_features(lo: int, hi: int) -> np.ndarray:
+        return _features(X_test[lo:hi], Theta, config.activation)
+
+    return Z, y, config.target.evaluate(X_test), test_features
 
 
 def _gaussian_covariates_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
@@ -441,9 +472,13 @@ def _gaussian_covariates_draw(config: SimConfig, trial_index: int, shape: _Shape
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.beta_norm * X[:, 0] + math.sqrt(config.tau_sq) * noise
     X_test = substream(config.seed, trial_index, "test").standard_normal((n_test, d))
-    W_test = rng_w.standard_normal((n_test, N))
-    U_test = stats.mu0 + stats.mu1 * (X_test @ Theta.T) / sqrt_d + stats.mu_star * W_test
-    return U / sqrt_d, y, U_test, config.target.beta_norm * X_test[:, 0]
+
+    def test_features(lo: int, hi: int) -> np.ndarray:
+        # successive row blocks of the "w" stream are its one-shot draw's rows
+        W_test = rng_w.standard_normal((hi - lo, N))
+        return stats.mu0 + stats.mu1 * (X_test[lo:hi] @ Theta.T) / sqrt_d + stats.mu_star * W_test
+
+    return U / sqrt_d, y, config.target.beta_norm * X_test[:, 0], test_features
 
 
 def _sweep(config: SimConfig | Sequence[SimConfig]) -> tuple[SimConfig, ...]:
@@ -465,12 +500,17 @@ def run_trial(
     """One trial of config.model: draw, fit, measure.
 
     Test error is measured against the noiseless target on a fresh test
-    sample.  Noise variates are drawn even when tau_sq = 0 (then scaled away)
-    so that configurations differing only in noise level share all other
-    randomness.  Given a sweep, a sequence of configs that differ only in n,
-    N, n_test and lam, the result is one TrialResult per config.  Points of
-    one shape share a draw and are fit together: by ridge_fit at one distinct
-    penalty, by ridge_path from one factorization at several.  A
+    sample.  Every point of a draw is fit first; then one pass over the test
+    rows, in blocks of _TEST_BLOCK, builds each block's features once at the
+    draw's full width and scores every point on it (_test_errors).  The test
+    side thus needs the n_test x d inputs and a few _TEST_BLOCK x N blocks,
+    never an n_test x N feature matrix.  Noise variates are drawn even when
+    tau_sq = 0 (then scaled away) so that configurations differing only in
+    noise level share all other randomness.  Given a sweep, a sequence of
+    configs that differ only in n, N, n_test and lam, the result is one
+    TrialResult per config.  Points of one shape share a draw and are fit
+    together: by ridge_fit at one distinct penalty, by ridge_path from one
+    factorization at several.  A
     random-features trial is drawn once at the sweep's largest shape, and
     every point fits on prefix slices of that draw.
 
@@ -479,10 +519,11 @@ def run_trial(
     only the activation's moment profile; the target must be linear.  The
     ridge objective and measurements coincide with the random-features ones
     under Z = U / sqrt(d).  The training noise matrix is drawn from the "w"
-    stream first, the test noise matrix second; test inputs come from the
-    "test" stream.  These draws do not nest across shapes, so a sweep draws
-    once per distinct (n, N, n_test) and shares that draw only among the
-    penalties of one shape.
+    stream first, the test noise matrix second, in the test pass's row
+    blocks; test inputs come from the "test" stream.  These draws do not
+    nest across shapes, so a sweep draws once per distinct (n, N, n_test) and
+    shares that draw, and its test pass, only among the penalties of one
+    shape.
     """
     configs = _sweep(config)
     nested = configs[0].model == "random_features"
@@ -492,19 +533,27 @@ def run_trial(
         groups.setdefault((c.n, c.N, c.n_test), []).append(i)
     if nested:
         largest = tuple(max(sizes) for sizes in zip(*groups))
-        full = draw(configs[0], trial_index, largest)
+        draws = [(largest, list(groups.items()))]
+    else:
+        draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
     results = [None] * len(configs)
-    for shape, members in groups.items():
-        first = configs[members[0]]
-        data = _prefix(full, shape) if nested else draw(first, trial_index, shape)
-        Z, y = data[0], data[1]
-        lams = [configs[i].lam for i in members]
-        if len(set(lams)) == 1:
-            fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)] * len(lams)
-        else:
-            fits = ridge_path(Z, y, lams, first.psi1_d, first.psi2_d)
-        for i, fit in zip(members, fits):
-            results[i] = _measure(configs[i], fit, data, trial_index)
+    for draw_shape, shapes in draws:
+        Z_full, y_full, test_target, test_features = draw(configs[0], trial_index, draw_shape)
+        fitted = []
+        for (n, N, _), members in shapes:
+            Z, y = Z_full[:n, :N], y_full[:n]
+            first = configs[members[0]]
+            lams = [configs[i].lam for i in members]
+            if len(set(lams)) == 1:
+                fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)] * len(lams)
+            else:
+                fits = ridge_path(Z, y, lams, first.psi1_d, first.psi2_d)
+            fitted += [(i, fit, Z, y) for i, fit in zip(members, fits)]
+        test_errors = _test_errors(
+            test_target, test_features, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
+        )
+        for (i, fit, Z, y), test_error in zip(fitted, test_errors):
+            results[i] = _measure(configs[i], fit, Z, y, test_error, trial_index)
     return results[0] if isinstance(config, SimConfig) else results
 
 

@@ -148,6 +148,43 @@ def test_activation_call_shapes():
     assert out2[0, 1] == pytest.approx(math.tanh(2.0), abs=1e-15)
 
 
+def _counting(fn):
+    """fn, and the list of the arguments it has been called with."""
+    calls = []
+
+    def evaluate(u):
+        calls.append(u)
+        return fn(u)
+
+    return evaluate, calls
+
+
+def test_a_raising_evaluator_runs_once_more_on_one_scalar():
+    def broken(u):
+        if np.ndim(u):
+            raise ValueError("evaluator is broken")
+        raise TypeError("the scalar probe failed too")
+
+    # the array call's error surfaces, not the probe's, after one scalar call
+    evaluate, calls = _counting(broken)
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    with pytest.raises(ValueError, match="evaluator is broken"):
+        Activation.custom(evaluate)(x)
+    assert len(calls) == 2
+    assert calls[0] is not None and np.shape(calls[0]) == x.shape
+    assert np.ndim(calls[1]) == 0 and calls[1] == x[0, 0]
+
+
+def test_a_scalar_only_evaluator_runs_pointwise():
+    evaluate, calls = _counting(math.tanh)
+    x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    out = Activation.custom(evaluate)(x)
+    assert np.array_equal(out, np.vectorize(math.tanh)(x))
+    # the array call that raised, the one-scalar probe, then every element
+    assert len(calls) == 2 + x.size
+    assert all(np.ndim(u) == 0 for u in calls[1:])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     scale=st.floats(min_value=0.2, max_value=5.0),

@@ -238,13 +238,20 @@ def test_stacked_roots_are_np_roots_row_by_row():
 
 
 def test_a_row_that_is_not_finite_fails_alone():
-    # psi1 psi2 lambda_bar overflows, so u^2 and the row's quartic are inf:
-    # eigvals rejects that row, and only that row
+    # psi1 psi2 lambda_bar overflows, so u^2 and the row's quartic are inf; at
+    # 1e307 the product is finite but its zeta^4 multiple, a coefficient, is not:
+    # those rows, and only those, fail by name before eigvals sees them
     points = [(RELU_ZETA_SQ, p, 3.0, 0.01) for p in (0.5, 2.0, 8.0)]
     points.insert(1, (RELU_ZETA_SQ, 2.0, 3.0, 1e308))
+    points.insert(3, (RELU_ZETA_SQ, 2.0, 3.0, 1e307))
     singles = _single_outcomes(points)
-    assert isinstance(singles[1], np.linalg.LinAlgError)
-    assert all(isinstance(s, SpectralPoint) for s in singles[:1] + singles[2:])
+    for failed, product in ((singles[1], "inf"), (singles[3], "6e+307")):
+        assert type(failed) is ValueError
+        assert str(failed) == (
+            f"the product psi1 psi2 lambda_bar = {product} overflowed the quartic in chi "
+            f"at psi1 = 2.0, psi2 = 3.0, zeta_sq = {RELU_ZETA_SQ!r}"
+        )
+    assert all(isinstance(singles[k], SpectralPoint) for k in (0, 2, 4))
     _same_outcomes(theory_points(*np.array(points).T), singles)
 
 
@@ -256,7 +263,8 @@ def test_a_batch_with_a_failing_row_raises_in_row_order():
     assert rows[0] == risk_general(RELU_ZETA_SQ, 2.0, 3.0, 0.01)
     with pytest.raises(ValueError, match="lambda_bar must be finite and positive, got -1.0"):
         [unwrap(row) for row in rows]
-    assert isinstance(rows[2], np.linalg.LinAlgError)
+    assert type(rows[2]) is ValueError
+    assert "the product psi1 psi2 lambda_bar = inf overflowed" in str(rows[2])
 
 
 def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):

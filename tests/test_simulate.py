@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import rfridge._blas
 import rfridge.simulate
-from rfridge.activations import Activation, DegenerateActivation
+from rfridge.activations import Activation, DegenerateActivation, hermite_stats
 from rfridge.simulate import (
     IllConditionedWarning,
     InsufficientTrials,
@@ -412,6 +413,100 @@ def test_gaussian_covariates_shape_sweep_draws_each_point(param):
     # the surrogate's draws do not nest, so each shape draws as a single point does
     sweep = _shape_sweep(param, 1e-3, model="gaussian_covariates")
     assert run_trials(sweep, threads=2) == [run_trials(cfg, threads=1) for cfg in sweep]
+
+
+class _KeptBuffer:
+    """relu written into one buffer per shape, returned by every call of that shape."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, u):
+        return np.maximum(u, 0.0, out=self.buffers.setdefault(np.shape(u), np.empty(np.shape(u))))
+
+
+def _full_matrix_test_errors(sweep, trial_index):
+    """Each point's test error from its whole n_test x N test feature matrix.
+
+    The draws are made here from the trial's streams, as one-shot arrays, and
+    every point is fit by ridge_fit, so the sweep must hold one penalty.
+    """
+    cfg = sweep[0]
+    d, seed, sqrt_d = cfg.d, cfg.seed, math.sqrt(cfg.d)
+    errors = []
+    if cfg.model == "random_features":
+        # one draw at the largest shape; each point is scored on its prefix
+        n, N, n_test = (max(getattr(c, size) for c in sweep) for size in ("n", "N", "n_test"))
+        Theta = sample_sphere(d, N, substream(seed, trial_index, "theta"))
+        X = sample_sphere(d, n, substream(seed, trial_index, "x"))
+        noise = substream(seed, trial_index, "noise").standard_normal(n)
+        y = cfg.target.evaluate(X) + math.sqrt(cfg.tau_sq) * noise
+        Z = build_design(X, Theta, cfg.activation)
+        X_test = sample_sphere(d, n_test, substream(seed, trial_index, "test"))
+        target = cfg.target.evaluate(X_test)
+        features = cfg.activation(X_test @ Theta.T / sqrt_d)
+        for c in sweep:
+            a_hat = ridge_fit(Z[:c.n, :c.N], y[:c.n], c.lam, c.psi1_d, c.psi2_d).a_hat
+            residual = target[:c.n_test] - features[:c.n_test, :c.N] @ a_hat
+            errors.append(float(np.mean(residual ** 2)))
+        return errors
+    stats = hermite_stats(cfg.activation)
+    beta = cfg.target.beta_norm
+    for c in sweep:
+        Theta = sample_sphere(d, c.N, substream(seed, trial_index, "theta"))
+        rng_w = substream(seed, trial_index, "w")
+        X = substream(seed, trial_index, "x").standard_normal((c.n, d))
+        W = rng_w.standard_normal((c.n, c.N))
+        U = stats.mu0 + stats.mu1 * (X @ Theta.T) / sqrt_d + stats.mu_star * W
+        noise = substream(seed, trial_index, "noise").standard_normal(c.n)
+        y = beta * X[:, 0] + math.sqrt(c.tau_sq) * noise
+        X_test = substream(seed, trial_index, "test").standard_normal((c.n_test, d))
+        W_test = rng_w.standard_normal((c.n_test, c.N))
+        U_test = stats.mu0 + stats.mu1 * (X_test @ Theta.T) / sqrt_d + stats.mu_star * W_test
+        a_hat = ridge_fit(U / sqrt_d, y, c.lam, c.psi1_d, c.psi2_d).a_hat
+        errors.append(float(np.mean((beta * X_test[:, 0] - U_test @ a_hat) ** 2)))
+    return errors
+
+
+@pytest.mark.parametrize("model, activation", [
+    ("random_features", RELU),
+    ("random_features", Activation.custom(_KeptBuffer())),
+    # the surrogate uses the activation's moments only
+    ("gaussian_covariates", RELU),
+], ids=["random_features", "random_features-kept-buffer", "gaussian_covariates"])
+@pytest.mark.parametrize("param, n_test", [
+    # 1000 rows end in a partial block, 100 fit in one
+    ("psi1", 1000), ("psi1", 100),
+    # the default 10 n gives 240, 400 and 640 rows: each point stops at its own row
+    ("psi2", None),
+])
+def test_streamed_test_errors_match_the_full_matrix(model, activation, param, n_test):
+    field = "N" if param == "psi1" else "n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallTestSetWarning)
+        sweep = [
+            _small_config(**{"d": 20, "n": 40, "N": 40, "n_test": n_test, "model": model,
+                             "activation": activation, field: size})
+            for size in (24, 40, 64)
+        ]
+    for trial_index in (0, 1):
+        streamed = [r.test_error for r in run_trial(sweep, trial_index)]
+        full = _full_matrix_test_errors(sweep, trial_index)
+        assert streamed == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_test_features_are_never_materialised(model):
+    # one n_test x N float64 matrix is 128 MB here; a trial stays far below it
+    n_test, N = 20000, 800
+    cfg = _small_config(d=20, n=100, N=N, n_test=n_test, model=model, trials=1)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_test * N * 8 / 4
 
 
 def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
