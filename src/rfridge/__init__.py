@@ -16,7 +16,6 @@ from .activations import (
     hermite_stats,
 )
 from .selfconsistent import (
-    InconsistentChi,
     InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
@@ -25,7 +24,6 @@ from .selfconsistent import (
     SpectralPoint,
     chi_scalar_oracle,
     fixed_point_map,
-    nu_from_chi,
     solve_at,
     solve_points,
 )

@@ -148,6 +148,10 @@ class RiskDecomposition:
             )
 
 
+# the decomposition where E0 vanishes: B and V diverge, no training factors
+_AT_THRESHOLD = RiskDecomposition(INF, INF, NAN, NAN, NAN, NAN, True)
+
+
 @dataclass(frozen=True)
 class PhaseQuantities:
     """Boundary data of the optimal-penalty phase plane at given (zeta_sq, psi2, rho).
@@ -190,12 +194,15 @@ def _e0_coeffs(zeta_sq: float, psi1: float, psi2: float) -> tuple[float, ...]:
 
 
 def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
-    """E0, E1, E2 as Horner evaluations in chi with precomputed zeta_sq powers."""
+    """E0, E1, E2 as Horner evaluations in chi with precomputed zeta_sq powers,
+    and the size of E0's own terms, sum |c_k chi^k| (_e0_vanishes), all
+    elementwise over arrays."""
     z = zeta_sq
     z2 = z * z
     z3 = z2 * z
     pp = psi1 * psi2
-    e0 = _horner(_e0_coeffs(z, psi1, psi2), chi)
+    coeffs = _e0_coeffs(z, psi1, psi2)
+    e0 = _horner(coeffs, chi)
     e1 = _horner((psi2 * z2, -psi2 * z, pp * z, -pp), chi)
     e2 = _horner(
         (
@@ -208,27 +215,25 @@ def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
         ),
         chi,
     )
-    return e0, e1, e2
+    return e0, e1, e2, _horner([abs(c) for c in coeffs], abs(chi))
 
 
-def _e0_vanishes(chi: float, zeta_sq: float, psi1: float, psi2: float) -> bool:
-    """Whether E0 is below 1e-12 of the size of its own terms, sum |c_k chi^k|.
+def _e0_vanishes(e0, size):
+    """Whether E0 = e0 is at most 1e-12 of the size of its own terms.
 
     That is the interpolation threshold, where E0 cancels to rounding.  The
     size is E0's own, not that of E1 and E2: all three scale with
     min(psi1, psi2), so an absolute floor would flag well-posed points with a
     tiny shape ratio.
     """
-    coeffs = _e0_coeffs(zeta_sq, psi1, psi2)
-    size = _horner([abs(c) for c in coeffs], abs(chi))
-    return abs(_horner(coeffs, chi)) < 1e-12 * size
+    return abs(e0) <= 1e-12 * size
 
 
 def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
     """B = E1/E0 and V = E2/E0 at a solved chi, without training factors."""
-    if _e0_vanishes(chi, zeta_sq, psi1, psi2):
-        return RiskDecomposition(INF, INF, NAN, NAN, NAN, NAN, True)
-    e0, e1, e2 = _e_polynomials(chi, zeta_sq, psi1, psi2)
+    e0, e1, e2, size = _e_polynomials(chi, zeta_sq, psi1, psi2)
+    if _e0_vanishes(e0, size):
+        return _AT_THRESHOLD
     return RiskDecomposition(e1 / e0, e2 / e0, NAN, NAN, NAN, NAN)
 
 
@@ -258,10 +263,10 @@ def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     """theory_point at every row of the arguments, broadcast against each other.
 
     Each row holds an outcome: its SpectralPoint, or the exception
-    theory_point raises there (selfconsistent.unwrap raises it).  One
-    stacked solve (solve_points) serves every row, and each row is then
-    selected, certified and cross-checked on its own, so a row's outcome is
-    bitwise theory_point's and a failing row leaves the others unchanged.
+    theory_point raises there (selfconsistent.unwrap raises it).  The rows
+    are selected and certified as arrays (solve_points), and each row's two
+    chi are then cross-checked, so a row's outcome is bitwise theory_point's
+    and a failing row leaves the others unchanged.
     """
     return _theory_rows(_rows(zeta_sq, psi1, psi2, lambda_bar))
 
@@ -285,36 +290,56 @@ def theory_point(
     return unwrap(theory_points(zeta_sq, psi1, psi2, lambda_bar)[0])
 
 
-def _general_decomposition(point, zeta_sq, psi1, psi2, lambda_bar) -> RiskDecomposition:
-    """risk_general's decomposition from the outcome of its theory point."""
-    point = unwrap(point)
-    chi = point.chi.real
-    dec = decompose(chi, zeta_sq, psi1, psi2)
-    if dec.threshold_singular:
-        return dec
-    z = zeta_sq
-    z2 = z * z
-    m = point.nu2.imag * math.sqrt(lambda_bar * psi1 / psi2)
-    a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
-    a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
-    e0 = _horner(_e0_coeffs(z, psi1, psi2), chi)
-    parts = (m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0)
-    if min(parts) < -1e-10:
-        raise InvariantViolation(
-            f"negative training factors {parts} at psi1={psi1}, psi2={psi2}, "
-            f"lambda_bar={lambda_bar}"
-        )
-    return RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
+def _decompositions(rows: list[tuple], chi: np.ndarray, nu2_imag: np.ndarray) -> list:
+    """risk_general's decomposition of each (zeta_sq, psi1, psi2, lambda_bar)
+    row from chi and Im(nu2) of its solved point, computed elementwise over
+    the rows; each row holds an outcome."""
+    z, psi1, psi2, lambda_bar = np.array(rows, dtype=float).reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
+        singular = _e0_vanishes(e0, size)
+        z2 = z * z
+        m = nu2_imag * np.sqrt(lambda_bar * psi1 / psi2)
+        a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+        a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+        parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
+        bias, var = e1 / e0, e2 / e0
+    # min(parts) < -1e-10, where a nan first part hides the others
+    negative = ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
+    factors = np.where(0.0 > parts, 0.0, parts)
+    outcomes = []
+    for row, at_threshold, bad, b, v, found, kept in zip(
+        rows, singular.tolist(), negative.tolist(), bias.tolist(), var.tolist(),
+        parts.tolist(), factors.tolist(),
+    ):
+        if at_threshold:
+            outcomes.append(_AT_THRESHOLD)
+        elif bad:
+            outcomes.append(InvariantViolation(
+                f"negative training factors {tuple(found)} at psi1={row[1]}, psi2={row[2]}, "
+                f"lambda_bar={row[3]}"
+            ))
+        else:
+            outcomes.append(RiskDecomposition(b, v, *kept))
+    return outcomes
 
 
 def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     """risk_general at every row of the arguments, broadcast against each
-    other, from one theory_points batch; each row holds an outcome, as there."""
+    other, from one theory_points batch; each row holds an outcome, as there.
+
+    The decompositions of the solved rows are computed as arrays
+    (_decompositions), so a row's outcome is bitwise risk_general's and a
+    failing row leaves the others unchanged.
+    """
     rows = _rows(zeta_sq, psi1, psi2, lambda_bar)
-    return [
-        attempt(_general_decomposition, point, *row)
-        for row, point in zip(rows, _theory_rows(rows))
-    ]
+    outcomes = _theory_rows(rows)
+    solved = [k for k, point in enumerate(outcomes) if not isinstance(point, Exception)]
+    chi = np.array([outcomes[k].chi.real for k in solved])
+    nu2_imag = np.array([outcomes[k].nu2.imag for k in solved])
+    for k, dec in zip(solved, _decompositions([rows[k] for k in solved], chi, nu2_imag)):
+        outcomes[k] = dec
+    return outcomes
 
 
 def risk_general(
@@ -332,8 +357,8 @@ def risk_general(
         train_signal = m / (1 - chi zeta^2),   train_noise = m,
         norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
 
-    with the two numerator polynomials of _general_decomposition and E0 the
-    shared denominator.  solve_at has checked that nu2 is purely imaginary.
+    with the two numerator polynomials of _decompositions and E0 the shared
+    denominator.  solve_at has checked that nu2 is purely imaginary.
     This is risk_general_points for a batch of one.
     """
     return unwrap(risk_general_points(zeta_sq, psi1, psi2, lambda_bar)[0])
@@ -452,6 +477,62 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     return PhaseQuantities(omega0, omega1, rho_star, zeta_star_sq, lambda_star)
 
 
+# sqrt(eps): below this relative spacing a smooth minimum is flat to rounding
+_SQRT_EPS = math.sqrt(2.0**-52)
+
+
+def _brent(f, a: float, b: float, xtol: float) -> tuple[float, float]:
+    """Brent's method: the minimizer of f on [a, b] and f there.
+
+    Each step moves to the vertex of the parabola through the three best
+    points so far (x the best, w and v the runners-up), unless that vertex
+    falls outside (a, b) or the step is not shorter than half the step before
+    last; then it takes a golden-section step into the larger side of the
+    bracket.  [a, b] always brackets the minimizer of a unimodal f, and the
+    search stops once both ends lie within 2 tol = 2 xtol / 3 + 2 sqrt(eps) |x|
+    of x: within xtol up to |x| of about 10, and within the float resolution
+    f can tell apart beyond.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            before_last, e = e, d
+            if abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                # never evaluate within 2 tol of an end of the bracket
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if mid >= x else -tol
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        # never a step shorter than tol, which f could not resolve
+        u = x + d if abs(d) >= tol else x + (tol if d >= 0.0 else -tol)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def optimal_lambda(
     rho: float,
     zeta_sq: float,
@@ -465,8 +546,11 @@ def optimal_lambda(
     interior by risk_general.  A 64-point log pre-scan, its 63 interior
     points solved as one batch (risk_general_points), locates the bracket
     (and warns NonUnimodalWarning if it sees more than one local minimum);
-    golden-section search then resolves the minimizer to 1e-6 absolute, one
-    risk_general call per step.
+    Brent's method (_brent) then resolves the minimizer within that bracket
+    to 1e-6 absolute (to 3e-8 relative where lambda_bar exceeds about 10, so
+    a large lambda_max cannot stall it on rounding), one risk_general call
+    per step, about ten in all.  The better of its point and the best
+    pre-scan point is the answer.
     Returns (lambda_bar_opt, risk_opt).
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
@@ -498,20 +582,7 @@ def optimal_lambda(
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = profile(x1), profile(x2)
-    while b - a > 1e-6:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = profile(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = profile(x2)
-    candidates = [(grid[best], values[best]), (x1, f1), (x2, f2)]
+    x, fx = _brent(profile, lo, hi, 1e-6)
+    candidates = [(grid[best], values[best]), (x, fx)]
     lb_opt, r_opt = min(candidates, key=lambda t: t[1])
     return float(lb_opt), float(r_opt)

@@ -14,9 +14,10 @@ in the upper half plane and checks that pair on the coupled map, to a
 residual of 1e-12 relative to each component; the oracle keeps the largest
 root, certified as the one continuity from large |xi| reaches by the absence
 of a turning point of the root branch.  Callers cross-check one against the
-other.  solve_points takes a whole batch of targets through one stacked
-eigvals call per polynomial degree; solve_at and chi_scalar_oracle run the
-same code on a batch of one.
+other.  solve_points solves a whole batch of targets as arrays: one stacked
+eigvals call per polynomial degree, then the polish, the selection and the
+certificate elementwise over every row; solve_at and chi_scalar_oracle run
+the same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class InvariantViolation(RuntimeError):
 
 class RootSelectionAmbiguous(RuntimeError):
     """The quartic oracle could not certify one root as the branch continuity reaches."""
-
-
-class InconsistentChi(RuntimeError):
-    """The reconstructed pair does not multiply back to the supplied chi."""
 
 
 def require_positive(**values: float) -> None:
@@ -108,71 +105,63 @@ def fixed_point_map(
     return f1, f2
 
 
-def _residual(nu1, nu2, xi, params) -> float:
-    """The map residual relative to each component, the larger of the two."""
-    f1, f2 = fixed_point_map(nu1, nu2, xi, params)
-    return max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2))
+def _residual(t1, t2, u, zeta_sq, psi1, psi2):
+    """fixed_point_map's residual relative to each component, the larger of
+    the two, at pairs (i t1, i t2) on the axis xi = i u, elementwise.
 
-
-def _checked_point(xi, nu1, nu2, res, params) -> SpectralPoint:
-    """The solution at xi, after the half-plane, norm-bound and axis checks."""
-    if nu1.imag <= 0.0 or nu2.imag <= 0.0:
-        raise InvariantViolation(f"solution left the upper half plane at xi = {xi}")
-    # relative slack for rounding, which scales with |nu| however small it is
-    bound_slack = 1.0 + 1e-9
-    if (
-        abs(nu1) > bound_slack * params.psi1 / xi.imag
-        or abs(nu2) > bound_slack * params.psi2 / xi.imag
-    ):
-        raise InvariantViolation(
-            f"|nu| exceeds psi / Im(xi) at xi = {xi}: |nu1|={abs(nu1)}, |nu2|={abs(nu2)}"
-        )
-    chi = nu1 * nu2
-    # on the imaginary axis the solution is purely imaginary and chi <= 0
-    axis_tol = 1e-10
-    if (
-        abs(nu1.real) > axis_tol * (1.0 + abs(nu1))
-        or abs(nu2.real) > axis_tol * (1.0 + abs(nu2))
-        or abs(chi.imag) > axis_tol * (1.0 + abs(chi))
-        or chi.real > axis_tol
-    ):
-        raise InvariantViolation(
-            f"imaginary-axis structure lost at xi = {xi}: nu1={nu1}, nu2={nu2}"
-        )
-    return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=chi, residual=res)
-
-
-def _pair_from_chi(chi: float, params: SpectralParams, u: float) -> tuple[complex, complex]:
-    """The pair a chi <= 0 determines at xi = i u, by the coupled equations' sum / product:
-
-    nu_k = i (psi_k - s) / u with s = -zeta^2 chi / (1 - zeta^2 chi) - chi.
+    On the axis the map's complex arithmetic is real arithmetic on the
+    imaginary parts: 1 - zeta^2 nu1 nu2 = 1 + zeta^2 t1 t2 =: D and
+    F_1 = i psi1 / -(-u - t2 - zeta^2 t2 / D), F_2 likewise.  Written in the
+    map's operation order, each value is bitwise that of fixed_point_map on
+    the same pair.  For t_k > 0, D >= 1, so the map's singular denominator
+    cannot arise.
     """
-    z = params.zeta_sq
-    s = -z * chi / (1.0 - z * chi) - chi
-    return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
+    den = 1.0 + zeta_sq * t1 * t2
+    f1 = -psi1 / (-u - t2 - zeta_sq * t2 / den)
+    f2 = -psi2 / (-u - t1 - zeta_sq * t1 / den)
+    r1 = np.abs(f1 - t1) / t1
+    r2 = np.abs(f2 - t2) / t2
+    return np.where(r2 > r1, r2, r1)
 
 
-def _polish_root(coeffs: list, chi: float) -> float:
-    """A real root of the polynomial coeffs (highest degree first) after up to
-    six Newton steps, by Horner on Python floats.
+def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Real roots chi (nan for none) after up to six Newton steps, by Horner,
+    each on its own polynomial: column j of columns holds root j's
+    coefficients, highest degree first.
 
     eigvals resolves a root only to the rounding of the largest coefficient,
     so when the coefficients span ~1e50 a tiny root comes back as 0.0 or with
     the wrong sign; Newton restores it, and six steps bring copies of one root
-    that started from 0.0 together to rounding.
+    that started from 0.0 together to rounding.  A root stops for good at the
+    step where the derivative is 0, the step is not finite, or it leaves chi
+    unchanged (it would repeat to the last one), so every root takes the steps
+    the same scalar loop would, bitwise.  A root that a step brings back to
+    where it was two steps before alternates between two values until the
+    sixth step; once every root still moving does, that step's values are
+    known and the loop ends early.
     """
-    for _ in range(6):
-        p = dp = 0.0
-        for c in coeffs:
+    moving = ~np.isnan(chi)
+    before = np.full_like(chi, np.nan)
+    first, *rest = columns
+    for left in range(5, -1, -1):
+        if not moving.any():
+            break
+        # Horner from p = dp = 0: after the leading coefficient dp is +0.0
+        dp, p = 0.0, 0.0 * chi + first
+        for c in rest:
             dp = dp * chi + p
             p = p * chi + c
-        if dp == 0.0:
-            break
+        # a zero derivative makes the step infinite or nan, so it stops too
         step = p / dp
-        # a step that leaves chi unchanged would repeat to the last one
-        if not math.isfinite(step) or chi - step == chi:
+        moved = chi - step
+        moving &= np.isfinite(step) & (moved != chi)
+        if (moved == before)[moving].all():
+            # after the remaining steps, chi is moved again if their number is even
+            if left % 2 == 0:
+                np.copyto(chi, moved, where=moving)
             break
-        chi -= step
+        before = chi.copy()
+        np.copyto(chi, moved, where=moving)
     return chi
 
 
@@ -196,103 +185,198 @@ def attempt(fn, *args):
         return exc
 
 
-def _eigvals(matrices: np.ndarray) -> list:
-    """Each matrix's eigenvalues as a list, from one stacked eigvals call.
+# the padding of a row of roots: neither part is a number
+_NAN = complex(math.nan, math.nan)
+
+
+def _eigvals(matrices: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Each matrix's eigenvalues as a complex row, from one stacked eigvals
+    call, and {index: LinAlgError} for the matrices LAPACK rejects.
 
     eigvals raises for the whole stack when one matrix is not finite or LAPACK
     fails on it; then each matrix is factored alone, and the one that fails
-    holds its own LinAlgError instead of failing the others.
+    holds its own LinAlgError, and nan eigenvalues, instead of failing the others.
     """
     try:
-        return np.linalg.eigvals(matrices).tolist()
+        return np.asarray(np.linalg.eigvals(matrices), dtype=complex), {}
     except np.linalg.LinAlgError as exc:
         if len(matrices) == 1:
-            return [exc]
-        return [_eigvals(m[None])[0] for m in matrices]
+            return np.full(matrices.shape[:2], _NAN), {0: exc}
+    found, failed = np.empty(matrices.shape[:2], dtype=complex), {}
+    for k, m in enumerate(matrices):
+        found[k], error = _eigvals(m[None])
+        if error:
+            failed[k] = error[0]
+    return found, failed
 
 
-def _stacked_roots(polys: np.ndarray) -> list:
-    """np.roots of each row of polys (highest degree first) as an outcome: the
-    roots as a list, or the LinAlgError np.roots raises on that row.
+def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
+    """np.roots of each row of polys (highest degree first), as the rows of a
+    complex array padded with nan, and {row: LinAlgError} for the rows np.roots
+    rejects (their row is all nan).
 
     As in np.roots, a row sheds its leading and trailing zero coefficients,
-    the latter coming back as roots at 0, and eigvals factors the companion
-    matrix of what is left.  The rows left with one degree share one stacked
-    call (_eigvals), and LAPACK factors each matrix on its own, so every row's
-    roots are bitwise those of np.roots.
+    the latter coming back as roots at 0 after the others, and eigvals factors
+    the companion matrix of what is left.  The rows left with one degree share
+    one stacked call (_eigvals), and LAPACK factors each matrix on its own, so
+    every row's roots are bitwise those of np.roots.
     """
     k = polys.shape[1] - 1
-    degrees = {}
-    for row, coeffs in enumerate(polys.tolist()):
-        kept = [j for j, c in enumerate(coeffs) if c != 0.0]
-        # an all-zero row keeps no coefficient and, as in np.roots, has no roots
-        degrees.setdefault((kept[0], kept[-1]) if kept else (k, k), []).append(row)
-    roots = [None] * len(polys)
-    for (lo, hi), rows in degrees.items():
-        m = hi - lo
-        found = [[] for _ in rows]
+    nonzero = polys != 0.0
+    if nonzero.all():
+        return _eigvals(_companions(polys))
+    kept = nonzero.any(axis=1)
+    # an all-zero row keeps no coefficient and, as in np.roots, has no roots
+    lo = np.where(kept, nonzero.argmax(axis=1), k)
+    hi = np.where(kept, k - nonzero[:, ::-1].argmax(axis=1), k)
+    roots = np.full((len(polys), k), _NAN)
+    failed = {}
+    for first, last in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
+        rows = np.flatnonzero((lo == first) & (hi == last))
+        m = last - first
         if m > 0:
-            p = polys[rows, lo:hi + 1]
-            companion = np.zeros((len(rows), m, m))
-            companion[:, 0] = -p[:, 1:] / p[:, :1]
-            companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-            found = _eigvals(companion)
-        for row, r in zip(rows, found):
-            roots[row] = r if isinstance(r, Exception) else r + [0.0] * (k - hi)
-    return roots
+            roots[rows, :m], errors = _eigvals(_companions(polys[rows, first:last + 1]))
+            failed.update((int(rows[j]), exc) for j, exc in errors.items())
+        roots[rows, m:m + k - last] = 0.0
+    roots[list(failed)] = _NAN
+    return roots, failed
 
 
-def _negative_roots(polynomial: list, roots: list) -> list[float]:
-    """Of the roots found for the quartic polynomial, the real ones, each
-    polished by _polish_root, that are negative afterwards; copies are kept."""
-    real = [r.real for r in roots if r.imag == 0.0]
-    return [chi for chi in (_polish_root(polynomial, r) for r in real) if chi < 0.0]
+def _companions(polys: np.ndarray) -> np.ndarray:
+    """The companion matrix of each row of polys, as np.roots builds it."""
+    rows, m = polys.shape[0], polys.shape[1] - 1
+    companion = np.zeros((rows, m, m))
+    companion[:, 0] = -polys[:, 1:] / polys[:, :1]
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    return companion
 
 
-def _axis_roots(params: list[SpectralParams], u: list[float]) -> list[tuple]:
-    """Per row, the negative roots of the quartic at xi = i u (_negative_roots)
-    and the roots of chi_scalar_oracle's quintic, each as an outcome.
-
-    One _quartic_coeffs call builds every row's quartic at the target and at
-    u = 0 (N, from which the quintic is formed), and one stacked eigvals call
-    per degree (_stacked_roots) factors all of them.  A quartic with a
-    coefficient that is not finite is left out of the stack; its row holds a
-    ValueError naming psi1, psi2 and the product psi1 psi2 lambda_bar (= u^2)
-    that overflowed.
-    """
-    z, psi1, psi2 = (
-        np.array([getattr(p, name) for p in params], dtype=float)[:, None]
-        for name in ("zeta_sq", "psi1", "psi2")
-    )
-    u = np.array(u, dtype=float)[:, None]
-    # a term that overflows is reported by its row's outcome, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        # per row, N (the quartic at u = 0) and the quartic at the target
-        coeffs = _quartic_coeffs(z, psi1, psi2, np.hstack([np.zeros_like(u), u * u]))
-        n4, n3, n2, n1, n0 = coeffs[:, 0].T
-        z = z[:, 0]
-        quintics = np.stack(
-            [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0], axis=-1
-        )
-    quartics = coeffs[:, 1]
-    finite = np.isfinite(quartics).all(axis=1)
-    solved = iter(_stacked_roots(quartics[finite]))
-    outcomes = []
-    for p, u_k, polynomial, ok, turns in zip(
-        params, u[:, 0].tolist(), quartics.tolist(), finite, _stacked_roots(quintics)
-    ):
-        roots = next(solved) if ok else _overflowed(p, u_k)
-        negative = roots if isinstance(roots, Exception) else _negative_roots(polynomial, roots)
-        outcomes.append((negative, turns))
-    return outcomes
+def _negative_roots(polys: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Of the roots found for each row's quartic in polys (rows x roots), the
+    real ones, each polished on that quartic (_polish), that are negative
+    afterwards, in place; nan everywhere else.  Copies are kept."""
+    chi = _polish(np.repeat(polys.T, roots.shape[1], axis=1),
+                  np.where(roots.imag == 0.0, roots.real, np.nan).ravel())
+    return np.where(chi < 0.0, chi, np.nan).reshape(roots.shape)
 
 
-def _overflowed(params: SpectralParams, u: float) -> ValueError:
+def _overflowed(zeta_sq, psi1, psi2, u: float) -> ValueError:
     """The error of a row whose quartic has a coefficient beyond the float range."""
     return ValueError(
         f"the product psi1 psi2 lambda_bar = {u * u!r} overflowed the quartic in chi "
-        f"at psi1 = {params.psi1!r}, psi2 = {params.psi2!r}, zeta_sq = {params.zeta_sq!r}"
+        f"at psi1 = {psi1!r}, psi2 = {psi2!r}, zeta_sq = {zeta_sq!r}"
     )
+
+
+class _AxisBatch:
+    """solve_at's selection and chi_scalar_oracle's certificate for a batch of
+    targets xi = i u, computed as arrays over the rows; _select and _certify
+    turn one row of it into its value or its exception.
+
+    One _quartic_coeffs call builds every row's quartic at the target and at
+    u = 0 (N, from which the oracle's quintic is formed), and one stacked
+    eigvals call per degree (_stacked_roots) factors all of them.  A quartic
+    with a coefficient that is not finite is left out of the stack; its row
+    fails with a ValueError naming psi1, psi2 and the product psi1 psi2
+    lambda_bar (= u^2) that overflowed.  Every other step is elementwise, so a
+    row's outcome does not depend on the rest of the batch.
+    """
+
+    def __init__(self, shapes: np.ndarray, u: np.ndarray, labels: list):
+        """shapes holds each row's (zeta_sq, psi1, psi2) as floats, u its
+        target, and labels the (zeta_sq, psi1, psi2) its errors name."""
+        z, psi1, psi2 = shapes.T
+        # a term that overflows is reported by its row's outcome, not as a warning
+        with np.errstate(all="ignore"):
+            # per row, N (the quartic at u = 0) and the quartic at the target
+            u_sq = np.zeros((len(u), 2))
+            u_sq[:, 1] = u * u
+            coeffs = _quartic_coeffs(z[:, None], psi1[:, None], psi2[:, None], u_sq)
+            n4, n3, n2, n1, n0 = coeffs[:, 0].T
+            quintics = np.array(
+                [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
+            ).T
+            quartics = coeffs[:, 1]
+            # a quartic that is not finite stays out of the stack as a row of
+            # zeros, which has no roots; its row holds the overflow error
+            finite = np.isfinite(quartics).all(axis=1)
+            roots, failed = _stacked_roots(np.where(finite[:, None], quartics, 0.0))
+            failed.update((k, _overflowed(*labels[k], u[k].item()))
+                          for k in np.flatnonzero(~finite).tolist())
+            self.failed = failed
+            turns, self.turn_failed = _stacked_roots(quintics)
+            chi = _negative_roots(quartics, roots)
+            self._select_arrays(chi, z, psi1, psi2, u)
+            self._certify_arrays(chi, turns)
+
+    def _select_arrays(self, chi, z, psi1, psi2, u):
+        # one entry per candidate root, each with its row's parameters
+        n, m = chi.shape
+        chi = chi.ravel()
+        z, psi1, psi2, u = np.repeat(np.array([z, psi1, psi2, u]), m, axis=1)
+        # the pair a root chi determines, by the coupled equations' sum and
+        # product: nu_k = i t_k with t_k = (psi_k - s) / u and
+        # s = -zeta^2 chi / (1 - zeta^2 chi) - chi
+        s = -z * chi / (1.0 - z * chi) - chi
+        t1 = (psi1 - s) / u
+        t2 = (psi2 - s) / u
+        # the smaller component cancels when its psi_k is tiny, so it is
+        # rebuilt as chi over the larger one; equal components both cancel
+        # alike, and sqrt(-chi) keeps the pair symmetric
+        second = t2 > t1
+        larger = np.where(second, t2, t1)
+        equal = t1 == t2
+        symmetric = np.sqrt(-chi)
+        smaller = -chi / larger
+        t1, t2 = (np.where(equal, symmetric, np.where(second, smaller, t1)),
+                  np.where(equal, symmetric, np.where(second, t2, smaller)))
+        # admissible: the pair lies in the upper half plane, both t_k > 0
+        admissible = (larger > 0.0) & (np.minimum(t1, t2) > 0.0)
+        res = np.full(chi.shape, np.inf)
+        res[admissible] = _residual(*(v[admissible] for v in (t1, t2, u, z, psi1, psi2)))
+        # relative slack for rounding, which scales with |nu| however small it is
+        bound = 1.0 + 1e-9
+        checked = admissible & ~(res > _TOL) & ~(t1 > bound * psi1 / u) & ~(t2 > bound * psi2 / u)
+        # chi = nu1 nu2 as complex arithmetic forms it; it is real and
+        # negative for t_k > 0, which is the axis structure
+        re, im = 0.0 * 0.0 - t1 * t2, 0.0 * t2 + t1 * 0.0
+        first = checked.reshape(n, m).argmax(axis=1) + np.arange(0, n * m, m)
+        # one distinct point: every checked root after the first is a copy of it
+        first_re, first_im = np.repeat(re[first], m), np.repeat(im[first], m)
+        distinct = checked & (np.hypot(re - first_re, im - first_im)
+                              > 1e-10 * np.hypot(first_re, first_im))
+        self._checked_roots = re.reshape(n, m), im.reshape(n, m), checked.reshape(n, m)
+        self.solved = (checked.reshape(n, m).any(axis=1)
+                       & ~distinct.reshape(n, m).any(axis=1)).tolist()
+        self.pair = list(zip(t1[first].tolist(), t2[first].tolist()))
+        self.residual = res[first].tolist()
+        self.admissible = admissible.reshape(n, m).sum(axis=1).tolist()
+        self.best = np.where(np.isnan(res), np.inf, res).reshape(n, m).min(axis=1).tolist()
+
+    def _certify_arrays(self, chi, turns):
+        # the largest negative root; the quintic's real roots in [chi*, 0);
+        # the distinct roots within 1e-8 |chi*| below chi*
+        found = ~np.isnan(chi)
+        top = np.where(found, chi, -np.inf).max(axis=1)[:, None]
+        turning = ((np.abs(turns.imag) <= 1e-9 * np.hypot(turns.real, turns.imag))
+                   & (top <= turns.real) & (turns.real < 0.0))
+        gap = top - chi
+        rival = (1e-10 * -top < gap) & (gap < 1e-8 * -top)
+        rows = np.arange(len(chi))
+        self.has_root = found.any(axis=1).tolist()
+        self.chi = top[:, 0].tolist()
+        self.turn = np.where(turning.any(axis=1), turns.real[rows, turning.argmax(axis=1)],
+                             np.nan).tolist()
+        self.rival = np.where(rival.any(axis=1), chi[rows, rival.argmax(axis=1)], np.nan).tolist()
+
+    def distinct_points(self, k: int) -> int:
+        """How many distinct points row k's checked roots give, taken in order."""
+        points = []
+        for re, im, ok in zip(*(part[k].tolist() for part in self._checked_roots)):
+            chi = complex(re, im)
+            if ok and all(abs(chi - p) > 1e-10 * abs(p) for p in points):
+                points.append(chi)
+        return len(points)
 
 
 def _require_axis(xi: complex) -> None:
@@ -302,63 +386,48 @@ def _require_axis(xi: complex) -> None:
         raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
 
 
+def _batch_of_one(params: SpectralParams, u: float) -> _AxisBatch:
+    """The batch of the single target xi = i u, as solve_at and chi_scalar_oracle solve it."""
+    shape = (params.zeta_sq, params.psi1, params.psi2)
+    return _AxisBatch(np.array([shape], dtype=float), np.array([u]), [shape])
+
+
 def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     """Solve the coupled equations at xi = i u on the imaginary axis, u > 0.
 
     Every theory point lies there, and there chi = nu1 nu2 is a root of the
     quartic _quartic_coeffs.  Of its real roots, polished on the quartic,
-    those that are negative (_negative_roots) are candidates; one is
-    admissible when its pair (_pair_from_chi) lies in the upper half
-    plane.  The smaller component of that pair cancels when its psi_k is
-    tiny, so it is rebuilt as chi over the larger one, which for a root of the
-    quartic has the same sign; equal components are both rebuilt as
-    sqrt(-chi).  Each admissible pair is checked, as built, on
-    the coupled map: its residual relative to each component must be at most
-    1e-12, which also guards the quartic's coefficients.  The answer is the
-    one distinct point (chi within 1e-10 relative) that meets the residual and
-    passes the half-plane, norm-bound and axis checks; none or several raise
-    NoConvergence.  This is solve_points' selection for a batch of one.
+    those that are negative (_negative_roots) are candidates.  A candidate
+    determines the pair nu_k = i t_k, with t_k = (psi_k - s) / u and
+    s = -zeta^2 chi / (1 - zeta^2 chi) - chi, and is admissible when that
+    pair lies in the upper half plane.  The smaller component of that pair
+    cancels when its psi_k is tiny, so it is rebuilt as chi over the larger
+    one, which for a root of the quartic has the same sign; equal components
+    are both rebuilt as sqrt(-chi).  Each admissible pair is checked, as
+    built, on the coupled map: its residual relative to each component must
+    be at most 1e-12, which also guards the quartic's coefficients.  The
+    answer is the one distinct point (chi within 1e-10 relative) that meets
+    the residual and passes the half-plane and norm-bound checks; none or
+    several raise NoConvergence.  This is solve_points' selection for a batch
+    of one.
     """
     _require_axis(xi)
-    ((negative, _),) = _axis_roots([params], [xi.imag])
-    return _select(xi, params, negative)
+    return _select(xi, _batch_of_one(params, xi.imag), 0)
 
 
-def _select(xi: complex, params: SpectralParams, negative) -> SpectralPoint:
-    """solve_at's point at xi from the outcome of the quartic's negative roots."""
-    u = xi.imag
-    admissible, best, points = 0, math.inf, []
-    for chi in unwrap(negative):
-        nu1, nu2 = _pair_from_chi(chi, params, u)
-        larger = max(nu1.imag, nu2.imag)
-        if not larger > 0.0:
-            continue
-        if nu1.imag == nu2.imag:
-            # equal components both cancel alike; sqrt(-chi) keeps the pair symmetric
-            nu1 = nu2 = complex(0.0, math.sqrt(-chi))
-        else:
-            smaller = complex(0.0, -chi / larger)
-            nu1, nu2 = (nu1, smaller) if nu1.imag == larger else (smaller, nu2)
-        if min(nu1.imag, nu2.imag) == 0.0:
-            continue
-        admissible += 1
-        try:
-            res = _residual(nu1, nu2, xi, params)
-            best = min(best, res)
-            if res > _TOL:
-                continue
-            point = _checked_point(xi, nu1, nu2, res, params)
-        except (InvariantViolation, SingularDenominator):
-            continue
-        if all(abs(point.chi - p.chi) > 1e-10 * abs(p.chi) for p in points):
-            points.append(point)
-    if len(points) != 1:
+def _select(xi: complex, batch: _AxisBatch, k: int) -> SpectralPoint:
+    """solve_at's point at xi from row k of the batch."""
+    if k in batch.failed:
+        raise batch.failed[k]
+    if not batch.solved[k]:
         raise NoConvergence(
-            f"{admissible} admissible quartic roots give {len(points)} distinct "
-            f"checked points; best relative map residual {best:.3e}",
+            f"{batch.admissible[k]} admissible quartic roots give {batch.distinct_points(k)} "
+            f"distinct checked points; best relative map residual {batch.best[k]:.3e}",
             xi,
         )
-    return points[0]
+    t1, t2 = batch.pair[k]
+    nu1, nu2 = complex(0.0, t1), complex(0.0, t2)
+    return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=nu1 * nu2, residual=batch.residual[k])
 
 
 def _axis_target(zeta_sq, psi1, psi2, lambda_bar) -> tuple[SpectralParams, complex]:
@@ -375,24 +444,29 @@ def solve_points(rows) -> list[tuple]:
     lambda_bar) for every (zeta_sq, psi1, psi2, lambda_bar) row, each as an
     outcome; a row that fails validation holds its ValueError in both.
 
-    The rows share one _axis_roots call, so every quartic and quintic of the
-    batch comes from one stacked eigvals call per degree.  Each row is then
-    selected (solve_at) and certified (chi_scalar_oracle) on its own from the
-    same polished negative roots, so its outcomes are bitwise those of the
-    single calls.
+    The rows are solved as arrays (_AxisBatch): every quartic and quintic of
+    the batch comes from one stacked eigvals call per degree, and the Newton
+    polish, the selection with its checks and the certificate run elementwise
+    over all rows at once.  Python only builds each row's SpectralPoint and
+    chi, or its exception, so every outcome is bitwise that of the single
+    calls and a failing row fails alone.
     """
-    targets = [attempt(_axis_target, *row) for row in rows]
-    valid = [t for t in targets if not isinstance(t, Exception)]
-    solved = iter(_axis_roots([params for params, _ in valid], [xi.imag for _, xi in valid]))
-    outcomes = []
-    for row, target in zip(rows, targets):
-        if isinstance(target, Exception):
-            outcomes.append((target, target))
+    values = np.array(rows, dtype=float).reshape(-1, 4)
+    with np.errstate(all="ignore"):
+        u = np.sqrt(values[:, 1] * values[:, 2] * values[:, 3])
+        valid = (np.isfinite(values) & (values > 0.0)).all(axis=1) & (u > 0.0)
+    oks = valid.tolist()
+    if any(oks):
+        batch = _AxisBatch(values[valid, :3], u[valid], [row[:3] for row, ok in zip(rows, oks) if ok])
+    outcomes, k = [], 0
+    for row, ok, u_row in zip(rows, oks, u.tolist()):
+        if not ok:
+            error = attempt(_axis_target, *row)
+            outcomes.append((error, error))
             continue
-        (params, xi), (negative, turns) = target, next(solved)
-        outcomes.append(
-            (attempt(_select, xi, params, negative), attempt(_certify, row[3], negative, turns))
-        )
+        xi = complex(0.0, u_row)
+        outcomes.append((attempt(_select, xi, batch, k), attempt(_certify, row[3], batch, k)))
+        k += 1
     return outcomes
 
 
@@ -457,55 +531,25 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     """
     require_positive(lambda_bar=lambda_bar)
     u = math.sqrt(params.psi1 * params.psi2 * lambda_bar)
-    ((negative, turns),) = _axis_roots([params], [u])
-    return _certify(lambda_bar, negative, turns)
+    return _certify(lambda_bar, _batch_of_one(params, u), 0)
 
 
-def _certify(lambda_bar: float, negative, turns) -> float:
-    """chi_scalar_oracle's chi from the outcomes of the target quartic's
-    negative roots and of the quintic's roots."""
-    roots = unwrap(negative)
-    if not roots:
+def _certify(lambda_bar: float, batch: _AxisBatch, k: int) -> float:
+    """chi_scalar_oracle's chi at lambda_bar from row k of the batch."""
+    if k in batch.failed:
+        raise batch.failed[k]
+    if not batch.has_root[k]:
         raise RootSelectionAmbiguous(f"no real non-positive root at lambda_bar = {lambda_bar}")
-    chi = max(roots)
-    for c in unwrap(turns):
-        if abs(c.imag) <= 1e-9 * abs(c) and chi <= c.real < 0.0:
-            raise RootSelectionAmbiguous(
-                f"the root branch turns at chi = {c.real!r} in [{chi!r}, 0), "
-                f"so it leaves the real axis above lambda_bar = {lambda_bar}"
-            )
-    for r in roots:
-        if 1e-10 * -chi < chi - r < 1e-8 * -chi:
-            raise RootSelectionAmbiguous(
-                f"roots {chi!r} and {r!r} both admissible within 1e-8 relative"
-            )
+    if k in batch.turn_failed:
+        raise batch.turn_failed[k]
+    chi, turn, rival = batch.chi[k], batch.turn[k], batch.rival[k]
+    if not math.isnan(turn):
+        raise RootSelectionAmbiguous(
+            f"the root branch turns at chi = {turn!r} in [{chi!r}, 0), "
+            f"so it leaves the real axis above lambda_bar = {lambda_bar}"
+        )
+    if not math.isnan(rival):
+        raise RootSelectionAmbiguous(
+            f"roots {chi!r} and {rival!r} both admissible within 1e-8 relative"
+        )
     return chi
-
-
-def nu_from_chi(
-    chi: float, params: SpectralParams, lambda_bar: float
-) -> tuple[complex, complex]:
-    """Reconstruct (nu1, nu2) at xi = i sqrt(psi1 psi2 lambda_bar) from chi.
-
-    The pair is _pair_from_chi's.  Its product must reproduce chi; that only
-    happens when chi actually solves the quartic, so the check guards against
-    a wrong branch.
-    """
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0.0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
-    if chi > 0.0:
-        raise ValueError(f"chi must be <= 0, got {chi}")
-    z = params.zeta_sq
-    if 1.0 - z * chi <= 0.0:
-        raise ValueError(f"1 - zeta_sq chi must be positive, got {1.0 - z * chi}")
-    nu1, nu2 = _pair_from_chi(chi, params, math.sqrt(params.psi1 * params.psi2 * lambda_bar))
-    if abs(nu1 * nu2 - chi) > 1e-8 * abs(chi):
-        raise InconsistentChi(
-            f"nu1 nu2 = {nu1 * nu2} differs from chi = {chi}; "
-            "chi does not solve the self-consistent equations at this lambda_bar"
-        )
-    if nu1.imag <= 0.0 or nu2.imag <= 0.0:
-        raise InconsistentChi(
-            f"reconstructed pair leaves the upper half plane: nu1={nu1}, nu2={nu2}"
-        )
-    return nu1, nu2

@@ -178,7 +178,7 @@ def test_criterion_4_ridgeless_structure(capsys):
 
             for psi in (0.5, 1.0, 3.0):
                 chi = ridgeless_chi(z, psi, psi)
-                e0, e1, e2 = _e_polynomials(chi, z, psi, psi)
+                e0, e1, e2, _ = _e_polynomials(chi, z, psi, psi)
                 assert abs(e0) <= 1e-8 * (1.0 + abs(e1) + abs(e2))
 
         for psi2 in (0.5, 3.0):

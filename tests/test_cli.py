@@ -923,3 +923,24 @@ def test_format_value_conventions():
     assert format_value("relu") == "relu"
     assert float(format_value(math.pi)) == math.pi
     assert format_value(float("inf")) == "inf"
+
+
+@pytest.mark.parametrize("value,text", [
+    ("relu", "relu"),
+    (True, "1"),
+    (False, "0"),
+    (np.bool_(True), "1"),
+    (np.bool_(False), "0"),
+    (40, "40"),
+    (np.int64(-7), "-7"),
+    (0.1, "0.10000000000000001"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (math.nan, "nan"),
+    (-0.0, "-0"),
+    (2.5e-29, "2.4999999999999999e-29"),
+])
+def test_format_value_text_per_type(value, text):
+    # plain floats take a shortcut; every type must keep its cell text
+    assert format_value(value) == text

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfridge.risk
 from rfridge.risk import (
     INF,
     NonUnimodalWarning,
@@ -307,6 +308,87 @@ def test_optimal_lambda_boundary_regime():
     assert lb_opt == 0.0
     rless = risk_ridgeless(RELU_ZETA_SQ, 1e4, 2.0).risk_at(rho)
     assert r_opt == pytest.approx(rless, rel=1e-12)
+
+
+def _golden_reference(rho, zeta_sq, psi1, psi2, lambda_max):
+    """optimal_lambda's answer by golden-section search over the same pre-scan
+    bracket, down to a 1e-9 wide bracket, and the pre-scan's best index."""
+    def profile(lb):
+        if lb <= 0.0:
+            return risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)
+        return risk_general(zeta_sq, psi1, psi2, lb).risk_at(rho)
+
+    grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
+    values = [profile(lb) for lb in grid]
+    best = int(np.argmin(values))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = profile(x1), profile(x2)
+    while b - a > 1e-9:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = profile(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = profile(x2)
+    return min([(grid[best], values[best]), (x1, f1), (x2, f2)], key=lambda t: t[1]), best
+
+
+@pytest.mark.parametrize("rho, zeta_sq, psi1, psi2, lambda_max, bracket", [
+    # the benchmark's point, below rho* = 2.75
+    (2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0, "interior"),
+    # below rho*, wide: the optimum approaches the wide-limit lambda_star
+    (0.5 * REF_RHO_STAR, RELU_ZETA_SQ, 100.0, 2.0, 10.0, "interior"),
+    # above rho*, still an interior optimum at small width
+    (2.0 * REF_RHO_STAR, RELU_ZETA_SQ, 5.0, 2.0, 10.0, "interior"),
+    # above rho*, wide: the interpolator (lambda_bar = 0) wins
+    (2.0 * REF_RHO_STAR, RELU_ZETA_SQ, 100.0, 2.0, 10.0, "zero"),
+    # above rho*: an optimum below the second grid point, bracket [0, grid[2]]
+    (2.0 * REF_RHO_STAR, RELU_ZETA_SQ, 22.0, 2.0, 1e4, "touches zero"),
+    (2.0 * REF_RHO_STAR, RELU_ZETA_SQ, 20.0, 2.0, 2e4, "touches zero"),
+    # another activation and a wider penalty range
+    (0.5, 0.5, 1.5, 3.0, 100.0, "interior"),
+])
+def test_optimal_lambda_matches_a_dense_golden_search(
+        rho, zeta_sq, psi1, psi2, lambda_max, bracket, monkeypatch):
+    (ref_lb, ref_r), best = _golden_reference(rho, zeta_sq, psi1, psi2, lambda_max)
+    assert {0: "zero", 1: "touches zero"}.get(best, "interior") == bracket
+    calls = []
+    original = rfridge.risk.risk_general
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rfridge.risk, "risk_general", counting)
+    lb_opt, r_opt = optimal_lambda(rho, zeta_sq, psi1, psi2, lambda_max)
+    assert abs(lb_opt - ref_lb) <= 1e-6
+    assert r_opt == pytest.approx(ref_r, rel=1e-12, abs=0.0)
+    if bracket == "zero":
+        assert lb_opt == 0.0
+    # Brent's steps, one risk_general call each; golden-section search took 30
+    assert len(calls) <= 15
+
+
+def test_optimal_lambda_ends_where_lambda_bar_is_beyond_1e6_resolution(monkeypatch):
+    # almost pure noise: the optimum is near 1.8e13, where adjacent floats lie
+    # 2e-3 apart, so a search that waits for a 1e-6 wide bracket never ends;
+    # R is flat to rounding there, and Brent falls back to golden steps
+    calls = []
+    original = rfridge.risk.risk_general
+
+    def counting(*args):
+        calls.append(args)
+        assert len(calls) <= 100, "the search does not end"
+        return original(*args)
+
+    monkeypatch.setattr(rfridge.risk, "risk_general", counting)
+    lb_opt, r_opt = optimal_lambda(1e-13, RELU_ZETA_SQ, 2.0, 3.0, 1e15)
+    assert 1e13 < lb_opt < 1e15
+    assert r_opt <= original(RELU_ZETA_SQ, 2.0, 3.0, 1e15).risk_at(1e-13)
 
 
 def test_optimal_lambda_validates_lambda_max():

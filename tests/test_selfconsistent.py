@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rfridge.risk
 import rfridge.selfconsistent
 from rfridge.risk import (
     ChiDisagreement,
@@ -18,16 +19,17 @@ from rfridge.risk import (
     theory_points,
 )
 from rfridge.selfconsistent import (
-    InconsistentChi,
+    InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
     SpectralParams,
     SpectralPoint,
+    attempt,
     chi_scalar_oracle,
     fixed_point_map,
-    nu_from_chi,
     solve_at,
+    solve_points,
     unwrap,
 )
 
@@ -216,6 +218,164 @@ def test_theory_points_equal_single_points_bitwise(points):
     _same_outcomes(theory_points(*points.T), _single_outcomes(points.tolist()))
 
 
+def _reference_polish(coeffs, chi):
+    """Up to six Newton steps on the polynomial coeffs, by Horner on Python floats."""
+    for _ in range(6):
+        p = dp = 0.0
+        for c in coeffs:
+            dp = dp * chi + p
+            p = p * chi + c
+        if dp == 0.0:
+            break
+        step = p / dp
+        if not math.isfinite(step) or chi - step == chi:
+            break
+        chi -= step
+    return chi
+
+
+def _reference_select(xi, params, negative):
+    """solve_at's selection, one candidate at a time in complex arithmetic."""
+    u = xi.imag
+    admissible, best, points = 0, math.inf, []
+    for chi in unwrap(negative):
+        nu1, nu2 = _pair_from_chi(chi, params, u)
+        larger = max(nu1.imag, nu2.imag)
+        if not larger > 0.0:
+            continue
+        if nu1.imag == nu2.imag:
+            nu1 = nu2 = complex(0.0, math.sqrt(-chi))
+        else:
+            smaller = complex(0.0, -chi / larger)
+            nu1, nu2 = (nu1, smaller) if nu1.imag == larger else (smaller, nu2)
+        if min(nu1.imag, nu2.imag) == 0.0:
+            continue
+        admissible += 1
+        f1, f2 = fixed_point_map(nu1, nu2, xi, params)
+        res = max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2))
+        best = min(best, res)
+        if res > 1e-12 or nu1.imag <= 0.0 or nu2.imag <= 0.0:
+            continue
+        if abs(nu1) > (1.0 + 1e-9) * params.psi1 / u or abs(nu2) > (1.0 + 1e-9) * params.psi2 / u:
+            continue
+        chi = nu1 * nu2
+        if abs(chi.imag) > 1e-10 * (1.0 + abs(chi)) or chi.real > 1e-10:
+            continue
+        if all(abs(chi - p.chi) > 1e-10 * abs(p.chi) for p in points):
+            points.append(SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=chi, residual=res))
+    if len(points) != 1:
+        raise NoConvergence(
+            f"{admissible} admissible quartic roots give {len(points)} distinct "
+            f"checked points; best relative map residual {best:.3e}",
+            xi,
+        )
+    return points[0]
+
+
+def _reference_certify(lambda_bar, negative, turns):
+    """chi_scalar_oracle's certificate, one root at a time."""
+    roots = unwrap(negative)
+    if not roots:
+        raise RootSelectionAmbiguous(f"no real non-positive root at lambda_bar = {lambda_bar}")
+    chi = max(roots)
+    for c in unwrap(turns):
+        if abs(c.imag) <= 1e-9 * abs(c) and chi <= c.real < 0.0:
+            raise RootSelectionAmbiguous(
+                f"the root branch turns at chi = {c.real!r} in [{chi!r}, 0), "
+                f"so it leaves the real axis above lambda_bar = {lambda_bar}"
+            )
+    for r in roots:
+        if 1e-10 * -chi < chi - r < 1e-8 * -chi:
+            raise RootSelectionAmbiguous(
+                f"roots {chi!r} and {r!r} both admissible within 1e-8 relative"
+            )
+    return chi
+
+
+def _reference_decomposition(point, zeta_sq, psi1, psi2, lambda_bar):
+    """risk_general's decomposition of a solved point, in Python floats."""
+    point = unwrap(point)
+    chi = point.chi.real
+    dec = rfridge.risk.decompose(chi, zeta_sq, psi1, psi2)
+    if dec.threshold_singular:
+        return dec
+    z = zeta_sq
+    z2 = z * z
+    m = point.nu2.imag * math.sqrt(lambda_bar * psi1 / psi2)
+    a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+    a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+    e0 = rfridge.risk._horner(rfridge.risk._e0_coeffs(z, psi1, psi2), chi)
+    parts = (m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0)
+    if min(parts) < -1e-10:
+        raise InvariantViolation(
+            f"negative training factors {parts} at psi1={psi1}, psi2={psi2}, "
+            f"lambda_bar={lambda_bar}"
+        )
+    return rfridge.risk.RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
+
+
+def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
+    """theory_point's and risk_general's outcomes at one row, computed the way
+    they were before the array batch: np.roots of the row's own quartic and
+    quintic, a scalar Newton polish of each real root, and the selection,
+    certificate and decomposition one candidate at a time."""
+    sc = rfridge.selfconsistent
+    try:
+        params, xi = sc._axis_target(zeta_sq, psi1, psi2, lambda_bar)
+    except ValueError as exc:
+        return exc, exc
+    u = xi.imag
+    with np.errstate(all="ignore"):
+        n_coeffs, quartic = sc._quartic_coeffs(zeta_sq, psi1, psi2, [0.0, u * u]).tolist()
+    if all(math.isfinite(c) for c in quartic):
+        real = [r.real for r in np.roots(quartic).tolist() if r.imag == 0.0]
+        negative = [c for c in (_reference_polish(quartic, r) for r in real) if c < 0.0]
+    else:
+        negative = sc._overflowed(zeta_sq, psi1, psi2, u)
+    n4, n3, n2, n1, n0 = n_coeffs
+    z = zeta_sq
+    quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
+    turns = attempt(lambda: np.roots(quintic).tolist())
+    row = (zeta_sq, psi1, psi2, lambda_bar)
+    solved = (attempt(_reference_select, xi, params, negative),
+              attempt(_reference_certify, lambda_bar, negative, turns))
+    point = attempt(rfridge.risk._cross_checked, row, *solved)
+    return solved, point, attempt(_reference_decomposition, point, *row)
+
+
+@pytest.mark.parametrize("perturb", [None, (1, 1.001), (2, 1.01), (3, -1.0)],
+                         ids=["exact", "cubic-0.1%", "quadratic-1%", "linear-flipped"])
+def test_the_batch_equals_the_per_row_reference(perturb, monkeypatch):
+    # the first 1,000 points of the wide box, and the same points with one
+    # quartic coefficient perturbed so that rows fail in the selection, the
+    # certificate and the cross-check: every outcome of the batch, from
+    # solve_points to the decomposition, is bitwise the reference's value or
+    # an exception equal in type and message
+    box = np.log([[1e-3, 1e3], [1e-14, 1e6], [1e-14, 1e6], [1e-12, 1e60]])
+    points = np.exp(np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (1000, 4)))
+    if perturb is not None:
+        coeffs = rfridge.selfconsistent._quartic_coeffs
+
+        def perturbed(*args):
+            row = coeffs(*args).copy()
+            row[..., perturb[0]] *= perturb[1]
+            return row
+
+        monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", perturbed)
+    expected = [_reference_row(*point) for point in points.tolist()]
+    solved = solve_points(points.tolist())
+    for k in range(2):
+        _same_outcomes([row[k] for row in solved], [row[0][k] for row in expected])
+    _same_outcomes(theory_points(*points.T), [row[1] for row in expected])
+    _same_outcomes(risk_general_points(*points.T), [row[2] for row in expected])
+    kinds = collections.Counter(type(outcome).__name__ for row in expected
+                                for outcome in (*row[0], row[2]))
+    if perturb is None:
+        assert kinds["RiskDecomposition"] == 1000
+    else:
+        assert kinds["NoConvergence"] + kinds["RootSelectionAmbiguous"] >= 100
+
+
 def test_stacked_roots_are_np_roots_row_by_row():
     # rows that np.roots trims to other degrees (leading or trailing zeros, a
     # constant, all zeros) and one it rejects, stacked among ordinary quartics
@@ -228,13 +388,18 @@ def test_stacked_roots_are_np_roots_row_by_row():
         [1.0, np.inf, 1.0, 1.0, 1.0],
         [3.0, -1.0, 4.0, 1.0, -5.0],
     ])
-    for row, roots in zip(polys, rfridge.selfconsistent._stacked_roots(polys)):
+    found, failed = rfridge.selfconsistent._stacked_roots(polys)
+    for k, (row, roots) in enumerate(zip(polys, found.tolist())):
         try:
             expected = np.roots(row).tolist()
         except np.linalg.LinAlgError as exc:
-            assert type(roots) is type(exc) and str(roots) == str(exc)
+            assert type(failed[k]) is type(exc) and str(failed[k]) == str(exc)
+            expected = []
         else:
-            assert roots == expected
+            assert k not in failed
+        # a row's roots come first, nan pads it to the degree of polys
+        assert roots[:len(expected)] == expected
+        assert all(math.isnan(r.real) and math.isnan(r.imag) for r in roots[len(expected):])
 
 
 def test_a_row_that_is_not_finite_fails_alone():
@@ -300,22 +465,24 @@ def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
     residual = rfridge.selfconsistent._residual
 
     def checked(*args):
-        residuals.append(residual(*args))
+        # one residual per admissible pair of the batch
+        found = residual(*args)
+        residuals.extend(found.tolist())
         if fault == "residual misses tol":
-            return 10.0 * rfridge.selfconsistent._TOL
+            return np.full_like(found, 10.0 * rfridge.selfconsistent._TOL)
         # a gate that passes every pair lets a second, distinct one through
-        return 0.0 if fault == "two admissible roots" else residuals[-1]
+        return np.zeros_like(found) if fault == "two admissible roots" else found
 
     monkeypatch.setattr(rfridge.selfconsistent, "_residual", checked)
     if fault == "no admissible root":
-        monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots",
-                            lambda polys: [[1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0] for _ in polys])
+        monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", lambda polys: (
+            np.tile([1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0], (len(polys), 1)), {}))
     elif fault == "two admissible roots":
         # each root gains a copy 1e-6 relative away, as if polished short of it;
         # a copy made through _stacked_roots would be polished back onto the root
         negative = rfridge.selfconsistent._negative_roots
-        monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: [
-            chi * f for f in (1.0, 1.0 + 1e-6) for chi in negative(*args)])
+        monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: np.hstack(
+            [negative(*args) * f for f in (1.0, 1.0 + 1e-6)]))
     with pytest.raises(NoConvergence, match="admissible quartic roots") as info:
         solve_at(xi, PARAMS_A)
     assert info.value.xi == xi
@@ -326,8 +493,12 @@ def test_duplicate_roots_polish_to_one_point(monkeypatch):
     xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
     expected = solve_at(xi, PARAMS_A)
     stacked = rfridge.selfconsistent._stacked_roots
-    monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots",
-                        lambda polys: [roots + roots for roots in stacked(polys)])
+
+    def twice(polys):
+        roots, failed = stacked(polys)
+        return np.hstack([roots, roots]), failed
+
+    monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", twice)
     assert solve_at(xi, PARAMS_A) == expected
 
 
@@ -453,7 +624,7 @@ def _roots_loop_oracle(params, lambda_bar, steps=192):
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
     # the oracle's polish, on the quartic of the last node (the target up to rounding)
-    return rfridge.selfconsistent._polish_root(coeffs, chi.real)
+    return _reference_polish(coeffs, chi.real)
 
 
 def _outcome(oracle, params, lambda_bar):
@@ -519,7 +690,7 @@ def _tracking_oracle(params, lambda_bar, steps=192):
         if abs(r.imag) <= 1e-9 and r.real <= 1e-12 and abs(r - chi) < resolution:
             raise RootSelectionAmbiguous(f"roots {chi} and {r} both admissible")
     # the oracle's polish, on the quartic of the last node (the target up to rounding)
-    return sc._polish_root(coeffs[-1].tolist(), chi.real)
+    return _reference_polish(coeffs[-1].tolist(), chi.real)
 
 
 def test_oracle_equals_the_tracking_reference_over_the_stress_box():
@@ -601,6 +772,19 @@ def _counting_eigvals(monkeypatch) -> list:
     return shapes
 
 
+def test_a_distinct_root_just_below_the_branch_is_ambiguous(monkeypatch):
+    # every candidate gains a copy 3e-9 relative below it, a distinct root
+    # within the 1e-8 the cross-check allows
+    chi = chi_scalar_oracle(PARAMS_A, 0.01)
+    negative = rfridge.selfconsistent._negative_roots
+    monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: np.hstack(
+        [negative(*args) * f for f in (1.0, 1.0 + 3e-9)]))
+    with pytest.raises(RootSelectionAmbiguous) as info:
+        chi_scalar_oracle(PARAMS_A, 0.01)
+    assert str(info.value) == (
+        f"roots {chi!r} and {chi * (1.0 + 3e-9)!r} both admissible within 1e-8 relative")
+
+
 def test_oracle_factors_at_most_two_polynomials(monkeypatch):
     # a count, not a timing: the target quartic and the quintic, where
     # tracking a path factors one quartic per node
@@ -627,49 +811,77 @@ def test_oracle_rejects_bad_lambda():
         chi_scalar_oracle(PARAMS_A, -1.0)
 
 
-def test_nu_from_chi_roundtrip():
+def _pair_from_chi(chi, params, u):
+    """The pair a chi <= 0 determines at xi = i u, by the coupled equations'
+    sum and product: nu_k = i (psi_k - s) / u, s = -zeta^2 chi / (1 - zeta^2 chi) - chi."""
+    z = params.zeta_sq
+    s = -z * chi / (1.0 - z * chi) - chi
+    return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
+
+
+def test_solved_pair_multiplies_back_to_the_oracle_chi():
     zeta_sq = math.pi / (math.pi - 2.0)
     params = SpectralParams(zeta_sq=zeta_sq, psi1=2.0, psi2=3.0)
     lam_bar = 1e-3 / ((math.pi - 2.0) / (4.0 * math.pi))
     chi = chi_scalar_oracle(params, lam_bar)
-    nu1, nu2 = nu_from_chi(chi, params, lam_bar)
     u = math.sqrt(params.psi1 * params.psi2 * lam_bar)
     point = solve_at(complex(0.0, u), params)
+    nu1, nu2 = _pair_from_chi(chi, params, u)
     assert abs(nu1 - point.nu1) <= 1e-8 * max(1.0, abs(point.nu1))
     assert abs(nu2 - point.nu2) <= 1e-8 * max(1.0, abs(point.nu2))
-    assert abs(nu1 * nu2 - chi) <= 1e-10 * max(1.0, abs(chi))
+    assert abs(point.nu1 * point.nu2 - chi) <= 1e-10 * max(1.0, abs(chi))
 
 
-def test_nu_from_chi_symmetric_pair():
+def test_symmetric_shapes_give_the_symmetric_pair():
     params = SpectralParams(zeta_sq=1.3, psi1=2.0, psi2=2.0)
     chi = chi_scalar_oracle(params, 0.5)
-    nu1, nu2 = nu_from_chi(chi, params, 0.5)
-    assert nu1 == nu2
-    assert nu1.imag == pytest.approx(math.sqrt(-chi), rel=1e-9)
+    point = solve_at(complex(0.0, math.sqrt(2.0 * 2.0 * 0.5)), params)
+    assert point.nu1 == point.nu2
+    assert point.nu1.imag == pytest.approx(math.sqrt(-chi), rel=1e-9)
 
 
-def test_nu_from_chi_rejects_wrong_branch():
-    chi = chi_scalar_oracle(PARAMS_A, 0.01)
-    with pytest.raises(InconsistentChi):
-        nu_from_chi(chi * 1.05, PARAMS_A, 0.01)
+def _scaled_roots(monkeypatch, factor):
+    """Every candidate root of the batch multiplied by factor, as if a wrong branch."""
+    negative = rfridge.selfconsistent._negative_roots
+    monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots",
+                        lambda *args: negative(*args) * factor)
 
 
-def test_nu_from_chi_rejects_a_tiny_chi_ten_times_off():
+def test_a_wrong_chi_fails_the_map_residual(monkeypatch):
+    # a chi 5% off does not solve the coupled equations, so its pair is rejected
+    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
+    solve_at(xi, PARAMS_A)
+    _scaled_roots(monkeypatch, 1.05)
+    with pytest.raises(NoConvergence, match="give 0 distinct checked points"):
+        solve_at(xi, PARAMS_A)
+
+
+def test_a_tiny_chi_ten_times_off_fails_the_map_residual(monkeypatch):
     # chi is about -1e-9 here, so a bound absolute below |chi| = 1 would take
     # a chi ten times too large
     params = SpectralParams(zeta_sq=1.0, psi1=2.0, psi2=3.0)
+    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 1e9))
     chi = chi_scalar_oracle(params, 1e9)
     assert -1e-8 < chi < -1e-10
-    nu_from_chi(chi, params, 1e9)
-    with pytest.raises(InconsistentChi):
-        nu_from_chi(10.0 * chi, params, 1e9)
+    assert solve_at(xi, params).chi.real == pytest.approx(chi, rel=1e-14)
+    _scaled_roots(monkeypatch, 10.0)
+    with pytest.raises(NoConvergence, match="give 0 distinct checked points"):
+        solve_at(xi, params)
 
 
-def test_nu_from_chi_rejects_positive_chi():
-    with pytest.raises(ValueError):
-        nu_from_chi(0.3, PARAMS_A, 0.01)
-    with pytest.raises(ValueError):
-        nu_from_chi(-1.0, PARAMS_A, 0.0)
+def test_a_positive_root_is_never_a_candidate(monkeypatch):
+    # left unpolished, the quartic's only real root is +0.3: neither route
+    # takes it, and a row without a positive penalty fails validation
+    monkeypatch.setattr(rfridge.selfconsistent, "_polish", lambda polys, chi: chi)
+    monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", lambda polys: (
+        np.tile([0.3, 1.0 + 1.0j, 1.0 - 1.0j, 0.3 + 1.0j], (len(polys), 1)), {}))
+    with pytest.raises(NoConvergence, match="^0 admissible quartic roots give 0 distinct"):
+        solve_at(0.3j, PARAMS_A)
+    with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
+        chi_scalar_oracle(PARAMS_A, 0.01)
+    ((point, chi),) = solve_points([(PARAMS_A.zeta_sq, PARAMS_A.psi1, PARAMS_A.psi2, 0.0)])
+    assert type(point) is ValueError and point is chi
+    assert str(point) == "lambda_bar must be finite and positive, got 0.0"
 
 
 @settings(max_examples=40, deadline=None)
