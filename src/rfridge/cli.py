@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -273,6 +274,19 @@ _SWEEPS = {
     "rho": (("rho", "--rho"), ("rho", "--rho")),
 }
 
+# the parameters each command, and each theory variant, takes: every one must be
+# given or swept, and giving or sweeping any other is a usage error; theory may
+# also be given or sweep rho
+_TAKES = {
+    "general": ("psi1", "psi2", "lambda"),
+    "ridgeless": ("psi1", "psi2"),
+    "wide": ("psi2", "lambda"),
+    "lsamp": ("psi1", "lambda"),
+    "simulate": ("psi1", "psi2", "lambda"),
+    "compare": ("psi1", "psi2", "lambda"),
+    "phase": ("rho", "psi2"),
+}
+
 
 def _sweep_values(args) -> tuple[float, ...] | None:
     """The --sweep grid as Python floats, strictly increasing; None without --sweep."""
@@ -418,34 +432,42 @@ def _require(parser, cond: bool, message: str):
         parser.error(message)
 
 
-def _grid(args, parser, finite: bool, sweepable, refusal: str = "", required=()) -> list[dict]:
+def _grid(args, parser, finite: bool) -> list[dict]:
     """Every grid point's parameters: the flags as given, the swept one set to its value.
 
     A point holds d, n, N, lam and rho with finite sizes and psi1, psi2,
     lambda_bar and rho with ratios; a flag that was not given (or that the
-    command lacks) is None.  Sweeping a parameter outside sweepable fails with
-    refusal, giving the flag of the swept parameter fails, and so does leaving
-    out the flag of a parameter in required that is not swept.
+    command lacks) is None.  Each parameter the command or theory variant
+    takes (_TAKES) must be given or swept, but not both, and any other must be
+    neither.  A swept psi1 or psi2 resizes N or n at fixed d, and two grid
+    values that round to one size fail.
     """
     values = _sweep_values(args)
+    name = args.variant if args.command == "theory" else args.command
+    who = f"theory --variant {name}" if args.command == "theory" else name
+    takes = _TAKES[name]
     sets = {param: keys[0 if finite else 1] for param, keys in _SWEEPS.items()}
     given = vars(args)
     point = {key: given.get(key) for key, _ in sets.values()}
     if finite:
         point["d"] = args.d
-    if values is not None:
-        _require(parser, args.sweep in sweepable, refusal)
-        key, flag = sets[args.sweep]
-        _require(parser, point[key] is None, f"{flag} conflicts with sweeping {args.sweep}")
-    for param in required:
-        key, flag = sets[param]
-        _require(parser, point[key] is not None or param == args.sweep,
-                 f"{flag} is required (or sweep {param})")
+    for param, (key, flag) in sets.items():
+        swept, optional = param == args.sweep, param == "rho" and args.command == "theory"
+        if param in takes:
+            _require(parser, point[key] is not None or swept, f"{flag} is required (or sweep {param})")
+        elif not optional:
+            _require(parser, not swept, f"{who} cannot sweep {param}; it takes {', '.join(takes)}")
+            _require(parser, point[key] is None, f"{who} takes no {flag}")
+        _require(parser, point[key] is None or not swept, f"{flag} conflicts with sweeping {param}")
     if values is None:
         return [point]
-    key = sets[args.sweep][0]
+    key, flag = sets[args.sweep]
     if key in ("N", "n"):
-        values = [int(round(v * args.d)) for v in values]
+        sizes = [int(round(v * args.d)) for v in values]
+        for a, b, size, same in zip(values, values[1:], sizes, sizes[1:]):
+            _require(parser, size != same,
+                     f"{args.sweep} = {a!r} and {b!r} both give {flag} {size} at --d {args.d}")
+        values = sizes
     return [{**point, key: v} for v in values]
 
 
@@ -476,7 +498,8 @@ def _point_cells(point, mu_star_sq: float, powers: TargetSpec | None) -> dict:
     if "d" in point:
         d, n, N, lam = point["d"], point["n"], point["N"], point["lam"]
         cells = {"d": d, "n": n, "N": N, "lambda": lam, "psi1": None if N is None else N / d,
-                 "psi2": n / d, "lambda_bar": lam / mu_star_sq}
+                 "psi2": None if n is None else n / d,
+                 "lambda_bar": None if lam is None else lam / mu_star_sq}
     else:
         cells = {key: point[key] for key in ("psi1", "psi2", "lambda_bar")}
     cells["rho"] = point["rho"]
@@ -511,18 +534,17 @@ def cmd_stats(args, parser) -> int:
     return 0
 
 
-def _theory_cells(rows, parser):
+def _theory_cells(rows):
     """Fill the theory_* cells of each (record, cells, powers) row from one library
     decomposition; the general rows' come from one batch (risk_general_points).
 
-    cells holds the row's psi1, psi2, lambda_bar and rho, None where not given.
-    R needs rho; test error, training error and norm need the target powers.
-    Rows are filled in order, so the first failing row raises its error.
+    cells holds the row's psi1, psi2, lambda_bar and rho, None where not given;
+    _grid has checked that each row's variant has its parameters.  R needs
+    rho; test error, training error and norm need the target powers.  Rows are
+    filled in order, so the first failing row raises its error.
     """
     general = [(rec["zeta_sq"], cells["psi1"], cells["psi2"], cells["lambda_bar"])
                for rec, cells, _ in rows if rec["variant"] == "general"]
-    _require(parser, all(None not in row for row in general),
-             "general variant needs psi1, psi2 and the penalty")
     solved = iter(risk_general_points(*np.array(general, dtype=float).reshape(-1, 4).T))
     for rec, cells, powers in rows:
         variant, zeta_sq = rec["variant"], rec["zeta_sq"]
@@ -530,16 +552,10 @@ def _theory_cells(rows, parser):
         if variant == "general":
             dec = unwrap(next(solved))
         elif variant == "ridgeless":
-            _require(parser, psi1 is not None and psi2 is not None,
-                     "ridgeless variant needs psi1 and psi2")
             dec = risk_ridgeless(zeta_sq, psi1, psi2)
         elif variant == "wide":
-            _require(parser, psi2 is not None and lambda_bar is not None,
-                     "wide variant needs psi2 and the penalty")
             dec = risk_wide(zeta_sq, psi2, lambda_bar)
         else:
-            _require(parser, psi1 is not None and lambda_bar is not None,
-                     "lsamp variant needs psi1 and the penalty")
             dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
 
         rec["theory_bias_B"] = dec.bias_B
@@ -555,9 +571,7 @@ def _theory_cells(rows, parser):
 
 def cmd_theory(args, parser) -> int:
     finite = _finite(args, parser, "theory")
-    # the wide limit has no N
-    required = ("psi2", "lambda") if args.variant == "wide" else ("psi2", "psi1", "lambda")
-    points = _grid(args, parser, finite, tuple(_SWEEPS), required=required if finite else ())
+    points = _grid(args, parser, finite)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser, finite)
     label = "" if activation is None else activation.label()
 
@@ -582,7 +596,7 @@ def cmd_theory(args, parser) -> int:
             **cells,
         )
         rows.append((rec, cells, powers))
-    _theory_cells(rows, parser)
+    _theory_cells(rows)
     write_records([rec for rec, _, _ in rows], COLUMNS, args.format, args.out)
     return 0
 
@@ -598,9 +612,7 @@ def _target_from_args(args) -> TargetKind:
 def _simulated_records(args, parser, command):
     """Per grid point: its record with the simulation cells, and its target powers."""
     _finite(args, parser, command)
-    points = _grid(args, parser, True, ("psi1", "psi2", "lambda"),
-                   f"{command} cannot sweep rho; sweep psi1, psi2 or lambda",
-                   required=("psi2", "psi1", "lambda"))
+    points = _grid(args, parser, True)
     target = _target_from_args(args)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
@@ -658,7 +670,7 @@ def cmd_compare(args, parser) -> int:
     for rec, powers in _simulated_records(args, parser, "compare"):
         rec["variant"] = "general" if rec["lambda"] > 0.0 else "ridgeless"
         rows.append((rec, rec, powers))
-    _theory_cells(rows, parser)
+    _theory_cells(rows)
     for rec, _, _ in rows:
         # the ridgeless endpoint has no training theory to score against
         general = rec["variant"] == "general"
@@ -674,10 +686,8 @@ def cmd_phase(args, parser) -> int:
              "phase needs --zeta-sq or --activation")
     _, zeta_sq, _ = _zeta_sq_or_activation(args, parser)
     records = []
-    for point in _grid(args, parser, False, ("rho", "psi2"), "phase sweeps rho or psi2 only"):
+    for point in _grid(args, parser, False):
         rho, psi2 = point["rho"], point["psi2"]
-        _require(parser, rho is not None and psi2 is not None,
-                 "phase needs --rho and --psi2 (or a sweep over one of them)")
         pq = wide_phase(zeta_sq, psi2, rho)
         verdict = "interior lambda_star" if pq.lambda_star > 0.0 else "optimal lambda_bar = 0"
         records.append(
@@ -703,7 +713,9 @@ def cmd_phase(args, parser) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rfridge parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rfridge",
         description="Asymptotic theory and Monte Carlo for random-features ridge regression.",

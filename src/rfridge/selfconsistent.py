@@ -135,15 +135,11 @@ def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     that started from 0.0 together to rounding.  A root stops for good at the
     step where the derivative is 0, the step is not finite, or it leaves chi
     unchanged (it would repeat to the last one), so every root takes the steps
-    the same scalar loop would, bitwise.  A root that a step brings back to
-    where it was two steps before alternates between two values until the
-    sixth step; once every root still moving does, that step's values are
-    known and the loop ends early.
+    the same scalar loop would, bitwise.
     """
     moving = ~np.isnan(chi)
-    before = np.full_like(chi, np.nan)
     first, *rest = columns
-    for left in range(5, -1, -1):
+    for _ in range(6):
         if not moving.any():
             break
         # Horner from p = dp = 0: after the leading coefficient dp is +0.0
@@ -155,12 +151,6 @@ def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
         step = p / dp
         moved = chi - step
         moving &= np.isfinite(step) & (moved != chi)
-        if (moved == before)[moving].all():
-            # after the remaining steps, chi is moved again if their number is even
-            if left % 2 == 0:
-                np.copyto(chi, moved, where=moving)
-            break
-        before = chi.copy()
         np.copyto(chi, moved, where=moving)
     return chi
 
@@ -189,56 +179,31 @@ def attempt(fn, *args):
 _NAN = complex(math.nan, math.nan)
 
 
-def _eigvals(matrices: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Each matrix's eigenvalues as a complex row, from one stacked eigvals
-    call, and {index: LinAlgError} for the matrices LAPACK rejects.
-
-    eigvals raises for the whole stack when one matrix is not finite or LAPACK
-    fails on it; then each matrix is factored alone, and the one that fails
-    holds its own LinAlgError, and nan eigenvalues, instead of failing the others.
-    """
-    try:
-        return np.asarray(np.linalg.eigvals(matrices), dtype=complex), {}
-    except np.linalg.LinAlgError as exc:
-        if len(matrices) == 1:
-            return np.full(matrices.shape[:2], _NAN), {0: exc}
-    found, failed = np.empty(matrices.shape[:2], dtype=complex), {}
-    for k, m in enumerate(matrices):
-        found[k], error = _eigvals(m[None])
-        if error:
-            failed[k] = error[0]
-    return found, failed
-
-
 def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
     """np.roots of each row of polys (highest degree first), as the rows of a
     complex array padded with nan, and {row: LinAlgError} for the rows np.roots
     rejects (their row is all nan).
 
-    As in np.roots, a row sheds its leading and trailing zero coefficients,
-    the latter coming back as roots at 0 after the others, and eigvals factors
-    the companion matrix of what is left.  The rows left with one degree share
-    one stacked call (_eigvals), and LAPACK factors each matrix on its own, so
-    every row's roots are bitwise those of np.roots.
+    The rows that are finite and whose first and last coefficients are
+    nonzero, which np.roots would not trim, share one stacked eigvals call on
+    their companion matrices; LAPACK factors each matrix on its own, so their
+    roots are bitwise those of np.roots.  Every other row, and every row of a
+    stack that eigvals rejects, is np.roots' own.
     """
-    k = polys.shape[1] - 1
-    nonzero = polys != 0.0
-    if nonzero.all():
-        return _eigvals(_companions(polys))
-    kept = nonzero.any(axis=1)
-    # an all-zero row keeps no coefficient and, as in np.roots, has no roots
-    lo = np.where(kept, nonzero.argmax(axis=1), k)
-    hi = np.where(kept, k - nonzero[:, ::-1].argmax(axis=1), k)
-    roots = np.full((len(polys), k), _NAN)
+    roots = np.full((len(polys), polys.shape[1] - 1), _NAN)
+    stacked = np.isfinite(polys).all(axis=1) & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+    try:
+        roots[stacked] = np.linalg.eigvals(_companions(polys[stacked]))
+    except np.linalg.LinAlgError:
+        stacked[:] = False
     failed = {}
-    for first, last in dict.fromkeys(zip(lo.tolist(), hi.tolist())):
-        rows = np.flatnonzero((lo == first) & (hi == last))
-        m = last - first
-        if m > 0:
-            roots[rows, :m], errors = _eigvals(_companions(polys[rows, first:last + 1]))
-            failed.update((int(rows[j]), exc) for j, exc in errors.items())
-        roots[rows, m:m + k - last] = 0.0
-    roots[list(failed)] = _NAN
+    for k in np.flatnonzero(~stacked).tolist():
+        try:
+            found = np.roots(polys[k])
+        except np.linalg.LinAlgError as exc:
+            failed[k] = exc
+        else:
+            roots[k, :len(found)] = found
     return roots, failed
 
 
@@ -268,6 +233,15 @@ def _overflowed(zeta_sq, psi1, psi2, u: float) -> ValueError:
     )
 
 
+def _unfactored(polynomial: str, zeta_sq, psi1, psi2, u: float) -> ValueError:
+    """The error of a row whose polynomial np.roots rejects, which happens when a
+    coefficient, or one divided by the leading one, is beyond the float range."""
+    return ValueError(
+        f"the {polynomial} in chi overflowed its companion matrix at psi1 = {psi1!r}, "
+        f"psi2 = {psi2!r}, zeta_sq = {zeta_sq!r}, psi1 psi2 lambda_bar = {u * u!r}"
+    )
+
+
 class _AxisBatch:
     """solve_at's selection and chi_scalar_oracle's certificate for a batch of
     targets xi = i u, computed as arrays over the rows; _select and _certify
@@ -275,11 +249,13 @@ class _AxisBatch:
 
     One _quartic_coeffs call builds every row's quartic at the target and at
     u = 0 (N, from which the oracle's quintic is formed), and one stacked
-    eigvals call per degree (_stacked_roots) factors all of them.  A quartic
-    with a coefficient that is not finite is left out of the stack; its row
-    fails with a ValueError naming psi1, psi2 and the product psi1 psi2
-    lambda_bar (= u^2) that overflowed.  Every other step is elementwise, so a
-    row's outcome does not depend on the rest of the batch.
+    eigvals call per degree (_stacked_roots) factors all of them.  A row whose
+    quartic has a coefficient that is not finite fails with a ValueError
+    naming psi1, psi2 and the product psi1 psi2 lambda_bar (= u^2) that
+    overflowed; a row whose quartic or quintic np.roots rejects otherwise
+    fails with a ValueError naming that polynomial and the row.  Every other
+    step is elementwise, so a row's outcome does not depend on the rest of
+    the batch.
     """
 
     def __init__(self, shapes: np.ndarray, u: np.ndarray, labels: list):
@@ -297,17 +273,17 @@ class _AxisBatch:
                 [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
             ).T
             quartics = coeffs[:, 1]
-            # a quartic that is not finite stays out of the stack as a row of
-            # zeros, which has no roots; its row holds the overflow error
-            finite = np.isfinite(quartics).all(axis=1)
-            roots, failed = _stacked_roots(np.where(finite[:, None], quartics, 0.0))
-            failed.update((k, _overflowed(*labels[k], u[k].item()))
-                          for k in np.flatnonzero(~finite).tolist())
-            self.failed = failed
-            turns, self.turn_failed = _stacked_roots(quintics)
+            roots, failed = _stacked_roots(quartics)
+            turns, turn_failed = _stacked_roots(quintics)
             chi = _negative_roots(quartics, roots)
             self._select_arrays(chi, z, psi1, psi2, u)
             self._certify_arrays(chi, turns)
+        self.failed = {k: _unfactored("quartic", *labels[k], u[k].item()) for k in failed}
+        # a quartic that is not finite holds the overflow error, whatever np.roots made of it
+        self.failed.update((k, _overflowed(*labels[k], u[k].item()))
+                           for k in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
+        self.turn_failed = {k: _unfactored("oracle's quintic", *labels[k], u[k].item())
+                            for k in turn_failed}
 
     def _select_arrays(self, chi, z, psi1, psi2, u):
         # one entry per candidate root, each with its row's parameters

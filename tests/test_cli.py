@@ -750,6 +750,116 @@ def test_a_row_that_is_not_finite_fails_the_sweep_alone(capsys):
     assert code == 0, err
 
 
+def test_a_polynomial_that_overflows_is_named(capsys):
+    # the quartic's coefficients are finite, but dividing them by the leading
+    # one overflows its companion matrix
+    code, out, err = run_cli(
+        ["theory", "--zeta-sq", "0.5", "--psi1", "1e154", "--psi2", "1e154",
+         "--lambda-bar", "1e-300", "--rho", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: ValueError: the quartic in chi overflowed its companion matrix at "
+        "psi1 = 1e+154, psi2 = 1e+154, zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0\n"
+    )
+
+
+# each theory variant's parameters, with ratios and with finite sizes
+TAKES = {"general": ("psi1", "psi2", "lambda"), "ridgeless": ("psi1", "psi2"),
+         "wide": ("psi2", "lambda"), "lsamp": ("psi1", "lambda")}
+SHAPE_FLAGS = {
+    "ratio": {"psi1": ["--psi1", "2"], "psi2": ["--psi2", "3"], "lambda": ["--lambda-bar", "0.01"]},
+    "finite": {"psi1": ["--N", "80"], "psi2": ["--n", "120"], "lambda": ["--lambda", "1e-3"]},
+}
+
+
+@pytest.mark.parametrize("mode", ["ratio", "finite"])
+@pytest.mark.parametrize("variant", list(TAKES))
+def test_each_theory_variant_takes_its_own_parameters(variant, mode, capsys):
+    flags, takes = SHAPE_FLAGS[mode], TAKES[variant]
+    base = ["theory", "--variant", variant, "--rho", "2"] + (["--d", "40"] if mode == "finite" else [])
+
+    def given(params):
+        return base + [token for param in params for token in flags[param]]
+
+    code, out, err = run_cli(given(takes), capsys)
+    assert code == 0, err
+    assert len(read_records(out, from_text=True)) == 1
+    for param in takes:
+        others = [p for p in takes if p != param]
+        code, out, err = run_cli(given(others), capsys)
+        assert (code, out) == (2, "")
+        assert f"{flags[param][0]} is required (or sweep {param})" in err
+        code, out, err = run_cli(given(others) + ["--sweep", param, "--grid", "1,2"], capsys)
+        assert code == 0, err
+        assert len(read_records(out, from_text=True)) == 2
+    for param in set(flags) - set(takes):
+        code, out, err = run_cli(given(takes) + flags[param], capsys)
+        assert (code, out) == (2, "")
+        assert f"theory --variant {variant} takes no {flags[param][0]}" in err
+        code, out, err = run_cli(given(takes) + ["--sweep", param, "--grid", "1,2"], capsys)
+        assert (code, out) == (2, "")
+        assert f"theory --variant {variant} cannot sweep {param}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("flag", ["--N", "--n", "--lambda"])
+def test_simulations_need_every_size(command, flag, capsys):
+    at = SIM_ARGS.index(flag)
+    code, out, err = run_cli([command] + SIM_ARGS[:at] + SIM_ARGS[at + 2:], capsys)
+    assert (code, out) == (2, "")
+    assert f"{flag} is required" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--psi2", "3"], "--rho is required (or sweep rho)", id="no-rho"),
+    pytest.param(["--rho", "1"], "--psi2 is required (or sweep psi2)", id="no-psi2"),
+    pytest.param(["--rho", "1", "--psi2", "3", "--sweep", "psi1", "--grid", "1,2"],
+                 "phase cannot sweep psi1", id="sweep-psi1"),
+    pytest.param(["--rho", "1", "--psi2", "3", "--sweep", "lambda", "--grid", "1,2"],
+                 "phase cannot sweep lambda", id="sweep-lambda"),
+])
+def test_phase_takes_rho_and_psi2(argv, message, capsys):
+    code, out, err = run_cli(["phase", "--zeta-sq", "2"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory"])
+def test_a_sweep_that_rounds_two_values_to_one_size_is_a_usage_error(command, capsys):
+    # both psi1 values give N = 10 at d = 10, so the rows would be identical
+    code, out, err = run_cli(
+        [command, "--d", "10", "--n", "30", "--lambda", "0.01", "--sweep", "psi1",
+         "--grid", "0.5,1,1.01"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "psi1 = 1.0 and 1.01 both give --N 10 at --d 10" in err
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    # consecutive calls with different subcommands and flags print what calls
+    # with a freshly built parser print
+    calls = [
+        THEORY_RATIO,
+        ["phase", "--zeta-sq", "2", "--psi2", "3", "--sweep", "rho", "--grid", "1,2"],
+        ["theory", "--variant", "wide", "--psi2", "3", "--lambda-bar", "0.1", "--format", "jsonl"],
+        ["stats", "--activation", "identity"],
+        THEORY_RATIO + ["--sweep", "psi1", "--grid", "1,2"],
+        ["theory", "--variant", "lsamp", "--psi1", "2", "--lambda-bar", "0.1", "--rho", "3"],
+    ]
+    assert rfridge.cli.build_parser() is rfridge.cli.build_parser()
+    reused = [run_cli(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        rfridge.cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
+
+
 def test_a_bad_grid_entry_is_named_with_its_position(capsys):
     code, out, err = run_cli(
         ["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1",

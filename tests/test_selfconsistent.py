@@ -323,19 +323,24 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     try:
         params, xi = sc._axis_target(zeta_sq, psi1, psi2, lambda_bar)
     except ValueError as exc:
-        return exc, exc
+        return (exc, exc), exc, exc
     u = xi.imag
     with np.errstate(all="ignore"):
         n_coeffs, quartic = sc._quartic_coeffs(zeta_sq, psi1, psi2, [0.0, u * u]).tolist()
-    if all(math.isfinite(c) for c in quartic):
-        real = [r.real for r in np.roots(quartic).tolist() if r.imag == 0.0]
-        negative = [c for c in (_reference_polish(quartic, r) for r in real) if c < 0.0]
-    else:
+        real = attempt(lambda: [r.real for r in np.roots(quartic).tolist() if r.imag == 0.0])
+    if not all(math.isfinite(c) for c in quartic):
         negative = sc._overflowed(zeta_sq, psi1, psi2, u)
+    elif isinstance(real, np.linalg.LinAlgError):
+        negative = sc._unfactored("quartic", zeta_sq, psi1, psi2, u)
+    else:
+        negative = [c for c in (_reference_polish(quartic, r) for r in real) if c < 0.0]
     n4, n3, n2, n1, n0 = n_coeffs
     z = zeta_sq
     quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
-    turns = attempt(lambda: np.roots(quintic).tolist())
+    with np.errstate(all="ignore"):
+        turns = attempt(lambda: np.roots(quintic).tolist())
+    if isinstance(turns, np.linalg.LinAlgError):
+        turns = sc._unfactored("oracle's quintic", zeta_sq, psi1, psi2, u)
     row = (zeta_sq, psi1, psi2, lambda_bar)
     solved = (attempt(_reference_select, xi, params, negative),
               attempt(_reference_certify, lambda_bar, negative, turns))
@@ -376,6 +381,7 @@ def test_the_batch_equals_the_per_row_reference(perturb, monkeypatch):
         assert kinds["NoConvergence"] + kinds["RootSelectionAmbiguous"] >= 100
 
 
+@np.errstate(over="ignore")
 def test_stacked_roots_are_np_roots_row_by_row():
     # rows that np.roots trims to other degrees (leading or trailing zeros, a
     # constant, all zeros) and one it rejects, stacked among ordinary quartics
@@ -387,6 +393,8 @@ def test_stacked_roots_are_np_roots_row_by_row():
         [2.0, 1.0, 0.0, 0.0, 0.0],
         [1.0, np.inf, 1.0, 1.0, 1.0],
         [3.0, -1.0, 4.0, 1.0, -5.0],
+        # finite, but its companion matrix overflows, so eigvals rejects the stack
+        [1e-300, 1e300, 1.0, 1.0, 1.0],
     ])
     found, failed = rfridge.selfconsistent._stacked_roots(polys)
     for k, (row, roots) in enumerate(zip(polys, found.tolist())):
@@ -405,7 +413,7 @@ def test_stacked_roots_are_np_roots_row_by_row():
 def test_a_row_that_is_not_finite_fails_alone():
     # psi1 psi2 lambda_bar overflows, so u^2 and the row's quartic are inf; at
     # 1e307 the product is finite but its zeta^4 multiple, a coefficient, is not:
-    # those rows, and only those, fail by name before eigvals sees them
+    # those rows, and only those, fail by name, whatever np.roots makes of them
     points = [(RELU_ZETA_SQ, p, 3.0, 0.01) for p in (0.5, 2.0, 8.0)]
     points.insert(1, (RELU_ZETA_SQ, 2.0, 3.0, 1e308))
     points.insert(3, (RELU_ZETA_SQ, 2.0, 3.0, 1e307))
@@ -418,6 +426,28 @@ def test_a_row_that_is_not_finite_fails_alone():
         )
     assert all(isinstance(singles[k], SpectralPoint) for k in (0, 2, 4))
     _same_outcomes(theory_points(*np.array(points).T), singles)
+
+
+def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
+    # zeta^4 underflows to a leading 0 in the first row's quartic and quintic;
+    # the second row's quartic, and the third row's quintic, are finite but
+    # their companion matrices overflow, which fails the whole stack: those
+    # rows fail by the polynomial's name, and every row is the per-row
+    # reference's, which factors each polynomial with np.roots
+    points = [(1e-170, 2.0, 3.0, 0.01), (0.5, 1e154, 1e154, 1e-300),
+              (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01)]
+    expected = [_reference_row(*point) for point in points]
+    roots, calls = np.roots, []
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
+    _same_outcomes(theory_points(*np.array(points).T), [row[1] for row in expected])
+    assert calls.count(5) == 4 and calls.count(6) == 4
+    _same_outcomes(risk_general_points(*np.array(points).T), [row[2] for row in expected])
+    assert isinstance(expected[0][1], SpectralPoint)
+    assert str(expected[1][1]) == (
+        "the quartic in chi overflowed its companion matrix at psi1 = 1e+154, psi2 = 1e+154, "
+        "zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0")
+    assert str(expected[2][1]).startswith("the oracle's quintic in chi overflowed")
+    assert all(type(row[1]) is ValueError for row in expected[1:3])
 
 
 def test_a_batch_with_a_failing_row_raises_in_row_order():
@@ -802,6 +832,17 @@ def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
     shapes = _counting_eigvals(monkeypatch)
     assert theory_points(RELU_ZETA_SQ, psi1, 3.0, 0.0110078) == expected
     assert shapes == [(161, 4, 4), (161, 5, 5)]
+
+
+def test_optimal_lambda_factors_one_stacked_eigvals_call_per_degree_per_batch(monkeypatch):
+    # the benchmark's optimal_lambda: its 63-point pre-scan and each of Brent's
+    # single-row solves factor one quartic stack and one quintic stack
+    expected = rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    shapes = _counting_eigvals(monkeypatch)
+    assert rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0) == expected
+    assert shapes[:2] == [(63, 4, 4), (63, 5, 5)]
+    assert len(shapes) > 2
+    assert shapes[2:] == [(1, 4, 4), (1, 5, 5)] * (len(shapes) // 2 - 1)
 
 
 def test_oracle_rejects_bad_lambda():
