@@ -20,7 +20,6 @@ from .selfconsistent import (
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
-    SpectralParams,
     SpectralPoint,
     chi_scalar_oracle,
     fixed_point_map,

@@ -54,7 +54,6 @@ from .selfconsistent import (
     InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
-    SingularDenominator,
     unwrap,
 )
 from .simulate import (
@@ -796,7 +795,6 @@ def main(argv=None) -> int:
         QuadratureFailure,
         ThresholdSingularity,
         DenominatorVanishes,
-        SingularDenominator,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

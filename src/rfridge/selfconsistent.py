@@ -16,8 +16,8 @@ root, certified as the one continuity from large |xi| reaches by the absence
 of a turning point of the root branch.  Callers cross-check one against the
 other.  solve_points solves a whole batch of targets as arrays: one stacked
 eigvals call per polynomial degree, then the polish, the selection and the
-certificate elementwise over every row; solve_at and chi_scalar_oracle run
-the same code on a batch of one.
+certificate elementwise over every row; solve_at and chi_scalar_oracle are
+its two outcomes for a single row.
 """
 
 from __future__ import annotations
@@ -55,25 +55,6 @@ def require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
-@dataclass(frozen=True)
-class SpectralParams:
-    """Shape ratios and activation amplitude ratio defining one model family.
-
-    psi1 = features per dimension, psi2 = samples per dimension,
-    zeta_sq = (linear amplitude / nonlinear amplitude)^2 of the activation.
-    """
-
-    zeta_sq: float
-    psi1: float
-    psi2: float
-
-    def __post_init__(self):
-        require_positive(zeta_sq=self.zeta_sq, psi1=self.psi1, psi2=self.psi2)
-
-    def swapped(self) -> "SpectralParams":
-        return SpectralParams(self.zeta_sq, self.psi2, self.psi1)
-
-
 # the largest map residual, relative to each component, that solve_at accepts
 _TOL = 1e-12
 
@@ -91,17 +72,16 @@ class SpectralPoint:
 
 
 def fixed_point_map(
-    nu1: complex, nu2: complex, xi: complex, params: SpectralParams
+    nu1: complex, nu2: complex, xi: complex, zeta_sq: float, psi1: float, psi2: float
 ) -> tuple[complex, complex]:
     """One application of the self-consistency map at xi."""
-    z = params.zeta_sq
-    den = 1.0 - z * nu1 * nu2
+    den = 1.0 - zeta_sq * nu1 * nu2
     if abs(den) < 1e-14:
         raise SingularDenominator(
             f"1 - zeta_sq nu1 nu2 = {den} at nu1={nu1}, nu2={nu2}"
         )
-    f1 = params.psi1 / (-xi - nu2 - z * nu2 / den)
-    f2 = params.psi2 / (-xi - nu1 - z * nu1 / den)
+    f1 = psi1 / (-xi - nu2 - zeta_sq * nu2 / den)
+    f2 = psi2 / (-xi - nu1 - zeta_sq * nu1 / den)
     return f1, f2
 
 
@@ -113,8 +93,10 @@ def _residual(t1, t2, u, zeta_sq, psi1, psi2):
     imaginary parts: 1 - zeta^2 nu1 nu2 = 1 + zeta^2 t1 t2 =: D and
     F_1 = i psi1 / -(-u - t2 - zeta^2 t2 / D), F_2 likewise.  Written in the
     map's operation order, each value is bitwise that of fixed_point_map on
-    the same pair.  For t_k > 0, D >= 1, so the map's singular denominator
-    cannot arise.
+    the same pair as long as the map's complex arithmetic stays finite.  Near
+    the float limit (|nu1| about 1e308) that arithmetic overflows, and the
+    map's residual is inf or nan where this one is finite.  For t_k > 0,
+    D >= 1, so the map's singular denominator cannot arise.
     """
     den = 1.0 + zeta_sq * t1 * t2
     f1 = -psi1 / (-u - t2 - zeta_sq * t2 / den)
@@ -184,16 +166,19 @@ def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
     complex array padded with nan, and {row: LinAlgError} for the rows np.roots
     rejects (their row is all nan).
 
-    The rows that are finite and whose first and last coefficients are
-    nonzero, which np.roots would not trim, share one stacked eigvals call on
-    their companion matrices; LAPACK factors each matrix on its own, so their
-    roots are bitwise those of np.roots.  Every other row, and every row of a
-    stack that eigvals rejects, is np.roots' own.
+    The rows that are finite, whose first and last coefficients are nonzero,
+    which np.roots would not trim, and whose companion matrix is finite share
+    one stacked eigvals call on their companion matrices; LAPACK factors each
+    matrix on its own, so their roots are bitwise those of np.roots.  Every
+    other row, and every row of a stack that eigvals rejects, is np.roots' own.
     """
     roots = np.full((len(polys), polys.shape[1] - 1), _NAN)
     stacked = np.isfinite(polys).all(axis=1) & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+    companions = _companions(polys[stacked])
+    finite = np.isfinite(companions).all(axis=(1, 2))
+    stacked[stacked] = finite
     try:
-        roots[stacked] = np.linalg.eigvals(_companions(polys[stacked]))
+        roots[stacked] = np.linalg.eigvals(companions[finite])
     except np.linalg.LinAlgError:
         stacked[:] = False
     failed = {}
@@ -355,21 +340,8 @@ class _AxisBatch:
         return len(points)
 
 
-def _require_axis(xi: complex) -> None:
-    if not (xi.imag > 0.0):
-        raise ValueError(f"xi must have positive imaginary part, got {xi}")
-    if xi.real != 0.0:
-        raise ValueError(f"solve_at solves on the imaginary axis only, got xi = {xi}")
-
-
-def _batch_of_one(params: SpectralParams, u: float) -> _AxisBatch:
-    """The batch of the single target xi = i u, as solve_at and chi_scalar_oracle solve it."""
-    shape = (params.zeta_sq, params.psi1, params.psi2)
-    return _AxisBatch(np.array([shape], dtype=float), np.array([u]), [shape])
-
-
-def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
-    """Solve the coupled equations at xi = i u on the imaginary axis, u > 0.
+def solve_at(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> SpectralPoint:
+    """Solve the coupled equations at xi = i u, u = sqrt(psi1 psi2 lambda_bar).
 
     Every theory point lies there, and there chi = nu1 nu2 is a root of the
     quartic _quartic_coeffs.  Of its real roots, polished on the quartic,
@@ -384,11 +356,9 @@ def solve_at(xi: complex, params: SpectralParams) -> SpectralPoint:
     be at most 1e-12, which also guards the quartic's coefficients.  The
     answer is the one distinct point (chi within 1e-10 relative) that meets
     the residual and passes the half-plane and norm-bound checks; none or
-    several raise NoConvergence.  This is solve_points' selection for a batch
-    of one.
+    several raise NoConvergence.  This is solve_points' point for one row.
     """
-    _require_axis(xi)
-    return _select(xi, _batch_of_one(params, xi.imag), 0)
+    return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][0])
 
 
 def _select(xi: complex, batch: _AxisBatch, k: int) -> SpectralPoint:
@@ -406,13 +376,14 @@ def _select(xi: complex, batch: _AxisBatch, k: int) -> SpectralPoint:
     return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=nu1 * nu2, residual=batch.residual[k])
 
 
-def _axis_target(zeta_sq, psi1, psi2, lambda_bar) -> tuple[SpectralParams, complex]:
-    """The checked parameters of one row and its xi = i sqrt(psi1 psi2 lambda_bar)."""
-    require_positive(lambda_bar=lambda_bar)
-    params = SpectralParams(zeta_sq, psi1, psi2)
-    xi = complex(0.0, math.sqrt(psi1 * psi2 * lambda_bar))
-    _require_axis(xi)
-    return params, xi
+def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
+    """The error of a row that fails validation: its first parameter that is
+    not finite and positive, or else its target u, which underflowed to 0."""
+    try:
+        require_positive(lambda_bar=lambda_bar, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    except ValueError as exc:
+        return exc
+    return ValueError(f"xi must have positive imaginary part, got {complex(0.0, u)}")
 
 
 def solve_points(rows) -> list[tuple]:
@@ -424,8 +395,8 @@ def solve_points(rows) -> list[tuple]:
     the batch comes from one stacked eigvals call per degree, and the Newton
     polish, the selection with its checks and the certificate run elementwise
     over all rows at once.  Python only builds each row's SpectralPoint and
-    chi, or its exception, so every outcome is bitwise that of the single
-    calls and a failing row fails alone.
+    chi, or its exception, so a row's outcomes do not depend on the rest of
+    the batch and a failing row fails alone.
     """
     values = np.array(rows, dtype=float).reshape(-1, 4)
     with np.errstate(all="ignore"):
@@ -437,7 +408,7 @@ def solve_points(rows) -> list[tuple]:
     outcomes, k = [], 0
     for row, ok, u_row in zip(rows, oks, u.tolist()):
         if not ok:
-            error = attempt(_axis_target, *row)
+            error = _rejected(*row, u_row)
             outcomes.append((error, error))
             continue
         xi = complex(0.0, u_row)
@@ -475,7 +446,7 @@ def _quartic_coeffs(zeta_sq, psi1, psi2, u_sq) -> np.ndarray:
     return coeffs
 
 
-def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
+def chi_scalar_oracle(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> float:
     """chi at xi = i sqrt(psi1 psi2 lambda_bar), via the quartic it satisfies.
 
     chi is the root reached by continuity in u from its large-u asymptote
@@ -502,12 +473,10 @@ def chi_scalar_oracle(params: SpectralParams, lambda_bar: float) -> float:
     real within 1e-9 of their size.  Raises RootSelectionAmbiguous when no
     root is negative, when the quintic has a real root in [chi*, 0), or when
     a distinct negative root lies within 1e-8 |chi*| of chi*, the tolerance
-    of the cross-check against solve_at.  This is solve_points' certificate
-    for a batch of one.
+    of the cross-check against solve_at.  This is solve_points' chi for one
+    row.
     """
-    require_positive(lambda_bar=lambda_bar)
-    u = math.sqrt(params.psi1 * params.psi2 * lambda_bar)
-    return _certify(lambda_bar, _batch_of_one(params, u), 0)
+    return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][1])
 
 
 def _certify(lambda_bar: float, batch: _AxisBatch, k: int) -> float:

@@ -151,6 +151,9 @@ class SimConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        # the nonlinear targets read x_1 and x_2 (nonlinear_power's d >= 2)
+        if self.target.name != "linear" and self.d < 2:
+            raise ValueError(f"the {self.target.name} target needs d >= 2, got d = {self.d}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.tau_sq) and self.tau_sq >= 0.0):

@@ -31,7 +31,7 @@ from rfridge.risk import (
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import SpectralParams, chi_scalar_oracle, solve_at
+from rfridge.selfconsistent import chi_scalar_oracle, solve_at
 from rfridge.simulate import (
     SimConfig,
     TargetKind,
@@ -126,10 +126,9 @@ def test_criterion_2_solver_cross_validation(capsys):
             psi1 = 10.0 ** rng.uniform(-1.0, 1.0)
             psi2 = 10.0 ** rng.uniform(-1.0, 1.0)
             lb = 10.0 ** rng.uniform(-4.0, 1.0)
-            params = SpectralParams(z, psi1, psi2)
-            point = solve_at(complex(0.0, math.sqrt(psi1 * psi2 * lb)), params)
+            point = solve_at(z, psi1, psi2, lb)
             assert point.residual <= 1e-12
-            chi_oracle = chi_scalar_oracle(params, lb)
+            chi_oracle = chi_scalar_oracle(z, psi1, psi2, lb)
             assert abs(point.chi.real - chi_oracle) <= 1e-8 * max(1.0, abs(chi_oracle))
 
 
@@ -353,11 +352,12 @@ def test_criterion_10_property_pack(capsys, tmp_path):
             z = 10.0 ** rng.uniform(-1.0, 1.0)
             psi1 = 10.0 ** rng.uniform(-1.0, 1.0)
             psi2 = 10.0 ** rng.uniform(-1.0, 1.0)
-            xi = complex(0.0, 10.0 ** rng.uniform(-2.0, 2.0))
-            point = solve_at(xi, SpectralParams(z, psi1, psi2))
+            # the penalty whose target xi = i u has u log-uniform in [1e-2, 1e2]
+            lb = 10.0 ** rng.uniform(-4.0, 4.0) / (psi1 * psi2)
+            point = solve_at(z, psi1, psi2, lb)
             assert point.nu1.imag > 0.0 and point.nu2.imag > 0.0
             assert point.residual <= 1e-12
-            swapped = solve_at(xi, SpectralParams(z, psi2, psi1))
+            swapped = solve_at(z, psi2, psi1, lb)
             assert abs(swapped.nu1 - point.nu2) <= 1e-12
             assert abs(swapped.nu2 - point.nu1) <= 1e-12
 

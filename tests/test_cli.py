@@ -24,7 +24,6 @@ from rfridge.cli import (
     write_records,
 )
 from rfridge.risk import TargetSpec, risk_general, theory_point
-from rfridge.selfconsistent import SpectralParams
 from test_selfconsistent import _chi_50_digits
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -155,7 +154,7 @@ def test_theory_certifies_a_tiny_chi(capsys):
     assert code == 0, err
     assert math.isfinite(read_records(out, from_text=True)[0]["theory_risk_R"])
     point = theory_point(z, p1, p2, lb)
-    ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
+    ref = _chi_50_digits(z, p1, p2, point.xi.imag)
     assert point.chi.real == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
@@ -666,6 +665,20 @@ def test_simulate_rejects_asymptotic_flags(capsys):
     )
     assert code2 == 2
     assert "rho" in err2
+
+
+@pytest.mark.parametrize("target", ["linear_plus_quad", "linear_plus_cross"])
+def test_simulate_refuses_a_nonlinear_target_at_d_1_before_drawing(target, capsys, monkeypatch):
+    # both targets read x_2, which d = 1 does not have
+    draws = []
+    monkeypatch.setattr(rfridge.simulate, "sample_sphere", lambda *args: draws.append(args))
+    code, out, err = run_cli(
+        ["simulate", "--d", "1", "--n", "5", "--N", "5", "--lambda", "1e-3", "--target", target,
+         "--trials", "2", "--n-test", "1000"],
+        capsys,
+    )
+    assert code == 2 and out == "" and draws == []
+    assert err == f"error: ValueError: the {target} target needs d >= 2, got d = 1\n"
 
 
 def test_sweep_spec_validation(capsys):

@@ -23,11 +23,11 @@ from rfridge.selfconsistent import (
     NoConvergence,
     RootSelectionAmbiguous,
     SingularDenominator,
-    SpectralParams,
     SpectralPoint,
     attempt,
     chi_scalar_oracle,
     fixed_point_map,
+    require_positive,
     solve_at,
     solve_points,
     unwrap,
@@ -39,7 +39,13 @@ MAP_REF = (0.1865381322013723j, 0.2895519742991764j)
 CHI_TRACKED = -1.17092773058736536  # zeta_sq=2.7519, psi=(2,3), lambda_bar=0.01
 CHI_PLAIN = -1.049821365663834615  # zeta_sq=1, psi=(2,3), lambda_bar=0.1
 
-PARAMS_A = SpectralParams(zeta_sq=2.7519, psi1=2.0, psi2=3.0)
+# (zeta_sq, psi1, psi2)
+PARAMS_A = ZETA_A, PSI1_A, PSI2_A = (2.7519, 2.0, 3.0)
+
+
+def _lambda_at(shape, u):
+    """The lambda_bar whose target xi = i sqrt(psi1 psi2 lambda_bar) is i u, to rounding."""
+    return u * u / (shape[1] * shape[2])
 
 
 def _quartic(z, p1, p2, u_sq, chi):
@@ -52,76 +58,77 @@ def _quartic(z, p1, p2, u_sq, chi):
 
 def test_map_at_origin_matches_large_xi_asymptote():
     K = 10.0
-    f1, f2 = fixed_point_map(0.0, 0.0, complex(0.0, K), PARAMS_A)
-    assert f1 == pytest.approx(complex(0.0, PARAMS_A.psi1 / K), abs=1e-15)
-    assert f2 == pytest.approx(complex(0.0, PARAMS_A.psi2 / K), abs=1e-15)
+    f1, f2 = fixed_point_map(0.0, 0.0, complex(0.0, K), *PARAMS_A)
+    assert f1 == pytest.approx(complex(0.0, PSI1_A / K), abs=1e-15)
+    assert f2 == pytest.approx(complex(0.0, PSI2_A / K), abs=1e-15)
 
 
 def test_map_frozen_pair():
-    f1, f2 = fixed_point_map(0.1j, 0.2j, 10.0j, PARAMS_A)
+    f1, f2 = fixed_point_map(0.1j, 0.2j, 10.0j, *PARAMS_A)
     assert f1 == pytest.approx(MAP_REF[0], abs=1e-15)
     assert f2 == pytest.approx(MAP_REF[1], abs=1e-15)
 
 
 def test_map_singular_denominator():
-    params = SpectralParams(zeta_sq=1.0, psi1=2.0, psi2=3.0)
     with pytest.raises(SingularDenominator):
-        fixed_point_map(1.0j, -1.0j * (1.0 - 1e-16), 10.0j, params)
+        fixed_point_map(1.0j, -1.0j * (1.0 - 1e-16), 10.0j, 1.0, 2.0, 3.0)
 
 
 def test_solve_at_residual_within_tolerance():
-    point = solve_at(10.0j, PARAMS_A)
+    point = solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 10.0))
     assert point.residual <= 1e-12
-    f1, f2 = fixed_point_map(point.nu1, point.nu2, 10.0j, PARAMS_A)
+    f1, f2 = fixed_point_map(point.nu1, point.nu2, point.xi, *PARAMS_A)
     assert abs(f1 - point.nu1) <= 1e-12
     assert abs(f2 - point.nu2) <= 1e-12
     assert point.nu1.imag > 0.0 and point.nu2.imag > 0.0
 
 
 def test_solve_at_large_xi_asymptote():
-    K = 1e6
-    point = solve_at(complex(0.0, K), PARAMS_A)
-    assert abs(complex(0.0, K) * point.nu1 + PARAMS_A.psi1) <= 1e-3
-    assert abs(complex(0.0, K) * point.nu2 + PARAMS_A.psi2) <= 1e-3
+    point = solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 1e6))
+    assert abs(point.xi * point.nu1 + PSI1_A) <= 1e-3
+    assert abs(point.xi * point.nu2 + PSI2_A) <= 1e-3
 
 
 def test_solve_at_symmetric_shapes_give_equal_components():
-    params = SpectralParams(zeta_sq=1.7, psi1=2.5, psi2=2.5)
-    point = solve_at(1.3j, params)
+    params = (1.7, 2.5, 2.5)
+    point = solve_at(*params, _lambda_at(params, 1.3))
     assert abs(point.nu1 - point.nu2) <= 1e-12 * abs(point.nu1)
 
 
 def test_solve_at_swap_symmetry():
-    xi = 0.7j
-    a = solve_at(xi, PARAMS_A)
-    b = solve_at(xi, PARAMS_A.swapped())
+    lambda_bar = _lambda_at(PARAMS_A, 0.7)
+    a = solve_at(ZETA_A, PSI1_A, PSI2_A, lambda_bar)
+    b = solve_at(ZETA_A, PSI2_A, PSI1_A, lambda_bar)
     assert abs(a.nu1 - b.nu2) <= 1e-12 * abs(a.nu1)
     assert abs(a.nu2 - b.nu1) <= 1e-12 * abs(a.nu2)
 
 
 def test_solve_at_chi_matches_tracked_reference():
-    lam_bar = 0.01
-    u = math.sqrt(PARAMS_A.psi1 * PARAMS_A.psi2 * lam_bar)
-    point = solve_at(complex(0.0, u), PARAMS_A)
+    point = solve_at(*PARAMS_A, 0.01)
     assert point.chi.real == pytest.approx(CHI_TRACKED, rel=1e-9)
     assert abs(point.chi.imag) <= 1e-9
 
 
 def test_solve_at_norm_bound_holds():
     for h in (0.3, 1.0, 30.0):
-        point = solve_at(complex(0.0, h), PARAMS_A)
-        assert abs(point.nu1) <= (1.0 + 1e-9) * PARAMS_A.psi1 / h
-        assert abs(point.nu2) <= (1.0 + 1e-9) * PARAMS_A.psi2 / h
+        point = solve_at(*PARAMS_A, _lambda_at(PARAMS_A, h))
+        u = point.xi.imag
+        assert abs(point.nu1) <= (1.0 + 1e-9) * PSI1_A / u
+        assert abs(point.nu2) <= (1.0 + 1e-9) * PSI2_A / u
 
 
 def test_solve_at_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        solve_at(complex(1.0, 0.0), PARAMS_A)
-    with pytest.raises(ValueError):
-        solve_at(-2.0j, PARAMS_A)
+    # xi = i sqrt(psi1 psi2 lambda_bar) leaves the upper half plane when
+    # lambda_bar is not positive, or when the product underflows to 0
+    with pytest.raises(ValueError, match="^lambda_bar must be finite and positive, got -4.0$"):
+        solve_at(*PARAMS_A, -4.0)
+    with pytest.raises(ValueError, match="^xi must have positive imaginary part, got 0j$"):
+        solve_at(1.0, 1e-200, 1e-200, 1e-10)
+    with pytest.raises(ValueError, match="^xi must have positive imaginary part, got 0j$"):
+        chi_scalar_oracle(1.0, 1e-200, 1e-200, 1e-10)
 
 
-def _chi_50_digits(params, u):
+def _chi_50_digits(zeta_sq, psi1, psi2, u):
     """chi at xi = i u from a 50-digit solve that never starts from solve_at's answer.
 
     With x = -chi and s = zeta^2 x / (1 + zeta^2 x) + x, the quartic over
@@ -134,7 +141,7 @@ def _chi_50_digits(params, u):
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        z, p1, p2, u = (mpmath.mpf(v) for v in (params.zeta_sq, params.psi1, params.psi2, u))
+        z, p1, p2, u = (mpmath.mpf(v) for v in (zeta_sq, psi1, psi2, u))
         m = min(p1, p2)
         b = 1 + z - z * m
         # the positive root of s(x) = m, that is of z x^2 + b x - m = 0
@@ -177,7 +184,7 @@ def test_theory_points_over_the_wide_box_match_50_digits():
         except (NoConvergence, RootSelectionAmbiguous, ChiDisagreement) as exc:
             outcomes[type(exc).__name__] += 1
             continue
-        ref = _chi_50_digits(SpectralParams(z, p1, p2), point.xi.imag)
+        ref = _chi_50_digits(z, p1, p2, point.xi.imag)
         assert point.chi.real == pytest.approx(ref, rel=1e-13, abs=0.0), (z, p1, p2, lb)
         outcomes["solved"] += 1
     assert outcomes == {"solved": 1000}
@@ -234,12 +241,14 @@ def _reference_polish(coeffs, chi):
     return chi
 
 
-def _reference_select(xi, params, negative):
-    """solve_at's selection, one candidate at a time in complex arithmetic."""
+def _reference_select(xi, shape, negative):
+    """solve_at's selection, one candidate at a time in complex arithmetic;
+    shape is (zeta_sq, psi1, psi2)."""
     u = xi.imag
+    psi1, psi2 = shape[1:]
     admissible, best, points = 0, math.inf, []
     for chi in unwrap(negative):
-        nu1, nu2 = _pair_from_chi(chi, params, u)
+        nu1, nu2 = _pair_from_chi(chi, shape, u)
         larger = max(nu1.imag, nu2.imag)
         if not larger > 0.0:
             continue
@@ -251,12 +260,12 @@ def _reference_select(xi, params, negative):
         if min(nu1.imag, nu2.imag) == 0.0:
             continue
         admissible += 1
-        f1, f2 = fixed_point_map(nu1, nu2, xi, params)
+        f1, f2 = fixed_point_map(nu1, nu2, xi, *shape)
         res = max(abs(f1 - nu1) / abs(nu1), abs(f2 - nu2) / abs(nu2))
         best = min(best, res)
         if res > 1e-12 or nu1.imag <= 0.0 or nu2.imag <= 0.0:
             continue
-        if abs(nu1) > (1.0 + 1e-9) * params.psi1 / u or abs(nu2) > (1.0 + 1e-9) * params.psi2 / u:
+        if abs(nu1) > (1.0 + 1e-9) * psi1 / u or abs(nu2) > (1.0 + 1e-9) * psi2 / u:
             continue
         chi = nu1 * nu2
         if abs(chi.imag) > 1e-10 * (1.0 + abs(chi)) or chi.real > 1e-10:
@@ -321,10 +330,13 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     certificate and decomposition one candidate at a time."""
     sc = rfridge.selfconsistent
     try:
-        params, xi = sc._axis_target(zeta_sq, psi1, psi2, lambda_bar)
+        require_positive(lambda_bar=lambda_bar, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+        u = math.sqrt(psi1 * psi2 * lambda_bar)
+        if u == 0.0:
+            raise ValueError("xi must have positive imaginary part, got 0j")
     except ValueError as exc:
         return (exc, exc), exc, exc
-    u = xi.imag
+    xi = complex(0.0, u)
     with np.errstate(all="ignore"):
         n_coeffs, quartic = sc._quartic_coeffs(zeta_sq, psi1, psi2, [0.0, u * u]).tolist()
         real = attempt(lambda: [r.real for r in np.roots(quartic).tolist() if r.imag == 0.0])
@@ -342,7 +354,7 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     if isinstance(turns, np.linalg.LinAlgError):
         turns = sc._unfactored("oracle's quintic", zeta_sq, psi1, psi2, u)
     row = (zeta_sq, psi1, psi2, lambda_bar)
-    solved = (attempt(_reference_select, xi, params, negative),
+    solved = (attempt(_reference_select, xi, row[:3], negative),
               attempt(_reference_certify, lambda_bar, negative, turns))
     point = attempt(rfridge.risk._cross_checked, row, *solved)
     return solved, point, attempt(_reference_decomposition, point, *row)
@@ -393,7 +405,7 @@ def test_stacked_roots_are_np_roots_row_by_row():
         [2.0, 1.0, 0.0, 0.0, 0.0],
         [1.0, np.inf, 1.0, 1.0, 1.0],
         [3.0, -1.0, 4.0, 1.0, -5.0],
-        # finite, but its companion matrix overflows, so eigvals rejects the stack
+        # finite, but its companion matrix overflows, so it is kept out of the stack
         [1e-300, 1e300, 1.0, 1.0, 1.0],
     ])
     found, failed = rfridge.selfconsistent._stacked_roots(polys)
@@ -430,17 +442,18 @@ def test_a_row_that_is_not_finite_fails_alone():
 
 def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     # zeta^4 underflows to a leading 0 in the first row's quartic and quintic;
-    # the second row's quartic, and the third row's quintic, are finite but
-    # their companion matrices overflow, which fails the whole stack: those
-    # rows fail by the polynomial's name, and every row is the per-row
-    # reference's, which factors each polynomial with np.roots
+    # the second row's quartic and quintic, and the third row's quintic, are
+    # finite but their companion matrices overflow: those rows fail by the
+    # polynomial's name, and every row is the per-row reference's, which
+    # factors each polynomial with np.roots.  Only those five polynomials
+    # leave the stacks for np.roots.
     points = [(1e-170, 2.0, 3.0, 0.01), (0.5, 1e154, 1e154, 1e-300),
               (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01)]
     expected = [_reference_row(*point) for point in points]
     roots, calls = np.roots, []
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
     _same_outcomes(theory_points(*np.array(points).T), [row[1] for row in expected])
-    assert calls.count(5) == 4 and calls.count(6) == 4
+    assert calls == [5, 5, 6, 6, 6]
     _same_outcomes(risk_general_points(*np.array(points).T), [row[2] for row in expected])
     assert isinstance(expected[0][1], SpectralPoint)
     assert str(expected[1][1]) == (
@@ -448,6 +461,25 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
         "zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0")
     assert str(expected[2][1]).startswith("the oracle's quintic in chi overflowed")
     assert all(type(row[1]) is ValueError for row in expected[1:3])
+
+
+def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypatch):
+    # the benchmark's 161-point curve plus one row whose quartic and quintic
+    # companion matrices overflow: np.roots factors that row's two polynomials
+    # and nothing else, and the curve's rows keep their stacks and outcomes
+    curve = [(RELU_ZETA_SQ, p, 3.0, 0.0110078) for p in np.geomspace(0.5, 10.0, 161).tolist()]
+    expected = theory_points(*np.array(curve).T)
+    eigvals, shapes = np.linalg.eigvals, []
+    roots, calls = np.roots, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
+    with np.errstate(over="ignore"):
+        outcomes = theory_points(*np.array(curve + [(0.5, 1e154, 1e154, 1e-300)]).T)
+    assert outcomes[:161] == expected
+    assert type(outcomes[161]) is ValueError
+    assert str(outcomes[161]).startswith("the quartic in chi overflowed its companion matrix")
+    assert calls == [5, 6]
+    assert shapes == [(161, 4, 4), (161, 5, 5)]
 
 
 def test_a_batch_with_a_failing_row_raises_in_row_order():
@@ -465,8 +497,7 @@ def test_a_batch_with_a_failing_row_raises_in_row_order():
 def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):
     # a root of a wrong quartic gives a pair that fails the coupled map's
     # residual: it is rejected, never rescued, and never turns into a value
-    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
-    truth = solve_at(xi, PARAMS_A)
+    truth = solve_at(*PARAMS_A, 0.01)
     coeffs = rfridge.selfconsistent._quartic_coeffs
     outcomes = collections.Counter()
     for index in range(5):
@@ -478,7 +509,7 @@ def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypa
 
             monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", perturbed)
             try:
-                point = solve_at(xi, PARAMS_A)
+                point = solve_at(*PARAMS_A, 0.01)
             except NoConvergence:
                 outcomes["NoConvergence"] += 1
                 continue
@@ -514,14 +545,13 @@ def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
         monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: np.hstack(
             [negative(*args) * f for f in (1.0, 1.0 + 1e-6)]))
     with pytest.raises(NoConvergence, match="admissible quartic roots") as info:
-        solve_at(xi, PARAMS_A)
+        solve_at(*PARAMS_A, 0.01)
     assert info.value.xi == xi
     assert len(residuals) == {"no admissible root": 0, "two admissible roots": 2}.get(fault, 1)
 
 
 def test_duplicate_roots_polish_to_one_point(monkeypatch):
-    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
-    expected = solve_at(xi, PARAMS_A)
+    expected = solve_at(*PARAMS_A, 0.01)
     stacked = rfridge.selfconsistent._stacked_roots
 
     def twice(polys):
@@ -529,7 +559,7 @@ def test_duplicate_roots_polish_to_one_point(monkeypatch):
         return np.hstack([roots, roots]), failed
 
     monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", twice)
-    assert solve_at(xi, PARAMS_A) == expected
+    assert solve_at(*PARAMS_A, 0.01) == expected
 
 
 def test_no_convergence_carries_xi(monkeypatch):
@@ -543,32 +573,39 @@ def test_no_convergence_carries_xi(monkeypatch):
         return row
 
     monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", flipped)
-    xi = 0.4j
+    lambda_bar = _lambda_at(PARAMS_A, 0.4)
     with pytest.raises(NoConvergence, match=r"give 0 distinct checked points; "
                        r"best relative map residual") as info:
-        solve_at(xi, PARAMS_A)
-    assert info.value.xi == xi
+        solve_at(*PARAMS_A, lambda_bar)
+    assert info.value.xi == complex(0.0, math.sqrt(PSI1_A * PSI2_A * lambda_bar))
 
 
-def test_solve_at_solves_the_axis_and_rejects_other_xi():
-    on_axis = solve_at(0.4j, PARAMS_A)
-    assert on_axis.chi.real == pytest.approx(_chi_50_digits(PARAMS_A, 0.4), rel=1e-10, abs=0.0)
-    with pytest.raises(ValueError, match="imaginary axis"):
-        solve_at(0.1 + 0.4j, PARAMS_A)
+def test_solve_at_matches_50_digits_on_the_axis():
+    point = solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 0.4))
+    ref = _chi_50_digits(*PARAMS_A, point.xi.imag)
+    assert point.chi.real == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
-def test_spectral_params_validation():
-    with pytest.raises(ValueError):
-        SpectralParams(zeta_sq=0.0, psi1=1.0, psi2=1.0)
-    with pytest.raises(ValueError):
-        SpectralParams(zeta_sq=1.0, psi1=-2.0, psi2=1.0)
-    with pytest.raises(ValueError):
-        SpectralParams(zeta_sq=1.0, psi1=1.0, psi2=math.inf)
+def test_every_entry_point_validates_a_row_alike():
+    cases = [
+        ((0.0, 1.0, 1.0, 0.1), "zeta_sq must be finite and positive, got 0.0"),
+        ((1.0, -2.0, 1.0, 0.1), "psi1 must be finite and positive, got -2.0"),
+        ((1.0, 1.0, math.inf, 0.1), "psi2 must be finite and positive, got inf"),
+        # lambda_bar is named first, then the shape in order
+        ((math.nan, -2.0, 1.0, 0.0), "lambda_bar must be finite and positive, got 0.0"),
+        ((math.nan, -2.0, 1.0, 0.1), "zeta_sq must be finite and positive, got nan"),
+    ]
+    for row, message in cases:
+        for entry in (solve_at, chi_scalar_oracle, theory_point):
+            with pytest.raises(ValueError) as info:
+                entry(*row)
+            assert str(info.value) == message
+        ((point, chi),) = solve_points([row])
+        assert type(point) is ValueError and point is chi and str(point) == message
 
 
 def test_oracle_frozen_value_and_quartic_residual():
-    params = SpectralParams(zeta_sq=1.0, psi1=2.0, psi2=3.0)
-    chi = chi_scalar_oracle(params, 0.1)
+    chi = chi_scalar_oracle(1.0, 2.0, 3.0, 0.1)
     assert chi == pytest.approx(CHI_PLAIN, rel=1e-11)
     res = _quartic(1.0, 2.0, 3.0, 2.0 * 3.0 * 0.1, chi)
     assert abs(res) <= 1e-10 * max(1.0, abs(chi))
@@ -578,7 +615,7 @@ def test_oracle_tracks_through_coexisting_negative_roots():
     # At these parameters the quartic has two real negative roots, so the
     # sign filter alone cannot identify chi; the branch certificate does.
     lam_bar = 0.01
-    z, p1, p2 = PARAMS_A.zeta_sq, PARAMS_A.psi1, PARAMS_A.psi2
+    z, p1, p2 = PARAMS_A
     u_sq = p1 * p2 * lam_bar
     b1 = z * p1 - z - 1.0
     b2 = z * p2 - z - 1.0
@@ -595,36 +632,35 @@ def test_oracle_tracks_through_coexisting_negative_roots():
     )
     assert len(real_negative) == 2
 
-    chi = chi_scalar_oracle(PARAMS_A, lam_bar)
+    chi = chi_scalar_oracle(*PARAMS_A, lam_bar)
     assert chi == pytest.approx(CHI_TRACKED, rel=1e-11)
     assert chi == pytest.approx(real_negative[1], rel=1e-9)
     assert abs(chi - real_negative[0]) > 0.5
 
 
 def test_oracle_large_lambda_drives_chi_to_zero_from_below():
-    chi = chi_scalar_oracle(PARAMS_A, 1e8)
+    chi = chi_scalar_oracle(*PARAMS_A, 1e8)
     assert -1e-6 < chi < 0.0
 
 
 def test_oracle_small_lambda_approaches_ridgeless_root():
-    for params in (PARAMS_A, SpectralParams(zeta_sq=1.0, psi1=0.5, psi2=4.0)):
-        chi = chi_scalar_oracle(params, 1e-10)
-        ref = ridgeless_chi(params.zeta_sq, params.psi1, params.psi2)
+    for params in (PARAMS_A, (1.0, 0.5, 4.0)):
+        chi = chi_scalar_oracle(*params, 1e-10)
+        ref = ridgeless_chi(*params)
         assert chi == pytest.approx(ref, abs=1e-6)
 
 
-def _path_start(params, u_target):
+def _path_start(z, p1, p2, u_target):
     """Start of a tracking path down to u_target: a decade above it, and high
     enough that chi sits on its large-|xi| asymptote -psi1 psi2 / u^2."""
-    height = 10.0 * (params.psi1 + params.psi2) * max(1.0, math.sqrt(params.zeta_sq))
+    height = 10.0 * (p1 + p2) * max(1.0, math.sqrt(z))
     return max(100.0, 10.0 * u_target, height)
 
 
-def _roots_loop_oracle(params, lambda_bar, steps=192):
+def _roots_loop_oracle(z, p1, p2, lambda_bar, steps=192):
     """Reference oracle: one np.roots call per path node, tracked node by node."""
-    z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = _path_start(params, u_target)
+    u_start = _path_start(z, p1, p2, u_target)
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
     displacement = 0.0
@@ -657,9 +693,9 @@ def _roots_loop_oracle(params, lambda_bar, steps=192):
     return _reference_polish(coeffs, chi.real)
 
 
-def _outcome(oracle, params, lambda_bar):
+def _outcome(oracle, *row):
     try:
-        return oracle(params, lambda_bar)
+        return oracle(*row)
     except Exception as exc:  # the reference and the oracle must fail alike
         return type(exc)
 
@@ -677,27 +713,25 @@ def test_oracle_matches_the_roots_loop():
     rng = np.random.default_rng(20191)
     failures = 0
     for _ in range(200):
-        params = SpectralParams(
-            zeta_sq=math.exp(rng.uniform(math.log(0.01), math.log(100.0))),
-            psi1=math.exp(rng.uniform(math.log(0.01), math.log(1e4))),
-            psi2=math.exp(rng.uniform(math.log(0.01), math.log(1e3))),
+        row = (
+            math.exp(rng.uniform(math.log(0.01), math.log(100.0))),
+            math.exp(rng.uniform(math.log(0.01), math.log(1e4))),
+            math.exp(rng.uniform(math.log(0.01), math.log(1e3))),
+            math.exp(rng.uniform(math.log(1e-9), math.log(1e4))),
         )
-        lambda_bar = math.exp(rng.uniform(math.log(1e-9), math.log(1e4)))
-        expected = _outcome(_roots_loop_oracle, params, lambda_bar)
-        _assert_same_outcome(_outcome(chi_scalar_oracle, params, lambda_bar), expected,
-                             (params, lambda_bar))
+        expected = _outcome(_roots_loop_oracle, *row)
+        _assert_same_outcome(_outcome(chi_scalar_oracle, *row), expected, row)
         failures += isinstance(expected, type)
     # the box must exercise the value path, not only the failure path
     assert failures < 20
 
 
-def _tracking_oracle(params, lambda_bar, steps=192):
+def _tracking_oracle(z, p1, p2, lambda_bar, steps=192):
     """Reference oracle: all path nodes solved in one batched eigvals call, and
     the root followed node by node by nearest-neighbor continuity."""
     sc = rfridge.selfconsistent
-    z, p1, p2 = params.zeta_sq, params.psi1, params.psi2
     u_target = math.sqrt(p1 * p2 * lambda_bar)
-    u_start = _path_start(params, u_target)
+    u_start = _path_start(z, p1, p2, u_target)
     chi = complex(-p1 * p2 / (u_start * u_start), 0.0)
     ratio = u_target / u_start
     nodes = [u_start * ratio ** (k / steps) for k in range(1, steps + 1)]
@@ -730,9 +764,8 @@ def test_oracle_equals_the_tracking_reference_over_the_stress_box():
     points = np.exp(np.random.default_rng(9).uniform(box[:, 0], box[:, 1], (2000, 4)))
     values = 0
     for z, p1, p2, lb in points.tolist():
-        params = SpectralParams(z, p1, p2)
-        expected = _outcome(_tracking_oracle, params, lb)
-        _assert_same_outcome(_outcome(chi_scalar_oracle, params, lb), expected, (z, p1, p2, lb))
+        expected = _outcome(_tracking_oracle, z, p1, p2, lb)
+        _assert_same_outcome(_outcome(chi_scalar_oracle, z, p1, p2, lb), expected, (z, p1, p2, lb))
         values += not isinstance(expected, type)
     assert values >= 1900
 
@@ -752,7 +785,7 @@ def _synthetic_quartic(n_coeffs):
 
 
 # zeta_sq = psi1 = psi2 = 1, so lambda_bar = u^2 at the target
-UNIT_PARAMS = SpectralParams(zeta_sq=1.0, psi1=1.0, psi2=1.0)
+UNIT_PARAMS = (1.0, 1.0, 1.0)
 
 
 def test_oracle_certificate_rejects_a_branch_that_turns(monkeypatch):
@@ -765,12 +798,12 @@ def test_oracle_certificate_rejects_a_branch_that_turns(monkeypatch):
     real_negative = [r.real for r in np.roots(coeffs) if r.imag == 0.0 and r.real < 0.0]
     assert real_negative and max(real_negative) < -2.0
     with pytest.raises(RootSelectionAmbiguous, match="turns"):
-        chi_scalar_oracle(UNIT_PARAMS, 0.01)
+        chi_scalar_oracle(*UNIT_PARAMS, 0.01)
     # tracking ends off the real axis at the same point
-    assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
+    assert _outcome(_tracking_oracle, *UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
     # above the dip the branch has not turned yet, and both oracles agree
-    chi = chi_scalar_oracle(UNIT_PARAMS, 0.05)
-    assert chi == _tracking_oracle(UNIT_PARAMS, 0.05) and -1.0 < chi < 0.0
+    chi = chi_scalar_oracle(*UNIT_PARAMS, 0.05)
+    assert chi == _tracking_oracle(*UNIT_PARAMS, 0.05) and -1.0 < chi < 0.0
 
 
 def test_oracle_without_an_admissible_root_is_ambiguous(monkeypatch):
@@ -781,8 +814,8 @@ def test_oracle_without_an_admissible_root_is_ambiguous(monkeypatch):
     assert all(r.imag != 0.0 for r in np.roots(rfridge.selfconsistent._quartic_coeffs(
         1.0, 1.0, 1.0, [0.01])[0]))
     with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
-        chi_scalar_oracle(UNIT_PARAMS, 0.01)
-    assert _outcome(_tracking_oracle, UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
+        chi_scalar_oracle(*UNIT_PARAMS, 0.01)
+    assert _outcome(_tracking_oracle, *UNIT_PARAMS, 0.01) is RootSelectionAmbiguous
 
 
 def _counting_eigvals(monkeypatch) -> list:
@@ -805,12 +838,12 @@ def _counting_eigvals(monkeypatch) -> list:
 def test_a_distinct_root_just_below_the_branch_is_ambiguous(monkeypatch):
     # every candidate gains a copy 3e-9 relative below it, a distinct root
     # within the 1e-8 the cross-check allows
-    chi = chi_scalar_oracle(PARAMS_A, 0.01)
+    chi = chi_scalar_oracle(*PARAMS_A, 0.01)
     negative = rfridge.selfconsistent._negative_roots
     monkeypatch.setattr(rfridge.selfconsistent, "_negative_roots", lambda *args: np.hstack(
         [negative(*args) * f for f in (1.0, 1.0 + 3e-9)]))
     with pytest.raises(RootSelectionAmbiguous) as info:
-        chi_scalar_oracle(PARAMS_A, 0.01)
+        chi_scalar_oracle(*PARAMS_A, 0.01)
     assert str(info.value) == (
         f"roots {chi!r} and {chi * (1.0 + 3e-9)!r} both admissible within 1e-8 relative")
 
@@ -818,9 +851,9 @@ def test_a_distinct_root_just_below_the_branch_is_ambiguous(monkeypatch):
 def test_oracle_factors_at_most_two_polynomials(monkeypatch):
     # a count, not a timing: the target quartic and the quintic, where
     # tracking a path factors one quartic per node
-    expected = chi_scalar_oracle(PARAMS_A, 0.01)
+    expected = chi_scalar_oracle(*PARAMS_A, 0.01)
     shapes = _counting_eigvals(monkeypatch)
-    assert chi_scalar_oracle(PARAMS_A, 0.01) == expected
+    assert chi_scalar_oracle(*PARAMS_A, 0.01) == expected
     assert [shape[-1] for shape in shapes] == [4, 5]
 
 
@@ -847,36 +880,35 @@ def test_optimal_lambda_factors_one_stacked_eigvals_call_per_degree_per_batch(mo
 
 def test_oracle_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        chi_scalar_oracle(PARAMS_A, 0.0)
+        chi_scalar_oracle(*PARAMS_A, 0.0)
     with pytest.raises(ValueError):
-        chi_scalar_oracle(PARAMS_A, -1.0)
+        chi_scalar_oracle(*PARAMS_A, -1.0)
 
 
-def _pair_from_chi(chi, params, u):
-    """The pair a chi <= 0 determines at xi = i u, by the coupled equations'
-    sum and product: nu_k = i (psi_k - s) / u, s = -zeta^2 chi / (1 - zeta^2 chi) - chi."""
-    z = params.zeta_sq
+def _pair_from_chi(chi, shape, u):
+    """The pair a chi <= 0 determines at xi = i u for shape (zeta_sq, psi1, psi2),
+    by the coupled equations' sum and product: nu_k = i (psi_k - s) / u,
+    s = -zeta^2 chi / (1 - zeta^2 chi) - chi."""
+    z, psi1, psi2 = shape
     s = -z * chi / (1.0 - z * chi) - chi
-    return complex(0.0, (params.psi1 - s) / u), complex(0.0, (params.psi2 - s) / u)
+    return complex(0.0, (psi1 - s) / u), complex(0.0, (psi2 - s) / u)
 
 
 def test_solved_pair_multiplies_back_to_the_oracle_chi():
     zeta_sq = math.pi / (math.pi - 2.0)
-    params = SpectralParams(zeta_sq=zeta_sq, psi1=2.0, psi2=3.0)
+    params = (zeta_sq, 2.0, 3.0)
     lam_bar = 1e-3 / ((math.pi - 2.0) / (4.0 * math.pi))
-    chi = chi_scalar_oracle(params, lam_bar)
-    u = math.sqrt(params.psi1 * params.psi2 * lam_bar)
-    point = solve_at(complex(0.0, u), params)
-    nu1, nu2 = _pair_from_chi(chi, params, u)
+    chi = chi_scalar_oracle(*params, lam_bar)
+    point = solve_at(*params, lam_bar)
+    nu1, nu2 = _pair_from_chi(chi, params, point.xi.imag)
     assert abs(nu1 - point.nu1) <= 1e-8 * max(1.0, abs(point.nu1))
     assert abs(nu2 - point.nu2) <= 1e-8 * max(1.0, abs(point.nu2))
     assert abs(point.nu1 * point.nu2 - chi) <= 1e-10 * max(1.0, abs(chi))
 
 
 def test_symmetric_shapes_give_the_symmetric_pair():
-    params = SpectralParams(zeta_sq=1.3, psi1=2.0, psi2=2.0)
-    chi = chi_scalar_oracle(params, 0.5)
-    point = solve_at(complex(0.0, math.sqrt(2.0 * 2.0 * 0.5)), params)
+    chi = chi_scalar_oracle(1.3, 2.0, 2.0, 0.5)
+    point = solve_at(1.3, 2.0, 2.0, 0.5)
     assert point.nu1 == point.nu2
     assert point.nu1.imag == pytest.approx(math.sqrt(-chi), rel=1e-9)
 
@@ -890,24 +922,22 @@ def _scaled_roots(monkeypatch, factor):
 
 def test_a_wrong_chi_fails_the_map_residual(monkeypatch):
     # a chi 5% off does not solve the coupled equations, so its pair is rejected
-    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 0.01))
-    solve_at(xi, PARAMS_A)
+    solve_at(*PARAMS_A, 0.01)
     _scaled_roots(monkeypatch, 1.05)
     with pytest.raises(NoConvergence, match="give 0 distinct checked points"):
-        solve_at(xi, PARAMS_A)
+        solve_at(*PARAMS_A, 0.01)
 
 
 def test_a_tiny_chi_ten_times_off_fails_the_map_residual(monkeypatch):
     # chi is about -1e-9 here, so a bound absolute below |chi| = 1 would take
     # a chi ten times too large
-    params = SpectralParams(zeta_sq=1.0, psi1=2.0, psi2=3.0)
-    xi = complex(0.0, math.sqrt(2.0 * 3.0 * 1e9))
-    chi = chi_scalar_oracle(params, 1e9)
+    row = (1.0, 2.0, 3.0, 1e9)
+    chi = chi_scalar_oracle(*row)
     assert -1e-8 < chi < -1e-10
-    assert solve_at(xi, params).chi.real == pytest.approx(chi, rel=1e-14)
+    assert solve_at(*row).chi.real == pytest.approx(chi, rel=1e-14)
     _scaled_roots(monkeypatch, 10.0)
     with pytest.raises(NoConvergence, match="give 0 distinct checked points"):
-        solve_at(xi, params)
+        solve_at(*row)
 
 
 def test_a_positive_root_is_never_a_candidate(monkeypatch):
@@ -917,10 +947,10 @@ def test_a_positive_root_is_never_a_candidate(monkeypatch):
     monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", lambda polys: (
         np.tile([0.3, 1.0 + 1.0j, 1.0 - 1.0j, 0.3 + 1.0j], (len(polys), 1)), {}))
     with pytest.raises(NoConvergence, match="^0 admissible quartic roots give 0 distinct"):
-        solve_at(0.3j, PARAMS_A)
+        solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 0.3))
     with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
-        chi_scalar_oracle(PARAMS_A, 0.01)
-    ((point, chi),) = solve_points([(PARAMS_A.zeta_sq, PARAMS_A.psi1, PARAMS_A.psi2, 0.0)])
+        chi_scalar_oracle(*PARAMS_A, 0.01)
+    ((point, chi),) = solve_points([(*PARAMS_A, 0.0)])
     assert type(point) is ValueError and point is chi
     assert str(point) == "lambda_bar must be finite and positive, got 0.0"
 
@@ -935,20 +965,16 @@ def test_a_positive_root_is_never_a_candidate(monkeypatch):
 # equal shapes near the threshold, where each component of the pair cancels
 @example(log_z=-2.0, log_p1=0.0, log_p2=0.0, log_lam=-9.0)
 def test_routes_agree_and_invariants_hold(log_z, log_p1, log_p2, log_lam):
-    params = SpectralParams(
-        zeta_sq=math.exp(log_z), psi1=math.exp(log_p1), psi2=math.exp(log_p2)
-    )
-    lam_bar = math.exp(log_lam)
-    u = math.sqrt(params.psi1 * params.psi2 * lam_bar)
+    z, p1, p2, lam_bar = (math.exp(v) for v in (log_z, log_p1, log_p2, log_lam))
 
-    point = solve_at(complex(0.0, u), params)
+    point = solve_at(z, p1, p2, lam_bar)
     assert point.residual <= 1e-12
     assert point.nu1.imag > 0.0 and point.nu2.imag > 0.0
 
-    chi = chi_scalar_oracle(params, lam_bar)
+    chi = chi_scalar_oracle(z, p1, p2, lam_bar)
     assert abs(point.chi.real - chi) <= 1e-14 * abs(chi)
 
-    swapped = solve_at(complex(0.0, u), params.swapped())
+    swapped = solve_at(z, p2, p1, lam_bar)
     assert abs(point.nu1 - swapped.nu2) <= 1e-12 * abs(point.nu1)
     assert abs(point.nu2 - swapped.nu1) <= 1e-12 * abs(point.nu2)
 
@@ -960,8 +986,8 @@ def test_routes_agree_and_invariants_hold(log_z, log_p1, log_p2, log_lam):
 def test_im_nu1_over_u_strictly_decreasing(zeta_sq, psi1, psi2):
     # Im nu1(iu) itself is not monotone in general; the ratio Im nu1(iu)/u is,
     # being a weighted average of 1/(s^2+u^2) against a positive measure.
-    params = SpectralParams(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
-    grid = np.geomspace(0.05, 50.0, 50)
-    vals = [solve_at(complex(0.0, u), params).nu1.imag / u for u in grid]
+    points = [solve_at(zeta_sq, psi1, psi2, u * u / (psi1 * psi2))
+              for u in np.geomspace(0.05, 50.0, 50).tolist()]
+    vals = [point.nu1.imag / point.xi.imag for point in points]
     diffs = np.diff(vals)
     assert np.all(diffs < 0.0)

@@ -17,7 +17,7 @@ from rfridge.risk import (
     risk_ridgeless,
     theory_point,
 )
-from rfridge.selfconsistent import SpectralParams, solve_at
+from rfridge.selfconsistent import solve_at
 from rfridge.training import TrainingAsymptotics, training_theory
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -45,18 +45,14 @@ def test_huge_penalty_freezes_estimator_at_zero():
 def test_pure_noise_weights():
     rho = 0.0
     out = training_theory(rho, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
-    params = SpectralParams(RELU_ZETA_SQ, 6.0, 3.0)
-    u = math.sqrt(6.0 * 3.0 * LAM_BAR)
-    point = solve_at(complex(0.0, u), params)
+    point = solve_at(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
     expected = point.nu2.imag * math.sqrt(LAM_BAR * 6.0 / 3.0)
     assert out.L == pytest.approx(expected, rel=1e-12)
 
 
 def test_pure_signal_weights():
     out = training_theory(math.inf, RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
-    params = SpectralParams(RELU_ZETA_SQ, 6.0, 3.0)
-    u = math.sqrt(6.0 * 3.0 * LAM_BAR)
-    point = solve_at(complex(0.0, u), params)
+    point = solve_at(RELU_ZETA_SQ, 6.0, 3.0, LAM_BAR)
     chi = point.chi.real
     expected = (
         point.nu2.imag
