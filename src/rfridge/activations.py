@@ -28,6 +28,7 @@ class QuadratureFailure(ArithmeticError):
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 # Integration window for the piecewise rule: the normal density at |u| = 13 is
 # ~1e-37, below every tolerance in play for polynomially bounded activations.
@@ -139,6 +140,26 @@ class HermiteStats:
         return math.sqrt(self.mu_star_sq)
 
 
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's order-``order`` Gauss-Hermite rule, refused when it is broken.
+
+    From order 371 on, numpy's weights overflow to inf or nan, or to all zeros;
+    a rule whose weights are not finite or do not sum to sqrt(pi) raises
+    QuadratureFailure instead of yielding nan moments.
+    """
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+    mass = float(weights.sum())
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()
+            and abs(mass - _SQRT_PI) <= 1e-12 * _SQRT_PI):
+        raise QuadratureFailure(
+            f"numpy's order-{order} Gauss-Hermite rule is not finite (weights sum to {mass}, "
+            "not sqrt(pi)); use a lower order (hermite_stats also integrates at twice its "
+            "order) or supply breakpoints"
+        )
+    return nodes, weights
+
+
 def gauss_hermite_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     order: int = 64,
@@ -157,9 +178,12 @@ def gauss_hermite_expectation(
         raise ValueError(f"order must be >= 1, got {order}")
     cuts = sorted(b for b in breakpoints if -_TRUNCATION < b < _TRUNCATION)
     if not cuts:
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        nodes, weights = _hermite_rule(order)
         vals = np.asarray(fn(nodes * math.sqrt(2.0)), dtype=float)
-        return float(weights @ vals / math.sqrt(math.pi))
+        # values that are not finite give a moment that is not, which
+        # hermite_stats reports; the sum itself does not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            return float(weights @ vals / _SQRT_PI)
     edges = [-_TRUNCATION] + cuts + [_TRUNCATION]
     t, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
@@ -169,7 +193,8 @@ def gauss_hermite_expectation(
         u = 0.5 * (b - a) * t + 0.5 * (b + a)
         pdf = np.exp(-0.5 * u * u) / _SQRT_2PI
         vals = np.asarray(fn(u), dtype=float)
-        total += 0.5 * (b - a) * float(w @ (vals * pdf))
+        with np.errstate(invalid="ignore", over="ignore"):
+            total += 0.5 * (b - a) * float(w @ (vals * pdf))
     return total
 
 
@@ -209,6 +234,10 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
         lo = _raw_moments(activation, order)
         hi = _raw_moments(activation, 2 * order)
         gap = max(abs(a - b) for a, b in zip(lo, hi))
+        if not math.isfinite(gap):
+            raise QuadratureFailure(
+                f"moments are not finite at order {order} {lo} or its doubling {2 * order} {hi}"
+            )
         if gap > 1e-8:
             raise QuadratureFailure(
                 f"moments moved by {gap:.3e} when doubling order {order}; "

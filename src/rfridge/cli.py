@@ -27,12 +27,11 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import __version__, _blas
+from . import __version__
 from .activations import (
     Activation,
     DegenerateActivation,
@@ -67,8 +66,6 @@ from .simulate import (
 NAN = float("nan")
 INF = float("inf")
 _NON_FINITE = {"inf": INF, "-inf": -INF, "nan": NAN}
-
-THREADS_ENV = "RFRIDGE_THREADS"
 
 # one fixed, ordered layout per table kind; every writer and reader uses these
 COLUMNS = (
@@ -389,23 +386,6 @@ def parse_activation(args) -> Activation:
     raise ValueError(f"unknown activation {spec!r}")
 
 
-def _threads(args, parser) -> int:
-    """--threads, else $RFRIDGE_THREADS, else the cores this process may run on."""
-    if args.threads is not None:
-        _require(parser, args.threads >= 1,
-                 f"--threads must be a positive integer, got {args.threads}")
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        _require(parser, threads >= 1, f"{THREADS_ENV} must be a positive integer, got {env!r}")
-        return threads
-    return _blas.cores()
-
-
 def _finite(args, parser, command: str) -> bool:
     """True for finite sizes (--d --n --N --lambda), False for ratios."""
     finite = [args.d, args.n, args.N, args.lam]
@@ -474,7 +454,9 @@ def _zeta_sq_or_activation(args, parser, finite: bool = False):
     """(activation, zeta_sq, mu_star_sq): from --zeta-sq if given, else the activation.
 
     --zeta-sq leaves no activation and mu_star_sq nan, so only ratios can use it,
-    and giving --activation as well is an error.
+    and giving --activation as well is an error.  A custom activation comes
+    back holding the moments measured here at --order, so no later call
+    integrates it again.
     """
     if vars(args).get("zeta_sq") is not None:
         _require(parser, args.activation is None,
@@ -485,6 +467,9 @@ def _zeta_sq_or_activation(args, parser, finite: bool = False):
         return None, args.zeta_sq, NAN
     activation = parse_activation(args)
     stats = hermite_stats(activation, order=args.order)
+    if activation.kind == "custom":
+        activation = Activation.custom(activation.evaluator, activation.breakpoints,
+                                       (stats.mu0, stats.mu1, stats.mu_star_sq))
     return activation, stats.zeta_sq, stats.mu_star_sq
 
 
@@ -611,22 +596,21 @@ def _target_from_args(args) -> TargetKind:
 def _simulated_records(args, parser, command):
     """Per grid point: its record with the simulation cells, and its target powers."""
     _finite(args, parser, command)
+    _require(parser, args.trials >= 2,
+             f"--trials must be >= 2 for a standard error, got {args.trials}")
+    _require(parser, args.threads is None or args.threads >= 1,
+             f"--threads must be a positive integer, got {args.threads}")
     points = _grid(args, parser, True)
     target = _target_from_args(args)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
                   seed=args.seed, n_test=args.n_test, model=args.model)
     configs = [SimConfig(d=p["d"], n=p["n"], N=p["N"], lam=p["lam"], **shared) for p in points]
-    threads = _threads(args, parser)
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    for point, config, trials in zip(points, configs, run_trials(configs, threads)):
+    for point, config, trials in zip(points, configs, run_trials(configs, args.threads)):
         agg = aggregate(trials)
-        powers = TargetSpec(
-            f1_sq=target.f1_sq,
-            fstar_sq=0.0 if config.model == "gaussian_covariates"
-            else nonlinear_power(target, config.d),
-            tau_sq=config.tau_sq,
-        )
+        powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, config.d),
+                            tau_sq=config.tau_sq)
         rec = new_record(
             COLUMNS,
             command=command,
@@ -753,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("random_features", "gaussian_covariates"),
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"cores to use (default ${THREADS_ENV} or the usable cores); "
+                       help="cores to use (default the usable cores); "
                             "trials run threads // (BLAS threads) at a time, so in order "
                             "under numpy's default BLAS threading and in parallel with "
                             "OPENBLAS_NUM_THREADS=1; if the BLAS count cannot be read it "

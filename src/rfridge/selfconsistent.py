@@ -378,12 +378,17 @@ def _select(xi: complex, batch: _AxisBatch, k: int) -> SpectralPoint:
 
 def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
     """The error of a row that fails validation: its first parameter that is
-    not finite and positive, or else its target u, which underflowed to 0."""
+    not finite and positive, or else its product psi1 psi2 lambda_bar = u^2,
+    which underflowed to 0 and left the target xi = i u on the real axis."""
     try:
         require_positive(lambda_bar=lambda_bar, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     except ValueError as exc:
         return exc
-    return ValueError(f"xi must have positive imaginary part, got {complex(0.0, u)}")
+    return ValueError(
+        f"the product psi1 psi2 lambda_bar = {u * u!r} underflowed, leaving the target "
+        f"xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = {psi1!r}, "
+        f"psi2 = {psi2!r}, lambda_bar = {lambda_bar!r}, zeta_sq = {zeta_sq!r}"
+    )
 
 
 def solve_points(rows) -> list[tuple]:

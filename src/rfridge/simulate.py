@@ -115,11 +115,12 @@ def nonlinear_power(target: TargetKind, d: int) -> float:
     Computed from the sphere moments E[x1^2] = 1, E[x1^4] = 3d/(d+2),
     E[x1^2 x2^2] = d/(d+2): the quadratic term of linear_plus_quad carries
     (d-1)/(2(d+2)) and the cross term of linear_plus_cross d/(2(d+2)).
+    The linear target has none at any d; the other two need d >= 2.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
     if target.name == "linear":
         return 0.0
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     if target.name == "linear_plus_quad":
         return (d - 1.0) / (2.0 * (d + 2.0))
     return d / (2.0 * (d + 2.0))
@@ -263,21 +264,16 @@ def _features(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np.nd
     return activation(P)
 
 
-def _fit_scale(
-    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
-) -> float:
-    """sqrt(d) for a fit of y on Z, after checking shapes, penalties and ratios."""
+def _fit_scale(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) -> float:
+    """sqrt(d) for a fit of y on Z, after checking shapes, penalties and d."""
     n, N = Z.shape
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
     for lam in lams:
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    d = N / psi1_d
-    if abs(d - n / psi2_d) > 1e-9 * max(1.0, d):
-        raise ValueError(
-            f"inconsistent ratios: N/psi1_d = {d} but n/psi2_d = {n / psi2_d}"
-        )
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"d must be finite and > 0, got {d}")
     return math.sqrt(d)
 
 
@@ -300,11 +296,10 @@ def _exact_cond(s: np.ndarray, c: float) -> float:
     return float((s[0] * s[0] + c) / (s[-1] * s[-1] + c))
 
 
-def _svd_fits(
-    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
-) -> list[FitResult]:
+def _svd_fits(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) -> list[FitResult]:
     """ridge_path without the conditioning warning."""
-    sqrt_d = _fit_scale(Z, y, lams, psi1_d, psi2_d)
+    sqrt_d = _fit_scale(Z, y, lams, d)
+    n, N = Z.shape
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     cutoff = 1e-10 * s[0] if s.size else 0.0
     keep = s > cutoff
@@ -315,7 +310,7 @@ def _svd_fits(
     fro_sq = float(s @ s)
     fits = []
     for lam in lams:
-        c = lam * psi1_d * psi2_d
+        c = lam * (N / d) * (n / d)
         if lam <= 1e-6:
             coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
             a_hat = V_kept @ coef / sqrt_d
@@ -329,12 +324,10 @@ def _svd_fits(
     return fits
 
 
-def ridge_path(
-    Z: np.ndarray, y: np.ndarray, lams: Sequence[float], psi1_d: float, psi2_d: float
-) -> list[FitResult]:
+def ridge_path(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) -> list[FitResult]:
     """The ridge_fit objective at every penalty in lams, from one thin SVD of Z.
 
-    With c = lam psi1_d psi2_d, each component is shrunk by s / (s^2 + c).
+    With c = lam (N/d) (n/d), each component is shrunk by s / (s^2 + c).
     For lam <= 1e-6 (including the exact ridgeless case lam = 0) components
     below 1e-10 * sigma_max are dropped first, which at lam = 0 is exactly the
     minimum-norm pseudo-inverse solution, and cond is (s_max / s_kept_min)^2,
@@ -344,20 +337,18 @@ def ridge_path(
     (s_max^2 + c) / (s_min^2 + c) when the bound exceeds 1e12.  A sweep row
     thus reports the cond of a ridge_fit call of the same point.
     """
-    fits = _svd_fits(Z, y, lams, psi1_d, psi2_d)
+    fits = _svd_fits(Z, y, lams, d)
     for fit in fits:
         _warn_if_ill_conditioned(fit.cond)
     return fits
 
 
-def ridge_fit(
-    Z: np.ndarray, y: np.ndarray, lam: float, psi1_d: float, psi2_d: float
-) -> FitResult:
-    """Minimize (1/n) ||y - sqrt(d) Z a||^2 + (N lam / d) ||a||^2.
+def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: float) -> FitResult:
+    """Minimize (1/n) ||y - sqrt(d) Z a||^2 + (N lam / d) ||a||^2, with (n, N) = Z.shape.
 
-    The normal equations are (Z^T Z + lam psi1_d psi2_d I) a = Z^T y / sqrt(d),
-    solved in whichever of the primal (N x N) or dual (n x n) dimension is
-    smaller.  With c = lam psi1_d psi2_d the normal matrix M has
+    The normal equations are (Z^T Z + c I) a = Z^T y / sqrt(d) with
+    c = lam (N/d) (n/d), solved in whichever of the primal (N x N) or dual
+    (n x n) dimension is smaller.  The normal matrix M has
     lambda_min >= c and lambda_max <= ||Z||_F^2 + c, so cond is the certified
     bound (||Z||_F^2 + c) / c, read off the trace of the Gram; only when that
     bound exceeds 1e12 is it replaced by the exact ratio
@@ -367,12 +358,12 @@ def ridge_fit(
     the singular-value one of ridge_path.
     """
     if lam <= 1e-6:
-        (fit,) = _svd_fits(Z, y, (lam,), psi1_d, psi2_d)
+        (fit,) = _svd_fits(Z, y, (lam,), d)
         _warn_if_ill_conditioned(fit.cond)
         return fit
-    sqrt_d = _fit_scale(Z, y, (lam,), psi1_d, psi2_d)
+    sqrt_d = _fit_scale(Z, y, (lam,), d)
     n, N = Z.shape
-    c = lam * psi1_d * psi2_d
+    c = lam * (N / d) * (n / d)
     primal = N <= n
     M = Z.T @ Z if primal else Z @ Z.T
     cond = (float(np.trace(M)) + c) / c
@@ -519,7 +510,9 @@ def run_trial(
 
     The "gaussian_covariates" model is the matched surrogate: covariates are
     u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
-    only the activation's moment profile; the target must be linear.  The
+    only the activation's moment profile (hermite_stats at its default order,
+    so a custom activation should carry the stats measured at the order it
+    needs); the target must be linear.  The
     ridge objective and measurements coincide with the random-features ones
     under Z = U / sqrt(d).  The training noise matrix is drawn from the "w"
     stream first, the test noise matrix second, in the test pass's row
@@ -545,12 +538,11 @@ def run_trial(
         fitted = []
         for (n, N, _), members in shapes:
             Z, y = Z_full[:n, :N], y_full[:n]
-            first = configs[members[0]]
             lams = [configs[i].lam for i in members]
             if len(set(lams)) == 1:
-                fits = [ridge_fit(Z, y, lams[0], first.psi1_d, first.psi2_d)] * len(lams)
+                fits = [ridge_fit(Z, y, lams[0], configs[0].d)] * len(lams)
             else:
-                fits = ridge_path(Z, y, lams, first.psi1_d, first.psi2_d)
+                fits = ridge_path(Z, y, lams, configs[0].d)
             fitted += [(i, fit, Z, y) for i, fit in zip(members, fits)]
         test_errors = _test_errors(
             test_target, test_features, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
@@ -565,6 +557,7 @@ def run_trials(
 ) -> list:
     """All trials of a config, in trial order, within a budget of threads cores.
 
+    The budget defaults to the cores this process may run on (_blas.cores()).
     Each BLAS call already uses _blas.threads() cores, so threads // that many
     trials run at once: one at a time (BLAS parallel inside each) under
     numpy's default threading, several when BLAS is held to fewer threads
@@ -577,7 +570,8 @@ def run_trials(
     configs = _sweep(config)
     point = configs[0] if isinstance(config, SimConfig) else configs
     indices = range(configs[0].trials)
-    workers = max(1, min(len(indices), (threads or 1) // _blas.threads()))
+    budget = _blas.cores() if threads is None else threads
+    workers = max(1, min(len(indices), budget // _blas.threads()))
     if workers == 1:
         results = [run_trial(point, t) for t in indices]
     else:

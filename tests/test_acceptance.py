@@ -384,7 +384,7 @@ def test_criterion_10_property_pack(capsys, tmp_path):
             c = LAM * (N / d) * (n / d)
             a_primal = np.linalg.solve(Z.T @ Z + c * np.eye(N), Z.T @ y) / math.sqrt(d)
             a_dual = Z.T @ np.linalg.solve(Z @ Z.T + c * np.eye(n), y) / math.sqrt(d)
-            fit = ridge_fit(Z, y, LAM, N / d, n / d)
+            fit = ridge_fit(Z, y, LAM, d)
             scale = np.linalg.norm(a_primal)
             assert np.linalg.norm(a_primal - a_dual) <= 1e-8 * scale
             assert np.linalg.norm(fit.a_hat - a_primal) <= 1e-8 * scale

@@ -1,6 +1,7 @@
 """Hermite statistics: closed forms, quadrature certification, degeneracy guards."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,3 +212,29 @@ def test_order_doubling_certificate_rejects_low_order():
     assert stats.quadrature_gap is not None
     assert stats.quadrature_gap < 1e-12
     assert hermite_stats(Activation.relu()).quadrature_gap is None
+
+
+def test_a_broken_gauss_hermite_rule_fails_certification():
+    # numpy's Gauss-Hermite weights are all zero at order 371 and not finite
+    # from 372 on, so from order 186 the certificate compares against a broken
+    # rule; it must fail there, naming the order, and let no RuntimeWarning out
+    act = Activation.custom(lambda u: np.tanh(2.0 * u))
+    with pytest.raises(QuadratureFailure, match="moved by 3.03"):
+        hermite_stats(act, order=180)
+    for order, broken in ((186, 372), (512, 512)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match=f"^numpy's order-{broken} Gauss-Hermite rule"):
+                hermite_stats(act, order=order)
+    with pytest.raises(QuadratureFailure, match="^numpy's order-371 Gauss-Hermite rule"):
+        gauss_hermite_expectation(np.cos, order=371)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.0,)])
+def test_non_finite_moments_fail_certification(breakpoints):
+    act = Activation.custom(lambda u: np.where(np.abs(u) > 8.0, np.inf, np.tanh(u)),
+                            breakpoints=breakpoints)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="^moments are not finite at order 64 "):
+            hermite_stats(act)

@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import rfridge.activations
 import rfridge.cli
 import rfridge.selfconsistent
 import rfridge.simulate
@@ -88,6 +90,23 @@ def test_stats_custom_expression(tmp_path, capsys):
     assert 0.60 < rec["mu1"] < 0.61
     assert rec["quadrature_gap"] < 1e-12
     assert rec["converged"] == 1
+
+
+@pytest.mark.parametrize("order, broken", [("186", 372), ("512", 512)])
+def test_stats_past_numpys_hermite_rule_is_a_numerical_failure(order, broken, tmp_path, capsys):
+    # the certificate also integrates at twice --order; numpy's rule is not
+    # finite from order 372 on, and nan moments once passed as certified
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.tanh(2*u)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["stats", "--activation", "custom", "--expr-file", str(expr), "--order", order],
+            capsys,
+        )
+    assert code == 3
+    assert out == ""
+    assert f"numpy's order-{broken} Gauss-Hermite rule is not finite" in err
 
 
 def test_stats_custom_kink_needs_breakpoints(tmp_path, capsys):
@@ -537,31 +556,78 @@ def test_psi1_sweep_draws_each_trial_once(capsys, monkeypatch):
 @pytest.mark.parametrize("flags, env, message", [
     (["--threads", "0"], None, "--threads must be a positive integer, got 0"),
     (["--threads", "-3"], None, "--threads must be a positive integer, got -3"),
-    ([], "0", "RFRIDGE_THREADS must be a positive integer, got '0'"),
-    ([], "x", "RFRIDGE_THREADS must be a positive integer, got 'x'"),
-    ([], "1.5", "RFRIDGE_THREADS must be a positive integer, got '1.5'"),
+    # RFRIDGE_THREADS no longer sets the budget, nor rescues a bad --threads
+    (["--threads", "0"], "2", "--threads must be a positive integer, got 0"),
 ])
 def test_bad_thread_counts_are_usage_errors(flags, env, message, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("RFRIDGE_THREADS", raising=False)
     else:
         monkeypatch.setenv("RFRIDGE_THREADS", env)
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
     code, out, err = run_cli(["simulate"] + SIM_ARGS + flags, capsys)
     assert code == 2
     assert out == ""
     assert message in err
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the configuration must be rejected before any draw")
+
+
 @pytest.mark.parametrize("n_test", ["0", "-5"])
 def test_bad_test_set_sizes_are_usage_errors(n_test, capsys, monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("the configuration must be rejected before any draw")
-
-    monkeypatch.setattr(rfridge.cli, "run_trials", no_draw)
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
     code, out, err = run_cli(["simulate"] + SIM_ARGS + ["--n-test", n_test], capsys)
     assert code == 2
     assert out == ""
     assert f"n_test must be a positive integer, got {n_test}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_fewer_than_two_trials_are_refused_before_drawing(command, trials, capsys, monkeypatch):
+    # aggregate needs two trials for a standard error
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
+    code, out, err = run_cli([command] + SIM_ARGS + ["--trials", trials], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--trials must be >= 2 for a standard error, got {trials}" in err
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_linear_target_simulates_at_d_1(model, capsys):
+    # the linear target has no nonlinear power at any d
+    code, out, err = run_cli(
+        ["simulate", "--model", model, "--d", "1", "--n", "5", "--N", "5", "--lambda", "1e-3",
+         "--trials", "2", "--n-test", "1000"],
+        capsys,
+    )
+    assert code == 0, err
+    (rec,) = read_records(out, from_text=True)
+    assert (rec["d"], rec["fstar_sq"], rec["trials"]) == (1, 0.0, 2)
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_custom_activation_is_integrated_once_at_order(model, tmp_path, capsys, monkeypatch):
+    # tanh(1.2 u) fails the certificate at the default order 64 and passes at
+    # 96; the surrogate draws take the moments measured at --order
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.tanh(1.2*u)\n")
+    orders = []
+    raw_moments = rfridge.activations._raw_moments
+    monkeypatch.setattr(rfridge.activations, "_raw_moments",
+                        lambda activation, order: orders.append(order) or raw_moments(activation, order))
+    code, out, err = run_cli(
+        ["compare", "--model", model, "--activation", "custom", "--expr-file", str(expr),
+         "--order", "96", "--d", "20", "--n", "60", "--N", "40", "--lambda", "1e-3",
+         "--trials", "2", "--n-test", "1000"],
+        capsys,
+    )
+    assert code == 0, err
+    assert orders == [96, 192]
+    (rec,) = read_records(out, from_text=True)
+    assert rec["model"] == model and math.isfinite(rec["z_test_error"])
 
 
 def test_runtime_imports_numpy_only():
@@ -583,24 +649,34 @@ def test_runtime_imports_numpy_only():
 
 
 def test_thread_default_is_the_usable_cores(capsys, monkeypatch):
-    seen = []
+    # the CLI passes no budget, and run_trials' default is the usable cores
+    seen, pools = [], []
     original = rfridge.cli.run_trials
 
     def recording(configs, threads=None):
         seen.append(threads)
         return original(configs, threads)
 
+    class Pool(rfridge.simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     monkeypatch.setattr(rfridge.cli, "run_trials", recording)
-    monkeypatch.delenv("RFRIDGE_THREADS", raising=False)
-    monkeypatch.setattr(rfridge.cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(rfridge.simulate, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(rfridge._blas, "cores", lambda: 3)
+    monkeypatch.setattr(rfridge._blas, "threads", lambda: 1)
     code, _, err = run_cli(["simulate"] + SIM_ARGS, capsys)
     assert code == 0, err
-    assert seen == [3]
+    assert seen == [None]
+    assert pools == [3]
 
 
 @pytest.mark.usefixtures("trial_pool")
 def test_simulate_env_thread_default(capsys, monkeypatch):
-    monkeypatch.setenv("RFRIDGE_THREADS", "2")
+    # the default budget, the usable cores, runs trials at once (one BLAS
+    # thread each) and writes what one thread writes
+    monkeypatch.setattr(rfridge._blas, "cores", lambda: 2)
     code, out, _ = run_cli(["simulate"] + SIM_ARGS, capsys)
     assert code == 0
     _, out1, _ = run_cli(["simulate"] + SIM_ARGS + ["--threads", "1"], capsys)
@@ -776,6 +852,21 @@ def test_a_polynomial_that_overflows_is_named(capsys):
     assert err == (
         "error: ValueError: the quartic in chi overflowed its companion matrix at "
         "psi1 = 1e+154, psi2 = 1e+154, zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0\n"
+    )
+
+
+def test_a_product_that_underflows_is_named(capsys):
+    code, out, err = run_cli(
+        ["theory", "--zeta-sq", "1", "--psi1", "1e-200", "--psi2", "1e-200",
+         "--lambda-bar", "1e-10", "--rho", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: ValueError: the product psi1 psi2 lambda_bar = 0.0 underflowed, leaving the "
+        "target xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = 1e-200, "
+        "psi2 = 1e-200, lambda_bar = 1e-10, zeta_sq = 1.0\n"
     )
 
 

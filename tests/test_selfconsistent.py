@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,9 +123,14 @@ def test_solve_at_rejects_lower_half_plane():
     # lambda_bar is not positive, or when the product underflows to 0
     with pytest.raises(ValueError, match="^lambda_bar must be finite and positive, got -4.0$"):
         solve_at(*PARAMS_A, -4.0)
-    with pytest.raises(ValueError, match="^xi must have positive imaginary part, got 0j$"):
+    underflow = re.escape(
+        "the product psi1 psi2 lambda_bar = 0.0 underflowed, leaving the target "
+        "xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = 1e-200, "
+        "psi2 = 1e-200, lambda_bar = 1e-10, zeta_sq = 1.0"
+    )
+    with pytest.raises(ValueError, match=f"^{underflow}$"):
         solve_at(1.0, 1e-200, 1e-200, 1e-10)
-    with pytest.raises(ValueError, match="^xi must have positive imaginary part, got 0j$"):
+    with pytest.raises(ValueError, match=f"^{underflow}$"):
         chi_scalar_oracle(1.0, 1e-200, 1e-200, 1e-10)
 
 
@@ -333,7 +339,11 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
         require_positive(lambda_bar=lambda_bar, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
         u = math.sqrt(psi1 * psi2 * lambda_bar)
         if u == 0.0:
-            raise ValueError("xi must have positive imaginary part, got 0j")
+            raise ValueError(
+                "the product psi1 psi2 lambda_bar = 0.0 underflowed, leaving the target "
+                f"xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = {psi1!r}, "
+                f"psi2 = {psi2!r}, lambda_bar = {lambda_bar!r}, zeta_sq = {zeta_sq!r}"
+            )
     except ValueError as exc:
         return (exc, exc), exc, exc
     xi = complex(0.0, u)

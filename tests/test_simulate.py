@@ -91,7 +91,7 @@ def test_build_design_dimension_mismatch():
 def test_ridge_fit_hand_instance():
     # Z = I, d = 2, lam = 1: (I + I) a = Z^T y / sqrt(2), so a = y / (2 sqrt(2))
     y = np.array([1.0, -2.0])
-    fit = ridge_fit(np.eye(2), y, lam=1.0, psi1_d=1.0, psi2_d=1.0)
+    fit = ridge_fit(np.eye(2), y, lam=1.0, d=2)
     assert fit.solver_path == "primal"
     assert np.allclose(fit.a_hat, y / (2.0 * math.sqrt(2.0)), atol=1e-15)
 
@@ -100,7 +100,7 @@ def test_ridge_fit_zero_targets_give_zero_coefficients():
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((8, 5))
     for lam in (0.0, 1e-3):
-        fit = ridge_fit(Z, np.zeros(8), lam, psi1_d=5.0 / 4.0, psi2_d=2.0)
+        fit = ridge_fit(Z, np.zeros(8), lam, d=4)
         assert np.all(fit.a_hat == 0.0)
 
 
@@ -109,7 +109,7 @@ def test_ridgeless_is_minimum_norm():
     d, n, N = 3, 5, 9
     Z = rng.standard_normal((n, N))
     y = rng.standard_normal(n)
-    fit = ridge_fit(Z, y, 0.0, psi1_d=N / d, psi2_d=n / d)
+    fit = ridge_fit(Z, y, 0.0, d)
     assert fit.solver_path == "svd"
     expected = np.linalg.pinv(Z) @ y / math.sqrt(d)
     assert np.allclose(fit.a_hat, expected, rtol=1e-10, atol=1e-12)
@@ -121,7 +121,7 @@ def test_svd_path_matches_direct_solve_at_tiny_lambda():
     Z = rng.standard_normal((n, N)) / math.sqrt(d)
     y = rng.standard_normal(n)
     lam = 1e-7
-    fit = ridge_fit(Z, y, lam, psi1_d=N / d, psi2_d=n / d)
+    fit = ridge_fit(Z, y, lam, d)
     assert fit.solver_path == "svd"
     c = lam * (N / d) * (n / d)
     direct = np.linalg.solve(Z.T @ Z + c * np.eye(N), Z.T @ y) / math.sqrt(d)
@@ -135,7 +135,7 @@ def test_primal_and_dual_agree():
     for N in (11, 80):
         Z = rng.standard_normal((n, N)) / math.sqrt(d)
         y = rng.standard_normal(n)
-        fit = ridge_fit(Z, y, lam, psi1_d=N / d, psi2_d=n / d)
+        fit = ridge_fit(Z, y, lam, d)
         assert fit.solver_path == ("primal" if N <= n else "dual")
         c = lam * (N / d) * (n / d)
         other = (
@@ -154,7 +154,7 @@ def test_fit_minimizes_the_objective():
     Theta = sample_sphere(d, N, rng)
     Z = build_design(X, Theta, RELU)
     y = X[:, 0] + 0.3 * rng.standard_normal(n)
-    fit = ridge_fit(Z, y, lam, psi1_d=N / d, psi2_d=n / d)
+    fit = ridge_fit(Z, y, lam, d)
 
     def objective(a):
         r = y - math.sqrt(d) * (Z @ a)
@@ -173,26 +173,30 @@ def test_huge_penalty_shrinks_coefficients():
     Z = rng.standard_normal((n, N)) / math.sqrt(d)
     y = rng.standard_normal(n)
     lam = 1e6
-    fit = ridge_fit(Z, y, lam, psi1_d=N / d, psi2_d=n / d)
+    fit = ridge_fit(Z, y, lam, d)
     c = lam * (N / d) * (n / d)
     assert np.linalg.norm(fit.a_hat) <= np.linalg.norm(Z.T @ y) / (c * math.sqrt(d))
 
 
 def test_ridge_fit_validates_inputs():
     Z = np.eye(3)
-    with pytest.raises(ValueError):
-        ridge_fit(Z, np.zeros(2), 0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ridge_fit(Z, np.zeros(3), -0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ridge_fit(Z, np.zeros(3), 0.1, 1.0, 2.0)  # N/psi1_d != n/psi2_d
+    with pytest.raises(ValueError, match=r"^y has shape \(2,\), expected \(3,\)$"):
+        ridge_fit(Z, np.zeros(2), 0.1, 3)
+    with pytest.raises(ValueError, match="^lam must be finite and >= 0, got -0.1$"):
+        ridge_fit(Z, np.zeros(3), -0.1, 3)
+    for d in (0, -3.0, math.nan, math.inf):
+        for lam in (0.0, 0.1):
+            with pytest.raises(ValueError, match=f"^d must be finite and > 0, got {d}$"):
+                ridge_fit(Z, np.zeros(3), lam, d)
+        with pytest.raises(ValueError, match=f"^d must be finite and > 0, got {d}$"):
+            ridge_path(Z, np.zeros(3), (0.0, 0.1), d)
 
 
 def test_ill_conditioned_system_warns():
     Z = np.diag([1.0, 0.0])
     d = 3000.0
     with pytest.warns(IllConditionedWarning):
-        ridge_fit(Z, np.array([1.0, 0.0]), 2e-6, psi1_d=2.0 / d, psi2_d=2.0 / d)
+        ridge_fit(Z, np.array([1.0, 0.0]), 2e-6, d)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +213,9 @@ def test_ridge_path_matches_ridge_fit():
     for N in (20, 45):
         Z = rng.standard_normal((n, N)) / math.sqrt(d)
         y = rng.standard_normal(n)
-        fits = ridge_path(Z, y, SWEEP_LAMS, N / d, n / d)
+        fits = ridge_path(Z, y, SWEEP_LAMS, d)
         for lam, fit in zip(SWEEP_LAMS, fits):
-            single = ridge_fit(Z, y, lam, N / d, n / d)
+            single = ridge_fit(Z, y, lam, d)
             assert fit.solver_path == "svd"
             if lam <= 1e-6:
                 assert np.array_equal(fit.a_hat, single.a_hat) and fit.cond == single.cond
@@ -223,9 +227,9 @@ def test_ridge_path_matches_ridge_fit():
 
 def test_ridge_path_validates_every_penalty():
     with pytest.raises(ValueError):
-        ridge_path(np.eye(3), np.zeros(3), (0.0, -0.1), 1.0, 1.0)
+        ridge_path(np.eye(3), np.zeros(3), (0.0, -0.1), 3)
     with pytest.raises(ValueError):
-        ridge_path(np.eye(3), np.zeros(3), (0.0, math.nan), 1.0, 1.0)
+        ridge_path(np.eye(3), np.zeros(3), (0.0, math.nan), 3)
 
 
 @pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
@@ -268,7 +272,7 @@ def test_ridgeless_cond_is_normal_matrix_ratio():
     # singular values 1 and 1e-7: the normal matrix has condition number 1e14
     Z = np.diag([1.0, 1e-7])
     with pytest.warns(IllConditionedWarning):
-        fit = ridge_fit(Z, np.ones(2), 0.0, 1.0, 1.0)
+        fit = ridge_fit(Z, np.ones(2), 0.0, 2)
     assert fit.cond == pytest.approx(1e14, rel=1e-9)
 
 
@@ -281,10 +285,10 @@ def _lifted_relu_design(N):
     lifted = Activation.custom(lambda u: np.maximum(u, 0.0) + 1e4, breakpoints=(0.0,))
     X = sample_sphere(20, 40, np.random.default_rng(21))
     Theta = sample_sphere(20, N, np.random.default_rng(22))
-    return build_design(X, Theta, lifted), N / 20, 40 / 20
+    return build_design(X, Theta, lifted), 20
 
 
-def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
+def _assert_cond_contract(Z, d, lam):
     """cond bounds the exact ratio, is exact above 1e12, and warns iff the exact ratio does.
 
     The exact ratio is (s_max^2 + c) / (s_min^2 + c) from the singular values
@@ -295,15 +299,15 @@ def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
     """
     n, N = Z.shape
     y = np.ones(n)
-    c = lam * psi1_d * psi2_d
+    c = lam * (N / d) * (n / d)
     G = Z.T @ Z if N <= n else Z @ Z.T
     ev = np.linalg.eigvalsh(G + c * np.eye(len(G)))
     s = np.linalg.svd(Z, compute_uv=False)
     exact = (s[0] ** 2 + c) / (s[-1] ** 2 + c)
     assert exact == pytest.approx(ev[-1] / ev[0], rel=1e-12 + 4 * EPS * exact)
     routes = (
-        lambda: ridge_fit(Z, y, lam, psi1_d, psi2_d),
-        lambda: ridge_path(Z, y, (lam,), psi1_d, psi2_d)[0],
+        lambda: ridge_fit(Z, y, lam, d),
+        lambda: ridge_path(Z, y, (lam,), d)[0],
     )
     conds = []
     for fit_once in routes:
@@ -329,25 +333,25 @@ def _assert_cond_contract(Z, psi1_d, psi2_d, lam):
 def test_cond_bounds_the_exact_ratio_on_random_designs(seed, n, N, lam):
     d = 10
     Z = np.random.default_rng(seed).standard_normal((n, N)) / math.sqrt(d)
-    _assert_cond_contract(Z, N / d, n / d, lam)
-    _assert_cond_contract(Z.T, n / d, N / d, lam)  # the other of primal and dual
+    _assert_cond_contract(Z, d, lam)
+    _assert_cond_contract(Z.T, d, lam)  # the other of primal and dual
 
 
 @pytest.mark.parametrize("lam", COND_LAMS)
 def test_cond_bounds_the_exact_ratio_on_structured_designs(lam):
     # singular values 1 and 1e-7, as a tall (primal) and a wide (dual) design
     tall = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
-    _assert_cond_contract(tall, 1.0, 1.5, lam)
-    _assert_cond_contract(tall.T, 1.5, 1.0, lam)
+    _assert_cond_contract(tall, 2, lam)
+    _assert_cond_contract(tall.T, 2, lam)
     # a flat spectrum: the bound exceeds 1e12 at 2e-6 while the exact ratio does not
-    _assert_cond_contract(500.0 * np.eye(16), 1.0, 1.0, lam)
+    _assert_cond_contract(500.0 * np.eye(16), 16, lam)
     for N in (30, 40, 60):
         _assert_cond_contract(*_lifted_relu_design(N), lam)
 
 
 def test_cond_cases_reach_every_branch_of_the_rule():
     # exact although no warning: the bound (2e12) is above 1e12, the ratio is not
-    fit_cond, exact = _assert_cond_contract(500.0 * np.eye(16), 1.0, 1.0, 2e-6)
+    fit_cond, exact = _assert_cond_contract(500.0 * np.eye(16), 16, 2e-6)
     assert exact < 1e12 and fit_cond == exact
     # exact and warning
     fit_cond, exact = _assert_cond_contract(*_lifted_relu_design(40), 2e-6)
@@ -361,9 +365,9 @@ def test_ill_conditioned_warning_points_at_the_caller():
     y = np.ones(2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ridge_fit(np.diag([1.0, 1e-7]), y, 0.0, 1.0, 1.0)
-        ridge_path(np.diag([1.0, 1e-7]), y, (0.0,), 1.0, 1.0)
-        ridge_fit(np.diag([1.0, 0.0]), y, 2e-6, 2.0 / 3000, 2.0 / 3000)
+        ridge_fit(np.diag([1.0, 1e-7]), y, 0.0, 2)
+        ridge_path(np.diag([1.0, 1e-7]), y, (0.0,), 2)
+        ridge_fit(np.diag([1.0, 0.0]), y, 2e-6, 3000)
     warned = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
     assert len(warned) == 3
     assert all(w.filename == __file__ for w in warned)
@@ -446,7 +450,7 @@ def _full_matrix_test_errors(sweep, trial_index):
         target = cfg.target.evaluate(X_test)
         features = cfg.activation(X_test @ Theta.T / sqrt_d)
         for c in sweep:
-            a_hat = ridge_fit(Z[:c.n, :c.N], y[:c.n], c.lam, c.psi1_d, c.psi2_d).a_hat
+            a_hat = ridge_fit(Z[:c.n, :c.N], y[:c.n], c.lam, c.d).a_hat
             residual = target[:c.n_test] - features[:c.n_test, :c.N] @ a_hat
             errors.append(float(np.mean(residual ** 2)))
         return errors
@@ -463,7 +467,7 @@ def _full_matrix_test_errors(sweep, trial_index):
         X_test = substream(seed, trial_index, "test").standard_normal((c.n_test, d))
         W_test = rng_w.standard_normal((c.n_test, c.N))
         U_test = stats.mu0 + stats.mu1 * (X_test @ Theta.T) / sqrt_d + stats.mu_star * W_test
-        a_hat = ridge_fit(U / sqrt_d, y, c.lam, c.psi1_d, c.psi2_d).a_hat
+        a_hat = ridge_fit(U / sqrt_d, y, c.lam, c.d).a_hat
         errors.append(float(np.mean((beta * X_test[:, 0] - U_test @ a_hat) ** 2)))
     return errors
 
@@ -560,8 +564,11 @@ def test_nonlinear_power_exact_values():
     assert nonlinear_power(TargetKind.linear_plus_cross(), 100) == pytest.approx(
         100.0 / 204.0, abs=1e-15
     )
-    with pytest.raises(ValueError):
-        nonlinear_power(TargetKind.linear(), 1)
+    # the linear target has no nonlinear power at any d; the other two need d >= 2
+    assert nonlinear_power(TargetKind.linear(), 1) == 0.0
+    for target in (TargetKind.linear_plus_quad(), TargetKind.linear_plus_cross()):
+        with pytest.raises(ValueError, match="^d must be >= 2, got 1$"):
+            nonlinear_power(target, 1)
 
 
 def test_nonlinear_power_matches_monte_carlo():
