@@ -89,12 +89,8 @@ class Activation:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "identity":
-            return x
-        if self.kind == "shifted_relu":
-            return np.maximum(x - self.shift, 0.0)
+        if self.kind != "custom":
+            return self._in_place(x.copy())
         assert self.evaluator is not None, "custom activation without evaluator"
         try:
             out = np.asarray(self.evaluator(x), dtype=float)
@@ -111,6 +107,21 @@ class Activation:
             # evaluator is scalar-only; fall back to a pointwise loop
             out = np.vectorize(self.evaluator, otypes=[float])(x)
         return out
+
+    def _in_place(self, x: np.ndarray) -> np.ndarray:
+        """sigma(x) written over the float array x, for a built-in activation.
+
+        Rounds exactly as the out-of-place call.  A custom evaluator runs out
+        of place, and its result may be a buffer it keeps.
+        """
+        if self.kind == "relu":
+            return np.maximum(x, 0.0, out=x)
+        if self.kind == "shifted_relu":
+            np.subtract(x, self.shift, out=x)
+            return np.maximum(x, 0.0, out=x)
+        if self.kind == "identity":
+            return x
+        return self(x)
 
     def label(self) -> str:
         if self.kind == "shifted_relu":

@@ -3,10 +3,10 @@
 One trial draws feature directions and data at finite (d, n, N), fits the
 penalized least-squares coefficients, and measures test error on a fresh
 sample, the training objective, and the coefficient norm.  The test sample is
-kept as its inputs only: its features are built and scored in blocks of rows,
-so a trial never holds an n_test x N matrix.  Aggregation over trials
-produces means with standard errors for comparison against the asymptotic
-theory.
+drawn, featurized and scored in blocks of rows, so a trial holds its design
+and a few blocks, never the n_test x d test inputs nor an n_test x N feature
+matrix.  Aggregation over trials produces means with standard errors for
+comparison against the asymptotic theory.
 
 Randomness is counter-based and fully keyed: trial ``t`` of a run with seed
 ``s`` draws from Philox4x64 streams keyed by the 64-bit pair
@@ -16,15 +16,18 @@ stream is consumed row by row, so a random-features draw with more features,
 samples or test points extends the rows of a smaller one drawn under the same
 key (prefix nesting).  A sweep over N or n relies on this: it draws each trial
 once at the sweep's largest shape and fits every point on prefix slices of
-that draw.  The one exception is sample_sphere redrawing a row whose norm is
-below 1e-12, which happens with probability about 0 and breaks the nesting
-for that trial only.  The Gaussian-covariates draws do not nest (the noise
-matrices are drawn row-major, the training one before the test one from the
-same stream), so that model draws once per shape.
+that draw.  The test pass relies on it too: it draws the test rows block by
+block from one stream, and gets the rows of a single draw.  The one exception
+is sample_sphere redrawing a row whose norm is below 1e-12, which happens
+with probability about 0 and breaks the nesting for that trial only.  The
+Gaussian-covariates draws do not nest (the noise matrices are drawn
+row-major, the training one before the test one from the same stream), so
+that model draws once per shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _blas
-from .activations import Activation, hermite_stats
+from .activations import Activation, HermiteStats, hermite_stats
 
 
 class InsufficientTrials(ValueError):
@@ -232,8 +235,21 @@ class AggregateResult:
     coef_norm_sq_sem: float
 
 
+# Rows drawn per block: the test rows a trial scores at once, and the rows of
+# the surrogate's noise matrix drawn at once.  A block's inputs, features and
+# temporaries are a few _BLOCK x N arrays, whatever n_test is; much larger
+# blocks bring back the memory streaming saves, much smaller ones pay numpy's
+# per-call overhead.
+_BLOCK = 256
+
+
 def sample_sphere(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count i.i.d. rows uniform on the sphere of radius sqrt(d)."""
+    """count i.i.d. rows uniform on the sphere of radius sqrt(d).
+
+    Each row is drawn and scaled on its own, so successive calls on one
+    stream return the rows of a single call of their total count (unless a
+    row is redrawn, see the module docstring).
+    """
     X = rng.standard_normal((count, d))
     norms = np.linalg.norm(X, axis=1)
     # a zero draw has probability ~0 but would poison the normalization
@@ -241,27 +257,57 @@ def sample_sphere(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
         bad = norms < 1e-12
         X[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(X, axis=1)
-    return X * (math.sqrt(d) / norms)[:, None]
+    X *= (math.sqrt(d) / norms)[:, None]
+    return X
 
 
 def build_design(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np.ndarray:
-    """Design matrix Z = sigma(X Theta^T / sqrt(d)) / sqrt(d), shape (n, N)."""
+    """Design matrix Z = sigma(X Theta^T / sqrt(d)) / sqrt(d), shape (n, N).
+
+    A built-in activation builds Z in the one n x N buffer of the product.
+    A custom one divides out of place, since its evaluator may return a
+    buffer it keeps.
+    """
     d = X.shape[1]
     if Theta.shape[1] != d:
         raise ValueError(f"dimension mismatch: X has d={d}, Theta has d={Theta.shape[1]}")
-    return _features(X, Theta, activation) / math.sqrt(d)
+    F = _features(X, Theta, activation)
+    if activation.kind == "custom":
+        return F / math.sqrt(d)
+    F /= math.sqrt(d)
+    return F
 
 
 def _features(X: np.ndarray, Theta: np.ndarray, activation: Activation) -> np.ndarray:
-    """sigma(X Theta^T / sqrt(d)), scaling the product in place.
+    """sigma(X Theta^T / sqrt(d)), in the product's buffer for a built-in activation.
 
-    The in-place division rounds exactly as the out-of-place one and saves a
-    temporary of the output's size.  The activation stays out of place: a
-    custom evaluator may return its input or a buffer it keeps.
+    The in-place steps round exactly as out-of-place ones and save
+    temporaries of the output's size.
     """
     P = X @ Theta.T
     P /= math.sqrt(X.shape[1])
-    return activation(P)
+    return activation._in_place(P)
+
+
+def _surrogate_features(
+    X: np.ndarray, Theta: np.ndarray, rng_w: np.random.Generator, stats: HermiteStats
+) -> np.ndarray:
+    """u = mu0 + mu1 X Theta^T / sqrt(d) + mu_star W, in the product's buffer.
+
+    The rows of the Gaussian W are drawn from rng_w in order, _BLOCK at a
+    time, so W is never held whole.  The steps run in the order of the
+    out-of-place expression and round exactly as it does.
+    """
+    U = X @ Theta.T
+    U *= stats.mu1
+    U /= math.sqrt(X.shape[1])
+    U += stats.mu0
+    for lo in range(0, len(U), _BLOCK):
+        rows = U[lo : lo + _BLOCK]
+        W = rng_w.standard_normal(rows.shape)
+        W *= stats.mu_star
+        rows += W
+    return U
 
 
 def _fit_scale(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) -> float:
@@ -378,40 +424,33 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: float) -> FitResult:
     return FitResult(a_hat=a_hat, solver_path="primal" if primal else "dual", cond=cond)
 
 
-# Test rows scored per block.  A block's features and temporaries are a few
-# _TEST_BLOCK x N arrays, whatever n_test is; much larger blocks bring back the
-# memory streaming saves, much smaller ones pay numpy's per-call overhead.
-_TEST_BLOCK = 256
-
-# A trial's draw: training design Z, targets y, test target, and the test
-# feature rows lo:hi at the draw's full width, as features(lo, hi).
-_Draw = tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int, int], np.ndarray]]
+# A trial's draw: training design Z, targets y, and test_rows(count), which
+# draws the next count test rows and returns their features, at the draw's
+# full width, and their noiseless targets.
+_TestRows = Callable[[int], tuple[np.ndarray, np.ndarray]]
+_Draw = tuple[np.ndarray, np.ndarray, _TestRows]
 # The sizes a draw depends on: (n, N, n_test).
 _Shape = tuple[int, int, int]
 
 
-def _test_errors(
-    target: np.ndarray,
-    features: Callable[[int, int], np.ndarray],
-    points: Sequence[tuple[np.ndarray, int]],
-) -> list[float]:
+def _test_errors(test_rows: _TestRows, points: Sequence[tuple[np.ndarray, int]]) -> list[float]:
     """Mean squared test error of each (a_hat, n_test) point, in row blocks.
 
     A point is scored on the first n_test test rows and the first a_hat.size
-    feature columns.  Blocks of _TEST_BLOCK rows are requested in order, each
-    once, and serve every point before the next one is built, so no
-    n_test x N feature matrix is formed and features may draw its rows from a
-    stream as it goes, or return a buffer it reuses.
+    feature columns.  Blocks of _BLOCK rows are drawn in order, each
+    once, and serve every point before the next one is drawn, so neither the
+    test inputs nor an n_test x N feature matrix is ever formed, and
+    test_rows may return a buffer it reuses.
     """
     sums = [0.0] * len(points)
     rows = max(n_test for _, n_test in points)
-    for lo in range(0, rows, _TEST_BLOCK):
-        hi = min(lo + _TEST_BLOCK, rows)
-        F = features(lo, hi)
+    for lo in range(0, rows, _BLOCK):
+        hi = min(lo + _BLOCK, rows)
+        F, target = test_rows(hi - lo)
         for k, (a_hat, n_test) in enumerate(points):
-            stop = min(hi, n_test)
-            if stop > lo:
-                r = target[lo:stop] - F[: stop - lo, : a_hat.size] @ a_hat
+            stop = min(hi, n_test) - lo
+            if stop > 0:
+                r = target[:stop] - F[:stop, : a_hat.size] @ a_hat
                 sums[k] += float(r @ r)
     return [total / n_test for total, (_, n_test) in zip(sums, points)]
 
@@ -436,43 +475,57 @@ def _measure(
 
 
 def _random_features_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
-    n, N, n_test = shape
+    n, N, _ = shape
     d = config.d
     Theta = sample_sphere(d, N, substream(config.seed, trial_index, "theta"))
     X = sample_sphere(d, n, substream(config.seed, trial_index, "x"))
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
     y = config.target.evaluate(X) + math.sqrt(config.tau_sq) * noise
     Z = build_design(X, Theta, config.activation)
-    X_test = sample_sphere(d, n_test, substream(config.seed, trial_index, "test"))
+    rng_test = substream(config.seed, trial_index, "test")
 
-    def test_features(lo: int, hi: int) -> np.ndarray:
-        return _features(X_test[lo:hi], Theta, config.activation)
+    def test_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
+        X_test = sample_sphere(d, count, rng_test)
+        return _features(X_test, Theta, config.activation), config.target.evaluate(X_test)
 
-    return Z, y, config.target.evaluate(X_test), test_features
+    return Z, y, test_rows
 
 
-def _gaussian_covariates_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
-    if config.target.name != "linear":
-        raise ValueError("the gaussian covariates surrogate is defined for the linear target only")
-    stats = hermite_stats(config.activation)  # raises DegenerateActivation if mu_star = 0
-    n, N, n_test = shape
+def _gaussian_covariates_draw(
+    config: SimConfig, stats: HermiteStats, trial_index: int, shape: _Shape
+) -> _Draw:
+    n, N, _ = shape
     d = config.d
-    sqrt_d = math.sqrt(d)
+    beta = config.target.beta_norm
     Theta = sample_sphere(d, N, substream(config.seed, trial_index, "theta"))
     rng_w = substream(config.seed, trial_index, "w")
     X = substream(config.seed, trial_index, "x").standard_normal((n, d))
-    W = rng_w.standard_normal((n, N))
-    U = stats.mu0 + stats.mu1 * (X @ Theta.T) / sqrt_d + stats.mu_star * W
+    U = _surrogate_features(X, Theta, rng_w, stats)
+    U /= math.sqrt(d)
     noise = substream(config.seed, trial_index, "noise").standard_normal(n)
-    y = config.target.beta_norm * X[:, 0] + math.sqrt(config.tau_sq) * noise
-    X_test = substream(config.seed, trial_index, "test").standard_normal((n_test, d))
+    y = beta * X[:, 0] + math.sqrt(config.tau_sq) * noise
+    rng_test = substream(config.seed, trial_index, "test")
 
-    def test_features(lo: int, hi: int) -> np.ndarray:
-        # successive row blocks of the "w" stream are its one-shot draw's rows
-        W_test = rng_w.standard_normal((hi - lo, N))
-        return stats.mu0 + stats.mu1 * (X_test[lo:hi] @ Theta.T) / sqrt_d + stats.mu_star * W_test
+    def test_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
+        # the "w" stream's test rows follow its training matrix
+        X_test = rng_test.standard_normal((count, d))
+        return _surrogate_features(X_test, Theta, rng_w, stats), beta * X_test[:, 0]
 
-    return U / sqrt_d, y, config.target.beta_norm * X_test[:, 0], test_features
+    return U, y, test_rows
+
+
+def _drawer(config: SimConfig) -> Callable[[int, _Shape], _Draw]:
+    """config.model's draw as draw(trial_index, shape), checked before any draw.
+
+    The surrogate's activation moments are measured here, once, and not
+    again by each draw.
+    """
+    if config.model == "random_features":
+        return functools.partial(_random_features_draw, config)
+    if config.target.name != "linear":
+        raise ValueError("the gaussian covariates surrogate is defined for the linear target only")
+    stats = hermite_stats(config.activation)  # raises DegenerateActivation if mu_star = 0
+    return functools.partial(_gaussian_covariates_draw, config, stats)
 
 
 def _sweep(config: SimConfig | Sequence[SimConfig]) -> tuple[SimConfig, ...]:
@@ -489,52 +542,55 @@ def _sweep(config: SimConfig | Sequence[SimConfig]) -> tuple[SimConfig, ...]:
 
 
 def run_trial(
-    config: SimConfig | Sequence[SimConfig], trial_index: int
+    config: SimConfig | Sequence[SimConfig],
+    trial_index: int,
+    *,
+    _draw: Callable[[int, _Shape], _Draw] | None = None,
 ) -> TrialResult | list[TrialResult]:
     """One trial of config.model: draw, fit, measure.
 
     Test error is measured against the noiseless target on a fresh test
-    sample.  Every point of a draw is fit first; then one pass over the test
-    rows, in blocks of _TEST_BLOCK, builds each block's features once at the
-    draw's full width and scores every point on it (_test_errors).  The test
-    side thus needs the n_test x d inputs and a few _TEST_BLOCK x N blocks,
-    never an n_test x N feature matrix.  Noise variates are drawn even when
+    sample.  Every point of a draw is fit first; then one pass draws the test
+    rows in blocks of _BLOCK, builds each block's features once at the
+    draw's full width and scores every point on it (_test_errors).  A trial
+    thus holds its design, one Gram or factorization of it, and a few
+    _BLOCK x N blocks: never the n_test x d test inputs nor an
+    n_test x N feature matrix.  Noise variates are drawn even when
     tau_sq = 0 (then scaled away) so that configurations differing only in
     noise level share all other randomness.  Given a sweep, a sequence of
     configs that differ only in n, N, n_test and lam, the result is one
     TrialResult per config.  Points of one shape share a draw and are fit
     together: by ridge_fit at one distinct penalty, by ridge_path from one
-    factorization at several.  A
-    random-features trial is drawn once at the sweep's largest shape, and
-    every point fits on prefix slices of that draw.
+    factorization at several.  A random-features trial is drawn once at the
+    sweep's largest shape, and every point fits on prefix slices of that
+    draw.  _draw is the draw run_trials binds once for all its trials.
 
     The "gaussian_covariates" model is the matched surrogate: covariates are
     u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
     only the activation's moment profile (hermite_stats at its default order,
-    so a custom activation should carry the stats measured at the order it
-    needs); the target must be linear.  The
-    ridge objective and measurements coincide with the random-features ones
-    under Z = U / sqrt(d).  The training noise matrix is drawn from the "w"
-    stream first, the test noise matrix second, in the test pass's row
-    blocks; test inputs come from the "test" stream.  These draws do not
-    nest across shapes, so a sweep draws once per distinct (n, N, n_test) and
-    shares that draw, and its test pass, only among the penalties of one
-    shape.
+    measured once per call before any draw, so a custom activation should
+    carry the stats measured at the order it needs); the target must be
+    linear.  The ridge objective and measurements coincide with the
+    random-features ones under Z = U / sqrt(d).  The training noise matrix is
+    drawn from the "w" stream first, the test noise matrix second, both in
+    row blocks; test inputs come from the "test" stream, in the test pass's
+    blocks.  These draws do not nest across shapes, so a sweep draws once per
+    distinct (n, N, n_test) and shares that draw, and its test pass, only
+    among the penalties of one shape.
     """
     configs = _sweep(config)
-    nested = configs[0].model == "random_features"
-    draw = _random_features_draw if nested else _gaussian_covariates_draw
+    draw = _drawer(configs[0]) if _draw is None else _draw
     groups: dict[_Shape, list[int]] = {}
     for i, c in enumerate(configs):
         groups.setdefault((c.n, c.N, c.n_test), []).append(i)
-    if nested:
+    if configs[0].model == "random_features":
         largest = tuple(max(sizes) for sizes in zip(*groups))
         draws = [(largest, list(groups.items()))]
     else:
         draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
     results = [None] * len(configs)
     for draw_shape, shapes in draws:
-        Z_full, y_full, test_target, test_features = draw(configs[0], trial_index, draw_shape)
+        Z_full, y_full, test_rows = draw(trial_index, draw_shape)
         fitted = []
         for (n, N, _), members in shapes:
             Z, y = Z_full[:n, :N], y_full[:n]
@@ -545,7 +601,7 @@ def run_trial(
                 fits = ridge_path(Z, y, lams, configs[0].d)
             fitted += [(i, fit, Z, y) for i, fit in zip(members, fits)]
         test_errors = _test_errors(
-            test_target, test_features, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
+            test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
         )
         for (i, fit, Z, y), test_error in zip(fitted, test_errors):
             results[i] = _measure(configs[i], fit, Z, y, test_error, trial_index)
@@ -563,20 +619,23 @@ def run_trials(
     numpy's default threading, several when BLAS is held to fewer threads
     than the budget, e.g. by OPENBLAS_NUM_THREADS=1.  Per-trial randomness is
     keyed, not sequential, so at a fixed BLAS thread count the result is
-    identical for any budget.  Given a sweep (a sequence of configs, see
-    run_trial), each trial is drawn once for all of them, and the result is
-    one list of trials per config, in the order of the sweep.
+    identical for any budget.  The draw is checked, and the surrogate's
+    activation moments measured, once before any trial.  Given a sweep (a
+    sequence of configs, see run_trial), each trial is drawn once for all of
+    them, and the result is one list of trials per config, in the order of
+    the sweep.
     """
     configs = _sweep(config)
     point = configs[0] if isinstance(config, SimConfig) else configs
+    draw = _drawer(configs[0])
     indices = range(configs[0].trials)
     budget = _blas.cores() if threads is None else threads
     workers = max(1, min(len(indices), budget // _blas.threads()))
     if workers == 1:
-        results = [run_trial(point, t) for t in indices]
+        results = [run_trial(point, t, _draw=draw) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(point, t), indices))
+            results = list(pool.map(lambda t: run_trial(point, t, _draw=draw), indices))
     return results if isinstance(config, SimConfig) else [list(per) for per in zip(*results)]
 
 

@@ -459,20 +459,26 @@ def test_lambda_sweep_rows_match_single_point_calls(model, capsys):
             assert row[c] == pytest.approx(ref[c], rel=1e-10, abs=0.0), c
 
 
-def _count_sample_sphere(monkeypatch) -> list:
-    original = rfridge.simulate.sample_sphere
-    calls = []
+def _record_streams(monkeypatch) -> list:
+    """The (trial, purpose) of every keyed stream the simulator opens."""
+    original = rfridge.simulate.substream
+    opened = []
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+    def recording(seed, trial_index, purpose):
+        opened.append((trial_index, purpose))
+        return original(seed, trial_index, purpose)
 
-    monkeypatch.setattr(rfridge.simulate, "sample_sphere", counting)
-    return calls
+    monkeypatch.setattr(rfridge.simulate, "substream", recording)
+    return opened
+
+
+# a random-features trial opens each of these streams once, and reads its
+# rows as the draw asks for them
+DRAW_STREAMS = ("theta", "x", "noise", "test")
 
 
 def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
-    calls = _count_sample_sphere(monkeypatch)
+    opened = _record_streams(monkeypatch)
     code, out, _ = run_cli(
         ["simulate", "--d", "20", "--n", "40", "--N", "30", "--activation", "relu",
          "--trials", "8", "--n-test", "1000", "--threads", "2",
@@ -481,8 +487,8 @@ def test_lambda_sweep_draws_each_trial_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(read_records(out, from_text=True)) == 7
-    # Theta, X and the test inputs: three draws per trial, not per (trial, lambda)
-    assert len(calls) == 3 * 8
+    # each stream once per trial, not once per (trial, lambda)
+    assert sorted(opened) == sorted((t, p) for t in range(8) for p in DRAW_STREAMS)
 
 
 # d = 20, n = 40: the psi1 grid puts N below, at and above n
@@ -540,7 +546,7 @@ def test_compare_psi1_sweep_rows_match_single_point_calls(capsys):
 
 
 def test_psi1_sweep_draws_each_trial_once(capsys, monkeypatch):
-    calls = _count_sample_sphere(monkeypatch)
+    opened = _record_streams(monkeypatch)
     code, out, _ = run_cli(
         ["simulate", "--d", "20", "--n", "40", "--activation", "relu", "--lambda", "1e-3",
          "--trials", "8", "--n-test", "1000", "--threads", "2",
@@ -549,8 +555,8 @@ def test_psi1_sweep_draws_each_trial_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(read_records(out, from_text=True)) == 5
-    # Theta, X and the test inputs once per trial at N = 120, not once per (trial, N)
-    assert len(calls) == 3 * 8
+    # each stream once per trial, read up to N = 120, not once per (trial, N)
+    assert sorted(opened) == sorted((t, p) for t in range(8) for p in DRAW_STREAMS)
 
 
 @pytest.mark.parametrize("flags, env, message", [

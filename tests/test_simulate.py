@@ -12,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfridge._blas
+import rfridge.activations
 import rfridge.simulate
-from rfridge.activations import Activation, DegenerateActivation, hermite_stats
+from rfridge.activations import (
+    Activation,
+    DegenerateActivation,
+    QuadratureFailure,
+    hermite_stats,
+)
 from rfridge.simulate import (
     IllConditionedWarning,
     InsufficientTrials,
@@ -82,6 +88,34 @@ def test_build_design_hand_instance():
 def test_build_design_dimension_mismatch():
     with pytest.raises(ValueError):
         build_design(np.zeros((3, 4)), np.zeros((2, 5)), RELU)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("activation, sigma", [
+    (RELU, lambda u: np.maximum(u, 0.0)),
+    (Activation.shifted_relu(0.5), lambda u: np.maximum(u - 0.5, 0.0)),
+    (Activation.identity(), lambda u: u),
+], ids=["relu", "shifted_relu", "identity"])
+def test_build_design_allocates_only_its_output(activation, sigma):
+    # the product, the activation and both scalings share one n x N buffer,
+    # and round as the out-of-place expression does
+    rng = np.random.default_rng(5)
+    X = sample_sphere(100, 1000, rng)
+    Theta = sample_sphere(100, 2000, rng)
+    Z, peak = _traced_peak(lambda: build_design(X, Theta, activation))
+    assert Z.shape == (1000, 2000)
+    assert peak <= 1.2 * Z.nbytes
+    assert np.array_equal(Z, sigma(X @ Theta.T / 10.0) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +538,17 @@ def test_test_features_are_never_materialised(model):
     # one n_test x N float64 matrix is 128 MB here; a trial stays far below it
     n_test, N = 20000, 800
     cfg = _small_config(d=20, n=100, N=N, n_test=n_test, model=model, trials=1)
-    tracemalloc.start()
-    try:
-        run_trial(cfg, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: run_trial(cfg, 0))
     assert peak < n_test * N * 8 / 4
+
+
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_test_inputs_are_drawn_block_by_block(model):
+    # the n_test x d test inputs are 32 MB here; a trial draws them a block at a time
+    n_test, d = 20000, 200
+    cfg = _small_config(d=d, n=100, N=100, n_test=n_test, model=model, trials=1)
+    _, peak = _traced_peak(lambda: run_trial(cfg, 0))
+    assert peak < n_test * d * 8 / 4
 
 
 def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
@@ -603,6 +641,19 @@ def test_substreams_are_deterministic_and_distinct():
         substream(9, 2, "unknown")
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng, rows: sample_sphere(7, rows, rng),
+    # the surrogate's test inputs
+    lambda rng, rows: rng.standard_normal((rows, 7)),
+], ids=["sample_sphere", "standard_normal"])
+def test_block_draws_equal_one_draw(draw):
+    # the test pass draws its rows in blocks of 256 from one stream
+    whole = draw(substream(6, 2, "test"), 1000)
+    rng = substream(6, 2, "test")
+    blocks = [draw(rng, min(256, 1000 - lo)) for lo in range(0, 1000, 256)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
 def test_feature_rows_nest_across_widths():
     small = sample_sphere(12, 5, substream(4, 1, "theta"))
     large = sample_sphere(12, 9, substream(4, 1, "theta"))
@@ -643,7 +694,7 @@ def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_fli
     running, peak = [0], [0]
     second = threading.Event()
 
-    def spy(point, t):
+    def spy(point, t, **bound):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
@@ -799,6 +850,18 @@ def test_gaussian_covariates_trial_runs():
     assert r == run_trial(cfg, 0)
 
 
+def test_surrogate_features_round_as_the_out_of_place_expression():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((600, 20))
+    Theta = sample_sphere(20, 40, rng)
+    # W is drawn in blocks of rows, continuing one stream
+    W = substream(1, 0, "w").standard_normal((600, 40))
+    stats = hermite_stats(RELU)
+    expected = stats.mu0 + stats.mu1 * (X @ Theta.T) / math.sqrt(20) + stats.mu_star * W
+    U = rfridge.simulate._surrogate_features(X, Theta, substream(1, 0, "w"), stats)
+    assert np.array_equal(U, expected)
+
+
 def test_gaussian_covariates_rejects_nonlinear_target():
     cfg = _small_config(
         model="gaussian_covariates", target=TargetKind.linear_plus_quad()
@@ -826,3 +889,32 @@ def test_run_trial_draws_the_configured_model():
     surrogate = run_trial(cfg, 0)
     assert surrogate == run_trials(cfg, 1)[0]
     assert surrogate.test_error != run_trial(replace(cfg, model="random_features"), 0).test_error
+
+
+def test_surrogate_measures_the_activation_once_per_call(monkeypatch):
+    # a custom activation without stats is integrated at order 64 and its
+    # doubling once per run_trials or run_trial call, not once per draw
+    orders = []
+    raw_moments = rfridge.activations._raw_moments
+    monkeypatch.setattr(rfridge.activations, "_raw_moments",
+                        lambda activation, order: orders.append(order) or raw_moments(activation, order))
+    cfg = _small_config(model="gaussian_covariates", activation=Activation.custom(np.tanh),
+                        trials=3)
+    trials = run_trials(cfg, threads=1)
+    assert orders == [64, 128]
+    orders.clear()
+    assert run_trial([cfg, replace(cfg, N=70)], 2)[0] == trials[2]
+    assert orders == [64, 128]
+
+
+def test_surrogate_quadrature_failure_raises_before_any_draw(monkeypatch):
+    # tanh(1.2 u) fails the certificate at the default order 64
+    opened = []
+    monkeypatch.setattr(rfridge.simulate, "substream", lambda *args: opened.append(args))
+    cfg = _small_config(model="gaussian_covariates",
+                        activation=Activation.custom(lambda u: np.tanh(1.2 * u)), trials=3)
+    with pytest.raises(QuadratureFailure):
+        run_trials(cfg)
+    with pytest.raises(QuadratureFailure):
+        run_trial(cfg, 0)
+    assert opened == []
