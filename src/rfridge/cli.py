@@ -143,13 +143,20 @@ PHASE_COLUMNS = (
 OutputRecord = dict
 
 
-def new_record(columns=COLUMNS, **fields) -> OutputRecord:
-    """A record of columns holding fields; a field given as None stays unknown."""
+@functools.cache
+def _blank_record(columns: tuple) -> OutputRecord:
+    """The record of columns with every cell unknown; new_record copies it."""
     rec = {c: NAN for c in columns}
     for c in ("command", "variant", "model", "target", "activation", "verdict"):
         if c in rec:
             rec[c] = ""
     rec["tool_version"] = __version__
+    return rec
+
+
+def new_record(columns=COLUMNS, **fields) -> OutputRecord:
+    """A record of columns holding fields; a field given as None stays unknown."""
+    rec = _blank_record(tuple(columns)).copy()
     for k, v in fields.items():
         if k not in rec:
             raise KeyError(f"unknown column {k!r}")
@@ -183,14 +190,37 @@ def _parse_cell(text: str):
         return text
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted only where csv.writer quotes it."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        # csv.writer holds the quoting rule; only such rare fields pay for a call to it
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text])
+        return buffer.getvalue()[:-1]
+    return text
+
+
+def _csv_column(values: list) -> list[str]:
+    """The CSV fields of one column: a column of one shared object is formatted once."""
+    if not values:
+        return []
+    first = values[0]
+    if all(v is first for v in values):
+        return [_csv_field(format_value(first))] * len(values)
+    return [_csv_field(text) for text in map(format_value, values)]
+
+
 def write_records(records, columns, fmt: str, out_path: str | None) -> None:
     """Serialize records to CSV (header mandatory) or JSONL, to a file or stdout."""
     buffer = io.StringIO()
     if fmt == "csv":
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([format_value(rec[c]) for c in columns])
+        csv.writer(buffer, lineterminator="\n").writerow(columns)
+        cells = [_csv_column([rec[c] for rec in records]) for c in columns]
+        if len(columns) == 1:
+            # csv quotes the one empty field of a row, which would read back as no row
+            cells = [['""' if cell == "" else cell for cell in cells[0]]]
+        for row in zip(*cells):
+            buffer.write(",".join(row) + "\n")
     elif fmt == "jsonl":
         for rec in records:
             row = {}
@@ -285,7 +315,8 @@ _TAKES = {
 
 
 def _sweep_values(args) -> tuple[float, ...] | None:
-    """The --sweep grid as Python floats, strictly increasing; None without --sweep."""
+    """The --sweep grid as Python floats, strictly increasing and never nan; None
+    without --sweep."""
     if args.sweep is None:
         if any(v is not None for v in (args.grid, args.min, args.max, args.points)):
             raise ValueError("--grid/--min/--max/--points given without --sweep")
@@ -311,6 +342,9 @@ def _sweep_values(args) -> tuple[float, ...] | None:
             values = tuple(float(v) for v in np.geomspace(args.min, args.max, args.points))
         else:
             values = tuple(float(v) for v in np.linspace(args.min, args.max, args.points))
+    for position, v in enumerate(values, 1):
+        if math.isnan(v):
+            raise ValueError(f"sweep grid entry {position} is nan, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep grid must be strictly increasing, got {values}")
     return values
@@ -418,8 +452,8 @@ def _grid(args, parser, finite: bool) -> list[dict]:
     lambda_bar and rho with ratios; a flag that was not given (or that the
     command lacks) is None.  Each parameter the command or theory variant
     takes (_TAKES) must be given or swept, but not both, and any other must be
-    neither.  A swept psi1 or psi2 resizes N or n at fixed d, and two grid
-    values that round to one size fail.
+    neither.  A swept psi1 or psi2 resizes N or n at fixed d; a grid value
+    whose size is not finite, and two that round to one size, fail.
     """
     values = _sweep_values(args)
     name = args.variant if args.command == "theory" else args.command
@@ -442,6 +476,9 @@ def _grid(args, parser, finite: bool) -> list[dict]:
         return [point]
     key, flag = sets[args.sweep]
     if key in ("N", "n"):
+        for v in values:
+            _require(parser, math.isfinite(v * args.d),
+                     f"{args.sweep} = {v!r} gives no finite {flag} at --d {args.d}")
         sizes = [int(round(v * args.d)) for v in values]
         for a, b, size, same in zip(values, values[1:], sizes, sizes[1:]):
             _require(parser, size != same,
@@ -530,6 +567,7 @@ def _theory_cells(rows):
     general = [(rec["zeta_sq"], cells["psi1"], cells["psi2"], cells["lambda_bar"])
                for rec, cells, _ in rows if rec["variant"] == "general"]
     solved = iter(risk_general_points(*np.array(general, dtype=float).reshape(-1, 4).T))
+    units = {}  # risk_at's target, TargetSpec.unit(rho), once per distinct rho
     for rec, cells, powers in rows:
         variant, zeta_sq = rec["variant"], rec["zeta_sq"]
         psi1, psi2, lambda_bar = cells["psi1"], cells["psi2"], cells["lambda_bar"]
@@ -544,8 +582,11 @@ def _theory_cells(rows):
 
         rec["theory_bias_B"] = dec.bias_B
         rec["theory_var_V"] = dec.var_V
-        if cells["rho"] is not None:
-            rec["theory_risk_R"] = dec.risk_at(cells["rho"])
+        rho = cells["rho"]
+        if rho is not None:
+            if rho not in units:
+                units[rho] = TargetSpec.unit(rho)
+            rec["theory_risk_R"] = dec.test_error(units[rho])
         if powers is not None:
             rec["theory_test_error"] = dec.test_error(powers)
             if variant == "general":

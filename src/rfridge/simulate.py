@@ -164,6 +164,9 @@ class SimConfig:
             raise ValueError(f"tau_sq must be finite and >= 0, got {self.tau_sq}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # substream keys each run with the seed as one uint64 word
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.model not in ("random_features", "gaussian_covariates"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.n_test is None:

@@ -1,15 +1,21 @@
 """Command-line interface: subcommands, formats, exit codes, round-trips."""
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import rfridge.activations
 import rfridge.cli
@@ -581,6 +587,14 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("the configuration must be rejected before any draw")
 
 
+@pytest.mark.parametrize("seed", [str(-1), str(2**64)])
+def test_a_seed_outside_one_uint64_word_is_a_usage_error(seed, capsys, monkeypatch):
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
+    code, out, err = run_cli(["simulate"] + SIM_ARGS + ["--seed", seed], capsys)
+    assert (code, out) == (2, "")
+    assert f"seed must be an integer in [0, 2**64), got {seed}" in err
+
+
 @pytest.mark.parametrize("n_test", ["0", "-5"])
 def test_bad_test_set_sizes_are_usage_errors(n_test, capsys, monkeypatch):
     monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
@@ -780,6 +794,43 @@ def test_sweep_spec_validation(capsys):
     code, _, err = run_cli(base[:-2] + ["--psi1", "2", "--points", "3"], capsys)
     assert code == 2
     assert "--points" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--d", "10", "--n", "20", "--lambda", "1e-3", "--trials", "2",
+                  "--n-test", "1000", "--sweep", "psi1", "--grid", "1,inf"],
+                 "psi1 = inf gives no finite --N at --d 10", id="simulate-psi1-inf"),
+    pytest.param(["theory", "--d", "10", "--n", "20", "--lambda", "1e-3", "--sweep", "psi1",
+                  "--grid", "1,inf"],
+                 "psi1 = inf gives no finite --N at --d 10", id="theory-psi1-inf"),
+    pytest.param(["simulate", "--d", "10", "--N", "20", "--lambda", "1e-3", "--trials", "2",
+                  "--n-test", "1000", "--sweep", "psi2", "--grid=-inf,1"],
+                 "psi2 = -inf gives no finite --n at --d 10", id="simulate-psi2-minus-inf"),
+    # finite, but the size it gives at d = 10 is not
+    pytest.param(["theory", "--d", "10", "--N", "20", "--lambda", "1e-3", "--sweep", "psi2",
+                  "--grid", "1,1e308"],
+                 "psi2 = 1e+308 gives no finite --n at --d 10", id="theory-psi2-huge"),
+    pytest.param(["simulate", "--d", "10", "--n", "20", "--lambda", "1e-3", "--trials", "2",
+                  "--n-test", "1000", "--sweep", "psi1", "--grid", "1,nan,2"],
+                 "sweep grid entry 2 is nan", id="simulate-grid-nan"),
+    pytest.param(["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep",
+                  "psi1", "--min", "nan", "--max", "2", "--points", "3"],
+                 "sweep grid entry 1 is nan", id="theory-min-nan"),
+])
+def test_a_sweep_value_that_is_not_finite_is_refused(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_a_rho_sweep_runs_through_inf(capsys):
+    code, out, _ = run_cli(THEORY_RATIO[:-2] + ["--sweep", "rho", "--grid", "1,inf"], capsys)
+    assert code == 0
+    recs = read_records(out, from_text=True)
+    assert [rec["rho"] for rec in recs] == [1.0, math.inf]
+    # the noiseless unit target weighs the bias alone
+    assert recs[1]["theory_risk_R"] == recs[1]["theory_bias_B"]
 
 
 def test_sweep_grid_values_are_python_floats(capsys):
@@ -1134,6 +1185,73 @@ def test_records_equal_treats_nan_as_equal():
     assert records_equal(a, b)
     a["psi1"] = 1.0
     assert not records_equal(a, b)
+
+
+def test_a_new_record_is_its_own_copy():
+    a = new_record(COLUMNS, command="theory", psi1=2.0)
+    a["psi2"] = 3.0
+    a["variant"] = "general"
+    b = new_record(COLUMNS)
+    assert b["command"] == b["variant"] == ""
+    assert math.isnan(b["psi1"]) and math.isnan(b["psi2"])
+    assert list(b) == list(COLUMNS)
+
+
+def _csv_per_cell(records, columns):
+    """The reference CSV rule: csv.writer over format_value, one cell at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([format_value(rec[c]) for c in columns])
+    return buffer.getvalue()
+
+
+_CELLS = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(alphabet='ab ,"\n\r', max_size=5),  # "" among them
+    st.sampled_from([5e-324, 2**53, 2**53 + 1, float(2**53), 2**64]),
+)
+# equal to one another, but not all written alike
+_EQUAL = (0, 0.0, -0.0, False, np.bool_(False), np.int64(0), np.float64(-0.0))
+
+
+@st.composite
+def _tables(draw):
+    columns = tuple(draw(st.lists(st.text(alphabet='c,"\n', max_size=3), min_size=1,
+                                  max_size=5, unique=True)))
+    rows = draw(st.integers(min_value=0, max_value=4))
+    records = [{} for _ in range(rows)]
+    for c in columns:
+        kind = draw(st.sampled_from(("shared", "copies", "equal", "free")))
+        if kind == "free":
+            values = draw(st.lists(_CELLS, min_size=rows, max_size=rows))
+        elif kind == "equal":
+            values = draw(st.lists(st.sampled_from(_EQUAL), min_size=rows, max_size=rows))
+        else:
+            value = draw(_CELLS)
+            # "copies": one value, a distinct object in every row
+            values = [value if kind == "shared" else pickle.loads(pickle.dumps(value))
+                      for _ in range(rows)]
+        for rec, v in zip(records, values):
+            rec[c] = v
+    return columns, records
+
+
+@given(_tables())
+# one field alone in a row is quoted when empty
+@example((("c",), [{"c": "x"}, {"c": ""}]))
+@example((("c", "d"), [{"c": 0.0, "d": ""}, {"c": -0.0, "d": ""}]))
+def test_csv_output_is_the_per_cell_rule(table):
+    columns, records = table
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        write_records(records, columns, "csv", None)
+    assert out.getvalue() == _csv_per_cell(records, columns)
 
 
 def test_format_value_conventions():

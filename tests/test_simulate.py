@@ -558,6 +558,18 @@ def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
     assert run_trial([cfg, cfg], 0) == [run_trial(cfg, 0)] * 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_one_uint64_word_is_refused(seed):
+    message = rf"^seed must be an integer in \[0, 2\*\*64\), got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        _small_config(seed=seed)
+
+
+def test_the_largest_seed_keys_its_streams():
+    cfg = _small_config(seed=2**64 - 1)
+    assert np.isfinite(run_trial(cfg, 0).test_error)
+
+
 def test_sweep_configs_may_differ_only_in_shape_and_penalty():
     cfg = _small_config()
     with pytest.raises(ValueError, match="tau_sq"):
