@@ -70,7 +70,9 @@ class Activation:
 
     @classmethod
     def shifted_relu(cls, c: float) -> "Activation":
-        """sigma(u) = max(u - c, 0), with its kink at u = c."""
+        """sigma(u) = max(u - c, 0), with its kink at u = c; c must be finite."""
+        if not math.isfinite(c):
+            raise ValueError(f"shifted_relu needs a finite shift, got {c}")
         return cls(kind="shifted_relu", shift=float(c), breakpoints=(float(c),))
 
     @classmethod
@@ -222,7 +224,8 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
 
     Built-ins use closed forms.  Custom activations are integrated at
     ``order`` and certified by recomputing at 2*order: any moment moving by
-    more than 1e-8 raises QuadratureFailure.  Raises DegenerateActivation when
+    more than 1e-8 raises QuadratureFailure.  Raises ValueError, naming them,
+    when mu0, mu1 or mu_star_sq is not finite, and DegenerateActivation when
     |mu1| or mu_star_sq falls below 1e-10; the asymptotic theory needs both a
     linear and a nonlinear component.
     """
@@ -259,6 +262,11 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
 
 
 def _finalize(mu0: float, mu1: float, mu_star_sq: float, gap: float | None) -> HermiteStats:
+    moments = {"mu0": mu0, "mu1": mu1, "mu_star_sq": mu_star_sq}
+    bad = [f"{name} = {v}" for name, v in moments.items() if not math.isfinite(v)]
+    if bad:
+        # a closed form that overflows (shifted_relu far out) or stats given as nan
+        raise ValueError(f"activation moments are not finite: {', '.join(bad)}")
     if abs(mu1) < 1e-10:
         raise DegenerateActivation(
             f"activation has no linear component (mu1 = {mu1:.3e})"

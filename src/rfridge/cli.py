@@ -13,9 +13,10 @@ Shape parameters are given either as finite sizes (--d --n --N --lambda) or as
 asymptotic ratios (--psi1 --psi2 --lambda-bar); mixing the two groups is an
 error.  Every sweeping subcommand expands its sweep through one grid function,
 _grid, and fills the shape, rho and target-power cells of a row through
-_point_cells.  The penalty conversion lambda_bar = lambda / mu_star_sq happens
-there, at the CLI boundary, exactly once; in asymptotic mode the regularization
-axis already is lambda_bar.  Exit codes: 0 success, 2 argument, file or domain
+_point_cells; a record holds nan where a flag was not given.  The penalty
+conversion lambda_bar = lambda / mu_star_sq happens there, at the CLI
+boundary, exactly once; in asymptotic mode the regularization axis already is
+lambda_bar.  Exit codes: 0 success, 2 argument, file or domain
 error, 3 numerical failure, 4 invariant violation.
 """
 
@@ -28,6 +29,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -314,6 +316,17 @@ _TAKES = {
 }
 
 
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a flag; a bad entry is named by its position."""
+    values = []
+    for position, tok in enumerate(text.split(","), 1):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{flag} entry {position} is not a number: {tok!r}") from None
+    return tuple(values)
+
+
 def _sweep_values(args) -> tuple[float, ...] | None:
     """The --sweep grid as Python floats, strictly increasing and never nan; None
     without --sweep."""
@@ -324,13 +337,7 @@ def _sweep_values(args) -> tuple[float, ...] | None:
     if args.grid is not None:
         if args.min is not None or args.max is not None or args.points is not None:
             raise ValueError("give either --grid or --min/--max/--points, not both")
-        values = []
-        for position, tok in enumerate(args.grid.split(","), 1):
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise ValueError(f"--grid entry {position} is not a number: {tok!r}") from None
-        values = tuple(values)
+        values = _floats(args.grid, "--grid")
     else:
         if args.min is None or args.max is None or args.points is None:
             raise ValueError("a sweep needs --grid or all of --min/--max/--points")
@@ -388,6 +395,9 @@ def _add_sweep_opts(p):
 
 def parse_activation(args) -> Activation:
     spec = args.activation or "relu"
+    for flag, value in (("--expr-file", args.expr_file), ("--breakpoints", args.breakpoints)):
+        if value is not None and spec != "custom":
+            raise ValueError(f"{flag} needs --activation custom")
     if spec == "relu":
         return Activation.relu()
     if spec == "identity":
@@ -406,9 +416,7 @@ def parse_activation(args) -> Activation:
             code = compile(expr, args.expr_file, "eval")
         except SyntaxError as exc:
             raise ValueError(f"--expr-file {args.expr_file} is not an expression: {exc.msg}") from exc
-        breakpoints = ()
-        if args.breakpoints:
-            breakpoints = tuple(float(t) for t in args.breakpoints.split(","))
+        breakpoints = _floats(args.breakpoints, "--breakpoints") if args.breakpoints else ()
 
         def evaluate(u):
             try:
@@ -450,8 +458,9 @@ def _grid(args, parser, finite: bool) -> list[dict]:
 
     A point holds d, n, N, lam and rho with finite sizes and psi1, psi2,
     lambda_bar and rho with ratios; a flag that was not given (or that the
-    command lacks) is None.  Each parameter the command or theory variant
-    takes (_TAKES) must be given or swept, but not both, and any other must be
+    command lacks) is None.  A record holds nan for "not given", so a flag
+    given as nan fails.  Each parameter the command or theory variant takes
+    (_TAKES) must be given or swept, but not both, and any other must be
     neither.  A swept psi1 or psi2 resizes N or n at fixed d; a grid value
     whose size is not finite, and two that round to one size, fail.
     """
@@ -466,6 +475,7 @@ def _grid(args, parser, finite: bool) -> list[dict]:
         point["d"] = args.d
     for param, (key, flag) in sets.items():
         swept, optional = param == args.sweep, param == "rho" and args.command == "theory"
+        _require(parser, point[key] is None or not math.isnan(point[key]), f"{flag} is nan")
         if param in takes:
             _require(parser, point[key] is not None or swept, f"{flag} is required (or sweep {param})")
         elif not optional:
@@ -496,8 +506,9 @@ def _zeta_sq_or_activation(args, parser, finite: bool = False):
     integrates it again.
     """
     if vars(args).get("zeta_sq") is not None:
-        _require(parser, args.activation is None,
-                 "give either --zeta-sq or --activation, not both")
+        for flag, value in (("--activation", args.activation), ("--expr-file", args.expr_file),
+                            ("--breakpoints", args.breakpoints)):
+            _require(parser, value is None, f"give either --zeta-sq or {flag}, not both")
         _require(parser, not finite,
                  "--zeta-sq only makes sense with ratio flags; finite sizes need an "
                  "activation for the penalty conversion")
@@ -510,24 +521,22 @@ def _zeta_sq_or_activation(args, parser, finite: bool = False):
     return activation, stats.zeta_sq, stats.mu_star_sq
 
 
-def _point_cells(point, mu_star_sq: float, powers: TargetSpec | None) -> dict:
-    """The shape, rho and target-power cells of one grid point; None where unknown.
+def _point_cells(point, mu_star_sq: float, power_cells: dict) -> dict:
+    """The cells of one grid point: power_cells, the target-power cells and rho
+    that every point shares, with the point's shape; None where unknown.
 
     Finite sizes give psi1 = N/d, psi2 = n/d and lambda_bar = lambda / mu_star_sq.
-    rho is the swept or given --rho, else the powers' own.
+    A swept or given --rho replaces the powers' own.
     """
     if "d" in point:
         d, n, N, lam = point["d"], point["n"], point["N"], point["lam"]
-        cells = {"d": d, "n": n, "N": N, "lambda": lam, "psi1": None if N is None else N / d,
-                 "psi2": None if n is None else n / d,
+        cells = {**power_cells, "d": d, "n": n, "N": N, "lambda": lam,
+                 "psi1": None if N is None else N / d, "psi2": None if n is None else n / d,
                  "lambda_bar": None if lam is None else lam / mu_star_sq}
     else:
-        cells = {key: point[key] for key in ("psi1", "psi2", "lambda_bar")}
-    cells["rho"] = point["rho"]
-    if powers is not None:
-        if cells["rho"] is None:
-            cells["rho"] = powers.rho
-        cells.update(f1_sq=powers.f1_sq, fstar_sq=powers.fstar_sq, tau_sq=powers.tau_sq)
+        cells = {**power_cells, **{key: point[key] for key in ("psi1", "psi2", "lambda_bar")}}
+    if point["rho"] is not None:
+        cells["rho"] = point["rho"]
     return cells
 
 
@@ -538,52 +547,40 @@ def _point_cells(point, mu_star_sq: float, powers: TargetSpec | None) -> dict:
 def cmd_stats(args, parser) -> int:
     activation = parse_activation(args)
     stats = hermite_stats(activation, order=args.order)
-    rec = new_record(
-        STATS_COLUMNS,
-        command="stats",
-        activation=activation.label(),
-        order=args.order,
-        mu0=stats.mu0,
-        mu1=stats.mu1,
-        mu_star_sq=stats.mu_star_sq,
-        zeta=stats.zeta,
-        zeta_sq=stats.zeta_sq,
-        quadrature_gap=NAN if stats.quadrature_gap is None else stats.quadrature_gap,
-        converged=1,
-    )
+    rec = new_record(STATS_COLUMNS, command="stats", activation=activation.label(),
+                     order=args.order, converged=1, **asdict(stats))
     write_records([rec], STATS_COLUMNS, args.format, args.out)
     return 0
 
 
-def _theory_cells(rows):
-    """Fill the theory_* cells of each (record, cells, powers) row from one library
-    decomposition; the general rows' come from one batch (risk_general_points).
+def _theory_cells(records, powers: TargetSpec | None) -> None:
+    """Fill the theory_* cells of each record from one library decomposition; the
+    general rows' come from one batch (risk_general_points).
 
-    cells holds the row's psi1, psi2, lambda_bar and rho, None where not given;
-    _grid has checked that each row's variant has its parameters.  R needs
-    rho; test error, training error and norm need the target powers.  Rows are
-    filled in order, so the first failing row raises its error.
+    Each record's variant, zeta_sq, psi1, psi2, lambda_bar and rho say what to
+    compute, nan where not given; _grid has checked that each row's variant
+    has its parameters.  R needs rho; test error, training error and norm
+    need the target powers, which all rows share.  Rows are filled in order,
+    so the first failing row raises its error.
     """
-    general = [(rec["zeta_sq"], cells["psi1"], cells["psi2"], cells["lambda_bar"])
-               for rec, cells, _ in rows if rec["variant"] == "general"]
+    general = [(rec["zeta_sq"], rec["psi1"], rec["psi2"], rec["lambda_bar"])
+               for rec in records if rec["variant"] == "general"]
     solved = iter(risk_general_points(*np.array(general, dtype=float).reshape(-1, 4).T))
     units = {}  # risk_at's target, TargetSpec.unit(rho), once per distinct rho
-    for rec, cells, powers in rows:
-        variant, zeta_sq = rec["variant"], rec["zeta_sq"]
-        psi1, psi2, lambda_bar = cells["psi1"], cells["psi2"], cells["lambda_bar"]
+    for rec in records:
+        variant, zeta_sq, rho = rec["variant"], rec["zeta_sq"], rec["rho"]
         if variant == "general":
             dec = unwrap(next(solved))
         elif variant == "ridgeless":
-            dec = risk_ridgeless(zeta_sq, psi1, psi2)
+            dec = risk_ridgeless(zeta_sq, rec["psi1"], rec["psi2"])
         elif variant == "wide":
-            dec = risk_wide(zeta_sq, psi2, lambda_bar)
+            dec = risk_wide(zeta_sq, rec["psi2"], rec["lambda_bar"])
         else:
-            dec = risk_large_sample(zeta_sq, psi1, lambda_bar)
+            dec = risk_large_sample(zeta_sq, rec["psi1"], rec["lambda_bar"])
 
         rec["theory_bias_B"] = dec.bias_B
         rec["theory_var_V"] = dec.var_V
-        rho = cells["rho"]
-        if rho is not None:
+        if not math.isnan(rho):
             if rho not in units:
                 units[rho] = TargetSpec.unit(rho)
             rec["theory_risk_R"] = dec.test_error(units[rho])
@@ -607,61 +604,49 @@ def cmd_theory(args, parser) -> int:
             fstar_sq=args.fstar_sq or 0.0,
             tau_sq=args.tau_sq_theory or 0.0,
         )
-
-    rows = []
-    for point in points:
-        cells = _point_cells(point, mu_star_sq, powers)
-        rec = new_record(
-            COLUMNS,
-            command="theory",
-            variant=args.variant,
-            activation=label,
-            zeta_sq=zeta_sq,
-            mu_star_sq=mu_star_sq,
-            **cells,
-        )
-        rows.append((rec, cells, powers))
-    _theory_cells(rows)
-    write_records([rec for rec, _, _ in rows], COLUMNS, args.format, args.out)
+    power_cells = {} if powers is None else {"rho": powers.rho, **asdict(powers)}
+    records = [
+        new_record(COLUMNS, command="theory", variant=args.variant, activation=label,
+                   zeta_sq=zeta_sq, mu_star_sq=mu_star_sq,
+                   **_point_cells(point, mu_star_sq, power_cells))
+        for point in points
+    ]
+    _theory_cells(records, powers)
+    write_records(records, COLUMNS, args.format, args.out)
     return 0
 
 
-def _target_from_args(args) -> TargetKind:
-    if args.target == "linear":
-        return TargetKind.linear(args.beta_norm)
-    if args.beta_norm != 1.0:
-        raise ValueError("--beta-norm applies to the linear target only")
-    return TargetKind(args.target)
-
-
-def _simulated_records(args, parser, command):
-    """Per grid point: its record with the simulation cells, and its target powers."""
+def _simulated_records(args, parser, command) -> tuple[list, TargetSpec]:
+    """Each grid point's record with its simulation cells, and the target powers
+    they share: every config of the sweep has the same d, target and tau_sq."""
     _finite(args, parser, command)
     _require(parser, args.trials >= 2,
              f"--trials must be >= 2 for a standard error, got {args.trials}")
     _require(parser, args.threads is None or args.threads >= 1,
              f"--threads must be a positive integer, got {args.threads}")
     points = _grid(args, parser, True)
-    target = _target_from_args(args)
+    target = TargetKind(args.target, args.beta_norm)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
                   seed=args.seed, n_test=args.n_test, model=args.model)
     configs = [SimConfig(d=p["d"], n=p["n"], N=p["N"], lam=p["lam"], **shared) for p in points]
+    powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, args.d),
+                        tau_sq=args.tau_sq)
+    power_cells = {"rho": powers.rho, **asdict(powers)}
+    records = []
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    for point, config, trials in zip(points, configs, run_trials(configs, args.threads)):
+    for point, trials in zip(points, run_trials(configs, args.threads)):
         agg = aggregate(trials)
-        powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, config.d),
-                            tau_sq=config.tau_sq)
-        rec = new_record(
+        records.append(new_record(
             COLUMNS,
             command=command,
-            model=config.model,
+            model=args.model,
             target=target.name,
             activation=activation.label(),
             zeta_sq=zeta_sq,
             mu_star_sq=mu_star_sq,
             trials=agg.n_trials,
-            seed=config.seed,
+            seed=args.seed,
             sim_test_error_mean=agg.test_error_mean,
             sim_test_error_sem=agg.test_error_sem,
             sim_train_error_mean=agg.train_error_mean,
@@ -672,13 +657,13 @@ def _simulated_records(args, parser, command):
             sim_norm_sq_sem=agg.coef_norm_sq_sem,
             sim_norm_msq_mean=mu_star_sq * agg.coef_norm_sq_mean,
             sim_norm_msq_sem=mu_star_sq * agg.coef_norm_sq_sem,
-            **_point_cells(point, mu_star_sq, powers),
-        )
-        yield rec, powers
+            **_point_cells(point, mu_star_sq, power_cells),
+        ))
+    return records, powers
 
 
 def cmd_simulate(args, parser) -> int:
-    records = [rec for rec, _ in _simulated_records(args, parser, "simulate")]
+    records, _ = _simulated_records(args, parser, "simulate")
     write_records(records, COLUMNS, args.format, args.out)
     return 0
 
@@ -690,17 +675,16 @@ def _z(diff: float, sem: float) -> float:
 
 
 def cmd_compare(args, parser) -> int:
-    rows = []
-    for rec, powers in _simulated_records(args, parser, "compare"):
+    records, powers = _simulated_records(args, parser, "compare")
+    for rec in records:
         rec["variant"] = "general" if rec["lambda"] > 0.0 else "ridgeless"
-        rows.append((rec, rec, powers))
-    _theory_cells(rows)
-    for rec, _, _ in rows:
+    _theory_cells(records, powers)
+    for rec in records:
         # the ridgeless endpoint has no training theory to score against
         general = rec["variant"] == "general"
         for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
             rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
-    write_records([rec for rec, _, _ in rows], COLUMNS, args.format, args.out)
+    write_records(records, COLUMNS, args.format, args.out)
     return 0
 
 
@@ -714,21 +698,8 @@ def cmd_phase(args, parser) -> int:
         rho, psi2 = point["rho"], point["psi2"]
         pq = wide_phase(zeta_sq, psi2, rho)
         verdict = "interior lambda_star" if pq.lambda_star > 0.0 else "optimal lambda_bar = 0"
-        records.append(
-            new_record(
-                PHASE_COLUMNS,
-                command="phase",
-                zeta_sq=zeta_sq,
-                psi2=psi2,
-                rho=rho,
-                omega0=pq.omega0,
-                omega1=pq.omega1,
-                rho_star=pq.rho_star,
-                zeta_star_sq=pq.zeta_star_sq,
-                lambda_star=pq.lambda_star,
-                verdict=verdict,
-            )
-        )
+        records.append(new_record(PHASE_COLUMNS, command="phase", zeta_sq=zeta_sq, psi2=psi2,
+                                  rho=rho, verdict=verdict, **asdict(pq)))
     write_records(records, PHASE_COLUMNS, args.format, args.out)
     return 0
 

@@ -111,6 +111,29 @@ def test_stats_override_still_validated():
         hermite_stats(act)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_shifted_relu_refuses_a_non_finite_shift(c):
+    with pytest.raises(ValueError, match="shifted_relu needs a finite shift"):
+        Activation.shifted_relu(c)
+
+
+@pytest.mark.parametrize("stats, named", [
+    ((math.nan, 0.5, 0.25), "mu0 = nan"),
+    ((0.1, math.nan, 0.25), "mu1 = nan"),
+    ((0.1, 0.5, math.inf), "mu_star_sq = inf"),
+])
+def test_non_finite_stats_are_refused_by_name(stats, named):
+    act = Activation.custom(lambda u: u, stats=stats)
+    with pytest.raises(ValueError, match=f"^activation moments are not finite: {named}$"):
+        hermite_stats(act)
+
+
+def test_a_shifted_relu_whose_closed_form_overflows_is_refused():
+    # the second moment is inf, so mu_star_sq = inf - inf
+    with pytest.raises(ValueError, match="mu_star_sq = nan"):
+        hermite_stats(Activation.shifted_relu(-1e300))
+
+
 def test_gauss_hermite_polynomial_exactness():
     # Gauss-Hermite with 64 nodes integrates low-degree polynomials exactly.
     assert gauss_hermite_expectation(lambda u: np.ones_like(u)) == pytest.approx(1.0, abs=1e-14)

@@ -1032,6 +1032,87 @@ def test_a_bad_grid_entry_is_named_with_its_position(capsys):
     assert "--grid entry 2 is not a number: ''" in err
 
 
+def test_the_theory_curve_rows_share_one_rho(capsys, monkeypatch):
+    # rho comes from the target powers once per command, so write_records
+    # formats the column once
+    written = []
+    monkeypatch.setattr(rfridge.cli, "write_records", lambda records, *rest: written.extend(records))
+    code = main(["theory", "--activation", "relu", "--psi2", "3", "--lambda-bar", "0.0110078",
+                 "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--min", "0.5",
+                 "--max", "10", "--points", "161", "--spacing", "log"])
+    assert code == 0, capsys.readouterr().err
+    assert len(written) == 161
+    assert all(rec["rho"] is written[0]["rho"] for rec in written)
+    assert written[0]["rho"] == 2.0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(THEORY_RATIO[:-1] + ["nan"], "--rho", id="theory-rho"),
+    pytest.param(["theory", "--psi1", "2", "--psi2", "nan", "--lambda-bar", "0.01"], "--psi2",
+                 id="theory-psi2"),
+    pytest.param(THEORY_FINITE[:-4] + ["--lambda", "nan"], "--lambda", id="theory-lambda"),
+    pytest.param(["phase", "--zeta-sq", "1", "--psi2", "nan", "--rho", "1"], "--psi2",
+                 id="phase-psi2"),
+    pytest.param(["simulate"] + SIM_ARGS[:7] + ["nan"] + SIM_ARGS[8:], "--lambda",
+                 id="simulate-lambda"),
+])
+def test_a_nan_flag_is_refused_and_named(argv, flag, capsys, monkeypatch):
+    # a record holds nan for a flag not given: a nan flag would read as absent
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"{flag} is nan" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["stats", "--activation", "shifted_relu:nan"],
+                 "shifted_relu needs a finite shift, got nan", id="stats-nan"),
+    pytest.param(["stats", "--activation", "shifted_relu:inf"],
+                 "shifted_relu needs a finite shift, got inf", id="stats-inf"),
+    # the closed form's second moment overflows
+    pytest.param(["stats", "--activation", "shifted_relu:-1e300"],
+                 "activation moments are not finite: mu_star_sq = nan", id="stats-overflow"),
+    pytest.param(["simulate", "--activation", "shifted_relu:nan", "--d", "20", "--n", "60",
+                  "--N", "40", "--lambda", "1e-3", "--trials", "2", "--n-test", "1000"],
+                 "shifted_relu needs a finite shift, got nan", id="simulate-nan"),
+])
+def test_a_non_finite_shift_is_refused(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("activation", [[], ["--activation", "relu"],
+                                        ["--activation", "shifted_relu:0.3"]])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--expr-file", "/nonexistent"], "--expr-file needs --activation custom",
+                 id="expr-file"),
+    pytest.param(["--breakpoints", "0"], "--breakpoints needs --activation custom",
+                 id="breakpoints"),
+])
+def test_custom_activation_flags_need_a_custom_activation(activation, flags, message, capsys):
+    code, out, err = run_cli(THEORY_RATIO + activation + flags, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--expr-file", "/nonexistent"), ("--breakpoints", "0")])
+def test_zeta_sq_and_a_custom_activation_flag_are_a_usage_error(flag, value, capsys):
+    code, out, err = run_cli(THEORY_RATIO + ["--zeta-sq", "2", flag, value], capsys)
+    assert (code, out) == (2, "")
+    assert f"give either --zeta-sq or {flag}, not both" in err
+
+
+def test_a_bad_breakpoint_is_named_with_its_position(tmp_path, capsys):
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.maximum(u, 0.0)\n")
+    code, out, err = run_cli(["stats", "--activation", "custom", "--expr-file", str(expr),
+                              "--breakpoints", "0,x"], capsys)
+    assert (code, out) == (2, "")
+    assert "--breakpoints entry 2 is not a number: 'x'" in err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["phase", "--psi2", "2", "--rho", "1"], id="phase"),
     pytest.param(THEORY_RATIO, id="theory"),
