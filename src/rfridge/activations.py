@@ -82,11 +82,16 @@ class Activation:
         breakpoints: Sequence[float] = (),
         stats: tuple[float, float, float] | None = None,
     ) -> "Activation":
+        """An activation given by evaluator; every breakpoint must be finite."""
+        kinks = tuple(float(b) for b in breakpoints)
+        for position, b in enumerate(kinks, 1):
+            if not math.isfinite(b):
+                raise ValueError(f"custom activation breakpoint {position} is not finite: {b}")
         return cls(
             kind="custom",
             evaluator=evaluator,
             stats=None if stats is None else tuple(float(s) for s in stats),
-            breakpoints=tuple(float(b) for b in breakpoints),
+            breakpoints=kinks,
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -276,6 +281,9 @@ def _finalize(mu0: float, mu1: float, mu_star_sq: float, gap: float | None) -> H
             f"activation has no nonlinear component (mu_star_sq = {mu_star_sq:.3e})"
         )
     zeta = mu1 / math.sqrt(mu_star_sq)
+    if not math.isfinite(zeta * zeta):
+        # mu1^2 / mu_star_sq overflows: the theory would run at zeta_sq = inf
+        raise ValueError(f"activation moments are not finite: zeta_sq = {zeta * zeta}")
     return HermiteStats(
         mu0=mu0,
         mu1=mu1,

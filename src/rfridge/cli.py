@@ -403,7 +403,12 @@ def parse_activation(args) -> Activation:
     if spec == "identity":
         return Activation.identity()
     if spec.startswith("shifted_relu:"):
-        return Activation.shifted_relu(float(spec.split(":", 1)[1]))
+        shift = spec.split(":", 1)[1]
+        try:
+            c = float(shift)
+        except ValueError:
+            raise ValueError(f"--activation shift is not a number: {shift!r}") from None
+        return Activation.shifted_relu(c)
     if spec == "custom":
         if args.expr_file is None:
             raise ValueError("--activation custom needs --expr-file")

@@ -28,6 +28,7 @@ import numpy as np
 from .selfconsistent import (
     InvariantViolation,
     SpectralPoint,
+    _quartic_coeffs,
     attempt,
     require_positive,
     solve_points,
@@ -324,6 +325,19 @@ def _decompositions(rows: list[tuple], chi: np.ndarray, nu2_imag: np.ndarray) ->
     return outcomes
 
 
+def _solved_risks(rows: list[tuple]) -> tuple[list, list]:
+    """The theory_points outcome and the risk_general outcome of each row
+    already broadcast, from one batch."""
+    points = _theory_rows(rows)
+    outcomes = list(points)
+    solved = [k for k, point in enumerate(points) if not isinstance(point, Exception)]
+    chi = np.array([points[k].chi.real for k in solved])
+    nu2_imag = np.array([points[k].nu2.imag for k in solved])
+    for k, dec in zip(solved, _decompositions([rows[k] for k in solved], chi, nu2_imag)):
+        outcomes[k] = dec
+    return points, outcomes
+
+
 def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     """risk_general at every row of the arguments, broadcast against each
     other, from one theory_points batch; each row holds an outcome, as there.
@@ -332,14 +346,7 @@ def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     (_decompositions), so a row's outcome is bitwise risk_general's and a
     failing row leaves the others unchanged.
     """
-    rows = _rows(zeta_sq, psi1, psi2, lambda_bar)
-    outcomes = _theory_rows(rows)
-    solved = [k for k, point in enumerate(outcomes) if not isinstance(point, Exception)]
-    chi = np.array([outcomes[k].chi.real for k in solved])
-    nu2_imag = np.array([outcomes[k].nu2.imag for k in solved])
-    for k, dec in zip(solved, _decompositions([rows[k] for k in solved], chi, nu2_imag)):
-        outcomes[k] = dec
-    return outcomes
+    return _solved_risks(_rows(zeta_sq, psi1, psi2, lambda_bar))[1]
 
 
 def risk_general(
@@ -371,6 +378,18 @@ def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
     z = zeta_sq
     t = psi * z - z - 1.0
     return -(math.sqrt(t * t + 4.0 * z * psi) + t) / (2.0 * z)
+
+
+def _lambda_bar(chi, zeta_sq, psi1, psi2):
+    """The penalty at which a real chi < 0 solves the quartic, elementwise.
+
+    On the axis the quartic reads N(chi) + u^2 D(chi) = 0, with N the quartic
+    at u = 0 (_quartic_coeffs) and D = chi (1 - zeta^2 chi)^2, so with
+    u^2 = psi1 psi2 lambda_bar the penalty is -N(chi) / (D(chi) psi1 psi2):
+    the oracle's g(chi) over psi1 psi2 (selfconsistent.chi_scalar_oracle).
+    """
+    n = _horner(np.moveaxis(_quartic_coeffs(zeta_sq, psi1, psi2, 0.0), -1, 0), chi)
+    return -n / (chi * (1.0 - zeta_sq * chi) ** 2 * psi1 * psi2)
 
 
 def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
@@ -481,17 +500,16 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
 _SQRT_EPS = math.sqrt(2.0**-52)
 
 
-def _brent(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Brent's method: the minimizer of f on [a, b] and f there.
+def _brent(f, a: float, b: float) -> float:
+    """Brent's method: the minimizer of f on [a, b], a bracket that excludes 0.
 
     Each step moves to the vertex of the parabola through the three best
     points so far (x the best, w and v the runners-up), unless that vertex
     falls outside (a, b) or the step is not shorter than half the step before
     last; then it takes a golden-section step into the larger side of the
     bracket.  [a, b] always brackets the minimizer of a unimodal f, and the
-    search stops once both ends lie within 2 tol = 2 xtol / 3 + 2 sqrt(eps) |x|
-    of x: within xtol up to |x| of about 10, and within the float resolution
-    f can tell apart beyond.
+    search stops once both ends lie within 2 tol = 2 sqrt(eps) |x| of x, the
+    relative resolution to which f can tell x apart.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     x = w = v = a + golden * (b - a)
@@ -499,9 +517,9 @@ def _brent(f, a: float, b: float, xtol: float) -> tuple[float, float]:
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol = _SQRT_EPS * abs(x)
         if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
+            return x
         parabolic = False
         if abs(e) > tol:
             r = (x - w) * (fx - fv)
@@ -544,27 +562,31 @@ def optimal_lambda(
 
     The lambda_bar = 0 endpoint is supplied by the ridgeless closed form, the
     interior by risk_general.  A 64-point log pre-scan, its 63 interior
-    points solved as one batch (risk_general_points), locates the bracket
-    (and warns NonUnimodalWarning if it sees more than one local minimum);
-    Brent's method (_brent) then resolves the minimizer within that bracket
-    to 1e-6 absolute (to 3e-8 relative where lambda_bar exceeds about 10, so
-    a large lambda_max cannot stall it on rounding), one risk_general call
-    per step, about ten in all.  The better of its point and the best
-    pre-scan point is the answer.
+    points solved as one batch, locates the bracket (and warns
+    NonUnimodalWarning if it sees more than one local minimum).
+
+    The penalty reaches R only through chi, and chi rises strictly with
+    lambda_bar inside the bracket: the oracle certifies that the root branch
+    does not turn between a bracket end's chi and 0.  So Brent's method
+    (_brent) minimizes the closed form R(chi) (decompose) between the chi of
+    the two bracket ends, the ridgeless chi at lambda_bar = 0, without
+    solving anything, to about sqrt(eps) relative in chi, as finely as R can
+    tell chi apart.  Its chi maps back to a penalty through the quartic
+    (_lambda_bar), clamped to the bracket, and that one row is then solved
+    and cross-checked as theory_point does; a certified chi more than 1e-8
+    relative from the searched one raises InvariantViolation.  The better of
+    that row and the best pre-scan point is the answer.
     Returns (lambda_bar_opt, risk_opt).
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
 
-    def profile(lb: float) -> float:
-        if lb <= 0.0:
-            return risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)
-        return risk_general(zeta_sq, psi1, psi2, lb).risk_at(rho)
-
     grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
-    values = [profile(grid[0])] + [
-        unwrap(dec).risk_at(rho) for dec in risk_general_points(zeta_sq, psi1, psi2, grid[1:])
-    ]
+    values = [risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)]
+    chis = [ridgeless_chi(zeta_sq, psi1, psi2)]
+    points, decompositions = _solved_risks(_rows(zeta_sq, psi1, psi2, grid[1:]))
+    values += [unwrap(dec).risk_at(rho) for dec in decompositions]
+    chis += [point.chi.real for point in points]
     n_minima = sum(
         1
         for i in range(len(grid))
@@ -579,10 +601,24 @@ def optimal_lambda(
             stacklevel=2,
         )
     best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    lo = max(best - 1, 0)
+    hi = min(best + 1, len(grid) - 1)
 
-    x, fx = _brent(profile, lo, hi, 1e-6)
-    candidates = [(grid[best], values[best]), (x, fx)]
+    def risk_in_chi(chi: float) -> float:
+        return decompose(chi, zeta_sq, psi1, psi2).risk_at(rho)
+
+    chi = _brent(risk_in_chi, chis[lo], chis[hi])
+    lb = float(min(max(_lambda_bar(chi, zeta_sq, psi1, psi2), grid[lo]), grid[hi]))
+    if lb > 0.0:
+        (point,), (dec,) = _solved_risks([(zeta_sq, psi1, psi2, lb)])
+        certified, r = unwrap(point).chi.real, unwrap(dec).risk_at(rho)
+    else:
+        certified, r = chis[0], values[0]
+    if abs(certified - chi) > 1e-8 * abs(chi):
+        raise InvariantViolation(
+            f"the certified chi = {certified!r} at lambda_bar = {lb!r} differs from the "
+            f"searched chi = {chi!r} by more than 1e-8 relative"
+        )
+    candidates = [(grid[best], values[best]), (lb, r)]
     lb_opt, r_opt = min(candidates, key=lambda t: t[1])
     return float(lb_opt), float(r_opt)

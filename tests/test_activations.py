@@ -121,11 +121,27 @@ def test_shifted_relu_refuses_a_non_finite_shift(c):
     ((math.nan, 0.5, 0.25), "mu0 = nan"),
     ((0.1, math.nan, 0.25), "mu1 = nan"),
     ((0.1, 0.5, math.inf), "mu_star_sq = inf"),
+    # finite moments whose ratio mu1^2 / mu_star_sq overflows, and whose mu1 /
+    # mu_star overflows too
+    ((0.0, 1e200, 1.0), "zeta_sq = inf"),
+    ((0.0, 1e305, 1e-9), "zeta_sq = inf"),
 ])
 def test_non_finite_stats_are_refused_by_name(stats, named):
     act = Activation.custom(lambda u: u, stats=stats)
     with pytest.raises(ValueError, match=f"^activation moments are not finite: {named}$"):
         hermite_stats(act)
+
+
+@pytest.mark.parametrize("breakpoints, named", [
+    ((math.nan,), "breakpoint 1 is not finite: nan"),
+    ((0.0, math.inf), "breakpoint 2 is not finite: inf"),
+    ((-1.0, 0.0, -math.inf), "breakpoint 3 is not finite: -inf"),
+])
+def test_a_non_finite_breakpoint_is_refused_by_position(breakpoints, named):
+    # the quadrature keeps only the breakpoints inside its window, so a nan
+    # one would be dropped without a word
+    with pytest.raises(ValueError, match=f"^custom activation {named}$"):
+        Activation.custom(np.tanh, breakpoints=breakpoints)
 
 
 def test_a_shifted_relu_whose_closed_form_overflows_is_refused():

@@ -1113,6 +1113,26 @@ def test_a_bad_breakpoint_is_named_with_its_position(tmp_path, capsys):
     assert "--breakpoints entry 2 is not a number: 'x'" in err
 
 
+@pytest.mark.parametrize("breakpoints, message", [
+    ("nan", "custom activation breakpoint 1 is not finite: nan"),
+    ("0,inf", "custom activation breakpoint 2 is not finite: inf"),
+])
+def test_a_non_finite_breakpoint_is_refused_by_position(breakpoints, message, tmp_path, capsys):
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.maximum(u, 0.0)\n")
+    code, out, err = run_cli(["stats", "--activation", "custom", "--expr-file", str(expr),
+                              "--breakpoints", breakpoints], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("spec, shift", [("shifted_relu:abc", "abc"), ("shifted_relu:", "")])
+def test_a_shift_that_is_not_a_number_is_named(spec, shift, capsys):
+    code, out, err = run_cli(["stats", "--activation", spec], capsys)
+    assert (code, out) == (2, "")
+    assert f"--activation shift is not a number: {shift!r}" in err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["phase", "--psi2", "2", "--rho", "1"], id="phase"),
     pytest.param(THEORY_RATIO, id="theory"),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rfridge.risk
@@ -21,10 +21,12 @@ from rfridge.risk import (
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
+    theory_points,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,
 )
+from rfridge.selfconsistent import InvariantViolation, unwrap
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -394,6 +396,73 @@ def test_optimal_lambda_ends_where_lambda_bar_is_beyond_1e6_resolution(monkeypat
 def test_optimal_lambda_validates_lambda_max():
     with pytest.raises(ValueError):
         optimal_lambda(1.0, 1.0, 2.0, 3.0, 0.0)
+
+
+def test_lambda_bar_inverts_the_solved_chi():
+    # optimal_lambda searches chi and maps its answer back through the quartic
+    rng = np.random.default_rng(5)
+    zeta_sq, psi1, psi2, lambda_bar = (
+        np.exp(rng.uniform(math.log(lo), math.log(hi), 3000))
+        for lo, hi in ((1e-2, 10.0), (1e-2, 1e3), (1e-2, 1e3), (1e-8, 1e4))
+    )
+    chi = np.array([unwrap(p).chi.real for p in theory_points(zeta_sq, psi1, psi2, lambda_bar)])
+    back = rfridge.risk._lambda_bar(chi, zeta_sq, psi1, psi2)
+    assert (np.abs(back - lambda_bar) <= 1e-10 * lambda_bar + 1e-12).all()
+
+
+@pytest.mark.parametrize("rho, psi1, psi2, lambda_max, after", [
+    (2.0, 2.0, 3.0, 10.0, [1]),
+    (2.0 * REF_RHO_STAR, 2.0, 3.0, 10.0, [1]),
+    # every chi of the bracket equals the ridgeless chi to rounding, so the
+    # searched chi maps back to a penalty that clamps to 0: nothing is solved
+    (6.0, 100.0, 2.0, 1e-20, []),
+])
+def test_optimal_lambda_solves_at_most_one_row_after_the_pre_scan(
+        rho, psi1, psi2, lambda_max, after, monkeypatch):
+    # the search runs on the closed form in chi; only its answer is solved
+    batches = []
+    original = rfridge.risk.solve_points
+
+    def counting(rows):
+        batches.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(rfridge.risk, "solve_points", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnimodalWarning)
+        lb_opt, r_opt = optimal_lambda(rho, RELU_ZETA_SQ, psi1, psi2, lambda_max)
+    assert batches == [63] + after
+    if not after:
+        assert (lb_opt, r_opt) == (0.0, risk_ridgeless(RELU_ZETA_SQ, psi1, psi2).risk_at(rho))
+
+
+def test_optimal_lambda_refuses_a_chi_the_solve_does_not_certify(monkeypatch):
+    original = rfridge.risk._lambda_bar
+    monkeypatch.setattr(rfridge.risk, "_lambda_bar", lambda *args: 1.01 * original(*args))
+    with pytest.raises(InvariantViolation, match="certified chi = .* differs from the searched"):
+        optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    log_rho=st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
+    log_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)),
+    log_p1=st.floats(min_value=math.log(0.2), max_value=math.log(20.0)),
+    log_p2=st.floats(min_value=math.log(0.2), max_value=math.log(20.0)),
+    log_max=st.floats(min_value=0.0, max_value=math.log(1e3)),
+)
+@example(log_rho=math.log(10.0), log_z=math.log(0.2), log_p1=math.log(0.2),
+         log_p2=math.log(0.2), log_max=math.log(1e3))
+def test_optimal_lambda_agrees_with_golden_search(log_rho, log_z, log_p1, log_p2, log_max):
+    shape = tuple(map(math.exp, (log_rho, log_z, log_p1, log_p2, log_max)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnimodalWarning)
+        (ref_lb, ref_r), _ = _golden_reference(*shape)
+        lb_opt, r_opt = optimal_lambda(*shape)
+    assert r_opt == pytest.approx(ref_r, rel=1e-12, abs=0.0)
+    # R is flat to rounding within about sqrt(eps) relative of its minimum,
+    # so neither search pins lambda_bar down more closely than that
+    assert abs(lb_opt - ref_lb) <= 1e-5 * (1.0 + ref_lb)
 
 
 @settings(max_examples=25, deadline=None)
