@@ -343,9 +343,13 @@ def _sweep_values(args) -> tuple[float, ...] | None:
             raise ValueError("a sweep needs --grid or all of --min/--max/--points")
         if args.points < 1:
             raise ValueError(f"--points must be >= 1, got {args.points}")
+        # refused here, by flag, before numpy turns them into nan with a warning
+        for flag, v in (("--min", args.min), ("--max", args.max)):
+            if not math.isfinite(v):
+                raise ValueError(f"{flag} must be finite, got {v}")
+            if args.spacing == "log" and v <= 0:
+                raise ValueError(f"log spacing needs {flag} > 0, got {v}")
         if args.spacing == "log":
-            if args.min <= 0:
-                raise ValueError("log spacing needs --min > 0")
             values = tuple(float(v) for v in np.geomspace(args.min, args.max, args.points))
         else:
             values = tuple(float(v) for v in np.linspace(args.min, args.max, args.points))

@@ -28,7 +28,9 @@ import numpy as np
 from .selfconsistent import (
     InvariantViolation,
     SpectralPoint,
+    _polish,
     _quartic_coeffs,
+    _stacked_roots,
     attempt,
     require_positive,
     solve_points,
@@ -52,7 +54,7 @@ class DenominatorVanishes(ArithmeticError):
 
 
 class NonUnimodalWarning(UserWarning):
-    """The risk profile showed more than one local minimum in the pre-scan."""
+    """The risk profile has more than one local minimum on [0, lambda_max]."""
 
 
 @dataclass(frozen=True)
@@ -194,29 +196,36 @@ def _e0_coeffs(zeta_sq: float, psi1: float, psi2: float) -> tuple[float, ...]:
     )
 
 
-def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
-    """E0, E1, E2 as Horner evaluations in chi with precomputed zeta_sq powers,
-    and the size of E0's own terms, sum |c_k chi^k| (_e0_vanishes), all
-    elementwise over arrays."""
+def _e_coeffs(zeta_sq: float, psi1: float, psi2: float) -> tuple[tuple, tuple]:
+    """Coefficients of E1 and E2, the numerators of B and V, highest degree in
+    chi first."""
     z = zeta_sq
     z2 = z * z
     z3 = z2 * z
     pp = psi1 * psi2
-    coeffs = _e0_coeffs(z, psi1, psi2)
-    e0 = _horner(coeffs, chi)
-    e1 = _horner((psi2 * z2, -psi2 * z, pp * z, -pp), chi)
-    e2 = _horner(
-        (
-            z3,
-            -3.0 * z2,
-            (psi1 - 1.0) * z3 + 2.0 * z2 + 3.0 * z,
-            -(psi1 + 1.0) * z2 - 2.0 * z - 1.0,
-            0.0,
-            0.0,
-        ),
-        chi,
+    e1 = (psi2 * z2, -psi2 * z, pp * z, -pp)
+    e2 = (
+        z3,
+        -3.0 * z2,
+        (psi1 - 1.0) * z3 + 2.0 * z2 + 3.0 * z,
+        -(psi1 + 1.0) * z2 - 2.0 * z - 1.0,
+        0.0,
+        0.0,
     )
-    return e0, e1, e2, _horner([abs(c) for c in coeffs], abs(chi))
+    return e1, e2
+
+
+def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
+    """E0, E1, E2 as Horner evaluations in chi, and the size of E0's own terms,
+    sum |c_k chi^k| (_e0_vanishes), all elementwise over arrays."""
+    coeffs = _e0_coeffs(zeta_sq, psi1, psi2)
+    e1, e2 = _e_coeffs(zeta_sq, psi1, psi2)
+    return (
+        _horner(coeffs, chi),
+        _horner(e1, chi),
+        _horner(e2, chi),
+        _horner([abs(c) for c in coeffs], abs(chi)),
+    )
 
 
 def _e0_vanishes(e0, size):
@@ -496,59 +505,19 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     return PhaseQuantities(omega0, omega1, rho_star, zeta_star_sq, lambda_star)
 
 
-# sqrt(eps): below this relative spacing a smooth minimum is flat to rounding
-_SQRT_EPS = math.sqrt(2.0**-52)
-
-
-def _brent(f, a: float, b: float) -> float:
-    """Brent's method: the minimizer of f on [a, b], a bracket that excludes 0.
-
-    Each step moves to the vertex of the parabola through the three best
-    points so far (x the best, w and v the runners-up), unless that vertex
-    falls outside (a, b) or the step is not shorter than half the step before
-    last; then it takes a golden-section step into the larger side of the
-    bracket.  [a, b] always brackets the minimizer of a unimodal f, and the
-    search stops once both ends lie within 2 tol = 2 sqrt(eps) |x| of x, the
-    relative resolution to which f can tell x apart.
-    """
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-            before_last, e = e, d
-            if abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                # never evaluate within 2 tol of an end of the bracket
-                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = tol if mid >= x else -tol
-        if not parabolic:
-            e = (a if x >= mid else b) - x
-            d = golden * e
-        # never a step shorter than tol, which f could not resolve
-        u = x + d if abs(d) >= tol else x + (tol if d >= 0.0 else -tol)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+def _stationary_chis(rho: float, zeta_sq: float, psi1: float, psi2: float) -> np.ndarray:
+    """The real roots of S = N' E0 - N E0' with N = a E1 + b E2, where the
+    rational R(chi) = N / E0 is stationary, each polished on S (_polish)."""
+    e1, e2 = _e_coeffs(zeta_sq, psi1, psi2)
+    n = TargetSpec.unit(rho).weigh(np.array((0.0, 0.0) + e1), np.array(e2))
+    e0 = np.array(_e0_coeffs(zeta_sq, psi1, psi2))
+    # the chi^9 terms of the two products cancel exactly: drop their rounding
+    s = (np.convolve(np.polyder(n), e0) - np.convolve(n, np.polyder(e0)))[1:]
+    (roots,), failed = _stacked_roots(s[None])
+    if failed:
+        raise failed[0]
+    real = np.abs(roots.imag) <= 1e-9 * np.abs(roots)
+    return _polish(s[:, None], roots.real[real])
 
 
 def optimal_lambda(
@@ -560,33 +529,44 @@ def optimal_lambda(
 ) -> tuple[float, float]:
     """Minimize the finite-shape risk over lambda_bar in [0, lambda_max].
 
-    The lambda_bar = 0 endpoint is supplied by the ridgeless closed form, the
-    interior by risk_general.  A 64-point log pre-scan, its 63 interior
-    points solved as one batch, locates the bracket (and warns
-    NonUnimodalWarning if it sees more than one local minimum).
-
-    The penalty reaches R only through chi, and chi rises strictly with
-    lambda_bar inside the bracket: the oracle certifies that the root branch
-    does not turn between a bracket end's chi and 0.  So Brent's method
-    (_brent) minimizes the closed form R(chi) (decompose) between the chi of
-    the two bracket ends, the ridgeless chi at lambda_bar = 0, without
-    solving anything, to about sqrt(eps) relative in chi, as finely as R can
-    tell chi apart.  Its chi maps back to a penalty through the quartic
-    (_lambda_bar), clamped to the bracket, and that one row is then solved
-    and cross-checked as theory_point does; a certified chi more than 1e-8
-    relative from the searched one raises InvariantViolation.  The better of
-    that row and the best pre-scan point is the answer.
+    The penalty reaches R only through chi, which rises strictly with
+    lambda_bar from the ridgeless chi at lambda_bar = 0 toward 0 (the oracle
+    certifies that the root branch does not turn), and R(chi) = N / E0 with
+    N = a E1 + b E2 (a = rho/(1+rho), b = 1/(1+rho)) is rational.  So R is
+    stationary in lambda_bar exactly at the real roots of the polynomial
+    S = N' E0 - N E0' (degree at most 8: its chi^9 terms cancel) between the
+    ridgeless chi and 0.  They are factored and polished as the solver's
+    quartics are (_stacked_roots, _polish), kept when real
+    (|imag| <= 1e-9 |root|), and mapped back to penalties through the quartic
+    (_lambda_bar).  Those inside (0, lambda_max) are solved together with
+    lambda_max as one batch, each certified and cross-checked as theory_point
+    does; a certified chi more than 1e-8 relative from its root raises
+    InvariantViolation.  The answer is the lowest R among lambda_bar = 0 (the
+    ridgeless closed form), those rows and lambda_max.  R is monotone between
+    consecutive candidates, so their local minima are exactly those of R on
+    [0, lambda_max]; more than one warns NonUnimodalWarning.
     Returns (lambda_bar_opt, risk_opt).
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
 
-    grid = np.concatenate(([0.0], np.geomspace(lambda_max * 1e-6, lambda_max, 63)))
+    chi0 = ridgeless_chi(zeta_sq, psi1, psi2)
+    chi = np.sort(_stationary_chis(rho, zeta_sq, psi1, psi2))
+    chi = chi[(chi0 < chi) & (chi < 0.0)]
+    lbs = _lambda_bar(chi, zeta_sq, psi1, psi2)
+    inside = (0.0 < lbs) & (lbs < lambda_max)
+    chi, lbs = chi[inside].tolist(), lbs[inside].tolist()
+    points, decompositions = _solved_risks(_rows(zeta_sq, psi1, psi2, lbs + [lambda_max]))
+    for root, lb, point in zip(chi, lbs, points):
+        certified = unwrap(point).chi.real
+        if abs(certified - root) > 1e-8 * abs(root):
+            raise InvariantViolation(
+                f"the certified chi = {certified!r} at lambda_bar = {lb!r} differs from the "
+                f"searched chi = {root!r} by more than 1e-8 relative"
+            )
+    grid = [0.0] + lbs + [lambda_max]
     values = [risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)]
-    chis = [ridgeless_chi(zeta_sq, psi1, psi2)]
-    points, decompositions = _solved_risks(_rows(zeta_sq, psi1, psi2, grid[1:]))
     values += [unwrap(dec).risk_at(rho) for dec in decompositions]
-    chis += [point.chi.real for point in points]
     n_minima = sum(
         1
         for i in range(len(grid))
@@ -595,30 +575,10 @@ def optimal_lambda(
     )
     if n_minima > 1:
         warnings.warn(
-            f"risk profile has {n_minima} local minima on the pre-scan grid; "
-            "the reported optimum is the best bracket only",
+            f"risk profile has {n_minima} local minima on [0, lambda_max]; "
+            "the reported optimum is the global one",
             NonUnimodalWarning,
             stacklevel=2,
         )
     best = int(np.argmin(values))
-    lo = max(best - 1, 0)
-    hi = min(best + 1, len(grid) - 1)
-
-    def risk_in_chi(chi: float) -> float:
-        return decompose(chi, zeta_sq, psi1, psi2).risk_at(rho)
-
-    chi = _brent(risk_in_chi, chis[lo], chis[hi])
-    lb = float(min(max(_lambda_bar(chi, zeta_sq, psi1, psi2), grid[lo]), grid[hi]))
-    if lb > 0.0:
-        (point,), (dec,) = _solved_risks([(zeta_sq, psi1, psi2, lb)])
-        certified, r = unwrap(point).chi.real, unwrap(dec).risk_at(rho)
-    else:
-        certified, r = chis[0], values[0]
-    if abs(certified - chi) > 1e-8 * abs(chi):
-        raise InvariantViolation(
-            f"the certified chi = {certified!r} at lambda_bar = {lb!r} differs from the "
-            f"searched chi = {chi!r} by more than 1e-8 relative"
-        )
-    candidates = [(grid[best], values[best]), (lb, r)]
-    lb_opt, r_opt = min(candidates, key=lambda t: t[1])
-    return float(lb_opt), float(r_opt)
+    return float(grid[best]), float(values[best])

@@ -151,7 +151,7 @@ class SimConfig:
     model: str = "random_features"
 
     def __post_init__(self):
-        for name in ("d", "n", "N"):
+        for name in ("d", "n", "N", "trials"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -162,8 +162,6 @@ class SimConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.tau_sq) and self.tau_sq >= 0.0):
             raise ValueError(f"tau_sq must be finite and >= 0, got {self.tau_sq}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         # substream keys each run with the seed as one uint64 word
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")

@@ -652,12 +652,16 @@ def test_custom_activation_is_integrated_once_at_order(model, tmp_path, capsys, 
 
 def test_runtime_imports_numpy_only():
     # scipy happens to be installed where the tests run; mpmath and hypothesis
-    # are test extras.  None of them may be imported by the library or the CLI.
+    # are test extras.  None of them may be imported by the library, the CLI
+    # or optimal_lambda.
     code = (
         "import sys, rfridge.cli\n"
         "assert rfridge.cli.main(['simulate'] + sys.argv[1:] + ['--threads', '1']) == 0\n"
         "assert rfridge.cli.main(['theory', '--activation', 'relu', '--psi1', '2',"
         " '--psi2', '3', '--lambda-bar', '0.01', '--f1-sq', '1', '--tau-sq', '0.5']) == 0\n"
+        # the stationarity polynomial's roots and polish in optimal_lambda
+        "import rfridge.risk\n"
+        "assert 0.0 < rfridge.risk.optimal_lambda(2.0, 2.0, 2.0, 3.0, 10.0)[0] < 10.0\n"
         "extras = ('scipy', 'mpmath', 'hypothesis')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in extras))\n"
     )
@@ -794,6 +798,23 @@ def test_sweep_spec_validation(capsys):
     code, _, err = run_cli(base[:-2] + ["--psi1", "2", "--points", "3"], capsys)
     assert code == 2
     assert "--points" in err
+    # a range numpy would turn into nan or inf is refused by flag, without a warning
+    for spacing, lo, hi, message in (
+        ("log", "1", "-1", "log spacing needs --max > 0, got -1.0"),
+        ("log", "1", "0", "log spacing needs --max > 0, got 0.0"),
+        ("log", "1", "inf", "--max must be finite, got inf"),
+        ("linear", "1", "inf", "--max must be finite, got inf"),
+        ("linear", "-inf", "1", "--min must be finite, got -inf"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                base + [f"--min={lo}", f"--max={hi}", "--points", "3", "--spacing", spacing],
+                capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -815,7 +836,7 @@ def test_sweep_spec_validation(capsys):
                  "sweep grid entry 2 is nan", id="simulate-grid-nan"),
     pytest.param(["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep",
                   "psi1", "--min", "nan", "--max", "2", "--points", "3"],
-                 "sweep grid entry 1 is nan", id="theory-min-nan"),
+                 "--min must be finite, got nan", id="theory-min-nan"),
 ])
 def test_a_sweep_value_that_is_not_finite_is_refused(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(rfridge.cli, "run_trials", _no_draw)

@@ -18,6 +18,7 @@ from rfridge.risk import (
     optimal_lambda,
     ridgeless_chi,
     risk_general,
+    risk_general_points,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
@@ -313,8 +314,9 @@ def test_optimal_lambda_boundary_regime():
 
 
 def _golden_reference(rho, zeta_sq, psi1, psi2, lambda_max):
-    """optimal_lambda's answer by golden-section search over the same pre-scan
-    bracket, down to a 1e-9 wide bracket, and the pre-scan's best index."""
+    """optimal_lambda's answer by golden-section search over the best bracket
+    of a 64-point log pre-scan, down to a 1e-9 wide bracket, and the
+    pre-scan's best index."""
     def profile(lb):
         if lb <= 0.0:
             return risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)
@@ -371,14 +373,15 @@ def test_optimal_lambda_matches_a_dense_golden_search(
     assert r_opt == pytest.approx(ref_r, rel=1e-12, abs=0.0)
     if bracket == "zero":
         assert lb_opt == 0.0
-    # Brent's steps, one risk_general call each; golden-section search took 30
+    # golden-section search took 30 risk_general calls; the stationary points
+    # are solved in one batch and need none
     assert len(calls) <= 15
 
 
 def test_optimal_lambda_ends_where_lambda_bar_is_beyond_1e6_resolution(monkeypatch):
     # almost pure noise: the optimum is near 1.8e13, where adjacent floats lie
     # 2e-3 apart, so a search that waits for a 1e-6 wide bracket never ends;
-    # R is flat to rounding there, and Brent falls back to golden steps
+    # R is flat to rounding there
     calls = []
     original = rfridge.risk.risk_general
 
@@ -393,13 +396,38 @@ def test_optimal_lambda_ends_where_lambda_bar_is_beyond_1e6_resolution(monkeypat
     assert r_opt <= original(RELU_ZETA_SQ, 2.0, 3.0, 1e15).risk_at(1e-13)
 
 
+def test_optimal_lambda_beside_the_interpolation_threshold():
+    # rows with lambda_bar near 2e-9 fail to converge at this shape
+    # (theory_points raises NoConvergence there); R has no stationary point
+    # in (0, 1e-3) and falls toward lambda_max from the huge ridgeless R
+    psi1, psi2 = 3.0, 3.0 * (1.0 + 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonUnimodalWarning)
+        lb_opt, r_opt = optimal_lambda(2.0, RELU_ZETA_SQ, psi1, psi2, 1e-3)
+    assert (lb_opt, r_opt) == (1e-3, risk_general(RELU_ZETA_SQ, psi1, psi2, 1e-3).risk_at(2.0))
+    profile = [unwrap(dec).risk_at(2.0) for dec in risk_general_points(
+        RELU_ZETA_SQ, psi1, psi2, np.geomspace(1e-7, 1e-3, 40))]
+    assert all(b < a for a, b in zip(profile, profile[1:]))
+    assert risk_ridgeless(RELU_ZETA_SQ, psi1, psi2).risk_at(2.0) > 1e8 > profile[0]
+
+
+def test_optimal_lambda_counts_no_minimum_from_ridgeless_rounding():
+    # the ridgeless closed form sits about 1e-14 below risk_general's values,
+    # which are flat to rounding up to lambda_bar = 1e-7; R has no stationary
+    # point in (0, 10), so lambda_max is the one minimum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonUnimodalWarning)
+        lb_opt, r_opt = optimal_lambda(2.0, 1000.0, 1000.0, 0.001, 10.0)
+    assert (lb_opt, r_opt) == (10.0, risk_general(1000.0, 1000.0, 0.001, 10.0).risk_at(2.0))
+
+
 def test_optimal_lambda_validates_lambda_max():
     with pytest.raises(ValueError):
         optimal_lambda(1.0, 1.0, 2.0, 3.0, 0.0)
 
 
 def test_lambda_bar_inverts_the_solved_chi():
-    # optimal_lambda searches chi and maps its answer back through the quartic
+    # optimal_lambda maps its stationary chi back through the quartic
     rng = np.random.default_rng(5)
     zeta_sq, psi1, psi2, lambda_bar = (
         np.exp(rng.uniform(math.log(lo), math.log(hi), 3000))
@@ -410,16 +438,17 @@ def test_lambda_bar_inverts_the_solved_chi():
     assert (np.abs(back - lambda_bar) <= 1e-10 * lambda_bar + 1e-12).all()
 
 
-@pytest.mark.parametrize("rho, psi1, psi2, lambda_max, after", [
-    (2.0, 2.0, 3.0, 10.0, [1]),
-    (2.0 * REF_RHO_STAR, 2.0, 3.0, 10.0, [1]),
-    # every chi of the bracket equals the ridgeless chi to rounding, so the
-    # searched chi maps back to a penalty that clamps to 0: nothing is solved
-    (6.0, 100.0, 2.0, 1e-20, []),
+@pytest.mark.parametrize("rho, psi1, psi2, lambda_max, rows", [
+    pytest.param(2.0, 2.0, 3.0, 10.0, 2, id="below-rho-star"),
+    pytest.param(2.0 * REF_RHO_STAR, 2.0, 3.0, 10.0, 2, id="above-rho-star"),
+    # no stationary point lies in (0, 1e-20): only lambda_max is solved, and
+    # its R equals the ridgeless R to rounding, so lambda_bar = 0 wins
+    pytest.param(6.0, 100.0, 2.0, 1e-20, 1, id="tiny-lambda-max"),
 ])
-def test_optimal_lambda_solves_at_most_one_row_after_the_pre_scan(
-        rho, psi1, psi2, lambda_max, after, monkeypatch):
-    # the search runs on the closed form in chi; only its answer is solved
+def test_optimal_lambda_solves_its_stationary_rows_in_one_batch(
+        rho, psi1, psi2, lambda_max, rows, monkeypatch):
+    # the stationary points come from a polynomial in chi; only they and
+    # lambda_max are solved, as one batch
     batches = []
     original = rfridge.risk.solve_points
 
@@ -431,8 +460,8 @@ def test_optimal_lambda_solves_at_most_one_row_after_the_pre_scan(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonUnimodalWarning)
         lb_opt, r_opt = optimal_lambda(rho, RELU_ZETA_SQ, psi1, psi2, lambda_max)
-    assert batches == [63] + after
-    if not after:
+    assert batches == [rows]
+    if rows == 1:
         assert (lb_opt, r_opt) == (0.0, risk_ridgeless(RELU_ZETA_SQ, psi1, psi2).risk_at(rho))
 
 

@@ -878,14 +878,13 @@ def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
 
 
 def test_optimal_lambda_factors_one_stacked_eigvals_call_per_degree_per_batch(monkeypatch):
-    # the benchmark's optimal_lambda: its 63-point pre-scan and each of Brent's
-    # single-row solves factor one quartic stack and one quintic stack
+    # the benchmark's optimal_lambda: its degree-8 stationarity polynomial in
+    # chi, then one batch of its one stationary row and lambda_max, which
+    # factors one quartic stack and one quintic stack
     expected = rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
     shapes = _counting_eigvals(monkeypatch)
     assert rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0) == expected
-    assert shapes[:2] == [(63, 4, 4), (63, 5, 5)]
-    assert len(shapes) > 2
-    assert shapes[2:] == [(1, 4, 4), (1, 5, 5)] * (len(shapes) // 2 - 1)
+    assert shapes == [(1, 8, 8), (2, 4, 4), (2, 5, 5)]
 
 
 def test_oracle_rejects_bad_lambda():

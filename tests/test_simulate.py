@@ -797,6 +797,13 @@ def test_config_validation_and_defaults():
     assert cfg.psi2_d == pytest.approx(7.5)
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.0, 1.5, "2"])
+def test_trials_must_be_a_positive_integer(trials):
+    # a float count would reach run_trials' range() as a bare TypeError
+    with pytest.raises(ValueError, match=rf"^trials must be a positive integer, got {trials!r}$"):
+        _small_config(trials=trials)
+
+
 def test_small_test_set_warns():
     with pytest.warns(SmallTestSetWarning) as caught:
         _small_config(n_test=500)
