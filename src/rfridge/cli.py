@@ -41,11 +41,13 @@ from .activations import (
     hermite_stats,
 )
 from .risk import (
+    _AT_THRESHOLD,
     ChiDisagreement,
     DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
-    risk_general_points,
+    _RiskColumns,
+    _test_errors,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
@@ -55,7 +57,7 @@ from .selfconsistent import (
     InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
-    unwrap,
+    attempt,
 )
 from .simulate import (
     SimConfig,
@@ -203,13 +205,28 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_column(values: list) -> list[str]:
-    """The CSV fields of one column: a column of one shared object is formatted once."""
-    if not values:
-        return []
-    first = values[0]
-    if all(v is first for v in values):
-        return [_csv_field(format_value(first))] * len(values)
+    """The CSV fields of one column, one value at a time."""
     return [_csv_field(text) for text in map(format_value, values)]
+
+
+def _csv_template(records, columns) -> tuple[str, list]:
+    """The %-template of every CSV row, and each row's values for it: a column
+    of one shared object is formatted once into the template (%-escaped), a
+    column of plain floats is a %.17g field and any other a %s of _csv_column."""
+    fields, varying = [], []
+    for c in columns:
+        values = [rec[c] for rec in records]
+        if all(v is values[0] for v in values):
+            fields.append(_csv_field(format_value(values[0])).replace("%", "%%"))
+        else:
+            floats = all(type(v) is float for v in values)
+            fields.append("%.17g" if floats else "%s")
+            varying.append(values if floats else _csv_column(values))
+    if len(columns) == 1:
+        # csv quotes the one empty field of a row, which would read back as no row
+        fields = ['""' if field == "" else field for field in fields]
+        varying = [['""' if text == "" else text for text in column] for column in varying]
+    return ",".join(fields) + "\n", list(zip(*varying)) if varying else [()] * len(records)
 
 
 def write_records(records, columns, fmt: str, out_path: str | None) -> None:
@@ -217,12 +234,9 @@ def write_records(records, columns, fmt: str, out_path: str | None) -> None:
     buffer = io.StringIO()
     if fmt == "csv":
         csv.writer(buffer, lineterminator="\n").writerow(columns)
-        cells = [_csv_column([rec[c] for rec in records]) for c in columns]
-        if len(columns) == 1:
-            # csv quotes the one empty field of a row, which would read back as no row
-            cells = [['""' if cell == "" else cell for cell in cells[0]]]
-        for row in zip(*cells):
-            buffer.write(",".join(row) + "\n")
+        if records:
+            template, rows = _csv_template(records, columns)
+            buffer.write("".join([template % row for row in rows]))
     elif fmt == "jsonl":
         for rec in records:
             row = {}
@@ -563,41 +577,61 @@ def cmd_stats(args, parser) -> int:
 
 
 def _theory_cells(records, powers: TargetSpec | None) -> None:
-    """Fill the theory_* cells of each record from one library decomposition; the
-    general rows' come from one batch (risk_general_points).
-
-    Each record's variant, zeta_sq, psi1, psi2, lambda_bar and rho say what to
-    compute, nan where not given; _grid has checked that each row's variant
-    has its parameters.  R needs rho; test error, training error and norm
-    need the target powers, which all rows share.  Rows are filled in order,
-    so the first failing row raises its error.
+    """Fill the theory_* cells column by column from each record's variant,
+    zeta_sq, psi1, psi2, lambda_bar and rho (nan where not given): a general
+    row's factors from one batch (risk._RiskColumns), the others' from their
+    closed forms.  R is weighed once per distinct rho, the rest once with the
+    shared target powers.  The earliest failing row raises: its solve's or
+    closed form's error, else its rho's, else, with powers, a general row's
+    ThresholdSingularity; a solve that fails names its grid point for main.
     """
-    general = [(rec["zeta_sq"], rec["psi1"], rec["psi2"], rec["lambda_bar"])
-               for rec in records if rec["variant"] == "general"]
-    solved = iter(risk_general_points(*np.array(general, dtype=float).reshape(-1, 4).T))
-    units = {}  # risk_at's target, TargetSpec.unit(rho), once per distinct rho
-    for rec in records:
-        variant, zeta_sq, rho = rec["variant"], rec["zeta_sq"], rec["rho"]
-        if variant == "general":
-            dec = unwrap(next(solved))
-        elif variant == "ridgeless":
-            dec = risk_ridgeless(zeta_sq, rec["psi1"], rec["psi2"])
+    general = [k for k, rec in enumerate(records) if rec["variant"] == "general"]
+    risks = _RiskColumns([(records[k]["zeta_sq"], records[k]["psi1"], records[k]["psi2"],
+                           records[k]["lambda_bar"]) for k in general])
+    failures = {general[j]: error for j, error in risks.errors.items()}
+    # RiskDecomposition's six factors per row; a closed form has no training factors
+    factors = np.full((len(records), 6), NAN)
+    threshold = np.zeros(len(records), dtype=bool)
+    factors[general], threshold[general] = risks.factors, risks.threshold
+    for k, rec in enumerate(records):
+        variant, zeta_sq = rec["variant"], rec["zeta_sq"]
+        if variant == "ridgeless":
+            dec = attempt(risk_ridgeless, zeta_sq, rec["psi1"], rec["psi2"])
         elif variant == "wide":
-            dec = risk_wide(zeta_sq, rec["psi2"], rec["lambda_bar"])
+            dec = attempt(risk_wide, zeta_sq, rec["psi2"], rec["lambda_bar"])
+        elif variant == "lsamp":
+            dec = attempt(risk_large_sample, zeta_sq, rec["psi1"], rec["lambda_bar"])
         else:
-            dec = risk_large_sample(zeta_sq, rec["psi1"], rec["lambda_bar"])
-
-        rec["theory_bias_B"] = dec.bias_B
-        rec["theory_var_V"] = dec.var_V
-        if not math.isnan(rho):
-            if rho not in units:
-                units[rho] = TargetSpec.unit(rho)
-            rec["theory_risk_R"] = dec.test_error(units[rho])
-        if powers is not None:
-            rec["theory_test_error"] = dec.test_error(powers)
-            if variant == "general":
-                rec["theory_train_error"] = dec.train_error(powers)
-                rec["theory_norm_msq"] = dec.norm_msq(powers)
+            continue
+        if isinstance(dec, Exception):
+            failures[k] = dec
+        else:
+            factors[k, :2], threshold[k] = (dec.bias_B, dec.var_V), dec.threshold_singular
+    bias, var = factors[:, 0], factors[:, 1]
+    cells = {"theory_bias_B": bias, "theory_var_V": var}
+    rho = np.array([rec["rho"] for rec in records])
+    if not np.isnan(rho).all():
+        cells["theory_risk_R"] = risk_R = np.full(len(records), NAN)
+        for value in set(rho[~np.isnan(rho)].tolist()):
+            rows, unit = rho == value, attempt(TargetSpec.unit, value)
+            if isinstance(unit, Exception):
+                failures = {**dict.fromkeys(np.flatnonzero(rows).tolist(), unit), **failures}
+            else:
+                risk_R[rows] = _test_errors(unit, bias[rows], var[rows], threshold[rows])
+    if powers is not None:
+        for j in np.flatnonzero(risks.threshold).tolist():
+            failures.setdefault(general[j], attempt(_AT_THRESHOLD.train_error, powers))
+        cells["theory_test_error"] = _test_errors(powers, bias, var, threshold)
+        cells["theory_train_error"] = powers.weigh(factors[:, 2], factors[:, 3])
+        cells["theory_norm_msq"] = powers.weigh(factors[:, 4], factors[:, 5])
+    if failures:
+        k = min(failures)
+        if isinstance(failures[k], (NoConvergence, RootSelectionAmbiguous)):
+            failures[k].grid_point = " at " + ", ".join(
+                f"{key} = {records[k][key]!r}" for key in ("psi1", "psi2", "lambda_bar"))
+        raise failures[k]
+    for rec, row in zip(records, zip(*(column.tolist() for column in cells.values()))):
+        rec.update(zip(cells, row))
 
 
 def cmd_theory(args, parser) -> int:
@@ -801,7 +835,8 @@ def main(argv=None) -> int:
         ThresholdSingularity,
         DenominatorVanishes,
     ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # a sweep's failing solve names its grid point, which the library's message does not
+        print(f"numerical failure: {exc}{getattr(exc, 'grid_point', '')}", file=sys.stderr)
         return 3
     except (InvariantViolation, ChiDisagreement) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -28,12 +28,12 @@ import numpy as np
 from .selfconsistent import (
     InvariantViolation,
     SpectralPoint,
+    _AxisBatch,
     _polish,
     _quartic_coeffs,
     _stacked_roots,
     attempt,
     require_positive,
-    solve_points,
     unwrap,
 )
 
@@ -129,10 +129,8 @@ class RiskDecomposition:
         return self.test_error(TargetSpec.unit(rho))
 
     def test_error(self, target: TargetSpec) -> float:
-        """The asymptotic test error (the first formula of the module docstring)."""
-        if self.threshold_singular:
-            return INF
-        return target.weigh(self.bias_B, self.var_V) + target.fstar_sq
+        """The asymptotic test error (_test_errors)."""
+        return float(_test_errors(target, self.bias_B, self.var_V, self.threshold_singular))
 
     def train_error(self, target: TargetSpec) -> float:
         """The asymptotic training objective, residual plus penalty, per sample."""
@@ -153,6 +151,13 @@ class RiskDecomposition:
 
 # the decomposition where E0 vanishes: B and V diverge, no training factors
 _AT_THRESHOLD = RiskDecomposition(INF, INF, NAN, NAN, NAN, NAN, True)
+
+
+def _test_errors(target: TargetSpec, bias, var, threshold) -> np.ndarray:
+    """The test error (the first formula of the module docstring) of B and V,
+    inf where threshold holds, elementwise."""
+    with np.errstate(invalid="ignore"):
+        return np.where(threshold, INF, target.weigh(bias, var) + target.fstar_sq)
 
 
 @dataclass(frozen=True)
@@ -264,9 +269,50 @@ def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
     return point
 
 
-def _theory_rows(rows: list[tuple]) -> list:
-    """theory_points over rows already broadcast."""
-    return [attempt(_cross_checked, row, *solved) for row, solved in zip(rows, solve_points(rows))]
+class _RiskColumns:
+    """theory_points and risk_general_points over rows already broadcast, as
+    columns: solve (selfconsistent._AxisBatch) and factors, RiskDecomposition's
+    six per row (B, V inf and the rest nan where E0 vanished: threshold).
+    point_errors holds each row's theory_point error, {row: exception}: the
+    solve's, else the oracle's, else the 1e-8 cross-check's; errors adds
+    risk_general's negative training factors."""
+
+    def __init__(self, rows: list[tuple]):
+        self.solve = solve = _AxisBatch(rows)
+        # a row's solve error comes before its oracle's, as _cross_checked unwraps them
+        self.point_errors = {**solve.chi_errors, **solve.point_errors}
+        with np.errstate(invalid="ignore"):
+            apart = np.abs(solve.chi - solve.oracle) > 1e-8 * np.abs(solve.oracle)
+        for k in np.flatnonzero(apart).tolist():
+            if k not in self.point_errors:
+                self.point_errors[k] = attempt(
+                    _cross_checked, rows[k], solve.point(k), solve.oracle[k].item())
+        chi = solve.chi
+        z, psi1, psi2, lambda_bar = solve.values.T
+        with np.errstate(all="ignore"):
+            e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
+            self.threshold = _e0_vanishes(e0, size)
+            z2 = z * z
+            m = solve.t2 * np.sqrt(lambda_bar * psi1 / psi2)
+            a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+            a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+            parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
+            self.factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
+        self.factors[self.threshold] = INF, INF, NAN, NAN, NAN, NAN
+        # min(parts) < -1e-10, where a nan first part hides the others
+        negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
+        self.errors = dict(self.point_errors)
+        for k in np.flatnonzero(negative).tolist():
+            if k not in self.errors:
+                self.errors[k] = InvariantViolation(
+                    f"negative training factors {tuple(parts[k].tolist())} at "
+                    f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
+
+    def decompositions(self) -> list:
+        """Each row's RiskDecomposition, or its exception."""
+        rows = zip(self.threshold.tolist(), self.factors.tolist())
+        return [self.errors[k] if k in self.errors else _AT_THRESHOLD if at_threshold
+                else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
 
 
 def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
@@ -274,11 +320,12 @@ def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
 
     Each row holds an outcome: its SpectralPoint, or the exception
     theory_point raises there (selfconsistent.unwrap raises it).  The rows
-    are selected and certified as arrays (solve_points), and each row's two
-    chi are then cross-checked, so a row's outcome is bitwise theory_point's
-    and a failing row leaves the others unchanged.
+    are selected, certified and cross-checked as arrays (_RiskColumns), so a
+    row's outcome is bitwise theory_point's and a failing row leaves the
+    others unchanged.
     """
-    return _theory_rows(_rows(zeta_sq, psi1, psi2, lambda_bar))
+    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar))
+    return risks.solve.points(risks.point_errors)
 
 
 def theory_point(
@@ -300,62 +347,15 @@ def theory_point(
     return unwrap(theory_points(zeta_sq, psi1, psi2, lambda_bar)[0])
 
 
-def _decompositions(rows: list[tuple], chi: np.ndarray, nu2_imag: np.ndarray) -> list:
-    """risk_general's decomposition of each (zeta_sq, psi1, psi2, lambda_bar)
-    row from chi and Im(nu2) of its solved point, computed elementwise over
-    the rows; each row holds an outcome."""
-    z, psi1, psi2, lambda_bar = np.array(rows, dtype=float).reshape(-1, 4).T
-    with np.errstate(all="ignore"):
-        e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
-        singular = _e0_vanishes(e0, size)
-        z2 = z * z
-        m = nu2_imag * np.sqrt(lambda_bar * psi1 / psi2)
-        a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
-        a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
-        parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
-        bias, var = e1 / e0, e2 / e0
-    # min(parts) < -1e-10, where a nan first part hides the others
-    negative = ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
-    factors = np.where(0.0 > parts, 0.0, parts)
-    outcomes = []
-    for row, at_threshold, bad, b, v, found, kept in zip(
-        rows, singular.tolist(), negative.tolist(), bias.tolist(), var.tolist(),
-        parts.tolist(), factors.tolist(),
-    ):
-        if at_threshold:
-            outcomes.append(_AT_THRESHOLD)
-        elif bad:
-            outcomes.append(InvariantViolation(
-                f"negative training factors {tuple(found)} at psi1={row[1]}, psi2={row[2]}, "
-                f"lambda_bar={row[3]}"
-            ))
-        else:
-            outcomes.append(RiskDecomposition(b, v, *kept))
-    return outcomes
-
-
-def _solved_risks(rows: list[tuple]) -> tuple[list, list]:
-    """The theory_points outcome and the risk_general outcome of each row
-    already broadcast, from one batch."""
-    points = _theory_rows(rows)
-    outcomes = list(points)
-    solved = [k for k, point in enumerate(points) if not isinstance(point, Exception)]
-    chi = np.array([points[k].chi.real for k in solved])
-    nu2_imag = np.array([points[k].nu2.imag for k in solved])
-    for k, dec in zip(solved, _decompositions([rows[k] for k in solved], chi, nu2_imag)):
-        outcomes[k] = dec
-    return points, outcomes
-
-
 def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     """risk_general at every row of the arguments, broadcast against each
-    other, from one theory_points batch; each row holds an outcome, as there.
+    other; each row holds an outcome, as in theory_points.
 
-    The decompositions of the solved rows are computed as arrays
-    (_decompositions), so a row's outcome is bitwise risk_general's and a
-    failing row leaves the others unchanged.
+    One batch (_RiskColumns) solves the rows and computes B, V and the
+    training factors as columns, so a row's outcome is bitwise
+    risk_general's and a failing row leaves the others unchanged.
     """
-    return _solved_risks(_rows(zeta_sq, psi1, psi2, lambda_bar))[1]
+    return _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar)).decompositions()
 
 
 def risk_general(
@@ -373,7 +373,7 @@ def risk_general(
         train_signal = m / (1 - chi zeta^2),   train_noise = m,
         norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
 
-    with the two numerator polynomials of _decompositions and E0 the shared
+    with the two numerator polynomials of _RiskColumns and E0 the shared
     denominator.  solve_at has checked that nu2 is purely imaginary.
     This is risk_general_points for a batch of one.
     """
@@ -556,9 +556,11 @@ def optimal_lambda(
     lbs = _lambda_bar(chi, zeta_sq, psi1, psi2)
     inside = (0.0 < lbs) & (lbs < lambda_max)
     chi, lbs = chi[inside].tolist(), lbs[inside].tolist()
-    points, decompositions = _solved_risks(_rows(zeta_sq, psi1, psi2, lbs + [lambda_max]))
-    for root, lb, point in zip(chi, lbs, points):
-        certified = unwrap(point).chi.real
+    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lbs + [lambda_max]))
+    for k, (root, lb) in enumerate(zip(chi, lbs)):
+        if k in risks.point_errors:
+            raise risks.point_errors[k]
+        certified = risks.solve.chi[k].item()
         if abs(certified - root) > 1e-8 * abs(root):
             raise InvariantViolation(
                 f"the certified chi = {certified!r} at lambda_bar = {lb!r} differs from the "
@@ -566,7 +568,9 @@ def optimal_lambda(
             )
     grid = [0.0] + lbs + [lambda_max]
     values = [risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)]
-    values += [unwrap(dec).risk_at(rho) for dec in decompositions]
+    if risks.errors:
+        raise risks.errors[min(risks.errors)]
+    values += _test_errors(TargetSpec.unit(rho), *risks.factors.T[:2], risks.threshold).tolist()
     n_minima = sum(
         1
         for i in range(len(grid))

@@ -228,24 +228,38 @@ def _unfactored(polynomial: str, zeta_sq, psi1, psi2, u: float) -> ValueError:
 
 
 class _AxisBatch:
-    """solve_at's selection and chi_scalar_oracle's certificate for a batch of
-    targets xi = i u, computed as arrays over the rows; _select and _certify
-    turn one row of it into its value or its exception.
+    """solve_at's point and chi_scalar_oracle's chi for a batch of (zeta_sq,
+    psi1, psi2, lambda_bar) rows, as columns: values (the rows as floats), u
+    (the target xi = i u), t1 and t2 (the pair nu_k = i t_k), residual, chi
+    (nu1 nu2, real) and oracle (the certified chi).  point_errors and
+    chi_errors hold, as {row: exception}, solve_at's and the oracle's error
+    of each failing row, built for that row alone; a row's columns mean
+    nothing where it has one.
 
-    One _quartic_coeffs call builds every row's quartic at the target and at
-    u = 0 (N, from which the oracle's quintic is formed), and one stacked
-    eigvals call per degree (_stacked_roots) factors all of them.  A row whose
-    quartic has a coefficient that is not finite fails with a ValueError
-    naming psi1, psi2 and the product psi1 psi2 lambda_bar (= u^2) that
-    overflowed; a row whose quartic or quintic np.roots rejects otherwise
-    fails with a ValueError naming that polynomial and the row.  Every other
-    step is elementwise, so a row's outcome does not depend on the rest of
-    the batch.
+    One _quartic_coeffs call builds every valid row's quartic at the target
+    and at u = 0 (N, from which the oracle's quintic is formed), and one
+    stacked eigvals call per degree (_stacked_roots) factors all of them.  A
+    row whose quartic is not finite (_overflowed), or whose quartic or
+    quintic np.roots rejects (_unfactored), fails with a ValueError naming
+    it.  Every other step is elementwise, so a row's outcome does not depend
+    on the rest of the batch.
     """
 
-    def __init__(self, shapes: np.ndarray, u: np.ndarray, labels: list):
-        """shapes holds each row's (zeta_sq, psi1, psi2) as floats, u its
-        target, and labels the (zeta_sq, psi1, psi2) its errors name."""
+    def __init__(self, rows):
+        values = np.array(rows, dtype=float).reshape(-1, 4)
+        with np.errstate(all="ignore"):
+            u = np.sqrt(values[:, 1] * values[:, 2] * values[:, 3])
+            valid = (np.isfinite(values) & (values > 0.0)).all(axis=1) & (u > 0.0)
+        self.values, self.u = values, u
+        self.t1, self.t2, self.residual, self.chi, self.oracle = np.full((5, len(u)), np.nan)
+        self.point_errors = {k: _rejected(*rows[k], u[k].item())
+                             for k in np.flatnonzero(~valid).tolist()}
+        self.chi_errors = dict(self.point_errors)
+        if valid.any():
+            self._solve(values[valid, :3], u[valid], np.flatnonzero(valid).tolist(), rows)
+
+    def _solve(self, shapes, u, position, rows):
+        """Solve the valid rows, at their positions among rows."""
         z, psi1, psi2 = shapes.T
         # a term that overflows is reported by its row's outcome, not as a warning
         with np.errstate(all="ignore"):
@@ -261,26 +275,32 @@ class _AxisBatch:
             roots, failed = _stacked_roots(quartics)
             turns, turn_failed = _stacked_roots(quintics)
             chi = _negative_roots(quartics, roots)
-            self._select_arrays(chi, z, psi1, psi2, u)
-            self._certify_arrays(chi, turns)
-        self.failed = {k: _unfactored("quartic", *labels[k], u[k].item()) for k in failed}
-        # a quartic that is not finite holds the overflow error, whatever np.roots made of it
-        self.failed.update((k, _overflowed(*labels[k], u[k].item()))
-                           for k in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
-        self.turn_failed = {k: _unfactored("oracle's quintic", *labels[k], u[k].item())
-                            for k in turn_failed}
 
-    def _select_arrays(self, chi, z, psi1, psi2, u):
+        def label(j):
+            return (*rows[position[j]][:3], u[j].item())
+
+        # a failing quartic is both outcomes' first error; one that is not
+        # finite holds the overflow error, whatever np.roots made of it
+        failed = {j: _unfactored("quartic", *label(j)) for j in failed}
+        failed.update((j, _overflowed(*label(j)))
+                      for j in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
+        for j, error in failed.items():
+            self.point_errors[position[j]] = self.chi_errors[position[j]] = error
+        with np.errstate(all="ignore"):
+            self._select_arrays(chi, z, psi1, psi2, u, position)
+            self._certify_arrays(chi, turns, set(turn_failed), position, rows, label)
+
+    def _select_arrays(self, chi, z, psi1, psi2, u, position):
         # one entry per candidate root, each with its row's parameters
         n, m = chi.shape
         chi = chi.ravel()
-        z, psi1, psi2, u = np.repeat(np.array([z, psi1, psi2, u]), m, axis=1)
+        z, psi1, psi2, u_all = np.repeat(np.array([z, psi1, psi2, u]), m, axis=1)
         # the pair a root chi determines, by the coupled equations' sum and
         # product: nu_k = i t_k with t_k = (psi_k - s) / u and
         # s = -zeta^2 chi / (1 - zeta^2 chi) - chi
         s = -z * chi / (1.0 - z * chi) - chi
-        t1 = (psi1 - s) / u
-        t2 = (psi2 - s) / u
+        t1 = (psi1 - s) / u_all
+        t2 = (psi2 - s) / u_all
         # the smaller component cancels when its psi_k is tiny, so it is
         # rebuilt as chi over the larger one; equal components both cancel
         # alike, and sqrt(-chi) keeps the pair symmetric
@@ -294,10 +314,11 @@ class _AxisBatch:
         # admissible: the pair lies in the upper half plane, both t_k > 0
         admissible = (larger > 0.0) & (np.minimum(t1, t2) > 0.0)
         res = np.full(chi.shape, np.inf)
-        res[admissible] = _residual(*(v[admissible] for v in (t1, t2, u, z, psi1, psi2)))
+        res[admissible] = _residual(*(v[admissible] for v in (t1, t2, u_all, z, psi1, psi2)))
         # relative slack for rounding, which scales with |nu| however small it is
         bound = 1.0 + 1e-9
-        checked = admissible & ~(res > _TOL) & ~(t1 > bound * psi1 / u) & ~(t2 > bound * psi2 / u)
+        checked = (admissible & ~(res > _TOL) & ~(t1 > bound * psi1 / u_all)
+                   & ~(t2 > bound * psi2 / u_all))
         # chi = nu1 nu2 as complex arithmetic forms it; it is real and
         # negative for t_k > 0, which is the axis structure
         re, im = 0.0 * 0.0 - t1 * t2, 0.0 * t2 + t1 * 0.0
@@ -306,15 +327,20 @@ class _AxisBatch:
         first_re, first_im = np.repeat(re[first], m), np.repeat(im[first], m)
         distinct = checked & (np.hypot(re - first_re, im - first_im)
                               > 1e-10 * np.hypot(first_re, first_im))
-        self._checked_roots = re.reshape(n, m), im.reshape(n, m), checked.reshape(n, m)
-        self.solved = (checked.reshape(n, m).any(axis=1)
-                       & ~distinct.reshape(n, m).any(axis=1)).tolist()
-        self.pair = list(zip(t1[first].tolist(), t2[first].tolist()))
-        self.residual = res[first].tolist()
-        self.admissible = admissible.reshape(n, m).sum(axis=1).tolist()
-        self.best = np.where(np.isnan(res), np.inf, res).reshape(n, m).min(axis=1).tolist()
+        for column, value in ((self.t1, t1), (self.t2, t2), (self.residual, res), (self.chi, re)):
+            column[position] = value[first]
+        solved = checked.reshape(n, m).any(axis=1) & ~distinct.reshape(n, m).any(axis=1)
+        for j in np.flatnonzero(~solved).tolist():
+            if position[j] in self.point_errors:
+                continue
+            own = slice(j * m, (j + 1) * m)
+            best = np.where(np.isnan(res[own]), np.inf, res[own]).min()
+            self.point_errors[position[j]] = NoConvergence(
+                f"{admissible[own].sum()} admissible quartic roots give "
+                f"{_distinct_points(re[own], im[own], checked[own])} distinct checked "
+                f"points; best relative map residual {best:.3e}", complex(0.0, u[j].item()))
 
-    def _certify_arrays(self, chi, turns):
+    def _certify_arrays(self, chi, turns, turn_failed, position, rows, label):
         # the largest negative root; the quintic's real roots in [chi*, 0);
         # the distinct roots within 1e-8 |chi*| below chi*
         found = ~np.isnan(chi)
@@ -323,21 +349,45 @@ class _AxisBatch:
                    & (top <= turns.real) & (turns.real < 0.0))
         gap = top - chi
         rival = (1e-10 * -top < gap) & (gap < 1e-8 * -top)
-        rows = np.arange(len(chi))
-        self.has_root = found.any(axis=1).tolist()
-        self.chi = top[:, 0].tolist()
-        self.turn = np.where(turning.any(axis=1), turns.real[rows, turning.argmax(axis=1)],
-                             np.nan).tolist()
-        self.rival = np.where(rival.any(axis=1), chi[rows, rival.argmax(axis=1)], np.nan).tolist()
+        self.oracle[position] = top[:, 0]
+        failing = ~found.any(axis=1) | turning.any(axis=1) | rival.any(axis=1)
+        for j in sorted(set(np.flatnonzero(failing).tolist()) | turn_failed):
+            k = position[j]
+            if k in self.chi_errors:
+                continue
+            lambda_bar, chi_top = rows[k][3], top[j, 0].item()
+            if not found[j].any():
+                message = f"no real non-positive root at lambda_bar = {lambda_bar}"
+            elif j in turn_failed:
+                self.chi_errors[k] = _unfactored("oracle's quintic", *label(j))
+                continue
+            elif turning[j].any():
+                message = (f"the root branch turns at chi = "
+                           f"{turns.real[j, turning[j].argmax()].item()!r} in [{chi_top!r}, 0), "
+                           f"so it leaves the real axis above lambda_bar = {lambda_bar}")
+            else:
+                message = (f"roots {chi_top!r} and {chi[j, rival[j].argmax()].item()!r} both "
+                           "admissible within 1e-8 relative")
+            self.chi_errors[k] = RootSelectionAmbiguous(message)
 
-    def distinct_points(self, k: int) -> int:
-        """How many distinct points row k's checked roots give, taken in order."""
-        points = []
-        for re, im, ok in zip(*(part[k].tolist() for part in self._checked_roots)):
-            chi = complex(re, im)
-            if ok and all(abs(chi - p) > 1e-10 * abs(p) for p in points):
-                points.append(chi)
-        return len(points)
+    def point(self, k: int) -> SpectralPoint:
+        """Row k's SpectralPoint, from its columns."""
+        nu1, nu2 = complex(0.0, self.t1[k].item()), complex(0.0, self.t2[k].item())
+        return SpectralPoint(xi=complex(0.0, self.u[k].item()), nu1=nu1, nu2=nu2,
+                             chi=nu1 * nu2, residual=self.residual[k].item())
+
+    def points(self, errors: dict) -> list:
+        """Each row's SpectralPoint, or its exception in errors."""
+        return [errors[k] if k in errors else self.point(k) for k in range(len(self.u))]
+
+
+def _distinct_points(re, im, checked) -> int:
+    """How many distinct points one row's checked roots give, taken in order."""
+    points = []
+    for chi, ok in zip(map(complex, re.tolist(), im.tolist()), checked.tolist()):
+        if ok and all(abs(chi - p) > 1e-10 * abs(p) for p in points):
+            points.append(chi)
+    return len(points)
 
 
 def solve_at(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> SpectralPoint:
@@ -359,21 +409,6 @@ def solve_at(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> Spe
     several raise NoConvergence.  This is solve_points' point for one row.
     """
     return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][0])
-
-
-def _select(xi: complex, batch: _AxisBatch, k: int) -> SpectralPoint:
-    """solve_at's point at xi from row k of the batch."""
-    if k in batch.failed:
-        raise batch.failed[k]
-    if not batch.solved[k]:
-        raise NoConvergence(
-            f"{batch.admissible[k]} admissible quartic roots give {batch.distinct_points(k)} "
-            f"distinct checked points; best relative map residual {batch.best[k]:.3e}",
-            xi,
-        )
-    t1, t2 = batch.pair[k]
-    nu1, nu2 = complex(0.0, t1), complex(0.0, t2)
-    return SpectralPoint(xi=xi, nu1=nu1, nu2=nu2, chi=nu1 * nu2, residual=batch.residual[k])
 
 
 def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
@@ -399,27 +434,14 @@ def solve_points(rows) -> list[tuple]:
     The rows are solved as arrays (_AxisBatch): every quartic and quintic of
     the batch comes from one stacked eigvals call per degree, and the Newton
     polish, the selection with its checks and the certificate run elementwise
-    over all rows at once.  Python only builds each row's SpectralPoint and
-    chi, or its exception, so a row's outcomes do not depend on the rest of
+    over all rows at once.  The batch returns columns and builds only the
+    failing rows' exceptions; Python then turns each row's columns into its
+    SpectralPoint and chi, so a row's outcomes do not depend on the rest of
     the batch and a failing row fails alone.
     """
-    values = np.array(rows, dtype=float).reshape(-1, 4)
-    with np.errstate(all="ignore"):
-        u = np.sqrt(values[:, 1] * values[:, 2] * values[:, 3])
-        valid = (np.isfinite(values) & (values > 0.0)).all(axis=1) & (u > 0.0)
-    oks = valid.tolist()
-    if any(oks):
-        batch = _AxisBatch(values[valid, :3], u[valid], [row[:3] for row, ok in zip(rows, oks) if ok])
-    outcomes, k = [], 0
-    for row, ok, u_row in zip(rows, oks, u.tolist()):
-        if not ok:
-            error = _rejected(*row, u_row)
-            outcomes.append((error, error))
-            continue
-        xi = complex(0.0, u_row)
-        outcomes.append((attempt(_select, xi, batch, k), attempt(_certify, row[3], batch, k)))
-        k += 1
-    return outcomes
+    batch = _AxisBatch(rows)
+    chis = [batch.chi_errors.get(k, chi) for k, chi in enumerate(batch.oracle.tolist())]
+    return list(zip(batch.points(batch.point_errors), chis))
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +504,3 @@ def chi_scalar_oracle(zeta_sq: float, psi1: float, psi2: float, lambda_bar: floa
     row.
     """
     return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][1])
-
-
-def _certify(lambda_bar: float, batch: _AxisBatch, k: int) -> float:
-    """chi_scalar_oracle's chi at lambda_bar from row k of the batch."""
-    if k in batch.failed:
-        raise batch.failed[k]
-    if not batch.has_root[k]:
-        raise RootSelectionAmbiguous(f"no real non-positive root at lambda_bar = {lambda_bar}")
-    if k in batch.turn_failed:
-        raise batch.turn_failed[k]
-    chi, turn, rival = batch.chi[k], batch.turn[k], batch.rival[k]
-    if not math.isnan(turn):
-        raise RootSelectionAmbiguous(
-            f"the root branch turns at chi = {turn!r} in [{chi!r}, 0), "
-            f"so it leaves the real axis above lambda_bar = {lambda_bar}"
-        )
-    if not math.isnan(rival):
-        raise RootSelectionAmbiguous(
-            f"roots {chi!r} and {rival!r} both admissible within 1e-8 relative"
-        )
-    return chi

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import rfridge.activations
 import rfridge.cli
-import rfridge.selfconsistent
+import rfridge.risk
 import rfridge.simulate
 from rfridge.cli import (
     COLUMNS,
@@ -257,15 +257,15 @@ def test_theory_with_target_powers_emits_curves(capsys):
 
 
 def count_solves(monkeypatch) -> list:
-    """Record the xi of every point solve_at's selection runs on, single or batched."""
-    original = rfridge.selfconsistent._select
+    """Record every row that enters a batched solve."""
+    original = rfridge.risk._AxisBatch
     calls = []
 
-    def counting(xi, *args):
-        calls.append(xi)
-        return original(xi, *args)
+    def counting(rows):
+        calls.extend(rows)
+        return original(rows)
 
-    monkeypatch.setattr(rfridge.selfconsistent, "_select", counting)
+    monkeypatch.setattr(rfridge.risk, "_AxisBatch", counting)
     return calls
 
 
@@ -948,6 +948,55 @@ def test_a_product_that_underflows_is_named(capsys):
     )
 
 
+def test_a_failing_solve_names_its_grid_point(capsys):
+    # the library's message names xi only; the CLI adds the sweep's grid point
+    code, out, err = run_cli(
+        ["theory", "--activation", "relu", "--psi2", "3", "--lambda-bar", "1e-12",
+         "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--grid", "2,3,4"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "numerical failure: 1 admissible quartic roots give 0 distinct checked points; "
+        "best relative map residual 3.010e-11 (xi = 3e-06j) at psi1 = 3.0, psi2 = 3.0, "
+        "lambda_bar = 1e-12\n"
+    )
+
+
+# a threshold row (E0 vanishes) and, at a larger penalty, a row that does not converge
+THRESHOLD_THEN_UNSOLVED = ["theory", "--zeta-sq", "4.862192383837208e-09",
+                           "--psi1", "4.799336511647023e+71", "--psi2", "3.2515795221935407e+92",
+                           "--sweep", "lambda", "--grid", "9.44904761712989e-66,9.449047617129916e-10"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(
+        ["theory", "--activation", "relu", "--psi2", "3", "--lambda-bar", "1e-12", "--f1-sq", "1",
+         "--tau-sq", "0.5", "--sweep", "psi1", "--grid", "1e-320,3"], 2,
+        "error: ValueError: the product psi1 psi2 lambda_bar = 0.0 underflowed, leaving the "
+        "target xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = 1e-320, "
+        "psi2 = 3.0, lambda_bar = 1e-12, zeta_sq = 2.7519383938841093\n",
+        id="refused-then-unsolved"),
+    pytest.param(
+        THRESHOLD_THEN_UNSOLVED + ["--f1-sq", "1", "--tau-sq", "0.5"], 3,
+        "numerical failure: E0 vanished: the training error and norm diverge at the "
+        "interpolation threshold\n",
+        id="threshold-then-unsolved"),
+    pytest.param(
+        THRESHOLD_THEN_UNSOLVED + ["--rho", "1"], 3,
+        "numerical failure: 1 admissible quartic roots give 0 distinct checked points; best "
+        "relative map residual 4.469e-01 (xi = 3.840005175755696e+77j) at "
+        "psi1 = 4.799336511647023e+71, psi2 = 3.2515795221935407e+92, "
+        "lambda_bar = 9.449047617129916e-10\n",
+        id="threshold-without-powers-then-unsolved"),
+])
+def test_the_earliest_failing_row_raises(argv, code, err, capsys):
+    # the first row fails first, whatever fails after it; a threshold row
+    # fails only where target powers ask for its training error
+    assert run_cli(argv, capsys) == (code, "", err)
+
+
 # each theory variant's parameters, with ratios and with finite sizes
 TAKES = {"general": ("psi1", "psi2", "lambda"), "ridgeless": ("psi1", "psi2"),
          "wide": ("psi2", "lambda"), "lsamp": ("psi1", "lambda")}
@@ -1336,7 +1385,7 @@ _CELLS = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
     st.booleans(),
     st.booleans().map(np.bool_),
-    st.text(alphabet='ab ,"\n\r', max_size=5),  # "" among them
+    st.text(alphabet='ab ,"\n\r%', max_size=5),  # "" among them
     st.sampled_from([5e-324, 2**53, 2**53 + 1, float(2**53), 2**64]),
 )
 # equal to one another, but not all written alike
@@ -1345,7 +1394,7 @@ _EQUAL = (0, 0.0, -0.0, False, np.bool_(False), np.int64(0), np.float64(-0.0))
 
 @st.composite
 def _tables(draw):
-    columns = tuple(draw(st.lists(st.text(alphabet='c,"\n', max_size=3), min_size=1,
+    columns = tuple(draw(st.lists(st.text(alphabet='c,"\n%', max_size=3), min_size=1,
                                   max_size=5, unique=True)))
     rows = draw(st.integers(min_value=0, max_value=4))
     records = [{} for _ in range(rows)]
@@ -1374,6 +1423,28 @@ def test_csv_output_is_the_per_cell_rule(table):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         write_records(records, columns, "csv", None)
     assert out.getvalue() == _csv_per_cell(records, columns)
+
+
+def test_a_theory_row_with_a_quoted_percent_label_is_the_per_cell_rule(tmp_path, capsys,
+                                                                       monkeypatch):
+    # a shared cell is written into the row template once: its quotes and its
+    # % must come out as csv.writer writes them
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.tanh(u)\n")
+    monkeypatch.setattr(rfridge.activations.Activation, "label", lambda self: 'tanh,"50%"')
+    written = []
+    write = rfridge.cli.write_records
+    monkeypatch.setattr(rfridge.cli, "write_records",
+                        lambda records, *rest: written.extend(records) or write(records, *rest))
+    code, out, err = run_cli(
+        ["theory", "--activation", "custom", "--expr-file", str(expr), "--psi2", "3",
+         "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1", "--grid", "1,2,4"],
+        capsys,
+    )
+    assert code == 0, err
+    assert out == _csv_per_cell(written, rfridge.cli.COLUMNS)
+    assert '"tanh,""50%"""' in out.splitlines()[1]
+    assert [rec["activation"] for rec in read_records(out, from_text=True)] == ['tanh,"50%"'] * 3
 
 
 def test_format_value_conventions():

@@ -450,13 +450,13 @@ def test_optimal_lambda_solves_its_stationary_rows_in_one_batch(
     # the stationary points come from a polynomial in chi; only they and
     # lambda_max are solved, as one batch
     batches = []
-    original = rfridge.risk.solve_points
+    original = rfridge.risk._AxisBatch
 
     def counting(rows):
         batches.append(len(rows))
         return original(rows)
 
-    monkeypatch.setattr(rfridge.risk, "solve_points", counting)
+    monkeypatch.setattr(rfridge.risk, "_AxisBatch", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonUnimodalWarning)
         lb_opt, r_opt = optimal_lambda(rho, RELU_ZETA_SQ, psi1, psi2, lambda_max)

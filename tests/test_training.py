@@ -123,10 +123,13 @@ def test_threshold_decomposition_has_no_training_error():
     pytest.param(partial(training_theory, 2.0), id="training_theory"),
 ])
 def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
-    certify = rfridge.selfconsistent._certify
-    monkeypatch.setattr(
-        rfridge.selfconsistent, "_certify", lambda *args: certify(*args) * (1.0 + 1e-6)
-    )
+    certify = rfridge.selfconsistent._AxisBatch._certify_arrays
+
+    def perturbed(batch, *args):
+        certify(batch, *args)
+        batch.oracle *= 1.0 + 1e-6
+
+    monkeypatch.setattr(rfridge.selfconsistent._AxisBatch, "_certify_arrays", perturbed)
     with pytest.raises(ChiDisagreement):
         quantity(1.0, 2.0, 3.0, 0.1)
 
