@@ -51,7 +51,8 @@ class Activation:
     quadrature engine integrates piecewise between them instead of pushing a
     non-smooth integrand through a global Gauss-Hermite rule.  ``stats`` lets a
     custom activation supply closed-form moments (mu0, mu1, mu_star_sq) and
-    skip quadrature entirely.
+    skip quadrature entirely.  ``expr``, the text a custom evaluator was
+    built from (if any), tells custom activations apart in ``label``.
     """
 
     kind: str
@@ -59,6 +60,7 @@ class Activation:
     evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     stats: tuple[float, float, float] | None = None
     breakpoints: tuple[float, ...] = ()
+    expr: str = ""
 
     @classmethod
     def relu(cls) -> "Activation":
@@ -81,8 +83,10 @@ class Activation:
         evaluator: Callable[[np.ndarray], np.ndarray],
         breakpoints: Sequence[float] = (),
         stats: tuple[float, float, float] | None = None,
+        expr: str = "",
     ) -> "Activation":
-        """An activation given by evaluator; every breakpoint must be finite."""
+        """An activation given by evaluator, built from the text expr if given;
+        every breakpoint must be finite."""
         kinks = tuple(float(b) for b in breakpoints)
         for position, b in enumerate(kinks, 1):
             if not math.isfinite(b):
@@ -92,6 +96,7 @@ class Activation:
             evaluator=evaluator,
             stats=None if stats is None else tuple(float(s) for s in stats),
             breakpoints=kinks,
+            expr=expr,
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -133,6 +138,8 @@ class Activation:
     def label(self) -> str:
         if self.kind == "shifted_relu":
             return f"shifted_relu:{self.shift:g}"
+        if self.expr:
+            return f"{self.kind}:{self.expr}"
         return self.kind
 
 

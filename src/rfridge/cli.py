@@ -1,6 +1,6 @@
 """Command-line front end: sweeps over theory curves, simulations, and comparisons.
 
-Five subcommands share one flat record layout so their outputs concatenate and
+Five subcommands share one flat column layout so their outputs concatenate and
 join cleanly:
 
   stats     activation moment statistics
@@ -11,12 +11,13 @@ join cleanly:
 
 Shape parameters are given either as finite sizes (--d --n --N --lambda) or as
 asymptotic ratios (--psi1 --psi2 --lambda-bar); mixing the two groups is an
-error.  Every sweeping subcommand expands its sweep through one grid function,
-_grid, and fills the shape, rho and target-power cells of a row through
-_point_cells; a record holds nan where a flag was not given.  The penalty
-conversion lambda_bar = lambda / mu_star_sq happens there, at the CLI
-boundary, exactly once; in asymptotic mode the regularization axis already is
-lambda_bar.  Exit codes: 0 success, 2 argument, file or domain
+error.  Each subcommand fills one Table, held by column: _grid reads the
+flags as one point whose swept parameter holds the list of its values, and
+_point_cells turns that into the shape, rho and target-power columns, a cell
+shared by every row unless the sweep sets it, nan where a flag was not given.
+The penalty conversion lambda_bar = lambda / mu_star_sq happens there, at the
+CLI boundary, exactly once; in asymptotic mode the regularization axis
+already is lambda_bar.  Exit codes: 0 success, 2 argument, file or domain
 error, 3 numerical failure, 4 invariant violation.
 """
 
@@ -29,7 +30,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -143,30 +144,41 @@ PHASE_COLUMNS = (
     "tool_version",
 )
 
-# a record is a plain dict covering one column tuple; unknown numerics are nan
-OutputRecord = dict
-
 
 @functools.cache
-def _blank_record(columns: tuple) -> OutputRecord:
-    """The record of columns with every cell unknown; new_record copies it."""
-    rec = {c: NAN for c in columns}
-    for c in ("command", "variant", "model", "target", "activation", "verdict"):
-        if c in rec:
-            rec[c] = ""
-    rec["tool_version"] = __version__
-    return rec
+def _unknown(columns: tuple) -> dict:
+    """Every cell of columns unknown: "" for text, nan for numbers, and the version."""
+    text = ("command", "variant", "model", "target", "activation", "verdict")
+    cells = {c: "" if c in text else NAN for c in columns}
+    if "tool_version" in cells:
+        cells["tool_version"] = __version__
+    return cells
 
 
-def new_record(columns=COLUMNS, **fields) -> OutputRecord:
-    """A record of columns holding fields; a field given as None stays unknown."""
-    rec = _blank_record(tuple(columns)).copy()
-    for k, v in fields.items():
-        if k not in rec:
-            raise KeyError(f"unknown column {k!r}")
-        if v is not None:
-            rec[k] = v
-    return rec
+class Table:
+    """The rows a command writes, held by column.
+
+    cells maps each of columns to one cell that every row shares, or to a
+    list of one cell per row; a column given no cell, or None, is unknown
+    (_unknown).  rows is explicit: a table may have no per-row column.
+    """
+
+    def __init__(self, columns: tuple, rows: int, **cells):
+        self.columns, self.rows = columns, rows
+        self.cells = dict(_unknown(columns))
+        self.update(cells)
+
+    def update(self, cells: dict) -> None:
+        for c, v in cells.items():
+            if c not in self.cells:
+                raise KeyError(f"unknown column {c!r}")
+            if v is not None:
+                self.cells[c] = v
+
+    def column(self, c: str) -> list:
+        """The cells of column c, one per row."""
+        v = self.cells[c]
+        return v if isinstance(v, list) else [v] * self.rows
 
 
 def format_value(v) -> str:
@@ -181,6 +193,16 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"
+
+
+def _json_cell(v):
+    """A cell as JSONL writes it: integers and booleans as ints, non-finite floats as text."""
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        # strict JSON has no inf/nan literals
+        return float(v) if math.isfinite(v) else format_value(v)
+    return v
 
 
 def _parse_cell(text: str):
@@ -204,51 +226,42 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_column(values: list) -> list[str]:
-    """The CSV fields of one column, one value at a time."""
-    return [_csv_field(text) for text in map(format_value, values)]
-
-
-def _csv_template(records, columns) -> tuple[str, list]:
-    """The %-template of every CSV row, and each row's values for it: a column
-    of one shared object is formatted once into the template (%-escaped), a
-    column of plain floats is a %.17g field and any other a %s of _csv_column."""
-    fields, varying = [], []
-    for c in columns:
-        values = [rec[c] for rec in records]
-        if all(v is values[0] for v in values):
-            fields.append(_csv_field(format_value(values[0])).replace("%", "%%"))
+def _csv_body(table: Table) -> str:
+    """The CSV rows of table from one %-template: a shared cell is formatted once
+    into the template (%-escaped), a per-row column of plain floats is a %.17g
+    field and any other a %s of its formatted cells."""
+    parts, varying = [], []
+    for c in table.columns:
+        v = table.cells[c]
+        if not isinstance(v, list):
+            parts.append(_csv_field(format_value(v)).replace("%", "%%"))
+        elif set(map(type, v)) <= {float}:
+            parts.append("%.17g")
+            varying.append(v)
         else:
-            floats = all(type(v) is float for v in values)
-            fields.append("%.17g" if floats else "%s")
-            varying.append(values if floats else _csv_column(values))
-    if len(columns) == 1:
+            parts.append("%s")
+            varying.append([_csv_field(text) for text in map(format_value, v)])
+    if len(parts) == 1:
         # csv quotes the one empty field of a row, which would read back as no row
-        fields = ['""' if field == "" else field for field in fields]
+        parts = ['""' if part == "" else part for part in parts]
         varying = [['""' if text == "" else text for text in column] for column in varying]
-    return ",".join(fields) + "\n", list(zip(*varying)) if varying else [()] * len(records)
+    template = ",".join(parts) + "\n"
+    return "".join([template % row for row in (zip(*varying) if varying else [()] * table.rows)])
 
 
-def write_records(records, columns, fmt: str, out_path: str | None) -> None:
-    """Serialize records to CSV (header mandatory) or JSONL, to a file or stdout."""
+def write_records(table: Table, fmt: str, out_path: str | None) -> None:
+    """Serialize a table to CSV (header mandatory) or JSONL, to a file or stdout.
+
+    A shared cell is formatted once, whatever the number of rows; the rows
+    exist one by one only as JSONL's dicts, built here."""
     buffer = io.StringIO()
     if fmt == "csv":
-        csv.writer(buffer, lineterminator="\n").writerow(columns)
-        if records:
-            template, rows = _csv_template(records, columns)
-            buffer.write("".join([template % row for row in rows]))
+        csv.writer(buffer, lineterminator="\n").writerow(table.columns)
+        buffer.write(_csv_body(table))
     elif fmt == "jsonl":
-        for rec in records:
-            row = {}
-            for c in columns:
-                v = rec[c]
-                if isinstance(v, (bool, np.bool_, int, np.integer)):
-                    v = int(v)
-                elif isinstance(v, (float, np.floating)):
-                    # strict JSON has no inf/nan literals
-                    v = float(v) if math.isfinite(v) else format_value(v)
-                row[c] = v
-            buffer.write(json.dumps(row) + "\n")
+        cells = [[_json_cell(x) for x in v] if isinstance(v, list) else [_json_cell(v)] * table.rows
+                 for v in map(table.cells.get, table.columns)]
+        buffer.writelines(json.dumps(dict(zip(table.columns, row))) + "\n" for row in zip(*cells))
     else:
         raise ValueError(f"unknown format {fmt!r}")
     text = buffer.getvalue()
@@ -262,7 +275,7 @@ def write_records(records, columns, fmt: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
-def read_records(path_or_text: str, from_text: bool = False) -> list[OutputRecord]:
+def read_records(path_or_text: str, from_text: bool = False) -> list[dict]:
     """Parse CSV or JSONL written by write_records back into records.
 
     JSONL input is recognized by its leading '{'; the 'inf' / '-inf' / 'nan'
@@ -287,7 +300,7 @@ def read_records(path_or_text: str, from_text: bool = False) -> list[OutputRecor
     return [dict(zip(header, map(_parse_cell, row))) for row in rows[1:]]
 
 
-def records_equal(a: OutputRecord, b: OutputRecord) -> bool:
+def records_equal(a: dict, b: dict) -> bool:
     """Dict equality where nan compares equal to nan."""
     if a.keys() != b.keys():
         return False
@@ -363,10 +376,8 @@ def _sweep_values(args) -> tuple[float, ...] | None:
                 raise ValueError(f"{flag} must be finite, got {v}")
             if args.spacing == "log" and v <= 0:
                 raise ValueError(f"log spacing needs {flag} > 0, got {v}")
-        if args.spacing == "log":
-            values = tuple(float(v) for v in np.geomspace(args.min, args.max, args.points))
-        else:
-            values = tuple(float(v) for v in np.linspace(args.min, args.max, args.points))
+        spaced = np.geomspace if args.spacing == "log" else np.linspace
+        values = tuple(spaced(args.min, args.max, args.points).tolist())
     for position, v in enumerate(values, 1):
         if math.isnan(v):
             raise ValueError(f"sweep grid entry {position} is nan, got {values}")
@@ -382,11 +393,8 @@ def _add_output_opts(p):
 
 def _add_activation_opts(p):
     # None tells a default relu apart from an explicit flag, which --zeta-sq excludes
-    p.add_argument(
-        "--activation",
-        default=None,
-        help="relu (the default) | identity | shifted_relu:C | custom (with --expr-file)",
-    )
+    p.add_argument("--activation", default=None,
+                   help="relu (the default) | identity | shifted_relu:C | custom (with --expr-file)")
     p.add_argument("--expr-file", default=None, help="file with a numpy expression in u")
     p.add_argument("--breakpoints", default=None, help="comma-separated kink locations of a custom activation")
     p.add_argument("--order", type=int, default=64, help="quadrature order for custom activations")
@@ -447,16 +455,14 @@ def parse_activation(args) -> Activation:
             except NameError as exc:
                 raise ValueError(f"--expr-file {args.expr_file}: {exc}") from exc
 
-        return Activation.custom(evaluate, breakpoints=breakpoints)
+        return Activation.custom(evaluate, breakpoints=breakpoints, expr=expr)
     raise ValueError(f"unknown activation {spec!r}")
 
 
 def _finite(args, parser, command: str) -> bool:
     """True for finite sizes (--d --n --N --lambda), False for ratios."""
-    finite = [args.d, args.n, args.N, args.lam]
-    asym = [args.psi1, args.psi2, args.lambda_bar]
-    has_finite = any(v is not None for v in finite)
-    has_asym = any(v is not None for v in asym)
+    has_finite = any(v is not None for v in (args.d, args.n, args.N, args.lam))
+    has_asym = any(v is not None for v in (args.psi1, args.psi2, args.lambda_bar))
     if has_finite and has_asym:
         parser.error("give either finite sizes (--d --n --N --lambda) or ratios "
                      "(--psi1 --psi2 --lambda-bar), not both")
@@ -476,12 +482,13 @@ def _require(parser, cond: bool, message: str):
         parser.error(message)
 
 
-def _grid(args, parser, finite: bool) -> list[dict]:
-    """Every grid point's parameters: the flags as given, the swept one set to its value.
+def _grid(args, parser, finite: bool) -> tuple[dict, int]:
+    """The sweep grid as one point, and its number of rows: the flags as given,
+    with the swept parameter's key holding the list of its values.
 
-    A point holds d, n, N, lam and rho with finite sizes and psi1, psi2,
+    The point holds d, n, N, lam and rho with finite sizes and psi1, psi2,
     lambda_bar and rho with ratios; a flag that was not given (or that the
-    command lacks) is None.  A record holds nan for "not given", so a flag
+    command lacks) is None.  A table holds nan for "not given", so a flag
     given as nan fails.  Each parameter the command or theory variant takes
     (_TAKES) must be given or swept, but not both, and any other must be
     neither.  A swept psi1 or psi2 resizes N or n at fixed d; a grid value
@@ -506,7 +513,7 @@ def _grid(args, parser, finite: bool) -> list[dict]:
             _require(parser, point[key] is None, f"{who} takes no {flag}")
         _require(parser, point[key] is None or not swept, f"{flag} conflicts with sweeping {param}")
     if values is None:
-        return [point]
+        return point, 1
     key, flag = sets[args.sweep]
     if key in ("N", "n"):
         for v in values:
@@ -517,7 +524,8 @@ def _grid(args, parser, finite: bool) -> list[dict]:
             _require(parser, size != same,
                      f"{args.sweep} = {a!r} and {b!r} both give {flag} {size} at --d {args.d}")
         values = sizes
-    return [{**point, key: v} for v in values]
+    point[key] = list(values)
+    return point, len(values)
 
 
 def _zeta_sq_or_activation(args, parser, finite: bool = False):
@@ -539,14 +547,21 @@ def _zeta_sq_or_activation(args, parser, finite: bool = False):
     activation = parse_activation(args)
     stats = hermite_stats(activation, order=args.order)
     if activation.kind == "custom":
-        activation = Activation.custom(activation.evaluator, activation.breakpoints,
-                                       (stats.mu0, stats.mu1, stats.mu_star_sq))
+        activation = replace(activation, stats=(stats.mu0, stats.mu1, stats.mu_star_sq))
     return activation, stats.zeta_sq, stats.mu_star_sq
 
 
+def _over(value, scale):
+    """value / scale, entry by entry for a list; None stays None."""
+    if value is None:
+        return None
+    return [v / scale for v in value] if isinstance(value, list) else value / scale
+
+
 def _point_cells(point, mu_star_sq: float, power_cells: dict) -> dict:
-    """The cells of one grid point: power_cells, the target-power cells and rho
-    that every point shares, with the point's shape; None where unknown.
+    """The shape, rho and target-power cells of a _grid point: power_cells, which
+    every row shares, with the point's shape; None where unknown.  The swept
+    parameter's cells are lists, one cell per row.
 
     Finite sizes give psi1 = N/d, psi2 = n/d and lambda_bar = lambda / mu_star_sq.
     A swept or given --rho replaces the powers' own.
@@ -554,8 +569,7 @@ def _point_cells(point, mu_star_sq: float, power_cells: dict) -> dict:
     if "d" in point:
         d, n, N, lam = point["d"], point["n"], point["N"], point["lam"]
         cells = {**power_cells, "d": d, "n": n, "N": N, "lambda": lam,
-                 "psi1": None if N is None else N / d, "psi2": None if n is None else n / d,
-                 "lambda_bar": None if lam is None else lam / mu_star_sq}
+                 "psi1": _over(N, d), "psi2": _over(n, d), "lambda_bar": _over(lam, mu_star_sq)}
     else:
         cells = {**power_cells, **{key: point[key] for key in ("psi1", "psi2", "lambda_bar")}}
     if point["rho"] is not None:
@@ -570,37 +584,37 @@ def _point_cells(point, mu_star_sq: float, power_cells: dict) -> dict:
 def cmd_stats(args, parser) -> int:
     activation = parse_activation(args)
     stats = hermite_stats(activation, order=args.order)
-    rec = new_record(STATS_COLUMNS, command="stats", activation=activation.label(),
-                     order=args.order, converged=1, **asdict(stats))
-    write_records([rec], STATS_COLUMNS, args.format, args.out)
+    write_records(Table(STATS_COLUMNS, 1, command="stats", activation=activation.label(),
+                        order=args.order, converged=1, **asdict(stats)),
+                  args.format, args.out)
     return 0
 
 
-def _theory_cells(records, powers: TargetSpec | None) -> None:
-    """Fill the theory_* cells column by column from each record's variant,
-    zeta_sq, psi1, psi2, lambda_bar and rho (nan where not given): a general
-    row's factors from one batch (risk._RiskColumns), the others' from their
-    closed forms.  R is weighed once per distinct rho, the rest once with the
-    shared target powers.  The earliest failing row raises: its solve's or
-    closed form's error, else its rho's, else, with powers, a general row's
+def _theory_cells(table: Table, powers: TargetSpec | None) -> None:
+    """Fill the theory_* columns of table from its variant, zeta_sq, psi1, psi2,
+    lambda_bar and rho columns (nan where not given): a general row's factors
+    from one batch (risk._RiskColumns), the others' from their closed forms.
+    R is weighed once per distinct rho, the rest once with the shared target
+    powers.  The earliest failing row raises: its solve's or closed form's
+    error, else its rho's, else, with powers, a general row's
     ThresholdSingularity; a solve that fails names its grid point for main.
     """
-    general = [k for k, rec in enumerate(records) if rec["variant"] == "general"]
-    risks = _RiskColumns([(records[k]["zeta_sq"], records[k]["psi1"], records[k]["psi2"],
-                           records[k]["lambda_bar"]) for k in general])
+    variant, zeta_sq, psi1, psi2, lambda_bar = map(
+        table.column, ("variant", "zeta_sq", "psi1", "psi2", "lambda_bar"))
+    general = [k for k, v in enumerate(variant) if v == "general"]
+    risks = _RiskColumns([(zeta_sq[k], psi1[k], psi2[k], lambda_bar[k]) for k in general])
     failures = {general[j]: error for j, error in risks.errors.items()}
     # RiskDecomposition's six factors per row; a closed form has no training factors
-    factors = np.full((len(records), 6), NAN)
-    threshold = np.zeros(len(records), dtype=bool)
+    factors = np.full((table.rows, 6), NAN)
+    threshold = np.zeros(table.rows, dtype=bool)
     factors[general], threshold[general] = risks.factors, risks.threshold
-    for k, rec in enumerate(records):
-        variant, zeta_sq = rec["variant"], rec["zeta_sq"]
-        if variant == "ridgeless":
-            dec = attempt(risk_ridgeless, zeta_sq, rec["psi1"], rec["psi2"])
-        elif variant == "wide":
-            dec = attempt(risk_wide, zeta_sq, rec["psi2"], rec["lambda_bar"])
-        elif variant == "lsamp":
-            dec = attempt(risk_large_sample, zeta_sq, rec["psi1"], rec["lambda_bar"])
+    for k, v in enumerate(variant):
+        if v == "ridgeless":
+            dec = attempt(risk_ridgeless, zeta_sq[k], psi1[k], psi2[k])
+        elif v == "wide":
+            dec = attempt(risk_wide, zeta_sq[k], psi2[k], lambda_bar[k])
+        elif v == "lsamp":
+            dec = attempt(risk_large_sample, zeta_sq[k], psi1[k], lambda_bar[k])
         else:
             continue
         if isinstance(dec, Exception):
@@ -609,9 +623,9 @@ def _theory_cells(records, powers: TargetSpec | None) -> None:
             factors[k, :2], threshold[k] = (dec.bias_B, dec.var_V), dec.threshold_singular
     bias, var = factors[:, 0], factors[:, 1]
     cells = {"theory_bias_B": bias, "theory_var_V": var}
-    rho = np.array([rec["rho"] for rec in records])
+    rho = np.array(table.column("rho"))
     if not np.isnan(rho).all():
-        cells["theory_risk_R"] = risk_R = np.full(len(records), NAN)
+        cells["theory_risk_R"] = risk_R = np.full(table.rows, NAN)
         for value in set(rho[~np.isnan(rho)].tolist()):
             rows, unit = rho == value, attempt(TargetSpec.unit, value)
             if isinstance(unit, Exception):
@@ -628,106 +642,89 @@ def _theory_cells(records, powers: TargetSpec | None) -> None:
         k = min(failures)
         if isinstance(failures[k], (NoConvergence, RootSelectionAmbiguous)):
             failures[k].grid_point = " at " + ", ".join(
-                f"{key} = {records[k][key]!r}" for key in ("psi1", "psi2", "lambda_bar"))
+                f"{key} = {table.column(key)[k]!r}" for key in ("psi1", "psi2", "lambda_bar"))
         raise failures[k]
-    for rec, row in zip(records, zip(*(column.tolist() for column in cells.values()))):
-        rec.update(zip(cells, row))
+    table.update({c: column.tolist() for c, column in cells.items()})
 
 
 def cmd_theory(args, parser) -> int:
     finite = _finite(args, parser, "theory")
-    points = _grid(args, parser, finite)
+    point, rows = _grid(args, parser, finite)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser, finite)
-    label = "" if activation is None else activation.label()
-
     powers = None
     if args.f1_sq is not None or args.fstar_sq is not None or args.tau_sq_theory is not None:
-        powers = TargetSpec(
-            f1_sq=args.f1_sq if args.f1_sq is not None else 0.0,
-            fstar_sq=args.fstar_sq or 0.0,
-            tau_sq=args.tau_sq_theory or 0.0,
-        )
+        powers = TargetSpec(f1_sq=args.f1_sq if args.f1_sq is not None else 0.0,
+                            fstar_sq=args.fstar_sq or 0.0, tau_sq=args.tau_sq_theory or 0.0)
     power_cells = {} if powers is None else {"rho": powers.rho, **asdict(powers)}
-    records = [
-        new_record(COLUMNS, command="theory", variant=args.variant, activation=label,
-                   zeta_sq=zeta_sq, mu_star_sq=mu_star_sq,
-                   **_point_cells(point, mu_star_sq, power_cells))
-        for point in points
-    ]
-    _theory_cells(records, powers)
-    write_records(records, COLUMNS, args.format, args.out)
+    table = Table(COLUMNS, rows, command="theory", variant=args.variant,
+                  activation=None if activation is None else activation.label(),
+                  zeta_sq=zeta_sq, mu_star_sq=mu_star_sq,
+                  **_point_cells(point, mu_star_sq, power_cells))
+    _theory_cells(table, powers)
+    write_records(table, args.format, args.out)
     return 0
 
 
-def _simulated_records(args, parser, command) -> tuple[list, TargetSpec]:
-    """Each grid point's record with its simulation cells, and the target powers
-    they share: every config of the sweep has the same d, target and tau_sq."""
+def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
+    """The grid's table with its simulation cells, one row per grid point, and
+    the target powers the rows share: every config of the sweep has the same
+    d, target and tau_sq."""
     _finite(args, parser, command)
     _require(parser, args.trials >= 2,
              f"--trials must be >= 2 for a standard error, got {args.trials}")
     _require(parser, args.threads is None or args.threads >= 1,
              f"--threads must be a positive integer, got {args.threads}")
-    points = _grid(args, parser, True)
+    point, rows = _grid(args, parser, True)
     target = TargetKind(args.target, args.beta_norm)
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
+    table = Table(COLUMNS, rows, command=command, model=args.model, target=target.name,
+                  activation=activation.label(), zeta_sq=zeta_sq, mu_star_sq=mu_star_sq,
+                  seed=args.seed, **_point_cells(point, mu_star_sq, {}))
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
                   seed=args.seed, n_test=args.n_test, model=args.model)
-    configs = [SimConfig(d=p["d"], n=p["n"], N=p["N"], lam=p["lam"], **shared) for p in points]
+    configs = [SimConfig(d=d, n=n, N=N, lam=lam, **shared)
+               for d, n, N, lam in zip(*map(table.column, ("d", "n", "N", "lambda")))]
     powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, args.d),
                         tau_sq=args.tau_sq)
-    power_cells = {"rho": powers.rho, **asdict(powers)}
-    records = []
+    # simulate and compare take no --rho: the powers' own is every row's
+    table.update({"rho": powers.rho, **asdict(powers)})
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    for point, trials in zip(points, run_trials(configs, args.threads)):
-        agg = aggregate(trials)
-        records.append(new_record(
-            COLUMNS,
-            command=command,
-            model=args.model,
-            target=target.name,
-            activation=activation.label(),
-            zeta_sq=zeta_sq,
-            mu_star_sq=mu_star_sq,
-            trials=agg.n_trials,
-            seed=args.seed,
-            sim_test_error_mean=agg.test_error_mean,
-            sim_test_error_sem=agg.test_error_sem,
-            sim_train_error_mean=agg.train_error_mean,
-            sim_train_error_sem=agg.train_error_sem,
-            sim_penalty_mean=agg.penalty_mean,
-            sim_penalty_sem=agg.penalty_sem,
-            sim_norm_sq_mean=agg.coef_norm_sq_mean,
-            sim_norm_sq_sem=agg.coef_norm_sq_sem,
-            sim_norm_msq_mean=mu_star_sq * agg.coef_norm_sq_mean,
-            sim_norm_msq_sem=mu_star_sq * agg.coef_norm_sq_sem,
-            **_point_cells(point, mu_star_sq, power_cells),
-        ))
-    return records, powers
+    aggs = [aggregate(trials) for trials in run_trials(configs, args.threads)]
+    cells = {"trials": [agg.n_trials for agg in aggs]}
+    for stat in ("mean", "sem"):
+        for column, field in (("test_error", "test_error"), ("train_error", "train_error"),
+                              ("penalty", "penalty"), ("norm_sq", "coef_norm_sq")):
+            cells[f"sim_{column}_{stat}"] = [getattr(agg, f"{field}_{stat}") for agg in aggs]
+        cells[f"sim_norm_msq_{stat}"] = [mu_star_sq * v for v in cells[f"sim_norm_sq_{stat}"]]
+    table.update(cells)
+    return table, powers
 
 
 def cmd_simulate(args, parser) -> int:
-    records, _ = _simulated_records(args, parser, "simulate")
-    write_records(records, COLUMNS, args.format, args.out)
+    table, _ = _simulated_table(args, parser, "simulate")
+    write_records(table, args.format, args.out)
     return 0
 
 
-def _z(diff: float, sem: float) -> float:
-    if sem > 0.0:
-        return diff / sem
-    return 0.0 if diff == 0.0 else math.copysign(INF, diff)
+def _z_scores(diff: np.ndarray, sem: np.ndarray) -> np.ndarray:
+    """diff / sem elementwise, overflowing to inf without a warning; where sem is
+    not positive, 0 for a zero diff and an infinity of diff's sign otherwise."""
+    with np.errstate(all="ignore"):
+        return np.where(sem > 0.0, diff / sem,
+                        np.where(diff == 0.0, 0.0, np.copysign(INF, diff)))
 
 
 def cmd_compare(args, parser) -> int:
-    records, powers = _simulated_records(args, parser, "compare")
-    for rec in records:
-        rec["variant"] = "general" if rec["lambda"] > 0.0 else "ridgeless"
-    _theory_cells(records, powers)
-    for rec in records:
+    table, powers = _simulated_table(args, parser, "compare")
+    general = [lam > 0.0 for lam in table.column("lambda")]
+    table.update({"variant": ["general" if g else "ridgeless" for g in general]})
+    _theory_cells(table, powers)
+    for q in ("test_error", "train_error", "norm_msq"):
+        z = _z_scores(np.subtract(table.column(f"sim_{q}_mean"), table.column(f"theory_{q}")),
+                      np.array(table.column(f"sim_{q}_sem"), dtype=float))
         # the ridgeless endpoint has no training theory to score against
-        general = rec["variant"] == "general"
-        for q in ("test_error", "train_error", "norm_msq") if general else ("test_error",):
-            rec[f"z_{q}"] = _z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
-    write_records(records, COLUMNS, args.format, args.out)
+        table.update({f"z_{q}": (z if q == "test_error" else np.where(general, z, NAN)).tolist()})
+    write_records(table, args.format, args.out)
     return 0
 
 
@@ -736,14 +733,16 @@ def cmd_phase(args, parser) -> int:
     _require(parser, args.zeta_sq is not None or args.activation is not None,
              "phase needs --zeta-sq or --activation")
     _, zeta_sq, _ = _zeta_sq_or_activation(args, parser)
-    records = []
-    for point in _grid(args, parser, False):
-        rho, psi2 = point["rho"], point["psi2"]
-        pq = wide_phase(zeta_sq, psi2, rho)
-        verdict = "interior lambda_star" if pq.lambda_star > 0.0 else "optimal lambda_bar = 0"
-        records.append(new_record(PHASE_COLUMNS, command="phase", zeta_sq=zeta_sq, psi2=psi2,
-                                  rho=rho, verdict=verdict, **asdict(pq)))
-    write_records(records, PHASE_COLUMNS, args.format, args.out)
+    point, rows = _grid(args, parser, False)
+    table = Table(PHASE_COLUMNS, rows, command="phase", zeta_sq=zeta_sq, psi2=point["psi2"],
+                  rho=point["rho"])
+    phases = [wide_phase(zeta_sq, psi2, rho)
+              for psi2, rho in zip(table.column("psi2"), table.column("rho"))]
+    cells = {f.name: [getattr(pq, f.name) for pq in phases] for f in fields(phases[0])}
+    cells["verdict"] = ["interior lambda_star" if pq.lambda_star > 0.0
+                        else "optimal lambda_bar = 0" for pq in phases]
+    table.update(cells)
+    write_records(table, args.format, args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from rfridge.activations import Activation, hermite_stats
-from rfridge.cli import COLUMNS, main, read_records, records_equal, write_records
+from rfridge.cli import COLUMNS, Table, main, read_records, records_equal, write_records
 from rfridge.risk import (
     TargetSpec,
     _e_polynomials,
@@ -428,7 +428,8 @@ def test_criterion_10_property_pack(capsys, tmp_path):
         records = read_records(text, from_text=True)
         assert len(records) == 5
         path = str(tmp_path / "roundtrip.csv")
-        write_records(records, COLUMNS, "csv", path)
+        table = Table(COLUMNS, len(records), **{c: [rec[c] for rec in records] for c in COLUMNS})
+        write_records(table, "csv", path)
         reread = read_records(path)
         assert len(reread) == len(records)
         assert all(records_equal(a, b) for a, b in zip(records, reread))

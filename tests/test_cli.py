@@ -23,10 +23,11 @@ import rfridge.risk
 import rfridge.simulate
 from rfridge.cli import (
     COLUMNS,
+    Table,
     _sweep_values,
+    _z_scores,
     format_value,
     main,
-    new_record,
     read_records,
     records_equal,
     write_records,
@@ -1102,18 +1103,26 @@ def test_a_bad_grid_entry_is_named_with_its_position(capsys):
     assert "--grid entry 2 is not a number: ''" in err
 
 
-def test_the_theory_curve_rows_share_one_rho(capsys, monkeypatch):
-    # rho comes from the target powers once per command, so write_records
-    # formats the column once
+def test_the_theory_curve_varies_only_psi1_and_theory_cells(capsys, monkeypatch):
+    # on the benchmark's curve every other cell is shared by the 161 rows, so
+    # write_records formats it once
     written = []
-    monkeypatch.setattr(rfridge.cli, "write_records", lambda records, *rest: written.extend(records))
+    write = rfridge.cli.write_records
+    monkeypatch.setattr(rfridge.cli, "write_records",
+                        lambda table, *rest: written.append(table) or write(table, *rest))
     code = main(["theory", "--activation", "relu", "--psi2", "3", "--lambda-bar", "0.0110078",
                  "--f1-sq", "1", "--tau-sq", "0.5", "--sweep", "psi1", "--min", "0.5",
                  "--max", "10", "--points", "161", "--spacing", "log"])
-    assert code == 0, capsys.readouterr().err
-    assert len(written) == 161
-    assert all(rec["rho"] is written[0]["rho"] for rec in written)
-    assert written[0]["rho"] == 2.0
+    out = capsys.readouterr().out
+    assert code == 0
+    [table] = written
+    assert table.rows == 161
+    per_row = [c for c in COLUMNS if isinstance(table.cells[c], list)]
+    assert per_row == ["psi1", "theory_bias_B", "theory_var_V", "theory_risk_R",
+                       "theory_test_error", "theory_train_error", "theory_norm_msq"]
+    assert all(len(table.cells[c]) == 161 for c in per_row)
+    assert table.cells["rho"] == 2.0
+    assert out == _csv_per_cell(table)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -1278,6 +1287,78 @@ def test_compare_ridgeless_route(capsys):
     assert math.isnan(rec["z_train_error"])
 
 
+def _z(diff: float, sem: float) -> float:
+    """The z-score rule of one row: diff / sem, and 0 or an infinity when sem is 0."""
+    if sem > 0.0:
+        return diff / sem
+    return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return math.isnan(a) and math.isnan(b) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=6))
+@example([(0.0, 0.0), (-0.0, 0.0), (1.5, 0.0), (-2.0, 0.0), (-0.0, 0.5), (1.0, 0.5),
+          (math.nan, 0.0), (math.inf, 1.0), (-math.inf, 0.0), (0.3, -1.0), (0.3, math.nan)])
+def test_z_scores_are_the_per_row_rule(pairs):
+    diff, sem = map(np.array, zip(*pairs))
+    z = _z_scores(diff, sem).tolist()
+    assert all(_same_float(v, _z(d, s)) for (d, s), v in zip(pairs, z))
+
+
+def test_compare_z_scores_are_the_per_row_rule(capsys):
+    # lambda = 0 is a ridgeless row: only its test error is scored
+    args = SIM_ARGS[:SIM_ARGS.index("--lambda")] + SIM_ARGS[SIM_ARGS.index("--lambda") + 2:]
+    code, out, err = run_cli(["compare"] + args + ["--sweep", "lambda", "--grid", "0,1e-3,1e-1"],
+                             capsys)
+    assert code == 0, err
+    records = read_records(out, from_text=True)
+    assert [rec["variant"] for rec in records] == ["ridgeless", "general", "general"]
+    for rec in records:
+        scored = ("test_error",) if rec["variant"] == "ridgeless" else (
+            "test_error", "train_error", "norm_msq")
+        for q in ("test_error", "train_error", "norm_msq"):
+            expected = (_z(rec[f"sim_{q}_mean"] - rec[f"theory_{q}"], rec[f"sim_{q}_sem"])
+                        if q in scored else math.nan)
+            assert _same_float(rec[f"z_{q}"], expected), (rec["lambda"], q)
+
+
+# a custom activation's cell names its expression; this one holds every
+# character CSV quotes or the row template escapes
+_ODD_EXPR = '(np.tanh(u) + 0 * (u % 7)\n + 0 * len("a,b"))'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stats"], id="stats"),
+    pytest.param(["theory", "--psi2", "3", "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1",
+                  "--grid", "1,2,4"], id="theory"),
+    pytest.param(["simulate", "--d", "20", "--n", "40", "--lambda", "1e-3",
+                  "--trials", "2", "--n-test", "1000", "--sweep", "psi1", "--grid", "1,2"],
+                 id="simulate"),
+])
+def test_a_custom_activation_cell_is_its_expression(argv, fmt, tmp_path, capsys):
+    cells = []
+    for expr in ("np.tanh(u)", _ODD_EXPR):
+        path = tmp_path / "act.txt"
+        path.write_text(f"  {expr}\n")
+        code, out, err = run_cli(argv + ["--activation", "custom", "--expr-file", str(path),
+                                         "--format", fmt], capsys)
+        assert code == 0, err
+        records = read_records(out, from_text=True)
+        assert len(records) == (1 if argv[0] == "stats" else len(argv[-1].split(",")))
+        assert {rec["activation"] for rec in records} == {f"custom:{expr}"}
+        cells.append(records[0]["activation"])
+    assert cells[0] != cells[1]
+
+
+def test_a_library_custom_activation_without_expression_is_labelled_custom():
+    assert rfridge.activations.Activation.custom(np.tanh).label() == "custom"
+    assert rfridge.activations.Activation.custom(np.tanh, expr="np.tanh(u)").label() == (
+        "custom:np.tanh(u)")
+
+
 # ---------------------------------------------------------------------------
 # phase
 # ---------------------------------------------------------------------------
@@ -1329,7 +1410,7 @@ def test_out_file_round_trip(tmp_path, capsys):
 
     # records -> csv -> records is the identity under records_equal
     rewritten = tmp_path / "again.csv"
-    write_records(from_file, COLUMNS, "csv", str(rewritten))
+    write_records(_table_of(from_file), "csv", str(rewritten))
     again = read_records(str(rewritten))
     assert records_equal(from_file[0], again[0])
 
@@ -1351,31 +1432,62 @@ def test_read_records_parses_jsonl_like_csv(capsys):
 
 
 def test_records_equal_treats_nan_as_equal():
-    a = new_record(COLUMNS, command="x")
-    b = new_record(COLUMNS, command="x")
+    a = dict(Table(COLUMNS, 1, command="x").cells)
+    b = dict(Table(COLUMNS, 1, command="x").cells)
     assert records_equal(a, b)
     a["psi1"] = 1.0
     assert not records_equal(a, b)
 
 
-def test_a_new_record_is_its_own_copy():
-    a = new_record(COLUMNS, command="theory", psi1=2.0)
-    a["psi2"] = 3.0
-    a["variant"] = "general"
-    b = new_record(COLUMNS)
-    assert b["command"] == b["variant"] == ""
-    assert math.isnan(b["psi1"]) and math.isnan(b["psi2"])
-    assert list(b) == list(COLUMNS)
+def test_a_new_table_is_its_own_copy():
+    a = Table(COLUMNS, 2, command="theory", psi1=[2.0, 3.0], psi2=None)
+    assert math.isnan(a.cells["psi2"])
+    a.cells["psi2"] = 3.0
+    a.update({"variant": "general"})
+    b = Table(COLUMNS, 1)
+    assert b.cells["command"] == b.cells["variant"] == ""
+    assert math.isnan(b.cells["psi1"]) and math.isnan(b.cells["psi2"])
+    assert b.cells["tool_version"] == rfridge.__version__
+    assert list(b.cells) == list(COLUMNS)
+    assert a.column("psi1") == [2.0, 3.0]
+    assert a.column("command") == ["theory", "theory"]
+    with pytest.raises(KeyError, match="unknown column 'no_such_column'"):
+        Table(COLUMNS, 1, no_such_column=1.0)
 
 
-def _csv_per_cell(records, columns):
+def _table_of(records, columns=COLUMNS) -> Table:
+    """records as a table with every column per row."""
+    return Table(columns, len(records), **{c: [rec[c] for rec in records] for c in columns})
+
+
+def _records_of(table: Table) -> list[dict]:
+    return [dict(zip(table.columns, row)) for row in zip(*map(table.column, table.columns))]
+
+
+def _csv_per_cell(table: Table) -> str:
     """The reference CSV rule: csv.writer over format_value, one cell at a time."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in records:
-        writer.writerow([format_value(rec[c]) for c in columns])
+    writer.writerow(table.columns)
+    for rec in _records_of(table):
+        writer.writerow([format_value(rec[c]) for c in table.columns])
     return buffer.getvalue()
+
+
+def _jsonl_per_row(table: Table) -> str:
+    """The reference JSONL rule: one json.dumps per row, converting every cell."""
+    lines = []
+    for rec in _records_of(table):
+        row = {}
+        for c in table.columns:
+            v = rec[c]
+            if isinstance(v, (bool, np.bool_, int, np.integer)):
+                v = int(v)
+            elif isinstance(v, (float, np.floating)):
+                v = float(v) if math.isfinite(v) else format_value(v)
+            row[c] = v
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
 
 
 _CELLS = st.one_of(
@@ -1397,32 +1509,43 @@ def _tables(draw):
     columns = tuple(draw(st.lists(st.text(alphabet='c,"\n%', max_size=3), min_size=1,
                                   max_size=5, unique=True)))
     rows = draw(st.integers(min_value=0, max_value=4))
-    records = [{} for _ in range(rows)]
+    cells = {}
     for c in columns:
         kind = draw(st.sampled_from(("shared", "copies", "equal", "free")))
-        if kind == "free":
-            values = draw(st.lists(_CELLS, min_size=rows, max_size=rows))
+        if kind == "shared":
+            cells[c] = draw(_CELLS)
         elif kind == "equal":
-            values = draw(st.lists(st.sampled_from(_EQUAL), min_size=rows, max_size=rows))
+            cells[c] = draw(st.lists(st.sampled_from(_EQUAL), min_size=rows, max_size=rows))
+        elif kind == "free":
+            cells[c] = draw(st.lists(_CELLS, min_size=rows, max_size=rows))
         else:
+            # one value, a distinct object in every row
             value = draw(_CELLS)
-            # "copies": one value, a distinct object in every row
-            values = [value if kind == "shared" else pickle.loads(pickle.dumps(value))
-                      for _ in range(rows)]
-        for rec, v in zip(records, values):
-            rec[c] = v
-    return columns, records
+            cells[c] = [pickle.loads(pickle.dumps(value)) for _ in range(rows)]
+    return Table(columns, rows, **cells)
+
+
+def _written(table, fmt) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        write_records(table, fmt, None)
+    return out.getvalue()
 
 
 @given(_tables())
-# one field alone in a row is quoted when empty
-@example((("c",), [{"c": "x"}, {"c": ""}]))
-@example((("c", "d"), [{"c": 0.0, "d": ""}, {"c": -0.0, "d": ""}]))
+# one field alone in a row is quoted when empty, shared or not
+@example(Table(("c",), 2, c=["x", ""]))
+@example(Table(("c",), 2, c=""))
+@example(Table(("c", "d"), 2, c=[0.0, -0.0], d=""))
 def test_csv_output_is_the_per_cell_rule(table):
-    columns, records = table
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        write_records(records, columns, "csv", None)
-    assert out.getvalue() == _csv_per_cell(records, columns)
+    assert _written(table, "csv") == _csv_per_cell(table)
+
+
+@given(_tables())
+@example(Table(("c",), 2, c=["x", ""]))
+@example(Table(("c",), 1, c=""))
+@example(Table(("c", "d"), 3, c=[math.inf, -math.inf, math.nan], d=np.float64(math.nan)))
+def test_jsonl_output_is_the_per_row_rule(table):
+    assert _written(table, "jsonl") == _jsonl_per_row(table)
 
 
 def test_a_theory_row_with_a_quoted_percent_label_is_the_per_cell_rule(tmp_path, capsys,
@@ -1435,14 +1558,14 @@ def test_a_theory_row_with_a_quoted_percent_label_is_the_per_cell_rule(tmp_path,
     written = []
     write = rfridge.cli.write_records
     monkeypatch.setattr(rfridge.cli, "write_records",
-                        lambda records, *rest: written.extend(records) or write(records, *rest))
+                        lambda table, *rest: written.append(table) or write(table, *rest))
     code, out, err = run_cli(
         ["theory", "--activation", "custom", "--expr-file", str(expr), "--psi2", "3",
          "--lambda-bar", "0.01", "--rho", "2", "--sweep", "psi1", "--grid", "1,2,4"],
         capsys,
     )
     assert code == 0, err
-    assert out == _csv_per_cell(written, rfridge.cli.COLUMNS)
+    assert out == _csv_per_cell(written[0])
     assert '"tanh,""50%"""' in out.splitlines()[1]
     assert [rec["activation"] for rec in read_records(out, from_text=True)] == ['tanh,"50%"'] * 3
 
