@@ -30,6 +30,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -61,7 +62,9 @@ from .selfconsistent import (
     attempt,
 )
 from .simulate import (
+    _SMALL_TEST_SET,
     SimConfig,
+    SmallTestSetWarning,
     TargetKind,
     aggregate,
     nonlinear_power,
@@ -682,8 +685,17 @@ def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
                   seed=args.seed, **_point_cells(point, mu_star_sq, {}))
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
                   seed=args.seed, n_test=args.n_test, model=args.model)
-    configs = [SimConfig(d=d, n=n, N=N, lam=lam, **shared)
-               for d, n, N, lam in zip(*map(table.column, ("d", "n", "N", "lambda")))]
+    # the warning names the flag once, not a line of this module per config
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallTestSetWarning)
+        configs = [SimConfig(d=d, n=n, N=N, lam=lam, **shared)
+                   for d, n, N, lam in zip(*map(table.column, ("d", "n", "N", "lambda")))]
+    n_test = {config.n_test for config in configs}
+    if min(n_test) < _SMALL_TEST_SET:
+        which = "n_test" if len(n_test) == 1 else "the smallest n_test of the sweep"
+        source = "--n-test" if args.n_test is not None else "the --n-test default, 10 n"
+        print(f"warning: {which} = {min(n_test)} ({source}) is below {_SMALL_TEST_SET}; "
+              "per-trial test errors will be noisy", file=sys.stderr)
     powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, args.d),
                         tau_sq=args.tau_sq)
     # simulate and compare take no --rho: the powers' own is every row's

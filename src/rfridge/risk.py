@@ -32,7 +32,6 @@ from .selfconsistent import (
     _polish,
     _quartic_coeffs,
     _stacked_roots,
-    attempt,
     require_positive,
     unwrap,
 )
@@ -257,18 +256,6 @@ def _rows(*columns) -> list[tuple]:
     return list(zip(*(c.tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns)))))
 
 
-def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
-    """The solved point of one row, once its chi agrees with the oracle's."""
-    point, chi_or = unwrap(point), unwrap(chi_or)
-    if abs(point.chi.real - chi_or) > 1e-8 * abs(chi_or):
-        zeta_sq, psi1, psi2, lambda_bar = row
-        raise ChiDisagreement(
-            f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
-            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
-        )
-    return point
-
-
 class _RiskColumns:
     """theory_points and risk_general_points over rows already broadcast, as
     columns: solve (selfconsistent._AxisBatch) and factors, RiskDecomposition's
@@ -279,17 +266,11 @@ class _RiskColumns:
 
     def __init__(self, rows: list[tuple]):
         self.solve = solve = _AxisBatch(rows)
-        # a row's solve error comes before its oracle's, as _cross_checked unwraps them
-        self.point_errors = {**solve.chi_errors, **solve.point_errors}
-        with np.errstate(invalid="ignore"):
-            apart = np.abs(solve.chi - solve.oracle) > 1e-8 * np.abs(solve.oracle)
-        for k in np.flatnonzero(apart).tolist():
-            if k not in self.point_errors:
-                self.point_errors[k] = attempt(
-                    _cross_checked, rows[k], solve.point(k), solve.oracle[k].item())
-        chi = solve.chi
+        chi, oracle = solve.chi, solve.oracle
         z, psi1, psi2, lambda_bar = solve.values.T
+        # a failing row's columns mean nothing and must not warn
         with np.errstate(all="ignore"):
+            apart = np.abs(chi - oracle) > 1e-8 * np.abs(oracle)
             e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
             self.threshold = _e0_vanishes(e0, size)
             z2 = z * z
@@ -299,6 +280,14 @@ class _RiskColumns:
             parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
             self.factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
         self.factors[self.threshold] = INF, INF, NAN, NAN, NAN, NAN
+        # a row's solve error comes before its oracle's, and both before the cross-check's
+        self.point_errors = {**solve.chi_errors, **solve.point_errors}
+        for k in np.flatnonzero(apart).tolist():
+            if k not in self.point_errors:
+                self.point_errors[k] = ChiDisagreement(
+                    f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
+                    f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
+                    f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})")
         # min(parts) < -1e-10, where a nan first part hides the others
         negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
         self.errors = dict(self.point_errors)

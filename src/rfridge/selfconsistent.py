@@ -205,9 +205,8 @@ def _negative_roots(polys: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Of the roots found for each row's quartic in polys (rows x roots), the
     real ones, each polished on that quartic (_polish), that are negative
     afterwards, in place; nan everywhere else.  Copies are kept."""
-    chi = _polish(np.repeat(polys.T, roots.shape[1], axis=1),
-                  np.where(roots.imag == 0.0, roots.real, np.nan).ravel())
-    return np.where(chi < 0.0, chi, np.nan).reshape(roots.shape)
+    chi = _polish(polys.T[:, :, None], np.where(roots.imag == 0.0, roots.real, np.nan))
+    return np.where(chi < 0.0, chi, np.nan)
 
 
 def _overflowed(zeta_sq, psi1, psi2, u: float) -> ValueError:
@@ -236,33 +235,25 @@ class _AxisBatch:
     of each failing row, built for that row alone; a row's columns mean
     nothing where it has one.
 
-    One _quartic_coeffs call builds every valid row's quartic at the target
-    and at u = 0 (N, from which the oracle's quintic is formed), and one
-    stacked eigvals call per degree (_stacked_roots) factors all of them.  A
-    row whose quartic is not finite (_overflowed), or whose quartic or
-    quintic np.roots rejects (_unfactored), fails with a ValueError naming
-    it.  Every other step is elementwise, so a row's outcome does not depend
-    on the rest of the batch.
+    Every row is solved, as one table of rows by candidate roots.  One
+    _quartic_coeffs call builds each row's quartic at the target and at
+    u = 0 (N, from which the oracle's quintic is formed), and one stacked
+    eigvals call per degree (_stacked_roots) factors all of them.  A row that
+    fails validation keeps that error (_rejected); otherwise a row whose
+    quartic is not finite (_overflowed), or whose quartic or quintic np.roots
+    rejects (_unfactored), fails with a ValueError naming it.  Every other
+    step is elementwise, so a row's outcome does not depend on the rest of
+    the batch.
     """
 
     def __init__(self, rows):
-        values = np.array(rows, dtype=float).reshape(-1, 4)
+        self.values = values = np.array(rows, dtype=float).reshape(-1, 4)
+        z, psi1, psi2, lambda_bar = values.T
+        # a failing row's columns, and a term that overflows, are reported by
+        # the row's outcome, not as a warning
         with np.errstate(all="ignore"):
-            u = np.sqrt(values[:, 1] * values[:, 2] * values[:, 3])
+            self.u = u = np.sqrt(psi1 * psi2 * lambda_bar)
             valid = (np.isfinite(values) & (values > 0.0)).all(axis=1) & (u > 0.0)
-        self.values, self.u = values, u
-        self.t1, self.t2, self.residual, self.chi, self.oracle = np.full((5, len(u)), np.nan)
-        self.point_errors = {k: _rejected(*rows[k], u[k].item())
-                             for k in np.flatnonzero(~valid).tolist()}
-        self.chi_errors = dict(self.point_errors)
-        if valid.any():
-            self._solve(values[valid, :3], u[valid], np.flatnonzero(valid).tolist(), rows)
-
-    def _solve(self, shapes, u, position, rows):
-        """Solve the valid rows, at their positions among rows."""
-        z, psi1, psi2 = shapes.T
-        # a term that overflows is reported by its row's outcome, not as a warning
-        with np.errstate(all="ignore"):
             # per row, N (the quartic at u = 0) and the quartic at the target
             u_sq = np.zeros((len(u), 2))
             u_sq[:, 1] = u * u
@@ -276,31 +267,30 @@ class _AxisBatch:
             turns, turn_failed = _stacked_roots(quintics)
             chi = _negative_roots(quartics, roots)
 
-        def label(j):
-            return (*rows[position[j]][:3], u[j].item())
+        def label(k):
+            return (*rows[k][:3], u[k].item())
 
-        # a failing quartic is both outcomes' first error; one that is not
-        # finite holds the overflow error, whatever np.roots made of it
-        failed = {j: _unfactored("quartic", *label(j)) for j in failed}
-        failed.update((j, _overflowed(*label(j)))
-                      for j in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
-        for j, error in failed.items():
-            self.point_errors[position[j]] = self.chi_errors[position[j]] = error
+        # a failing quartic is both outcomes' first error after validation's;
+        # one that is not finite holds the overflow error, whatever np.roots
+        # made of it
+        failed = {k: _unfactored("quartic", *label(k)) for k in failed}
+        failed.update((k, _overflowed(*label(k)))
+                      for k in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
+        failed.update((k, _rejected(*rows[k], u[k].item()))
+                      for k in np.flatnonzero(~valid).tolist())
+        self.point_errors, self.chi_errors = failed, dict(failed)
         with np.errstate(all="ignore"):
-            self._select_arrays(chi, z, psi1, psi2, u, position)
-            self._certify_arrays(chi, turns, set(turn_failed), position, rows, label)
+            self._select_arrays(chi, z[:, None], psi1[:, None], psi2[:, None], u[:, None])
+            self._certify_arrays(chi, turns, set(turn_failed), rows, label)
 
-    def _select_arrays(self, chi, z, psi1, psi2, u, position):
-        # one entry per candidate root, each with its row's parameters
-        n, m = chi.shape
-        chi = chi.ravel()
-        z, psi1, psi2, u_all = np.repeat(np.array([z, psi1, psi2, u]), m, axis=1)
-        # the pair a root chi determines, by the coupled equations' sum and
-        # product: nu_k = i t_k with t_k = (psi_k - s) / u and
-        # s = -zeta^2 chi / (1 - zeta^2 chi) - chi
+    def _select_arrays(self, chi, z, psi1, psi2, u):
+        # each row's parameters broadcast over its candidate roots, one per
+        # column of chi: the pair a root chi determines, by the coupled
+        # equations' sum and product, is nu_k = i t_k with
+        # t_k = (psi_k - s) / u and s = -zeta^2 chi / (1 - zeta^2 chi) - chi
         s = -z * chi / (1.0 - z * chi) - chi
-        t1 = (psi1 - s) / u_all
-        t2 = (psi2 - s) / u_all
+        t1 = (psi1 - s) / u
+        t2 = (psi2 - s) / u
         # the smaller component cancels when its psi_k is tiny, so it is
         # rebuilt as chi over the larger one; equal components both cancel
         # alike, and sqrt(-chi) keeps the pair symmetric
@@ -314,33 +304,31 @@ class _AxisBatch:
         # admissible: the pair lies in the upper half plane, both t_k > 0
         admissible = (larger > 0.0) & (np.minimum(t1, t2) > 0.0)
         res = np.full(chi.shape, np.inf)
-        res[admissible] = _residual(*(v[admissible] for v in (t1, t2, u_all, z, psi1, psi2)))
+        res[admissible] = _residual(*(np.broadcast_to(v, chi.shape)[admissible]
+                                      for v in (t1, t2, u, z, psi1, psi2)))
         # relative slack for rounding, which scales with |nu| however small it is
         bound = 1.0 + 1e-9
-        checked = (admissible & ~(res > _TOL) & ~(t1 > bound * psi1 / u_all)
-                   & ~(t2 > bound * psi2 / u_all))
-        # chi = nu1 nu2 as complex arithmetic forms it; it is real and
-        # negative for t_k > 0, which is the axis structure
-        re, im = 0.0 * 0.0 - t1 * t2, 0.0 * t2 + t1 * 0.0
-        first = checked.reshape(n, m).argmax(axis=1) + np.arange(0, n * m, m)
+        checked = (admissible & ~(res > _TOL) & ~(t1 > bound * psi1 / u)
+                   & ~(t2 > bound * psi2 / u))
+        # chi = nu1 nu2 = (i t1)(i t2), real and negative for t_k > 0, which
+        # is the axis structure
+        pair = 0.0 - t1 * t2
+        first = np.arange(len(chi)), checked.argmax(axis=1)
         # one distinct point: every checked root after the first is a copy of it
-        first_re, first_im = np.repeat(re[first], m), np.repeat(im[first], m)
-        distinct = checked & (np.hypot(re - first_re, im - first_im)
-                              > 1e-10 * np.hypot(first_re, first_im))
-        for column, value in ((self.t1, t1), (self.t2, t2), (self.residual, res), (self.chi, re)):
-            column[position] = value[first]
-        solved = checked.reshape(n, m).any(axis=1) & ~distinct.reshape(n, m).any(axis=1)
-        for j in np.flatnonzero(~solved).tolist():
-            if position[j] in self.point_errors:
+        at = pair[first][:, None]
+        distinct = checked & (np.abs(pair - at) > 1e-10 * np.abs(at))
+        self.t1, self.t2, self.residual, self.chi = t1[first], t2[first], res[first], pair[first]
+        solved = checked.any(axis=1) & ~distinct.any(axis=1)
+        for k in np.flatnonzero(~solved).tolist():
+            if k in self.point_errors:
                 continue
-            own = slice(j * m, (j + 1) * m)
-            best = np.where(np.isnan(res[own]), np.inf, res[own]).min()
-            self.point_errors[position[j]] = NoConvergence(
-                f"{admissible[own].sum()} admissible quartic roots give "
-                f"{_distinct_points(re[own], im[own], checked[own])} distinct checked "
-                f"points; best relative map residual {best:.3e}", complex(0.0, u[j].item()))
+            best = np.where(np.isnan(res[k]), np.inf, res[k]).min()
+            self.point_errors[k] = NoConvergence(
+                f"{admissible[k].sum()} admissible quartic roots give "
+                f"{_distinct_points(pair[k], checked[k])} distinct checked "
+                f"points; best relative map residual {best:.3e}", complex(0.0, self.u[k].item()))
 
-    def _certify_arrays(self, chi, turns, turn_failed, position, rows, label):
+    def _certify_arrays(self, chi, turns, turn_failed, rows, label):
         # the largest negative root; the quintic's real roots in [chi*, 0);
         # the distinct roots within 1e-8 |chi*| below chi*
         found = ~np.isnan(chi)
@@ -349,24 +337,23 @@ class _AxisBatch:
                    & (top <= turns.real) & (turns.real < 0.0))
         gap = top - chi
         rival = (1e-10 * -top < gap) & (gap < 1e-8 * -top)
-        self.oracle[position] = top[:, 0]
+        self.oracle = top[:, 0]
         failing = ~found.any(axis=1) | turning.any(axis=1) | rival.any(axis=1)
-        for j in sorted(set(np.flatnonzero(failing).tolist()) | turn_failed):
-            k = position[j]
+        for k in sorted(set(np.flatnonzero(failing).tolist()) | turn_failed):
             if k in self.chi_errors:
                 continue
-            lambda_bar, chi_top = rows[k][3], top[j, 0].item()
-            if not found[j].any():
+            lambda_bar, chi_top = rows[k][3], top[k, 0].item()
+            if not found[k].any():
                 message = f"no real non-positive root at lambda_bar = {lambda_bar}"
-            elif j in turn_failed:
-                self.chi_errors[k] = _unfactored("oracle's quintic", *label(j))
+            elif k in turn_failed:
+                self.chi_errors[k] = _unfactored("oracle's quintic", *label(k))
                 continue
-            elif turning[j].any():
+            elif turning[k].any():
                 message = (f"the root branch turns at chi = "
-                           f"{turns.real[j, turning[j].argmax()].item()!r} in [{chi_top!r}, 0), "
+                           f"{turns.real[k, turning[k].argmax()].item()!r} in [{chi_top!r}, 0), "
                            f"so it leaves the real axis above lambda_bar = {lambda_bar}")
             else:
-                message = (f"roots {chi_top!r} and {chi[j, rival[j].argmax()].item()!r} both "
+                message = (f"roots {chi_top!r} and {chi[k, rival[k].argmax()].item()!r} both "
                            "admissible within 1e-8 relative")
             self.chi_errors[k] = RootSelectionAmbiguous(message)
 
@@ -381,12 +368,12 @@ class _AxisBatch:
         return [errors[k] if k in errors else self.point(k) for k in range(len(self.u))]
 
 
-def _distinct_points(re, im, checked) -> int:
+def _distinct_points(chi, checked) -> int:
     """How many distinct points one row's checked roots give, taken in order."""
     points = []
-    for chi, ok in zip(map(complex, re.tolist(), im.tolist()), checked.tolist()):
-        if ok and all(abs(chi - p) > 1e-10 * abs(p) for p in points):
-            points.append(chi)
+    for c, ok in zip(chi.tolist(), checked.tolist()):
+        if ok and all(abs(c - p) > 1e-10 * abs(p) for p in points):
+            points.append(c)
     return len(points)
 
 

@@ -605,6 +605,27 @@ def test_bad_test_set_sizes_are_usage_errors(n_test, capsys, monkeypatch):
     assert f"n_test must be a positive integer, got {n_test}" in err
 
 
+@pytest.mark.parametrize("flags, rows, line", [
+    (["--n", "60", "--n-test", "500"], 1, "n_test = 500 (--n-test)"),
+    (["--n", "60"], 1, "n_test = 600 (the --n-test default, 10 n)"),
+    # n = 60 and 120: only the first point falls below 1000
+    (["--sweep", "psi2", "--grid", "3,6"], 2,
+     "the smallest n_test of the sweep = 600 (the --n-test default, 10 n)"),
+], ids=["given", "default", "psi2-sweep"])
+def test_a_small_test_set_is_one_line_naming_its_flag(flags, rows, line, capsys):
+    # one stderr line per call, with no SmallTestSetWarning and no source
+    # line of the CLI module; stdout is the rows as ever
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["simulate", "--d", "20", "--N", "40", "--lambda", "1e-3",
+                                  "--trials", "2", "--threads", "1", *flags], capsys)
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, rfridge.simulate.SmallTestSetWarning)]
+    assert len(out.splitlines()) == 1 + rows
+    assert err == f"warning: {line} is below 1000; per-trial test errors will be noisy\n"
+    assert "cli.py" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("trials", ["1", "0"])
 def test_fewer_than_two_trials_are_refused_before_drawing(command, trials, capsys, monkeypatch):
@@ -947,6 +968,16 @@ def test_a_product_that_underflows_is_named(capsys):
         "target xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = 1e-200, "
         "psi2 = 1e-200, lambda_bar = 1e-10, zeta_sq = 1.0\n"
     )
+
+
+def test_a_refused_row_keeps_its_validation_error_in_a_sweep(capsys):
+    # the first row's lambda_bar is negative and its quartic not finite: the
+    # refusal names the parameter, not the overflow
+    code, out, err = run_cli(
+        ["theory", "--psi1", "2", "--psi2", "3", "--rho", "2", "--f1-sq", "1",
+         "--tau-sq", "0.5", "--sweep", "lambda", "--grid=-1e308,0.01"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: lambda_bar must be finite and positive, got -1e+308\n"
 
 
 def test_a_failing_solve_names_its_grid_point(capsys):

@@ -329,6 +329,18 @@ def _reference_decomposition(point, zeta_sq, psi1, psi2, lambda_bar):
     return rfridge.risk.RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
 
 
+def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
+    """The solved point of one row, once its chi agrees with the oracle's."""
+    point, chi_or = unwrap(point), unwrap(chi_or)
+    if abs(point.chi.real - chi_or) > 1e-8 * abs(chi_or):
+        zeta_sq, psi1, psi2, lambda_bar = row
+        raise ChiDisagreement(
+            f"fixed-point chi = {point.chi.real!r} vs quartic-oracle chi = {chi_or!r} "
+            f"at (zeta_sq={zeta_sq}, psi1={psi1}, psi2={psi2}, lambda_bar={lambda_bar})"
+        )
+    return point
+
+
 def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     """theory_point's and risk_general's outcomes at one row, computed the way
     they were before the array batch: np.roots of the row's own quartic and
@@ -366,7 +378,7 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     row = (zeta_sq, psi1, psi2, lambda_bar)
     solved = (attempt(_reference_select, xi, row[:3], negative),
               attempt(_reference_certify, lambda_bar, negative, turns))
-    point = attempt(rfridge.risk._cross_checked, row, *solved)
+    point = attempt(_cross_checked, row, *solved)
     return solved, point, attempt(_reference_decomposition, point, *row)
 
 
@@ -374,10 +386,12 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
                          ids=["exact", "cubic-0.1%", "quadratic-1%", "linear-flipped"])
 def test_the_batch_equals_the_per_row_reference(perturb, monkeypatch):
     # the first 1,000 points of the wide box, and the same points with one
-    # quartic coefficient perturbed so that rows fail in the selection, the
-    # certificate and the cross-check: every outcome of the batch, from
+    # quartic coefficient perturbed so that rows fail in the selection (70,
+    # 280 and 1,000 NoConvergence rows) and, with the linear coefficient
+    # flipped, in the certificate too: every outcome of the batch, from
     # solve_points to the decomposition, is bitwise the reference's value or
-    # an exception equal in type and message
+    # an exception equal in type and message.  No row reaches the cross-check;
+    # test_the_cross_check_raises_the_reference_disagreement does
     box = np.log([[1e-3, 1e3], [1e-14, 1e6], [1e-14, 1e6], [1e-12, 1e60]])
     points = np.exp(np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (1000, 4)))
     if perturb is not None:
@@ -490,6 +504,60 @@ def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypat
     assert str(outcomes[161]).startswith("the quartic in chi overflowed its companion matrix")
     assert calls == [5, 6]
     assert shapes == [(161, 4, 4), (161, 5, 5)]
+
+
+def test_the_cross_check_raises_the_reference_disagreement(monkeypatch):
+    # the oracle of every 20th row of the benchmark curve, scaled 1e-6 past
+    # the 1e-8 the cross-check allows: each such row holds exactly the
+    # per-row reference's ChiDisagreement, and every other row its single call's
+    curve = [(RELU_ZETA_SQ, p, 3.0, 0.0110078) for p in np.geomspace(0.5, 10.0, 161).tolist()]
+    flagged = slice(0, None, 20)
+    points = [solve_at(*row) for row in curve]
+    risks = [risk_general(*row) for row in curve]
+    for k in range(len(curve))[flagged]:
+        chi = chi_scalar_oracle(*curve[k]) * (1.0 + 1e-6)
+        points[k] = risks[k] = attempt(_cross_checked, curve[k], points[k], chi)
+        assert type(points[k]) is ChiDisagreement
+    certify = rfridge.selfconsistent._AxisBatch._certify_arrays
+
+    def perturbed(batch, *args):
+        certify(batch, *args)
+        batch.oracle[flagged] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(rfridge.selfconsistent._AxisBatch, "_certify_arrays", perturbed)
+    _same_outcomes(theory_points(*np.array(curve).T), points)
+    _same_outcomes(risk_general_points(*np.array(curve).T), risks)
+
+
+def test_a_row_that_fails_validation_keeps_that_error():
+    # every row of a batch takes the stacked solve; rows that fail validation
+    # and whose polynomials also fail (not finite, or rejected by np.roots),
+    # interleaved with valid rows, hold exactly their single call's
+    # validation error, the valid rows their single call's value, and no
+    # failing row's columns warn (a RuntimeWarning fails the suite)
+    points = [(RELU_ZETA_SQ, 2.0, 3.0, 0.01), (RELU_ZETA_SQ, -1.0, 3.0, 1e308),
+              (RELU_ZETA_SQ, 4.0, 3.0, 0.05), (RELU_ZETA_SQ, 1e154, 1e154, -1e-300),
+              (math.nan, 2.0, 3.0, 0.01), (RELU_ZETA_SQ, 0.5, 3.0, 0.02),
+              (RELU_ZETA_SQ, 2.0, 3.0, 0.0), (RELU_ZETA_SQ, 0.0, 3.0, 0.01),
+              (RELU_ZETA_SQ, 8.0, 3.0, 1.0)]
+    refused = {1: "psi1 must be finite and positive, got -1.0",
+               3: "lambda_bar must be finite and positive, got -1e-300",
+               4: "zeta_sq must be finite and positive, got nan",
+               6: "lambda_bar must be finite and positive, got 0.0",
+               7: "psi1 must be finite and positive, got 0.0"}
+    singles = [[attempt(f, *point) for point in points]
+               for f in (solve_at, chi_scalar_oracle, theory_point, risk_general)]
+    for outcomes in singles:
+        for k, outcome in enumerate(outcomes):
+            if k in refused:
+                assert type(outcome) is ValueError and str(outcome) == refused[k]
+            else:
+                assert not isinstance(outcome, Exception)
+    solved = solve_points(points)
+    for k in range(2):
+        _same_outcomes([row[k] for row in solved], singles[k])
+    _same_outcomes(theory_points(*np.array(points).T), singles[2])
+    _same_outcomes(risk_general_points(*np.array(points).T), singles[3])
 
 
 def test_a_batch_with_a_failing_row_raises_in_row_order():
