@@ -41,6 +41,7 @@ from .risk import (
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
+    theory_columns,
     theory_point,
     theory_points,
     wide_omega,
@@ -53,6 +54,7 @@ from .simulate import (
     FitResult,
     IllConditionedWarning,
     InsufficientTrials,
+    SMALL_TEST_SET,
     SimConfig,
     SmallTestSetWarning,
     TargetKind,

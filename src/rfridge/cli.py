@@ -43,26 +43,20 @@ from .activations import (
     hermite_stats,
 )
 from .risk import (
-    _AT_THRESHOLD,
     ChiDisagreement,
     DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
-    _RiskColumns,
-    _test_errors,
-    risk_large_sample,
-    risk_ridgeless,
-    risk_wide,
+    theory_columns,
     wide_phase,
 )
 from .selfconsistent import (
     InvariantViolation,
     NoConvergence,
     RootSelectionAmbiguous,
-    attempt,
 )
 from .simulate import (
-    _SMALL_TEST_SET,
+    SMALL_TEST_SET,
     SimConfig,
     SmallTestSetWarning,
     TargetKind,
@@ -594,60 +588,19 @@ def cmd_stats(args, parser) -> int:
 
 
 def _theory_cells(table: Table, powers: TargetSpec | None) -> None:
-    """Fill the theory_* columns of table from its variant, zeta_sq, psi1, psi2,
-    lambda_bar and rho columns (nan where not given): a general row's factors
-    from one batch (risk._RiskColumns), the others' from their closed forms.
-    R is weighed once per distinct rho, the rest once with the shared target
-    powers.  The earliest failing row raises: its solve's or closed form's
-    error, else its rho's, else, with powers, a general row's
-    ThresholdSingularity; a solve that fails names its grid point for main.
-    """
-    variant, zeta_sq, psi1, psi2, lambda_bar = map(
-        table.column, ("variant", "zeta_sq", "psi1", "psi2", "lambda_bar"))
-    general = [k for k, v in enumerate(variant) if v == "general"]
-    risks = _RiskColumns([(zeta_sq[k], psi1[k], psi2[k], lambda_bar[k]) for k in general])
-    failures = {general[j]: error for j, error in risks.errors.items()}
-    # RiskDecomposition's six factors per row; a closed form has no training factors
-    factors = np.full((table.rows, 6), NAN)
-    threshold = np.zeros(table.rows, dtype=bool)
-    factors[general], threshold[general] = risks.factors, risks.threshold
-    for k, v in enumerate(variant):
-        if v == "ridgeless":
-            dec = attempt(risk_ridgeless, zeta_sq[k], psi1[k], psi2[k])
-        elif v == "wide":
-            dec = attempt(risk_wide, zeta_sq[k], psi2[k], lambda_bar[k])
-        elif v == "lsamp":
-            dec = attempt(risk_large_sample, zeta_sq[k], psi1[k], lambda_bar[k])
-        else:
-            continue
-        if isinstance(dec, Exception):
-            failures[k] = dec
-        else:
-            factors[k, :2], threshold[k] = (dec.bias_B, dec.var_V), dec.threshold_singular
-    bias, var = factors[:, 0], factors[:, 1]
-    cells = {"theory_bias_B": bias, "theory_var_V": var}
-    rho = np.array(table.column("rho"))
-    if not np.isnan(rho).all():
-        cells["theory_risk_R"] = risk_R = np.full(table.rows, NAN)
-        for value in set(rho[~np.isnan(rho)].tolist()):
-            rows, unit = rho == value, attempt(TargetSpec.unit, value)
-            if isinstance(unit, Exception):
-                failures = {**dict.fromkeys(np.flatnonzero(rows).tolist(), unit), **failures}
-            else:
-                risk_R[rows] = _test_errors(unit, bias[rows], var[rows], threshold[rows])
-    if powers is not None:
-        for j in np.flatnonzero(risks.threshold).tolist():
-            failures.setdefault(general[j], attempt(_AT_THRESHOLD.train_error, powers))
-        cells["theory_test_error"] = _test_errors(powers, bias, var, threshold)
-        cells["theory_train_error"] = powers.weigh(factors[:, 2], factors[:, 3])
-        cells["theory_norm_msq"] = powers.weigh(factors[:, 4], factors[:, 5])
-    if failures:
-        k = min(failures)
-        if isinstance(failures[k], (NoConvergence, RootSelectionAmbiguous)):
-            failures[k].grid_point = " at " + ", ".join(
+    """Fill the theory_* columns of table with what risk.theory_columns makes of
+    its variant, zeta_sq, psi1, psi2, lambda_bar and rho columns (nan where not
+    given) and the target powers.  The earliest failing row raises; a solve
+    that fails names its grid point for main."""
+    columns, errors = theory_columns(*map(table.column, (
+        "variant", "zeta_sq", "psi1", "psi2", "lambda_bar", "rho")), powers)
+    if errors:
+        k = min(errors)
+        if isinstance(errors[k], (NoConvergence, RootSelectionAmbiguous)):
+            errors[k].grid_point = " at " + ", ".join(
                 f"{key} = {table.column(key)[k]!r}" for key in ("psi1", "psi2", "lambda_bar"))
-        raise failures[k]
-    table.update({c: column.tolist() for c, column in cells.items()})
+        raise errors[k]
+    table.update({f"theory_{c}": column.tolist() for c, column in columns.items()})
 
 
 def cmd_theory(args, parser) -> int:
@@ -691,10 +644,10 @@ def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
         configs = [SimConfig(d=d, n=n, N=N, lam=lam, **shared)
                    for d, n, N, lam in zip(*map(table.column, ("d", "n", "N", "lambda")))]
     n_test = {config.n_test for config in configs}
-    if min(n_test) < _SMALL_TEST_SET:
+    if min(n_test) < SMALL_TEST_SET:
         which = "n_test" if len(n_test) == 1 else "the smallest n_test of the sweep"
         source = "--n-test" if args.n_test is not None else "the --n-test default, 10 n"
-        print(f"warning: {which} = {min(n_test)} ({source}) is below {_SMALL_TEST_SET}; "
+        print(f"warning: {which} = {min(n_test)} ({source}) is below {SMALL_TEST_SET}; "
               "per-trial test errors will be noisy", file=sys.stderr)
     powers = TargetSpec(f1_sq=target.f1_sq, fstar_sq=nonlinear_power(target, args.d),
                         tau_sq=args.tau_sq)

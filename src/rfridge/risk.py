@@ -32,6 +32,7 @@ from .selfconsistent import (
     _polish,
     _quartic_coeffs,
     _stacked_roots,
+    attempt,
     require_positive,
     unwrap,
 )
@@ -177,6 +178,25 @@ class PhaseQuantities:
     lambda_star: float
 
 
+def _overflow(quantity: str, **row) -> ValueError:
+    """The error of a row whose quantity is beyond the float range, naming the
+    row's parameters (as selfconsistent._overflowed names a quartic's)."""
+    named = ", ".join(f"{name} = {value!r}" for name, value in row.items())
+    return ValueError(f"{quantity} overflowed the float range at {named}")
+
+
+def _finite_terms(terms, quantity: str, **row) -> tuple:
+    """The floats terms() returns, each finite; where one is not, or a Python
+    float power overflows (OverflowError), the row's error (_overflow) raises."""
+    try:
+        values = terms()
+    except OverflowError:
+        values = (NAN,)
+    if all(map(math.isfinite, values)):
+        return values
+    raise _overflow(quantity, **row)
+
+
 def _horner(coeffs, x: float) -> float:
     acc = 0.0
     for c in coeffs:
@@ -233,22 +253,31 @@ def _e_polynomials(chi: float, zeta_sq: float, psi1: float, psi2: float):
 
 
 def _e0_vanishes(e0, size):
-    """Whether E0 = e0 is at most 1e-12 of the size of its own terms.
+    """Whether E0 = e0 is at most 1e-12 of the size of its own terms, both
+    finite, elementwise.
 
     That is the interpolation threshold, where E0 cancels to rounding.  The
     size is E0's own, not that of E1 and E2: all three scale with
     min(psi1, psi2), so an absolute floor would flag well-posed points with a
-    tiny shape ratio.
+    tiny shape ratio.  Where E0 or its size is not finite, E0's terms have
+    overflowed and nothing is known of the cancellation: that is no threshold.
     """
-    return abs(e0) <= 1e-12 * size
+    return np.isfinite(e0) & np.isfinite(size) & (abs(e0) <= 1e-12 * size)
 
 
 def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
-    """B = E1/E0 and V = E2/E0 at a solved chi, without training factors."""
+    """B = E1/E0 and V = E2/E0 at a solved chi, without training factors.  Off
+    the threshold, where E0, E1, E2, B or V is not finite, a ValueError names
+    the row (_overflow)."""
     e0, e1, e2, size = _e_polynomials(chi, zeta_sq, psi1, psi2)
     if _e0_vanishes(e0, size):
         return _AT_THRESHOLD
-    return RiskDecomposition(e1 / e0, e2 / e0, NAN, NAN, NAN, NAN)
+    with np.errstate(all="ignore"):
+        bias, var = np.divide((e1, e2), e0).tolist()
+    if not np.isfinite((e0, e1, e2, bias, var)).all():
+        raise _overflow(f"the decomposition at chi = {chi!r}",
+                        zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    return RiskDecomposition(bias, var, NAN, NAN, NAN, NAN)
 
 
 def _rows(*columns) -> list[tuple]:
@@ -262,7 +291,8 @@ class _RiskColumns:
     six per row (B, V inf and the rest nan where E0 vanished: threshold).
     point_errors holds each row's theory_point error, {row: exception}: the
     solve's, else the oracle's, else the 1e-8 cross-check's; errors adds
-    risk_general's negative training factors."""
+    risk_general's, for a row off the threshold whose E0, E1, E2 or factors
+    are not finite (_overflow), else whose training factors are negative."""
 
     def __init__(self, rows: list[tuple]):
         self.solve = solve = _AxisBatch(rows)
@@ -288,11 +318,19 @@ class _RiskColumns:
                     f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
                     f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
                     f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})")
+        overflowed = ~self.threshold & ~np.isfinite(
+            np.column_stack([e0, e1, e2, self.factors])).all(axis=1)
         # min(parts) < -1e-10, where a nan first part hides the others
         negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
         self.errors = dict(self.point_errors)
-        for k in np.flatnonzero(negative).tolist():
-            if k not in self.errors:
+        for k in np.flatnonzero(overflowed | negative).tolist():
+            if k in self.errors:
+                continue
+            if overflowed[k]:
+                self.errors[k] = _overflow(
+                    f"the decomposition at chi = {chi[k].item()!r}", zeta_sq=rows[k][0],
+                    psi1=rows[k][1], psi2=rows[k][2], lambda_bar=rows[k][3])
+            else:
                 self.errors[k] = InvariantViolation(
                     f"negative training factors {tuple(parts[k].tolist())} at "
                     f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
@@ -423,34 +461,102 @@ def _wide_denominator(omega: float, psi: float) -> float:
 
 
 def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecomposition:
-    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2."""
+    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2.
+
+    Where the denominator or a numerator is not finite, a ValueError names the
+    row (_overflow) before the denominator is tested; past that test |B| and
+    |V| are below 1e12.
+    """
     require_positive(zeta_sq=zeta_sq, psi2=psi2)
     omega = wide_omega(zeta_sq, psi2, lambda_bar)
-    den = _wide_denominator(omega, psi2)
-    num_scale = abs(psi2 * omega - psi2) + abs(omega**3 - omega**2)
-    if abs(den) < 1e-12 * (1.0 + num_scale):
+    den, bias_num, var_num = _finite_terms(
+        lambda: (_wide_denominator(omega, psi2), psi2 * omega - psi2, omega**3 - omega**2),
+        "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
+    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
         raise DenominatorVanishes(
             f"wide-limit denominator {den} vanished at omega = {omega}"
         )
-    return RiskDecomposition(
-        (psi2 * omega - psi2) / den, (omega**3 - omega**2) / den, NAN, NAN, NAN, NAN
-    )
+    return RiskDecomposition(bias_num / den, var_num / den, NAN, NAN, NAN, NAN)
 
 
 def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDecomposition:
     """Decomposition in the infinite-sample limit psi2 -> inf, at fixed psi1.
 
-    The variance factor vanishes in this limit; only the bias survives.
+    The variance factor vanishes in this limit; only the bias survives.  An
+    overflow is refused as in risk_wide.
     """
     require_positive(zeta_sq=zeta_sq, psi1=psi1)
     omega = wide_omega(zeta_sq, psi1, lambda_bar)
-    den = _wide_denominator(omega, psi1)
-    num = (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1
+    den, num = _finite_terms(
+        lambda: (_wide_denominator(omega, psi1),
+                 (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1),
+        "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
     if abs(den) < 1e-12 * (1.0 + abs(num)):
         raise DenominatorVanishes(
             f"large-sample denominator {den} vanished at omega = {omega}"
         )
     return RiskDecomposition(num / den, 0.0, NAN, NAN, NAN, NAN)
+
+
+def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
+                   powers: TargetSpec | None = None) -> tuple[dict, dict]:
+    """The theory columns of a table of rows, and each failing row's error as
+    {row: exception}.
+
+    Each argument holds one entry per row, nan where the row's variant does
+    not use it.  variant names the row's formula: a "general" row is
+    risk_general's, solved with the others in one batch (_RiskColumns), and a
+    "ridgeless", "wide" or "lsamp" row is risk_ridgeless', risk_wide's or
+    risk_large_sample's closed form, which has no training factors.  The
+    columns, numpy arrays by name, are bias_B and var_V; risk_R, the test
+    error of TargetSpec.unit(rho), weighed once per distinct rho, where any
+    rho is not nan; and with powers test_error, train_error and norm_msq,
+    weighed once with them.  A row's error is its solve's or closed form's,
+    else its rho's, else, with powers, a general threshold row's
+    ThresholdSingularity; a failing row's cells mean nothing.
+    """
+    zeta_sq, psi1, psi2, lambda_bar = (np.asarray(c, dtype=float).tolist()
+                                       for c in (zeta_sq, psi1, psi2, lambda_bar))
+    general = [k for k, v in enumerate(variant) if v == "general"]
+    risks = _RiskColumns([(zeta_sq[k], psi1[k], psi2[k], lambda_bar[k]) for k in general])
+    errors = {general[j]: error for j, error in risks.errors.items()}
+    # RiskDecomposition's six factors per row; a closed form has no training factors
+    factors = np.full((len(variant), 6), NAN)
+    threshold = np.zeros(len(variant), dtype=bool)
+    factors[general], threshold[general] = risks.factors, risks.threshold
+    for k, v in enumerate(variant):
+        if v == "general":
+            continue
+        if v == "ridgeless":
+            dec = attempt(risk_ridgeless, zeta_sq[k], psi1[k], psi2[k])
+        elif v == "wide":
+            dec = attempt(risk_wide, zeta_sq[k], psi2[k], lambda_bar[k])
+        elif v == "lsamp":
+            dec = attempt(risk_large_sample, zeta_sq[k], psi1[k], lambda_bar[k])
+        else:
+            raise ValueError(f"unknown theory variant {v!r}")
+        if isinstance(dec, Exception):
+            errors[k] = dec
+        else:
+            factors[k, :2], threshold[k] = (dec.bias_B, dec.var_V), dec.threshold_singular
+    bias, var = factors[:, 0], factors[:, 1]
+    columns = {"bias_B": bias, "var_V": var}
+    rho = np.asarray(rho, dtype=float)
+    if not np.isnan(rho).all():
+        columns["risk_R"] = risk_R = np.full(len(variant), NAN)
+        for value in set(rho[~np.isnan(rho)].tolist()):
+            rows, unit = rho == value, attempt(TargetSpec.unit, value)
+            if isinstance(unit, Exception):
+                errors = {**dict.fromkeys(np.flatnonzero(rows).tolist(), unit), **errors}
+            else:
+                risk_R[rows] = _test_errors(unit, bias[rows], var[rows], threshold[rows])
+    if powers is not None:
+        for j in np.flatnonzero(risks.threshold).tolist():
+            errors.setdefault(general[j], attempt(_AT_THRESHOLD.train_error, powers))
+        columns["test_error"] = _test_errors(powers, bias, var, threshold)
+        columns["train_error"] = powers.weigh(factors[:, 2], factors[:, 3])
+        columns["norm_msq"] = powers.weigh(factors[:, 4], factors[:, 5])
+    return columns, errors
 
 
 def wide_risk_in_omega(u: float, rho: float, psi2: float) -> float:
@@ -471,7 +577,8 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     stationarity point of the risk profile in omega.  lambda_star maps omega1
     back to a penalty and is reported as-is; it is positive (an interior
     optimum exists) precisely when rho < rho_star, and non-positive (the
-    lambda_bar = 0 boundary is optimal) when rho > rho_star.
+    lambda_bar = 0 boundary is optimal) when rho > rho_star.  Where any of
+    the five is not finite, a ValueError names the row (_overflow).
     """
     require_positive(zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     z = zeta_sq
@@ -483,6 +590,8 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     lambda_star = (z * psi2 - z * omega1 * psi2 + z * omega1 + omega1 - omega1 * omega1) / (
         (omega1 * omega1 - omega1) * psi2
     )
+    _finite_terms(lambda: (omega0, omega1, rho_star, zeta_star_sq, lambda_star),
+                  "the phase quantities", zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     # both omegas must re-solve their defining quadratics
     r0 = omega0 * omega0 + (psi2 * z - z - 1.0) * omega0 - psi2 * z
     r1 = omega1 * omega1 + b1 * omega1 - psi2 * rho
@@ -496,12 +605,17 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
 
 def _stationary_chis(rho: float, zeta_sq: float, psi1: float, psi2: float) -> np.ndarray:
     """The real roots of S = N' E0 - N E0' with N = a E1 + b E2, where the
-    rational R(chi) = N / E0 is stationary, each polished on S (_polish)."""
+    rational R(chi) = N / E0 is stationary, each polished on S (_polish).  An S
+    that is not finite raises the row's ValueError (_overflow)."""
     e1, e2 = _e_coeffs(zeta_sq, psi1, psi2)
-    n = TargetSpec.unit(rho).weigh(np.array((0.0, 0.0) + e1), np.array(e2))
     e0 = np.array(_e0_coeffs(zeta_sq, psi1, psi2))
-    # the chi^9 terms of the two products cancel exactly: drop their rounding
-    s = (np.convolve(np.polyder(n), e0) - np.convolve(n, np.polyder(e0)))[1:]
+    with np.errstate(all="ignore"):
+        n = TargetSpec.unit(rho).weigh(np.array((0.0, 0.0) + e1), np.array(e2))
+        # the chi^9 terms of the two products cancel exactly: drop their rounding
+        s = (np.convolve(np.polyder(n), e0) - np.convolve(n, np.polyder(e0)))[1:]
+    if not np.isfinite(s).all():
+        raise _overflow("the stationarity polynomial S", rho=rho, zeta_sq=zeta_sq, psi1=psi1,
+                        psi2=psi2)
     (roots,), failed = _stacked_roots(s[None])
     if failed:
         raise failed[0]

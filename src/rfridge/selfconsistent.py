@@ -162,27 +162,33 @@ _NAN = complex(math.nan, math.nan)
 
 
 def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
-    """np.roots of each row of polys (highest degree first), as the rows of a
-    complex array padded with nan, and {row: LinAlgError} for the rows np.roots
-    rejects (their row is all nan).
+    """np.roots of each finite row of polys (highest degree first), as the rows
+    of a complex array padded with nan, and {row: LinAlgError} for the rows
+    that are not finite or that np.roots rejects (their row is all nan).
 
-    The rows that are finite, whose first and last coefficients are nonzero,
-    which np.roots would not trim, and whose companion matrix is finite share
-    one stacked eigvals call on their companion matrices; LAPACK factors each
-    matrix on its own, so their roots are bitwise those of np.roots.  Every
-    other row, and every row of a stack that eigvals rejects, is np.roots' own.
+    A row that is not finite fails without a call to np.roots, whose
+    companion matrix would either hold it (the LinAlgError given here) or,
+    with an infinite leading coefficient, be all zeros and give roots that
+    mean nothing.  The finite rows whose first and last coefficients are
+    nonzero, which np.roots would not trim, and whose companion matrix is
+    finite share one stacked eigvals call on their companion matrices; LAPACK
+    factors each matrix on its own, so their roots are bitwise those of
+    np.roots.  Every other finite row, and every row of a stack that eigvals
+    rejects, is np.roots' own.
     """
     roots = np.full((len(polys), polys.shape[1] - 1), _NAN)
-    stacked = np.isfinite(polys).all(axis=1) & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+    finite = np.isfinite(polys).all(axis=1)
+    stacked = finite & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
     companions = _companions(polys[stacked])
-    finite = np.isfinite(companions).all(axis=(1, 2))
-    stacked[stacked] = finite
+    bounded = np.isfinite(companions).all(axis=(1, 2))
+    stacked[stacked] = bounded
     try:
-        roots[stacked] = np.linalg.eigvals(companions[finite])
+        roots[stacked] = np.linalg.eigvals(companions[bounded])
     except np.linalg.LinAlgError:
         stacked[:] = False
-    failed = {}
-    for k in np.flatnonzero(~stacked).tolist():
+    failed = {k: np.linalg.LinAlgError("Array must not contain infs or NaNs")
+              for k in np.flatnonzero(~finite).tolist()}
+    for k in np.flatnonzero(~stacked & finite).tolist():
         try:
             found = np.roots(polys[k])
         except np.linalg.LinAlgError as exc:
@@ -218,8 +224,9 @@ def _overflowed(zeta_sq, psi1, psi2, u: float) -> ValueError:
 
 
 def _unfactored(polynomial: str, zeta_sq, psi1, psi2, u: float) -> ValueError:
-    """The error of a row whose polynomial np.roots rejects, which happens when a
-    coefficient, or one divided by the leading one, is beyond the float range."""
+    """The error of a row whose polynomial is not finite or np.roots rejects,
+    which happens when a coefficient, or one divided by the leading one, is
+    beyond the float range."""
     return ValueError(
         f"the {polynomial} in chi overflowed its companion matrix at psi1 = {psi1!r}, "
         f"psi2 = {psi2!r}, zeta_sq = {zeta_sq!r}, psi1 psi2 lambda_bar = {u * u!r}"
@@ -240,10 +247,10 @@ class _AxisBatch:
     u = 0 (N, from which the oracle's quintic is formed), and one stacked
     eigvals call per degree (_stacked_roots) factors all of them.  A row that
     fails validation keeps that error (_rejected); otherwise a row whose
-    quartic is not finite (_overflowed), or whose quartic or quintic np.roots
-    rejects (_unfactored), fails with a ValueError naming it.  Every other
-    step is elementwise, so a row's outcome does not depend on the rest of
-    the batch.
+    quartic is not finite (_overflowed), or whose quartic np.roots rejects or
+    whose quintic is not finite or rejected (_unfactored), fails with a
+    ValueError naming it.  Every other step is elementwise, so a row's
+    outcome does not depend on the rest of the batch.
     """
 
     def __init__(self, rows):
@@ -270,14 +277,13 @@ class _AxisBatch:
         def label(k):
             return (*rows[k][:3], u[k].item())
 
-        # a failing quartic is both outcomes' first error after validation's;
-        # one that is not finite holds the overflow error, whatever np.roots
-        # made of it
-        failed = {k: _unfactored("quartic", *label(k)) for k in failed}
-        failed.update((k, _overflowed(*label(k)))
-                      for k in np.flatnonzero(~np.isfinite(quartics).all(axis=1)).tolist())
-        failed.update((k, _rejected(*rows[k], u[k].item()))
-                      for k in np.flatnonzero(~valid).tolist())
+        # a failing quartic is both outcomes' first error; each is built once,
+        # validation's before the overflow's before np.roots' rejection
+        finite = np.isfinite(quartics).all(axis=1)
+        failed = {k: _rejected(*rows[k], u[k].item()) if not valid[k]
+                  else _overflowed(*label(k)) if not finite[k]
+                  else _unfactored("quartic", *label(k))
+                  for k in sorted(set(np.flatnonzero(~valid).tolist()).union(failed))}
         self.point_errors, self.chi_errors = failed, dict(failed)
         with np.errstate(all="ignore"):
             self._select_arrays(chi, z[:, None], psi1[:, None], psi2[:, None], u[:, None])

@@ -53,7 +53,7 @@ class SmallTestSetWarning(UserWarning):
 
 
 # the fewest test points SimConfig takes without SmallTestSetWarning
-_SMALL_TEST_SET = 1000
+SMALL_TEST_SET = 1000
 
 
 _PURPOSE = {"theta": 0, "x": 1, "noise": 2, "test": 3, "w": 4}
@@ -175,7 +175,7 @@ class SimConfig:
             object.__setattr__(self, "n_test", 10 * self.n)
         if not (isinstance(self.n_test, (int, np.integer)) and self.n_test >= 1):
             raise ValueError(f"n_test must be a positive integer, got {self.n_test!r}")
-        if self.n_test < _SMALL_TEST_SET:
+        if self.n_test < SMALL_TEST_SET:
             warnings.warn(
                 f"n_test = {self.n_test} is small; per-trial test errors will be noisy",
                 SmallTestSetWarning,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, round-trips."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -996,10 +997,19 @@ def test_a_failing_solve_names_its_grid_point(capsys):
     )
 
 
-# a threshold row (E0 vanishes) and, at a larger penalty, a row that does not converge
-THRESHOLD_THEN_UNSOLVED = ["theory", "--zeta-sq", "4.862192383837208e-09",
-                           "--psi1", "4.799336511647023e+71", "--psi2", "3.2515795221935407e+92",
-                           "--sweep", "lambda", "--grid", "9.44904761712989e-66,9.449047617129916e-10"]
+# a threshold row (N = n, so E0 cancels; its terms are finite) and, at a larger
+# penalty, a row that does not converge
+THRESHOLD_THEN_UNSOLVED = ["theory", "--zeta-sq", "16441957.981804013", "--psi1",
+                           "0.08198621106232101", "--psi2", "0.08198621106232101",
+                           "--sweep", "lambda", "--grid", "1e-30,1e-10"]
+# a row whose E0 overflows (it evaluates to -inf, its term size to inf) and, at a
+# larger penalty, a row that does not converge
+OVERFLOW_THEN_UNSOLVED = ["theory", "--zeta-sq", "4.862192383837208e-09",
+                          "--psi1", "4.799336511647023e+71", "--psi2", "3.2515795221935407e+92",
+                          "--sweep", "lambda", "--grid", "9.44904761712989e-66,9.449047617129916e-10"]
+OVERFLOWED = ("error: ValueError: the decomposition at chi = -1.0583074824132803e+65 overflowed "
+              "the float range at zeta_sq = 4.862192383837208e-09, psi1 = 4.799336511647023e+71, "
+              "psi2 = 3.2515795221935407e+92, lambda_bar = 9.44904761712989e-66\n")
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -1017,16 +1027,60 @@ THRESHOLD_THEN_UNSOLVED = ["theory", "--zeta-sq", "4.862192383837208e-09",
         id="threshold-then-unsolved"),
     pytest.param(
         THRESHOLD_THEN_UNSOLVED + ["--rho", "1"], 3,
-        "numerical failure: 1 admissible quartic roots give 0 distinct checked points; best "
-        "relative map residual 4.469e-01 (xi = 3.840005175755696e+77j) at "
-        "psi1 = 4.799336511647023e+71, psi2 = 3.2515795221935407e+92, "
-        "lambda_bar = 9.449047617129916e-10\n",
+        "numerical failure: 0 admissible quartic roots give 0 distinct checked points; best "
+        "relative map residual inf (xi = 8.198621106232102e-07j) at "
+        "psi1 = 0.08198621106232101, psi2 = 0.08198621106232101, lambda_bar = 1e-10\n",
         id="threshold-without-powers-then-unsolved"),
+    pytest.param(OVERFLOW_THEN_UNSOLVED + ["--f1-sq", "1", "--tau-sq", "0.5"], 2, OVERFLOWED,
+                 id="overflow-then-unsolved"),
+    pytest.param(OVERFLOW_THEN_UNSOLVED + ["--rho", "1"], 2, OVERFLOWED,
+                 id="overflow-without-powers-then-unsolved"),
 ])
 def test_the_earliest_failing_row_raises(argv, code, err, capsys):
     # the first row fails first, whatever fails after it; a threshold row
-    # fails only where target powers ask for its training error
+    # fails only where target powers ask for its training error, and a row
+    # whose risk polynomials overflow is refused with or without them
     assert run_cli(argv, capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    # the oracle's quintic is not finite
+    ["theory", "--zeta-sq", "1e104", "--psi1", "1", "--psi2", "3", "--lambda-bar", "1e-3",
+     "--rho", "2", "--f1-sq", "1", "--tau-sq", "0.5"],
+    # E2's coefficient (psi1 - 1) zeta^3 overflows, so V is inf
+    ["theory", "--zeta-sq", "1e97", "--psi1", "1e64", "--psi2", "1", "--lambda-bar", "1e-5",
+     "--rho", "2", "--f1-sq", "1", "--tau-sq", "0.5"],
+    # E0 evaluates to -inf and its term size to inf, which is no threshold
+    ["theory", "--zeta-sq", "1.9740783612521176e+23", "--psi1", "4.9296884383088217e+95",
+     "--psi2", "4.636450426954126e+52", "--lambda-bar", "9.158752038260847e-33", "--rho", "2"],
+    ["theory", "--zeta-sq", "1.9740783612521176e+23", "--psi1", "4.9296884383088217e+95",
+     "--psi2", "4.636450426954126e+52", "--lambda-bar", "9.158752038260847e-33", "--rho", "2",
+     "--f1-sq", "1", "--tau-sq", "0.5"],
+    ["theory", "--variant", "wide", "--zeta-sq", "1e200", "--psi2", "3", "--lambda-bar", "0.01",
+     "--rho", "2"],
+    ["theory", "--variant", "lsamp", "--zeta-sq", "1e200", "--psi1", "3", "--lambda-bar", "0.01",
+     "--rho", "2"],
+    ["theory", "--variant", "ridgeless", "--zeta-sq", "1e104", "--psi1", "2", "--psi2", "3",
+     "--rho", "2"],
+    ["phase", "--zeta-sq", "1e200", "--psi2", "3", "--rho", "2"],
+], ids=["quintic", "variance", "e0", "e0-with-powers", "wide", "lsamp", "ridgeless", "phase"])
+def test_an_overflowing_row_is_refused(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValueError: ") and "overflowed" in err
+
+
+def test_the_cli_imports_no_private_rfridge_name():
+    # the CLI is a layer over rfridge's public names (a dunder like __version__
+    # is public), and risk.theory_columns holds the theory rows' formulas
+    tree = ast.parse(open(rfridge.cli.__file__, encoding="utf-8").read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    private = [(module, name) for module, name in imported
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    assert imported and private == []
+    formulas = {"attempt", "risk_general", "risk_ridgeless", "risk_wide", "risk_large_sample"}
+    assert formulas.isdisjoint(name for _, name in imported)
 
 
 # each theory variant's parameters, with ratios and with finite sizes

@@ -22,12 +22,13 @@ from rfridge.risk import (
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
+    theory_columns,
     theory_points,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import InvariantViolation, unwrap
+from rfridge.selfconsistent import InvariantViolation, attempt, unwrap
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -594,3 +595,136 @@ def test_general_risk_tends_to_the_large_sample_limit(log_z, log_p1, log_lam):
     z, psi1, lb = math.exp(log_z), math.exp(log_p1), math.exp(log_lam)
     _assert_first_order(risk_large_sample(z, psi1, lb),
                         lambda psi2: risk_general(z, psi1, psi2, lb), 1e5, 1e7)
+
+
+# (variant, zeta_sq, psi1, psi2, lambda_bar, rho): every formula, with rho nan,
+# finite and inf, and rows that fail in the solve, the closed form, the
+# overflow rule, rho's validation and, with powers, at the threshold
+THEORY_TABLE = [
+    ("general", RELU_ZETA_SQ, 2.0, 3.0, 0.01, 2.0),
+    ("general", 1.0, 2.0, 3.0, 0.1, math.nan),
+    ("ridgeless", RELU_ZETA_SQ, 2.0, 3.0, math.nan, 2.0),
+    ("ridgeless", RELU_ZETA_SQ, 3.0, 3.0, math.nan, INF),
+    ("wide", RELU_ZETA_SQ, math.nan, 3.0, 0.01, 0.5),
+    ("lsamp", RELU_ZETA_SQ, 3.0, math.nan, 0.01, math.nan),
+    ("lsamp", 1.0, 1.0, math.nan, 1.0, INF),
+    # N = n: E0 cancels with finite terms, a threshold row
+    ("general", 16441957.981804013, 0.08198621106232101, 0.08198621106232101, 1e-30, 1.0),
+    ("general", RELU_ZETA_SQ, 3.0, 3.0, 1e-12, INF),
+    ("general", 1e97, 1e64, 1.0, 1e-5, 2.0),
+    ("general", RELU_ZETA_SQ, -1.0, 3.0, 0.01, 2.0),
+    ("general", RELU_ZETA_SQ, 2.0, 3.0, 0.01, -1.0),
+    ("ridgeless", 1e104, 2.0, 3.0, math.nan, 2.0),
+    ("wide", 1e200, math.nan, 3.0, 0.01, 2.0),
+    ("wide", RELU_ZETA_SQ, math.nan, 3.0, 0.01, -1.0),
+    ("lsamp", 1e120, 3.0, math.nan, 0.01, math.nan),
+]
+
+
+def _single_call(variant, zeta_sq, psi1, psi2, lambda_bar):
+    calls = {"general": (risk_general, zeta_sq, psi1, psi2, lambda_bar),
+             "ridgeless": (risk_ridgeless, zeta_sq, psi1, psi2),
+             "wide": (risk_wide, zeta_sq, psi2, lambda_bar),
+             "lsamp": (risk_large_sample, zeta_sq, psi1, lambda_bar)}
+    return attempt(*calls[variant])
+
+
+@pytest.mark.parametrize("powers", [None, TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5)])
+def test_theory_columns_are_each_rows_single_calls(powers):
+    columns, errors = theory_columns(*zip(*THEORY_TABLE), powers)
+    expected = {}
+    for k, (variant, *row, rho) in enumerate(THEORY_TABLE):
+        dec = _single_call(variant, *row)
+        cells = {} if isinstance(dec, Exception) else {"bias_B": dec.bias_B, "var_V": dec.var_V}
+        if cells and not math.isnan(rho):
+            cells["risk_R"] = attempt(dec.risk_at, rho)
+        if cells and powers is not None:
+            cells["test_error"] = dec.test_error(powers)
+            general = variant == "general"
+            cells["train_error"] = attempt(dec.train_error, powers) if general else math.nan
+            cells["norm_msq"] = attempt(dec.norm_msq, powers) if general else math.nan
+        # the closed form's, else rho's, else the threshold's training error
+        failure = next((v for v in [dec, *cells.values()] if isinstance(v, Exception)), None)
+        if failure is not None:
+            expected[k] = failure
+            continue
+        for name, value in cells.items():
+            assert repr(columns[name][k].item()) == repr(value), (k, name)
+    assert sorted(errors) == sorted(expected)
+    for k, error in expected.items():
+        assert (type(errors[k]), str(errors[k])) == (type(error), str(error)), k
+    assert {type(e).__name__ for e in expected.values()} >= {
+        "NoConvergence", "ValueError"} | ({"ThresholdSingularity"} if powers else set())
+    assert set(columns) == {"bias_B", "var_V", "risk_R"} | (
+        {"test_error", "train_error", "norm_msq"} if powers else set())
+
+
+def test_theory_columns_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown theory variant 'wild'"):
+        theory_columns(["wild"], [1.0], [2.0], [3.0], [0.01], [2.0])
+
+
+def _box(seed, lo, hi, n):
+    rng = np.random.default_rng(seed)
+    return [10.0 ** rng.uniform(lo, hi, n) for _ in range(4)]
+
+
+def _pinned_box():
+    # psi1 = 1 and psi2 = 1 on two blocks of rows, across 320 decades
+    zeta_sq, psi1, psi2, lambda_bar = _box(3, -160.0, 160.0, 4000)
+    psi1[:400] = 1.0
+    psi2[400:800] = 1.0
+    return zeta_sq, psi1, psi2, lambda_bar
+
+
+@pytest.mark.parametrize("columns", [_box(12, -100.0, 100.0, 3000), _pinned_box()],
+                         ids=["box-1e100", "box-1e160-pinned"])
+def test_an_overflowing_row_is_refused_never_silent(columns):
+    # a row off the threshold has finite factors, and a threshold row has a
+    # finite E0 and term size: an overflow is a ValueError naming the row
+    decompositions = risk_general_points(*columns)
+    points = theory_points(*columns)
+    rows = np.array(columns).T.tolist()
+    at_threshold = overflowed = 0
+    for row, dec, point in zip(rows, decompositions, points):
+        if isinstance(dec, ValueError) and "overflowed the float range" in str(dec):
+            overflowed += 1
+        if isinstance(dec, Exception):
+            continue
+        if dec.threshold_singular:
+            at_threshold += 1
+            with np.errstate(all="ignore"):
+                e0, _, _, size = rfridge.risk._e_polynomials(point.chi.real, *row[:3])
+            assert math.isfinite(e0) and math.isfinite(size), row
+        else:
+            factors = (dec.bias_B, dec.var_V, dec.train_signal, dec.train_noise,
+                       dec.norm_signal, dec.norm_noise)
+            assert all(map(math.isfinite, factors)), row
+    assert overflowed > 0
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (risk_ridgeless, (1e104, 2.0, 3.0),
+     "the decomposition at chi = -1.0 overflowed the float range at zeta_sq = 1e+104, "
+     "psi1 = 2.0, psi2 = 3.0"),
+    (risk_wide, (1e200, 3.0, 0.01),
+     "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+200, "
+     "psi2 = 3.0, lambda_bar = 0.01"),
+    # omega**3 raises OverflowError in Python's float power, not inf
+    (risk_wide, (1e120, 3.0, 0.01),
+     "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+120, "
+     "psi2 = 3.0, lambda_bar = 0.01"),
+    (risk_large_sample, (1e120, 3.0, 0.01),
+     "the large-sample decomposition overflowed the float range at zeta_sq = 1e+120, "
+     "psi1 = 3.0, lambda_bar = 0.01"),
+    (wide_phase, (1e200, 3.0, 2.0),
+     "the phase quantities overflowed the float range at zeta_sq = 1e+200, psi2 = 3.0, "
+     "rho = 2.0"),
+    (optimal_lambda, (2.0, 1e60, 2.0, 3.0, 10.0),
+     "the stationarity polynomial S overflowed the float range at rho = 2.0, "
+     "zeta_sq = 1e+60, psi1 = 2.0, psi2 = 3.0"),
+], ids=["ridgeless", "wide", "wide-power", "lsamp-power", "phase", "optimal-lambda"])
+def test_closed_forms_refuse_an_overflow_by_name(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message

@@ -466,18 +466,19 @@ def test_a_row_that_is_not_finite_fails_alone():
 
 def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     # zeta^4 underflows to a leading 0 in the first row's quartic and quintic;
-    # the second row's quartic and quintic, and the third row's quintic, are
-    # finite but their companion matrices overflow: those rows fail by the
-    # polynomial's name, and every row is the per-row reference's, which
-    # factors each polynomial with np.roots.  Only those five polynomials
-    # leave the stacks for np.roots.
+    # the second row's quartic and quintic are finite but their companion
+    # matrices overflow, and the third row's quintic is not finite (its third
+    # coefficient is -inf): those rows fail by the polynomial's name, and
+    # every row is the per-row reference's, which factors each polynomial
+    # with np.roots.  Only the first two rows' four polynomials leave the
+    # stacks for np.roots; the third row's quintic fails without a call.
     points = [(1e-170, 2.0, 3.0, 0.01), (0.5, 1e154, 1e154, 1e-300),
               (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01)]
     expected = [_reference_row(*point) for point in points]
     roots, calls = np.roots, []
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
     _same_outcomes(theory_points(*np.array(points).T), [row[1] for row in expected])
-    assert calls == [5, 5, 6, 6, 6]
+    assert calls == [5, 5, 6, 6]
     _same_outcomes(risk_general_points(*np.array(points).T), [row[2] for row in expected])
     assert isinstance(expected[0][1], SpectralPoint)
     assert str(expected[1][1]) == (
@@ -485,6 +486,17 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
         "zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0")
     assert str(expected[2][1]).startswith("the oracle's quintic in chi overflowed")
     assert all(type(row[1]) is ValueError for row in expected[1:3])
+
+
+def test_rows_that_are_not_finite_reach_no_np_roots(monkeypatch):
+    # a negative psi1 makes u, and with it the row's quartic and quintic, nan:
+    # the row keeps its validation error and costs no np.roots call
+    roots, calls = np.roots, []
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
+    outcomes = theory_points(2.0, [-1.0, 2.0, -1.0], 3.0, 0.01)
+    assert calls == []
+    assert [type(o) for o in outcomes] == [ValueError, SpectralPoint, ValueError]
+    assert str(outcomes[0]) == "psi1 must be finite and positive, got -1.0"
 
 
 def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypatch):
