@@ -109,7 +109,8 @@ class RiskDecomposition:
 
     bias_B and var_V are those of the test error, train_signal and
     train_noise those of the training objective (residual plus penalty), and
-    norm_signal and norm_noise those of mu_star^2 ||a_hat||^2.  The
+    norm_signal and norm_noise those of mu_star^2 ||a_hat||^2.  Every
+    variant's factors are a row of one column batch (theory_columns); the
     closed-form limits carry no training factors (nan).  threshold_singular
     marks a diverging decomposition (interpolation threshold): B and V are
     +inf rather than a division by a vanishing E0, and the training error
@@ -185,18 +186,6 @@ def _overflow(quantity: str, **row) -> ValueError:
     return ValueError(f"{quantity} overflowed the float range at {named}")
 
 
-def _finite_terms(terms, quantity: str, **row) -> tuple:
-    """The floats terms() returns, each finite; where one is not, or a Python
-    float power overflows (OverflowError), the row's error (_overflow) raises."""
-    try:
-        values = terms()
-    except OverflowError:
-        values = (NAN,)
-    if all(map(math.isfinite, values)):
-        return values
-    raise _overflow(quantity, **row)
-
-
 def _horner(coeffs, x: float) -> float:
     acc = 0.0
     for c in coeffs:
@@ -265,19 +254,63 @@ def _e0_vanishes(e0, size):
     return np.isfinite(e0) & np.isfinite(size) & (abs(e0) <= 1e-12 * size)
 
 
-def decompose(chi: float, zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
-    """B = E1/E0 and V = E2/E0 at a solved chi, without training factors.  Off
-    the threshold, where E0, E1, E2, B or V is not finite, a ValueError names
-    the row (_overflow)."""
-    e0, e1, e2, size = _e_polynomials(chi, zeta_sq, psi1, psi2)
-    if _e0_vanishes(e0, size):
-        return _AT_THRESHOLD
+def _positive(*columns):
+    """Where each column is finite and > 0, as require_positive asks, elementwise."""
+    return (np.isfinite(columns) & (np.array(columns) > 0.0)).all(axis=0)
+
+
+def _named(**columns):
+    """named(k): row k of the columns by name, as floats, for that row's error."""
+    return lambda k: {name: column[k].item() for name, column in columns.items()}
+
+
+def _factor_columns(chi, m, zeta_sq, psi1, psi2, named, errors: dict) -> tuple:
+    """RiskDecomposition's six factors at chi, elementwise over columns, the
+    threshold, and errors ({row: exception}, which come first) with the error
+    of each other failing row.
+
+    m = (-i nu2) sqrt(lambda_bar psi1 / psi2) is the residual's mass scale
+    (risk_general); where it is nan, as in the ridgeless limit, the training
+    factors are nan.  factors is rows x 6, each training factor clamped at 0.
+    Where E0 vanishes (threshold, _e0_vanishes) B and V are inf and the rest
+    nan.  Off the threshold, a row whose E0, E1, E2, B, V or, with m, a
+    training factor is not finite fails by name (_overflow), else one with a
+    training factor below -1e-10 fails as InvariantViolation, where a nan
+    first factor hides the others.  named(k) is row k's parameters by name.
+    """
+    errors = dict(errors)
     with np.errstate(all="ignore"):
-        bias, var = np.divide((e1, e2), e0).tolist()
-    if not np.isfinite((e0, e1, e2, bias, var)).all():
-        raise _overflow(f"the decomposition at chi = {chi!r}",
-                        zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
-    return RiskDecomposition(bias, var, NAN, NAN, NAN, NAN)
+        e0, e1, e2, size = _e_polynomials(chi, zeta_sq, psi1, psi2)
+        threshold = _e0_vanishes(e0, size)
+        z, z2 = zeta_sq, zeta_sq * zeta_sq
+        a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+        a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+        parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
+        parts[np.isnan(m)] = NAN
+        factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
+    factors[threshold] = INF, INF, NAN, NAN, NAN, NAN
+    checked = np.column_stack([e0, e1, e2, factors])
+    # a row without m has no training factors to check
+    checked[np.isnan(m), 5:] = 0.0
+    overflowed = ~threshold & ~np.isfinite(checked).all(axis=1)
+    negative = ~threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
+    for k in np.flatnonzero(overflowed | negative).tolist():
+        if k in errors:
+            continue
+        row = named(k)
+        # only a row with m, which names its lambda_bar, has training factors
+        errors[k] = (_overflow(f"the decomposition at chi = {chi[k].item()!r}", **row)
+                     if overflowed[k] else InvariantViolation(
+                         f"negative training factors {tuple(parts[k].tolist())} at psi1="
+                         f"{row['psi1']}, psi2={row['psi2']}, lambda_bar={row['lambda_bar']}"))
+    return factors, threshold, errors
+
+
+def _decompositions(factors, threshold, errors: dict) -> list:
+    """Each row's RiskDecomposition from its factors, or its exception."""
+    rows = zip(threshold.tolist(), factors.tolist())
+    return [errors[k] if k in errors else _AT_THRESHOLD if at_threshold
+            else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
 
 
 def _rows(*columns) -> list[tuple]:
@@ -287,12 +320,11 @@ def _rows(*columns) -> list[tuple]:
 
 class _RiskColumns:
     """theory_points and risk_general_points over rows already broadcast, as
-    columns: solve (selfconsistent._AxisBatch) and factors, RiskDecomposition's
-    six per row (B, V inf and the rest nan where E0 vanished: threshold).
-    point_errors holds each row's theory_point error, {row: exception}: the
-    solve's, else the oracle's, else the 1e-8 cross-check's; errors adds
-    risk_general's, for a row off the threshold whose E0, E1, E2 or factors
-    are not finite (_overflow), else whose training factors are negative."""
+    columns: the solve (selfconsistent._AxisBatch), and the factors and
+    threshold of _factor_columns at its chi and training mass.  point_errors
+    holds each row's theory_point error, {row: exception}: the solve's, else
+    the oracle's, else the 1e-8 cross-check's; errors adds risk_general's,
+    _factor_columns' overflow or negative training factors."""
 
     def __init__(self, rows: list[tuple]):
         self.solve = solve = _AxisBatch(rows)
@@ -301,15 +333,7 @@ class _RiskColumns:
         # a failing row's columns mean nothing and must not warn
         with np.errstate(all="ignore"):
             apart = np.abs(chi - oracle) > 1e-8 * np.abs(oracle)
-            e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
-            self.threshold = _e0_vanishes(e0, size)
-            z2 = z * z
             m = solve.t2 * np.sqrt(lambda_bar * psi1 / psi2)
-            a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
-            a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
-            parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
-            self.factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
-        self.factors[self.threshold] = INF, INF, NAN, NAN, NAN, NAN
         # a row's solve error comes before its oracle's, and both before the cross-check's
         self.point_errors = {**solve.chi_errors, **solve.point_errors}
         for k in np.flatnonzero(apart).tolist():
@@ -318,28 +342,10 @@ class _RiskColumns:
                     f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
                     f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
                     f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})")
-        overflowed = ~self.threshold & ~np.isfinite(
-            np.column_stack([e0, e1, e2, self.factors])).all(axis=1)
-        # min(parts) < -1e-10, where a nan first part hides the others
-        negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
-        self.errors = dict(self.point_errors)
-        for k in np.flatnonzero(overflowed | negative).tolist():
-            if k in self.errors:
-                continue
-            if overflowed[k]:
-                self.errors[k] = _overflow(
-                    f"the decomposition at chi = {chi[k].item()!r}", zeta_sq=rows[k][0],
-                    psi1=rows[k][1], psi2=rows[k][2], lambda_bar=rows[k][3])
-            else:
-                self.errors[k] = InvariantViolation(
-                    f"negative training factors {tuple(parts[k].tolist())} at "
-                    f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
-
-    def decompositions(self) -> list:
-        """Each row's RiskDecomposition, or its exception."""
-        rows = zip(self.threshold.tolist(), self.factors.tolist())
-        return [self.errors[k] if k in self.errors else _AT_THRESHOLD if at_threshold
-                else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
+        self.factors, self.threshold, self.errors = _factor_columns(
+            chi, m, z, psi1, psi2,
+            lambda k: dict(zip(("zeta_sq", "psi1", "psi2", "lambda_bar"), rows[k])),
+            self.point_errors)
 
 
 def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
@@ -382,7 +388,7 @@ def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     training factors as columns, so a row's outcome is bitwise
     risk_general's and a failing row leaves the others unchanged.
     """
-    return _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar)).decompositions()
+    return _decompositions(*_general_columns(zeta_sq, psi1, psi2, lambda_bar))
 
 
 def risk_general(
@@ -410,10 +416,15 @@ def risk_general(
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
     """Closed-form chi in the lambda_bar -> 0+ limit; depends on min(psi1, psi2)."""
     require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
-    psi = min(psi1, psi2)
-    z = zeta_sq
-    t = psi * z - z - 1.0
-    return -(math.sqrt(t * t + 4.0 * z * psi) + t) / (2.0 * z)
+    return float(_ridgeless_chi(zeta_sq, psi1, psi2))
+
+
+@np.errstate(all="ignore")
+def _ridgeless_chi(zeta_sq, psi1, psi2):
+    """ridgeless_chi elementwise, without its validation."""
+    psi = np.minimum(psi1, psi2)
+    t = psi * zeta_sq - zeta_sq - 1.0
+    return -(np.sqrt(t * t + 4.0 * zeta_sq * psi) + t) / (2.0 * zeta_sq)
 
 
 def _lambda_bar(chi, zeta_sq, psi1, psi2):
@@ -429,14 +440,24 @@ def _lambda_bar(chi, zeta_sq, psi1, psi2):
 
 
 def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
-    """Decomposition in the ridgeless limit.
+    """Decomposition in the ridgeless limit, a batch of one of _ridgeless_columns.
 
     At psi1 = psi2 the denominator polynomial vanishes identically and both
     factors diverge; that comes back as a threshold_singular result, matching
     the interpolation-threshold blowup.
     """
-    chi = ridgeless_chi(zeta_sq, psi1, psi2)
-    return decompose(chi, zeta_sq, psi1, psi2)
+    return unwrap(_decompositions(*_ridgeless_columns(
+        *np.array([[zeta_sq, psi1, psi2]], dtype=float).T))[0])
+
+
+def _ridgeless_columns(zeta_sq, psi1, psi2, lambda_bar=None) -> tuple:
+    """B and V of _factor_columns at _ridgeless_chi without m, the threshold
+    and {row: exception}, where a row's validation error comes first."""
+    named = _named(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    errors = {k: attempt(lambda: require_positive(**named(k)))
+              for k in np.flatnonzero(~_positive(zeta_sq, psi1, psi2)).tolist()}
+    chi = _ridgeless_chi(zeta_sq, psi1, psi2)
+    return _factor_columns(chi, np.full_like(chi, NAN), zeta_sq, psi1, psi2, named, errors)
 
 
 def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
@@ -446,56 +467,93 @@ def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
     psi2 the same quadratic drives the large-sample limit.  Strictly
     increasing in lambda_bar (toward 0 from below).
     """
-    require_positive(zeta_sq=zeta_sq, psi=psi)
+    _require_limit_row(zeta_sq, psi, lambda_bar, "psi")
+    return float(_wide_omega(zeta_sq, psi, lambda_bar))
+
+
+def _require_limit_row(zeta_sq: float, psi: float, lambda_bar: float, name: str) -> None:
+    """wide_omega's validation, naming psi as name."""
+    require_positive(**{"zeta_sq": zeta_sq, name: psi})
     if not (math.isfinite(lambda_bar) and lambda_bar >= 0.0):
         raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
+
+
+@np.errstate(all="ignore")
+def _wide_omega(zeta_sq, psi, lambda_bar):
+    """wide_omega elementwise, without its validation."""
     z = zeta_sq
     a = lambda_bar * psi + 1.0
     b = psi * z - z - lambda_bar * psi - 1.0
     c = -psi * z
-    return (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    return (-b - np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
-def _wide_denominator(omega: float, psi: float) -> float:
+def _wide_denominator(omega, psi):
     return (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
 
 
 def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecomposition:
-    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2.
-
-    Where the denominator or a numerator is not finite, a ValueError names the
-    row (_overflow) before the denominator is tested; past that test |B| and
-    |V| are below 1e12.
-    """
-    require_positive(zeta_sq=zeta_sq, psi2=psi2)
-    omega = wide_omega(zeta_sq, psi2, lambda_bar)
-    den, bias_num, var_num = _finite_terms(
-        lambda: (_wide_denominator(omega, psi2), psi2 * omega - psi2, omega**3 - omega**2),
-        "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
-    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
-        raise DenominatorVanishes(
-            f"wide-limit denominator {den} vanished at omega = {omega}"
-        )
-    return RiskDecomposition(bias_num / den, var_num / den, NAN, NAN, NAN, NAN)
+    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2,
+    a batch of one of _limit_columns; past its denominator test |B| and |V|
+    are below 1e12."""
+    return unwrap(_decompositions(*_limit_columns(
+        True, *np.array([[zeta_sq, NAN, psi2, lambda_bar]]).T))[0])
 
 
 def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDecomposition:
-    """Decomposition in the infinite-sample limit psi2 -> inf, at fixed psi1.
+    """Decomposition in the infinite-sample limit psi2 -> inf, at fixed psi1,
+    a batch of one of _limit_columns.  The variance factor vanishes in this
+    limit; only the bias survives."""
+    return unwrap(_decompositions(*_limit_columns(
+        False, *np.array([[zeta_sq, psi1, NAN, lambda_bar]]).T))[0])
 
-    The variance factor vanishes in this limit; only the bias survives.  An
-    overflow is refused as in risk_wide.
+
+def _limit_columns(wide: bool, zeta_sq, psi1, psi2, lambda_bar) -> tuple:
+    """The wide (psi = psi2) or else large-sample (psi = psi1) limit's B and
+    V over columns, the threshold (nowhere) and {row: exception}.
+
+    Over omega = _wide_omega and one denominator, B = (psi omega - psi) / den
+    and V = (omega^3 - omega^2) / den in the wide limit; B = ((omega^3 -
+    omega^2) / zeta^2 + psi omega - psi) / den and V = 0 in the large-sample
+    limit.  A row's error is its validation's (_require_limit_row), else,
+    where den or a numerator is not finite, its overflow's, else
+    DenominatorVanishes where |den| < 1e-12 (1 + the numerators' size).
     """
-    require_positive(zeta_sq=zeta_sq, psi1=psi1)
-    omega = wide_omega(zeta_sq, psi1, lambda_bar)
-    den, num = _finite_terms(
-        lambda: (_wide_denominator(omega, psi1),
-                 (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1),
-        "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
-    if abs(den) < 1e-12 * (1.0 + abs(num)):
-        raise DenominatorVanishes(
-            f"large-sample denominator {den} vanished at omega = {omega}"
-        )
-    return RiskDecomposition(num / den, 0.0, NAN, NAN, NAN, NAN)
+    psi, name, label = (psi2, "psi2", "wide-limit") if wide else (psi1, "psi1", "large-sample")
+    named = _named(**{"zeta_sq": zeta_sq, name: psi, "lambda_bar": lambda_bar})
+    with np.errstate(all="ignore"):
+        omega = _wide_omega(zeta_sq, psi, lambda_bar)
+        den = _wide_denominator(omega, psi)
+        if wide:
+            bias_num, var_num = psi * omega - psi, omega**3 - omega**2
+        else:
+            bias_num = (omega**3 - omega**2) / zeta_sq + psi * omega - psi
+            var_num = np.zeros_like(omega)
+        overflowed = ~np.isfinite([den, bias_num, var_num]).all(axis=0)
+        vanishes = abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num)))
+        factors = np.full((len(omega), 6), NAN)
+        factors[:, :2] = np.transpose([bias_num / den, var_num / den if wide else var_num])
+    valid = _positive(zeta_sq, psi) & np.isfinite(lambda_bar) & (lambda_bar >= 0.0)
+    errors = {k: attempt(_require_limit_row, *named(k).values(), name)
+              for k in np.flatnonzero(~valid).tolist()}
+    for k in np.flatnonzero(valid & (overflowed | vanishes)).tolist():
+        errors[k] = (_overflow(f"the {label} decomposition", **named(k)) if overflowed[k] else
+                     DenominatorVanishes(f"{label} denominator {den[k].item()} vanished at "
+                                         f"omega = {omega[k].item()}"))
+    return factors, np.zeros(len(omega), dtype=bool), errors
+
+
+def _general_columns(zeta_sq, psi1, psi2, lambda_bar) -> tuple:
+    """risk_general_points' factors, threshold and {row: exception}."""
+    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar))
+    return risks.factors, risks.threshold, risks.errors
+
+
+# each variant's factors, threshold and errors from (zeta_sq, psi1, psi2,
+# lambda_bar) columns; a ridgeless row takes no lambda_bar
+_VARIANT_COLUMNS = {"general": _general_columns, "ridgeless": _ridgeless_columns,
+                    "wide": lambda *columns: _limit_columns(True, *columns),
+                    "lsamp": lambda *columns: _limit_columns(False, *columns)}
 
 
 def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
@@ -504,41 +562,32 @@ def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
     {row: exception}.
 
     Each argument holds one entry per row, nan where the row's variant does
-    not use it.  variant names the row's formula: a "general" row is
-    risk_general's, solved with the others in one batch (_RiskColumns), and a
-    "ridgeless", "wide" or "lsamp" row is risk_ridgeless', risk_wide's or
-    risk_large_sample's closed form, which has no training factors.  The
-    columns, numpy arrays by name, are bias_B and var_V; risk_R, the test
-    error of TargetSpec.unit(rho), weighed once per distinct rho, where any
-    rho is not nan; and with powers test_error, train_error and norm_msq,
-    weighed once with them.  A row's error is its solve's or closed form's,
-    else its rho's, else, with powers, a general threshold row's
-    ThresholdSingularity; a failing row's cells mean nothing.
+    not use it.  variant names the row's formula, and an unknown name is
+    refused before any row is computed.  Each variant's rows are one column
+    batch: "general" rows are risk_general's (_RiskColumns), and
+    "ridgeless", "wide" and "lsamp" rows are risk_ridgeless', risk_wide's and
+    risk_large_sample's closed forms, which have no training factors; general
+    and ridgeless rows share one evaluator (_factor_columns).  The columns,
+    numpy arrays by name, are bias_B and var_V; risk_R, the test error of
+    TargetSpec.unit(rho), weighed once per distinct rho, where any rho is
+    not nan; and with powers test_error, train_error and norm_msq, weighed
+    once with them.  A row's error is its variant's, else its rho's, else,
+    with powers, a general threshold row's ThresholdSingularity; a failing
+    row's cells mean nothing.
     """
-    zeta_sq, psi1, psi2, lambda_bar = (np.asarray(c, dtype=float).tolist()
-                                       for c in (zeta_sq, psi1, psi2, lambda_bar))
-    general = [k for k, v in enumerate(variant) if v == "general"]
-    risks = _RiskColumns([(zeta_sq[k], psi1[k], psi2[k], lambda_bar[k]) for k in general])
-    errors = {general[j]: error for j, error in risks.errors.items()}
+    variant = np.asarray(variant, dtype=str)
+    known = np.isin(variant, list(_VARIANT_COLUMNS))
+    if not known.all():
+        raise ValueError(f"unknown theory variant {variant[~known][0].item()!r}")
+    table = [np.asarray(c, dtype=float) for c in (zeta_sq, psi1, psi2, lambda_bar)]
     # RiskDecomposition's six factors per row; a closed form has no training factors
     factors = np.full((len(variant), 6), NAN)
     threshold = np.zeros(len(variant), dtype=bool)
-    factors[general], threshold[general] = risks.factors, risks.threshold
-    for k, v in enumerate(variant):
-        if v == "general":
-            continue
-        if v == "ridgeless":
-            dec = attempt(risk_ridgeless, zeta_sq[k], psi1[k], psi2[k])
-        elif v == "wide":
-            dec = attempt(risk_wide, zeta_sq[k], psi2[k], lambda_bar[k])
-        elif v == "lsamp":
-            dec = attempt(risk_large_sample, zeta_sq[k], psi1[k], lambda_bar[k])
-        else:
-            raise ValueError(f"unknown theory variant {v!r}")
-        if isinstance(dec, Exception):
-            errors[k] = dec
-        else:
-            factors[k, :2], threshold[k] = (dec.bias_B, dec.var_V), dec.threshold_singular
+    errors = {}
+    for name in np.unique(variant).tolist():
+        rows = np.flatnonzero(variant == name)
+        factors[rows], threshold[rows], found = _VARIANT_COLUMNS[name](*(c[rows] for c in table))
+        errors.update(zip(rows[list(found)].tolist(), found.values()))
     bias, var = factors[:, 0], factors[:, 1]
     columns = {"bias_B": bias, "var_V": var}
     rho = np.asarray(rho, dtype=float)
@@ -551,8 +600,8 @@ def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
             else:
                 risk_R[rows] = _test_errors(unit, bias[rows], var[rows], threshold[rows])
     if powers is not None:
-        for j in np.flatnonzero(risks.threshold).tolist():
-            errors.setdefault(general[j], attempt(_AT_THRESHOLD.train_error, powers))
+        for k in np.flatnonzero(threshold & (variant == "general")).tolist():
+            errors.setdefault(k, attempt(_AT_THRESHOLD.train_error, powers))
         columns["test_error"] = _test_errors(powers, bias, var, threshold)
         columns["train_error"] = powers.weigh(factors[:, 2], factors[:, 3])
         columns["norm_msq"] = powers.weigh(factors[:, 4], factors[:, 5])
@@ -590,8 +639,8 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     lambda_star = (z * psi2 - z * omega1 * psi2 + z * omega1 + omega1 - omega1 * omega1) / (
         (omega1 * omega1 - omega1) * psi2
     )
-    _finite_terms(lambda: (omega0, omega1, rho_star, zeta_star_sq, lambda_star),
-                  "the phase quantities", zeta_sq=zeta_sq, psi2=psi2, rho=rho)
+    if not all(map(math.isfinite, (omega0, omega1, rho_star, zeta_star_sq, lambda_star))):
+        raise _overflow("the phase quantities", zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     # both omegas must re-solve their defining quadratics
     r0 = omega0 * omega0 + (psi2 * z - z - 1.0) * omega0 - psi2 * z
     r1 = omega1 * omega1 + b1 * omega1 - psi2 * rho

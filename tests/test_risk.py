@@ -28,7 +28,7 @@ from rfridge.risk import (
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import InvariantViolation, attempt, unwrap
+from rfridge.selfconsistent import InvariantViolation, attempt, require_positive, unwrap
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -598,14 +598,15 @@ def test_general_risk_tends_to_the_large_sample_limit(log_z, log_p1, log_lam):
 
 
 # (variant, zeta_sq, psi1, psi2, lambda_bar, rho): every formula, with rho nan,
-# finite and inf, and rows that fail in the solve, the closed form, the
-# overflow rule, rho's validation and, with powers, at the threshold
+# finite and inf, and rows that fail validation, the solve, the closed form,
+# the overflow rule, rho's validation and, with powers, at the threshold
 THEORY_TABLE = [
     ("general", RELU_ZETA_SQ, 2.0, 3.0, 0.01, 2.0),
     ("general", 1.0, 2.0, 3.0, 0.1, math.nan),
     ("ridgeless", RELU_ZETA_SQ, 2.0, 3.0, math.nan, 2.0),
     ("ridgeless", RELU_ZETA_SQ, 3.0, 3.0, math.nan, INF),
     ("wide", RELU_ZETA_SQ, math.nan, 3.0, 0.01, 0.5),
+    ("wide", RELU_ZETA_SQ, math.nan, 3.0, 0.0, 2.0),
     ("lsamp", RELU_ZETA_SQ, 3.0, math.nan, 0.01, math.nan),
     ("lsamp", 1.0, 1.0, math.nan, 1.0, INF),
     # N = n: E0 cancels with finite terms, a threshold row
@@ -615,25 +616,131 @@ THEORY_TABLE = [
     ("general", RELU_ZETA_SQ, -1.0, 3.0, 0.01, 2.0),
     ("general", RELU_ZETA_SQ, 2.0, 3.0, 0.01, -1.0),
     ("ridgeless", 1e104, 2.0, 3.0, math.nan, 2.0),
+    ("ridgeless", RELU_ZETA_SQ, 2.0, 0.0, math.nan, 2.0),
     ("wide", 1e200, math.nan, 3.0, 0.01, 2.0),
     ("wide", RELU_ZETA_SQ, math.nan, 3.0, 0.01, -1.0),
+    ("wide", RELU_ZETA_SQ, math.nan, 3.0, -1.0, 2.0),
     ("lsamp", 1e120, 3.0, math.nan, 0.01, math.nan),
+    ("lsamp", math.nan, 3.0, math.nan, 0.01, 2.0),
 ]
+
+
+# The closed forms one row at a time in Python floats, as risk_ridgeless,
+# risk_wide and risk_large_sample computed them before they became column
+# batches: the per-row reference of theory_columns' closed-form rows.
+
+def _reference_finite_terms(terms, quantity, **row):
+    """The floats terms() returns, each finite; where one is not, or a Python
+    float power overflows (OverflowError), the row's overflow error."""
+    try:
+        values = terms()
+    except OverflowError:
+        values = (math.nan,)
+    if all(map(math.isfinite, values)):
+        return values
+    raise rfridge.risk._overflow(quantity, **row)
+
+
+def _reference_ridgeless(zeta_sq, psi1, psi2):
+    """risk_ridgeless: B = E1/E0 and V = E2/E0 at the ridgeless chi, or the
+    threshold where E0 vanishes; an overflow off the threshold is refused."""
+    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    psi = min(psi1, psi2)
+    t = psi * zeta_sq - zeta_sq - 1.0
+    chi = -(math.sqrt(t * t + 4.0 * zeta_sq * psi) + t) / (2.0 * zeta_sq)
+    e0, e1, e2, size = rfridge.risk._e_polynomials(chi, zeta_sq, psi1, psi2)
+    if rfridge.risk._e0_vanishes(e0, size):
+        return RiskDecomposition(INF, INF, math.nan, math.nan, math.nan, math.nan, True)
+    with np.errstate(all="ignore"):
+        bias, var = np.divide((e1, e2), e0).tolist()
+    if not np.isfinite((e0, e1, e2, bias, var)).all():
+        raise rfridge.risk._overflow(f"the decomposition at chi = {chi!r}",
+                                     zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    return RiskDecomposition(bias, var, math.nan, math.nan, math.nan, math.nan)
+
+
+def _reference_omega_terms(zeta_sq, psi, lambda_bar):
+    """wide_omega's omega, its cube and the limits' shared denominator
+    (psi - 1) omega^3 + (1 - 3 psi) omega^2 + 3 psi omega - psi.
+
+    Everything is Python floats except the cube, which is numpy's array power
+    of [omega] alone, the one operation the reference shares with the batch:
+    it and Python's float ** (libm pow) round some cubes an ulp apart, and a
+    one-element array gives the same bits as any batch.  The square is
+    omega * omega, correctly rounded as numpy's array square is; Python's
+    float ** 2 also goes through pow, which rounds some squares differently.
+    """
+    if not (math.isfinite(lambda_bar) and lambda_bar >= 0.0):
+        raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
+    a = lambda_bar * psi + 1.0
+    b = psi * zeta_sq - zeta_sq - lambda_bar * psi - 1.0
+    c = -psi * zeta_sq
+    omega = (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    with np.errstate(over="ignore"):
+        cube = (np.array([omega]) ** 3).item()
+
+    def denominator():
+        return (psi - 1.0) * cube + (1.0 - 3.0 * psi) * (omega * omega) + 3.0 * psi * omega - psi
+
+    return omega, cube, denominator
+
+
+def _reference_wide(zeta_sq, psi2, lambda_bar):
+    """risk_wide: an overflow is refused before the denominator is tested."""
+    require_positive(zeta_sq=zeta_sq, psi2=psi2)
+    omega, cube, denominator = _reference_omega_terms(zeta_sq, psi2, lambda_bar)
+    den, bias_num, var_num = _reference_finite_terms(
+        lambda: (denominator(), psi2 * omega - psi2, cube - omega * omega),
+        "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
+    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
+        raise rfridge.risk.DenominatorVanishes(
+            f"wide-limit denominator {den} vanished at omega = {omega}")
+    return RiskDecomposition(bias_num / den, var_num / den, *[math.nan] * 4)
+
+
+def _reference_large_sample(zeta_sq, psi1, lambda_bar):
+    """risk_large_sample: V is 0, and an overflow is refused as in risk_wide."""
+    require_positive(zeta_sq=zeta_sq, psi1=psi1)
+    omega, cube, denominator = _reference_omega_terms(zeta_sq, psi1, lambda_bar)
+    den, num = _reference_finite_terms(
+        lambda: (denominator(), (cube - omega * omega) / zeta_sq + psi1 * omega - psi1),
+        "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
+    if abs(den) < 1e-12 * (1.0 + abs(num)):
+        raise rfridge.risk.DenominatorVanishes(
+            f"large-sample denominator {den} vanished at omega = {omega}")
+    return RiskDecomposition(num / den, 0.0, *[math.nan] * 4)
 
 
 def _single_call(variant, zeta_sq, psi1, psi2, lambda_bar):
     calls = {"general": (risk_general, zeta_sq, psi1, psi2, lambda_bar),
-             "ridgeless": (risk_ridgeless, zeta_sq, psi1, psi2),
-             "wide": (risk_wide, zeta_sq, psi2, lambda_bar),
-             "lsamp": (risk_large_sample, zeta_sq, psi1, lambda_bar)}
+             "ridgeless": (_reference_ridgeless, zeta_sq, psi1, psi2),
+             "wide": (_reference_wide, zeta_sq, psi2, lambda_bar),
+             "lsamp": (_reference_large_sample, zeta_sq, psi1, lambda_bar)}
     return attempt(*calls[variant])
 
 
-@pytest.mark.parametrize("powers", [None, TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5)])
-def test_theory_columns_are_each_rows_single_calls(powers):
-    columns, errors = theory_columns(*zip(*THEORY_TABLE), powers)
+def _closed_form_box(seed, rows):
+    """rows log-uniform rows per closed form over 1e-160..1e160, each with the
+    parameters its variant takes (nan elsewhere) and rho from a few values;
+    the first tenth of the ridgeless rows have psi1 = psi2."""
+    rng = np.random.default_rng(seed)
+    zeta_sq, psi1, psi2, lambda_bar = 10.0 ** rng.uniform(-160.0, 160.0, (4, 3 * rows))
+    psi1[:rows // 10] = psi2[:rows // 10]
+    lambda_bar[:rows] = math.nan
+    psi1[rows:2 * rows] = math.nan
+    psi2[2 * rows:] = math.nan
+    variant = ["ridgeless"] * rows + ["wide"] * rows + ["lsamp"] * rows
+    rho = rng.choice([math.nan, 0.5, 2.0, INF], 3 * rows)
+    return list(zip(variant, *(c.tolist() for c in (zeta_sq, psi1, psi2, lambda_bar, rho))))
+
+
+def _assert_rows_are_single_calls(table, powers) -> set:
+    """Each general row of theory_columns' table is risk_general's and each
+    closed-form row the per-row reference's, cell by cell bitwise and error
+    by error; returns the names of the errors' types."""
+    columns, errors = theory_columns(*zip(*table), powers)
     expected = {}
-    for k, (variant, *row, rho) in enumerate(THEORY_TABLE):
+    for k, (variant, *row, rho) in enumerate(table):
         dec = _single_call(variant, *row)
         cells = {} if isinstance(dec, Exception) else {"bias_B": dec.bias_B, "var_V": dec.var_V}
         if cells and not math.isnan(rho):
@@ -653,10 +760,43 @@ def test_theory_columns_are_each_rows_single_calls(powers):
     assert sorted(errors) == sorted(expected)
     for k, error in expected.items():
         assert (type(errors[k]), str(errors[k])) == (type(error), str(error)), k
-    assert {type(e).__name__ for e in expected.values()} >= {
-        "NoConvergence", "ValueError"} | ({"ThresholdSingularity"} if powers else set())
     assert set(columns) == {"bias_B", "var_V", "risk_R"} | (
         {"test_error", "train_error", "norm_msq"} if powers else set())
+    # a row without an error at psi1 = psi2 (the box's first rows) at the threshold
+    assert table is THEORY_TABLE or any(
+        columns["bias_B"][k] == INF for k in range(100) if k not in expected)
+    assert {row[0] for k, row in enumerate(table) if k not in expected} >= {
+        "ridgeless", "wide", "lsamp"}
+    return {type(e).__name__ for e in expected.values()}
+
+
+@pytest.mark.parametrize("powers", [None, TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5)])
+def test_theory_columns_are_each_rows_single_calls(powers):
+    kinds = _assert_rows_are_single_calls(THEORY_TABLE, powers)
+    assert kinds >= {"NoConvergence", "ValueError"} | (
+        {"ThresholdSingularity"} if powers else set())
+
+
+@pytest.mark.parametrize("powers", [None, TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5)])
+def test_theory_columns_of_a_closed_form_box_are_the_reference_rows(powers):
+    # each closed form keeps and refuses rows, and psi1 = psi2 reaches the threshold
+    kinds = _assert_rows_are_single_calls(_closed_form_box(31, 1000), powers)
+    assert kinds == {"ValueError", "DenominatorVanishes"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.permutations(range(len(THEORY_TABLE))), with_powers=st.booleans())
+def test_theory_columns_of_a_shuffled_table_are_its_shuffled_columns(order, with_powers):
+    # a row's cells and error do not depend on where the other variants' rows sit
+    powers = TargetSpec(1.0, fstar_sq=0.2, tau_sq=0.5) if with_powers else None
+    columns, errors = theory_columns(*zip(*THEORY_TABLE), powers)
+    shuffled, moved = theory_columns(*zip(*(THEORY_TABLE[k] for k in order)), powers)
+    assert list(shuffled) == list(columns)
+    for name, column in columns.items():
+        assert repr(shuffled[name].tolist()) == repr(column[order].tolist()), name
+    assert sorted(moved) == [j for j, k in enumerate(order) if k in errors]
+    for j, error in moved.items():
+        assert (type(error), str(error)) == (type(errors[order[j]]), str(errors[order[j]])), j
 
 
 def test_theory_columns_refuses_an_unknown_variant():
@@ -710,7 +850,7 @@ def test_an_overflowing_row_is_refused_never_silent(columns):
     (risk_wide, (1e200, 3.0, 0.01),
      "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+200, "
      "psi2 = 3.0, lambda_bar = 0.01"),
-    # omega**3 raises OverflowError in Python's float power, not inf
+    # omega**3 alone is beyond the float range
     (risk_wide, (1e120, 3.0, 0.01),
      "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+120, "
      "psi2 = 3.0, lambda_bar = 0.01"),

@@ -311,22 +311,30 @@ def _reference_decomposition(point, zeta_sq, psi1, psi2, lambda_bar):
     """risk_general's decomposition of a solved point, in Python floats."""
     point = unwrap(point)
     chi = point.chi.real
-    dec = rfridge.risk.decompose(chi, zeta_sq, psi1, psi2)
-    if dec.threshold_singular:
-        return dec
     z = zeta_sq
+    e0, e1, e2, size = rfridge.risk._e_polynomials(chi, z, psi1, psi2)
+    if rfridge.risk._e0_vanishes(e0, size):
+        return rfridge.risk.RiskDecomposition(math.inf, math.inf, *[math.nan] * 4, True)
+    overflow = rfridge.risk._overflow(f"the decomposition at chi = {chi!r}", zeta_sq=zeta_sq,
+                                      psi1=psi1, psi2=psi2, lambda_bar=lambda_bar)
+    # off the threshold a zero E0 has terms beyond the float range, and B
+    # would not be finite: Python's division raises where numpy's gives inf
+    if e0 == 0.0:
+        raise overflow
     z2 = z * z
     m = point.nu2.imag * math.sqrt(lambda_bar * psi1 / psi2)
     a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
     a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
-    e0 = rfridge.risk._horner(rfridge.risk._e0_coeffs(z, psi1, psi2), chi)
     parts = (m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0)
+    factors = (e1 / e0, e2 / e0, *(max(p, 0.0) for p in parts))
+    if not all(map(math.isfinite, (e0, e1, e2, *factors))):
+        raise overflow
     if min(parts) < -1e-10:
         raise InvariantViolation(
             f"negative training factors {parts} at psi1={psi1}, psi2={psi2}, "
             f"lambda_bar={lambda_bar}"
         )
-    return rfridge.risk.RiskDecomposition(dec.bias_B, dec.var_V, *(max(p, 0.0) for p in parts))
+    return rfridge.risk.RiskDecomposition(*factors)
 
 
 def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
@@ -373,7 +381,8 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     quintic = [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
     with np.errstate(all="ignore"):
         turns = attempt(lambda: np.roots(quintic).tolist())
-    if isinstance(turns, np.linalg.LinAlgError):
+    # with a leading -inf, np.roots gives five zero roots and a passing certificate
+    if not all(math.isfinite(c) for c in quintic) or isinstance(turns, np.linalg.LinAlgError):
         turns = sc._unfactored("oracle's quintic", zeta_sq, psi1, psi2, u)
     row = (zeta_sq, psi1, psi2, lambda_bar)
     solved = (attempt(_reference_select, xi, row[:3], negative),
@@ -468,12 +477,14 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     # zeta^4 underflows to a leading 0 in the first row's quartic and quintic;
     # the second row's quartic and quintic are finite but their companion
     # matrices overflow, and the third row's quintic is not finite (its third
-    # coefficient is -inf): those rows fail by the polynomial's name, and
-    # every row is the per-row reference's, which factors each polynomial
-    # with np.roots.  Only the first two rows' four polynomials leave the
-    # stacks for np.roots; the third row's quintic fails without a call.
+    # coefficient is -inf, and the last row's leading one): those rows fail
+    # by the polynomial's name, and every row is the per-row reference's,
+    # which factors each finite polynomial with np.roots.  Only the first two
+    # rows' four polynomials leave the stacks for np.roots; the quintics that
+    # are not finite fail without a call, and the last row's quartic is stacked.
     points = [(1e-170, 2.0, 3.0, 0.01), (0.5, 1e154, 1e154, 1e-300),
-              (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01)]
+              (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01),
+              (1e120, 1.0, 2.0, 0.01)]
     expected = [_reference_row(*point) for point in points]
     roots, calls = np.roots, []
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
@@ -484,8 +495,9 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     assert str(expected[1][1]) == (
         "the quartic in chi overflowed its companion matrix at psi1 = 1e+154, psi2 = 1e+154, "
         "zeta_sq = 0.5, psi1 psi2 lambda_bar = 100000000.0")
-    assert str(expected[2][1]).startswith("the oracle's quintic in chi overflowed")
-    assert all(type(row[1]) is ValueError for row in expected[1:3])
+    for k in (2, 4):
+        assert str(expected[k][1]).startswith("the oracle's quintic in chi overflowed")
+    assert all(type(row[1]) is ValueError for row in expected[1:3] + expected[4:])
 
 
 def test_rows_that_are_not_finite_reach_no_np_roots(monkeypatch):
