@@ -109,8 +109,7 @@ class RiskDecomposition:
 
     bias_B and var_V are those of the test error, train_signal and
     train_noise those of the training objective (residual plus penalty), and
-    norm_signal and norm_noise those of mu_star^2 ||a_hat||^2.  Every
-    variant's factors are a row of one column batch (theory_columns); the
+    norm_signal and norm_noise those of mu_star^2 ||a_hat||^2.  The
     closed-form limits carry no training factors (nan).  threshold_singular
     marks a diverging decomposition (interpolation threshold): B and V are
     +inf rather than a division by a vanishing E0, and the training error
@@ -254,77 +253,61 @@ def _e0_vanishes(e0, size):
     return np.isfinite(e0) & np.isfinite(size) & (abs(e0) <= 1e-12 * size)
 
 
-def _positive(*columns):
-    """Where each column is finite and > 0, as require_positive asks, elementwise."""
-    return (np.isfinite(columns) & (np.array(columns) > 0.0)).all(axis=0)
-
-
-def _named(**columns):
-    """named(k): row k of the columns by name, as floats, for that row's error."""
-    return lambda k: {name: column[k].item() for name, column in columns.items()}
-
-
-def _factor_columns(chi, m, zeta_sq, psi1, psi2, named, errors: dict) -> tuple:
-    """RiskDecomposition's six factors at chi, elementwise over columns, the
-    threshold, and errors ({row: exception}, which come first) with the error
-    of each other failing row.
-
-    m = (-i nu2) sqrt(lambda_bar psi1 / psi2) is the residual's mass scale
-    (risk_general); where it is nan, as in the ridgeless limit, the training
-    factors are nan.  factors is rows x 6, each training factor clamped at 0.
-    Where E0 vanishes (threshold, _e0_vanishes) B and V are inf and the rest
-    nan.  Off the threshold, a row whose E0, E1, E2, B, V or, with m, a
-    training factor is not finite fails by name (_overflow), else one with a
-    training factor below -1e-10 fails as InvariantViolation, where a nan
-    first factor hides the others.  named(k) is row k's parameters by name.
-    """
-    errors = dict(errors)
-    with np.errstate(all="ignore"):
-        e0, e1, e2, size = _e_polynomials(chi, zeta_sq, psi1, psi2)
-        threshold = _e0_vanishes(e0, size)
-        z, z2 = zeta_sq, zeta_sq * zeta_sq
-        a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
-        a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
-        parts = np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T
-        parts[np.isnan(m)] = NAN
-        factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
-    factors[threshold] = INF, INF, NAN, NAN, NAN, NAN
-    checked = np.column_stack([e0, e1, e2, factors])
-    # a row without m has no training factors to check
-    checked[np.isnan(m), 5:] = 0.0
-    overflowed = ~threshold & ~np.isfinite(checked).all(axis=1)
-    negative = ~threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
-    for k in np.flatnonzero(overflowed | negative).tolist():
-        if k in errors:
-            continue
-        row = named(k)
-        # only a row with m, which names its lambda_bar, has training factors
-        errors[k] = (_overflow(f"the decomposition at chi = {chi[k].item()!r}", **row)
-                     if overflowed[k] else InvariantViolation(
-                         f"negative training factors {tuple(parts[k].tolist())} at psi1="
-                         f"{row['psi1']}, psi2={row['psi2']}, lambda_bar={row['lambda_bar']}"))
-    return factors, threshold, errors
-
-
-def _decompositions(factors, threshold, errors: dict) -> list:
-    """Each row's RiskDecomposition from its factors, or its exception."""
-    rows = zip(threshold.tolist(), factors.tolist())
-    return [errors[k] if k in errors else _AT_THRESHOLD if at_threshold
-            else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
-
-
 def _rows(*columns) -> list[tuple]:
     """The rows of the 1-D columns broadcast against each other, as tuples."""
     return list(zip(*(c.tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns)))))
 
 
-class _RiskColumns:
+class _FactorColumns:
+    """RiskDecomposition's six factors at chi as columns, rows x 6 (B, V inf
+    and the rest nan where E0 vanished: threshold), and errors, {row:
+    exception}: those given, else, off the threshold, the row's overflow
+    (_overflow) where E0, E1, E2 or a factor is not finite, else its negative
+    training factors.  m = (-i nu2) sqrt(lambda_bar psi1 / psi2) is the
+    residual's mass (risk_general); without it (None), as in the ridgeless
+    limit, the training factors are nan and go unchecked."""
+
+    def __init__(self, chi, m, z, psi1, psi2, rows: list[tuple], errors: dict):
+        with np.errstate(all="ignore"):
+            e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
+            self.threshold = _e0_vanishes(e0, size)
+            z2 = z * z
+            a_signal = -(chi * chi) * (chi * z2 - chi * z + psi2 * z + z - chi * psi2 * z2 + 1.0)
+            a_noise = chi * chi * (chi * z - 1.0) * (chi * chi * z2 - 2.0 * chi * z + z + 1.0)
+            parts = (np.full((len(chi), 4), NAN) if m is None else
+                     np.array([m / (1.0 - chi * z), m, a_signal / e0, a_noise / e0]).T)
+            self.factors = np.column_stack([e1 / e0, e2 / e0, np.where(0.0 > parts, 0.0, parts)])
+        self.factors[self.threshold] = INF, INF, NAN, NAN, NAN, NAN
+        # without m there are no training factors to check
+        checked = np.column_stack([e0, e1, e2, self.factors])[:, :5 if m is None else None]
+        overflowed = ~self.threshold & ~np.isfinite(checked).all(axis=1)
+        # min(parts) < -1e-10, where a nan first part hides the others
+        negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
+        self.errors = dict(errors)
+        for k in np.flatnonzero(overflowed | negative).tolist():
+            if k in self.errors:
+                continue
+            if overflowed[k]:
+                named = dict(zip(("zeta_sq", "psi1", "psi2", "lambda_bar"), rows[k]))
+                self.errors[k] = _overflow(f"the decomposition at chi = {chi[k].item()!r}", **named)
+            else:
+                self.errors[k] = InvariantViolation(
+                    f"negative training factors {tuple(parts[k].tolist())} at "
+                    f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
+
+    def decompositions(self) -> list:
+        """Each row's RiskDecomposition, or its exception."""
+        rows = zip(self.threshold.tolist(), self.factors.tolist())
+        return [self.errors[k] if k in self.errors else _AT_THRESHOLD if at_threshold
+                else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
+
+
+class _RiskColumns(_FactorColumns):
     """theory_points and risk_general_points over rows already broadcast, as
-    columns: the solve (selfconsistent._AxisBatch), and the factors and
-    threshold of _factor_columns at its chi and training mass.  point_errors
-    holds each row's theory_point error, {row: exception}: the solve's, else
-    the oracle's, else the 1e-8 cross-check's; errors adds risk_general's,
-    _factor_columns' overflow or negative training factors."""
+    columns: solve (selfconsistent._AxisBatch) and _FactorColumns at its chi
+    and training mass.  point_errors holds each row's theory_point error,
+    {row: exception}: the solve's, else the oracle's, else the 1e-8
+    cross-check's; errors adds risk_general's (_FactorColumns)."""
 
     def __init__(self, rows: list[tuple]):
         self.solve = solve = _AxisBatch(rows)
@@ -342,10 +325,7 @@ class _RiskColumns:
                     f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
                     f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
                     f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})")
-        self.factors, self.threshold, self.errors = _factor_columns(
-            chi, m, z, psi1, psi2,
-            lambda k: dict(zip(("zeta_sq", "psi1", "psi2", "lambda_bar"), rows[k])),
-            self.point_errors)
+        super().__init__(chi, m, z, psi1, psi2, rows, self.point_errors)
 
 
 def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
@@ -388,7 +368,7 @@ def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
     training factors as columns, so a row's outcome is bitwise
     risk_general's and a failing row leaves the others unchanged.
     """
-    return _decompositions(*_general_columns(zeta_sq, psi1, psi2, lambda_bar))
+    return _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar)).decompositions()
 
 
 def risk_general(
@@ -406,7 +386,7 @@ def risk_general(
         train_signal = m / (1 - chi zeta^2),   train_noise = m,
         norm_signal = A_signal(chi) / E0(chi), norm_noise = A_noise(chi) / E0(chi),
 
-    with the two numerator polynomials of _RiskColumns and E0 the shared
+    with the two numerator polynomials of _FactorColumns and E0 the shared
     denominator.  solve_at has checked that nu2 is purely imaginary.
     This is risk_general_points for a batch of one.
     """
@@ -440,24 +420,24 @@ def _lambda_bar(chi, zeta_sq, psi1, psi2):
 
 
 def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecomposition:
-    """Decomposition in the ridgeless limit, a batch of one of _ridgeless_columns.
+    """Decomposition in the ridgeless limit, a batch of one (_ridgeless_columns).
 
     At psi1 = psi2 the denominator polynomial vanishes identically and both
     factors diverge; that comes back as a threshold_singular result, matching
     the interpolation-threshold blowup.
     """
-    return unwrap(_decompositions(*_ridgeless_columns(
-        *np.array([[zeta_sq, psi1, psi2]], dtype=float).T))[0])
+    return unwrap(_ridgeless_columns([(zeta_sq, psi1, psi2)]).decompositions()[0])
 
 
-def _ridgeless_columns(zeta_sq, psi1, psi2, lambda_bar=None) -> tuple:
-    """B and V of _factor_columns at _ridgeless_chi without m, the threshold
-    and {row: exception}, where a row's validation error comes first."""
-    named = _named(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
-    errors = {k: attempt(lambda: require_positive(**named(k)))
-              for k in np.flatnonzero(~_positive(zeta_sq, psi1, psi2)).tolist()}
-    chi = _ridgeless_chi(zeta_sq, psi1, psi2)
-    return _factor_columns(chi, np.full_like(chi, NAN), zeta_sq, psi1, psi2, named, errors)
+def _ridgeless_columns(rows: list[tuple]) -> _FactorColumns:
+    """_FactorColumns at ridgeless_chi, without a training mass, over
+    (zeta_sq, psi1, psi2) rows; a row's validation error comes first."""
+    values = np.array(rows, dtype=float).reshape(-1, 3)
+    invalid = ~(np.isfinite(values) & (values > 0.0)).all(axis=1)
+    checked = {k: attempt(ridgeless_chi, *rows[k]) for k in np.flatnonzero(invalid).tolist()}
+    chi = _ridgeless_chi(*values.T)
+    return _FactorColumns(chi, None, *values.T, rows,
+                          {k: e for k, e in checked.items() if isinstance(e, Exception)})
 
 
 def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
@@ -467,93 +447,52 @@ def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
     psi2 the same quadratic drives the large-sample limit.  Strictly
     increasing in lambda_bar (toward 0 from below).
     """
-    _require_limit_row(zeta_sq, psi, lambda_bar, "psi")
-    return float(_wide_omega(zeta_sq, psi, lambda_bar))
-
-
-def _require_limit_row(zeta_sq: float, psi: float, lambda_bar: float, name: str) -> None:
-    """wide_omega's validation, naming psi as name."""
-    require_positive(**{"zeta_sq": zeta_sq, name: psi})
+    require_positive(zeta_sq=zeta_sq, psi=psi)
     if not (math.isfinite(lambda_bar) and lambda_bar >= 0.0):
         raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
-
-
-@np.errstate(all="ignore")
-def _wide_omega(zeta_sq, psi, lambda_bar):
-    """wide_omega elementwise, without its validation."""
     z = zeta_sq
     a = lambda_bar * psi + 1.0
     b = psi * z - z - lambda_bar * psi - 1.0
     c = -psi * z
-    return (-b - np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-
-
-def _wide_denominator(omega, psi):
-    return (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
+    return (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
 def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecomposition:
-    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2,
-    a batch of one of _limit_columns; past its denominator test |B| and |V|
-    are below 1e12."""
-    return unwrap(_decompositions(*_limit_columns(
-        True, *np.array([[zeta_sq, NAN, psi2, lambda_bar]]).T))[0])
+    """Decomposition in the infinite-width limit psi1 -> inf, at fixed psi2
+    (_limit_decomposition)."""
+    return _limit_decomposition(True, zeta_sq, psi2, lambda_bar)
 
 
 def risk_large_sample(zeta_sq: float, psi1: float, lambda_bar: float) -> RiskDecomposition:
-    """Decomposition in the infinite-sample limit psi2 -> inf, at fixed psi1,
-    a batch of one of _limit_columns.  The variance factor vanishes in this
-    limit; only the bias survives."""
-    return unwrap(_decompositions(*_limit_columns(
-        False, *np.array([[zeta_sq, psi1, NAN, lambda_bar]]).T))[0])
+    """Decomposition in the infinite-sample limit psi2 -> inf, at fixed psi1
+    (_limit_decomposition), where only the bias survives."""
+    return _limit_decomposition(False, zeta_sq, psi1, lambda_bar)
 
 
-def _limit_columns(wide: bool, zeta_sq, psi1, psi2, lambda_bar) -> tuple:
-    """The wide (psi = psi2) or else large-sample (psi = psi1) limit's B and
-    V over columns, the threshold (nowhere) and {row: exception}.
-
-    Over omega = _wide_omega and one denominator, B = (psi omega - psi) / den
-    and V = (omega^3 - omega^2) / den in the wide limit; B = ((omega^3 -
-    omega^2) / zeta^2 + psi omega - psi) / den and V = 0 in the large-sample
-    limit.  A row's error is its validation's (_require_limit_row), else,
-    where den or a numerator is not finite, its overflow's, else
-    DenominatorVanishes where |den| < 1e-12 (1 + the numerators' size).
-    """
-    psi, name, label = (psi2, "psi2", "wide-limit") if wide else (psi1, "psi1", "large-sample")
-    named = _named(**{"zeta_sq": zeta_sq, name: psi, "lambda_bar": lambda_bar})
-    with np.errstate(all="ignore"):
-        omega = _wide_omega(zeta_sq, psi, lambda_bar)
-        den = _wide_denominator(omega, psi)
-        if wide:
-            bias_num, var_num = psi * omega - psi, omega**3 - omega**2
-        else:
-            bias_num = (omega**3 - omega**2) / zeta_sq + psi * omega - psi
-            var_num = np.zeros_like(omega)
-        overflowed = ~np.isfinite([den, bias_num, var_num]).all(axis=0)
-        vanishes = abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num)))
-        factors = np.full((len(omega), 6), NAN)
-        factors[:, :2] = np.transpose([bias_num / den, var_num / den if wide else var_num])
-    valid = _positive(zeta_sq, psi) & np.isfinite(lambda_bar) & (lambda_bar >= 0.0)
-    errors = {k: attempt(_require_limit_row, *named(k).values(), name)
-              for k in np.flatnonzero(~valid).tolist()}
-    for k in np.flatnonzero(valid & (overflowed | vanishes)).tolist():
-        errors[k] = (_overflow(f"the {label} decomposition", **named(k)) if overflowed[k] else
-                     DenominatorVanishes(f"{label} denominator {den[k].item()} vanished at "
-                                         f"omega = {omega[k].item()}"))
-    return factors, np.zeros(len(omega), dtype=bool), errors
-
-
-def _general_columns(zeta_sq, psi1, psi2, lambda_bar) -> tuple:
-    """risk_general_points' factors, threshold and {row: exception}."""
-    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar))
-    return risks.factors, risks.threshold, risks.errors
-
-
-# each variant's factors, threshold and errors from (zeta_sq, psi1, psi2,
-# lambda_bar) columns; a ridgeless row takes no lambda_bar
-_VARIANT_COLUMNS = {"general": _general_columns, "ridgeless": _ridgeless_columns,
-                    "wide": lambda *columns: _limit_columns(True, *columns),
-                    "lsamp": lambda *columns: _limit_columns(False, *columns)}
+def _limit_decomposition(wide: bool, zeta_sq: float, psi: float, lambda_bar: float):
+    """The wide limit's decomposition at psi = psi2, or else the large-sample
+    limit's at psi = psi1.  Over omega = wide_omega, one denominator den and
+    c = omega^3 - omega^2, B = (psi omega - psi) / den and V = c / den in the
+    wide limit, B = (c / zeta^2 + psi omega - psi) / den and V = 0 in the
+    large-sample limit.  Where den or a numerator is not finite, or a Python
+    float power overflows, a ValueError names the row (_overflow) before den
+    is tested; past that test |B| and |V| are below 1e12."""
+    name, label = ("psi2", "wide-limit") if wide else ("psi1", "large-sample")
+    require_positive(**{"zeta_sq": zeta_sq, name: psi})
+    omega = wide_omega(zeta_sq, psi, lambda_bar)
+    try:
+        den = (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
+        cubic = omega**3 - omega**2
+    except OverflowError:
+        den = cubic = NAN
+    bias_num = psi * omega - psi if wide else cubic / zeta_sq + psi * omega - psi
+    if not all(map(math.isfinite, (den, bias_num, cubic))):
+        raise _overflow(f"the {label} decomposition",
+                        **{"zeta_sq": zeta_sq, name: psi, "lambda_bar": lambda_bar})
+    var_num = cubic if wide else 0.0
+    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
+        raise DenominatorVanishes(f"{label} denominator {den} vanished at omega = {omega}")
+    return RiskDecomposition(bias_num / den, var_num / den if wide else 0.0, NAN, NAN, NAN, NAN)
 
 
 def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
@@ -563,31 +502,42 @@ def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
 
     Each argument holds one entry per row, nan where the row's variant does
     not use it.  variant names the row's formula, and an unknown name is
-    refused before any row is computed.  Each variant's rows are one column
-    batch: "general" rows are risk_general's (_RiskColumns), and
-    "ridgeless", "wide" and "lsamp" rows are risk_ridgeless', risk_wide's and
-    risk_large_sample's closed forms, which have no training factors; general
-    and ridgeless rows share one evaluator (_factor_columns).  The columns,
-    numpy arrays by name, are bias_B and var_V; risk_R, the test error of
-    TargetSpec.unit(rho), weighed once per distinct rho, where any rho is
-    not nan; and with powers test_error, train_error and norm_msq, weighed
-    once with them.  A row's error is its variant's, else its rho's, else,
-    with powers, a general threshold row's ThresholdSingularity; a failing
-    row's cells mean nothing.
+    refused before any row is computed.  The "general" rows are risk_general's,
+    solved in one batch (_RiskColumns), and the "ridgeless" rows
+    risk_ridgeless' closed form, one batch of the same evaluator
+    (_FactorColumns); a "wide" or "lsamp" row is risk_wide's or
+    risk_large_sample's scalar closed form.  The closed forms have no
+    training factors.  The columns, numpy arrays by name, are bias_B and
+    var_V; risk_R, the test error of TargetSpec.unit(rho), weighed once per
+    distinct rho, where any rho is not nan; and with powers test_error,
+    train_error and norm_msq, weighed once with them.  A row's error is its
+    variant's, else its rho's, else, with powers, a general threshold row's
+    ThresholdSingularity; a failing row's cells mean nothing.
     """
     variant = np.asarray(variant, dtype=str)
-    known = np.isin(variant, list(_VARIANT_COLUMNS))
+    known = np.isin(variant, ["general", "ridgeless", "wide", "lsamp"])
     if not known.all():
         raise ValueError(f"unknown theory variant {variant[~known][0].item()!r}")
-    table = [np.asarray(c, dtype=float) for c in (zeta_sq, psi1, psi2, lambda_bar)]
+    table = np.array([zeta_sq, psi1, psi2, lambda_bar], dtype=float).T.tolist()
     # RiskDecomposition's six factors per row; a closed form has no training factors
     factors = np.full((len(variant), 6), NAN)
     threshold = np.zeros(len(variant), dtype=bool)
     errors = {}
-    for name in np.unique(variant).tolist():
-        rows = np.flatnonzero(variant == name)
-        factors[rows], threshold[rows], found = _VARIANT_COLUMNS[name](*(c[rows] for c in table))
-        errors.update(zip(rows[list(found)].tolist(), found.values()))
+    for name, build, width in (("general", _RiskColumns, 4), ("ridgeless", _ridgeless_columns, 3)):
+        rows = np.flatnonzero(variant == name).tolist()
+        if rows:
+            batch = build([table[k][:width] for k in rows])
+            factors[rows], threshold[rows] = batch.factors, batch.threshold
+            errors.update((rows[j], error) for j, error in batch.errors.items())
+    # a wide or large-sample row is its closed form's scalar call
+    for k in np.flatnonzero((variant == "wide") | (variant == "lsamp")).tolist():
+        z, p1, p2, lb = table[k]
+        wide = variant[k] == "wide"
+        dec = attempt(_limit_decomposition, wide, z, p2 if wide else p1, lb)
+        if isinstance(dec, Exception):
+            errors[k] = dec
+        else:
+            factors[k, :2] = dec.bias_B, dec.var_V
     bias, var = factors[:, 0], factors[:, 1]
     columns = {"bias_B": bias, "var_V": var}
     rho = np.asarray(rho, dtype=float)

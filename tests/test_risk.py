@@ -625,9 +625,10 @@ THEORY_TABLE = [
 ]
 
 
-# The closed forms one row at a time in Python floats, as risk_ridgeless,
-# risk_wide and risk_large_sample computed them before they became column
-# batches: the per-row reference of theory_columns' closed-form rows.
+# The closed forms one row at a time in Python floats, as the scalar
+# risk_ridgeless computed them before it became a batch of one, and as
+# risk_wide and risk_large_sample compute them: the per-row reference of
+# theory_columns' closed-form rows.
 
 def _reference_finite_terms(terms, quantity, **row):
     """The floats terms() returns, each finite; where one is not, or a Python
@@ -659,38 +660,26 @@ def _reference_ridgeless(zeta_sq, psi1, psi2):
     return RiskDecomposition(bias, var, math.nan, math.nan, math.nan, math.nan)
 
 
-def _reference_omega_terms(zeta_sq, psi, lambda_bar):
-    """wide_omega's omega, its cube and the limits' shared denominator
-    (psi - 1) omega^3 + (1 - 3 psi) omega^2 + 3 psi omega - psi.
-
-    Everything is Python floats except the cube, which is numpy's array power
-    of [omega] alone, the one operation the reference shares with the batch:
-    it and Python's float ** (libm pow) round some cubes an ulp apart, and a
-    one-element array gives the same bits as any batch.  The square is
-    omega * omega, correctly rounded as numpy's array square is; Python's
-    float ** 2 also goes through pow, which rounds some squares differently.
-    """
+def _reference_omega(zeta_sq, psi, lambda_bar):
+    """wide_omega: the negative root of the limits' quadratic in omega."""
     if not (math.isfinite(lambda_bar) and lambda_bar >= 0.0):
         raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
     a = lambda_bar * psi + 1.0
     b = psi * zeta_sq - zeta_sq - lambda_bar * psi - 1.0
     c = -psi * zeta_sq
-    omega = (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-    with np.errstate(over="ignore"):
-        cube = (np.array([omega]) ** 3).item()
+    return (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
-    def denominator():
-        return (psi - 1.0) * cube + (1.0 - 3.0 * psi) * (omega * omega) + 3.0 * psi * omega - psi
 
-    return omega, cube, denominator
+def _reference_denominator(omega, psi):
+    return (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
 
 
 def _reference_wide(zeta_sq, psi2, lambda_bar):
     """risk_wide: an overflow is refused before the denominator is tested."""
     require_positive(zeta_sq=zeta_sq, psi2=psi2)
-    omega, cube, denominator = _reference_omega_terms(zeta_sq, psi2, lambda_bar)
+    omega = _reference_omega(zeta_sq, psi2, lambda_bar)
     den, bias_num, var_num = _reference_finite_terms(
-        lambda: (denominator(), psi2 * omega - psi2, cube - omega * omega),
+        lambda: (_reference_denominator(omega, psi2), psi2 * omega - psi2, omega**3 - omega**2),
         "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
     if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
         raise rfridge.risk.DenominatorVanishes(
@@ -701,9 +690,10 @@ def _reference_wide(zeta_sq, psi2, lambda_bar):
 def _reference_large_sample(zeta_sq, psi1, lambda_bar):
     """risk_large_sample: V is 0, and an overflow is refused as in risk_wide."""
     require_positive(zeta_sq=zeta_sq, psi1=psi1)
-    omega, cube, denominator = _reference_omega_terms(zeta_sq, psi1, lambda_bar)
+    omega = _reference_omega(zeta_sq, psi1, lambda_bar)
     den, num = _reference_finite_terms(
-        lambda: (denominator(), (cube - omega * omega) / zeta_sq + psi1 * omega - psi1),
+        lambda: (_reference_denominator(omega, psi1),
+                 (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1),
         "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
     if abs(den) < 1e-12 * (1.0 + abs(num)):
         raise rfridge.risk.DenominatorVanishes(
@@ -850,7 +840,7 @@ def test_an_overflowing_row_is_refused_never_silent(columns):
     (risk_wide, (1e200, 3.0, 0.01),
      "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+200, "
      "psi2 = 3.0, lambda_bar = 0.01"),
-    # omega**3 alone is beyond the float range
+    # omega**3 raises OverflowError in Python's float power, not inf
     (risk_wide, (1e120, 3.0, 0.01),
      "the wide-limit decomposition overflowed the float range at zeta_sq = 1e+120, "
      "psi2 = 3.0, lambda_bar = 0.01"),
