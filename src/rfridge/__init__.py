@@ -24,7 +24,6 @@ from .selfconsistent import (
     chi_scalar_oracle,
     fixed_point_map,
     solve_at,
-    solve_points,
 )
 from .risk import (
     ChiDisagreement,
@@ -37,13 +36,10 @@ from .risk import (
     optimal_lambda,
     ridgeless_chi,
     risk_general,
-    risk_general_points,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
     theory_columns,
-    theory_point,
-    theory_points,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,

@@ -27,14 +27,12 @@ import numpy as np
 
 from .selfconsistent import (
     InvariantViolation,
-    SpectralPoint,
     _AxisBatch,
     _polish,
     _quartic_coeffs,
     _stacked_roots,
     attempt,
     require_positive,
-    unwrap,
 )
 
 INF = float("inf")
@@ -253,11 +251,6 @@ def _e0_vanishes(e0, size):
     return np.isfinite(e0) & np.isfinite(size) & (abs(e0) <= 1e-12 * size)
 
 
-def _rows(*columns) -> list[tuple]:
-    """The rows of the 1-D columns broadcast against each other, as tuples."""
-    return list(zip(*(c.tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns)))))
-
-
 class _FactorColumns:
     """RiskDecomposition's six factors at chi as columns, rows x 6 (B, V inf
     and the rest nan where E0 vanished: threshold), and errors, {row:
@@ -268,6 +261,7 @@ class _FactorColumns:
     limit, the training factors are nan and go unchecked."""
 
     def __init__(self, chi, m, z, psi1, psi2, rows: list[tuple], errors: dict):
+        self.chi = chi
         with np.errstate(all="ignore"):
             e0, e1, e2, size = _e_polynomials(chi, z, psi1, psi2)
             self.threshold = _e0_vanishes(e0, size)
@@ -295,19 +289,21 @@ class _FactorColumns:
                     f"negative training factors {tuple(parts[k].tolist())} at "
                     f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
 
-    def decompositions(self) -> list:
-        """Each row's RiskDecomposition, or its exception."""
-        rows = zip(self.threshold.tolist(), self.factors.tolist())
-        return [self.errors[k] if k in self.errors else _AT_THRESHOLD if at_threshold
-                else RiskDecomposition(*factors) for k, (at_threshold, factors) in enumerate(rows)]
+    def decomposition(self, k: int) -> RiskDecomposition:
+        """Row k's RiskDecomposition; raises the row's error."""
+        if k in self.errors:
+            raise self.errors[k]
+        if self.threshold[k]:
+            return _AT_THRESHOLD
+        return RiskDecomposition(*self.factors[k].tolist())
 
 
 class _RiskColumns(_FactorColumns):
-    """theory_points and risk_general_points over rows already broadcast, as
-    columns: solve (selfconsistent._AxisBatch) and _FactorColumns at its chi
-    and training mass.  point_errors holds each row's theory_point error,
+    """risk_general over (zeta_sq, psi1, psi2, lambda_bar) rows, as columns:
+    solve (selfconsistent._AxisBatch) and _FactorColumns at its chi and
+    training mass.  point_errors holds each row's error of the solved point,
     {row: exception}: the solve's, else the oracle's, else the 1e-8
-    cross-check's; errors adds risk_general's (_FactorColumns)."""
+    cross-check's; errors adds the decomposition's (_FactorColumns)."""
 
     def __init__(self, rows: list[tuple]):
         self.solve = solve = _AxisBatch(rows)
@@ -328,49 +324,6 @@ class _RiskColumns(_FactorColumns):
         super().__init__(chi, m, z, psi1, psi2, rows, self.point_errors)
 
 
-def theory_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
-    """theory_point at every row of the arguments, broadcast against each other.
-
-    Each row holds an outcome: its SpectralPoint, or the exception
-    theory_point raises there (selfconsistent.unwrap raises it).  The rows
-    are selected, certified and cross-checked as arrays (_RiskColumns), so a
-    row's outcome is bitwise theory_point's and a failing row leaves the
-    others unchanged.
-    """
-    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar))
-    return risks.solve.points(risks.point_errors)
-
-
-def theory_point(
-    zeta_sq: float,
-    psi1: float,
-    psi2: float,
-    lambda_bar: float,
-) -> SpectralPoint:
-    """The solved spectral point at xi = i sqrt(psi1 psi2 lambda_bar), lambda_bar > 0.
-
-    Every finite-penalty quantity (B, V, L, A) is a rational function of this
-    one point.  solve_at picks the quartic root admissible at the target, and
-    chi is cross-checked against the quartic oracle, which instead picks the
-    root that continuity from large |xi| reaches: the largest negative
-    root, certified by the root branch not turning between it and 0.  A
-    disagreement beyond 1e-8 relative to chi is an error, never silently
-    reconciled.  This is theory_points for a batch of one.
-    """
-    return unwrap(theory_points(zeta_sq, psi1, psi2, lambda_bar)[0])
-
-
-def risk_general_points(zeta_sq, psi1, psi2, lambda_bar) -> list:
-    """risk_general at every row of the arguments, broadcast against each
-    other; each row holds an outcome, as in theory_points.
-
-    One batch (_RiskColumns) solves the rows and computes B, V and the
-    training factors as columns, so a row's outcome is bitwise
-    risk_general's and a failing row leaves the others unchanged.
-    """
-    return _RiskColumns(_rows(zeta_sq, psi1, psi2, lambda_bar)).decompositions()
-
-
 def risk_general(
     zeta_sq: float,
     psi1: float,
@@ -378,7 +331,13 @@ def risk_general(
     lambda_bar: float,
 ) -> RiskDecomposition:
     """The decomposition at finite lambda_bar > 0, training factors included,
-    from one theory_point.
+    from the point solve_at finds at xi = i sqrt(psi1 psi2 lambda_bar).
+
+    chi is cross-checked against the quartic oracle, which instead picks the
+    root that continuity from large |xi| reaches: the largest negative root,
+    certified by the root branch not turning between it and 0.  A
+    disagreement beyond 1e-8 relative to chi is an error (ChiDisagreement),
+    never silently reconciled.
 
     With nu2 and chi of that point and m = (-i nu2) sqrt(lambda_bar psi1 / psi2),
     the mass scale of the residual,
@@ -388,9 +347,11 @@ def risk_general(
 
     with the two numerator polynomials of _FactorColumns and E0 the shared
     denominator.  solve_at has checked that nu2 is purely imaginary.
-    This is risk_general_points for a batch of one.
+    This is row 0 of a batch of one (_RiskColumns).
     """
-    return unwrap(risk_general_points(zeta_sq, psi1, psi2, lambda_bar)[0])
+    # a numpy scalar is named in a row's error as the Python number it holds
+    row = tuple(np.asarray(v).item() for v in (zeta_sq, psi1, psi2, lambda_bar))
+    return _RiskColumns([row]).decomposition(0)
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -426,7 +387,7 @@ def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecompositio
     factors diverge; that comes back as a threshold_singular result, matching
     the interpolation-threshold blowup.
     """
-    return unwrap(_ridgeless_columns([(zeta_sq, psi1, psi2)]).decompositions()[0])
+    return _ridgeless_columns([(zeta_sq, psi1, psi2)]).decomposition(0)
 
 
 def _ridgeless_columns(rows: list[tuple]) -> _FactorColumns:
@@ -476,7 +437,10 @@ def _limit_decomposition(wide: bool, zeta_sq: float, psi: float, lambda_bar: flo
     wide limit, B = (c / zeta^2 + psi omega - psi) / den and V = 0 in the
     large-sample limit.  Where den or a numerator is not finite, or a Python
     float power overflows, a ValueError names the row (_overflow) before den
-    is tested; past that test |B| and |V| are below 1e12."""
+    is tested.  den vanishes where it is at most 1e-12 of the size of its own
+    terms, as E0 does (_e0_vanishes): at a tiny psi den is about -psi, and
+    an absolute floor would refuse well-posed rows.  A V whose cubic
+    underflows to 0 is +0.0, not the -0.0 of +0 over a negative den."""
     name, label = ("psi2", "wide-limit") if wide else ("psi1", "large-sample")
     require_positive(**{"zeta_sq": zeta_sq, name: psi})
     omega = wide_omega(zeta_sq, psi, lambda_bar)
@@ -489,10 +453,12 @@ def _limit_decomposition(wide: bool, zeta_sq: float, psi: float, lambda_bar: flo
     if not all(map(math.isfinite, (den, bias_num, cubic))):
         raise _overflow(f"the {label} decomposition",
                         **{"zeta_sq": zeta_sq, name: psi, "lambda_bar": lambda_bar})
-    var_num = cubic if wide else 0.0
-    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
+    w = abs(omega)
+    size = abs(psi - 1.0) * w**3 + abs(1.0 - 3.0 * psi) * w**2 + 3.0 * psi * w + psi
+    if abs(den) < 1e-12 * size:
         raise DenominatorVanishes(f"{label} denominator {den} vanished at omega = {omega}")
-    return RiskDecomposition(bias_num / den, var_num / den if wide else 0.0, NAN, NAN, NAN, NAN)
+    return RiskDecomposition(bias_num / den, cubic / den + 0.0 if wide else 0.0,
+                             NAN, NAN, NAN, NAN)
 
 
 def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
@@ -584,11 +550,10 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     omega0 = wide_omega(z, psi2, 0.0)
     b1 = psi2 * rho - rho - 1.0
     omega1 = -(b1 + math.sqrt(b1 * b1 + 4.0 * psi2 * rho)) / 2.0
-    rho_star = (omega0 * omega0 - omega0) / ((1.0 - psi2) * omega0 + psi2)
-    zeta_star_sq = (omega1 * omega1 - omega1) / ((1.0 - psi2) * omega1 + psi2)
-    lambda_star = (z * psi2 - z * omega1 * psi2 + z * omega1 + omega1 - omega1 * omega1) / (
-        (omega1 * omega1 - omega1) * psi2
-    )
+    # omega (omega - 1) = s ((1 - psi2) omega + psi2) holds at s = zeta_sq for
+    # omega0 and at s = rho for omega1, so each quantity is exact in the inputs
+    rho_star, zeta_star_sq = float(z), float(rho)
+    lambda_star = (z - rho) / (rho * psi2)
     if not all(map(math.isfinite, (omega0, omega1, rho_star, zeta_star_sq, lambda_star))):
         raise _overflow("the phase quantities", zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     # both omegas must re-solve their defining quadratics
@@ -641,7 +606,7 @@ def optimal_lambda(
     quartics are (_stacked_roots, _polish), kept when real
     (|imag| <= 1e-9 |root|), and mapped back to penalties through the quartic
     (_lambda_bar).  Those inside (0, lambda_max) are solved together with
-    lambda_max as one batch, each certified and cross-checked as theory_point
+    lambda_max as one batch, each certified and cross-checked as risk_general
     does; a certified chi more than 1e-8 relative from its root raises
     InvariantViolation.  The answer is the lowest R among lambda_bar = 0 (the
     ridgeless closed form), those rows and lambda_max.  R is monotone between
@@ -652,13 +617,17 @@ def optimal_lambda(
     if not (math.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
 
-    chi0 = ridgeless_chi(zeta_sq, psi1, psi2)
+    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    # one ridgeless row: its chi here, its R (or its error) at the endpoint below
+    ridgeless = _ridgeless_columns([(zeta_sq, psi1, psi2)])
     chi = np.sort(_stationary_chis(rho, zeta_sq, psi1, psi2))
-    chi = chi[(chi0 < chi) & (chi < 0.0)]
+    chi = chi[(ridgeless.chi[0] < chi) & (chi < 0.0)]
     lbs = _lambda_bar(chi, zeta_sq, psi1, psi2)
     inside = (0.0 < lbs) & (lbs < lambda_max)
     chi, lbs = chi[inside].tolist(), lbs[inside].tolist()
-    risks = _RiskColumns(_rows(zeta_sq, psi1, psi2, lbs + [lambda_max]))
+    # numpy scalars are named in a row's error as the Python numbers they hold
+    shape = [np.asarray(v).item() for v in (zeta_sq, psi1, psi2)]
+    risks = _RiskColumns([(*shape, lb) for lb in np.asarray(lbs + [lambda_max]).tolist()])
     for k, (root, lb) in enumerate(zip(chi, lbs)):
         if k in risks.point_errors:
             raise risks.point_errors[k]
@@ -669,7 +638,7 @@ def optimal_lambda(
                 f"searched chi = {root!r} by more than 1e-8 relative"
             )
     grid = [0.0] + lbs + [lambda_max]
-    values = [risk_ridgeless(zeta_sq, psi1, psi2).risk_at(rho)]
+    values = [ridgeless.decomposition(0).risk_at(rho)]
     if risks.errors:
         raise risks.errors[min(risks.errors)]
     values += _test_errors(TargetSpec.unit(rho), *risks.factors.T[:2], risks.threshold).tolist()

@@ -14,10 +14,10 @@ in the upper half plane and checks that pair on the coupled map, to a
 residual of 1e-12 relative to each component; the oracle keeps the largest
 root, certified as the one continuity from large |xi| reaches by the absence
 of a turning point of the root branch.  Callers cross-check one against the
-other.  solve_points solves a whole batch of targets as arrays: one stacked
+other.  _AxisBatch solves a whole batch of targets as arrays: one stacked
 eigvals call per polynomial degree, then the polish, the selection and the
-certificate elementwise over every row; solve_at and chi_scalar_oracle are
-its two outcomes for a single row.
+certificate elementwise over every row; solve_at and chi_scalar_oracle read
+row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -137,20 +137,8 @@ def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return chi
 
 
-def unwrap(outcome):
-    """The value of an outcome (a value, or the exception computing it raised),
-    raising the exception."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def attempt(fn, *args):
-    """fn(*args) as an outcome: its value, or the exception it raised.
-
-    A batch keeps each row's exception with that row, so a caller that
-    unwraps the rows in order raises the first failing row's exception.
-    """
+    """fn(*args), or the exception it raised."""
     try:
         return fn(*args)
     except Exception as exc:
@@ -369,10 +357,6 @@ class _AxisBatch:
         return SpectralPoint(xi=complex(0.0, self.u[k].item()), nu1=nu1, nu2=nu2,
                              chi=nu1 * nu2, residual=self.residual[k].item())
 
-    def points(self, errors: dict) -> list:
-        """Each row's SpectralPoint, or its exception in errors."""
-        return [errors[k] if k in errors else self.point(k) for k in range(len(self.u))]
-
 
 def _distinct_points(chi, checked) -> int:
     """How many distinct points one row's checked roots give, taken in order."""
@@ -399,9 +383,12 @@ def solve_at(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> Spe
     be at most 1e-12, which also guards the quartic's coefficients.  The
     answer is the one distinct point (chi within 1e-10 relative) that meets
     the residual and passes the half-plane and norm-bound checks; none or
-    several raise NoConvergence.  This is solve_points' point for one row.
+    several raise NoConvergence.  This is row 0 of a batch of one (_AxisBatch).
     """
-    return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][0])
+    batch = _AxisBatch([(zeta_sq, psi1, psi2, lambda_bar)])
+    if batch.point_errors:
+        raise batch.point_errors[0]
+    return batch.point(0)
 
 
 def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
@@ -417,24 +404,6 @@ def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
         f"xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = {psi1!r}, "
         f"psi2 = {psi2!r}, lambda_bar = {lambda_bar!r}, zeta_sq = {zeta_sq!r}"
     )
-
-
-def solve_points(rows) -> list[tuple]:
-    """solve_at's point and chi_scalar_oracle's chi at xi = i sqrt(psi1 psi2
-    lambda_bar) for every (zeta_sq, psi1, psi2, lambda_bar) row, each as an
-    outcome; a row that fails validation holds its ValueError in both.
-
-    The rows are solved as arrays (_AxisBatch): every quartic and quintic of
-    the batch comes from one stacked eigvals call per degree, and the Newton
-    polish, the selection with its checks and the certificate run elementwise
-    over all rows at once.  The batch returns columns and builds only the
-    failing rows' exceptions; Python then turns each row's columns into its
-    SpectralPoint and chi, so a row's outcomes do not depend on the rest of
-    the batch and a failing row fails alone.
-    """
-    batch = _AxisBatch(rows)
-    chis = [batch.chi_errors.get(k, chi) for k, chi in enumerate(batch.oracle.tolist())]
-    return list(zip(batch.points(batch.point_errors), chis))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +462,10 @@ def chi_scalar_oracle(zeta_sq: float, psi1: float, psi2: float, lambda_bar: floa
     real within 1e-9 of their size.  Raises RootSelectionAmbiguous when no
     root is negative, when the quintic has a real root in [chi*, 0), or when
     a distinct negative root lies within 1e-8 |chi*| of chi*, the tolerance
-    of the cross-check against solve_at.  This is solve_points' chi for one
-    row.
+    of the cross-check against solve_at.  This is row 0 of a batch of one
+    (_AxisBatch).
     """
-    return unwrap(solve_points([(zeta_sq, psi1, psi2, lambda_bar)])[0][1])
+    batch = _AxisBatch([(zeta_sq, psi1, psi2, lambda_bar)])
+    if batch.chi_errors:
+        raise batch.chi_errors[0]
+    return batch.oracle[0].item()

@@ -33,7 +33,8 @@ from rfridge.cli import (
     records_equal,
     write_records,
 )
-from rfridge.risk import TargetSpec, risk_general, theory_point
+from rfridge.risk import TargetSpec, risk_general
+from rfridge.selfconsistent import solve_at
 from test_selfconsistent import _chi_50_digits
 
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -180,7 +181,7 @@ def test_theory_certifies_a_tiny_chi(capsys):
     )
     assert code == 0, err
     assert math.isfinite(read_records(out, from_text=True)[0]["theory_risk_R"])
-    point = theory_point(z, p1, p2, lb)
+    point = solve_at(z, p1, p2, lb)
     ref = _chi_50_digits(z, p1, p2, point.xi.imag)
     assert point.chi.real == pytest.approx(ref, rel=1e-10, abs=0.0)
 
@@ -200,6 +201,31 @@ def test_threshold_rows_carry_an_infinite_test_error(argv, capsys):
     assert rec["theory_test_error"] == math.inf
     if argv[0] == "compare":
         assert rec["z_test_error"] == -math.inf
+
+
+@pytest.mark.parametrize("variant, psi", [("wide", "--psi2"), ("lsamp", "--psi1")])
+def test_closed_forms_keep_a_tiny_psi(variant, psi, capsys):
+    # the denominator is about -psi, so no absolute floor may call it vanishing
+    code, out, err = run_cli(["theory", "--variant", variant, "--zeta-sq", "1", psi, "1e-20",
+                              "--lambda-bar", "0.1", "--rho", "2"], capsys)
+    assert code == 0, err
+    (rec,) = read_records(out, from_text=True)
+    assert rec["theory_bias_B"] == pytest.approx(1.0, rel=1e-12)
+    assert rec["theory_var_V"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_vanishing_wide_variance_is_written_as_positive_zero(fmt, capsys):
+    # at lambda_bar = 1e30 omega, and with it V's numerator, underflows to 0,
+    # over a negative denominator
+    code, out, err = run_cli(["theory", "--variant", "wide", "--zeta-sq", "1", "--psi2", "3",
+                              "--lambda-bar", "1e30", "--rho", "2", "--format", fmt], capsys)
+    assert code == 0, err
+    if fmt == "jsonl":
+        assert repr(json.loads(out)["theory_var_V"]) == "0.0"
+    else:
+        header, row = csv.reader(io.StringIO(out))
+        assert row[header.index("theory_var_V")] == "0"
 
 
 def test_theory_general_agrees_with_wide_variant(capsys):

@@ -1,8 +1,10 @@
 """Risk decomposition, limit formulas, phase boundary, penalty optimization."""
 
+import collections
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,17 +20,15 @@ from rfridge.risk import (
     optimal_lambda,
     ridgeless_chi,
     risk_general,
-    risk_general_points,
     risk_large_sample,
     risk_ridgeless,
     risk_wide,
     theory_columns,
-    theory_points,
     wide_omega,
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import InvariantViolation, attempt, require_positive, unwrap
+from rfridge.selfconsistent import InvariantViolation, _AxisBatch, attempt, require_positive
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -253,17 +253,32 @@ def test_phase_frozen_rho_star():
         assert ph.rho_star == pytest.approx(REF_RHO_STAR, rel=1e-12)
 
 
+def _reference_phase(zeta_sq, psi2, rho):
+    """rho_star, zeta_star_sq and lambda_star as expressions in wide_phase's
+    omega0 and omega1."""
+    ph = wide_phase(zeta_sq, psi2, rho)
+    w0, w1, z = ph.omega0, ph.omega1, zeta_sq
+    return (
+        (w0 * w0 - w0) / ((1.0 - psi2) * w0 + psi2),
+        (w1 * w1 - w1) / ((1.0 - psi2) * w1 + psi2),
+        (z * psi2 - z * w1 * psi2 + z * w1 + w1 - w1 * w1) / ((w1 * w1 - w1) * psi2),
+    )
+
+
 def test_phase_critical_identities():
-    # omega1 and zeta_star_sq satisfy the same quadratic relation as
-    # (omega0, rho_star), so zeta_star_sq recovers rho exactly and the
-    # stationarity penalty vanishes on the boundary rho = rho_star.
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        z = float(rng.uniform(0.2, 5.0))
-        psi2 = float(rng.uniform(0.3, 8.0))
-        rho = float(10.0 ** rng.uniform(-1, 1))
+    # omega0 and omega1 satisfy the same quadratic relation with zeta_sq and
+    # rho, so rho_star = zeta_sq, zeta_star_sq = rho and lambda_star =
+    # (zeta_sq - rho) / (rho psi2) are their expressions in the omegas, on
+    # 1,000 log-uniform rows over 1e-1..1e1: rho_star and zeta_star_sq within
+    # 1e-12 relative, lambda_star, which cancels near the boundary, within
+    # 1e-12 of the size of its terms; the penalty vanishes at rho = rho_star
+    rng = np.random.default_rng(16)
+    for z, psi2, rho in (10.0 ** rng.uniform(-1.0, 1.0, (1000, 3))).tolist():
         ph = wide_phase(z, psi2, rho)
-        assert ph.zeta_star_sq == pytest.approx(rho, rel=1e-10)
+        rho_star, zeta_star_sq, lambda_star = _reference_phase(z, psi2, rho)
+        assert ph.rho_star == pytest.approx(rho_star, rel=1e-12, abs=0.0)
+        assert ph.zeta_star_sq == pytest.approx(zeta_star_sq, rel=1e-12, abs=0.0)
+        assert abs(ph.lambda_star - lambda_star) <= 1e-12 * (z + rho) / (rho * psi2)
 
     ph = wide_phase(RELU_ZETA_SQ, 2.0, REF_RHO_STAR)
     assert ph.omega1 == pytest.approx(ph.omega0, rel=1e-8)
@@ -399,15 +414,17 @@ def test_optimal_lambda_ends_where_lambda_bar_is_beyond_1e6_resolution(monkeypat
 
 def test_optimal_lambda_beside_the_interpolation_threshold():
     # rows with lambda_bar near 2e-9 fail to converge at this shape
-    # (theory_points raises NoConvergence there); R has no stationary point
+    # (risk_general raises NoConvergence there); R has no stationary point
     # in (0, 1e-3) and falls toward lambda_max from the huge ridgeless R
     psi1, psi2 = 3.0, 3.0 * (1.0 + 1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NonUnimodalWarning)
         lb_opt, r_opt = optimal_lambda(2.0, RELU_ZETA_SQ, psi1, psi2, 1e-3)
     assert (lb_opt, r_opt) == (1e-3, risk_general(RELU_ZETA_SQ, psi1, psi2, 1e-3).risk_at(2.0))
-    profile = [unwrap(dec).risk_at(2.0) for dec in risk_general_points(
-        RELU_ZETA_SQ, psi1, psi2, np.geomspace(1e-7, 1e-3, 40))]
+    columns, errors = theory_columns(["general"] * 40, [RELU_ZETA_SQ] * 40, [psi1] * 40,
+                                     [psi2] * 40, np.geomspace(1e-7, 1e-3, 40), [2.0] * 40)
+    assert errors == {}
+    profile = columns["risk_R"].tolist()
     assert all(b < a for a, b in zip(profile, profile[1:]))
     assert risk_ridgeless(RELU_ZETA_SQ, psi1, psi2).risk_at(2.0) > 1e8 > profile[0]
 
@@ -434,8 +451,9 @@ def test_lambda_bar_inverts_the_solved_chi():
         np.exp(rng.uniform(math.log(lo), math.log(hi), 3000))
         for lo, hi in ((1e-2, 10.0), (1e-2, 1e3), (1e-2, 1e3), (1e-8, 1e4))
     )
-    chi = np.array([unwrap(p).chi.real for p in theory_points(zeta_sq, psi1, psi2, lambda_bar)])
-    back = rfridge.risk._lambda_bar(chi, zeta_sq, psi1, psi2)
+    batch = _AxisBatch(np.array([zeta_sq, psi1, psi2, lambda_bar]).T)
+    assert batch.point_errors == {} and batch.chi_errors == {}
+    back = rfridge.risk._lambda_bar(batch.chi, zeta_sq, psi1, psi2)
     assert (np.abs(back - lambda_bar) <= 1e-10 * lambda_bar + 1e-12).all()
 
 
@@ -674,17 +692,25 @@ def _reference_denominator(omega, psi):
     return (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
 
 
+def _reference_vanishes(den, omega, psi):
+    """Whether den is below 1e-12 of the size of its own terms."""
+    terms = ((psi - 1.0) * omega**3, (1.0 - 3.0 * psi) * omega**2, 3.0 * psi * omega, psi)
+    return abs(den) < 1e-12 * sum(map(abs, terms))
+
+
 def _reference_wide(zeta_sq, psi2, lambda_bar):
-    """risk_wide: an overflow is refused before the denominator is tested."""
+    """risk_wide: an overflow is refused before the denominator is tested,
+    and a zero V is +0.0."""
     require_positive(zeta_sq=zeta_sq, psi2=psi2)
     omega = _reference_omega(zeta_sq, psi2, lambda_bar)
     den, bias_num, var_num = _reference_finite_terms(
         lambda: (_reference_denominator(omega, psi2), psi2 * omega - psi2, omega**3 - omega**2),
         "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
-    if abs(den) < 1e-12 * (1.0 + (abs(bias_num) + abs(var_num))):
+    if _reference_vanishes(den, omega, psi2):
         raise rfridge.risk.DenominatorVanishes(
             f"wide-limit denominator {den} vanished at omega = {omega}")
-    return RiskDecomposition(bias_num / den, var_num / den, *[math.nan] * 4)
+    var = var_num / den
+    return RiskDecomposition(bias_num / den, 0.0 if var == 0.0 else var, *[math.nan] * 4)
 
 
 def _reference_large_sample(zeta_sq, psi1, lambda_bar):
@@ -695,7 +721,7 @@ def _reference_large_sample(zeta_sq, psi1, lambda_bar):
         lambda: (_reference_denominator(omega, psi1),
                  (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1),
         "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
-    if abs(den) < 1e-12 * (1.0 + abs(num)):
+    if _reference_vanishes(den, omega, psi1):
         raise rfridge.risk.DenominatorVanishes(
             f"large-sample denominator {den} vanished at omega = {omega}")
     return RiskDecomposition(num / den, 0.0, *[math.nan] * 4)
@@ -771,7 +797,39 @@ def test_theory_columns_are_each_rows_single_calls(powers):
 def test_theory_columns_of_a_closed_form_box_are_the_reference_rows(powers):
     # each closed form keeps and refuses rows, and psi1 = psi2 reaches the threshold
     kinds = _assert_rows_are_single_calls(_closed_form_box(31, 1000), powers)
-    assert kinds == {"ValueError", "DenominatorVanishes"}
+    assert kinds == {"ValueError"}
+
+
+def test_closed_forms_at_a_tiny_psi_match_60_digits():
+    # the rows of the closed-form box whose denominator, about -psi, an
+    # absolute floor 1e-12 (1 + |numerators|) refused as vanishing: each is
+    # kept, and B and V are those of the same closed form at 60 digits, with
+    # omega from its quadratic, to 1e-12 of |B| + |V|
+    mpmath.mp.dps = 60
+    floored = collections.Counter()
+    for variant, zeta_sq, psi1, psi2, lambda_bar, _ in _closed_form_box(31, 1000)[1000:]:
+        wide = variant == "wide"
+        psi = psi2 if wide else psi1
+        try:
+            omega = _reference_omega(zeta_sq, psi, lambda_bar)
+            den = _reference_denominator(omega, psi)
+            cubic = omega**3 - omega**2
+        except OverflowError:
+            continue
+        nums = (psi * omega - psi, cubic) if wide else (cubic / zeta_sq + psi * omega - psi, 0.0)
+        if not (math.isfinite(den) and abs(den) < 1e-12 * (1.0 + sum(map(abs, nums)))):
+            continue
+        floored[variant] += 1
+        dec = (risk_wide if wide else risk_large_sample)(zeta_sq, psi, lambda_bar)
+        z, p, lb = map(mpmath.mpf, (zeta_sq, psi, lambda_bar))
+        a, b = lb * p + 1, p * z - z - lb * p - 1
+        w = (-b - mpmath.sqrt(b * b + 4 * a * p * z)) / (2 * a)
+        den = (p - 1) * w**3 + (1 - 3 * p) * w**2 + 3 * p * w - p
+        bias = ((p * w - p) if wide else ((w**3 - w**2) / z + p * w - p)) / den
+        var = (w**3 - w**2) / den if wide else 0
+        error = abs(dec.bias_B - bias) + abs(dec.var_V - var)
+        assert error <= 1e-12 * (abs(bias) + abs(var)), (variant, zeta_sq, psi, lambda_bar)
+    assert floored == {"wide": 451, "lsamp": 439}
 
 
 @settings(max_examples=20, deadline=None)
@@ -812,24 +870,21 @@ def _pinned_box():
 def test_an_overflowing_row_is_refused_never_silent(columns):
     # a row off the threshold has finite factors, and a threshold row has a
     # finite E0 and term size: an overflow is a ValueError naming the row
-    decompositions = risk_general_points(*columns)
-    points = theory_points(*columns)
     rows = np.array(columns).T.tolist()
-    at_threshold = overflowed = 0
-    for row, dec, point in zip(rows, decompositions, points):
-        if isinstance(dec, ValueError) and "overflowed the float range" in str(dec):
+    risks = rfridge.risk._RiskColumns(rows)
+    overflowed = 0
+    for k, row in enumerate(rows):
+        error = risks.errors.get(k)
+        if isinstance(error, ValueError) and "overflowed the float range" in str(error):
             overflowed += 1
-        if isinstance(dec, Exception):
+        if error is not None:
             continue
-        if dec.threshold_singular:
-            at_threshold += 1
+        if risks.threshold[k]:
             with np.errstate(all="ignore"):
-                e0, _, _, size = rfridge.risk._e_polynomials(point.chi.real, *row[:3])
+                e0, _, _, size = rfridge.risk._e_polynomials(risks.chi[k], *row[:3])
             assert math.isfinite(e0) and math.isfinite(size), row
         else:
-            factors = (dec.bias_B, dec.var_V, dec.train_signal, dec.train_noise,
-                       dec.norm_signal, dec.norm_noise)
-            assert all(map(math.isfinite, factors)), row
+            assert np.isfinite(risks.factors[k]).all(), row
     assert overflowed > 0
 
 

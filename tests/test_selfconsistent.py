@@ -13,11 +13,11 @@ import rfridge.risk
 import rfridge.selfconsistent
 from rfridge.risk import (
     ChiDisagreement,
+    RiskDecomposition,
+    TargetSpec,
     ridgeless_chi,
     risk_general,
-    risk_general_points,
-    theory_point,
-    theory_points,
+    theory_columns,
 )
 from rfridge.selfconsistent import (
     InvariantViolation,
@@ -25,13 +25,12 @@ from rfridge.selfconsistent import (
     RootSelectionAmbiguous,
     SingularDenominator,
     SpectralPoint,
+    _AxisBatch,
     attempt,
     chi_scalar_oracle,
     fixed_point_map,
     require_positive,
     solve_at,
-    solve_points,
-    unwrap,
 )
 
 # Extended-precision references, frozen from a 50-digit evaluation of the
@@ -176,24 +175,19 @@ def _chi_50_digits(zeta_sq, psi1, psi2, u):
         raise AssertionError("the 50-digit reference did not converge")
 
 
-def test_theory_points_over_the_wide_box_match_50_digits():
+def test_single_calls_over_the_wide_box_match_50_digits():
     # zeta_sq in [1e-3, 1e3], psi1 and psi2 in [1e-14, 1e6] and lambda_bar in
     # [1e-12, 1e60], log-uniform: tiny components, tiny chi and quartic
     # coefficients spanning ~1e50, where a residual that is not relative to
-    # |nu| cannot tell a wrong root from the right one
+    # |nu| cannot tell a wrong root from the right one.  Every row solves,
+    # and passes the cross-check of the two routes
     box = np.log([[1e-3, 1e3], [1e-14, 1e6], [1e-14, 1e6], [1e-12, 1e60]])
     points = np.exp(np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (1000, 4)))
-    outcomes = collections.Counter()
-    for z, p1, p2, lb in points.tolist():
-        try:
-            point = theory_point(z, p1, p2, lb)
-        except (NoConvergence, RootSelectionAmbiguous, ChiDisagreement) as exc:
-            outcomes[type(exc).__name__] += 1
-            continue
-        ref = _chi_50_digits(z, p1, p2, point.xi.imag)
-        assert point.chi.real == pytest.approx(ref, rel=1e-13, abs=0.0), (z, p1, p2, lb)
-        outcomes["solved"] += 1
-    assert outcomes == {"solved": 1000}
+    for row in points.tolist():
+        point, chi = solve_at(*row), chi_scalar_oracle(*row)
+        ref = _chi_50_digits(*row[:3], point.xi.imag)
+        assert point.chi.real == pytest.approx(ref, rel=1e-13, abs=0.0), row
+        assert chi == pytest.approx(point.chi.real, rel=1e-8, abs=0.0), row
 
 
 def _same_outcomes(batch, singles):
@@ -206,14 +200,39 @@ def _same_outcomes(batch, singles):
             assert got == expected
 
 
-def _single_outcomes(points):
-    outcomes = []
-    for point in points:
-        try:
-            outcomes.append(theory_point(*point))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+def _batch_outcomes(rows):
+    """solve_at's and chi_scalar_oracle's outcome at each row, read from one
+    _AxisBatch of all rows: the row's error, else its point or its chi."""
+    batch = _AxisBatch(rows)
+    points = [batch.point_errors[k] if k in batch.point_errors else batch.point(k)
+              for k in range(len(rows))]
+    return points, [batch.chi_errors.get(k, chi) for k, chi in enumerate(batch.oracle.tolist())]
+
+
+# a target per group of RiskDecomposition's factors that weighs them out of
+# theory_columns: with the other factor finite, 1 f + 0 g is f exactly
+_WEIGHED_FACTORS = (
+    (None, {"bias_B": "bias_B", "var_V": "var_V"}),
+    (TargetSpec(1.0), {"train_error": "train_signal", "norm_msq": "norm_signal"}),
+    (TargetSpec(0.0, tau_sq=1.0), {"train_error": "train_noise", "norm_msq": "norm_noise"}),
+)
+
+
+def _same_columns(rows, expected):
+    """theory_columns of the rows as general rows against risk_general's
+    outcome at each row, expected: the same errors, in type and message,
+    and on every other row each factor bitwise (_WEIGHED_FACTORS)."""
+    n = len(rows)
+    table = ["general"] * n, *np.array(rows, dtype=float).reshape(n, 4).T, np.full(n, math.nan)
+    _, errors = theory_columns(*table)
+    _same_outcomes([errors.get(k) for k in range(n)],
+                   [e if isinstance(e, Exception) else None for e in expected])
+    solved = [k for k in range(n) if k not in errors]
+    for powers, factors in _WEIGHED_FACTORS:
+        columns, _ = theory_columns(*table, powers)
+        for column, factor in factors.items():
+            np.testing.assert_array_equal(columns[column][solved],
+                                          [getattr(expected[k], factor) for k in solved])
 
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
@@ -225,10 +244,22 @@ RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
     pytest.param(np.array([(RELU_ZETA_SQ, p, 3.0, 0.0110078)
                            for p in np.geomspace(0.5, 10.0, 161)]), id="benchmark-curve"),
 ])
-def test_theory_points_equal_single_points_bitwise(points):
-    # the wide box of test_theory_points_over_the_wide_box_match_50_digits
+def test_theory_columns_equal_single_calls_bitwise(points):
+    # the wide box of test_single_calls_over_the_wide_box_match_50_digits
     # and the benchmark's psi1 curve, solved as one batch
-    _same_outcomes(theory_points(*points.T), _single_outcomes(points.tolist()))
+    rows = points.tolist()
+    points, chis = _batch_outcomes(rows)
+    _same_outcomes(points, [attempt(solve_at, *row) for row in rows])
+    _same_outcomes(chis, [attempt(chi_scalar_oracle, *row) for row in rows])
+    _same_columns(rows, [attempt(risk_general, *row) for row in rows])
+
+
+def unwrap(outcome):
+    """The value of an outcome (a value, or the exception computing it
+    raised), raising the exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _reference_polish(coeffs, chi):
@@ -350,8 +381,9 @@ def _cross_checked(row: tuple, point, chi_or) -> SpectralPoint:
 
 
 def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
-    """theory_point's and risk_general's outcomes at one row, computed the way
-    they were before the array batch: np.roots of the row's own quartic and
+    """solve_at's and chi_scalar_oracle's outcomes, the cross-checked point and
+    risk_general's outcome at one row, computed the way they were before the
+    array batch: np.roots of the row's own quartic and
     quintic, a scalar Newton polish of each real root, and the selection,
     certificate and decomposition one candidate at a time."""
     sc = rfridge.selfconsistent
@@ -398,8 +430,8 @@ def test_the_batch_equals_the_per_row_reference(perturb, monkeypatch):
     # quartic coefficient perturbed so that rows fail in the selection (70,
     # 280 and 1,000 NoConvergence rows) and, with the linear coefficient
     # flipped, in the certificate too: every outcome of the batch, from
-    # solve_points to the decomposition, is bitwise the reference's value or
-    # an exception equal in type and message.  No row reaches the cross-check;
+    # the solve and the oracle to the decomposition, is bitwise the
+    # reference's value or an exception equal in type and message.  No row reaches the cross-check;
     # test_the_cross_check_raises_the_reference_disagreement does
     box = np.log([[1e-3, 1e3], [1e-14, 1e6], [1e-14, 1e6], [1e-12, 1e60]])
     points = np.exp(np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (1000, 4)))
@@ -413,11 +445,9 @@ def test_the_batch_equals_the_per_row_reference(perturb, monkeypatch):
 
         monkeypatch.setattr(rfridge.selfconsistent, "_quartic_coeffs", perturbed)
     expected = [_reference_row(*point) for point in points.tolist()]
-    solved = solve_points(points.tolist())
-    for k in range(2):
-        _same_outcomes([row[k] for row in solved], [row[0][k] for row in expected])
-    _same_outcomes(theory_points(*points.T), [row[1] for row in expected])
-    _same_outcomes(risk_general_points(*points.T), [row[2] for row in expected])
+    for k, outcomes in enumerate(_batch_outcomes(points.tolist())):
+        _same_outcomes(outcomes, [row[0][k] for row in expected])
+    _same_columns(points.tolist(), [row[2] for row in expected])
     kinds = collections.Counter(type(outcome).__name__ for row in expected
                                 for outcome in (*row[0], row[2]))
     if perturb is None:
@@ -462,15 +492,15 @@ def test_a_row_that_is_not_finite_fails_alone():
     points = [(RELU_ZETA_SQ, p, 3.0, 0.01) for p in (0.5, 2.0, 8.0)]
     points.insert(1, (RELU_ZETA_SQ, 2.0, 3.0, 1e308))
     points.insert(3, (RELU_ZETA_SQ, 2.0, 3.0, 1e307))
-    singles = _single_outcomes(points)
+    singles = [attempt(risk_general, *point) for point in points]
     for failed, product in ((singles[1], "inf"), (singles[3], "6e+307")):
         assert type(failed) is ValueError
         assert str(failed) == (
             f"the product psi1 psi2 lambda_bar = {product} overflowed the quartic in chi "
             f"at psi1 = 2.0, psi2 = 3.0, zeta_sq = {RELU_ZETA_SQ!r}"
         )
-    assert all(isinstance(singles[k], SpectralPoint) for k in (0, 2, 4))
-    _same_outcomes(theory_points(*np.array(points).T), singles)
+    assert all(isinstance(singles[k], RiskDecomposition) for k in (0, 2, 4))
+    _same_columns(points, singles)
 
 
 def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
@@ -488,9 +518,10 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     expected = [_reference_row(*point) for point in points]
     roots, calls = np.roots, []
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
-    _same_outcomes(theory_points(*np.array(points).T), [row[1] for row in expected])
+    for k, outcomes in enumerate(_batch_outcomes(points)):
+        _same_outcomes(outcomes, [row[0][k] for row in expected])
     assert calls == [5, 5, 6, 6]
-    _same_outcomes(risk_general_points(*np.array(points).T), [row[2] for row in expected])
+    _same_columns(points, [row[2] for row in expected])
     assert isinstance(expected[0][1], SpectralPoint)
     assert str(expected[1][1]) == (
         "the quartic in chi overflowed its companion matrix at psi1 = 1e+154, psi2 = 1e+154, "
@@ -505,10 +536,12 @@ def test_rows_that_are_not_finite_reach_no_np_roots(monkeypatch):
     # the row keeps its validation error and costs no np.roots call
     roots, calls = np.roots, []
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
-    outcomes = theory_points(2.0, [-1.0, 2.0, -1.0], 3.0, 0.01)
+    columns, errors = theory_columns(["general"] * 3, [2.0] * 3, [-1.0, 2.0, -1.0], [3.0] * 3,
+                                     [0.01] * 3, [math.nan] * 3)
     assert calls == []
-    assert [type(o) for o in outcomes] == [ValueError, SpectralPoint, ValueError]
-    assert str(outcomes[0]) == "psi1 must be finite and positive, got -1.0"
+    assert sorted(errors) == [0, 2] and all(type(e) is ValueError for e in errors.values())
+    assert str(errors[0]) == "psi1 must be finite and positive, got -1.0"
+    assert math.isfinite(columns["bias_B"][1]) and math.isfinite(columns["var_V"][1])
 
 
 def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypatch):
@@ -516,16 +549,17 @@ def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypat
     # companion matrices overflow: np.roots factors that row's two polynomials
     # and nothing else, and the curve's rows keep their stacks and outcomes
     curve = [(RELU_ZETA_SQ, p, 3.0, 0.0110078) for p in np.geomspace(0.5, 10.0, 161).tolist()]
-    expected = theory_points(*np.array(curve).T)
+    expected = _batch_outcomes(curve)
     eigvals, shapes = np.linalg.eigvals, []
     roots, calls = np.roots, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
     with np.errstate(over="ignore"):
-        outcomes = theory_points(*np.array(curve + [(0.5, 1e154, 1e154, 1e-300)]).T)
-    assert outcomes[:161] == expected
-    assert type(outcomes[161]) is ValueError
-    assert str(outcomes[161]).startswith("the quartic in chi overflowed its companion matrix")
+        outcomes = _batch_outcomes(curve + [(0.5, 1e154, 1e154, 1e-300)])
+    for got, want in zip(outcomes, expected):
+        assert got[:161] == want
+        assert type(got[161]) is ValueError
+        assert str(got[161]).startswith("the quartic in chi overflowed its companion matrix")
     assert calls == [5, 6]
     assert shapes == [(161, 4, 4), (161, 5, 5)]
 
@@ -536,12 +570,11 @@ def test_the_cross_check_raises_the_reference_disagreement(monkeypatch):
     # per-row reference's ChiDisagreement, and every other row its single call's
     curve = [(RELU_ZETA_SQ, p, 3.0, 0.0110078) for p in np.geomspace(0.5, 10.0, 161).tolist()]
     flagged = slice(0, None, 20)
-    points = [solve_at(*row) for row in curve]
     risks = [risk_general(*row) for row in curve]
     for k in range(len(curve))[flagged]:
         chi = chi_scalar_oracle(*curve[k]) * (1.0 + 1e-6)
-        points[k] = risks[k] = attempt(_cross_checked, curve[k], points[k], chi)
-        assert type(points[k]) is ChiDisagreement
+        risks[k] = attempt(_cross_checked, curve[k], solve_at(*curve[k]), chi)
+        assert type(risks[k]) is ChiDisagreement
     certify = rfridge.selfconsistent._AxisBatch._certify_arrays
 
     def perturbed(batch, *args):
@@ -549,8 +582,7 @@ def test_the_cross_check_raises_the_reference_disagreement(monkeypatch):
         batch.oracle[flagged] *= 1.0 + 1e-6
 
     monkeypatch.setattr(rfridge.selfconsistent._AxisBatch, "_certify_arrays", perturbed)
-    _same_outcomes(theory_points(*np.array(curve).T), points)
-    _same_outcomes(risk_general_points(*np.array(curve).T), risks)
+    _same_columns(curve, risks)
 
 
 def test_a_row_that_fails_validation_keeps_that_error():
@@ -570,30 +602,31 @@ def test_a_row_that_fails_validation_keeps_that_error():
                6: "lambda_bar must be finite and positive, got 0.0",
                7: "psi1 must be finite and positive, got 0.0"}
     singles = [[attempt(f, *point) for point in points]
-               for f in (solve_at, chi_scalar_oracle, theory_point, risk_general)]
+               for f in (solve_at, chi_scalar_oracle, risk_general)]
     for outcomes in singles:
         for k, outcome in enumerate(outcomes):
             if k in refused:
                 assert type(outcome) is ValueError and str(outcome) == refused[k]
             else:
                 assert not isinstance(outcome, Exception)
-    solved = solve_points(points)
-    for k in range(2):
-        _same_outcomes([row[k] for row in solved], singles[k])
-    _same_outcomes(theory_points(*np.array(points).T), singles[2])
-    _same_outcomes(risk_general_points(*np.array(points).T), singles[3])
+    for k, outcomes in enumerate(_batch_outcomes(points)):
+        _same_outcomes(outcomes, singles[k])
+    _same_columns(points, singles[2])
 
 
 def test_a_batch_with_a_failing_row_raises_in_row_order():
-    # every row of risk_general_points is risk_general's outcome; unwrapped in
-    # order, the first failing row's exception is the one raised
+    # every row of theory_columns is risk_general's outcome, and the earliest
+    # failing row's error, the one the CLI raises, is the lowest key
     lambda_bar = [0.01, -1.0, 1e308]
-    rows = risk_general_points(RELU_ZETA_SQ, 2.0, 3.0, lambda_bar)
-    assert rows[0] == risk_general(RELU_ZETA_SQ, 2.0, 3.0, 0.01)
+    columns, errors = theory_columns(["general"] * 3, [RELU_ZETA_SQ] * 3, [2.0] * 3, [3.0] * 3,
+                                     lambda_bar, [math.nan] * 3)
+    dec = risk_general(RELU_ZETA_SQ, 2.0, 3.0, 0.01)
+    assert (columns["bias_B"][0], columns["var_V"][0]) == (dec.bias_B, dec.var_V)
+    assert sorted(errors) == [1, 2]
     with pytest.raises(ValueError, match="lambda_bar must be finite and positive, got -1.0"):
-        [unwrap(row) for row in rows]
-    assert type(rows[2]) is ValueError
-    assert "the product psi1 psi2 lambda_bar = inf overflowed" in str(rows[2])
+        raise errors[min(errors)]
+    assert type(errors[2]) is ValueError
+    assert "the product psi1 psi2 lambda_bar = inf overflowed" in str(errors[2])
 
 
 def test_a_perturbed_quartic_coefficient_never_yields_a_different_point(monkeypatch):
@@ -698,11 +731,12 @@ def test_every_entry_point_validates_a_row_alike():
         ((math.nan, -2.0, 1.0, 0.1), "zeta_sq must be finite and positive, got nan"),
     ]
     for row, message in cases:
-        for entry in (solve_at, chi_scalar_oracle, theory_point):
+        for entry in (solve_at, chi_scalar_oracle, risk_general):
             with pytest.raises(ValueError) as info:
                 entry(*row)
             assert str(info.value) == message
-        ((point, chi),) = solve_points([row])
+        batch = _AxisBatch([row])
+        point, chi = batch.point_errors[0], batch.chi_errors[0]
         assert type(point) is ValueError and point is chi and str(point) == message
 
 
@@ -963,9 +997,13 @@ def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
     # the benchmark's 161-point curve: one call per degree, where solving
     # each point on its own factors three polynomials per point (483 in all)
     psi1 = np.geomspace(0.5, 10.0, 161)
-    expected = theory_points(RELU_ZETA_SQ, psi1, 3.0, 0.0110078)
+    table = ["general"] * 161, np.full(161, RELU_ZETA_SQ), psi1, np.full(161, 3.0), np.full(
+        161, 0.0110078), np.full(161, math.nan)
+    expected, _ = theory_columns(*table)
     shapes = _counting_eigvals(monkeypatch)
-    assert theory_points(RELU_ZETA_SQ, psi1, 3.0, 0.0110078) == expected
+    columns, errors = theory_columns(*table)
+    assert errors == {} and list(columns) == list(expected)
+    assert all(columns[name].tolist() == expected[name].tolist() for name in expected)
     assert shapes == [(161, 4, 4), (161, 5, 5)]
 
 
@@ -1051,7 +1089,8 @@ def test_a_positive_root_is_never_a_candidate(monkeypatch):
         solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 0.3))
     with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
         chi_scalar_oracle(*PARAMS_A, 0.01)
-    ((point, chi),) = solve_points([(*PARAMS_A, 0.0)])
+    batch = _AxisBatch([(*PARAMS_A, 0.0)])
+    point, chi = batch.point_errors[0], batch.chi_errors[0]
     assert type(point) is ValueError and point is chi
     assert str(point) == "lambda_bar must be finite and positive, got 0.0"
 

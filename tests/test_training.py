@@ -15,7 +15,6 @@ from rfridge.risk import (
     ThresholdSingularity,
     risk_general,
     risk_ridgeless,
-    theory_point,
 )
 from rfridge.selfconsistent import solve_at
 from rfridge.training import TrainingAsymptotics, training_theory
@@ -137,7 +136,7 @@ def test_chi_cross_check_guards_every_quantity(quantity, monkeypatch):
 @pytest.mark.parametrize("lambda_bar", [1e-9, LAM_BAR, 1e3], ids=["tiny", "relu-1e-3", "large"])
 def test_theory_values_are_python_numbers(lambda_bar):
     # the direct route starts from numpy's roots; nothing numpy may leak out
-    point = theory_point(RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
+    point = solve_at(RELU_ZETA_SQ, 6.0, 3.0, lambda_bar)
     for value in (point.xi, point.nu1, point.nu2, point.chi):
         assert type(value) is complex
     assert type(point.residual) is float
