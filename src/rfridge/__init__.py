@@ -46,7 +46,6 @@ from .risk import (
 )
 from .training import TrainingAsymptotics, training_theory
 from .simulate import (
-    AggregateResult,
     FitResult,
     IllConditionedWarning,
     InsufficientTrials,
@@ -54,7 +53,7 @@ from .simulate import (
     SimConfig,
     SmallTestSetWarning,
     TargetKind,
-    TrialResult,
+    Trials,
     aggregate,
     build_design,
     nonlinear_power,

@@ -635,7 +635,7 @@ def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
     activation, zeta_sq, mu_star_sq = _zeta_sq_or_activation(args, parser)
     table = Table(COLUMNS, rows, command=command, model=args.model, target=target.name,
                   activation=activation.label(), zeta_sq=zeta_sq, mu_star_sq=mu_star_sq,
-                  seed=args.seed, **_point_cells(point, mu_star_sq, {}))
+                  seed=args.seed, trials=args.trials, **_point_cells(point, mu_star_sq, {}))
     shared = dict(activation=activation, target=target, tau_sq=args.tau_sq, trials=args.trials,
                   seed=args.seed, n_test=args.n_test, model=args.model)
     # the warning names the flag once, not a line of this module per config
@@ -654,12 +654,9 @@ def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
     # simulate and compare take no --rho: the powers' own is every row's
     table.update({"rho": powers.rho, **asdict(powers)})
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    aggs = [aggregate(trials) for trials in run_trials(configs, args.threads)]
-    cells = {"trials": [agg.n_trials for agg in aggs]}
+    stats = aggregate(run_trials(configs, args.threads))
+    cells = {f"sim_{key}": values.tolist() for key, values in stats.items()}
     for stat in ("mean", "sem"):
-        for column, field in (("test_error", "test_error"), ("train_error", "train_error"),
-                              ("penalty", "penalty"), ("norm_sq", "coef_norm_sq")):
-            cells[f"sim_{column}_{stat}"] = [getattr(agg, f"{field}_{stat}") for agg in aggs]
         cells[f"sim_norm_msq_{stat}"] = [mu_star_sq * v for v in cells[f"sim_norm_sq_{stat}"]]
     table.update(cells)
     return table, powers

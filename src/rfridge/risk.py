@@ -361,11 +361,20 @@ def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
 
 
 @np.errstate(all="ignore")
+def _negative_root(a, b, c):
+    """The negative root of a w^2 + b w + c, a > 0 > c, elementwise: 2c / (sqrt(D) - b)
+    where b < 0, since -b - sqrt(D) cancels there once 4ac is small next to b^2, and
+    (-b - sqrt(D)) / 2a where b >= 0 or D = b^2 - 4ac overflows (a root of -inf, refused)."""
+    d = np.sqrt(b * b - 4.0 * a * c)
+    return np.where((b < 0.0) & (d < INF), 2.0 * c / (d - b), (-b - d) / (2.0 * a))
+
+
+@np.errstate(all="ignore")
 def _ridgeless_chi(zeta_sq, psi1, psi2):
-    """ridgeless_chi elementwise, without its validation."""
+    """ridgeless_chi elementwise, without its validation: the negative root of
+    zeta_sq chi^2 + (psi zeta_sq - zeta_sq - 1) chi - psi, psi = min(psi1, psi2)."""
     psi = np.minimum(psi1, psi2)
-    t = psi * zeta_sq - zeta_sq - 1.0
-    return -(np.sqrt(t * t + 4.0 * zeta_sq * psi) + t) / (2.0 * zeta_sq)
+    return _negative_root(zeta_sq, psi * zeta_sq - zeta_sq - 1.0, -psi)
 
 
 def _lambda_bar(chi, zeta_sq, psi1, psi2):
@@ -414,8 +423,7 @@ def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
     z = zeta_sq
     a = lambda_bar * psi + 1.0
     b = psi * z - z - lambda_bar * psi - 1.0
-    c = -psi * z
-    return (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    return float(_negative_root(a, b, -psi * z))
 
 
 def risk_wide(zeta_sq: float, psi2: float, lambda_bar: float) -> RiskDecomposition:
@@ -548,8 +556,7 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
     require_positive(zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     z = zeta_sq
     omega0 = wide_omega(z, psi2, 0.0)
-    b1 = psi2 * rho - rho - 1.0
-    omega1 = -(b1 + math.sqrt(b1 * b1 + 4.0 * psi2 * rho)) / 2.0
+    omega1 = wide_omega(rho, psi2, 0.0)
     # omega (omega - 1) = s ((1 - psi2) omega + psi2) holds at s = zeta_sq for
     # omega0 and at s = rho for omega1, so each quantity is exact in the inputs
     rho_star, zeta_star_sq = float(z), float(rho)
@@ -558,7 +565,7 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
         raise _overflow("the phase quantities", zeta_sq=zeta_sq, psi2=psi2, rho=rho)
     # both omegas must re-solve their defining quadratics
     r0 = omega0 * omega0 + (psi2 * z - z - 1.0) * omega0 - psi2 * z
-    r1 = omega1 * omega1 + b1 * omega1 - psi2 * rho
+    r1 = omega1 * omega1 + (psi2 * rho - rho - 1.0) * omega1 - psi2 * rho
     scale = 1.0 + omega0 * omega0 + omega1 * omega1
     if abs(r0) > 1e-10 * scale or abs(r1) > 1e-10 * scale:
         raise InvariantViolation(

@@ -206,38 +206,28 @@ class FitResult:
     cond: float
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Measured errors of one trial.
+# the Trials fields aggregate reduces
+_MEASURES = ("test_error", "train_error", "penalty", "norm_sq")
 
-    train_error is the full objective value (mean squared residual plus
-    penalty); penalty and coef_norm_sq are reported separately so the
-    coefficient-norm asymptotics can be checked on their own.  solver_path
-    and cond are those of the trial's FitResult.
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Measured errors of a sweep's trials: row i is point i, column t trial t.
+
+    Each measure, and the cond of each fit (FitResult), is a C-contiguous
+    (points, trials) array.  train_error is the full objective value (mean
+    squared residual plus penalty); penalty and norm_sq = ||a_hat||^2 are
+    reported separately so the coefficient-norm asymptotics can be checked
+    on their own.  solver_path holds one path per point, the one every
+    trial of that point takes.
     """
 
-    trial_index: int
-    test_error: float
-    train_error: float
-    penalty: float
-    coef_norm_sq: float
-    solver_path: str
-    cond: float
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Across-trial means and standard errors of the mean."""
-
-    n_trials: int
-    test_error_mean: float
-    test_error_sem: float
-    train_error_mean: float
-    train_error_sem: float
-    penalty_mean: float
-    penalty_sem: float
-    coef_norm_sq_mean: float
-    coef_norm_sq_sem: float
+    test_error: np.ndarray
+    train_error: np.ndarray
+    penalty: np.ndarray
+    norm_sq: np.ndarray
+    cond: np.ndarray
+    solver_path: tuple[str, ...]
 
 
 # Rows drawn per block: the test rows a trial scores at once, and the rows of
@@ -460,23 +450,12 @@ def _test_errors(test_rows: _TestRows, points: Sequence[tuple[np.ndarray, int]])
     return [total / n_test for total, (_, n_test) in zip(sums, points)]
 
 
-def _measure(
-    config: SimConfig, fit: FitResult, Z: np.ndarray, y: np.ndarray, test_error: float,
-    trial_index: int,
-) -> TrialResult:
+def _measure(config: SimConfig, fit: FitResult, Z: np.ndarray, y: np.ndarray) -> tuple:
+    """(train_error, penalty, norm_sq) of a fit of y on Z."""
     residual = y - math.sqrt(config.d) * (Z @ fit.a_hat)
-    coef_norm_sq = float(fit.a_hat @ fit.a_hat)
-    penalty = config.N * config.lam / config.d * coef_norm_sq
-    train_error = float(residual @ residual) / config.n + penalty
-    return TrialResult(
-        trial_index=trial_index,
-        test_error=test_error,
-        train_error=train_error,
-        penalty=penalty,
-        coef_norm_sq=coef_norm_sq,
-        solver_path=fit.solver_path,
-        cond=fit.cond,
-    )
+    norm_sq = float(fit.a_hat @ fit.a_hat)
+    penalty = config.N * config.lam / config.d * norm_sq
+    return float(residual @ residual) / config.n + penalty, penalty, norm_sq
 
 
 def _random_features_draw(config: SimConfig, trial_index: int, shape: _Shape) -> _Draw:
@@ -551,7 +530,7 @@ def run_trial(
     trial_index: int,
     *,
     _draw: Callable[[int, _Shape], _Draw] | None = None,
-) -> TrialResult | list[TrialResult]:
+) -> Trials:
     """One trial of config.model: draw, fit, measure.
 
     Test error is measured against the noiseless target on a fresh test
@@ -562,10 +541,11 @@ def run_trial(
     _BLOCK x N blocks: never the n_test x d test inputs nor an
     n_test x N feature matrix.  Noise variates are drawn even when
     tau_sq = 0 (then scaled away) so that configurations differing only in
-    noise level share all other randomness.  Given a sweep, a sequence of
-    configs that differ only in n, N, n_test and lam, the result is one
-    TrialResult per config.  Points of one shape share a draw and are fit
-    together: by ridge_fit at one distinct penalty, by ridge_path from one
+    noise level share all other randomness.  The result is a Trials of one
+    column, with one row per config of a sweep (a sequence of configs that
+    differ only in n, N, n_test and lam; a lone config is a sweep of one
+    point).  Points of one shape share a draw and are fit together: by
+    ridge_fit at one distinct penalty, by ridge_path from one
     factorization at several.  A random-features trial is drawn once at the
     sweep's largest shape, and every point fits on prefix slices of that
     draw.  _draw is the draw run_trials binds once for all its trials.
@@ -593,7 +573,7 @@ def run_trial(
         draws = [(largest, list(groups.items()))]
     else:
         draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
-    results = [None] * len(configs)
+    rows = [None] * len(configs)
     for draw_shape, shapes in draws:
         Z_full, y_full, test_rows = draw(trial_index, draw_shape)
         fitted = []
@@ -609,15 +589,15 @@ def run_trial(
             test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
         )
         for (i, fit, Z, y), test_error in zip(fitted, test_errors):
-            results[i] = _measure(configs[i], fit, Z, y, test_error, trial_index)
-    return results[0] if isinstance(config, SimConfig) else results
+            rows[i] = (test_error, *_measure(configs[i], fit, Z, y), fit.cond, fit.solver_path)
+    *measures, paths = zip(*rows)
+    return Trials(*(np.array(m, dtype=float)[:, None] for m in measures), solver_path=paths)
 
 
-def run_trials(
-    config: SimConfig | Sequence[SimConfig], threads: int | None = None
-) -> list:
-    """All trials of a config, in trial order, within a budget of threads cores.
+def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = None) -> Trials:
+    """All trials of a sweep (see run_trial), within a budget of threads cores.
 
+    Column t of the result is run_trial(config, t), for t in trial order.
     The budget defaults to the cores this process may run on (_blas.cores()).
     Each BLAS call already uses _blas.threads() cores, so threads // that many
     trials run at once: one at a time (BLAS parallel inside each) under
@@ -625,53 +605,36 @@ def run_trials(
     than the budget, e.g. by OPENBLAS_NUM_THREADS=1.  Per-trial randomness is
     keyed, not sequential, so at a fixed BLAS thread count the result is
     identical for any budget.  The draw is checked, and the surrogate's
-    activation moments measured, once before any trial.  Given a sweep (a
-    sequence of configs, see run_trial), each trial is drawn once for all of
-    them, and the result is one list of trials per config, in the order of
-    the sweep.
+    activation moments measured, once before any trial.  Each trial is drawn
+    once for every point of the sweep.
     """
     configs = _sweep(config)
-    point = configs[0] if isinstance(config, SimConfig) else configs
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)
     budget = _blas.cores() if threads is None else threads
     workers = max(1, min(len(indices), budget // _blas.threads()))
     if workers == 1:
-        results = [run_trial(point, t, _draw=draw) for t in indices]
+        parts = [run_trial(configs, t, _draw=draw) for t in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(point, t, _draw=draw), indices))
-    return results if isinstance(config, SimConfig) else [list(per) for per in zip(*results)]
+            parts = list(pool.map(lambda t: run_trial(configs, t, _draw=draw), indices))
+    columns = (np.hstack([getattr(part, f) for part in parts]) for f in (*_MEASURES, "cond"))
+    return Trials(*columns, solver_path=parts[0].solver_path)
 
 
-def _mean_sem(values: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(values))
-    sem = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    return m, sem
+def aggregate(trials: Trials) -> dict[str, np.ndarray]:
+    """Each point's mean and standard error of the mean across at least two trials.
 
-
-def aggregate(results: Sequence[TrialResult]) -> AggregateResult:
-    """Means and standard errors across at least two trials."""
-    if len(results) < 2:
-        raise InsufficientTrials(
-            f"need at least 2 trials for a standard error, got {len(results)}"
-        )
-    test = np.array([r.test_error for r in results])
-    train = np.array([r.train_error for r in results])
-    pen = np.array([r.penalty for r in results])
-    norm = np.array([r.coef_norm_sq for r in results])
-    te = _mean_sem(test)
-    tr = _mean_sem(train)
-    pe = _mean_sem(pen)
-    no = _mean_sem(norm)
-    return AggregateResult(
-        n_trials=len(results),
-        test_error_mean=te[0],
-        test_error_sem=te[1],
-        train_error_mean=tr[0],
-        train_error_sem=tr[1],
-        penalty_mean=pe[0],
-        penalty_sem=pe[1],
-        coef_norm_sq_mean=no[0],
-        coef_norm_sq_sem=no[1],
-    )
+    The keys are "<measure>_mean" and "<measure>_sem" for every measure but
+    cond, each one entry per point.  Each row is reduced as np.mean and
+    np.std(ddof=1) / sqrt(trials) reduce a 1-D array, so to the same bits.
+    """
+    count = trials.test_error.shape[1]
+    if count < 2:
+        raise InsufficientTrials(f"need at least 2 trials for a standard error, got {count}")
+    stats = {}
+    for name in _MEASURES:
+        values = getattr(trials, name)
+        stats[f"{name}_mean"] = np.mean(values, axis=1)
+        stats[f"{name}_sem"] = np.std(values, axis=1, ddof=1) / math.sqrt(count)
+    return stats

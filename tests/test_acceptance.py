@@ -35,6 +35,7 @@ from rfridge.selfconsistent import chi_scalar_oracle, solve_at
 from rfridge.simulate import (
     SimConfig,
     TargetKind,
+    Trials,
     aggregate,
     build_design,
     nonlinear_power,
@@ -72,6 +73,22 @@ def _criterion(capsys, number, label, budget=None):
         raise
     with capsys.disabled():
         print(f"PASS criterion {number}: {label} ({elapsed:.2f}s)")
+
+
+def _point_stats(config: SimConfig) -> dict:
+    """aggregate's mean and SEM of every measure at config, a sweep of one point."""
+    stats = aggregate(run_trials(config, threads=THREADS))
+    return {key: values[0] for key, values in stats.items()}
+
+
+def _column(trials: Trials, t: int) -> Trials:
+    """Trial t of every point of trials."""
+    return Trials(**{k: v if k == "solver_path" else v[:, t : t + 1]
+                     for k, v in vars(trials).items()})
+
+
+def _same_bits(a: Trials, b: Trials) -> bool:
+    return all(np.array_equal(v, vars(b)[k]) for k, v in vars(a).items())
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -238,10 +255,10 @@ def test_criterion_6_double_descent_reproduction(capsys):
                 seed=7,
                 n_test=6000,
             )
-            agg = aggregate(run_trials(config, threads=THREADS))
+            agg = _point_stats(config)
             theory = risk_general(Z2, config.psi1_d, config.psi2_d, LAM_BAR).test_error(target)
-            tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
-            assert abs(agg.test_error_mean - theory) <= tol
+            tol = max(3.0 * agg["test_error_sem"], 0.10 * theory)
+            assert abs(agg["test_error_mean"] - theory) <= tol
 
         grid = np.geomspace(0.5, 10.0, 161)
         curve = np.array(
@@ -279,12 +296,12 @@ def test_criterion_7_equivalence_targets(capsys):
                     trials=20,
                     seed=11,
                 )
-                agg = aggregate(run_trials(config, threads=THREADS))
+                agg = _point_stats(config)
                 theory = risk_general(
                     Z2, config.psi1_d, config.psi2_d, LAM_BAR
                 ).test_error(spec)
-                tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
-                assert abs(agg.test_error_mean - theory) <= tol
+                tol = max(3.0 * agg["test_error_sem"], 0.10 * theory)
+                assert abs(agg["test_error_mean"] - theory) <= tol
 
 
 def test_criterion_8_gaussian_covariates_equivalence(capsys):
@@ -304,10 +321,10 @@ def test_criterion_8_gaussian_covariates_equivalence(capsys):
                 seed=13,
                 model="gaussian_covariates",
             )
-            agg = aggregate(run_trials(config, threads=THREADS))
+            agg = _point_stats(config)
             theory = risk_general(Z2, config.psi1_d, config.psi2_d, LAM_BAR).test_error(spec)
-            tol = max(3.0 * agg.test_error_sem, 0.10 * theory)
-            assert abs(agg.test_error_mean - theory) <= tol
+            tol = max(3.0 * agg["test_error_sem"], 0.10 * theory)
+            assert abs(agg["test_error_mean"] - theory) <= tol
 
 
 def test_criterion_9_training_asymptotics(capsys):
@@ -328,16 +345,16 @@ def test_criterion_9_training_asymptotics(capsys):
                 trials=20,
                 seed=17,
             )
-            agg = aggregate(run_trials(config, threads=THREADS))
+            agg = _point_stats(config)
             asym = training_theory(2.0, Z2, config.psi1_d, config.psi2_d, LAM_BAR)
 
             theory_train = power * asym.L
-            tol = max(3.0 * agg.train_error_sem, 0.10 * theory_train)
-            assert abs(agg.train_error_mean - theory_train) <= tol
+            tol = max(3.0 * agg["train_error_sem"], 0.10 * theory_train)
+            assert abs(agg["train_error_mean"] - theory_train) <= tol
 
             theory_norm = power * asym.A
-            sim_norm = MS2 * agg.coef_norm_sq_mean
-            tol = max(3.0 * MS2 * agg.coef_norm_sq_sem, 0.10 * theory_norm)
+            sim_norm = MS2 * agg["norm_sq_mean"]
+            tol = max(3.0 * MS2 * agg["norm_sq_sem"], 0.10 * theory_norm)
             assert abs(sim_norm - theory_norm) <= tol
 
 
@@ -402,11 +419,11 @@ def test_criterion_10_property_pack(capsys, tmp_path):
             n_test=1000,
         )
         first = run_trial(config, 2)
-        second = run_trial(config, 2)
-        assert first == second
-        serial = run_trials(config, threads=1)
-        threaded = run_trials(config, threads=4)
-        assert serial == threaded
+        assert _same_bits(first, run_trial(config, 2))
+        for threads in (1, 4):
+            trials = run_trials(config, threads=threads)
+            for t in range(config.trials):
+                assert _same_bits(_column(trials, t), run_trial(config, t))
 
         argv = [
             "theory",

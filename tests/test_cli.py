@@ -214,11 +214,21 @@ def test_closed_forms_keep_a_tiny_psi(variant, psi, capsys):
     assert rec["theory_var_V"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_tiny_psi1_keeps_the_ridgeless_variance_positive(capsys):
+    # chi is about -psi1 / (1 + zeta_sq), which -b - sqrt(b^2 - 4ac) cancelled to -0.0
+    code, out, err = run_cli(["theory", "--variant", "ridgeless", "--psi1", "1e-20", "--psi2",
+                              "3", "--rho", "2"], capsys)
+    assert code == 0, err
+    (rec,) = read_records(out, from_text=True)
+    assert 0.0 < rec["theory_var_V"] < 1e-19
+    assert rec["theory_bias_B"] == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_a_vanishing_wide_variance_is_written_as_positive_zero(fmt, capsys):
-    # at lambda_bar = 1e30 omega, and with it V's numerator, underflows to 0,
-    # over a negative denominator
-    code, out, err = run_cli(["theory", "--variant", "wide", "--zeta-sq", "1", "--psi2", "3",
+    # at lambda_bar = 1e30 and zeta_sq = 1e-140 omega is about -1e-170, so V's
+    # numerator underflows to 0, over a negative denominator
+    code, out, err = run_cli(["theory", "--variant", "wide", "--zeta-sq", "1e-140", "--psi2", "3",
                               "--lambda-bar", "1e30", "--rho", "2", "--format", fmt], capsys)
     assert code == 0, err
     if fmt == "jsonl":

@@ -660,13 +660,19 @@ def _reference_finite_terms(terms, quantity, **row):
     raise rfridge.risk._overflow(quantity, **row)
 
 
+def _reference_negative_root(a, b, c):
+    """The negative root of a w^2 + b w + c (a > 0 > c): 2c / (sqrt(D) - b)
+    where b < 0 and the discriminant D is finite, else (-b - sqrt(D)) / 2a."""
+    d = math.sqrt(b * b - 4.0 * a * c)
+    return 2.0 * c / (d - b) if b < 0.0 and d < INF else (-b - d) / (2.0 * a)
+
+
 def _reference_ridgeless(zeta_sq, psi1, psi2):
     """risk_ridgeless: B = E1/E0 and V = E2/E0 at the ridgeless chi, or the
     threshold where E0 vanishes; an overflow off the threshold is refused."""
     require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     psi = min(psi1, psi2)
-    t = psi * zeta_sq - zeta_sq - 1.0
-    chi = -(math.sqrt(t * t + 4.0 * zeta_sq * psi) + t) / (2.0 * zeta_sq)
+    chi = _reference_negative_root(zeta_sq, psi * zeta_sq - zeta_sq - 1.0, -psi)
     e0, e1, e2, size = rfridge.risk._e_polynomials(chi, zeta_sq, psi1, psi2)
     if rfridge.risk._e0_vanishes(e0, size):
         return RiskDecomposition(INF, INF, math.nan, math.nan, math.nan, math.nan, True)
@@ -684,8 +690,7 @@ def _reference_omega(zeta_sq, psi, lambda_bar):
         raise ValueError(f"lambda_bar must be finite and >= 0, got {lambda_bar}")
     a = lambda_bar * psi + 1.0
     b = psi * zeta_sq - zeta_sq - lambda_bar * psi - 1.0
-    c = -psi * zeta_sq
-    return (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    return _reference_negative_root(a, b, -psi * zeta_sq)
 
 
 def _reference_denominator(omega, psi):
@@ -800,6 +805,13 @@ def test_theory_columns_of_a_closed_form_box_are_the_reference_rows(powers):
     assert kinds == {"ValueError"}
 
 
+def _mp_negative_root(a, b, c):
+    """The negative root of a w^2 + b w + c (a > 0 > c) at mpmath's working
+    precision, in the form that does not cancel at b's sign."""
+    d = mpmath.sqrt(b * b - 4 * a * c)
+    return 2 * c / (d - b) if b < 0 else (-b - d) / (2 * a)
+
+
 def test_closed_forms_at_a_tiny_psi_match_60_digits():
     # the rows of the closed-form box whose denominator, about -psi, an
     # absolute floor 1e-12 (1 + |numerators|) refused as vanishing: each is
@@ -822,14 +834,37 @@ def test_closed_forms_at_a_tiny_psi_match_60_digits():
         floored[variant] += 1
         dec = (risk_wide if wide else risk_large_sample)(zeta_sq, psi, lambda_bar)
         z, p, lb = map(mpmath.mpf, (zeta_sq, psi, lambda_bar))
-        a, b = lb * p + 1, p * z - z - lb * p - 1
-        w = (-b - mpmath.sqrt(b * b + 4 * a * p * z)) / (2 * a)
+        w = _mp_negative_root(lb * p + 1, p * z - z - lb * p - 1, -p * z)
         den = (p - 1) * w**3 + (1 - 3 * p) * w**2 + 3 * p * w - p
         bias = ((p * w - p) if wide else ((w**3 - w**2) / z + p * w - p)) / den
         var = (w**3 - w**2) / den if wide else 0
         error = abs(dec.bias_B - bias) + abs(dec.var_V - var)
         assert error <= 1e-12 * (abs(bias) + abs(var)), (variant, zeta_sq, psi, lambda_bar)
     assert floored == {"wide": 451, "lsamp": 439}
+
+
+def test_closed_form_roots_at_a_tiny_psi_match_80_digits():
+    # ridgeless_chi, wide_omega and wide_phase's omega0 and omega1 are the
+    # negative roots of quadratics whose b is negative at psi < 1, where
+    # -b - sqrt(b^2 - 4ac) cancels: on 2,000 rows with psi log-uniform over
+    # 1e-30..1 and the rest over 1e-6..1e6 (every tenth penalty 0), each is
+    # within 2e-15 relative of the root at 80 digits
+    mpmath.mp.dps = 80
+    rng = np.random.default_rng(3)
+    zeta_sq, lambda_bar, other = 10.0 ** rng.uniform(-6.0, 6.0, (3, 2000))
+    psi = 10.0 ** rng.uniform(-30.0, 0.0, 2000)
+    lambda_bar[::10] = 0.0
+    for row in zip(*(v.tolist() for v in (zeta_sq, psi, lambda_bar, other))):
+        z, p, lb, o = row
+        Z, P, L, O = map(mpmath.mpf, row)
+        phase = wide_phase(z, p, o)
+        for got, root in (
+            (wide_omega(z, p, lb), _mp_negative_root(L * P + 1, P * Z - Z - L * P - 1, -P * Z)),
+            (ridgeless_chi(z, p, o), _mp_negative_root(Z, min(P, O) * Z - Z - 1, -min(P, O))),
+            (phase.omega0, _mp_negative_root(1, P * Z - Z - 1, -P * Z)),
+            (phase.omega1, _mp_negative_root(1, P * O - O - 1, -P * O)),
+        ):
+            assert abs(got - root) <= 2e-15 * abs(root), row
 
 
 @settings(max_examples=20, deadline=None)
