@@ -27,7 +27,6 @@ from .selfconsistent import (
 )
 from .risk import (
     ChiDisagreement,
-    DenominatorVanishes,
     NonUnimodalWarning,
     PhaseQuantities,
     RiskDecomposition,

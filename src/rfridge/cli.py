@@ -44,7 +44,6 @@ from .activations import (
 )
 from .risk import (
     ChiDisagreement,
-    DenominatorVanishes,
     TargetSpec,
     ThresholdSingularity,
     theory_columns,
@@ -794,7 +793,6 @@ def main(argv=None) -> int:
         RootSelectionAmbiguous,
         QuadratureFailure,
         ThresholdSingularity,
-        DenominatorVanishes,
     ) as exc:
         # a sweep's failing solve names its grid point, which the library's message does not
         print(f"numerical failure: {exc}{getattr(exc, 'grid_point', '')}", file=sys.stderr)

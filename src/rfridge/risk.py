@@ -28,8 +28,10 @@ import numpy as np
 from .selfconsistent import (
     InvariantViolation,
     _AxisBatch,
+    _overflow,
     _polish,
     _quartic_coeffs,
+    _refuse,
     _stacked_roots,
     attempt,
     require_positive,
@@ -45,10 +47,6 @@ class ThresholdSingularity(ArithmeticError):
 
 class ChiDisagreement(ArithmeticError):
     """The fixed-point solver and the quartic oracle returned different chi."""
-
-
-class DenominatorVanishes(ArithmeticError):
-    """A closed-form limit hit a vanishing denominator (not expected for lambda_bar > 0)."""
 
 
 class NonUnimodalWarning(UserWarning):
@@ -176,13 +174,6 @@ class PhaseQuantities:
     lambda_star: float
 
 
-def _overflow(quantity: str, **row) -> ValueError:
-    """The error of a row whose quantity is beyond the float range, naming the
-    row's parameters (as selfconsistent._overflowed names a quartic's)."""
-    named = ", ".join(f"{name} = {value!r}" for name, value in row.items())
-    return ValueError(f"{quantity} overflowed the float range at {named}")
-
-
 def _horner(coeffs, x: float) -> float:
     acc = 0.0
     for c in coeffs:
@@ -277,17 +268,16 @@ class _FactorColumns:
         overflowed = ~self.threshold & ~np.isfinite(checked).all(axis=1)
         # min(parts) < -1e-10, where a nan first part hides the others
         negative = ~self.threshold & ~np.isnan(parts[:, 0]) & (parts < -1e-10).any(axis=1)
-        self.errors = dict(errors)
-        for k in np.flatnonzero(overflowed | negative).tolist():
-            if k in self.errors:
-                continue
+
+        def refusal(k):
             if overflowed[k]:
                 named = dict(zip(("zeta_sq", "psi1", "psi2", "lambda_bar"), rows[k]))
-                self.errors[k] = _overflow(f"the decomposition at chi = {chi[k].item()!r}", **named)
-            else:
-                self.errors[k] = InvariantViolation(
-                    f"negative training factors {tuple(parts[k].tolist())} at "
-                    f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
+                return _overflow(f"the decomposition at chi = {chi[k].item()!r}", **named)
+            return InvariantViolation(
+                f"negative training factors {tuple(parts[k].tolist())} at "
+                f"psi1={rows[k][1]}, psi2={rows[k][2]}, lambda_bar={rows[k][3]}")
+
+        self.errors = _refuse(dict(errors), np.flatnonzero(overflowed | negative).tolist(), refusal)
 
     def decomposition(self, k: int) -> RiskDecomposition:
         """Row k's RiskDecomposition; raises the row's error."""
@@ -314,13 +304,11 @@ class _RiskColumns(_FactorColumns):
             apart = np.abs(chi - oracle) > 1e-8 * np.abs(oracle)
             m = solve.t2 * np.sqrt(lambda_bar * psi1 / psi2)
         # a row's solve error comes before its oracle's, and both before the cross-check's
-        self.point_errors = {**solve.chi_errors, **solve.point_errors}
-        for k in np.flatnonzero(apart).tolist():
-            if k not in self.point_errors:
-                self.point_errors[k] = ChiDisagreement(
-                    f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
-                    f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
-                    f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})")
+        self.point_errors = _refuse(dict(solve.point_errors), solve.chi_errors, solve.chi_errors.get)
+        _refuse(self.point_errors, np.flatnonzero(apart).tolist(), lambda k: ChiDisagreement(
+            f"fixed-point chi = {chi[k].item()!r} vs quartic-oracle chi = "
+            f"{oracle[k].item()!r} at (zeta_sq={rows[k][0]}, psi1={rows[k][1]}, "
+            f"psi2={rows[k][2]}, lambda_bar={rows[k][3]})"))
         super().__init__(chi, m, z, psi1, psi2, rows, self.point_errors)
 
 
@@ -377,6 +365,7 @@ def _ridgeless_chi(zeta_sq, psi1, psi2):
     return _negative_root(zeta_sq, psi * zeta_sq - zeta_sq - 1.0, -psi)
 
 
+@np.errstate(all="ignore")
 def _lambda_bar(chi, zeta_sq, psi1, psi2):
     """The penalty at which a real chi < 0 solves the quartic, elementwise.
 
@@ -401,13 +390,11 @@ def risk_ridgeless(zeta_sq: float, psi1: float, psi2: float) -> RiskDecompositio
 
 def _ridgeless_columns(rows: list[tuple]) -> _FactorColumns:
     """_FactorColumns at ridgeless_chi, without a training mass, over
-    (zeta_sq, psi1, psi2) rows; a row's validation error comes first."""
+    (zeta_sq, psi1, psi2) rows; a row's validation error (ridgeless_chi's) comes first."""
     values = np.array(rows, dtype=float).reshape(-1, 3)
     invalid = ~(np.isfinite(values) & (values > 0.0)).all(axis=1)
-    checked = {k: attempt(ridgeless_chi, *rows[k]) for k in np.flatnonzero(invalid).tolist()}
-    chi = _ridgeless_chi(*values.T)
-    return _FactorColumns(chi, None, *values.T, rows,
-                          {k: e for k, e in checked.items() if isinstance(e, Exception)})
+    rejected = {k: attempt(ridgeless_chi, *rows[k]) for k in np.flatnonzero(invalid).tolist()}
+    return _FactorColumns(_ridgeless_chi(*values.T), None, *values.T, rows, rejected)
 
 
 def wide_omega(zeta_sq: float, psi: float, lambda_bar: float) -> float:
@@ -444,11 +431,13 @@ def _limit_decomposition(wide: bool, zeta_sq: float, psi: float, lambda_bar: flo
     c = omega^3 - omega^2, B = (psi omega - psi) / den and V = c / den in the
     wide limit, B = (c / zeta^2 + psi omega - psi) / den and V = 0 in the
     large-sample limit.  Where den or a numerator is not finite, or a Python
-    float power overflows, a ValueError names the row (_overflow) before den
-    is tested.  den vanishes where it is at most 1e-12 of the size of its own
-    terms, as E0 does (_e0_vanishes): at a tiny psi den is about -psi, and
-    an absolute floor would refuse well-posed rows.  A V whose cubic
-    underflows to 0 is +0.0, not the -0.0 of +0 over a negative den."""
+    float power overflows, a ValueError names the row (_overflow).  A V whose
+    cubic underflows to 0 is +0.0, not the -0.0 of +0 over a negative den.
+
+    den never vanishes.  With a = -omega > 0, omega's quadratic reads
+    (lambda_bar psi + 1) a (a + 1) = zeta^2 (psi (1 + a) - a) > 0, so
+    x = a / (1 + a) < min(psi, 1), x^2 < psi and den = (1 + a)^3 (x^2 - psi) < 0;
+    on seeded rows |den| stays above 0.3 of the sum of its terms' sizes."""
     name, label = ("psi2", "wide-limit") if wide else ("psi1", "large-sample")
     require_positive(**{"zeta_sq": zeta_sq, name: psi})
     omega = wide_omega(zeta_sq, psi, lambda_bar)
@@ -461,10 +450,6 @@ def _limit_decomposition(wide: bool, zeta_sq: float, psi: float, lambda_bar: flo
     if not all(map(math.isfinite, (den, bias_num, cubic))):
         raise _overflow(f"the {label} decomposition",
                         **{"zeta_sq": zeta_sq, name: psi, "lambda_bar": lambda_bar})
-    w = abs(omega)
-    size = abs(psi - 1.0) * w**3 + abs(1.0 - 3.0 * psi) * w**2 + 3.0 * psi * w + psi
-    if abs(den) < 1e-12 * size:
-        raise DenominatorVanishes(f"{label} denominator {den} vanished at omega = {omega}")
     return RiskDecomposition(bias_num / den, cubic / den + 0.0 if wide else 0.0,
                              NAN, NAN, NAN, NAN)
 
@@ -520,12 +505,12 @@ def theory_columns(variant, zeta_sq, psi1, psi2, lambda_bar, rho,
         for value in set(rho[~np.isnan(rho)].tolist()):
             rows, unit = rho == value, attempt(TargetSpec.unit, value)
             if isinstance(unit, Exception):
-                errors = {**dict.fromkeys(np.flatnonzero(rows).tolist(), unit), **errors}
+                _refuse(errors, np.flatnonzero(rows).tolist(), lambda k: unit)
             else:
                 risk_R[rows] = _test_errors(unit, bias[rows], var[rows], threshold[rows])
     if powers is not None:
-        for k in np.flatnonzero(threshold & (variant == "general")).tolist():
-            errors.setdefault(k, attempt(_AT_THRESHOLD.train_error, powers))
+        _refuse(errors, np.flatnonzero(threshold & (variant == "general")).tolist(),
+                lambda k: attempt(_AT_THRESHOLD.train_error, powers))
         columns["test_error"] = _test_errors(powers, bias, var, threshold)
         columns["train_error"] = powers.weigh(factors[:, 2], factors[:, 3])
         columns["norm_msq"] = powers.weigh(factors[:, 4], factors[:, 5])
@@ -577,19 +562,19 @@ def wide_phase(zeta_sq: float, psi2: float, rho: float) -> PhaseQuantities:
 def _stationary_chis(rho: float, zeta_sq: float, psi1: float, psi2: float) -> np.ndarray:
     """The real roots of S = N' E0 - N E0' with N = a E1 + b E2, where the
     rational R(chi) = N / E0 is stationary, each polished on S (_polish).  An S
-    that is not finite raises the row's ValueError (_overflow)."""
+    that is not finite, or that np.roots rejects, raises a ValueError naming
+    the row (_overflow)."""
     e1, e2 = _e_coeffs(zeta_sq, psi1, psi2)
     e0 = np.array(_e0_coeffs(zeta_sq, psi1, psi2))
     with np.errstate(all="ignore"):
         n = TargetSpec.unit(rho).weigh(np.array((0.0, 0.0) + e1), np.array(e2))
         # the chi^9 terms of the two products cancel exactly: drop their rounding
         s = (np.convolve(np.polyder(n), e0) - np.convolve(n, np.polyder(e0)))[1:]
-    if not np.isfinite(s).all():
-        raise _overflow("the stationarity polynomial S", rho=rho, zeta_sq=zeta_sq, psi1=psi1,
-                        psi2=psi2)
-    (roots,), failed = _stacked_roots(s[None])
+        (roots,), (failed,) = _stacked_roots(s[None])
     if failed:
-        raise failed[0]
+        raise _overflow("the stationarity polynomial S", rho=rho, zeta_sq=zeta_sq, psi1=psi1,
+                        psi2=psi2, into="its companion matrix" if np.isfinite(s).all()
+                        else "the float range")
     real = np.abs(roots.imag) <= 1e-9 * np.abs(roots)
     return _polish(s[:, None], roots.real[real])
 
@@ -621,10 +606,7 @@ def optimal_lambda(
     [0, lambda_max]; more than one warns NonUnimodalWarning.
     Returns (lambda_bar_opt, risk_opt).
     """
-    if not (math.isfinite(lambda_max) and lambda_max > 0.0):
-        raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
-
-    require_positive(zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
+    require_positive(lambda_max=lambda_max, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     # one ridgeless row: its chi here, its R (or its error) at the endpoint below
     ridgeless = _ridgeless_columns([(zeta_sq, psi1, psi2)])
     chi = np.sort(_stationary_chis(rho, zeta_sq, psi1, psi2))

@@ -106,6 +106,7 @@ def _residual(t1, t2, u, zeta_sq, psi1, psi2):
     return np.where(r2 > r1, r2, r1)
 
 
+@np.errstate(all="ignore")
 def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Real roots chi (nan for none) after up to six Newton steps, by Horner,
     each on its own polynomial: column j of columns holds root j's
@@ -115,9 +116,9 @@ def _polish(columns: np.ndarray, chi: np.ndarray) -> np.ndarray:
     so when the coefficients span ~1e50 a tiny root comes back as 0.0 or with
     the wrong sign; Newton restores it, and six steps bring copies of one root
     that started from 0.0 together to rounding.  A root stops for good at the
-    step where the derivative is 0, the step is not finite, or it leaves chi
-    unchanged (it would repeat to the last one), so every root takes the steps
-    the same scalar loop would, bitwise.
+    step where the derivative is 0, the step is not finite (an overflow, which
+    does not warn), or it leaves chi unchanged (it would repeat to the last
+    one), so every root takes the steps the same scalar loop would, bitwise.
     """
     moving = ~np.isnan(chi)
     first, *rest = columns
@@ -149,15 +150,15 @@ def attempt(fn, *args):
 _NAN = complex(math.nan, math.nan)
 
 
-def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
+def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.roots of each finite row of polys (highest degree first), as the rows
-    of a complex array padded with nan, and {row: LinAlgError} for the rows
+    of a complex array padded with nan, and a boolean column marking the rows
     that are not finite or that np.roots rejects (their row is all nan).
 
     A row that is not finite fails without a call to np.roots, whose
-    companion matrix would either hold it (the LinAlgError given here) or,
-    with an infinite leading coefficient, be all zeros and give roots that
-    mean nothing.  The finite rows whose first and last coefficients are
+    companion matrix would either hold it (and be rejected) or, with an
+    infinite leading coefficient, be all zeros and give roots that mean
+    nothing.  The finite rows whose first and last coefficients are
     nonzero, which np.roots would not trim, and whose companion matrix is
     finite share one stacked eigvals call on their companion matrices; LAPACK
     factors each matrix on its own, so their roots are bitwise those of
@@ -165,8 +166,8 @@ def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
     rejects, is np.roots' own.
     """
     roots = np.full((len(polys), polys.shape[1] - 1), _NAN)
-    finite = np.isfinite(polys).all(axis=1)
-    stacked = finite & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
+    failed = ~np.isfinite(polys).all(axis=1)
+    stacked = ~failed & (polys[:, 0] != 0.0) & (polys[:, -1] != 0.0)
     companions = _companions(polys[stacked])
     bounded = np.isfinite(companions).all(axis=(1, 2))
     stacked[stacked] = bounded
@@ -174,13 +175,11 @@ def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, dict]:
         roots[stacked] = np.linalg.eigvals(companions[bounded])
     except np.linalg.LinAlgError:
         stacked[:] = False
-    failed = {k: np.linalg.LinAlgError("Array must not contain infs or NaNs")
-              for k in np.flatnonzero(~finite).tolist()}
-    for k in np.flatnonzero(~stacked & finite).tolist():
+    for k in np.flatnonzero(~stacked & ~failed).tolist():
         try:
             found = np.roots(polys[k])
-        except np.linalg.LinAlgError as exc:
-            failed[k] = exc
+        except np.linalg.LinAlgError:
+            failed[k] = True
         else:
             roots[k, :len(found)] = found
     return roots, failed
@@ -203,22 +202,20 @@ def _negative_roots(polys: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(chi < 0.0, chi, np.nan)
 
 
-def _overflowed(zeta_sq, psi1, psi2, u: float) -> ValueError:
-    """The error of a row whose quartic has a coefficient beyond the float range."""
-    return ValueError(
-        f"the product psi1 psi2 lambda_bar = {u * u!r} overflowed the quartic in chi "
-        f"at psi1 = {psi1!r}, psi2 = {psi2!r}, zeta_sq = {zeta_sq!r}"
-    )
+def _overflow(quantity: str, *, into: str = "the float range", **row) -> ValueError:
+    """The error of a row whose quantity overflowed into the float range or a
+    companion matrix (np.roots'), naming the row's parameters in order."""
+    named = ", ".join(f"{name} = {value!r}" for name, value in row.items())
+    return ValueError(f"{quantity} overflowed {into} at {named}")
 
 
-def _unfactored(polynomial: str, zeta_sq, psi1, psi2, u: float) -> ValueError:
-    """The error of a row whose polynomial is not finite or np.roots rejects,
-    which happens when a coefficient, or one divided by the leading one, is
-    beyond the float range."""
-    return ValueError(
-        f"the {polynomial} in chi overflowed its companion matrix at psi1 = {psi1!r}, "
-        f"psi2 = {psi2!r}, zeta_sq = {zeta_sq!r}, psi1 psi2 lambda_bar = {u * u!r}"
-    )
+def _refuse(errors: dict, rows, refusal) -> dict:
+    """errors, with refusal(k) added for each of rows (indices) that has no
+    error yet: a row keeps its first error, and a later one is never built."""
+    for k in rows:
+        if k not in errors:
+            errors[k] = refusal(k)
+    return errors
 
 
 class _AxisBatch:
@@ -235,10 +232,10 @@ class _AxisBatch:
     u = 0 (N, from which the oracle's quintic is formed), and one stacked
     eigvals call per degree (_stacked_roots) factors all of them.  A row that
     fails validation keeps that error (_rejected); otherwise a row whose
-    quartic is not finite (_overflowed), or whose quartic np.roots rejects or
-    whose quintic is not finite or rejected (_unfactored), fails with a
-    ValueError naming it.  Every other step is elementwise, so a row's
-    outcome does not depend on the rest of the batch.
+    quartic is not finite, or whose quartic np.roots rejects or whose quintic
+    is not finite or rejected, fails with a ValueError naming it (_overflow).
+    A row keeps its first error (_refuse).  Every other step is elementwise,
+    so a row's outcome does not depend on the rest of the batch.
     """
 
     def __init__(self, rows):
@@ -258,24 +255,29 @@ class _AxisBatch:
                 [-z * n4, 3.0 * n4, 2.0 * n3 + z * n2, n2 + 2.0 * z * n1, 3.0 * z * n0, -n0]
             ).T
             quartics = coeffs[:, 1]
-            roots, failed = _stacked_roots(quartics)
+            roots, failed_roots = _stacked_roots(quartics)
             turns, turn_failed = _stacked_roots(quintics)
             chi = _negative_roots(quartics, roots)
 
-        def label(k):
-            return (*rows[k][:3], u[k].item())
+        def unfactored(polynomial, k):
+            return _overflow(f"the {polynomial} in chi", into="its companion matrix",
+                             psi1=rows[k][1], psi2=rows[k][2], zeta_sq=rows[k][0],
+                             **{"psi1 psi2 lambda_bar": u_sq[k, 1].item()})
 
         # a failing quartic is both outcomes' first error; each is built once,
         # validation's before the overflow's before np.roots' rejection
         finite = np.isfinite(quartics).all(axis=1)
         failed = {k: _rejected(*rows[k], u[k].item()) if not valid[k]
-                  else _overflowed(*label(k)) if not finite[k]
-                  else _unfactored("quartic", *label(k))
-                  for k in sorted(set(np.flatnonzero(~valid).tolist()).union(failed))}
+                  else _overflow(f"the product psi1 psi2 lambda_bar = {u_sq[k, 1].item()!r}",
+                                 into="the quartic in chi", psi1=rows[k][1], psi2=rows[k][2],
+                                 zeta_sq=rows[k][0]) if not finite[k]
+                  else unfactored("quartic", k)
+                  for k in np.flatnonzero(~valid | failed_roots).tolist()}
         self.point_errors, self.chi_errors = failed, dict(failed)
         with np.errstate(all="ignore"):
             self._select_arrays(chi, z[:, None], psi1[:, None], psi2[:, None], u[:, None])
-            self._certify_arrays(chi, turns, set(turn_failed), rows, label)
+            self._certify_arrays(chi, turns, turn_failed, rows,
+                                 lambda k: unfactored("oracle's quintic", k))
 
     def _select_arrays(self, chi, z, psi1, psi2, u):
         # each row's parameters broadcast over its candidate roots, one per
@@ -313,16 +315,13 @@ class _AxisBatch:
         distinct = checked & (np.abs(pair - at) > 1e-10 * np.abs(at))
         self.t1, self.t2, self.residual, self.chi = t1[first], t2[first], res[first], pair[first]
         solved = checked.any(axis=1) & ~distinct.any(axis=1)
-        for k in np.flatnonzero(~solved).tolist():
-            if k in self.point_errors:
-                continue
-            best = np.where(np.isnan(res[k]), np.inf, res[k]).min()
-            self.point_errors[k] = NoConvergence(
-                f"{admissible[k].sum()} admissible quartic roots give "
-                f"{_distinct_points(pair[k], checked[k])} distinct checked "
-                f"points; best relative map residual {best:.3e}", complex(0.0, self.u[k].item()))
+        best = np.where(np.isnan(res), np.inf, res).min(axis=1)
+        _refuse(self.point_errors, np.flatnonzero(~solved).tolist(), lambda k: NoConvergence(
+            f"{admissible[k].sum()} admissible quartic roots give "
+            f"{_distinct_points(pair[k], checked[k])} distinct checked "
+            f"points; best relative map residual {best[k]:.3e}", complex(0.0, self.u[k].item())))
 
-    def _certify_arrays(self, chi, turns, turn_failed, rows, label):
+    def _certify_arrays(self, chi, turns, turn_failed, rows, unfactored):
         # the largest negative root; the quintic's real roots in [chi*, 0);
         # the distinct roots within 1e-8 |chi*| below chi*
         found = ~np.isnan(chi)
@@ -332,16 +331,14 @@ class _AxisBatch:
         gap = top - chi
         rival = (1e-10 * -top < gap) & (gap < 1e-8 * -top)
         self.oracle = top[:, 0]
-        failing = ~found.any(axis=1) | turning.any(axis=1) | rival.any(axis=1)
-        for k in sorted(set(np.flatnonzero(failing).tolist()) | turn_failed):
-            if k in self.chi_errors:
-                continue
+        failing = ~found.any(axis=1) | turn_failed | turning.any(axis=1) | rival.any(axis=1)
+
+        def uncertified(k):
             lambda_bar, chi_top = rows[k][3], top[k, 0].item()
             if not found[k].any():
                 message = f"no real non-positive root at lambda_bar = {lambda_bar}"
-            elif k in turn_failed:
-                self.chi_errors[k] = _unfactored("oracle's quintic", *label(k))
-                continue
+            elif turn_failed[k]:
+                return unfactored(k)
             elif turning[k].any():
                 message = (f"the root branch turns at chi = "
                            f"{turns.real[k, turning[k].argmax()].item()!r} in [{chi_top!r}, 0), "
@@ -349,7 +346,9 @@ class _AxisBatch:
             else:
                 message = (f"roots {chi_top!r} and {chi[k, rival[k].argmax()].item()!r} both "
                            "admissible within 1e-8 relative")
-            self.chi_errors[k] = RootSelectionAmbiguous(message)
+            return RootSelectionAmbiguous(message)
+
+        _refuse(self.chi_errors, np.flatnonzero(failing).tolist(), uncertified)
 
     def point(self, k: int) -> SpectralPoint:
         """Row k's SpectralPoint, from its columns."""

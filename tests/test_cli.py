@@ -321,6 +321,28 @@ def test_theory_general_row_solves_once(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_chi_disagreement_is_an_invariant_violation(capsys, monkeypatch):
+    # the oracle's chi of an ordinary row moved 1e-6 relative from the solve's:
+    # the row is refused with exit code 4, and nothing is written
+    original = rfridge.risk._AxisBatch
+
+    def shifted(rows):
+        batch = original(rows)
+        batch.oracle = batch.oracle * (1.0 + 1e-6)
+        return batch
+
+    monkeypatch.setattr(rfridge.risk, "_AxisBatch", shifted)
+    code, out, err = run_cli(
+        ["theory", "--zeta-sq", "1.0", "--psi1", "2", "--psi2", "3", "--lambda-bar", "0.1",
+         "--rho", "2"],
+        capsys,
+    )
+    chi = solve_at(1.0, 2.0, 3.0, 0.1).chi.real
+    assert (code, out) == (4, "")
+    assert err.startswith(f"invariant violation: fixed-point chi = {chi!r} vs quartic-oracle chi = ")
+    assert err.endswith(" at (zeta_sq=1.0, psi1=2.0, psi2=3.0, lambda_bar=0.1)\n")
+
+
 def test_compare_general_row_solves_once(capsys, monkeypatch):
     calls = count_solves(monkeypatch)
     code, out, _ = run_cli(

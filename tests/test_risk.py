@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 import warnings
 
 import mpmath
@@ -28,7 +29,14 @@ from rfridge.risk import (
     wide_phase,
     wide_risk_in_omega,
 )
-from rfridge.selfconsistent import InvariantViolation, _AxisBatch, attempt, require_positive
+from rfridge.selfconsistent import (
+    InvariantViolation,
+    NoConvergence,
+    _AxisBatch,
+    attempt,
+    require_positive,
+    solve_at,
+)
 
 RELU_ZETA_SQ = math.pi / (math.pi - 2.0)
 RELU_MU_STAR_SQ = (math.pi - 2.0) / (4.0 * math.pi)
@@ -302,6 +310,13 @@ def test_phase_omega1_is_stationary_point_of_wide_risk():
     assert wide_risk_in_omega(ph.omega1 - h, rho, 2.0) >= r0
 
 
+def test_phase_refuses_omegas_that_miss_their_quadratics(monkeypatch):
+    original = rfridge.risk.wide_omega
+    monkeypatch.setattr(rfridge.risk, "wide_omega", lambda *args: 1.01 * original(*args))
+    with pytest.raises(InvariantViolation, match="^phase quadratic residuals too large: "):
+        wide_phase(RELU_ZETA_SQ, 2.0, 2.0)
+
+
 def test_phase_validates_rho():
     with pytest.raises(ValueError):
         wide_phase(1.0, 2.0, 0.0)
@@ -489,6 +504,95 @@ def test_optimal_lambda_refuses_a_chi_the_solve_does_not_certify(monkeypatch):
     monkeypatch.setattr(rfridge.risk, "_lambda_bar", lambda *args: 1.01 * original(*args))
     with pytest.raises(InvariantViolation, match="certified chi = .* differs from the searched"):
         optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+
+
+def test_optimal_lambda_refuses_an_unfactorable_s_by_name(monkeypatch):
+    stacked = rfridge.risk._stacked_roots
+    monkeypatch.setattr(rfridge.risk, "_stacked_roots", lambda polys: (
+        stacked(polys)[0], np.ones(len(polys), dtype=bool)))
+    with pytest.raises(ValueError) as info:
+        optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    assert str(info.value) == (
+        "the stationarity polynomial S overflowed its companion matrix at rho = 2.0, "
+        f"zeta_sq = {RELU_ZETA_SQ!r}, psi1 = 2.0, psi2 = 3.0")
+
+
+@pytest.mark.parametrize("args, expected", [
+    # the Newton polish of S overflows its Horner sums
+    ((49358894.074580714, 70180002241501.71, 4.94543321032133e-10, 5.981290050310234e+39, 10.0),
+     (0.0, 0.999999979245684)),
+    # a root of S maps back to a penalty through a denominator that underflows to 0
+    ((1.886356317467773e-06, 4.0179456193230326e+49, 7.19459458935035e-51,
+      1.4643014873229725e-91, 10.0), (0.0, 1.886352759134329e-06)),
+], ids=["polish", "penalty"])
+def test_optimal_lambda_does_not_warn_where_a_term_overflows(args, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_lambda(*args) == expected
+
+
+def _flip_nu2(monkeypatch):
+    """Solve every row, then move its nu2 to the lower half plane, which makes
+    the residual's mass m, and so two training factors, negative."""
+    original = rfridge.risk._AxisBatch
+
+    def flipped(rows):
+        batch = original(rows)
+        batch.t2 = -batch.t2
+        return batch
+
+    monkeypatch.setattr(rfridge.risk, "_AxisBatch", flipped)
+
+
+def test_negative_training_factors_are_an_invariant_violation(monkeypatch):
+    _flip_nu2(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        risk_general(1.0, 2.0, 3.0, 0.1)
+    assert re.fullmatch(r"negative training factors \(-[^,]+, -[^,]+, [^,]+, [^,]+\) at "
+                        r"psi1=2\.0, psi2=3\.0, lambda_bar=0\.1", str(info.value))
+
+
+def test_optimal_lambda_raises_a_stationary_rows_solve_error(monkeypatch):
+    # every pair misses the map residual, so each row of the one batch fails to
+    # converge: the error raised is that of the stationary row, at the optimum
+    lb_opt, _ = optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    assert 0.0 < lb_opt < 10.0
+    monkeypatch.setattr(rfridge.selfconsistent, "_residual", lambda t1, *rest: np.ones_like(t1))
+    with pytest.raises(NoConvergence, match="best relative map residual 1.000e[+]00") as info:
+        optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    assert info.value.xi == complex(0.0, math.sqrt(2.0 * 3.0 * lb_opt))
+
+
+def test_optimal_lambda_raises_the_batchs_first_decomposition_error(monkeypatch):
+    # every row solves and certifies, so the stationary row passes its checks;
+    # then the first row's negative training factors are raised
+    lb_opt, _ = optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    _flip_nu2(monkeypatch)
+    with pytest.raises(InvariantViolation, match=re.escape(f"lambda_bar={lb_opt}") + "$"):
+        optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+
+
+def test_a_two_dip_profile_warns_once_and_returns_the_global_minimum(monkeypatch):
+    # no seeded search has found a risk profile with two local minima, so one
+    # is forced: a candidate at half the optimal penalty, and the ridgeless
+    # endpoint read between the optimum's R and that candidate's
+    args = (2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
+    lb_opt, r_opt = optimal_lambda(*args)
+    extra = solve_at(RELU_ZETA_SQ, 2.0, 3.0, 0.5 * lb_opt).chi.real
+    r_extra = risk_general(RELU_ZETA_SQ, 2.0, 3.0, 0.5 * lb_opt).risk_at(2.0)
+    assert r_extra > r_opt
+    stationary = rfridge.risk._stationary_chis
+    monkeypatch.setattr(rfridge.risk, "_stationary_chis",
+                        lambda *shape: np.append(stationary(*shape), extra))
+    monkeypatch.setattr(RiskDecomposition, "risk_at", lambda self, rho: 0.5 * (r_opt + r_extra))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert optimal_lambda(*args) == (lb_opt, r_opt)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [(
+        NonUnimodalWarning,
+        "risk profile has 2 local minima on [0, lambda_max]; the reported optimum is the global one",
+        __file__,
+    )]
 
 
 @settings(max_examples=12, deadline=None)
@@ -697,23 +801,13 @@ def _reference_denominator(omega, psi):
     return (psi - 1.0) * omega**3 + (1.0 - 3.0 * psi) * omega**2 + 3.0 * psi * omega - psi
 
 
-def _reference_vanishes(den, omega, psi):
-    """Whether den is below 1e-12 of the size of its own terms."""
-    terms = ((psi - 1.0) * omega**3, (1.0 - 3.0 * psi) * omega**2, 3.0 * psi * omega, psi)
-    return abs(den) < 1e-12 * sum(map(abs, terms))
-
-
 def _reference_wide(zeta_sq, psi2, lambda_bar):
-    """risk_wide: an overflow is refused before the denominator is tested,
-    and a zero V is +0.0."""
+    """risk_wide: an overflow is refused by name, and a zero V is +0.0."""
     require_positive(zeta_sq=zeta_sq, psi2=psi2)
     omega = _reference_omega(zeta_sq, psi2, lambda_bar)
     den, bias_num, var_num = _reference_finite_terms(
         lambda: (_reference_denominator(omega, psi2), psi2 * omega - psi2, omega**3 - omega**2),
         "the wide-limit decomposition", zeta_sq=zeta_sq, psi2=psi2, lambda_bar=lambda_bar)
-    if _reference_vanishes(den, omega, psi2):
-        raise rfridge.risk.DenominatorVanishes(
-            f"wide-limit denominator {den} vanished at omega = {omega}")
     var = var_num / den
     return RiskDecomposition(bias_num / den, 0.0 if var == 0.0 else var, *[math.nan] * 4)
 
@@ -726,9 +820,6 @@ def _reference_large_sample(zeta_sq, psi1, lambda_bar):
         lambda: (_reference_denominator(omega, psi1),
                  (omega**3 - omega**2) / zeta_sq + psi1 * omega - psi1),
         "the large-sample decomposition", zeta_sq=zeta_sq, psi1=psi1, lambda_bar=lambda_bar)
-    if _reference_vanishes(den, omega, psi1):
-        raise rfridge.risk.DenominatorVanishes(
-            f"large-sample denominator {den} vanished at omega = {omega}")
     return RiskDecomposition(num / den, 0.0, *[math.nan] * 4)
 
 
@@ -843,6 +934,29 @@ def test_closed_forms_at_a_tiny_psi_match_60_digits():
     assert floored == {"wide": 451, "lsamp": 439}
 
 
+def test_the_limits_denominator_is_negative_far_from_cancellation():
+    # _limit_decomposition's den = (1 + a)^3 (x^2 - psi) < 0 with a = -omega:
+    # on seeded log-uniform rows (every tenth penalty 0) whose terms are
+    # finite, den is negative and at least 0.3 of the sum of its terms' sizes
+    rng = np.random.default_rng(11)
+    n = 250_000
+    zeta_sq = 10.0 ** rng.uniform(-30.0, 30.0, n)
+    psi = 10.0 ** rng.uniform(-160.0, 160.0, n)
+    lambda_bar = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    lambda_bar[::10] = 0.0
+    with np.errstate(all="ignore"):
+        omega = rfridge.risk._negative_root(lambda_bar * psi + 1.0,
+                                            psi * zeta_sq - zeta_sq - lambda_bar * psi - 1.0,
+                                            -psi * zeta_sq)
+        terms = ((psi - 1.0) * omega**3, (1.0 - 3.0 * psi) * omega**2, 3.0 * psi * omega, -psi)
+        den = terms[0] + terms[1] + terms[2] + terms[3]
+        size = sum(map(np.abs, terms))
+    finite = np.isfinite(den) & np.isfinite(size)
+    assert finite.sum() > 150_000
+    assert (den[finite] < 0.0).all()
+    assert (np.abs(den[finite]) >= 0.3 * size[finite]).all()
+
+
 def test_closed_form_roots_at_a_tiny_psi_match_80_digits():
     # ridgeless_chi, wide_omega and wide_phase's omega0 and omega1 are the
     # negative roots of quadratics whose b is negative at psi < 1, where
@@ -943,7 +1057,14 @@ def test_an_overflowing_row_is_refused_never_silent(columns):
     (optimal_lambda, (2.0, 1e60, 2.0, 3.0, 10.0),
      "the stationarity polynomial S overflowed the float range at rho = 2.0, "
      "zeta_sq = 1e+60, psi1 = 2.0, psi2 = 3.0"),
-], ids=["ridgeless", "wide", "wide-power", "lsamp-power", "phase", "optimal-lambda"])
+    # S is finite, but its coefficients over the leading one are not
+    (optimal_lambda, (9607612922.43606, 1.4916215572159867e-53, 6.7695822045027344e+50,
+                      3.180504919876717e+34, 10.0),
+     "the stationarity polynomial S overflowed its companion matrix at rho = 9607612922.43606, "
+     "zeta_sq = 1.4916215572159867e-53, psi1 = 6.7695822045027344e+50, "
+     "psi2 = 3.180504919876717e+34"),
+], ids=["ridgeless", "wide", "wide-power", "lsamp-power", "phase", "optimal-lambda",
+        "optimal-lambda-companion"])
 def test_closed_forms_refuse_an_overflow_by_name(call, args, message):
     with pytest.raises(ValueError) as info:
         call(*args)

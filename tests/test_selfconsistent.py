@@ -402,10 +402,13 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
     with np.errstate(all="ignore"):
         n_coeffs, quartic = sc._quartic_coeffs(zeta_sq, psi1, psi2, [0.0, u * u]).tolist()
         real = attempt(lambda: [r.real for r in np.roots(quartic).tolist() if r.imag == 0.0])
+    shape = {"psi1": psi1, "psi2": psi2, "zeta_sq": zeta_sq}
+    unfactored = {"into": "its companion matrix", **shape, "psi1 psi2 lambda_bar": u * u}
     if not all(math.isfinite(c) for c in quartic):
-        negative = sc._overflowed(zeta_sq, psi1, psi2, u)
+        negative = sc._overflow(f"the product psi1 psi2 lambda_bar = {u * u!r}",
+                                into="the quartic in chi", **shape)
     elif isinstance(real, np.linalg.LinAlgError):
-        negative = sc._unfactored("quartic", zeta_sq, psi1, psi2, u)
+        negative = sc._overflow("the quartic in chi", **unfactored)
     else:
         negative = [c for c in (_reference_polish(quartic, r) for r in real) if c < 0.0]
     n4, n3, n2, n1, n0 = n_coeffs
@@ -415,7 +418,7 @@ def _reference_row(zeta_sq, psi1, psi2, lambda_bar):
         turns = attempt(lambda: np.roots(quintic).tolist())
     # with a leading -inf, np.roots gives five zero roots and a passing certificate
     if not all(math.isfinite(c) for c in quintic) or isinstance(turns, np.linalg.LinAlgError):
-        turns = sc._unfactored("oracle's quintic", zeta_sq, psi1, psi2, u)
+        turns = sc._overflow("the oracle's quintic in chi", **unfactored)
     row = (zeta_sq, psi1, psi2, lambda_bar)
     solved = (attempt(_reference_select, xi, row[:3], negative),
               attempt(_reference_certify, lambda_bar, negative, turns))
@@ -472,14 +475,15 @@ def test_stacked_roots_are_np_roots_row_by_row():
         [1e-300, 1e300, 1.0, 1.0, 1.0],
     ])
     found, failed = rfridge.selfconsistent._stacked_roots(polys)
+    assert failed.tolist() == [False] * 5 + [True, False, True]
     for k, (row, roots) in enumerate(zip(polys, found.tolist())):
         try:
             expected = np.roots(row).tolist()
-        except np.linalg.LinAlgError as exc:
-            assert type(failed[k]) is type(exc) and str(failed[k]) == str(exc)
+        except np.linalg.LinAlgError:
+            assert failed[k]
             expected = []
         else:
-            assert k not in failed
+            assert not failed[k]
         # a row's roots come first, nan pads it to the degree of polys
         assert roots[:len(expected)] == expected
         assert all(math.isnan(r.real) and math.isnan(r.imag) for r in roots[len(expected):])
@@ -672,7 +676,8 @@ def test_direct_route_failures_raise_no_convergence(fault, monkeypatch):
     monkeypatch.setattr(rfridge.selfconsistent, "_residual", checked)
     if fault == "no admissible root":
         monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", lambda polys: (
-            np.tile([1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0], (len(polys), 1)), {}))
+            np.tile([1.0 + 1.0j, 1.0 - 1.0j, 2.0, 3.0], (len(polys), 1)),
+            np.zeros(len(polys), dtype=bool)))
     elif fault == "two admissible roots":
         # each root gains a copy 1e-6 relative away, as if polished short of it;
         # a copy made through _stacked_roots would be polished back onto the root
@@ -1084,7 +1089,8 @@ def test_a_positive_root_is_never_a_candidate(monkeypatch):
     # takes it, and a row without a positive penalty fails validation
     monkeypatch.setattr(rfridge.selfconsistent, "_polish", lambda polys, chi: chi)
     monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots", lambda polys: (
-        np.tile([0.3, 1.0 + 1.0j, 1.0 - 1.0j, 0.3 + 1.0j], (len(polys), 1)), {}))
+        np.tile([0.3, 1.0 + 1.0j, 1.0 - 1.0j, 0.3 + 1.0j], (len(polys), 1)),
+        np.zeros(len(polys), dtype=bool)))
     with pytest.raises(NoConvergence, match="^0 admissible quartic roots give 0 distinct"):
         solve_at(*PARAMS_A, _lambda_at(PARAMS_A, 0.3))
     with pytest.raises(RootSelectionAmbiguous, match="no real non-positive root"):
