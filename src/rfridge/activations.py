@@ -137,7 +137,9 @@ class Activation:
 
     def label(self) -> str:
         if self.kind == "shifted_relu":
-            return f"shifted_relu:{self.shift:g}"
+            # :g keeps six digits, so a shift it does not round-trip is its repr
+            short = f"{self.shift:g}"
+            return f"shifted_relu:{short if float(short) == self.shift else repr(self.shift)}"
         if self.expr:
             return f"{self.kind}:{self.expr}"
         return self.kind

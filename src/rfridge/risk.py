@@ -337,9 +337,7 @@ def risk_general(
     denominator.  solve_at has checked that nu2 is purely imaginary.
     This is row 0 of a batch of one (_RiskColumns).
     """
-    # a numpy scalar is named in a row's error as the Python number it holds
-    row = tuple(np.asarray(v).item() for v in (zeta_sq, psi1, psi2, lambda_bar))
-    return _RiskColumns([row]).decomposition(0)
+    return _RiskColumns([(zeta_sq, psi1, psi2, lambda_bar)]).decomposition(0)
 
 
 def ridgeless_chi(zeta_sq: float, psi1: float, psi2: float) -> float:
@@ -614,9 +612,7 @@ def optimal_lambda(
     lbs = _lambda_bar(chi, zeta_sq, psi1, psi2)
     inside = (0.0 < lbs) & (lbs < lambda_max)
     chi, lbs = chi[inside].tolist(), lbs[inside].tolist()
-    # numpy scalars are named in a row's error as the Python numbers they hold
-    shape = [np.asarray(v).item() for v in (zeta_sq, psi1, psi2)]
-    risks = _RiskColumns([(*shape, lb) for lb in np.asarray(lbs + [lambda_max]).tolist()])
+    risks = _RiskColumns([(zeta_sq, psi1, psi2, lb) for lb in lbs + [lambda_max]])
     for k, (root, lb) in enumerate(zip(chi, lbs)):
         if k in risks.point_errors:
             raise risks.point_errors[k]

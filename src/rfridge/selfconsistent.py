@@ -13,11 +13,14 @@ only in how they choose among them: solve_at keeps the root whose pair lies
 in the upper half plane and checks that pair on the coupled map, to a
 residual of 1e-12 relative to each component; the oracle keeps the largest
 root, certified as the one continuity from large |xi| reaches by the absence
-of a turning point of the root branch.  Callers cross-check one against the
-other.  _AxisBatch solves a whole batch of targets as arrays: one stacked
-eigvals call per polynomial degree, then the polish, the selection and the
-certificate elementwise over every row; solve_at and chi_scalar_oracle read
-row 0 of a batch of one.
+of a turning point of the root branch: a quintic with no root between that
+root and 0, which the signs of its Bernstein coefficients prove for most
+rows without factoring it (_clear_of_roots).  Callers cross-check one
+against the other.  _AxisBatch solves a whole batch of targets as arrays:
+one stacked eigvals call for the quartics and one for the quintics the sign
+test cannot clear, then the polish, the selection and the certificate
+elementwise over every row; solve_at and chi_scalar_oracle read row 0 of a
+batch of one.
 """
 
 from __future__ import annotations
@@ -185,6 +188,36 @@ def _stacked_roots(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, failed
 
 
+# _BERNSTEIN[i, k] = C(i, k) / C(5, k): row i weighs a quintic's power
+# coefficients on [0, 1], lowest degree first, into its i-th Bernstein coefficient
+_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(5, k) for k in range(6)] for i in range(6)])
+# the smallest normal float
+_TINY = np.finfo(float).tiny
+
+
+def _clear_of_roots(quintics: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Whether each row's quintic in quintics (highest degree first) provably
+    has no root on [top, 0], top < 0 a column of one value per row.
+
+    chi = top t maps t in [0, 1] onto the interval, and the quintic in t is
+    the sum of its Bernstein coefficients b_i, each weighing a nonnegative
+    basis polynomial, which sum to 1; so a row whose six b_i share one sign
+    has no root there (the convex hull property).  A b_i counts as signed when
+    it clears 1e-12 of the sum of its terms' sizes, far above the rounding of
+    that sum.  A term c_k top^k whose power underflowed can have lost up to
+    |c_k| times the smallest normal float, and a product or sum that
+    underflows a few subnormal steps, so both count in the sizes too.  A row
+    with a term that is not finite is not cleared.
+    """
+    # the quintic's coefficients in t, c_k top^k, lowest degree first; b_i
+    # weighs them by row i of _BERNSTEIN, in any order of summation
+    c = quintics[:, ::-1]
+    a = c * np.vander(top[:, 0], 6, increasing=True)
+    b = a @ _BERNSTEIN.T
+    margin = 1e-12 * ((np.abs(a) + _TINY * np.abs(c)) @ _BERNSTEIN.T) + 2.0 ** -1060
+    return (b > margin).all(axis=1) | (b < -margin).all(axis=1)
+
+
 def _companions(polys: np.ndarray) -> np.ndarray:
     """The companion matrix of each row of polys, as np.roots builds it."""
     rows, m = polys.shape[0], polys.shape[1] - 1
@@ -202,10 +235,16 @@ def _negative_roots(polys: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(chi < 0.0, chi, np.nan)
 
 
+def _number(value):
+    """value, or the Python number a numpy scalar (or 0-d array) holds, so an
+    error names np.float64(2.0) as 2.0."""
+    return value.item() if isinstance(value, (np.generic, np.ndarray)) else value
+
+
 def _overflow(quantity: str, *, into: str = "the float range", **row) -> ValueError:
     """The error of a row whose quantity overflowed into the float range or a
     companion matrix (np.roots'), naming the row's parameters in order."""
-    named = ", ".join(f"{name} = {value!r}" for name, value in row.items())
+    named = ", ".join(f"{name} = {_number(value)!r}" for name, value in row.items())
     return ValueError(f"{quantity} overflowed {into} at {named}")
 
 
@@ -230,12 +269,18 @@ class _AxisBatch:
     Every row is solved, as one table of rows by candidate roots.  One
     _quartic_coeffs call builds each row's quartic at the target and at
     u = 0 (N, from which the oracle's quintic is formed), and one stacked
-    eigvals call per degree (_stacked_roots) factors all of them.  A row that
-    fails validation keeps that error (_rejected); otherwise a row whose
-    quartic is not finite, or whose quartic np.roots rejects or whose quintic
-    is not finite or rejected, fails with a ValueError naming it (_overflow).
-    A row keeps its first error (_refuse).  Every other step is elementwise,
-    so a row's outcome does not depend on the rest of the batch.
+    eigvals call (_stacked_roots) factors every quartic.  The quintic is only
+    asked whether it has a root on [chi*, 0]: the sign test (_clear_of_roots)
+    answers no for a row whose six Bernstein coefficients on that interval
+    share one sign, each clearing 1e-12 of the sum of its terms' sizes.  Only
+    the rows it cannot clear that have a chi* and no error yet fall back on a
+    second stacked call, over their quintics alone, and on the test of the
+    quintic's real roots in [chi*, 0).  A row that fails validation keeps
+    that error (_rejected); otherwise a row whose quartic is not finite, or
+    whose quartic np.roots rejects, or whose quintic the fallback finds not
+    finite or rejected, fails with a ValueError naming it (_overflow).  A row
+    keeps its first error (_refuse).  Every other step is elementwise, so a
+    row's outcome does not depend on the rest of the batch.
     """
 
     def __init__(self, rows):
@@ -256,7 +301,6 @@ class _AxisBatch:
             ).T
             quartics = coeffs[:, 1]
             roots, failed_roots = _stacked_roots(quartics)
-            turns, turn_failed = _stacked_roots(quintics)
             chi = _negative_roots(quartics, roots)
 
         def unfactored(polynomial, k):
@@ -276,7 +320,7 @@ class _AxisBatch:
         self.point_errors, self.chi_errors = failed, dict(failed)
         with np.errstate(all="ignore"):
             self._select_arrays(chi, z[:, None], psi1[:, None], psi2[:, None], u[:, None])
-            self._certify_arrays(chi, turns, turn_failed, rows,
+            self._certify_arrays(chi, quintics, rows,
                                  lambda k: unfactored("oracle's quintic", k))
 
     def _select_arrays(self, chi, z, psi1, psi2, u):
@@ -321,15 +365,23 @@ class _AxisBatch:
             f"{_distinct_points(pair[k], checked[k])} distinct checked "
             f"points; best relative map residual {best[k]:.3e}", complex(0.0, self.u[k].item())))
 
-    def _certify_arrays(self, chi, turns, turn_failed, rows, unfactored):
-        # the largest negative root; the quintic's real roots in [chi*, 0);
-        # the distinct roots within 1e-8 |chi*| below chi*
+    def _certify_arrays(self, chi, quintics, rows, unfactored):
+        # the largest negative root chi*; the distinct roots within 1e-8 |chi*|
+        # below chi*
         found = ~np.isnan(chi)
         top = np.where(found, chi, -np.inf).max(axis=1)[:, None]
-        turning = ((np.abs(turns.imag) <= 1e-9 * np.hypot(turns.real, turns.imag))
-                   & (top <= turns.real) & (turns.real < 0.0))
         gap = top - chi
         rival = (1e-10 * -top < gap) & (gap < 1e-8 * -top)
+        # the quintic's real roots in [chi*, 0), factored only for the rows
+        # with a chi* and no error yet whose quintic the sign test cannot clear
+        undecided = found.any(axis=1) & ~_clear_of_roots(quintics, top)
+        undecided[list(self.chi_errors)] = False
+        turns = np.full((len(chi), quintics.shape[1] - 1), _NAN)
+        turn_failed = np.zeros(len(chi), dtype=bool)
+        if undecided.any():
+            turns[undecided], turn_failed[undecided] = _stacked_roots(quintics[undecided])
+        turning = ((np.abs(turns.imag) <= 1e-9 * np.hypot(turns.real, turns.imag))
+                   & (top <= turns.real) & (turns.real < 0.0))
         self.oracle = top[:, 0]
         failing = ~found.any(axis=1) | turn_failed | turning.any(axis=1) | rival.any(axis=1)
 
@@ -398,6 +450,7 @@ def _rejected(zeta_sq, psi1, psi2, lambda_bar, u: float) -> ValueError:
         require_positive(lambda_bar=lambda_bar, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     except ValueError as exc:
         return exc
+    zeta_sq, psi1, psi2, lambda_bar = map(_number, (zeta_sq, psi1, psi2, lambda_bar))
     return ValueError(
         f"the product psi1 psi2 lambda_bar = {u * u!r} underflowed, leaving the target "
         f"xi = i sqrt(psi1 psi2 lambda_bar) on the real axis, at psi1 = {psi1!r}, "
@@ -456,10 +509,19 @@ def chi_scalar_oracle(zeta_sq: float, psi1: float, psi2: float, lambda_bar: floa
     root of it in [chi*, 0) is where two real roots collide, and the branch
     would have left the real axis before reaching the target.
 
+    That question needs no roots where a sign test settles it: substituting
+    chi = chi* t, the quintic on t in [0, 1] is a convex combination of its
+    six Bernstein coefficients, so when all six share one sign, each clearing
+    1e-12 of the sum of its terms' sizes (far above their rounding), it has
+    no root on [chi*, 0] and the branch is certified.  Only a row the test
+    cannot clear falls back on factoring the quintic (np.roots' roots) and
+    testing its real roots in [chi*, 0).
+
     Every test is relative to |chi*|: roots within 1e-10 |chi*| of each other
     are copies of one root, as in solve_at, and the quintic's roots count as
     real within 1e-9 of their size.  Raises RootSelectionAmbiguous when no
-    root is negative, when the quintic has a real root in [chi*, 0), or when
+    root is negative, when the fallback finds a real root of the quintic in
+    [chi*, 0), or when
     a distinct negative root lies within 1e-8 |chi*| of chi*, the tolerance
     of the cross-check against solve_at.  This is row 0 of a batch of one
     (_AxisBatch).

@@ -111,6 +111,22 @@ def test_stats_override_still_validated():
         hermite_stats(act)
 
 
+@pytest.mark.parametrize("c, label", [
+    (0.7, "shifted_relu:0.7"),
+    (0.3, "shifted_relu:0.3"),
+    (-2.0, "shifted_relu:-2"),
+    (1e-300, "shifted_relu:1e-300"),
+    # six significant digits would give 0.123457 and 1.23457e+06
+    (0.1234567, "shifted_relu:0.1234567"),
+    (0.1234568, "shifted_relu:0.1234568"),
+    (1234567.0, "shifted_relu:1234567.0"),
+    (0.1 + 0.2, "shifted_relu:0.30000000000000004"),
+])
+def test_a_shifted_relu_label_parses_back_to_its_shift(c, label):
+    assert Activation.shifted_relu(c).label() == label
+    assert float(label.split(":", 1)[1]) == c
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_shifted_relu_refuses_a_non_finite_shift(c):
     with pytest.raises(ValueError, match="shifted_relu needs a finite shift"):

@@ -1066,6 +1066,9 @@ def test_an_overflowing_row_is_refused_never_silent(columns):
 ], ids=["ridgeless", "wide", "wide-power", "lsamp-power", "phase", "optimal-lambda",
         "optimal-lambda-companion"])
 def test_closed_forms_refuse_an_overflow_by_name(call, args, message):
-    with pytest.raises(ValueError) as info:
-        call(*args)
-    assert str(info.value) == message
+    # the same words whether the arguments are Python floats or the numpy
+    # scalars that hold them
+    for given in (args, [np.float64(v) for v in args]):
+        with pytest.raises(ValueError) as info:
+            call(*given)
+        assert str(info.value) == message

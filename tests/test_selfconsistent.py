@@ -131,6 +131,9 @@ def test_solve_at_rejects_lower_half_plane():
         solve_at(1.0, 1e-200, 1e-200, 1e-10)
     with pytest.raises(ValueError, match=f"^{underflow}$"):
         chi_scalar_oracle(1.0, 1e-200, 1e-200, 1e-10)
+    # numpy scalars are named as the Python numbers they hold
+    with pytest.raises(ValueError, match=f"^{underflow}$"):
+        risk_general(*map(np.float64, (1.0, 1e-200, 1e-200, 1e-10)))
 
 
 def _chi_50_digits(zeta_sq, psi1, psi2, u):
@@ -514,8 +517,10 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     # coefficient is -inf, and the last row's leading one): those rows fail
     # by the polynomial's name, and every row is the per-row reference's,
     # which factors each finite polynomial with np.roots.  Only the first two
-    # rows' four polynomials leave the stacks for np.roots; the quintics that
-    # are not finite fail without a call, and the last row's quartic is stacked.
+    # rows' quartics leave the stack for np.roots: the sign test clears the
+    # first row's quintic, the second row's quartic has already failed, the
+    # quintics that are not finite fail without a call, and the last row's
+    # quartic is stacked.
     points = [(1e-170, 2.0, 3.0, 0.01), (0.5, 1e154, 1e154, 1e-300),
               (1e20, 1e-20, 1e256, 1e-188), (RELU_ZETA_SQ, 2.0, 3.0, 0.01),
               (1e120, 1.0, 2.0, 0.01)]
@@ -524,7 +529,7 @@ def test_rows_the_stack_cannot_take_are_np_roots_own(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
     for k, outcomes in enumerate(_batch_outcomes(points)):
         _same_outcomes(outcomes, [row[0][k] for row in expected])
-    assert calls == [5, 5, 6, 6]
+    assert calls == [5, 5]
     _same_columns(points, [row[2] for row in expected])
     assert isinstance(expected[0][1], SpectralPoint)
     assert str(expected[1][1]) == (
@@ -550,8 +555,9 @@ def test_rows_that_are_not_finite_reach_no_np_roots(monkeypatch):
 
 def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypatch):
     # the benchmark's 161-point curve plus one row whose quartic and quintic
-    # companion matrices overflow: np.roots factors that row's two polynomials
-    # and nothing else, and the curve's rows keep their stacks and outcomes
+    # companion matrices overflow: np.roots factors that row's quartic, which
+    # fails, and nothing else, and the curve's rows keep their stack and
+    # outcomes; the sign test clears every curve row's quintic
     curve = [(RELU_ZETA_SQ, p, 3.0, 0.0110078) for p in np.geomspace(0.5, 10.0, 161).tolist()]
     expected = _batch_outcomes(curve)
     eigvals, shapes = np.linalg.eigvals, []
@@ -564,8 +570,8 @@ def test_an_overflowing_companion_matrix_leaves_the_other_rows_stacked(monkeypat
         assert got[:161] == want
         assert type(got[161]) is ValueError
         assert str(got[161]).startswith("the quartic in chi overflowed its companion matrix")
-    assert calls == [5, 6]
-    assert shapes == [(161, 4, 4), (161, 5, 5)]
+    assert calls == [5]
+    assert shapes == [(161, 4, 4)]
 
 
 def test_the_cross_check_raises_the_reference_disagreement(monkeypatch):
@@ -990,17 +996,18 @@ def test_a_distinct_root_just_below_the_branch_is_ambiguous(monkeypatch):
 
 
 def test_oracle_factors_at_most_two_polynomials(monkeypatch):
-    # a count, not a timing: the target quartic and the quintic, where
-    # tracking a path factors one quartic per node
+    # a count, not a timing: the target quartic, where tracking a path
+    # factors one quartic per node; the sign test clears the quintic
     expected = chi_scalar_oracle(*PARAMS_A, 0.01)
     shapes = _counting_eigvals(monkeypatch)
     assert chi_scalar_oracle(*PARAMS_A, 0.01) == expected
-    assert [shape[-1] for shape in shapes] == [4, 5]
+    assert [shape[-1] for shape in shapes] == [4]
 
 
 def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
-    # the benchmark's 161-point curve: one call per degree, where solving
-    # each point on its own factors three polynomials per point (483 in all)
+    # the benchmark's 161-point curve: one quartic call, where solving each
+    # point on its own factors three polynomials per point (483 in all); the
+    # sign test clears every row's quintic, so none is factored
     psi1 = np.geomspace(0.5, 10.0, 161)
     table = ["general"] * 161, np.full(161, RELU_ZETA_SQ), psi1, np.full(161, 3.0), np.full(
         161, 0.0110078), np.full(161, math.nan)
@@ -1009,17 +1016,106 @@ def test_a_sweep_factors_one_stacked_eigvals_call_per_degree(monkeypatch):
     columns, errors = theory_columns(*table)
     assert errors == {} and list(columns) == list(expected)
     assert all(columns[name].tolist() == expected[name].tolist() for name in expected)
-    assert shapes == [(161, 4, 4), (161, 5, 5)]
+    assert shapes == [(161, 4, 4)]
 
 
 def test_optimal_lambda_factors_one_stacked_eigvals_call_per_degree_per_batch(monkeypatch):
     # the benchmark's optimal_lambda: its degree-8 stationarity polynomial in
     # chi, then one batch of its one stationary row and lambda_max, which
-    # factors one quartic stack and one quintic stack
+    # factors one quartic stack; the sign test clears both rows' quintics
     expected = rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0)
     shapes = _counting_eigvals(monkeypatch)
     assert rfridge.risk.optimal_lambda(2.0, RELU_ZETA_SQ, 2.0, 3.0, 10.0) == expected
-    assert shapes == [(1, 8, 8), (2, 4, 4), (2, 5, 5)]
+    assert shapes == [(1, 8, 8), (2, 4, 4)]
+
+
+def test_the_sign_test_clears_a_quintic_exactly_when_no_root_is_planted_on_the_interval():
+    # quintics in chi with five real roots off [top, 0], at least half |top|
+    # from it on either side, are cleared; the same quintics with one root
+    # moved onto the interval, at top itself or inside, never are
+    rng = np.random.default_rng(4)
+    n = 2000
+    top = -(10.0 ** rng.uniform(-6.0, 6.0, n))
+    left = top[:, None] * rng.uniform(1.5, 100.0, (n, 5))
+    right = -top[:, None] * rng.uniform(0.5, 100.0, (n, 5))
+    roots = np.where(rng.random((n, 5)) < 0.5, left, right)
+    quintics = lambda roots: np.array([np.poly(r) for r in roots])
+    clear = rfridge.selfconsistent._clear_of_roots
+    assert clear(quintics(roots), top[:, None]).all()
+    roots[:, 0] = top * np.where(np.arange(n) % 2 == 0, 1.0, rng.uniform(0.0, 1.0, n))
+    assert not clear(quintics(roots), top[:, None]).any()
+
+
+def _log_box(seed, zeta_decades, decades, n=3000):
+    """n rows drawn log10-uniform a column at a time, in the order zeta_sq,
+    psi1, psi2, lambda_bar: zeta_sq within 10^+-zeta_decades, the rest
+    within 10^+-decades."""
+    rng = np.random.default_rng(seed)
+    spans = (zeta_decades, decades, decades, decades)
+    return np.array([10.0 ** rng.uniform(-d, d, n) for d in spans]).T.tolist()
+
+
+def _quintic_roots_near(zeta_sq, psi1, psi2, top, dps=200):
+    """The roots of the oracle's quintic in chi, built from the row's float
+    parameters and factored by mpmath at dps digits, whose inclusion disk
+    (five times mpmath's last correction) meets [top, 0]."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        z, p1, p2 = (mpmath.mpf(v) for v in (zeta_sq, psi1, psi2))
+        b1, b2 = z * p1 - z - 1, z * p2 - z - 1
+        n4, n3, n2, n1, n0 = z * z, z * (b1 + b2), b1 * b2 - z * (p1 + p2), -b1 * p2 - b2 * p1, p1 * p2
+        quintic = [-z * n4, 3 * n4, 2 * n3 + z * n2, n2 + 2 * z * n1, 3 * z * n0, -n0]
+        roots, err = mpmath.polyroots(quintic, maxsteps=2000, extraprec=800, error=True)
+        return [r for r in roots if abs(r - min(max(mpmath.re(r), top), 0)) <= 5 * err]
+
+
+@pytest.mark.parametrize("box,changed", [
+    ((12, 6, 30), []),
+    ((12, 6, 100), [1735]),
+    ((5, 150, 300), [26, 104, 131, 362, 419, 477, 588, 628, 633, 836, 859, 1308, 1452, 1464,
+                     1636, 1711, 1770, 1892, 2224, 2294, 2514, 2516, 2567, 2568, 2625]),
+], ids=["30-decades", "100-decades", "300-decades"])
+def test_the_sign_test_changes_only_refusals_that_mpmath_disproves(box, changed, monkeypatch):
+    # every row keeps the outcome and bits it has when every quintic with a
+    # chi* is factored, except the listed rows: each was refused through its
+    # quintic's roots, and mpmath finds no root of that quintic on [chi*, 0]
+    rows = _log_box(*box)
+    points, chis = _batch_outcomes(rows)
+    monkeypatch.setattr(rfridge.selfconsistent, "_clear_of_roots",
+                        lambda quintics, top: np.zeros(len(quintics), dtype=bool))
+    factored_points, factored_chis = _batch_outcomes(rows)
+    _same_outcomes(points, factored_points)
+    kept = [k for k in range(len(rows)) if k not in changed]
+    _same_outcomes([chis[k] for k in kept], [factored_chis[k] for k in kept])
+    for k in changed:
+        refusal = factored_chis[k]
+        assert type(refusal) in (RootSelectionAmbiguous, ValueError)
+        assert str(refusal).startswith(("the root branch turns at chi = ",
+                                        "the oracle's quintic in chi overflowed its companion"))
+        assert chis[k] < 0.0 and _quintic_roots_near(*rows[k][:3], chis[k]) == []
+
+
+def test_factored_and_cleared_rows_in_one_batch_equal_their_batches_of_one(monkeypatch):
+    # the rows of the 100-decade box whose quintic the sign test cannot clear,
+    # each followed by a row it clears: one quintic stack holds exactly the
+    # former, and every row equals its batch of one
+    rows = _log_box(12, 6, 100)
+    clear, cleared = rfridge.selfconsistent._clear_of_roots, []
+    monkeypatch.setattr(rfridge.selfconsistent, "_clear_of_roots",
+                        lambda *args: cleared.append(clear(*args)) or cleared[-1])
+    oracle = _AxisBatch(rows).oracle
+    fallback = np.flatnonzero(~cleared[0] & np.isfinite(oracle)).tolist()
+    passing = np.flatnonzero(cleared[0]).tolist()[:len(fallback)]
+    assert len(fallback) == 71
+    mixed = [rows[k] for pair in zip(fallback, passing) for k in pair]
+    stacked, shapes = rfridge.selfconsistent._stacked_roots, []
+    monkeypatch.setattr(rfridge.selfconsistent, "_stacked_roots",
+                        lambda polys: shapes.append(polys.shape) or stacked(polys))
+    points, chis = _batch_outcomes(mixed)
+    assert shapes == [(142, 5), (71, 6)]
+    singles = [_batch_outcomes([row]) for row in mixed]
+    _same_outcomes(points, [single[0][0] for single in singles])
+    _same_outcomes(chis, [single[1][0] for single in singles])
 
 
 def test_oracle_rejects_bad_lambda():
