@@ -752,11 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("random_features", "gaussian_covariates"),
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
-                       help="cores to use (default the usable cores); "
-                            "trials run threads // (BLAS threads) at a time, so in order "
-                            "under numpy's default BLAS threading and in parallel with "
+                       help="cores to use (default the usable cores); a sweep with no "
+                            "SVD fit (every lambda > 1e-6, one per shape) pins BLAS to one "
+                            "thread for the run, restored afterwards, and runs threads "
+                            "trials at a time; a sweep with one keeps the BLAS threads and "
+                            "runs threads // (BLAS threads) at a time, so in order under "
+                            "numpy's default BLAS threading and in parallel with "
                             "OPENBLAS_NUM_THREADS=1; if the BLAS count cannot be read it "
-                            "is taken to be the usable cores")
+                            "is taken to be the usable cores and nothing is pinned")
         _add_activation_opts(p)
         _add_shape_opts(p)
         _add_sweep_opts(p)

@@ -27,12 +27,14 @@ that model draws once per shape.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ContextManager, Sequence
 
 import numpy as np
 
@@ -447,6 +449,8 @@ def _test_errors(test_rows: _TestRows, points: Sequence[tuple[np.ndarray, int]])
             if stop > 0:
                 r = target[:stop] - F[:stop, : a_hat.size] @ a_hat
                 sums[k] += float(r @ r)
+        # freed before the next block is built, so one block is alive at a time
+        del F, target
     return [total / n_test for total, (_, n_test) in zip(sums, points)]
 
 
@@ -530,16 +534,18 @@ def run_trial(
     trial_index: int,
     *,
     _draw: Callable[[int, _Shape], _Draw] | None = None,
+    _drawing: ContextManager = contextlib.nullcontext(),
 ) -> Trials:
     """One trial of config.model: draw, fit, measure.
 
     Test error is measured against the noiseless target on a fresh test
-    sample.  Every point of a draw is fit first; then one pass draws the test
-    rows in blocks of _BLOCK, builds each block's features once at the
-    draw's full width and scores every point on it (_test_errors).  A trial
-    thus holds its design, one Gram or factorization of it, and a few
-    _BLOCK x N blocks: never the n_test x d test inputs nor an
-    n_test x N feature matrix.  Noise variates are drawn even when
+    sample.  Every point of a draw is fit and measured on its training slice
+    first, and the design is dropped; then one pass draws the test rows in
+    blocks of _BLOCK, builds each block's features once at the draw's full
+    width and scores every point on it (_test_errors).  A trial thus holds
+    its design and one Gram or factorization of it while it fits, and one
+    _BLOCK x N block while it scores: never the n_test x d test inputs nor
+    an n_test x N feature matrix.  Noise variates are drawn even when
     tau_sq = 0 (then scaled away) so that configurations differing only in
     noise level share all other randomness.  The result is a Trials of one
     column, with one row per config of a sweep (a sequence of configs that
@@ -548,7 +554,10 @@ def run_trial(
     ridge_fit at one distinct penalty, by ridge_path from one
     factorization at several.  A random-features trial is drawn once at the
     sweep's largest shape, and every point fits on prefix slices of that
-    draw.  _draw is the draw run_trials binds once for all its trials.
+    draw.  _draw is the draw run_trials binds once for all its trials, and
+    _drawing is held while the trial draws, fits and measures its training
+    slices: run_trials gives the trials of a pinned pool one lock, so one of
+    them at a time holds a design while the others score.
 
     The "gaussian_covariates" model is the matched surrogate: covariates are
     u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
@@ -565,9 +574,7 @@ def run_trial(
     """
     configs = _sweep(config)
     draw = _drawer(configs[0]) if _draw is None else _draw
-    groups: dict[_Shape, list[int]] = {}
-    for i, c in enumerate(configs):
-        groups.setdefault((c.n, c.N, c.n_test), []).append(i)
+    groups = _shape_groups(configs)
     if configs[0].model == "random_features":
         largest = tuple(max(sizes) for sizes in zip(*groups))
         draws = [(largest, list(groups.items()))]
@@ -575,23 +582,59 @@ def run_trial(
         draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
     rows = [None] * len(configs)
     for draw_shape, shapes in draws:
-        Z_full, y_full, test_rows = draw(trial_index, draw_shape)
-        fitted = []
-        for (n, N, _), members in shapes:
-            Z, y = Z_full[:n, :N], y_full[:n]
-            lams = [configs[i].lam for i in members]
-            if len(set(lams)) == 1:
-                fits = [ridge_fit(Z, y, lams[0], configs[0].d)] * len(lams)
-            else:
-                fits = ridge_path(Z, y, lams, configs[0].d)
-            fitted += [(i, fit, Z, y) for i, fit in zip(members, fits)]
+        with _drawing:
+            fitted, test_rows = _draw_and_fit(configs, draw, trial_index, draw_shape, shapes)
         test_errors = _test_errors(
-            test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _, _ in fitted]
+            test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _ in fitted]
         )
-        for (i, fit, Z, y), test_error in zip(fitted, test_errors):
-            rows[i] = (test_error, *_measure(configs[i], fit, Z, y), fit.cond, fit.solver_path)
+        for (i, fit, measured), test_error in zip(fitted, test_errors):
+            rows[i] = (test_error, *measured, fit.cond, fit.solver_path)
     *measures, paths = zip(*rows)
     return Trials(*(np.array(m, dtype=float)[:, None] for m in measures), solver_path=paths)
+
+
+def _shape_groups(configs: Sequence[SimConfig]) -> dict[_Shape, list[int]]:
+    """The indices of a sweep's configs, by shape (n, N, n_test), in sweep order."""
+    groups: dict[_Shape, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault((c.n, c.N, c.n_test), []).append(i)
+    return groups
+
+
+def _takes_svd(configs: Sequence[SimConfig]) -> bool:
+    """Whether some fit of the sweep goes through a thin SVD (ridge_path).
+
+    That is a penalty of at most 1e-6, or several penalties on one shape;
+    every other fit solves ridge_fit's normal equations.
+    """
+    for members in _shape_groups(configs).values():
+        lams = {configs[i].lam for i in members}
+        if len(lams) > 1 or min(lams) <= 1e-6:
+            return True
+    return False
+
+
+# run_trial's _drawing for the trials of a pinned pool
+_DRAWING = threading.Lock()
+
+
+def _draw_and_fit(configs, draw, trial_index, draw_shape, shapes) -> tuple[list, _TestRows]:
+    """One draw of run_trial, fit at every point of shapes, and its test_rows.
+
+    Each fit comes as (config index, FitResult, (train_error, penalty,
+    norm_sq)).  The design is dropped on return.
+    """
+    Z_full, y_full, test_rows = draw(trial_index, draw_shape)
+    fitted = []
+    for (n, N, _), members in shapes:
+        Z, y = Z_full[:n, :N], y_full[:n]
+        lams = [configs[i].lam for i in members]
+        if len(set(lams)) == 1:
+            fits = [ridge_fit(Z, y, lams[0], configs[0].d)] * len(lams)
+        else:
+            fits = ridge_path(Z, y, lams, configs[0].d)
+        fitted += [(i, fit, _measure(configs[i], fit, Z, y)) for i, fit in zip(members, fits)]
+    return fitted, test_rows
 
 
 def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = None) -> Trials:
@@ -599,25 +642,43 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
 
     Column t of the result is run_trial(config, t), for t in trial order.
     The budget defaults to the cores this process may run on (_blas.cores()).
-    Each BLAS call already uses _blas.threads() cores, so threads // that many
-    trials run at once: one at a time (BLAS parallel inside each) under
-    numpy's default threading, several when BLAS is held to fewer threads
-    than the budget, e.g. by OPENBLAS_NUM_THREADS=1.  Per-trial randomness is
-    keyed, not sequential, so at a fixed BLAS thread count the result is
-    identical for any budget.  The draw is checked, and the surrogate's
-    activation moments measured, once before any trial.  Each trial is drawn
-    once for every point of the sweep.
+    A sweep whose every fit solves ridge_fit's normal equations (no point
+    at lam <= 1e-6, one penalty per shape) pins BLAS to one thread for the
+    whole call (_blas.one_thread) and runs min(threads, trials) trials at
+    once, one of them at a time drawing and fitting while the others score,
+    so the pool holds one design.  The pin is process-wide while the call
+    runs, and the count found before it is set again when the call returns
+    or raises (or, where calls overlap in threads, when the last of them
+    does); a lone run_trial gives column t under the same pin.  Such a
+    sweep is thus identical at any budget and any BLAS thread count.  A
+    sweep with a thin SVD (ridge_path) keeps the BLAS threads, as does any
+    sweep where numpy's BLAS cannot be pinned: each BLAS call then uses
+    _blas.threads() cores, so threads // that many trials run at once, one
+    at a time (BLAS parallel inside each) under numpy's default threading,
+    several when BLAS is held to fewer threads than the budget, e.g. by
+    OPENBLAS_NUM_THREADS=1.  The SVD's last bits move with the BLAS thread
+    count, so these sweeps are identical at any budget only at a fixed BLAS
+    thread count; pinning them waits on a benchmark reference that allows
+    for that rounding noise (ROADMAP item 1).  Per-trial randomness is
+    keyed, not sequential.  The draw is checked, and the surrogate's
+    activation moments measured, once before any trial.  Each trial is
+    drawn once for every point of the sweep.
     """
     configs = _sweep(config)
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)
     budget = _blas.cores() if threads is None else threads
-    workers = max(1, min(len(indices), budget // _blas.threads()))
-    if workers == 1:
-        parts = [run_trial(configs, t, _draw=draw) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda t: run_trial(configs, t, _draw=draw), indices))
+    pin = contextlib.nullcontext(False) if _takes_svd(configs) else _blas.one_thread()
+    with pin as pinned:
+        per_trial = 1 if pinned else _blas.threads()
+        workers = max(1, min(len(indices), budget // per_trial))
+        drawing = _DRAWING if pinned else contextlib.nullcontext()
+        trial = functools.partial(run_trial, configs, _draw=draw, _drawing=drawing)
+        if workers == 1:
+            parts = [trial(t) for t in indices]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(trial, indices))
     columns = (np.hstack([getattr(part, f) for part in parts]) for f in (*_MEASURES, "cond"))
     return Trials(*columns, solver_path=parts[0].solver_path)
 

@@ -70,6 +70,12 @@ def _assert_same(a: Trials, b: Trials) -> None:
         assert np.array_equal(v, vars(b)[k]), k
 
 
+def _pinned_trial(config, trial_index: int) -> Trials:
+    """run_trial under the one-thread BLAS pin run_trials holds for a Gram-route sweep."""
+    with rfridge._blas.one_thread():
+        return run_trial(config, trial_index)
+
+
 # ---------------------------------------------------------------------------
 # sampling and design
 # ---------------------------------------------------------------------------
@@ -563,6 +569,23 @@ def test_test_inputs_are_drawn_block_by_block(model):
     assert peak < n_test * d * 8 / 4
 
 
+@pytest.mark.parametrize("model, blocks", [
+    ("random_features", 1),
+    # the surrogate's block adds its rows of W_test, drawn as one more block
+    ("gaussian_covariates", 2),
+])
+def test_test_pass_holds_one_block_at_a_time(model, blocks):
+    # a block's features are freed before the next block is built
+    N = 1000
+    cfg = _small_config(d=20, n=100, N=N, n_test=4 * rfridge.simulate._BLOCK, model=model)
+    _, _, test_rows = rfridge.simulate._drawer(cfg)(0, (cfg.n, N, cfg.n_test))
+    a_hat = np.full(N, 1.0 / N)
+    points = [(a_hat, cfg.n_test), (a_hat[: N // 2], 600)]
+    _, peak = _traced_peak(lambda: rfridge.simulate._test_errors(test_rows, points))
+    block = rfridge.simulate._BLOCK * N * 8
+    assert peak < (blocks + 0.25) * block
+
+
 def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
     # two grid points that round to one shape at one penalty take ridge_fit's
     # path and cond, not ridge_path's SVD
@@ -711,12 +734,41 @@ def test_run_trials_thread_count_invariance():
         assert trials.test_error.shape == (1, 4)
         assert all(v.flags.c_contiguous for k, v in vars(trials).items() if k != "solver_path")
         for t in range(4):
-            _assert_same(_part(trials, columns=slice(t, t + 1)), run_trial(cfg, t))
+            _assert_same(_part(trials, columns=slice(t, t + 1)), _pinned_trial(cfg, t))
 
 
 @pytest.mark.parametrize("blas_threads, in_flight", [(2, 1), (1, 2)])
 def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_flight):
     # threads is a core budget: each trial's BLAS calls take blas_threads of it
+    # in a sweep with a thin SVD, which keeps the BLAS threads
+    cfg = _small_config(lam=0.0, trials=2)
+    _assert_in_flight(monkeypatch, cfg, blas_threads, 2, in_flight, run_trial)
+
+
+@pytest.mark.parametrize("threads, trials", [(2, 3), (3, 2)])
+def test_run_trials_pools_a_gram_route_sweep_at_any_blas_count(monkeypatch, threads, trials):
+    # every fit solves normal equations, so BLAS is pinned to one thread and
+    # min(threads, trials) trials run at once
+    if not _pinnable():
+        pytest.skip("numpy's BLAS cannot be pinned to one thread")
+    cfg = _small_config(trials=trials)
+    _assert_in_flight(monkeypatch, cfg, 2, threads, 2, _pinned_trial)
+
+
+def test_run_trials_keeps_the_budget_rule_where_blas_cannot_be_pinned(monkeypatch):
+    monkeypatch.setattr(rfridge._blas, "_setter", None)
+    _assert_in_flight(monkeypatch, _small_config(trials=2), 2, 2, 1, run_trial)
+
+
+def _pinnable() -> bool:
+    return rfridge._blas._getter is not None and rfridge._blas._setter is not None
+
+
+def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_trial):
+    """run_trials(cfg, threads) under a reported BLAS count has in_flight trials at once.
+
+    Its columns must equal lone_trial(cfg, t).
+    """
     lock = threading.Lock()
     running, peak = [0], [0]
     second = threading.Event()
@@ -735,11 +787,10 @@ def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_fli
 
     monkeypatch.setattr(rfridge._blas, "threads", lambda: blas_threads)
     monkeypatch.setattr(rfridge.simulate, "run_trial", spy)
-    cfg = _small_config(trials=2)
-    trials = run_trials(cfg, threads=2)
+    trials = run_trials(cfg, threads=threads)
     assert peak[0] == in_flight
-    for t in (0, 1):
-        _assert_same(_part(trials, columns=slice(t, t + 1)), real(cfg, t))
+    for t in range(cfg.trials):
+        _assert_same(_part(trials, columns=slice(t, t + 1)), lone_trial(cfg, t))
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +967,12 @@ def test_run_trials_dispatches_on_model():
     cfg = _small_config(model="gaussian_covariates", trials=2)
     results = run_trials(cfg)
     for t in range(2):
-        _assert_same(_part(results, columns=slice(t, t + 1)), run_trial(cfg, t))
+        _assert_same(_part(results, columns=slice(t, t + 1)), _pinned_trial(cfg, t))
 
 
 def test_run_trial_draws_the_configured_model():
     cfg = _small_config(model="gaussian_covariates")
-    surrogate = run_trial(cfg, 0)
+    surrogate = _pinned_trial(cfg, 0)
     _assert_same(surrogate, _part(run_trials(cfg, 1), columns=slice(0, 1)))
     features = run_trial(replace(cfg, model="random_features"), 0)
     assert surrogate.test_error[0, 0] != features.test_error[0, 0]
@@ -939,7 +990,7 @@ def test_surrogate_measures_the_activation_once_per_call(monkeypatch):
     trials = run_trials(cfg, threads=1)
     assert orders == [64, 128]
     orders.clear()
-    swept = run_trial([cfg, replace(cfg, N=70)], 2)
+    swept = _pinned_trial([cfg, replace(cfg, N=70)], 2)
     _assert_same(_part(swept, slice(0, 1)), _part(trials, columns=slice(2, 3)))
     assert orders == [64, 128]
 
