@@ -63,10 +63,19 @@ def threads() -> int:
     return count if count >= 1 else cores()
 
 
-# one_thread blocks open now, and the count the first of them found
-_pin_lock = threading.Lock()
-_pins = 0
-_unpinned = 0
+class _Pin:
+    """The one_thread blocks open now, and the count the first of them found.
+
+    One object, made on import and changed in place, so pinning rebinds no
+    name of this module."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.blocks = 0
+        self.unpinned = 0
+
+
+_pin = _Pin()
 
 
 @contextlib.contextmanager
@@ -79,19 +88,18 @@ def one_thread() -> Iterator[bool]:
     threads.  When the last one closes, also by an exception, the count the
     first one found is set again.
     """
-    global _pins, _unpinned
     if _getter is None or _setter is None:
         yield False
         return
-    with _pin_lock:
-        if _pins == 0:
-            _unpinned = _getter()
+    with _pin.lock:
+        if _pin.blocks == 0:
+            _pin.unpinned = _getter()
             _setter(1)
-        _pins += 1
+        _pin.blocks += 1
     try:
         yield True
     finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0:
-                _setter(_unpinned)
+        with _pin.lock:
+            _pin.blocks -= 1
+            if _pin.blocks == 0:
+                _setter(_pin.unpinned)

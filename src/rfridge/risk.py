@@ -28,6 +28,7 @@ import numpy as np
 from .selfconsistent import (
     InvariantViolation,
     _AxisBatch,
+    _distinct,
     _overflow,
     _polish,
     _quartic_coeffs,
@@ -594,7 +595,8 @@ def optimal_lambda(
     S = N' E0 - N E0' (degree at most 8: its chi^9 terms cancel) between the
     ridgeless chi and 0.  They are factored and polished as the solver's
     quartics are (_stacked_roots, _polish), kept when real
-    (|imag| <= 1e-9 |root|), and mapped back to penalties through the quartic
+    (|imag| <= 1e-9 |root|) and distinct (1e-10 relative, as solve_at
+    counts its points), and mapped back to penalties through the quartic
     (_lambda_bar).  Those inside (0, lambda_max) are solved together with
     lambda_max as one batch, each certified and cross-checked as risk_general
     does; a certified chi more than 1e-8 relative from its root raises
@@ -607,7 +609,8 @@ def optimal_lambda(
     require_positive(lambda_max=lambda_max, zeta_sq=zeta_sq, psi1=psi1, psi2=psi2)
     # one ridgeless row: its chi here, its R (or its error) at the endpoint below
     ridgeless = _ridgeless_columns([(zeta_sq, psi1, psi2)])
-    chi = np.sort(_stationary_chis(rho, zeta_sq, psi1, psi2))
+    # a root returned twice would give two equal values, neither a strict minimum
+    chi = np.array(_distinct(np.sort(_stationary_chis(rho, zeta_sq, psi1, psi2)).tolist()))
     chi = chi[(ridgeless.chi[0] < chi) & (chi < 0.0)]
     lbs = _lambda_bar(chi, zeta_sq, psi1, psi2)
     inside = (0.0 < lbs) & (lbs < lambda_max)

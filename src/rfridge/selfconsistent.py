@@ -362,7 +362,7 @@ class _AxisBatch:
         best = np.where(np.isnan(res), np.inf, res).min(axis=1)
         _refuse(self.point_errors, np.flatnonzero(~solved).tolist(), lambda k: NoConvergence(
             f"{admissible[k].sum()} admissible quartic roots give "
-            f"{_distinct_points(pair[k], checked[k])} distinct checked "
+            f"{len(_distinct(pair[k][checked[k]].tolist()))} distinct checked "
             f"points; best relative map residual {best[k]:.3e}", complex(0.0, self.u[k].item())))
 
     def _certify_arrays(self, chi, quintics, rows, unfactored):
@@ -409,13 +409,13 @@ class _AxisBatch:
                              chi=nu1 * nu2, residual=self.residual[k].item())
 
 
-def _distinct_points(chi, checked) -> int:
-    """How many distinct points one row's checked roots give, taken in order."""
+def _distinct(chis: list[float]) -> list[float]:
+    """chis in order, less each one within 1e-10 relative of one kept before it."""
     points = []
-    for c, ok in zip(chi.tolist(), checked.tolist()):
-        if ok and all(abs(c - p) > 1e-10 * abs(p) for p in points):
+    for c in chis:
+        if all(abs(c - p) > 1e-10 * abs(p) for p in points):
             points.append(c)
-    return len(points)
+    return points
 
 
 def solve_at(zeta_sq: float, psi1: float, psi2: float, lambda_bar: float) -> SpectralPoint:

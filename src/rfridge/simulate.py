@@ -30,11 +30,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -232,8 +231,7 @@ class Trials:
     solver_path: tuple[str, ...]
 
 
-# Rows drawn per block: the test rows a trial scores at once, and the rows of
-# the surrogate's noise matrix drawn at once.  A block's inputs, features and
+# The test rows a trial scores at once.  A block's inputs, features and
 # temporaries are a few _BLOCK x N arrays, whatever n_test is; much larger
 # blocks bring back the memory streaming saves, much smaller ones pay numpy's
 # per-call overhead.
@@ -291,19 +289,23 @@ def _surrogate_features(
 ) -> np.ndarray:
     """u = mu0 + mu1 X Theta^T / sqrt(d) + mu_star W, in the product's buffer.
 
-    The rows of the Gaussian W are drawn from rng_w in order, _BLOCK at a
-    time, so W is never held whole.  The steps run in the order of the
-    out-of-place expression and round exactly as it does.
+    The rows of the Gaussian W are drawn from rng_w in order, _BLOCK // 8 at
+    a time, so W is never held whole and adds an eighth of a block to a test
+    block.  The steps run in the order of the out-of-place expression and
+    round exactly as it does.
     """
     U = X @ Theta.T
     U *= stats.mu1
     U /= math.sqrt(X.shape[1])
     U += stats.mu0
-    for lo in range(0, len(U), _BLOCK):
-        rows = U[lo : lo + _BLOCK]
+    step = _BLOCK // 8
+    for lo in range(0, len(U), step):
+        rows = U[lo : lo + step]
         W = rng_w.standard_normal(rows.shape)
         W *= stats.mu_star
         rows += W
+        # freed before the next rows are drawn, so one chunk is alive at a time
+        del W
     return U
 
 
@@ -534,7 +536,6 @@ def run_trial(
     trial_index: int,
     *,
     _draw: Callable[[int, _Shape], _Draw] | None = None,
-    _drawing: ContextManager = contextlib.nullcontext(),
 ) -> Trials:
     """One trial of config.model: draw, fit, measure.
 
@@ -554,10 +555,7 @@ def run_trial(
     ridge_fit at one distinct penalty, by ridge_path from one
     factorization at several.  A random-features trial is drawn once at the
     sweep's largest shape, and every point fits on prefix slices of that
-    draw.  _draw is the draw run_trials binds once for all its trials, and
-    _drawing is held while the trial draws, fits and measures its training
-    slices: run_trials gives the trials of a pinned pool one lock, so one of
-    them at a time holds a design while the others score.
+    draw.  _draw is the draw run_trials binds once for all its trials.
 
     The "gaussian_covariates" model is the matched surrogate: covariates are
     u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
@@ -582,8 +580,7 @@ def run_trial(
         draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
     rows = [None] * len(configs)
     for draw_shape, shapes in draws:
-        with _drawing:
-            fitted, test_rows = _draw_and_fit(configs, draw, trial_index, draw_shape, shapes)
+        fitted, test_rows = _draw_and_fit(configs, draw, trial_index, draw_shape, shapes)
         test_errors = _test_errors(
             test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _ in fitted]
         )
@@ -614,10 +611,6 @@ def _takes_svd(configs: Sequence[SimConfig]) -> bool:
     return False
 
 
-# run_trial's _drawing for the trials of a pinned pool
-_DRAWING = threading.Lock()
-
-
 def _draw_and_fit(configs, draw, trial_index, draw_shape, shapes) -> tuple[list, _TestRows]:
     """One draw of run_trial, fit at every point of shapes, and its test_rows.
 
@@ -642,20 +635,21 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
 
     Column t of the result is run_trial(config, t), for t in trial order.
     The budget defaults to the cores this process may run on (_blas.cores()).
-    A sweep whose every fit solves ridge_fit's normal equations (no point
-    at lam <= 1e-6, one penalty per shape) pins BLAS to one thread for the
-    whole call (_blas.one_thread) and runs min(threads, trials) trials at
-    once, one of them at a time drawing and fitting while the others score,
-    so the pool holds one design.  The pin is process-wide while the call
-    runs, and the count found before it is set again when the call returns
-    or raises (or, where calls overlap in threads, when the last of them
-    does); a lone run_trial gives column t under the same pin.  Such a
+    Each trial in flight takes the _blas.threads() cores one of its BLAS
+    calls may use, so threads // that many trials run at once, each drawing,
+    fitting and scoring on its own worker, and the pool holds one design per
+    trial in flight.  A sweep whose every fit solves ridge_fit's normal
+    equations (no point at lam <= 1e-6, one penalty per shape) pins BLAS to
+    one thread for the whole call (_blas.one_thread), so min(threads,
+    trials) of its trials run at once.  The pin is process-wide while the
+    call runs, and the count found before it is set again when the call
+    returns or raises (or, where calls overlap in threads, when the last of
+    them does); a lone run_trial gives column t under the same pin.  Such a
     sweep is thus identical at any budget and any BLAS thread count.  A
     sweep with a thin SVD (ridge_path) keeps the BLAS threads, as does any
-    sweep where numpy's BLAS cannot be pinned: each BLAS call then uses
-    _blas.threads() cores, so threads // that many trials run at once, one
-    at a time (BLAS parallel inside each) under numpy's default threading,
-    several when BLAS is held to fewer threads than the budget, e.g. by
+    sweep where numpy's BLAS cannot be pinned: one trial at a time (BLAS
+    parallel inside each) under numpy's default threading, several when BLAS
+    is held to fewer threads than the budget, e.g. by
     OPENBLAS_NUM_THREADS=1.  The SVD's last bits move with the BLAS thread
     count, so these sweeps are identical at any budget only at a fixed BLAS
     thread count; pinning them waits on a benchmark reference that allows
@@ -668,12 +662,10 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)
     budget = _blas.cores() if threads is None else threads
-    pin = contextlib.nullcontext(False) if _takes_svd(configs) else _blas.one_thread()
-    with pin as pinned:
-        per_trial = 1 if pinned else _blas.threads()
-        workers = max(1, min(len(indices), budget // per_trial))
-        drawing = _DRAWING if pinned else contextlib.nullcontext()
-        trial = functools.partial(run_trial, configs, _draw=draw, _drawing=drawing)
+    pin = contextlib.nullcontext() if _takes_svd(configs) else _blas.one_thread()
+    with pin:
+        workers = max(1, min(len(indices), budget // _blas.threads()))
+        trial = functools.partial(run_trial, configs, _draw=draw)
         if workers == 1:
             parts = [trial(t) for t in indices]
         else:

@@ -23,3 +23,17 @@ def trial_pool(monkeypatch):
     with itself.  Where BLAS cannot be pinned, every sweep is in that case.
     """
     monkeypatch.setattr(rfridge._blas, "threads", lambda: 1)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """BLAS at two threads whatever the suite runs at, and the suite's count after.
+
+    Skips where numpy's BLAS cannot be pinned to one thread.
+    """
+    if rfridge._blas._getter is None or rfridge._blas._setter is None:
+        pytest.skip("numpy's BLAS cannot be pinned to one thread")
+    before = rfridge._blas._getter()
+    rfridge._blas._setter(2)
+    yield
+    rfridge._blas._setter(before)

@@ -89,15 +89,6 @@ GRAM_SWEEP = SimConfig(d=20, n=40, N=30, lam=1e-3, activation=Activation.relu(),
                        target=TargetKind.linear(), trials=2, n_test=1000)
 
 
-@pytest.fixture
-def two_blas_threads():
-    """BLAS at two threads whatever the suite runs at, and the suite's count after."""
-    before = _blas._getter()
-    _blas._setter(2)
-    yield
-    _blas._setter(before)
-
-
 @needs_pin
 @pytest.mark.usefixtures("two_blas_threads")
 def test_run_trials_restores_the_blas_count(monkeypatch):
@@ -119,6 +110,29 @@ def test_run_trials_restores_the_blas_count(monkeypatch):
     with pytest.raises(RuntimeError, match="trial failed"):
         run_trials(GRAM_SWEEP, threads=2)
     assert _blas.threads() == 2
+
+
+@needs_pin
+def test_a_pinned_run_trials_rebinds_no_name_of_blas(monkeypatch):
+    # the pin's state lives in one object, so every name of the module keeps
+    # its object while the pin holds and after it is lifted
+    names = dict(vars(_blas))
+
+    def kept() -> bool:
+        return vars(_blas).keys() == names.keys() and all(
+            vars(_blas)[k] is v for k, v in names.items())
+
+    real = simulate.run_trial
+    inside = []
+
+    def spy(*args, **kwargs):
+        inside.append(kept())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_trial", spy)
+    run_trials(GRAM_SWEEP, threads=2)
+    assert inside == [True, True]
+    assert kept()
 
 
 @needs_pin

@@ -431,6 +431,7 @@ def test_theory_without_rho_reports_factors_only(capsys):
                  "--d >= 1, got None", id="no-d-psi2-sweep"),
     pytest.param(["--d", "0", "--n", "300", "--N", "300", "--lambda", "1e-3"],
                  "--d >= 1, got 0", id="d-0"),
+    pytest.param([], "no shape parameters given", id="no-shape"),
 ])
 def test_theory_rejects_bad_shape_flags(shape, message, capsys):
     code, out, err = run_cli(
@@ -879,6 +880,13 @@ def test_sweep_spec_validation(capsys):
     code, _, err = run_cli(base[:-2] + ["--psi1", "2", "--points", "3"], capsys)
     assert code == 2
     assert "--points" in err
+    for flags, message in (
+        (["--min", "1", "--max", "2", "--points", "0"], "--points must be >= 1, got 0"),
+        (["--min", "1"], "a sweep needs --grid or all of --min/--max/--points"),
+    ):
+        code, out, err = run_cli(base + flags, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
     # a range numpy would turn into nan or inf is refused by flag, without a warning
     for spacing, lo, hi, message in (
         ("log", "1", "-1", "log spacing needs --max > 0, got -1.0"),
@@ -1400,6 +1408,18 @@ def test_file_and_expression_errors_are_usage_errors(expr, out, message, tmp_pat
     assert message in err
 
 
+def test_a_custom_activation_needs_its_file_and_an_order_of_at_least_1(tmp_path, capsys):
+    code, out, err = run_cli(["stats", "--activation", "custom"], capsys)
+    assert (code, out) == (2, "")
+    assert "--activation custom needs --expr-file" in err
+    path = tmp_path / "act.txt"
+    path.write_text("np.tanh(u)\n")
+    code, out, err = run_cli(
+        ["stats", "--activation", "custom", "--expr-file", str(path), "--order", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "order must be >= 1, got 0" in err
+
+
 def test_compare_z_scores(capsys):
     code, out, _ = run_cli(["compare"] + SIM_ARGS + ["--threads", "2"], capsys)
     assert code == 0
@@ -1556,6 +1576,10 @@ def test_out_file_round_trip(tmp_path, capsys):
     write_records(_table_of(from_file), "csv", str(rewritten))
     again = read_records(str(rewritten))
     assert records_equal(from_file[0], again[0])
+    with pytest.raises(ValueError, match="^empty CSV input$"):
+        read_records("", from_text=True)
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        write_records(_table_of(from_file), "xml", None)
 
 
 def test_read_records_parses_jsonl_like_csv(capsys):

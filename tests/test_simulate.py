@@ -569,13 +569,10 @@ def test_test_inputs_are_drawn_block_by_block(model):
     assert peak < n_test * d * 8 / 4
 
 
-@pytest.mark.parametrize("model, blocks", [
-    ("random_features", 1),
-    # the surrogate's block adds its rows of W_test, drawn as one more block
-    ("gaussian_covariates", 2),
-])
-def test_test_pass_holds_one_block_at_a_time(model, blocks):
-    # a block's features are freed before the next block is built
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_test_pass_holds_one_block_at_a_time(model):
+    # a block's features are freed before the next block is built, and the
+    # surrogate draws its rows of W_test an eighth of a block at a time
     N = 1000
     cfg = _small_config(d=20, n=100, N=N, n_test=4 * rfridge.simulate._BLOCK, model=model)
     _, _, test_rows = rfridge.simulate._drawer(cfg)(0, (cfg.n, N, cfg.n_test))
@@ -583,7 +580,7 @@ def test_test_pass_holds_one_block_at_a_time(model, blocks):
     points = [(a_hat, cfg.n_test), (a_hat[: N // 2], 600)]
     _, peak = _traced_peak(lambda: rfridge.simulate._test_errors(test_rows, points))
     block = rfridge.simulate._BLOCK * N * 8
-    assert peak < (blocks + 0.25) * block
+    assert peak < 1.25 * block
 
 
 def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
@@ -746,13 +743,33 @@ def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_fli
 
 
 @pytest.mark.parametrize("threads, trials", [(2, 3), (3, 2)])
+@pytest.mark.usefixtures("two_blas_threads")
 def test_run_trials_pools_a_gram_route_sweep_at_any_blas_count(monkeypatch, threads, trials):
     # every fit solves normal equations, so BLAS is pinned to one thread and
     # min(threads, trials) trials run at once
-    if not _pinnable():
-        pytest.skip("numpy's BLAS cannot be pinned to one thread")
     cfg = _small_config(trials=trials)
-    _assert_in_flight(monkeypatch, cfg, 2, threads, 2, _pinned_trial)
+    _assert_in_flight(monkeypatch, cfg, None, threads, 2, _pinned_trial)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+def test_a_pinned_pool_draws_its_trials_at_once(monkeypatch):
+    # both trials of a pool of two are inside their draws before either fits
+    cfg = _small_config(trials=2)
+    in_order = run_trials(cfg, threads=1)
+    meet = threading.Barrier(2, timeout=10.0)
+    drawer = rfridge.simulate._drawer
+
+    def meeting_drawer(config):
+        draw = drawer(config)
+
+        def meeting_draw(trial_index, shape):
+            meet.wait()  # raises BrokenBarrierError if the other trial never draws
+            return draw(trial_index, shape)
+
+        return meeting_draw
+
+    monkeypatch.setattr(rfridge.simulate, "_drawer", meeting_drawer)
+    _assert_same(run_trials(cfg, threads=2), in_order)
 
 
 def test_run_trials_keeps_the_budget_rule_where_blas_cannot_be_pinned(monkeypatch):
@@ -760,14 +777,11 @@ def test_run_trials_keeps_the_budget_rule_where_blas_cannot_be_pinned(monkeypatc
     _assert_in_flight(monkeypatch, _small_config(trials=2), 2, 2, 1, run_trial)
 
 
-def _pinnable() -> bool:
-    return rfridge._blas._getter is not None and rfridge._blas._setter is not None
-
-
 def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_trial):
     """run_trials(cfg, threads) under a reported BLAS count has in_flight trials at once.
 
-    Its columns must equal lone_trial(cfg, t).
+    A blas_threads of None leaves the BLAS count as it is.  The columns must
+    equal lone_trial(cfg, t).
     """
     lock = threading.Lock()
     running, peak = [0], [0]
@@ -785,7 +799,8 @@ def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_t
             running[0] -= 1
         return real(point, t, **bound)
 
-    monkeypatch.setattr(rfridge._blas, "threads", lambda: blas_threads)
+    if blas_threads is not None:
+        monkeypatch.setattr(rfridge._blas, "threads", lambda: blas_threads)
     monkeypatch.setattr(rfridge.simulate, "run_trial", spy)
     trials = run_trials(cfg, threads=threads)
     assert peak[0] == in_flight
