@@ -753,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
                        help="cores to use (default the usable cores); a sweep with no "
-                            "SVD fit (every lambda > 1e-6, one per shape) pins BLAS to one "
+                            "ridgeless point (every lambda > 1e-6) pins BLAS to one "
                             "thread for the run, restored afterwards, and runs threads "
                             "trials at a time; a sweep with one keeps the BLAS threads and "
                             "runs threads // (BLAS threads) at a time, so in order under "

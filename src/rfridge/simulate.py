@@ -325,6 +325,10 @@ def _fit_scale(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) ->
 # Above this condition number a fit warns, and reports the exact value.
 _COND_LIMIT = 1e12
 
+# A penalty at or below this is ridgeless: it is fit from a thin SVD of the
+# design, and the last bits of that SVD move with the BLAS thread count.
+_RIDGELESS = 1e-6
+
 
 def _warn_if_ill_conditioned(cond: float) -> None:
     """Warn at the caller of the public fit function that called this one."""
@@ -356,7 +360,7 @@ def _svd_fits(Z: np.ndarray, y: np.ndarray, lams: Sequence[float], d: float) -> 
     fits = []
     for lam in lams:
         c = lam * (N / d) * (n / d)
-        if lam <= 1e-6:
+        if lam <= _RIDGELESS:
             coef = (s_kept / (s_kept * s_kept + c)) * Uty_kept
             a_hat = V_kept @ coef / sqrt_d
             cond = float((s[0] / s_kept[-1]) ** 2) if s_kept.size else 1.0
@@ -402,7 +406,7 @@ def ridge_fit(Z: np.ndarray, y: np.ndarray, lam: float, d: float) -> FitResult:
     For lam <= 1e-6 (including the exact ridgeless case lam = 0) the fit is
     the singular-value one of ridge_path.
     """
-    if lam <= 1e-6:
+    if lam <= _RIDGELESS:
         (fit,) = _svd_fits(Z, y, (lam,), d)
         _warn_if_ill_conditioned(fit.cond)
         return fit
@@ -555,7 +559,10 @@ def run_trial(
     ridge_fit at one distinct penalty, by ridge_path from one
     factorization at several.  A random-features trial is drawn once at the
     sweep's largest shape, and every point fits on prefix slices of that
-    draw.  _draw is the draw run_trials binds once for all its trials.
+    draw.  _draw is the draw run_trials binds once for all its trials.  Its
+    bits follow the BLAS thread count it runs at; run_trials gives column t
+    at one BLAS thread unless some point of the sweep is ridgeless
+    (lam <= 1e-6), so a lone trial matches it under _blas.one_thread().
 
     The "gaussian_covariates" model is the matched surrogate: covariates are
     u = mu0 + mu1 Theta x / sqrt(d) + mu_star w with Gaussian x and w, keeping
@@ -572,7 +579,10 @@ def run_trial(
     """
     configs = _sweep(config)
     draw = _drawer(configs[0]) if _draw is None else _draw
-    groups = _shape_groups(configs)
+    # the indices of the sweep's configs, by shape (n, N, n_test), in sweep order
+    groups: dict[_Shape, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault((c.n, c.N, c.n_test), []).append(i)
     if configs[0].model == "random_features":
         largest = tuple(max(sizes) for sizes in zip(*groups))
         draws = [(largest, list(groups.items()))]
@@ -580,7 +590,18 @@ def run_trial(
         draws = [(shape, [(shape, members)]) for shape, members in groups.items()]
     rows = [None] * len(configs)
     for draw_shape, shapes in draws:
-        fitted, test_rows = _draw_and_fit(configs, draw, trial_index, draw_shape, shapes)
+        Z_full, y_full, test_rows = draw(trial_index, draw_shape)
+        fitted = []
+        for (n, N, _), members in shapes:
+            Z, y = Z_full[:n, :N], y_full[:n]
+            lams = [configs[i].lam for i in members]
+            if len(set(lams)) == 1:
+                fits = [ridge_fit(Z, y, lams[0], configs[0].d)] * len(lams)
+            else:
+                fits = ridge_path(Z, y, lams, configs[0].d)
+            fitted += [(i, fit, _measure(configs[i], fit, Z, y)) for i, fit in zip(members, fits)]
+        # the design is dropped before the test pass, so a trial holds one or the other
+        del Z_full, y_full, Z, y
         test_errors = _test_errors(
             test_rows, [(fit.a_hat, configs[i].n_test) for i, fit, _ in fitted]
         )
@@ -590,79 +611,42 @@ def run_trial(
     return Trials(*(np.array(m, dtype=float)[:, None] for m in measures), solver_path=paths)
 
 
-def _shape_groups(configs: Sequence[SimConfig]) -> dict[_Shape, list[int]]:
-    """The indices of a sweep's configs, by shape (n, N, n_test), in sweep order."""
-    groups: dict[_Shape, list[int]] = {}
-    for i, c in enumerate(configs):
-        groups.setdefault((c.n, c.N, c.n_test), []).append(i)
-    return groups
-
-
-def _takes_svd(configs: Sequence[SimConfig]) -> bool:
-    """Whether some fit of the sweep goes through a thin SVD (ridge_path).
-
-    That is a penalty of at most 1e-6, or several penalties on one shape;
-    every other fit solves ridge_fit's normal equations.
-    """
-    for members in _shape_groups(configs).values():
-        lams = {configs[i].lam for i in members}
-        if len(lams) > 1 or min(lams) <= 1e-6:
-            return True
-    return False
-
-
-def _draw_and_fit(configs, draw, trial_index, draw_shape, shapes) -> tuple[list, _TestRows]:
-    """One draw of run_trial, fit at every point of shapes, and its test_rows.
-
-    Each fit comes as (config index, FitResult, (train_error, penalty,
-    norm_sq)).  The design is dropped on return.
-    """
-    Z_full, y_full, test_rows = draw(trial_index, draw_shape)
-    fitted = []
-    for (n, N, _), members in shapes:
-        Z, y = Z_full[:n, :N], y_full[:n]
-        lams = [configs[i].lam for i in members]
-        if len(set(lams)) == 1:
-            fits = [ridge_fit(Z, y, lams[0], configs[0].d)] * len(lams)
-        else:
-            fits = ridge_path(Z, y, lams, configs[0].d)
-        fitted += [(i, fit, _measure(configs[i], fit, Z, y)) for i, fit in zip(members, fits)]
-    return fitted, test_rows
-
-
 def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = None) -> Trials:
     """All trials of a sweep (see run_trial), within a budget of threads cores.
 
     Column t of the result is run_trial(config, t), for t in trial order.
     The budget defaults to the cores this process may run on (_blas.cores()).
-    Each trial in flight takes the _blas.threads() cores one of its BLAS
-    calls may use, so threads // that many trials run at once, each drawing,
-    fitting and scoring on its own worker, and the pool holds one design per
-    trial in flight.  A sweep whose every fit solves ridge_fit's normal
-    equations (no point at lam <= 1e-6, one penalty per shape) pins BLAS to
-    one thread for the whole call (_blas.one_thread), so min(threads,
-    trials) of its trials run at once.  The pin is process-wide while the
-    call runs, and the count found before it is set again when the call
+    A sweep with no ridgeless point (every lam above 1e-6) pins BLAS to one
+    thread for the whole call (_blas.one_thread) and runs min(threads,
+    trials) of its trials at once, each drawing, fitting and scoring on its
+    own worker, so the pool holds one design per trial in flight.  That
+    holds for one penalty per shape (ridge_fit's normal equations) and for
+    several (ridge_path's thin SVD) alike.  The pin is process-wide while
+    the call runs, and the count found before it is set again when the call
     returns or raises (or, where calls overlap in threads, when the last of
     them does); a lone run_trial gives column t under the same pin.  Such a
-    sweep is thus identical at any budget and any BLAS thread count.  A
-    sweep with a thin SVD (ridge_path) keeps the BLAS threads, as does any
-    sweep where numpy's BLAS cannot be pinned: one trial at a time (BLAS
-    parallel inside each) under numpy's default threading, several when BLAS
-    is held to fewer threads than the budget, e.g. by
-    OPENBLAS_NUM_THREADS=1.  The SVD's last bits move with the BLAS thread
-    count, so these sweeps are identical at any budget only at a fixed BLAS
-    thread count; pinning them waits on a benchmark reference that allows
-    for that rounding noise (ROADMAP item 1).  Per-trial randomness is
-    keyed, not sequential.  The draw is checked, and the surrogate's
-    activation moments measured, once before any trial.  Each trial is
-    drawn once for every point of the sweep.
+    sweep is thus identical at any budget and any BLAS thread count.
+
+    A sweep with a point at lam <= 1e-6 keeps the BLAS threads, as does
+    any sweep where numpy's BLAS cannot be pinned.  Each trial in flight
+    then takes the _blas.threads() cores one of its BLAS calls may use, so
+    threads // that many trials run at once: one at a time (BLAS parallel
+    inside each) under numpy's default threading, several when BLAS is held
+    to fewer threads than the budget, e.g. by OPENBLAS_NUM_THREADS=1.  The
+    ridgeless training error is rounding noise of the thin SVD, whose last
+    bits move with the BLAS thread count, so these sweeps are identical at
+    any budget only at a fixed BLAS thread count; pinning them waits on a
+    benchmark reference that allows for that noise (ROADMAP item 1).
+    Per-trial randomness is keyed, not sequential.  The draw is checked,
+    and the surrogate's activation moments measured, once before any trial.
+    Each trial is drawn once for every point of the sweep.
     """
     configs = _sweep(config)
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)
     budget = _blas.cores() if threads is None else threads
-    pin = contextlib.nullcontext() if _takes_svd(configs) else _blas.one_thread()
+    ridgeless = any(c.lam <= _RIDGELESS for c in configs)
+    pin = contextlib.nullcontext() if ridgeless else _blas.one_thread()
     with pin:
         workers = max(1, min(len(indices), budget // _blas.threads()))
         trial = functools.partial(run_trial, configs, _draw=draw)

@@ -14,13 +14,14 @@ settings.load_profile("derandomized")
 def trial_pool(monkeypatch):
     """Report one BLAS thread, so run_trials at threads >= 2 runs trials at once.
 
-    A sweep whose every fit solves normal equations needs no help: run_trials
-    pins BLAS to one thread, process-wide for the call and restored
-    afterwards, and pools its trials.  A sweep with a thin SVD keeps the BLAS
-    threads (pinning it waits on ROADMAP item 1), so under numpy's default
-    threading BLAS already uses every core and run_trials keeps one trial in
-    flight; a thread-invariance test would then compare the in-order route
-    with itself.  Where BLAS cannot be pinned, every sweep is in that case.
+    A sweep with no ridgeless point (every lam above 1e-6) needs no help:
+    run_trials pins BLAS to one thread, process-wide for the call and
+    restored afterwards, and pools its trials.  A sweep with a point at
+    lam <= 1e-6 keeps the BLAS threads (pinning it waits on ROADMAP item 1),
+    so under numpy's default threading BLAS already uses every core and
+    run_trials keeps one trial in flight; a thread-invariance test would then
+    compare the in-order route with itself.  Where BLAS cannot be pinned,
+    every sweep is in that case.
     """
     monkeypatch.setattr(rfridge._blas, "threads", lambda: 1)
 

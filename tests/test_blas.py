@@ -33,6 +33,13 @@ COMPARE = ["compare", "--d", "20", "--n", "40", "--N", "60", "--activation", "re
 SIMULATE = ["simulate", "--d", "100", "--n", "300", "--n-test", "1000", "--lambda", "1e-3",
             "--tau-sq", "0.5", "--trials", "2", "--seed", "1", "--sweep", "psi1", "--grid", "2,4"]
 
+# every penalty is above 1e-6, so run_trials pins BLAS for the sweep's one thin
+# SVD per trial; at this shape that SVD's last bits differ at one and two BLAS
+# threads, so the sweep's bytes did too before it was pinned
+RIDGE_PATH = ["compare", "--d", "100", "--n", "300", "--N", "600", "--activation", "relu",
+              "--tau-sq", "0.5", "--trials", "2", "--seed", "5", "--sweep", "lambda",
+              "--grid", "1e-5,1e-3,1e-1"]
+
 needs_getter = pytest.mark.skipif(
     _blas._getter is None, reason="numpy's BLAS exports no thread-count getter")
 needs_pin = pytest.mark.skipif(
@@ -82,6 +89,14 @@ def test_gram_route_output_ignores_budget_and_blas_threads():
     # the same bytes at --threads 1 and 2, with OPENBLAS_NUM_THREADS=1 and unset
     outs = [out for blas_threads in (1, None) for out in _run(SIMULATE, blas_threads)["outs"]]
     assert len(outs[0].splitlines()) == 3
+    assert outs == [outs[0]] * 4
+
+
+@needs_pin
+def test_positive_penalty_sweep_ignores_budget_and_blas_threads():
+    # the same bytes at --threads 1 and 2, with OPENBLAS_NUM_THREADS=1 and unset
+    outs = [out for blas_threads in (1, None) for out in _run(RIDGE_PATH, blas_threads)["outs"]]
+    assert len(outs[0].splitlines()) == 4
     assert outs == [outs[0]] * 4
 
 

@@ -4,6 +4,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -71,7 +72,7 @@ def _assert_same(a: Trials, b: Trials) -> None:
 
 
 def _pinned_trial(config, trial_index: int) -> Trials:
-    """run_trial under the one-thread BLAS pin run_trials holds for a Gram-route sweep."""
+    """run_trial under the one-thread BLAS pin run_trials holds for a sweep with no lam <= 1e-6."""
     with rfridge._blas.one_thread():
         return run_trial(config, trial_index)
 
@@ -583,6 +584,33 @@ def test_test_pass_holds_one_block_at_a_time(model):
     assert peak < 1.25 * block
 
 
+@pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
+def test_a_trial_drops_its_design_before_its_test_pass(monkeypatch, model):
+    # a pool holds one design or one test block per trial in flight, not both
+    cfg = _small_config(model=model)
+    designs = []
+    drawer, test_errors = rfridge.simulate._drawer, rfridge.simulate._test_errors
+
+    def recording_drawer(config):
+        draw = drawer(config)
+
+        def recording_draw(trial_index, shape):
+            Z, y, test_rows = draw(trial_index, shape)
+            designs.append(weakref.ref(Z))
+            return Z, y, test_rows
+
+        return recording_draw
+
+    def checked_test_errors(test_rows, points):
+        assert designs[-1]() is None
+        return test_errors(test_rows, points)
+
+    monkeypatch.setattr(rfridge.simulate, "_drawer", recording_drawer)
+    monkeypatch.setattr(rfridge.simulate, "_test_errors", checked_test_errors)
+    run_trial([cfg, replace(cfg, lam=1e-1), replace(cfg, N=70)], 0)
+    assert len(designs) == (1 if model == "random_features" else 2)
+
+
 def test_sweep_points_of_one_shape_and_penalty_fit_as_a_single_point():
     # two grid points that round to one shape at one penalty take ridge_fit's
     # path and cond, not ridge_path's SVD
@@ -737,7 +765,7 @@ def test_run_trials_thread_count_invariance():
 @pytest.mark.parametrize("blas_threads, in_flight", [(2, 1), (1, 2)])
 def test_run_trials_budget_counts_blas_threads(monkeypatch, blas_threads, in_flight):
     # threads is a core budget: each trial's BLAS calls take blas_threads of it
-    # in a sweep with a thin SVD, which keeps the BLAS threads
+    # in a sweep with a ridgeless point, which keeps the BLAS threads
     cfg = _small_config(lam=0.0, trials=2)
     _assert_in_flight(monkeypatch, cfg, blas_threads, 2, in_flight, run_trial)
 
@@ -749,6 +777,27 @@ def test_run_trials_pools_a_gram_route_sweep_at_any_blas_count(monkeypatch, thre
     # min(threads, trials) trials run at once
     cfg = _small_config(trials=trials)
     _assert_in_flight(monkeypatch, cfg, None, threads, 2, _pinned_trial)
+
+
+@pytest.mark.parametrize("threads, trials", [(2, 3), (3, 2)])
+@pytest.mark.usefixtures("two_blas_threads")
+def test_run_trials_pools_a_positive_penalty_sweep_at_any_blas_count(
+    monkeypatch, threads, trials
+):
+    # two penalties on one shape fit from one thin SVD; neither is ridgeless,
+    # so BLAS is pinned to one thread as for the normal equations
+    cfg = _small_config(trials=trials)
+    sweep = [cfg, replace(cfg, lam=1e-1)]
+    _assert_in_flight(monkeypatch, sweep, None, threads, 2, _pinned_trial)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+def test_run_trials_keeps_the_blas_threads_for_a_sweep_with_a_ridgeless_point(monkeypatch):
+    # lam = 0 beside the positive penalties: BLAS keeps its two threads, which
+    # fill the budget of two cores, so the trials run in order
+    cfg = _small_config(trials=2)
+    sweep = [cfg, replace(cfg, lam=1e-1), replace(cfg, lam=0.0)]
+    _assert_in_flight(monkeypatch, sweep, None, 2, 1, run_trial)
 
 
 @pytest.mark.usefixtures("two_blas_threads")
@@ -780,8 +829,8 @@ def test_run_trials_keeps_the_budget_rule_where_blas_cannot_be_pinned(monkeypatc
 def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_trial):
     """run_trials(cfg, threads) under a reported BLAS count has in_flight trials at once.
 
-    A blas_threads of None leaves the BLAS count as it is.  The columns must
-    equal lone_trial(cfg, t).
+    cfg is a config or a sweep of them.  A blas_threads of None leaves the
+    BLAS count as it is.  The columns must equal lone_trial(cfg, t).
     """
     lock = threading.Lock()
     running, peak = [0], [0]
@@ -804,7 +853,7 @@ def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_t
     monkeypatch.setattr(rfridge.simulate, "run_trial", spy)
     trials = run_trials(cfg, threads=threads)
     assert peak[0] == in_flight
-    for t in range(cfg.trials):
+    for t in range(rfridge.simulate._sweep(cfg)[0].trials):
         _assert_same(_part(trials, columns=slice(t, t + 1)), lone_trial(cfg, t))
 
 
