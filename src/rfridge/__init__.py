@@ -12,8 +12,8 @@ from .activations import (
     DegenerateActivation,
     HermiteStats,
     QuadratureFailure,
-    gauss_hermite_expectation,
     hermite_stats,
+    normal_expectation,
 )
 from .selfconsistent import (
     InvariantViolation,

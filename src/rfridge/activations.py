@@ -24,15 +24,21 @@ class DegenerateActivation(ValueError):
 
 
 class QuadratureFailure(ArithmeticError):
-    """Doubling the quadrature order moved a moment by more than the certificate allows."""
+    """hermite_stats could not certify a custom activation's quadrature moments:
+    one is not finite, one moves when the order doubles, or an integrand is not
+    negligible at the window edge |u| = 13."""
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_PI = math.sqrt(math.pi)
 
-# Integration window for the piecewise rule: the normal density at |u| = 13 is
-# ~1e-37, below every tolerance in play for polynomially bounded activations.
+# Integration window |u| <= 13: the normal density there is ~2e-37, which drops
+# nothing of a polynomially bounded activation; hermite_stats checks the rest.
 _TRUNCATION = 13.0
+# hermite_stats' bound on a moment's move and on each integrand at the edge
+_TOLERANCE = 1e-8
+# The largest order hermite_stats takes: it also integrates at twice the
+# order, and numpy's leggauss(n) factors a dense n x n matrix.
+MAX_ORDER = 1024
 
 
 def _normal_pdf(u: float) -> float:
@@ -48,11 +54,11 @@ class Activation:
     """A pointwise activation, constructed through one of the factory methods.
 
     ``breakpoints`` lists locations where the function has a kink; the
-    quadrature engine integrates piecewise between them instead of pushing a
-    non-smooth integrand through a global Gauss-Hermite rule.  ``stats`` lets a
-    custom activation supply closed-form moments (mu0, mu1, mu_star_sq) and
-    skip quadrature entirely.  ``expr``, the text a custom evaluator was
-    built from (if any), tells custom activations apart in ``label``.
+    quadrature cuts its window at each, so every piece it integrates is
+    smooth.  ``stats`` lets a custom activation supply closed-form moments
+    (mu0, mu1, mu_star_sq) and skip quadrature entirely.  ``expr``, the text
+    a custom evaluator was built from (if any), tells custom activations
+    apart in ``label``.
     """
 
     kind: str
@@ -167,50 +173,22 @@ class HermiteStats:
         return math.sqrt(self.mu_star_sq)
 
 
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's order-``order`` Gauss-Hermite rule, refused when it is broken.
-
-    From order 371 on, numpy's weights overflow to inf or nan, or to all zeros;
-    a rule whose weights are not finite or do not sum to sqrt(pi) raises
-    QuadratureFailure instead of yielding nan moments.
-    """
-    with np.errstate(all="ignore"):
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-    mass = float(weights.sum())
-    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()
-            and abs(mass - _SQRT_PI) <= 1e-12 * _SQRT_PI):
-        raise QuadratureFailure(
-            f"numpy's order-{order} Gauss-Hermite rule is not finite (weights sum to {mass}, "
-            "not sqrt(pi)); use a lower order (hermite_stats also integrates at twice its "
-            "order) or supply breakpoints"
-        )
-    return nodes, weights
-
-
-def gauss_hermite_expectation(
+def normal_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     order: int = 64,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """E[fn(G)] for standard normal G, by order-``order`` quadrature.
+    """E[fn(G)] for standard normal G, by split Gauss-Legendre quadrature.
 
-    Without breakpoints this is the plain Gauss-Hermite rule, which is
-    spectrally accurate for smooth fn but converges slowly across kinks.  When
-    breakpoints are supplied the expectation is assembled piecewise: between
-    consecutive kinks (and the truncation edges at |u| = 13) an order-``order``
-    Gauss-Legendre rule integrates fn(u) * pdf(u), restoring spectral accuracy
-    for piecewise-smooth fn.
+    The window |u| <= 13 is cut at each breakpoint inside it, or at 0 when it
+    holds none, and on each piece an order-``order`` Gauss-Legendre rule
+    integrates fn(u) * pdf(u).  That is spectrally accurate for fn smooth
+    between the cuts.  What fn carries outside the window is dropped;
+    hermite_stats checks that it is negligible.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    cuts = sorted(b for b in breakpoints if -_TRUNCATION < b < _TRUNCATION)
-    if not cuts:
-        nodes, weights = _hermite_rule(order)
-        vals = np.asarray(fn(nodes * math.sqrt(2.0)), dtype=float)
-        # values that are not finite give a moment that is not, which
-        # hermite_stats reports; the sum itself does not warn
-        with np.errstate(invalid="ignore", over="ignore"):
-            return float(weights @ vals / _SQRT_PI)
+    cuts = sorted(b for b in breakpoints if -_TRUNCATION < b < _TRUNCATION) or [0.0]
     edges = [-_TRUNCATION] + cuts + [_TRUNCATION]
     t, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
@@ -220,6 +198,8 @@ def gauss_hermite_expectation(
         u = 0.5 * (b - a) * t + 0.5 * (b + a)
         pdf = np.exp(-0.5 * u * u) / _SQRT_2PI
         vals = np.asarray(fn(u), dtype=float)
+        # values that are not finite give a moment that is not, which
+        # hermite_stats reports; the sum itself does not warn
         with np.errstate(invalid="ignore", over="ignore"):
             total += 0.5 * (b - a) * float(w @ (vals * pdf))
     return total
@@ -227,18 +207,21 @@ def gauss_hermite_expectation(
 
 def _raw_moments(activation: Activation, order: int) -> tuple[float, float, float]:
     bp = activation.breakpoints
-    m0 = gauss_hermite_expectation(activation, order, bp)
-    m1 = gauss_hermite_expectation(lambda u: u * activation(u), order, bp)
-    m2 = gauss_hermite_expectation(lambda u: activation(u) ** 2, order, bp)
+    m0 = normal_expectation(activation, order, bp)
+    m1 = normal_expectation(lambda u: u * activation(u), order, bp)
+    m2 = normal_expectation(lambda u: activation(u) ** 2, order, bp)
     return m0, m1, m2
 
 
 def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
     """Compute (mu0, mu1, mu_star_sq, zeta) for an activation.
 
-    Built-ins use closed forms.  Custom activations are integrated at
-    ``order`` and certified by recomputing at 2*order: any moment moving by
-    more than 1e-8 raises QuadratureFailure.  Raises ValueError, naming them,
+    Built-ins use closed forms.  Custom activations are integrated by
+    normal_expectation at ``order`` (at most MAX_ORDER, else ValueError) and
+    certified by recomputing at 2*order.  QuadratureFailure is raised when a
+    moment is not finite, when sigma, u sigma or sigma^2 times the normal
+    density exceeds 1e-8 at the window edge |u| = 13, or when any moment
+    moves by more than 1e-8.  Raises ValueError, naming them,
     when mu0, mu1 or mu_star_sq is not finite, and DegenerateActivation when
     |mu1| or mu_star_sq falls below 1e-10; the asymptotic theory needs both a
     linear and a nonlinear component.
@@ -259,6 +242,8 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
         mu0, mu1, mu_star_sq = activation.stats
         return _finalize(mu0, mu1, mu_star_sq, gap)
     else:
+        if order > MAX_ORDER:
+            raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
         lo = _raw_moments(activation, order)
         hi = _raw_moments(activation, 2 * order)
         gap = max(abs(a - b) for a, b in zip(lo, hi))
@@ -266,7 +251,17 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
             raise QuadratureFailure(
                 f"moments are not finite at order {order} {lo} or its doubling {2 * order} {hi}"
             )
-        if gap > 1e-8:
+        u = np.array([-_TRUNCATION, _TRUNCATION])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = activation(u)
+            edge = np.max(np.abs([sigma, u * sigma, sigma * sigma])) * _normal_pdf(_TRUNCATION)
+        if not edge <= _TOLERANCE:
+            raise QuadratureFailure(
+                f"an integrand times the normal density is {edge:.3e} at the window edge "
+                f"|u| = {_TRUNCATION:g}, above {_TOLERANCE:g}; supply closed-form stats "
+                "for this activation"
+            )
+        if gap > _TOLERANCE:
             raise QuadratureFailure(
                 f"moments moved by {gap:.3e} when doubling order {order}; "
                 "supply breakpoints or closed-form stats for this activation"

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .activations import (
+    MAX_ORDER,
     Activation,
     DegenerateActivation,
     QuadratureFailure,
@@ -393,7 +394,8 @@ def _add_activation_opts(p):
                    help="relu (the default) | identity | shifted_relu:C | custom (with --expr-file)")
     p.add_argument("--expr-file", default=None, help="file with a numpy expression in u")
     p.add_argument("--breakpoints", default=None, help="comma-separated kink locations of a custom activation")
-    p.add_argument("--order", type=int, default=64, help="quadrature order for custom activations")
+    p.add_argument("--order", type=int, default=64,
+                   help=f"quadrature nodes per piece for custom activations (at most {MAX_ORDER})")
 
 
 def _add_shape_opts(p):
@@ -432,6 +434,8 @@ def parse_activation(args) -> Activation:
             raise ValueError(f"--activation shift is not a number: {shift!r}") from None
         return Activation.shifted_relu(c)
     if spec == "custom":
+        if args.order > MAX_ORDER:
+            raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
         if args.expr_file is None:
             raise ValueError("--activation custom needs --expr-file")
         try:
@@ -620,10 +624,10 @@ def cmd_theory(args, parser) -> int:
     return 0
 
 
-def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
-    """The grid's table with its simulation cells, one row per grid point, and
-    the target powers the rows share: every config of the sweep has the same
-    d, target and tau_sq."""
+def _simulation_table(args, parser, command) -> tuple[Table, list[SimConfig], TargetSpec]:
+    """The grid's table without its simulation cells, one row per grid point;
+    the config of each row; and the target powers the rows share: every config
+    of the sweep has the same d, target and tau_sq."""
     _finite(args, parser, command)
     _require(parser, args.trials >= 2,
              f"--trials must be >= 2 for a standard error, got {args.trials}")
@@ -652,17 +656,23 @@ def _simulated_table(args, parser, command) -> tuple[Table, TargetSpec]:
                         tau_sq=args.tau_sq)
     # simulate and compare take no --rho: the powers' own is every row's
     table.update({"rho": powers.rho, **asdict(powers)})
+    return table, configs, powers
+
+
+def _simulation_cells(table: Table, configs: list[SimConfig], threads: int | None) -> None:
+    """Fill the sim_* columns of table, one row per config, within threads cores."""
     # keyed streams give trial t nested data across the grid: run_trials draws it once
-    stats = aggregate(run_trials(configs, args.threads))
+    stats = aggregate(run_trials(configs, threads))
     cells = {f"sim_{key}": values.tolist() for key, values in stats.items()}
+    mu_star_sq = table.cells["mu_star_sq"]
     for stat in ("mean", "sem"):
         cells[f"sim_norm_msq_{stat}"] = [mu_star_sq * v for v in cells[f"sim_norm_sq_{stat}"]]
     table.update(cells)
-    return table, powers
 
 
 def cmd_simulate(args, parser) -> int:
-    table, _ = _simulated_table(args, parser, "simulate")
+    table, configs, _ = _simulation_table(args, parser, "simulate")
+    _simulation_cells(table, configs, args.threads)
     write_records(table, args.format, args.out)
     return 0
 
@@ -676,10 +686,12 @@ def _z_scores(diff: np.ndarray, sem: np.ndarray) -> np.ndarray:
 
 
 def cmd_compare(args, parser) -> int:
-    table, powers = _simulated_table(args, parser, "compare")
+    table, configs, powers = _simulation_table(args, parser, "compare")
     general = [lam > 0.0 for lam in table.column("lambda")]
     table.update({"variant": ["general" if g else "ridgeless" for g in general]})
+    # a refused theory row is refused before any trial is drawn
     _theory_cells(table, powers)
+    _simulation_cells(table, configs, args.threads)
     for q in ("test_error", "train_error", "norm_msq"):
         z = _z_scores(np.subtract(table.column(f"sim_{q}_mean"), table.column(f"theory_{q}")),
                       np.array(table.column(f"sim_{q}_sem"), dtype=float))
@@ -752,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=("random_features", "gaussian_covariates"),
                        default="random_features")
         p.add_argument("--threads", type=int, default=None,
-                       help="cores to use (default the usable cores); a sweep with no "
+                       help="cores to use (default and at most the usable cores); a sweep with no "
                             "ridgeless point (every lambda > 1e-6) pins BLAS to one "
                             "thread for the run, restored afterwards, and runs threads "
                             "trials at a time; a sweep with one keeps the BLAS threads and "

@@ -615,7 +615,8 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
     """All trials of a sweep (see run_trial), within a budget of threads cores.
 
     Column t of the result is run_trial(config, t), for t in trial order.
-    The budget defaults to the cores this process may run on (_blas.cores()).
+    The budget defaults to the cores this process may run on (_blas.cores()),
+    and a larger one counts only those.
     A sweep with no ridgeless point (every lam above 1e-6) pins BLAS to one
     thread for the whole call (_blas.one_thread) and runs min(threads,
     trials) of its trials at once, each drawing, fitting and scoring on its
@@ -644,7 +645,7 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
     configs = _sweep(config)
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)
-    budget = _blas.cores() if threads is None else threads
+    budget = _blas.cores() if threads is None else min(threads, _blas.cores())
     ridgeless = any(c.lam <= _RIDGELESS for c in configs)
     pin = contextlib.nullcontext() if ridgeless else _blas.one_thread()
     with pin:

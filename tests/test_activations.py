@@ -12,8 +12,8 @@ from rfridge.activations import (
     Activation,
     DegenerateActivation,
     QuadratureFailure,
-    gauss_hermite_expectation,
     hermite_stats,
+    normal_expectation,
 )
 
 # Closed-form ReLU moments under a standard Gaussian input.
@@ -44,7 +44,8 @@ def test_relu_quadrature_matches_closed_form():
 
 
 def test_kinked_custom_without_breakpoints_fails_certification():
-    act = Activation.custom(lambda u: np.maximum(u, 0.0))
+    # the window is cut at 0 when no breakpoint is given, so the kink lies off it
+    act = Activation.custom(lambda u: np.maximum(u - 0.5, 0.0))
     with pytest.raises(QuadratureFailure):
         hermite_stats(act)
 
@@ -166,16 +167,16 @@ def test_a_shifted_relu_whose_closed_form_overflows_is_refused():
         hermite_stats(Activation.shifted_relu(-1e300))
 
 
-def test_gauss_hermite_polynomial_exactness():
-    # Gauss-Hermite with 64 nodes integrates low-degree polynomials exactly.
-    assert gauss_hermite_expectation(lambda u: np.ones_like(u)) == pytest.approx(1.0, abs=1e-14)
-    assert gauss_hermite_expectation(lambda u: u) == pytest.approx(0.0, abs=1e-14)
-    assert gauss_hermite_expectation(lambda u: u * u) == pytest.approx(1.0, abs=1e-13)
-    assert gauss_hermite_expectation(lambda u: u**4) == pytest.approx(3.0, abs=1e-12)
+def test_quadrature_polynomial_exactness():
+    # the split rule with 64 nodes per piece integrates low-degree polynomials exactly.
+    assert normal_expectation(lambda u: np.ones_like(u)) == pytest.approx(1.0, abs=1e-14)
+    assert normal_expectation(lambda u: u) == pytest.approx(0.0, abs=1e-14)
+    assert normal_expectation(lambda u: u * u) == pytest.approx(1.0, abs=1e-13)
+    assert normal_expectation(lambda u: u**4) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_piecewise_quadrature_handles_kink():
-    val = gauss_hermite_expectation(
+    val = normal_expectation(
         lambda u: np.abs(u), order=64, breakpoints=(0.0,)
     )
     assert val == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-13)
@@ -262,27 +263,64 @@ def test_affine_image_of_relu(scale, offset):
 def test_order_doubling_certificate_rejects_low_order():
     # tanh is smooth but the certificate still flags an under-resolved rule.
     with pytest.raises(QuadratureFailure):
-        hermite_stats(Activation.custom(np.tanh), order=32)
+        hermite_stats(Activation.custom(np.tanh), order=16)
     stats = hermite_stats(Activation.custom(np.tanh), order=128)
     assert stats.quadrature_gap is not None
     assert stats.quadrature_gap < 1e-12
     assert hermite_stats(Activation.relu()).quadrature_gap is None
 
 
-def test_a_broken_gauss_hermite_rule_fails_certification():
-    # numpy's Gauss-Hermite weights are all zero at order 371 and not finite
-    # from 372 on, so from order 186 the certificate compares against a broken
-    # rule; it must fail there, naming the order, and let no RuntimeWarning out
-    act = Activation.custom(lambda u: np.tanh(2.0 * u))
-    with pytest.raises(QuadratureFailure, match="moved by 3.03"):
-        hermite_stats(act, order=180)
-    for order, broken in ((186, 372), (512, 512)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(QuadratureFailure, match=f"^numpy's order-{broken} Gauss-Hermite rule"):
-                hermite_stats(act, order=order)
-    with pytest.raises(QuadratureFailure, match="^numpy's order-371 Gauss-Hermite rule"):
-        gauss_hermite_expectation(np.cos, order=371)
+@pytest.mark.parametrize("fn", [
+    lambda u: np.tanh(2 * u), lambda u: np.tanh(5 * u), lambda u: 1 / (1 + np.exp(-(4 * u - 2))),
+], ids=["tanh(2u)", "tanh(5u)", "sigmoid(4u-2)"])
+def test_steep_smooth_activations_certify_at_the_default_order(fn):
+    assert hermite_stats(Activation.custom(fn)).quadrature_gap <= 1e-8
+
+
+def test_smooth_moments_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def moment(f):
+        density = lambda u: f(u) * mpmath.exp(-u * u / 2) / mpmath.sqrt(2 * mpmath.pi)
+        return mpmath.quad(density, [-mpmath.inf, -2, 0, 2, mpmath.inf])
+
+    with mpmath.workdps(30):
+        m0 = moment(mpmath.tanh)
+        m1 = moment(lambda u: u * mpmath.tanh(u))
+        m2 = moment(lambda u: mpmath.tanh(u) ** 2)
+        mu_star_sq = m2 - m0**2 - m1**2
+    stats = hermite_stats(Activation.custom(np.tanh))
+    assert stats.mu0 == pytest.approx(float(m0), abs=1e-12)
+    assert stats.mu1 == pytest.approx(float(m1), abs=1e-12)
+    assert stats.mu_star_sq == pytest.approx(float(mu_star_sq), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [186, 512])
+def test_high_orders_certify(order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = hermite_stats(Activation.custom(lambda u: np.tanh(2.0 * u)), order=order)
+    assert stats.quadrature_gap <= 1e-8
+    assert stats.mu1 == pytest.approx(hermite_stats(
+        Activation.custom(lambda u: np.tanh(2.0 * u))).mu1, abs=1e-12)
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.0,)])
+def test_an_integrand_alive_at_the_window_edge_fails_certification(breakpoints):
+    # E[sigma(G)^2] = E[exp(G^2 / 2)] + ... is infinite, yet the moments the
+    # window |u| <= 13 holds agree on doubling the order
+    act = Activation.custom(lambda u: np.exp(u * u / 4) + u, breakpoints=breakpoints)
+    with pytest.raises(QuadratureFailure, match=r"window edge \|u\| = 13"):
+        hermite_stats(act)
+
+
+def test_an_order_past_the_cap_is_refused_before_any_rule_is_built(monkeypatch):
+    def leggauss(order):
+        raise AssertionError(f"leggauss({order}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    with pytest.raises(ValueError, match="^order must be <= 1024, got 1025$"):
+        hermite_stats(Activation.custom(np.tanh), order=1025)
 
 
 @pytest.mark.parametrize("breakpoints", [(), (0.0,)])

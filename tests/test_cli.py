@@ -101,31 +101,18 @@ def test_stats_custom_expression(tmp_path, capsys):
     assert rec["converged"] == 1
 
 
-@pytest.mark.parametrize("order, broken", [("186", 372), ("512", 512)])
-def test_stats_past_numpys_hermite_rule_is_a_numerical_failure(order, broken, tmp_path, capsys):
-    # the certificate also integrates at twice --order; numpy's rule is not
-    # finite from order 372 on, and nan moments once passed as certified
-    expr = tmp_path / "act.txt"
-    expr.write_text("np.tanh(2*u)\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(
-            ["stats", "--activation", "custom", "--expr-file", str(expr), "--order", order],
-            capsys,
-        )
-    assert code == 3
-    assert out == ""
-    assert f"numpy's order-{broken} Gauss-Hermite rule is not finite" in err
-
-
 def test_stats_custom_kink_needs_breakpoints(tmp_path, capsys):
-    expr = tmp_path / "act.txt"
-    expr.write_text("np.abs(u)\n")
+    # the quadrature cuts at 0 when given no breakpoint, so this kink lies off the cut
+    off_cut = tmp_path / "off_cut.txt"
+    off_cut.write_text("np.abs(u - 0.5) + u\n")
     code, _, err = run_cli(
-        ["stats", "--activation", "custom", "--expr-file", str(expr)], capsys
+        ["stats", "--activation", "custom", "--expr-file", str(off_cut)], capsys
     )
     assert code == 3
     assert "doubling" in err
+
+    expr = tmp_path / "act.txt"
+    expr.write_text("np.abs(u)\n")
 
     # with the kink declared, quadrature succeeds and then degeneracy
     # (mu1 = 0 for an even function) is detected instead
@@ -712,8 +699,7 @@ def test_linear_target_simulates_at_d_1(model, capsys):
 
 @pytest.mark.parametrize("model", ["random_features", "gaussian_covariates"])
 def test_custom_activation_is_integrated_once_at_order(model, tmp_path, capsys, monkeypatch):
-    # tanh(1.2 u) fails the certificate at the default order 64 and passes at
-    # 96; the surrogate draws take the moments measured at --order
+    # the surrogate draws take the moments measured at --order
     expr = tmp_path / "act.txt"
     expr.write_text("np.tanh(1.2*u)\n")
     orders = []
@@ -1408,6 +1394,22 @@ def test_file_and_expression_errors_are_usage_errors(expr, out, message, tmp_pat
     assert message in err
 
 
+def test_an_order_past_the_cap_is_refused_before_any_rule_is_built(tmp_path, capsys,
+                                                                   monkeypatch):
+    def leggauss(order):
+        raise AssertionError(f"leggauss({order}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    path = tmp_path / "act.txt"
+    path.write_text("np.tanh(u)\n")
+    for command in (["stats"], ["theory", "--psi1", "2", "--psi2", "3", "--lambda-bar", "0.01"]):
+        code, out, err = run_cli(
+            command + ["--activation", "custom", "--expr-file", str(path), "--order", "1025"],
+            capsys)
+        assert (code, out) == (2, "")
+        assert "--order must be <= 1024, got 1025" in err
+
+
 def test_a_custom_activation_needs_its_file_and_an_order_of_at_least_1(tmp_path, capsys):
     code, out, err = run_cli(["stats", "--activation", "custom"], capsys)
     assert (code, out) == (2, "")
@@ -1434,6 +1436,18 @@ def test_compare_z_scores(capsys):
     assert rec["z_test_error"] == pytest.approx(
         gap / rec["sim_test_error_sem"], rel=1e-12
     )
+
+
+def test_compare_refuses_its_theory_before_any_trial(capsys, monkeypatch):
+    def run_trials(*args):
+        raise AssertionError("run_trials was called")
+
+    monkeypatch.setattr(rfridge.cli, "run_trials", run_trials)
+    code, out, err = run_cli(
+        ["compare", "--d", "20", "--n", "60", "--N", "60", "--lambda", "1e-12", "--trials", "2",
+         "--n-test", "1000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: "), err
 
 
 def test_compare_ridgeless_route(capsys):

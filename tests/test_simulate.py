@@ -818,6 +818,7 @@ def test_a_pinned_pool_draws_its_trials_at_once(monkeypatch):
         return meeting_draw
 
     monkeypatch.setattr(rfridge.simulate, "_drawer", meeting_drawer)
+    monkeypatch.setattr(rfridge._blas, "cores", lambda: 2)
     _assert_same(run_trials(cfg, threads=2), in_order)
 
 
@@ -826,11 +827,40 @@ def test_run_trials_keeps_the_budget_rule_where_blas_cannot_be_pinned(monkeypatc
     _assert_in_flight(monkeypatch, _small_config(trials=2), 2, 2, 1, run_trial)
 
 
+@pytest.mark.usefixtures("trial_pool")
+def test_run_trials_counts_no_budget_past_the_usable_cores(monkeypatch):
+    # each worker holds a design, so a budget past the cores only costs memory
+    pools = []
+
+    class InOrder:
+        """Records max_workers and maps in order on the calling thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rfridge.simulate, "ThreadPoolExecutor", InOrder)
+    monkeypatch.setattr(rfridge._blas, "cores", lambda: 2)
+    cfg = _small_config(trials=8)
+    trials = run_trials(cfg, threads=64)
+    assert pools == [2]
+    _assert_same(_part(trials, columns=slice(7, 8)), _pinned_trial(cfg, 7))
+
+
 def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_trial):
     """run_trials(cfg, threads) under a reported BLAS count has in_flight trials at once.
 
     cfg is a config or a sweep of them.  A blas_threads of None leaves the
-    BLAS count as it is.  The columns must equal lone_trial(cfg, t).
+    BLAS count as it is.  The usable cores are reported as threads, so the
+    budget is threads on any machine.  The columns must equal lone_trial(cfg, t).
     """
     lock = threading.Lock()
     running, peak = [0], [0]
@@ -850,6 +880,7 @@ def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_t
 
     if blas_threads is not None:
         monkeypatch.setattr(rfridge._blas, "threads", lambda: blas_threads)
+    monkeypatch.setattr(rfridge._blas, "cores", lambda: threads)
     monkeypatch.setattr(rfridge.simulate, "run_trial", spy)
     trials = run_trials(cfg, threads=threads)
     assert peak[0] == in_flight
@@ -1060,11 +1091,11 @@ def test_surrogate_measures_the_activation_once_per_call(monkeypatch):
 
 
 def test_surrogate_quadrature_failure_raises_before_any_draw(monkeypatch):
-    # tanh(1.2 u) fails the certificate at the default order 64
+    # a kink off the cut at 0, given no breakpoint, fails the certificate
     opened = []
     monkeypatch.setattr(rfridge.simulate, "substream", lambda *args: opened.append(args))
     cfg = _small_config(model="gaussian_covariates",
-                        activation=Activation.custom(lambda u: np.tanh(1.2 * u)), trials=3)
+                        activation=Activation.custom(lambda u: np.abs(u - 0.5) + u), trials=3)
     with pytest.raises(QuadratureFailure):
         run_trials(cfg)
     with pytest.raises(QuadratureFailure):
