@@ -177,14 +177,16 @@ def normal_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     order: int = 64,
     breakpoints: Sequence[float] = (),
-) -> float:
+) -> float | np.ndarray:
     """E[fn(G)] for standard normal G, by split Gauss-Legendre quadrature.
 
     The window |u| <= 13 is cut at each breakpoint inside it, or at 0 when it
     holds none, and on each piece an order-``order`` Gauss-Legendre rule
     integrates fn(u) * pdf(u).  That is spectrally accurate for fn smooth
     between the cuts.  What fn carries outside the window is dropped;
-    hermite_stats checks that it is negligible.
+    hermite_stats checks that it is negligible.  An fn may return one row per
+    integrand, each summed as a lone call sums it, into an array: hermite_stats
+    gets all three moments from one rule and one evaluation of sigma per piece.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -201,16 +203,15 @@ def normal_expectation(
         # values that are not finite give a moment that is not, which
         # hermite_stats reports; the sum itself does not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            total += 0.5 * (b - a) * float(w @ (vals * pdf))
-    return total
+            total = total + 0.5 * (b - a) * np.array([w @ (r * pdf) for r in np.atleast_2d(vals)])
+    return float(total[0]) if vals.ndim < 2 else total
 
 
 def _raw_moments(activation: Activation, order: int) -> tuple[float, float, float]:
-    bp = activation.breakpoints
-    m0 = normal_expectation(activation, order, bp)
-    m1 = normal_expectation(lambda u: u * activation(u), order, bp)
-    m2 = normal_expectation(lambda u: activation(u) ** 2, order, bp)
-    return m0, m1, m2
+    def rows(u):
+        s = activation(u)
+        return s, u * s, s ** 2
+    return tuple(float(m) for m in normal_expectation(rows, order, activation.breakpoints))
 
 
 def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
@@ -239,8 +240,7 @@ def hermite_stats(activation: Activation, order: int = 64) -> HermiteStats:
         mu1 = _normal_cdf(-c)
         second = (1.0 + c * c) * _normal_cdf(-c) - c * _normal_pdf(c)
     elif activation.stats is not None:
-        mu0, mu1, mu_star_sq = activation.stats
-        return _finalize(mu0, mu1, mu_star_sq, gap)
+        return _finalize(*activation.stats, gap)
     else:
         if order > MAX_ORDER:
             raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")

@@ -395,7 +395,7 @@ def _add_activation_opts(p):
     p.add_argument("--expr-file", default=None, help="file with a numpy expression in u")
     p.add_argument("--breakpoints", default=None, help="comma-separated kink locations of a custom activation")
     p.add_argument("--order", type=int, default=64,
-                   help=f"quadrature nodes per piece for custom activations (at most {MAX_ORDER})")
+                   help=f"quadrature nodes per piece for custom activations (1 to {MAX_ORDER})")
 
 
 def _add_shape_opts(p):
@@ -422,6 +422,10 @@ def parse_activation(args) -> Activation:
     for flag, value in (("--expr-file", args.expr_file), ("--breakpoints", args.breakpoints)):
         if value is not None and spec != "custom":
             raise ValueError(f"{flag} needs --activation custom")
+    if args.order < 1:
+        raise ValueError(f"--order must be >= 1, got {args.order}")
+    if args.order > MAX_ORDER:
+        raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
     if spec == "relu":
         return Activation.relu()
     if spec == "identity":
@@ -434,8 +438,6 @@ def parse_activation(args) -> Activation:
             raise ValueError(f"--activation shift is not a number: {shift!r}") from None
         return Activation.shifted_relu(c)
     if spec == "custom":
-        if args.order > MAX_ORDER:
-            raise ValueError(f"--order must be <= {MAX_ORDER}, got {args.order}")
         if args.expr_file is None:
             raise ValueError("--activation custom needs --expr-file")
         try:
@@ -492,7 +494,8 @@ def _grid(args, parser, finite: bool) -> tuple[dict, int]:
     given as nan fails.  Each parameter the command or theory variant takes
     (_TAKES) must be given or swept, but not both, and any other must be
     neither.  A swept psi1 or psi2 resizes N or n at fixed d; a grid value
-    whose size is not finite, and two that round to one size, fail.
+    whose size is not finite or rounds below 1, and two that round to one
+    size, fail.
     """
     values = _sweep_values(args)
     name = args.variant if args.command == "theory" else args.command
@@ -520,6 +523,9 @@ def _grid(args, parser, finite: bool) -> tuple[dict, int]:
             _require(parser, math.isfinite(v * args.d),
                      f"{args.sweep} = {v!r} gives no finite {flag} at --d {args.d}")
         sizes = [int(round(v * args.d)) for v in values]
+        for v, size in zip(values, sizes):
+            _require(parser, size >= 1,
+                     f"{args.sweep} = {v!r} gives {flag} {size} at --d {args.d}, below 1")
         for a, b, size, same in zip(values, values[1:], sizes, sizes[1:]):
             _require(parser, size != same,
                      f"{args.sweep} = {a!r} and {b!r} both give {flag} {size} at --d {args.d}")

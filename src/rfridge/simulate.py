@@ -640,8 +640,11 @@ def run_trials(config: SimConfig | Sequence[SimConfig], threads: int | None = No
     benchmark reference that allows for that noise (ROADMAP item 1).
     Per-trial randomness is keyed, not sequential.  The draw is checked,
     and the surrogate's activation moments measured, once before any trial.
-    Each trial is drawn once for every point of the sweep.
+    Each trial is drawn once for every point of the sweep.  A threads that
+    is not a positive integer is a ValueError, raised before any draw.
     """
+    if not (threads is None or (isinstance(threads, (int, np.integer)) and threads >= 1)):
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     configs = _sweep(config)
     draw = _drawer(configs[0])
     indices = range(configs[0].trials)

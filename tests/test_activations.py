@@ -182,6 +182,37 @@ def test_piecewise_quadrature_handles_kink():
     assert val == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-13)
 
 
+@pytest.mark.parametrize("fn, breakpoints", [
+    pytest.param(np.tanh, (), id="tanh"),
+    pytest.param(lambda u: np.abs(u - 0.7) + u, (0.7,), id="kink"),
+    pytest.param(np.sin, (), id="sin"),
+])
+@pytest.mark.parametrize("order", [64, 256, 1024])
+def test_a_stacked_integrand_sums_each_row_as_a_lone_call(fn, breakpoints, order):
+    lone = [normal_expectation(g, order, breakpoints)
+            for g in (fn, lambda u: u * fn(u), lambda u: fn(u) ** 2)]
+    stacked = normal_expectation(lambda u: (fn(u), u * fn(u), fn(u) ** 2), order, breakpoints)
+    assert all(type(m) is float for m in lone)
+    assert stacked.shape == (3,)
+    assert stacked.tolist() == lone
+
+
+@pytest.mark.parametrize("breakpoints, pieces", [((), 2), ((0.7,), 2), ((-1.0, 1.0), 3)])
+def test_a_certified_custom_activation_builds_one_rule_per_order(breakpoints, pieces,
+                                                                  monkeypatch):
+    # one rule and one evaluation of sigma per piece give all three moments at
+    # the order and at its doubling; sigma runs once more at the window edge
+    orders, calls = [], []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda order: orders.append(order) or leggauss(order))
+    stats = hermite_stats(
+        Activation.custom(lambda u: calls.append(np.size(u)) or np.tanh(u), breakpoints))
+    assert stats.quadrature_gap <= 1e-8
+    assert orders == [64, 128]
+    assert calls == [64] * pieces + [128] * pieces + [2]
+
+
 def test_smooth_custom_activation_tanh():
     stats = hermite_stats(Activation.custom(np.tanh))
     # E[G tanh(G)] > 0 and the residual variance is strictly positive.

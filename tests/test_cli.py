@@ -906,6 +906,13 @@ def test_sweep_spec_validation(capsys):
     pytest.param(["theory", "--d", "10", "--N", "20", "--lambda", "1e-3", "--sweep", "psi2",
                   "--grid", "1,1e308"],
                  "psi2 = 1e+308 gives no finite --n at --d 10", id="theory-psi2-huge"),
+    # finite, but the size it gives at d = 10 rounds below 1
+    pytest.param(["simulate", "--d", "10", "--n", "20", "--lambda", "1e-3", "--trials", "2",
+                  "--n-test", "1000", "--sweep", "psi1", "--grid", "0.01,1"],
+                 "psi1 = 0.01 gives --N 0 at --d 10, below 1", id="simulate-psi1-rounds-to-0"),
+    pytest.param(["theory", "--d", "10", "--N", "20", "--lambda", "1e-3", "--sweep", "psi2",
+                  "--grid=-1,1"],
+                 "psi2 = -1.0 gives --n -10 at --d 10, below 1", id="theory-psi2-negative"),
     pytest.param(["simulate", "--d", "10", "--n", "20", "--lambda", "1e-3", "--trials", "2",
                   "--n-test", "1000", "--sweep", "psi1", "--grid", "1,nan,2"],
                  "sweep grid entry 2 is nan", id="simulate-grid-nan"),
@@ -1408,6 +1415,10 @@ def test_an_order_past_the_cap_is_refused_before_any_rule_is_built(tmp_path, cap
             capsys)
         assert (code, out) == (2, "")
         assert "--order must be <= 1024, got 1025" in err
+    # the same range holds for a built-in activation, which has no rule to build
+    code, out, err = run_cli(["stats", "--activation", "relu", "--order", "5000"], capsys)
+    assert (code, out) == (2, "")
+    assert "--order must be <= 1024, got 5000" in err
 
 
 def test_a_custom_activation_needs_its_file_and_an_order_of_at_least_1(tmp_path, capsys):
@@ -1420,6 +1431,10 @@ def test_a_custom_activation_needs_its_file_and_an_order_of_at_least_1(tmp_path,
         ["stats", "--activation", "custom", "--expr-file", str(path), "--order", "0"], capsys)
     assert (code, out) == (2, "")
     assert "order must be >= 1, got 0" in err
+    for activation in ("relu", "shifted_relu:0.5"):
+        code, out, err = run_cli(["stats", "--activation", activation, "--order", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "--order must be >= 1, got 0" in err
 
 
 def test_compare_z_scores(capsys):

@@ -855,6 +855,16 @@ def test_run_trials_counts_no_budget_past_the_usable_cores(monkeypatch):
     _assert_same(_part(trials, columns=slice(7, 8)), _pinned_trial(cfg, 7))
 
 
+@pytest.mark.parametrize("threads", [0, -4, 1.5, "2"])
+def test_run_trials_refuses_a_threads_that_is_not_a_positive_integer(threads, monkeypatch):
+    # refused before any draw, not run silently one trial at a time
+    opened = []
+    monkeypatch.setattr(rfridge.simulate, "substream", lambda *args: opened.append(args))
+    with pytest.raises(ValueError, match="^threads must be a positive integer, got "):
+        run_trials(_small_config(), threads=threads)
+    assert opened == []
+
+
 def _assert_in_flight(monkeypatch, cfg, blas_threads, threads, in_flight, lone_trial):
     """run_trials(cfg, threads) under a reported BLAS count has in_flight trials at once.
 
